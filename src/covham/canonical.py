@@ -29,19 +29,35 @@ this extension the covariant Hamilton equations
 hold exactly along sourced evolutions; gradients are taken with all
 indices raised (metric signs on mu and tensor components, Dirac-adjoint
 signs (1, 1, -1, -1) on spinor components).
+
+The sources active on the slice (dynamics.source_terms) enter the
+canonical J through one complex coupling row per branch,
+
+    J_int = Re sum_c A_b,c w_b,c,
+
+each source adding its current times exp(i k.(x - u)) and a gauge
+factor.  Since Re w_c = pi_{0 c} / (2 eps k0) and Im w_c = s_b q_c /
+(2 eps), with s_b = -1 on the plus branch of the complex species and +1
+otherwise, the same row gives the interaction gradients
+
+    dJ/dpi^{0 c} = sigma_c Re A_b,c / (2 eps k0)
+    dJ/dq^c      = -s_b sigma_c Im A_b,c / (2 eps)
+
+mode_hamiltonian keeps the amplitude form written out per species: it
+is the independent reference the canonical value is checked against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dirac import dirac_adjoint, interaction_spinor, slash
-from .dynamics import _tensor_source_factor
+from .dirac import dirac_adjoint, slash
+from .dynamics import source_terms
 from .errors import CanonicalStructureError
 from .fields import FieldSpec, contract_full
 from .minkowski import METRIC_DIAG, lower_index, minkowski_dot
-from .worldlines import Worldline, equal_time_crossing
+from .worldlines import Worldline
 
 
 @dataclass(frozen=True)
@@ -103,12 +119,18 @@ class CanonicalMode:
         return out
 
 
-def _branch_vars(eps: float, k_low: np.ndarray, w: np.ndarray,
-                 q_sign: float) -> BranchVars:
+def _q_sign(field: FieldSpec, name: str) -> float:
+    """s_b in Im w_b = s_b q_b / (2 eps): -1 on the plus branch of the
+    complex species, +1 otherwise."""
+    return -1.0 if name == "plus" and field.kind != "em" else 1.0
+
+
+def _branch_vars(field: FieldSpec, name: str, eps: float, k_low: np.ndarray,
+                 w: np.ndarray) -> BranchVars:
     comp_ones = (1,) * w.ndim
     pi = np.asarray(2.0 * eps * k_low.reshape((4,) + comp_ones) * np.real(w))
     # asarray keeps rank-0 components as 0-d arrays, not numpy scalars
-    q = np.asarray(q_sign * 2.0 * eps * np.imag(w))
+    q = np.asarray(_q_sign(field, name) * 2.0 * eps * np.imag(w))
     return BranchVars(q=q, pi=pi)
 
 
@@ -138,18 +160,18 @@ def to_canonical(
             raise ValueError("em species carries a single amplitude family")
         w = np.conj(gauge.unit) * amp_plus
         return CanonicalMode(field=field, k=k,
-                             plus=_branch_vars(eps, k_low, w, +1.0),
+                             plus=_branch_vars(field, "plus", eps, k_low, w),
                              minus=None)
     if amp_minus is None:
         raise ValueError("complex species need both amplitude families")
     amp_minus = np.asarray(amp_minus, dtype=complex)
     if amp_minus.shape != comp:
         raise ValueError(f"amp_minus shape {amp_minus.shape}, expected {comp}")
-    w_plus = gauge.z * amp_plus
-    w_minus = np.conj(gauge.z) * amp_minus
-    return CanonicalMode(field=field, k=k,
-                         plus=_branch_vars(eps, k_low, w_plus, -1.0),
-                         minus=_branch_vars(eps, k_low, w_minus, +1.0))
+    return CanonicalMode(
+        field=field, k=k,
+        plus=_branch_vars(field, "plus", eps, k_low, gauge.z * amp_plus),
+        minus=_branch_vars(field, "minus", eps, k_low,
+                           np.conj(gauge.z) * amp_minus))
 
 
 def _check_collinear(bv: BranchVars, k: np.ndarray, tol: float) -> None:
@@ -171,8 +193,7 @@ def _w_values(field: FieldSpec, k: np.ndarray, mode: CanonicalMode,
     out = []
     for name, bv in mode.branches():
         re_w = bv.pi[0] / (2.0 * eps * k[0])
-        sign = +1.0 if (name == "minus" or field.kind == "em") else -1.0
-        im_w = sign * bv.q / (2.0 * eps)
+        im_w = _q_sign(field, name) * bv.q / (2.0 * eps)
         out.append(re_w + 1j * im_w)
     return out
 
@@ -198,18 +219,6 @@ def from_canonical(
     amp_plus = ws[0] / gauge.z
     amp_minus = ws[1] / np.conj(gauge.z)
     return amp_plus, amp_minus
-
-
-def _active_sources(worldlines: list[Worldline], x0: float):
-    """(worldline, u, udot) for every source active on the slice."""
-    out = []
-    for w in worldlines or []:
-        if not w.active_at(x0):
-            continue
-        tau = equal_time_crossing(w, x0)
-        u, udot = w.state(tau)
-        out.append((w, u, udot))
-    return out
 
 
 def mode_hamiltonian(
@@ -238,7 +247,7 @@ def mode_hamiltonian(
     if include_conjugate and field.kind != "spinor":
         raise ValueError("the conjugate companion exists for the spinor "
                          "species only")
-    sources = _active_sources(worldlines, x0)
+    sources = source_terms(field, worldlines, x0)
 
     if field.kind == "em":
         if amp_minus is not None:
@@ -247,10 +256,9 @@ def mode_hamiltonian(
         k2 = minkowski_dot(k, k)
         value = (-k2 / (4.0 * np.pi * c_light * k0)) * float(
             np.real(contract_full(amp_plus, amp_plus)))
-        for w, u, udot in sources:
+        for w, u, udot, current in sources:
             phase = np.exp(-1j * minkowski_dot(k, u))
-            pair = contract_full(lower_index(udot), amp_plus,
-                                 conjugate_first=False)
+            pair = contract_full(current, amp_plus, conjugate_first=False)
             value += (w.coupling / (c_light * udot[0])) * 2.0 * float(
                 np.real(pair * phase))
         return value
@@ -266,9 +274,8 @@ def mode_hamiltonian(
         if sources:
             m_plus = field.kappa * np.eye(4) + slash(k)
             m_minus = field.kappa * np.eye(4) - slash(k)
-            for w, u, udot in sources:
-                xi = w.coupling * interaction_spinor(w.xi, udot)
-                xibar = dirac_adjoint(xi)
+            for w, u, udot, current in sources:
+                xibar = dirac_adjoint(w.coupling * current)
                 phase = np.exp(-1j * minkowski_dot(k, u))
                 term = xibar @ (m_plus @ amp_plus) * phase
                 term += xibar @ (m_minus @ amp_minus) * np.conj(phase)
@@ -281,10 +288,9 @@ def mode_hamiltonian(
     value = (field.b2 / k0) * float(np.real(
         contract_full(amp_plus, amp_plus)
         + contract_full(amp_minus, amp_minus)))
-    for w, u, udot in sources:
-        factor = _tensor_source_factor(field, udot)
+    for w, u, udot, current in sources:
         phase = np.exp(-1j * minkowski_dot(k, u))
-        pair = contract_full(factor, amp_plus + np.conj(amp_minus),
+        pair = contract_full(current, amp_plus + np.conj(amp_minus),
                              conjugate_first=False)
         value += (w.coupling / udot[0]) * 2.0 * float(np.real(pair * phase))
     return value
@@ -306,6 +312,40 @@ def _free_quadratic(field: FieldSpec, mode: CanonicalMode) -> float:
     return -total if field.kind == "em" else total
 
 
+def _coupling_rows(field: FieldSpec, k: np.ndarray, x: np.ndarray,
+                   worldlines: list[Worldline] | None,
+                   gauge: CanonicalGauge) -> list[np.ndarray] | None:
+    """Interaction rows A_b per branch: J_int = Re sum_c A_b,c w_b,c at x.
+
+    None when no source is active on the slice x0 = x[0].  The gauge
+    factor is z / |z| for em and 1 / z otherwise; the minus row carries
+    the conjugate phase, and spinor rows close with kappa +- slash(k).
+    """
+    sources = source_terms(field, worldlines, x[0])
+    if not sources:
+        return None
+    sigma = field.pairing_signs()
+    zeta = gauge.unit if field.kind == "em" else 1.0 / gauge.z
+    # em: 2 / c with c = -1 / (8 pi a2)
+    strength = -16.0 * np.pi * field.a2 if field.kind == "em" else 2.0
+    rows = [0.0, 0.0]
+    for w, u, udot, current in sources:
+        if field.kind == "spinor":
+            row = dirac_adjoint(current) * (w.coupling
+                                            / (field.kappa * udot[0]))
+        else:
+            row = sigma * current * (strength * w.coupling / udot[0])
+        phase = zeta * np.exp(1j * minkowski_dot(k, x - u))
+        rows[0] = rows[0] + row * phase
+        rows[1] = rows[1] + row * np.conj(phase)
+    if field.kind == "em":
+        return rows[:1]
+    if field.kind == "spinor":
+        eye = field.kappa * np.eye(4)
+        return [rows[0] @ (eye + slash(k)), rows[1] @ (eye - slash(k))]
+    return rows
+
+
 def mode_hamiltonian_canonical(
     field: FieldSpec,
     k: np.ndarray,
@@ -324,41 +364,11 @@ def mode_hamiltonian_canonical(
     k = np.asarray(k, dtype=float)
     x = np.asarray(x, dtype=float)
     value = _free_quadratic(field, mode)
-    sources = _active_sources(worldlines, x[0])
-    if not sources:
+    rows = _coupling_rows(field, k, x, worldlines, gauge)
+    if rows is None:
         return value
-
-    eps = epsilon_scale(field, k[0], gauge)
-    ws = _w_values(field, k, mode, gauge)
-    if field.kind == "em":
-        c_light = -1.0 / (8.0 * np.pi * field.a2)
-        for w, u, udot in sources:
-            p_phase = gauge.unit * np.exp(1j * minkowski_dot(k, x - u))
-            pair = np.sum(METRIC_DIAG * lower_index(udot) * ws[0])
-            value += (2.0 * w.coupling / (c_light * udot[0])) * float(
-                np.real(pair * p_phase))
-        return value
-    if field.kind == "spinor":
-        m_plus = field.kappa * np.eye(4) + slash(k)
-        m_minus = field.kappa * np.eye(4) - slash(k)
-        for w, u, udot in sources:
-            xibar = dirac_adjoint(w.coupling * interaction_spinor(w.xi, udot))
-            row_plus = xibar @ m_plus
-            row_minus = xibar @ m_minus
-            ph = np.exp(1j * minkowski_dot(k, x - u))
-            p_plus = np.conj(gauge.z) * ph / gauge.mod**2
-            p_minus = gauge.z * np.conj(ph) / gauge.mod**2
-            term = np.sum(row_plus * ws[0]) * p_plus
-            term += np.sum(row_minus * ws[1]) * p_minus
-            value += float(np.real(term)) / (field.kappa * udot[0])
-        return value
-    sigma = field.pairing_signs()
-    for w, u, udot in sources:
-        factor = _tensor_source_factor(field, udot)
-        phi = np.conj(gauge.z) * np.exp(1j * minkowski_dot(k, x - u))
-        pair = np.sum(sigma * factor * (ws[0] + np.conj(ws[1])))
-        value += (2.0 * w.coupling / (udot[0] * gauge.mod**2)) * float(
-            np.real(pair * phi))
+    for row, w in zip(rows, _w_values(field, k, mode, gauge)):
+        value += float(np.real(np.sum(row * w)))
     return value
 
 
@@ -377,58 +387,28 @@ def mode_hamiltonian_gradients(
     tensor components, adjoint signs on spinor components).  The free
     parts reduce to dJ/dpi^{mu c} = pm pi_{mu c}, dJ/dq^c = pm kappa^2
     q_c (minus for em); sources add only to the mu = 0 momentum row and
-    to the q gradient.
+    to the q gradient, both read off the coupling rows A_b (see the
+    module docstring).
     """
     k = np.asarray(k, dtype=float)
     x = np.asarray(x, dtype=float)
     sign = -1.0 if field.kind == "em" else 1.0
     kap2 = field.kappa**2
-    grads = {}
-    for name, bv in mode.branches():
-        grads[name] = [sign * kap2 * bv.q.astype(float).copy(),
-                       sign * bv.pi.astype(float).copy()]
-
-    sources = _active_sources(worldlines, x[0])
-    if sources:
+    rows = _coupling_rows(field, k, x, worldlines, gauge)
+    if rows is not None:
+        sigma = field.pairing_signs()
         eps = epsilon_scale(field, k[0], gauge)
-        k0 = k[0]
-        if field.kind == "em":
-            c_light = -1.0 / (8.0 * np.pi * field.a2)
-            gq, gpi = grads["plus"]
-            for w, u, udot in sources:
-                p_phase = gauge.unit * np.exp(1j * minkowski_dot(k, x - u))
-                coef = w.coupling / (c_light * udot[0] * eps)
-                udot_low = lower_index(udot)
-                gpi[0] += coef / k0 * udot_low * np.real(p_phase)
-                gq += -coef * udot_low * np.imag(p_phase)
-        elif field.kind == "spinor":
-            s_adj = field.pairing_signs()
-            m_plus = field.kappa * np.eye(4) + slash(k)
-            m_minus = field.kappa * np.eye(4) - slash(k)
-            for w, u, udot in sources:
-                xibar = dirac_adjoint(w.coupling * interaction_spinor(w.xi, udot))
-                ph = np.exp(1j * minkowski_dot(k, x - u))
-                coef = 1.0 / (2.0 * eps * field.kappa * udot[0])
-                row_p = (xibar @ m_plus) * np.conj(gauge.z) * ph / gauge.mod**2
-                row_m = (xibar @ m_minus) * gauge.z * np.conj(ph) / gauge.mod**2
-                grads["plus"][1][0] += s_adj * np.real(row_p) * coef / k0
-                grads["plus"][0] += s_adj * np.imag(row_p) * coef
-                grads["minus"][1][0] += s_adj * np.real(row_m) * coef / k0
-                grads["minus"][0] += -s_adj * np.imag(row_m) * coef
-        else:
-            for w, u, udot in sources:
-                factor = _tensor_source_factor(field, udot)
-                phi = np.conj(gauge.z) * np.exp(1j * minkowski_dot(k, x - u))
-                coef = w.coupling / (udot[0] * eps * gauge.mod**2)
-                for name in grads:
-                    grads[name][1][0] += factor * np.real(phi) * coef / k0
-                    grads[name][0] += factor * np.imag(phi) * coef
-
-    plus = BranchVars(q=grads["plus"][0], pi=grads["plus"][1])
-    minus = None
-    if "minus" in grads:
-        minus = BranchVars(q=grads["minus"][0], pi=grads["minus"][1])
-    return CanonicalMode(field=field, k=k, plus=plus, minus=minus)
+    branches = []
+    for b, (name, bv) in enumerate(mode.branches()):
+        gq = sign * kap2 * bv.q.astype(float)
+        gpi = sign * bv.pi.astype(float)
+        if rows is not None:
+            gpi[0] += sigma * np.real(rows[b]) / (2.0 * eps * k[0])
+            gq = gq - _q_sign(field, name) * sigma * np.imag(rows[b]) / (
+                2.0 * eps)
+        branches.append(BranchVars(q=gq, pi=gpi))
+    return CanonicalMode(field=field, k=k, plus=branches[0],
+                         minus=branches[1] if len(branches) > 1 else None)
 
 
 def gradient_consistency(
@@ -448,51 +428,32 @@ def gradient_consistency(
     signs before comparison.  Returns the max absolute defect scaled by
     1 + max |gradient|.
     """
-
-    def rebuild(values):
-        plus = BranchVars(q=values["plus"][0], pi=values["plus"][1])
-        minus = None
-        if "minus" in values:
-            minus = BranchVars(q=values["minus"][0], pi=values["minus"][1])
-        return CanonicalMode(field=field, k=mode.k, plus=plus, minus=minus)
-
-    base = {name: [bv.q.copy(), bv.pi.copy()] for name, bv in mode.branches()}
     analytic = mode_hamiltonian_gradients(field, k, mode, x, worldlines, gauge)
+    scale = 1.0 + np.max([np.max(np.abs(getattr(bv, slot)))
+                          for _, bv in analytic.branches()
+                          for slot in ("q", "pi")])
     sigma = field.pairing_signs()
-    worst = 0.0
-    scale = 1.0
-    for name, bv in analytic.branches():
-        scale = max(scale, 1.0 + float(np.max(np.abs(bv.q))),
-                    1.0 + float(np.max(np.abs(bv.pi))))
+    # raise the finite-difference indices to match the gradient convention
+    raise_signs = {"q": sigma, "pi": np.multiply.outer(METRIC_DIAG, sigma)}
     stencil = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * delta)
     offsets = np.array([-2.0, -1.0, 1.0, 2.0]) * delta
-    for name, _ in mode.branches():
-        for slot in (0, 1):
-            arr = base[name][slot]
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
+    worst = 0.0
+    for name, bv in mode.branches():
+        for slot, signs in raise_signs.items():
+            arr = getattr(bv, slot)
+            for idx in np.ndindex(arr.shape):
                 samples = []
                 for off in offsets:
-                    probe = {n: [v[0].copy(), v[1].copy()]
-                             for n, v in base.items()}
-                    probe[name][slot][idx] += off
+                    probe = arr.copy()
+                    probe[idx] += off
+                    branch = replace(bv, **{slot: probe})
                     samples.append(mode_hamiltonian_canonical(
-                        field, k, rebuild(probe), x, worldlines, gauge))
-                fd = float(np.dot(stencil, samples))
-                # raise the finite-difference index to match convention
-                if slot == 0:
-                    raised = fd * float(sigma[idx] if sigma.ndim else sigma)
-                    ana = analytic.plus.q[idx] if name == "plus" else \
-                        analytic.minus.q[idx]
-                else:
-                    mu, comp_idx = idx[0], idx[1:]
-                    comp_sign = float(sigma[comp_idx] if sigma.ndim else sigma)
-                    raised = fd * METRIC_DIAG[mu] * comp_sign
-                    ana = analytic.plus.pi[idx] if name == "plus" else \
-                        analytic.minus.pi[idx]
-                worst = max(worst, abs(raised - ana) / scale)
-    return worst
+                        field, k, replace(mode, **{name: branch}), x,
+                        worldlines, gauge))
+                fd = float(np.dot(stencil, samples)) * signs[idx]
+                ana = getattr(getattr(analytic, name), slot)[idx]
+                worst = np.maximum(worst, abs(fd - ana) / scale)
+    return float(worst)
 
 
 def canonical_at_point(
@@ -580,9 +541,9 @@ def hamilton_residual(
         scale2 = 1.0 + float(np.max(np.abs(g.q)))
         defect1 = np.stack(dq[name]) - g.pi
         defect2 = dpi_div[name] + g.q
-        r1 = max(r1, float(np.max(np.abs(defect1))) / scale1)
-        r2 = max(r2, float(np.max(np.abs(defect2))) / scale2)
-    return r1, r2
+        r1 = np.maximum(r1, float(np.max(np.abs(defect1))) / scale1)
+        r2 = np.maximum(r2, float(np.max(np.abs(defect2))) / scale2)
+    return float(r1), float(r2)
 
 
 def constant_amplitudes(coeff_plus, coeff_minus=None):

@@ -24,6 +24,12 @@ resolved against 1 / u_dot^0:
 A source switches on sharply at tau_on (boundary active); before that it
 contributes nothing, so coefficients inherit free values bit for bit.
 
+source_terms is the one walk over the worldline crossings: for each
+source active on the slice it returns u_j, udot_j and the species
+current (U_j, udot_{j nu} or xi_j above).  source_rate contracts the
+currents with the plane-wave phases and the rate normalization; the
+generator J and its gradients in canonical.py read the same terms.
+
 The integrator is composite Simpson over uniform panels, globally fourth
 order; rates are independent of the state, so this is plain cumulative
 quadrature and superposes exactly over sources.
@@ -41,13 +47,34 @@ from .modes import ModeGrid
 from .worldlines import Worldline, equal_time_crossing
 
 
-def _tensor_source_factor(field: FieldSpec, udot: np.ndarray) -> np.ndarray:
-    """Lowered-index velocity monomial carried by a rank-l tensor source."""
-    udot_low = lower_index(udot)
-    factor = np.array(1.0)
-    for _ in range(field.rank):
-        factor = np.multiply.outer(factor, udot_low)
-    return factor
+def source_terms(field: FieldSpec, worldlines: list[Worldline] | None,
+                 x0: float) -> list[tuple]:
+    """(worldline, u, udot, current) for every source active on slice x0.
+
+    u, udot are the worldline position and velocity at the crossing
+    tau* of the slice.  current is the species coupling of the source
+    before its strength and 1 / udot^0: the lowered velocity monomial
+    U of the field rank (1 for scalars, udot_nu for em) or the
+    interaction spinor xi(tau*) for the spinor species.
+    """
+    out = []
+    for w in worldlines or []:
+        if not w.active_at(x0):
+            continue
+        tau = equal_time_crossing(w, x0)
+        u, udot = w.state(tau)
+        if field.kind == "spinor":
+            if w.xi is None:
+                raise ValueError(
+                    "spinor field needs coupling spinors on every worldline"
+                )
+            current = interaction_spinor(w.xi, udot)
+        else:
+            current = np.array(1.0)
+            for _ in range(field.rank):
+                current = np.multiply.outer(current, lower_index(udot))
+        out.append((w, u, udot, current))
+    return out
 
 
 def source_rate(
@@ -70,28 +97,13 @@ def source_rate(
     sum_plus = np.zeros((n,) + comp, dtype=complex)
     sum_minus = np.zeros((n,) + comp, dtype=complex)
 
-    for w in worldlines:
-        if not w.active_at(x0):
-            continue
-        tau = equal_time_crossing(w, x0)
-        u, udot = w.state(tau)
+    for w, u, udot, current in source_terms(field, worldlines, x0):
         phase_plus = np.exp(1j * minkowski_dot(k, u))
         scale = w.coupling / udot[0]
-        if field.kind == "em":
-            add = np.multiply.outer(phase_plus, lower_index(udot)) * scale
-            sum_plus += add
-        elif field.kind == "spinor":
-            if w.xi is None:
-                raise ValueError(
-                    "spinor field needs coupling spinors on every worldline"
-                )
-            xi = interaction_spinor(w.xi, udot)
-            sum_plus += np.multiply.outer(phase_plus, xi) * scale
-            sum_minus += np.multiply.outer(np.conj(phase_plus), xi) * scale
-        else:
-            factor = _tensor_source_factor(field, udot)
-            sum_plus += np.multiply.outer(phase_plus, factor) * scale
-            sum_minus += np.multiply.outer(np.conj(phase_plus), factor) * scale
+        sum_plus += np.multiply.outer(phase_plus, current) * scale
+        if field.kind != "em":
+            sum_minus += np.multiply.outer(np.conj(phase_plus),
+                                           current) * scale
 
     if field.kind == "em":
         rate_plus = 4.0j * np.pi * sum_plus
@@ -267,5 +279,6 @@ def mode_equation_residual(
                 continue
             deriv = (c[i - 2] - 8.0 * c[i - 1] + 8.0 * c[i + 1] - c[i + 2]) / (12.0 * h)
             scale = 1.0 + float(np.max(np.abs(rate)))
-            worst = max(worst, float(np.max(np.abs(deriv - rate))) / scale)
-    return worst
+            worst = np.maximum(worst,
+                               float(np.max(np.abs(deriv - rate))) / scale)
+    return float(worst)

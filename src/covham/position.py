@@ -275,28 +275,25 @@ def parseval_check(field: FieldSpec, box_length: float, entries,
     t_samples = x0_span[0] + (np.arange(n_t) + 0.5) * (span / n_t)
     dt = span / n_t
 
-    comp_ones = (1,) * len(comp)
-    k_cols = [lower_index(grid.k[i]).reshape((4,) + comp_ones)
-              for i in range(len(grid))]
+    # per mode and family: the value row and the four d_mu rows, so one
+    # (points, modes) phase matrix per slice gives value and derivatives
+    n = len(grid)
+    rows = grid.weight[:, None] * np.concatenate(
+        [np.ones((n, 1)), -1j * lower_index(grid.k)], axis=1)
+    coef_plus, coef_minus = (
+        np.einsum("nr,nc->nrc", r, c.reshape(n, -1)).reshape(n, -1)
+        for r, c in ((rows, c_plus), (np.conj(rows), c_minus)))
+    points = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
+                      axis=-1).reshape(-1, 3)
+    spatial = np.exp(1j * points @ grid.k_spatial.T)
     lhs = 0.0
     for t in t_samples:
+        phase = np.exp(-1j * t * grid.k0) * spatial  # exp(-i k.x)
+        sampled = (phase @ coef_plus + np.conj(phase) @ coef_minus).reshape(
+            (len(points), 5) + comp)
         slice_sum = 0.0
-        for ix in axis:
-            for iy in axis:
-                for iz in axis:
-                    xp = np.array([t, ix, iy, iz])
-                    value = np.zeros(comp, dtype=complex)
-                    deriv = np.zeros((4,) + comp, dtype=complex)
-                    for i in range(len(grid)):
-                        ph = np.exp(-1j * minkowski_dot(grid.k[i], xp))
-                        w = grid.weight[i]
-                        value += w * (c_plus[i] * ph
-                                      + c_minus[i] * np.conj(ph))
-                        deriv += w * (-1j * k_cols[i] * c_plus[i] * ph
-                                      + 1j * k_cols[i] * c_minus[i]
-                                      * np.conj(ph))
-                    theta = polymomentum(field, deriv)
-                    slice_sum += dw_density(field, value, theta)
+        for f in sampled:
+            slice_sum += dw_density(field, f[0], polymomentum(field, f[1:]))
         lhs += slice_sum * cell * dt
 
     if rhs == 0.0:

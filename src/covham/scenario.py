@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -87,7 +88,13 @@ def _number(blk: dict, where: str, key: str, default=None) -> float:
     val = blk[key]
     _require(isinstance(val, (int, float)) and not isinstance(val, bool),
              where, f"'{key}' must be a number")
-    return float(val)
+    # Python's json admits NaN and Infinity, and integers beyond float range
+    try:
+        num = float(val)
+    except OverflowError:
+        num = math.inf
+    _require(math.isfinite(num), where, f"'{key}' must be finite")
+    return num
 
 
 def _complex_vector(raw, where: str) -> np.ndarray:

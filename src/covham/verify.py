@@ -137,9 +137,14 @@ class Report:
 def _add(records: list, name: str, measured: float, tol: float,
          metadata: dict | None = None) -> None:
     measured = float(measured)
-    status = "pass" if measured <= tol else "fail"
+    status = "pass" if math.isfinite(measured) and measured <= tol else "fail"
     records.append(CheckRecord(name, status, measured, float(tol),
                                metadata or {}))
+
+
+def _worst(*values) -> float:
+    """Largest of the values; a NaN wins, where the builtin max drops it."""
+    return float(np.max(values))
 
 
 def _fail(records: list, name: str, exc: Exception) -> None:
@@ -173,7 +178,7 @@ def _suite_dirac(s: Scenario, rng, tol, records, tables) -> None:
     worst = 0.0
     for _ in range(100):
         k = on_shell_k(rng.uniform(-3.0, 3.0, size=3), kappa)
-        worst = max(worst, max(projector_defects(k, kappa).values()))
+        worst = _worst(worst, *projector_defects(k, kappa).values())
     _add(records, "dirac/projectors", worst, tol["projector"],
          {"draws": 100, "kappa": kappa})
 
@@ -188,8 +193,8 @@ def _suite_dirac(s: Scenario, rng, tol, records, tables) -> None:
             p_minus = shell_projector(k, kappa, -1)
             for mat, vec in ((p_minus, rate_p), (p_plus, rate_m)):
                 norm = float(np.linalg.norm(vec))
-                if norm > 0.0:
-                    worst = max(worst,
+                if norm != 0.0:
+                    worst = _worst(worst,
                                 float(np.linalg.norm(mat @ vec)) / norm)
         _add(records, "dirac/branch_annihilation", worst,
              tol["shell_annihilation"], {"samples": 4})
@@ -216,8 +221,8 @@ def _suite_hamilton(s: Scenario, rng, tol, records, tables) -> None:
         bp, bm = from_canonical(field, k, mode, s.gauge)
         defect = float(np.max(np.abs(bp - ap)))
         if am is not None:
-            defect = max(defect, float(np.max(np.abs(bm - am))))
-        worst_rt = max(worst_rt, defect)
+            defect = _worst(defect, np.max(np.abs(bm - am)))
+        worst_rt = _worst(worst_rt, defect)
 
         # J must not move under a phase rotation of the split constant z
         j_ref = mode_hamiltonian_canonical(
@@ -227,9 +232,9 @@ def _suite_hamilton(s: Scenario, rng, tol, records, tables) -> None:
             j_rot = mode_hamiltonian_canonical(
                 field, k, canonical_at_point(field, k, ap, am, x, gauge),
                 x, worldlines, gauge)
-            worst_gauge = max(worst_gauge,
+            worst_gauge = _worst(worst_gauge,
                               abs(j_rot - j_ref) / (1.0 + abs(j_ref)))
-        worst_grad = max(worst_grad, gradient_consistency(
+        worst_grad = _worst(worst_grad, gradient_consistency(
             field, k, mode, x, worldlines, s.gauge))
 
     _add(records, "hamilton/roundtrip", worst_rt, tol["roundtrip"],
@@ -248,7 +253,7 @@ def _suite_hamilton(s: Scenario, rng, tol, records, tables) -> None:
         r1, r2 = hamilton_residual(field, grid.k[i],
                                    constant_amplitudes(ap, am), x,
                                    worldlines=None, gauge=s.gauge, h=h)
-        worst_free = max(worst_free, r1, r2)
+        worst_free = _worst(worst_free, r1, r2)
     _add(records, "hamilton/free_residual", worst_free,
          tol["hamilton_free"], {"modes": 2})
 
@@ -274,7 +279,7 @@ def _suite_hamilton(s: Scenario, rng, tol, records, tables) -> None:
                                    history_amplitudes(hist, mode_index=i),
                                    x_mid, worldlines=worldlines,
                                    gauge=s.gauge, h=h)
-        worst_src = max(worst_src, r1, r2)
+        worst_src = _worst(worst_src, r1, r2)
     _add(records, "hamilton/sourced_residual", worst_src,
          tol["hamilton_sourced"], {"steps": steps, "x0": float(hist.x0[mid])})
 
@@ -321,7 +326,7 @@ def _suite_simulate(s: Scenario, rng, tol, records, tables) -> None:
     if np.any(mask):
         measured = float(np.max(np.abs(hist.plus[mask])))
         if hist.minus is not None:
-            measured = max(measured, float(np.max(np.abs(hist.minus[mask]))))
+            measured = _worst(measured, np.max(np.abs(hist.minus[mask])))
     _add(records, "simulate/causality", measured, tol["causality"],
          {"pre_crossing_samples": int(np.sum(mask))})
 
@@ -349,11 +354,11 @@ def _suite_simulate(s: Scenario, rng, tol, records, tables) -> None:
                 if sum_m is not None:
                     sum_m = sum_m + rm
             scale = 1.0 + float(np.max(np.abs(total_p)))
-            worst = max(worst,
-                        float(np.max(np.abs(total_p - sum_p))) / scale)
+            worst = _worst(worst,
+                           float(np.max(np.abs(total_p - sum_p))) / scale)
             if total_m is not None:
-                worst = max(worst,
-                            float(np.max(np.abs(total_m - sum_m))) / scale)
+                worst = _worst(worst,
+                               float(np.max(np.abs(total_m - sum_m))) / scale)
         _add(records, "simulate/superposition", worst, tol["superposition"],
              {"times": 3})
 
@@ -368,7 +373,7 @@ def _suite_simulate(s: Scenario, rng, tol, records, tables) -> None:
     scale = 1.0 + float(np.max(np.abs(hist.plus[-1])))
     diff = float(np.max(np.abs(second.plus[-1] - hist.plus[-1]))) / scale
     if hist.minus is not None:
-        diff = max(diff, float(np.max(np.abs(
+        diff = _worst(diff, float(np.max(np.abs(
             second.minus[-1] - hist.minus[-1]))) / scale)
     _add(records, "simulate/segmented", diff, tol["segmented"],
          {"steps": steps})
@@ -444,7 +449,7 @@ def _suite_bracket(s: Scenario, rng, tol, records, tables) -> None:
                     want = canonical_pair_bracket(
                         mu, nu, vcfg.grid.k_spatial[i],
                         vcfg.grid.k_spatial[j], vcfg)
-                    worst = max(worst, abs(got - want))
+                    worst = _worst(worst, abs(got - want))
     _add(records, "bracket/canonical_pair", worst, tol["canonical_pair"],
          {"pairs": 64})
 
@@ -567,7 +572,7 @@ def _suite_green(s: Scenario, rng, tol, records, tables) -> None:
                                                      anchor + r * direction])
                                      )[0])
             err = abs(got - ref) / abs(ref)
-            worst = max(worst, err)
+            worst = _worst(worst, err)
             rows.append({"radius": float(r), "reconstructed": got,
                          "reference": ref, "rel_err": err})
         _add(records, "green/coulomb", worst, tol["green_em"],
@@ -582,7 +587,7 @@ def _suite_green(s: Scenario, rng, tol, records, tables) -> None:
                 field, worldlines,
                 np.concatenate([[center], anchor + r * direction]))))
             err = abs(float(got) - ref) / abs(ref)
-            worst_direct = max(worst_direct, err)
+            worst_direct = _worst(worst_direct, err)
             rows.append({"radius": float(r), "reconstructed": float(got),
                          "reference": ref, "rel_err": err})
         _add(records, "green/yukawa_direct", worst_direct,
@@ -594,7 +599,7 @@ def _suite_green(s: Scenario, rng, tol, records, tables) -> None:
             r = float(radii[i])
             ratio = float(values[half + i] / values[i])
             want = math.exp(-kappa * r) / 2.0
-            worst_ratio = max(worst_ratio, abs(ratio - want) / want)
+            worst_ratio = _worst(worst_ratio, abs(ratio - want) / want)
         _add(records, "green/yukawa_ratio", worst_ratio,
              tol["green_scalar"], {"radii": radii[:half].tolist()})
     tables["green_profile"] = rows

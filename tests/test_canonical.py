@@ -328,3 +328,33 @@ class TestHamiltonResidual:
         amp_at = history_amplitudes(hist)
         with pytest.raises(ValueError, match="sample"):
             amp_at(0.123)
+
+
+def test_sourced_residuals_closed_form_rank2():
+    # the closed-form check above stops at rank 1; the coupling row must
+    # also carry the rank-2 velocity monomial
+    field = tensor_field(rank=2, a2=1.0, b2=0.81)
+    w = static_worldline([0.2, -0.1, 0.3], coupling=0.8)
+    k = species_k(field)
+    amp_at = static_closed_form(field, w, k)
+    x = np.array([1.3, 0.4, -0.2, 0.7])
+    r1, r2 = hamilton_residual(field, k, amp_at, x, [w])
+    assert r1 < 1e-8
+    assert r2 < 1e-8
+
+
+def test_spinor_source_without_coupling_spinors_raises_everywhere():
+    w = static_worldline([0.2, -0.1, 0.3], coupling=0.8)
+    k = species_k(SPINOR)
+    c_plus, c_minus = random_amps(SPINOR, np.random.default_rng(29))
+    x = np.array([1.1, 0.2, 0.3, -0.4])
+    mode = canonical_at_point(SPINOR, k, c_plus, c_minus, x)
+    calls = [
+        lambda: source_rate(SPINOR, [w], k, x[0]),
+        lambda: mode_hamiltonian(SPINOR, k, c_plus, c_minus, x[0], [w]),
+        lambda: mode_hamiltonian_canonical(SPINOR, k, mode, x, [w]),
+        lambda: mode_hamiltonian_gradients(SPINOR, k, mode, x, [w]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="coupling spinors"):
+            call()

@@ -3,6 +3,7 @@
 Suites here run on deliberately small grids; the full-resolution
 protocols live in the acceptance suite.
 """
+import dataclasses
 import json
 
 import numpy as np
@@ -12,6 +13,7 @@ from covham.cli import main
 from covham.errors import ScenarioError
 from covham.scenario import load_scenario, scenario_from_dict
 from covham.verify import DEFAULT_TOLERANCES, run_verification, write_report
+from covham.worldlines import static_worldline
 
 
 def free_scalar_dict():
@@ -344,3 +346,32 @@ class TestCli:
                      "static_scalar_source", "dirac_static_source"):
             assert main(["validate", f"scenarios/{name}.json"]) == 0
         capsys.readouterr()
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400],
+                             ids=["nan", "inf", "int-overflow"])
+    def test_validate_rejects_nonfinite_coupling(self, tmp_path, capsys,
+                                                 value):
+        data = sourced_scalar_dict()
+        data["particles"][0]["coupling"] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))  # Python's json writes NaN
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "particles[0]" in err and "finite" in err
+
+    def test_nan_coupling_fails_sourced_checks(self):
+        # a worldline built in code bypasses the scenario validation; the
+        # NaN it carries must fail every check it reaches, not read as 0
+        s = scenario_from_dict(sourced_scalar_dict())
+        s = dataclasses.replace(s, particles=(
+            static_worldline([0.0, 0.0, 0.0], coupling=float("nan")),))
+        records = {}
+        for suite in ("hamilton", "simulate"):
+            for rec in run_verification(s, suite, seed=0).records:
+                records[rec.name] = rec
+        for name in ("hamilton/gauge_invariance", "hamilton/gradient_fd",
+                     "hamilton/sourced_residual", "simulate/mode_equation"):
+            assert records[name].status == "fail", name
+            assert np.isnan(records[name].measured), name
