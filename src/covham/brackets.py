@@ -274,16 +274,24 @@ def bracket_observable(a: QuadraticObservable, b: QuadraticObservable,
     return QuadraticObservable(const, linear, quad)
 
 
-def jacobi_defect(a, b, c, cfg: BracketConfig, state: np.ndarray) -> float:
-    """|{A,{B,C}} + {B,{C,A}} + {C,{A,B}}| for quadratic observables."""
+def jacobi_terms(a, b, c, cfg: BracketConfig,
+                 state: np.ndarray) -> list[float]:
+    """[{A,{B,C}}, {B,{C,A}}, {C,{A,B}}] for quadratic observables.
+
+    Their sum is the Jacobi defect; the sum of their magnitudes is the
+    scale a relative defect divides by.
+    """
     for obs in (a, b, c):
         if not isinstance(obs, QuadraticObservable):
             raise TypeError("Jacobi nesting needs quadratic observables "
                             "(analytic second derivatives)")
-    total = poisson_bracket(a, bracket_observable(b, c, cfg), cfg, state)
-    total += poisson_bracket(b, bracket_observable(c, a, cfg), cfg, state)
-    total += poisson_bracket(c, bracket_observable(a, b, cfg), cfg, state)
-    return abs(total)
+    return [poisson_bracket(x, bracket_observable(y, z, cfg), cfg, state)
+            for x, y, z in ((a, b, c), (b, c, a), (c, a, b))]
+
+
+def jacobi_defect(a, b, c, cfg: BracketConfig, state: np.ndarray) -> float:
+    """|{A,{B,C}} + {B,{C,A}} + {C,{A,B}}| for quadratic observables."""
+    return abs(sum(jacobi_terms(a, b, c, cfg, state)))
 
 
 def canonical_pair_bracket(mu: int, nu: int, k_spatial, kprime_spatial,

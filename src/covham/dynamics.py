@@ -33,6 +33,18 @@ generator J and its gradients in canonical.py read the same terms.
 The integrator is composite Simpson over uniform panels, globally fourth
 order; rates are independent of the state, so this is plain cumulative
 quadrature and superposes exactly over sources.
+
+Static and uniform worldlines need no integrator.  Along a straight
+line k.u is linear in x0: with a_j the switch-on time of source j and
+s_j = k.udot_j / udot_j^0 > 0, its rate on slice y >= a_j is
+rate_j(a_j) exp(pm i s_j (y - a_j)).  With L = x0 - a_j the coefficient
+integral has the closed form (the degenerate case of Filon quadrature)
+
+    C_pm(x0) = sum_j rate_j,pm(a_j) L exp(pm i s_j L / 2) sinc(s_j L / 2),
+
+written with sinc so that it stays accurate as s_j L -> 0.
+straight_line_amplitudes evaluates it on any slice; circular orbits
+still need evolve_amplitudes.
 """
 from __future__ import annotations
 
@@ -122,6 +134,42 @@ def source_rate(
         rate_plus = rate_plus[0]
         rate_minus = None if rate_minus is None else rate_minus[0]
     return rate_plus, rate_minus
+
+
+def straight_line_amplitudes(
+    field: FieldSpec,
+    worldlines: list[Worldline],
+    grid: ModeGrid,
+    x0: float,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Exact coefficients (plus, minus) on slice x0 for straight sources.
+
+    Every coefficient starts from zero before each switch-on, as in
+    evolve_amplitudes from a window opening before every source; minus
+    is None for the em species.  Raises ValueError for a circular
+    worldline, whose phase is not linear in x0.
+    """
+    if any(w.kind not in ("static", "uniform") for w in worldlines):
+        raise ValueError("closed-form amplitudes need static or uniform "
+                         "worldlines")
+    n = len(grid)
+    expand = (n,) + (1,) * len(field.component_shape)
+    plus = np.zeros((n,) + field.component_shape, dtype=complex)
+    minus = None if field.kind == "em" else np.zeros_like(plus)
+    for w in worldlines:
+        start = w.switch_on_time()
+        span = x0 - start
+        if span <= 0.0:
+            continue
+        rate_plus, rate_minus = source_rate(field, [w], grid.k, start)
+        _, udot = w.state(w.tau_on)
+        half = 0.5 * span * minkowski_dot(grid.k, udot) / udot[0]
+        # np.sinc(x) = sin(pi x) / (pi x)
+        factor = span * np.exp(1j * half) * np.sinc(half / np.pi)
+        plus += rate_plus * factor.reshape(expand)
+        if minus is not None:
+            minus += rate_minus * np.conj(factor).reshape(expand)
+    return plus, minus
 
 
 @dataclass(frozen=True)

@@ -80,21 +80,31 @@ def _require(cond: bool, where: str, msg: str) -> None:
         raise ScenarioError(f"{where}: {msg}")
 
 
-def _number(blk: dict, where: str, key: str, default=None) -> float:
-    if key not in blk:
-        if default is None:
-            raise ScenarioError(f"{where}: missing required entry '{key}'")
-        return float(default)
-    val = blk[key]
+def _finite(val, where: str, what: str) -> float:
     _require(isinstance(val, (int, float)) and not isinstance(val, bool),
-             where, f"'{key}' must be a number")
+             where, f"{what} must be a number")
     # Python's json admits NaN and Infinity, and integers beyond float range
     try:
         num = float(val)
     except OverflowError:
         num = math.inf
-    _require(math.isfinite(num), where, f"'{key}' must be finite")
+    _require(math.isfinite(num), where, f"{what} must be finite")
     return num
+
+
+def _number(blk: dict, where: str, key: str, default=None) -> float:
+    if key not in blk:
+        if default is None:
+            raise ScenarioError(f"{where}: missing required entry '{key}'")
+        return float(default)
+    return _finite(blk[key], where, f"'{key}'")
+
+
+def _vector3(blk: dict, where: str, key: str, msg: str) -> np.ndarray:
+    raw = blk.get(key)
+    _require(isinstance(raw, list) and len(raw) == 3, where, msg)
+    return np.array([_finite(val, where, f"{key}[{i}]")
+                     for i, val in enumerate(raw)])
 
 
 def _complex_vector(raw, where: str) -> np.ndarray:
@@ -104,9 +114,10 @@ def _complex_vector(raw, where: str) -> np.ndarray:
     out = np.zeros(4, dtype=complex)
     for i, entry in enumerate(raw):
         if isinstance(entry, (int, float)):
-            out[i] = float(entry)
+            out[i] = _finite(entry, where, f"entry {i}")
         elif isinstance(entry, list) and len(entry) == 2:
-            out[i] = complex(float(entry[0]), float(entry[1]))
+            out[i] = complex(_finite(entry[0], where, f"entry {i} (re)"),
+                             _finite(entry[1], where, f"entry {i} (im)"))
         else:
             raise ScenarioError(
                 f"{where}[{i}]: expected a number or an [re, im] pair")
@@ -161,9 +172,8 @@ def _build_particle(blk, spec: FieldSpec, where: str) -> Worldline:
     _require(kind in ("static", "uniform", "circular"), where,
              f"kind must be static, uniform, or circular, got {kind!r}")
     coupling = _number(blk, where, "coupling")
-    position = blk.get("position")
-    _require(isinstance(position, list) and len(position) == 3, where,
-             "position must be a spatial 3-vector")
+    position = _vector3(blk, where, "position",
+                        "position must be a spatial 3-vector")
 
     xi = None
     if "xi1" in blk:
@@ -181,16 +191,14 @@ def _build_particle(blk, spec: FieldSpec, where: str) -> Worldline:
     kwargs = dict(
         kind=kind,
         coupling=coupling,
-        position=np.asarray(position, dtype=float),
+        position=position,
         t_start=_number(blk, where, "t_start", 0.0),
         tau_on=_number(blk, where, "tau_on", 0.0),
         xi=xi,
     )
     if kind == "uniform":
-        beta = blk.get("beta")
-        _require(isinstance(beta, list) and len(beta) == 3, where,
-                 "uniform worldline needs a beta 3-vector")
-        kwargs["beta"] = np.asarray(beta, dtype=float)
+        kwargs["beta"] = _vector3(blk, where, "beta",
+                                  "uniform worldline needs a beta 3-vector")
     if kind == "circular":
         kwargs["radius"] = _number(blk, where, "radius")
         kwargs["omega"] = _number(blk, where, "omega")

@@ -27,7 +27,7 @@ from .brackets import (
     canonical_pair_bracket,
     coordinate_observable,
     dw_conservation_check,
-    jacobi_defect,
+    jacobi_terms,
     momentum_vector_observable,
     poisson_bracket,
     product,
@@ -49,6 +49,7 @@ from .dynamics import (
     mode_equation_residual,
     reconstruct_field,
     source_rate,
+    straight_line_amplitudes,
 )
 from .fields import scalar_field, tensor_field
 from .green import green_oracle
@@ -74,6 +75,7 @@ DEFAULT_TOLERANCES = {
     "mode_equation": 1e-6,
     "superposition": 1e-12,
     "segmented": 1e-12,
+    "exact_vs_simpson": 1e-8,
     "parseval": 1e-6,
     "antisymmetry": 1e-12,
     "bilinearity": 1e-12,
@@ -341,6 +343,21 @@ def _suite_simulate(s: Scenario, rng, tol, records, tables) -> None:
          mode_equation_residual(field, worldlines, grid, hist_fd),
          tol["mode_equation"], {"steps": steps_fd})
 
+    if worldlines and all(w.kind in ("static", "uniform")
+                          for w in worldlines):
+        # the window may open after a switch-on: compare increments
+        start_p, start_m = straight_line_amplitudes(field, worldlines, grid,
+                                                    s.x0_start)
+        end_p, end_m = straight_line_amplitudes(field, worldlines, grid,
+                                                s.x0_end)
+        pairs = [(hist_fd.final_plus, end_p - start_p)]
+        if end_m is not None:
+            pairs.append((hist_fd.final_minus, end_m - start_m))
+        diff = _worst(*(np.max(np.abs(got - want)) for got, want in pairs))
+        size = _worst(*(np.max(np.abs(want)) for _, want in pairs))
+        _add(records, "simulate/exact_vs_simpson", diff / (1.0 + size),
+             tol["exact_vs_simpson"], {"steps": steps_fd})
+
     if len(worldlines) >= 2:
         worst = 0.0
         for frac in (0.25, 0.5, 0.9):
@@ -427,7 +444,12 @@ def _suite_bracket(s: Scenario, rng, tol, records, tables) -> None:
     _add(records, "bracket/leibniz", abs(lhs - rhs) / (1.0 + abs(rhs)),
          tol["leibniz"], meta)
 
-    _add(records, "bracket/jacobi", jacobi_defect(a, b, c, cfg, state),
+    # the defect grows with the state and the observables; relative to
+    # the three terms it measures round-off.  V = 0 zeroes every term.
+    terms = jacobi_terms(a, b, c, cfg, state)
+    scale = sum(abs(t) for t in terms)
+    defect = abs(sum(terms))
+    _add(records, "bracket/jacobi", defect / scale if scale else defect,
          tol["jacobi"], meta)
 
     # the canonical pair needs the vector sector for all four components
@@ -479,41 +501,30 @@ def _suite_parseval(s: Scenario, rng, tol, records, tables) -> None:
 # ---------------------------------------------------------------- green
 
 def averaged_profile(field, worldlines, grid, points, center: float,
-                     period: float, n_samples: int = 32,
-                     h: float | None = None):
+                     period: float, n_samples: int = 32):
     """Time-averaged reconstruction at fixed spatial points.
 
-    Integrates the mode coefficients from the earliest switch-on to the
-    far edge of the averaging window in segments (midpoint samples over
-    one period centered at `center`), reconstructing at every sample.
-    Averaging over a full period suppresses the oscillatory transient
-    left by the switch-on, so the result approximates the steady field.
+    Samples the slice at n_samples midpoints of one period centered at
+    `center`, takes the mode coefficients on each from the closed form
+    for straight worldlines (dynamics.straight_line_amplitudes, exact
+    from the switch-on with no time stepping) and reconstructs at every
+    point.  Averaging over a full period suppresses the oscillatory
+    transient left by the switch-on, so the result approximates the
+    steady field.  Raises ValueError for a circular source.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if h is None:
-        h = 0.2 / float(np.max(grid.k[:, 0]))
     t_on = min(w.switch_on_time() for w in worldlines)
     samples = center + period * ((np.arange(n_samples) + 0.5) / n_samples
                                  - 0.5)
     if samples[0] <= t_on:
         raise ValueError("averaging window starts before the switch-on")
 
-    state_p = None
-    state_m = None
-    prev = t_on
     accum = None
     for t in samples:
-        steps = max(4, int(math.ceil((t - prev) / h)))
-        seg = evolve_amplitudes(field, worldlines, grid, prev, t, steps,
-                                init_plus=state_p, init_minus=state_m,
-                                save="last")
-        state_p = seg.plus[-1]
-        state_m = None if seg.minus is None else seg.minus[-1]
-        prev = t
-        vals = [reconstruct_field(field, grid, state_p, state_m,
-                                  np.concatenate([[t], pt]))
-                for pt in points]
-        vals = np.asarray(vals)
+        plus, minus = straight_line_amplitudes(field, worldlines, grid, t)
+        vals = np.asarray([reconstruct_field(field, grid, plus, minus,
+                                             np.concatenate([[t], pt]))
+                           for pt in points])
         accum = vals if accum is None else accum + vals
     return accum / n_samples
 

@@ -114,16 +114,17 @@ class Worldline:
 def equal_time_crossing(worldline: Worldline, x0: float) -> float:
     """Proper time tau* with u0(tau*) = x0.
 
-    Raises CrossingError when the slice precedes the active segment;
+    Raises CrossingError exactly when active_at(x0) is false;
     callers that want "no contribution yet" should test active_at first.
     """
-    tau_star = (x0 - worldline.t_start) / worldline.gamma
-    if tau_star < worldline.tau_on:
+    if not worldline.active_at(x0):
         raise CrossingError(
             f"x0 = {x0} precedes the worldline switch-on at "
             f"u0 = {worldline.switch_on_time()}"
         )
-    return tau_star
+    # on a slice active_at admits, rounding can still put tau* a hair
+    # before tau_on (x0 = switch_on_time() itself, for instance)
+    return max((x0 - worldline.t_start) / worldline.gamma, worldline.tau_on)
 
 
 def static_worldline(position, coupling: float, t_start: float = 0.0,

@@ -20,6 +20,7 @@ from covham.brackets import (
     coordinate_observable,
     dw_conservation_check,
     jacobi_defect,
+    jacobi_terms,
     momentum_vector_observable,
     poisson_bracket,
     product,
@@ -284,6 +285,18 @@ class TestJacobi:
             obs = [random_quadratic(lay, rng) for _ in range(3)]
             state = rng.normal(size=lay.size)
             assert jacobi_defect(*obs, cfg, state) < 1e-8
+
+    def test_defect_grows_with_scale_but_relative_stays_roundoff(self):
+        cfg = vector_cfg()
+        rng = np.random.default_rng(43)
+        lay = cfg.layout
+        obs = [random_quadratic(lay, rng, scale=1e4) for _ in range(3)]
+        state = 1e2 * rng.normal(size=lay.size)
+        terms = jacobi_terms(*obs, cfg, state)
+        defect = jacobi_defect(*obs, cfg, state)
+        assert defect == abs(sum(terms))  # bit for bit
+        assert defect > 1e-8  # the absolute tolerance would fail
+        assert defect / sum(abs(t) for t in terms) < 1e-12
 
     def test_general_observable_rejected(self):
         cfg = scalar_cfg()

@@ -8,12 +8,18 @@ from covham.dynamics import (
     mode_equation_residual,
     reconstruct_field,
     source_rate,
+    straight_line_amplitudes,
 )
 from covham.dirac import DiracCoupling, shell_projector
 from covham.fields import em_field, scalar_field, spinor_field, tensor_field
 from covham.minkowski import minkowski_dot, on_shell_k
 from covham.modes import build_mode_grid
-from covham.worldlines import static_worldline, uniform_worldline
+from covham.verify import averaged_profile
+from covham.worldlines import (
+    circular_worldline,
+    static_worldline,
+    uniform_worldline,
+)
 
 SCALAR = scalar_field()  # s = m = c = 1: a2 = 1, kappa = 1
 EM = em_field()
@@ -195,6 +201,97 @@ class TestEvolve:
             evolve_amplitudes(SCALAR, [], grid, 1.0, 1.0, steps=4)
         with pytest.raises(ValueError):
             evolve_amplitudes(SCALAR, [], grid, 0.0, 1.0, steps=4, save="some")
+
+
+XI = DiracCoupling(xi1=np.array([1.0, 0.5j, -0.25, 0.1]),
+                   xi2=np.array([0.2, 0.0, 0.3j, 0.0]))
+STRAIGHT_FIELDS = {
+    "scalar": SCALAR,
+    "tensor2": tensor_field(rank=2, a2=1.0, b2=1.0),
+    "em": EM,
+    "spinor": SPINOR,
+}
+
+
+def _straight_source(kind):
+    """A source switched on before x0 = 0.5 (0.3 static, 0.343 uniform)."""
+    if kind == "static":
+        return static_worldline([0.3, -0.2, 0.1], coupling=0.7,
+                                t_start=0.1, tau_on=0.2, xi=XI)
+    # (switch_on_time() - t_start) / gamma rounds below tau_on here
+    return uniform_worldline([0.1, 0.4, -0.3], [0.35, -0.2, 0.15],
+                             coupling=-1.3, t_start=-0.1, tau_on=0.4, xi=XI)
+
+
+def _simpson(field, worldlines, grid, start, end):
+    """evolve_amplitudes at k0_max h <= 0.03, final slice."""
+    steps = int(np.ceil((end - start) * np.max(grid.k[:, 0]) / 0.03))
+    hist = evolve_amplitudes(field, worldlines, grid, start, end, steps,
+                             save="last")
+    return hist.final_plus, hist.final_minus
+
+
+def _max_dev(got, want):
+    """max |got - want| / (1 + max |want|) over both families."""
+    dev = np.max(np.abs(got[0] - want[0]))
+    scale = np.max(np.abs(want[0]))
+    if want[1] is not None:
+        dev = max(dev, np.max(np.abs(got[1] - want[1])))
+        scale = max(scale, np.max(np.abs(want[1])))
+    return dev / (1.0 + scale)
+
+
+class TestStraightLineAmplitudes:
+    @pytest.mark.parametrize("kind", ["static", "uniform"])
+    @pytest.mark.parametrize("name", sorted(STRAIGHT_FIELDS))
+    def test_matches_simpson(self, name, kind):
+        field = STRAIGHT_FIELDS[name]
+        w = _straight_source(kind)
+        grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=field.kappa)
+        start, end = 0.5, 2.5
+        # Simpson starts from zero at 0.5, after the switch-on: compare
+        # the increment of the closed form over the window
+        p0, m0 = straight_line_amplitudes(field, [w], grid, start)
+        p1, m1 = straight_line_amplitudes(field, [w], grid, end)
+        exact = (p1 - p0, None if m1 is None else m1 - m0)
+        assert _max_dev(_simpson(field, [w], grid, start, end), exact) <= 1e-9
+        assert np.max(np.abs(p0)) > 0.0
+
+    @pytest.mark.parametrize("name", sorted(STRAIGHT_FIELDS))
+    def test_switch_on_at_window_start(self, name):
+        field = STRAIGHT_FIELDS[name]
+        w = _straight_source("uniform")
+        grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=field.kappa)
+        start = w.switch_on_time()
+        got = straight_line_amplitudes(field, [w], grid, start + 2.0)
+        want = _simpson(field, [w], grid, start, start + 2.0)
+        assert _max_dev(want, got) <= 1e-9
+        zero_p, _ = straight_line_amplitudes(field, [w], grid, start)
+        assert not np.any(zero_p)
+        # s L -> 0: the first sliver of the integral is rate * L
+        x0 = start + 1e-9
+        sliver, _ = straight_line_amplitudes(field, [w], grid, x0)
+        rate, _ = source_rate(field, [w], grid.k, start)
+        assert np.allclose(sliver, rate * (x0 - start), rtol=1e-8, atol=0.0)
+
+    def test_two_sources_superpose_exactly(self):
+        w1, w2 = _straight_source("static"), _straight_source("uniform")
+        grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=1.0)
+        both = straight_line_amplitudes(SPINOR, [w1, w2], grid, 2.2)
+        one = straight_line_amplitudes(SPINOR, [w1], grid, 2.2)
+        two = straight_line_amplitudes(SPINOR, [w2], grid, 2.2)
+        assert np.array_equal(both[0], one[0] + two[0])
+        assert np.array_equal(both[1], one[1] + two[1])
+
+    def test_circular_source_raises(self):
+        grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=0.0)
+        lines = [static_worldline([0, 0, 0], coupling=1.0),
+                 circular_worldline([0, 0, 0], 0.5, 1.2, coupling=1.0)]
+        with pytest.raises(ValueError, match="static or uniform"):
+            straight_line_amplitudes(EM, lines, grid, 1.0)
+        with pytest.raises(ValueError, match="static or uniform"):
+            averaged_profile(EM, lines, grid, [[1.0, 0.0, 0.0]],
+                             center=5.0, period=2.0)
 
 
 class TestReconstructAndResidual:

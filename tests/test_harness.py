@@ -9,9 +9,13 @@ import json
 import numpy as np
 import pytest
 
+from covham import verify
+from covham.brackets import BracketConfig
 from covham.cli import main
+from covham.dynamics import source_rate
 from covham.errors import ScenarioError
 from covham.scenario import load_scenario, scenario_from_dict
+from covham.minkowski import minkowski_dot
 from covham.verify import DEFAULT_TOLERANCES, run_verification, write_report
 from covham.worldlines import static_worldline
 
@@ -173,9 +177,45 @@ class TestVerificationSuites:
         report = run_verification(s, "simulate", seed=5)
         names = {r.name for r in report.records}
         assert {"simulate/causality", "simulate/mode_equation",
-                "simulate/superposition", "simulate/segmented"} <= names
+                "simulate/superposition", "simulate/segmented",
+                "simulate/exact_vs_simpson"} <= names
         assert report.passed, [r.to_dict() for r in report.records
                                if r.status != "pass"]
+
+    def test_exact_vs_simpson_only_with_straight_sources(self):
+        free = run_verification(scenario_from_dict(free_scalar_dict()),
+                                "simulate", seed=5)
+        assert "simulate/exact_vs_simpson" not in {r.name
+                                                   for r in free.records}
+        data = sourced_scalar_dict()
+        data["particles"][0].update(kind="circular", radius=0.4, omega=1.1)
+        orbit = run_verification(scenario_from_dict(data), "simulate",
+                                 seed=5)
+        assert "simulate/exact_vs_simpson" not in {r.name
+                                                   for r in orbit.records}
+
+    def test_exact_vs_simpson_flags_flipped_phase_rate(self, monkeypatch):
+        def flipped(field, worldlines, grid, x0):
+            # straight_line_amplitudes with the sign of s flipped
+            plus, minus = 0.0, 0.0
+            for w in worldlines:
+                span = x0 - w.switch_on_time()
+                if span <= 0.0:
+                    continue
+                rp, rm = source_rate(field, [w], grid.k, w.switch_on_time())
+                _, udot = w.state(w.tau_on)
+                half = -0.5 * span * minkowski_dot(grid.k, udot) / udot[0]
+                factor = span * np.exp(1j * half) * np.sinc(half / np.pi)
+                plus = plus + rp * factor
+                minus = minus + rm * np.conj(factor)
+            return plus, minus
+
+        s = scenario_from_dict(sourced_scalar_dict(extra_particle=True))
+        monkeypatch.setattr(verify, "straight_line_amplitudes", flipped)
+        report = run_verification(s, "simulate", seed=5)
+        rec = [r for r in report.records
+               if r.name == "simulate/exact_vs_simpson"][0]
+        assert rec.status == "fail" and rec.measured > 1e-3
 
     def test_bracket_suite_scalar(self):
         s = scenario_from_dict(free_scalar_dict())
@@ -185,6 +225,28 @@ class TestVerificationSuites:
         conservation = [r for r in report.records
                         if r.name == "bracket/conservation"][0]
         assert conservation.measured == 0.0
+
+    def test_bracket_jacobi_flags_broken_structure(self, monkeypatch):
+        original = BracketConfig.poisson_tensor
+
+        def poisson_tensor(cfg):
+            lam = original(cfg)
+            lam[0, -1] += 1e-3 * np.max(np.abs(lam))  # no longer antisymmetric
+            return lam
+
+        monkeypatch.setattr(BracketConfig, "poisson_tensor", poisson_tensor)
+        s = scenario_from_dict(free_scalar_dict())
+        report = run_verification(s, "bracket", seed=7)
+        rec = [r for r in report.records if r.name == "bracket/jacobi"][0]
+        assert rec.status == "fail"
+
+    def test_bracket_suite_zero_vector_keeps_every_record(self):
+        # V = 0 zeroes every Jacobi term: no 0 / 0 in the relative defect
+        data = free_scalar_dict()
+        data["bracket"] = {"V": [0.0, 0.0, 0.0, 0.0]}
+        report = run_verification(scenario_from_dict(data), "bracket", seed=7)
+        assert "bracket/jacobi" in {r.name for r in report.records}
+        assert report.passed, [r.to_dict() for r in report.records]
 
     def test_bracket_suite_dirac_uses_fallback_sector(self):
         s = scenario_from_dict(dirac_dict())
@@ -360,6 +422,23 @@ class TestNonFinite:
         assert main(["validate", str(path)]) == 1
         err = capsys.readouterr().err
         assert "particles[0]" in err and "finite" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("position", [float("nan"), 0.0, 0.0]),
+        ("beta", [0.1, float("inf"), 0.0]),
+        ("xi1", [0.4, [0.0, float("nan")], 0.3, 0.05]),
+    ], ids=["position", "beta", "xi1"])
+    def test_validate_rejects_nonfinite_particle_entries(self, tmp_path,
+                                                         capsys, key, value):
+        data = dirac_dict()
+        data["particles"][0].update(kind="uniform", beta=[0.1, 0.0, 0.0])
+        data["particles"][0][key] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "particles[0]" in err and "finite" in err
+        assert "Traceback" not in err
 
     def test_nan_coupling_fails_sourced_checks(self):
         # a worldline built in code bypasses the scenario validation; the

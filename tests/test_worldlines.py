@@ -92,6 +92,16 @@ def test_crossing_before_switch_on_raises():
         equal_time_crossing(w, 2.5)
 
 
+def test_crossing_at_switch_on_time_is_tau_on():
+    # (x0 - t_start) / gamma rounds below tau_on on this slice
+    w = uniform_worldline([0, 0, 0], [0.35, -0.2, 0.15], coupling=1.0,
+                          t_start=-0.1, tau_on=0.4)
+    x0 = w.switch_on_time()
+    assert (x0 - w.t_start) / w.gamma < w.tau_on
+    assert w.active_at(x0)
+    assert equal_time_crossing(w, x0) == w.tau_on
+
+
 def test_circular_stays_on_circle_and_in_plane():
     w = circular_worldline([1.0, -2.0, 0.5], radius=2.0, omega=0.3,
                            coupling=1.0, phase0=0.4)
