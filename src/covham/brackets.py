@@ -56,7 +56,7 @@ class StateLayout:
                 "bracket sectors are defined for component ranks 0 and 1")
         self.field = field
         self.grid = grid
-        self.branches = ("plus",) if field.kind == "em" else ("plus", "minus")
+        self.branches = field.branches
         self.comp_size = field.n_components
         self.sigma_flat = np.asarray(field.pairing_signs(),
                                      dtype=float).reshape(-1)
@@ -114,34 +114,30 @@ class BracketConfig:
     grid: ModeGrid
     v: np.ndarray = dc_field(default_factory=lambda: np.array(
         [1.0, 0.0, 0.0, 0.0]))
+    layout: StateLayout = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.v, dtype=float).copy()
         if v.shape != (4,) or not np.all(np.isfinite(v)):
             raise ValueError("v must be a finite four-vector")
         object.__setattr__(self, "v", v)
-
-    @property
-    def layout(self) -> StateLayout:
-        return StateLayout(self.field, self.grid)
+        object.__setattr__(self, "layout", StateLayout(self.field, self.grid))
 
     def poisson_tensor(self) -> np.ndarray:
-        """Dense antisymmetric structure matrix Lambda."""
+        """Dense antisymmetric structure matrix Lambda, a new array on
+        every call."""
         lay = self.layout
+        vfac = (1.0 / self.grid.weight)[:, None] * self.v * METRIC_DIAG
+        # one entry per (mode i, branch b, row mu, component c)
+        i, b, mu, c = np.indices((len(self.grid), len(lay.branches), 4,
+                                  lay.comp_size))
+        val = vfac[i, mu] * lay.sigma_flat[c]
+        keep = vfac[i, mu] != 0.0
+        qi = i * lay.per_mode + b * lay.per_branch + c
+        pj = qi + lay.comp_size * (1 + mu)
         lam = np.zeros((lay.size, lay.size))
-        for i in range(len(self.grid)):
-            coeff = 1.0 / self.grid.weight[i]
-            for name in lay.branches:
-                for mu in range(4):
-                    vfac = coeff * self.v[mu] * METRIC_DIAG[mu]
-                    if vfac == 0.0:
-                        continue
-                    for c in range(lay.comp_size):
-                        qi = lay.q_index(i, name, c)
-                        pj = lay.pi_index(i, name, mu, c)
-                        val = vfac * lay.sigma_flat[c]
-                        lam[qi, pj] += val
-                        lam[pj, qi] -= val
+        lam[qi[keep], pj[keep]] = val[keep]
+        lam[pj[keep], qi[keep]] = -val[keep]
         return lam
 
 
@@ -338,7 +334,6 @@ def dw_conservation_check(cfg: BracketConfig, state: np.ndarray,
             dq = np.asarray(g.q, dtype=float).reshape(-1)
             dpi = (np.asarray(g.pi, dtype=float).reshape(4, -1)
                    * comp_metric * lay.sigma_flat)
-            for mu in range(4):
-                first[mu] += w * float(np.sum(dq * dpi[mu]))
-                second[mu] += w * float(np.sum(dpi[mu] * dq))
+            first += w * np.sum(dq * dpi, axis=1)
+            second += w * np.sum(dpi * dq, axis=1)
     return float(np.max(np.abs(first - second)))

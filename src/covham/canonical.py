@@ -16,7 +16,11 @@ Hamiltonian J to the spacetime integral of the de Donder-Weyl density:
     em (real field)    eps^2 = -a2 / k0      (z enters as a pure phase)
 
 The em field has a single family, w_nu = (z*/|z|) A~_nu, with
-q_nu = +2 eps Im w_nu, pi_{mu nu} = 2 eps k_mu Re w_nu.
+q_nu = +2 eps Im w_nu, pi_{mu nu} = 2 eps k_mu Re w_nu.  These
+per-branch factors g_b, signs s_b (Im w_b = s_b q_b / (2 eps)) and
+eps come from the species table (fields.FieldSpec), as do the em
+free-part sign and coupling strength, so only the spinor's first-order
+coupling row and mode_hamiltonian test the species here.
 
 J as a phase-space function uses the off-shell extension
 Re w_c = pi_{0 c} / (2 eps k0): interaction terms are linear in the
@@ -37,8 +41,7 @@ canonical J through one complex coupling row per branch,
 
 each source adding its current times exp(i k.(x - u)) and a gauge
 factor.  Since Re w_c = pi_{0 c} / (2 eps k0) and Im w_c = s_b q_c /
-(2 eps), with s_b = -1 on the plus branch of the complex species and +1
-otherwise, the same row gives the interaction gradients
+(2 eps), the same row gives the interaction gradients
 
     dJ/dpi^{0 c} = sigma_c Re A_b,c / (2 eps k0)
     dJ/dq^c      = -s_b sigma_c Im A_b,c / (2 eps)
@@ -55,7 +58,7 @@ import numpy as np
 from .dirac import dirac_adjoint, slash
 from .dynamics import source_terms
 from .errors import CanonicalStructureError
-from .fields import FieldSpec, contract_full
+from .fields import FieldSpec, contract_full, family_pair, with_conjugate
 from .minkowski import METRIC_DIAG, lower_index, minkowski_dot
 from .worldlines import Worldline
 
@@ -70,25 +73,13 @@ class CanonicalGauge:
         if self.z == 0:
             raise ValueError("gauge constant z must be nonzero")
 
-    @property
-    def mod(self) -> float:
-        return abs(self.z)
-
-    @property
-    def unit(self) -> complex:
-        return self.z / abs(self.z)
-
 
 DEFAULT_GAUGE = CanonicalGauge()
 
 
 def epsilon_scale(field: FieldSpec, k0: float, gauge: CanonicalGauge) -> float:
     """Species normalization eps(k0); see module docstring."""
-    if field.kind == "em":
-        return float(np.sqrt(-field.a2 / k0))
-    if field.kind == "spinor":
-        return float(np.sqrt(field.a2 / (4.0 * k0 * field.kappa))) / gauge.mod
-    return float(np.sqrt(field.a2 / (2.0 * k0))) / gauge.mod
+    return field.epsilon(k0, gauge.z)
 
 
 @dataclass(frozen=True)
@@ -113,25 +104,7 @@ class CanonicalMode:
     minus: BranchVars | None
 
     def branches(self):
-        out = [("plus", self.plus)]
-        if self.minus is not None:
-            out.append(("minus", self.minus))
-        return out
-
-
-def _q_sign(field: FieldSpec, name: str) -> float:
-    """s_b in Im w_b = s_b q_b / (2 eps): -1 on the plus branch of the
-    complex species, +1 otherwise."""
-    return -1.0 if name == "plus" and field.kind != "em" else 1.0
-
-
-def _branch_vars(field: FieldSpec, name: str, eps: float, k_low: np.ndarray,
-                 w: np.ndarray) -> BranchVars:
-    comp_ones = (1,) * w.ndim
-    pi = np.asarray(2.0 * eps * k_low.reshape((4,) + comp_ones) * np.real(w))
-    # asarray keeps rank-0 components as 0-d arrays, not numpy scalars
-    q = np.asarray(_q_sign(field, name) * 2.0 * eps * np.imag(w))
-    return BranchVars(q=q, pi=pi)
+        return [(name, getattr(self, name)) for name in self.field.branches]
 
 
 def to_canonical(
@@ -149,29 +122,24 @@ def to_canonical(
     must be None.
     """
     k = np.asarray(k, dtype=float)
-    eps = epsilon_scale(field, k[0], gauge)
-    k_low = lower_index(k)
+    eps = field.epsilon(k[0], gauge.z)
     comp = field.component_shape
-    amp_plus = np.asarray(amp_plus, dtype=complex)
-    if amp_plus.shape != comp:
-        raise ValueError(f"amp_plus shape {amp_plus.shape}, expected {comp}")
-    if field.kind == "em":
-        if amp_minus is not None:
-            raise ValueError("em species carries a single amplitude family")
-        w = np.conj(gauge.unit) * amp_plus
-        return CanonicalMode(field=field, k=k,
-                             plus=_branch_vars(field, "plus", eps, k_low, w),
-                             minus=None)
-    if amp_minus is None:
-        raise ValueError("complex species need both amplitude families")
-    amp_minus = np.asarray(amp_minus, dtype=complex)
-    if amp_minus.shape != comp:
-        raise ValueError(f"amp_minus shape {amp_minus.shape}, expected {comp}")
-    return CanonicalMode(
-        field=field, k=k,
-        plus=_branch_vars(field, "plus", eps, k_low, gauge.z * amp_plus),
-        minus=_branch_vars(field, "minus", eps, k_low,
-                           np.conj(gauge.z) * amp_minus))
+    k_col = lower_index(k).reshape((4,) + (1,) * len(comp))
+    branches = []
+    for name, amp, g, q_sign in zip(field.branches,
+                                    field.families(amp_plus, amp_minus),
+                                    field.gauge_factors(gauge.z),
+                                    field.q_signs):
+        amp = np.asarray(amp, dtype=complex)
+        if amp.shape != comp:
+            raise ValueError(f"amp_{name} shape {amp.shape}, expected {comp}")
+        w = g * amp
+        # asarray keeps rank-0 components as 0-d arrays, not numpy scalars
+        branches.append(BranchVars(
+            q=np.asarray(q_sign * 2.0 * eps * np.imag(w)),
+            pi=np.asarray(2.0 * eps * k_col * np.real(w))))
+    plus, minus = family_pair(branches)
+    return CanonicalMode(field=field, k=k, plus=plus, minus=minus)
 
 
 def _check_collinear(bv: BranchVars, k: np.ndarray, tol: float) -> None:
@@ -189,13 +157,9 @@ def _check_collinear(bv: BranchVars, k: np.ndarray, tol: float) -> None:
 def _w_values(field: FieldSpec, k: np.ndarray, mode: CanonicalMode,
               gauge: CanonicalGauge) -> list[np.ndarray]:
     """Complex w per branch via the pi_0 extension (exact on-shell)."""
-    eps = epsilon_scale(field, k[0], gauge)
-    out = []
-    for name, bv in mode.branches():
-        re_w = bv.pi[0] / (2.0 * eps * k[0])
-        im_w = _q_sign(field, name) * bv.q / (2.0 * eps)
-        out.append(re_w + 1j * im_w)
-    return out
+    eps = field.epsilon(k[0], gauge.z)
+    return [bv.pi[0] / (2.0 * eps * k[0]) + 1j * (q_sign * bv.q / (2.0 * eps))
+            for (_, bv), q_sign in zip(mode.branches(), field.q_signs)]
 
 
 def from_canonical(
@@ -213,12 +177,8 @@ def from_canonical(
     k = np.asarray(k, dtype=float)
     for _, bv in mode.branches():
         _check_collinear(bv, k, tol)
-    ws = _w_values(field, k, mode, gauge)
-    if field.kind == "em":
-        return ws[0] * gauge.unit, None
-    amp_plus = ws[0] / gauge.z
-    amp_minus = ws[1] / np.conj(gauge.z)
-    return amp_plus, amp_minus
+    return family_pair(w / g for w, g in zip(_w_values(field, k, mode, gauge),
+                                             field.gauge_factors(gauge.z)))
 
 
 def mode_hamiltonian(
@@ -309,7 +269,7 @@ def _free_quadratic(field: FieldSpec, mode: CanonicalMode) -> float:
     for _, bv in mode.branches():
         pipi = np.einsum("m,m...->...", METRIC_DIAG, bv.pi**2)
         total += 0.5 * float(np.sum(sigma * (pipi + kap2 * bv.q**2)))
-    return -total if field.kind == "em" else total
+    return field.free_sign * total
 
 
 def _coupling_rows(field: FieldSpec, k: np.ndarray, x: np.ndarray,
@@ -318,31 +278,26 @@ def _coupling_rows(field: FieldSpec, k: np.ndarray, x: np.ndarray,
     """Interaction rows A_b per branch: J_int = Re sum_c A_b,c w_b,c at x.
 
     None when no source is active on the slice x0 = x[0].  The gauge
-    factor is z / |z| for em and 1 / z otherwise; the minus row carries
+    factor is 1 / g_plus (field.gauge_factors); the minus row carries
     the conjugate phase, and spinor rows close with kappa +- slash(k).
     """
     sources = source_terms(field, worldlines, x[0])
     if not sources:
         return None
     sigma = field.pairing_signs()
-    zeta = gauge.unit if field.kind == "em" else 1.0 / gauge.z
-    # em: 2 / c with c = -1 / (8 pi a2)
-    strength = -16.0 * np.pi * field.a2 if field.kind == "em" else 2.0
-    rows = [0.0, 0.0]
+    zeta = 1.0 / field.gauge_factors(gauge.z)[0]
+    rows = [0.0 for _ in field.branches]
     for w, u, udot, current in sources:
         if field.kind == "spinor":
             row = dirac_adjoint(current) * (w.coupling
                                             / (field.kappa * udot[0]))
         else:
-            row = sigma * current * (strength * w.coupling / udot[0])
+            row = sigma * current * (field.coupling_strength * w.coupling
+                                     / udot[0])
         phase = zeta * np.exp(1j * minkowski_dot(k, x - u))
-        rows[0] = rows[0] + row * phase
-        rows[1] = rows[1] + row * np.conj(phase)
-    if field.kind == "em":
-        return rows[:1]
+        rows = [r + row * ph for r, ph in zip(rows, with_conjugate(phase))]
     if field.kind == "spinor":
-        eye = field.kappa * np.eye(4)
-        return [rows[0] @ (eye + slash(k)), rows[1] @ (eye - slash(k))]
+        rows = [r @ op for r, op in zip(rows, field.shell_operators(k))]
     return rows
 
 
@@ -392,23 +347,23 @@ def mode_hamiltonian_gradients(
     """
     k = np.asarray(k, dtype=float)
     x = np.asarray(x, dtype=float)
-    sign = -1.0 if field.kind == "em" else 1.0
+    sign = field.free_sign
     kap2 = field.kappa**2
     rows = _coupling_rows(field, k, x, worldlines, gauge)
     if rows is not None:
         sigma = field.pairing_signs()
-        eps = epsilon_scale(field, k[0], gauge)
+        eps = field.epsilon(k[0], gauge.z)
     branches = []
-    for b, (name, bv) in enumerate(mode.branches()):
+    for b, ((_, bv), q_sign) in enumerate(zip(mode.branches(),
+                                              field.q_signs)):
         gq = sign * kap2 * bv.q.astype(float)
         gpi = sign * bv.pi.astype(float)
         if rows is not None:
             gpi[0] += sigma * np.real(rows[b]) / (2.0 * eps * k[0])
-            gq = gq - _q_sign(field, name) * sigma * np.imag(rows[b]) / (
-                2.0 * eps)
+            gq = gq - q_sign * sigma * np.imag(rows[b]) / (2.0 * eps)
         branches.append(BranchVars(q=gq, pi=gpi))
-    return CanonicalMode(field=field, k=k, plus=branches[0],
-                         minus=branches[1] if len(branches) > 1 else None)
+    plus, minus = family_pair(branches)
+    return CanonicalMode(field=field, k=k, plus=plus, minus=minus)
 
 
 def gradient_consistency(
@@ -467,16 +422,16 @@ def canonical_at_point(
     """Canonical variables at x from slice coefficients C_pm(x0 = x[0]).
 
     Restores the plane wave phases T~_pm = C_pm exp(mp i k.x) before the
-    canonical split; em uses the single family with exp(-i k.x).
+    canonical split; em uses the single family with exp(-i k.x) and
+    ignores coeff_minus.
     """
     k = np.asarray(k, dtype=float)
     x = np.asarray(x, dtype=float)
-    kx = minkowski_dot(k, x)
-    amp_plus = np.asarray(coeff_plus, dtype=complex) * np.exp(-1j * kx)
-    if field.kind == "em":
-        return to_canonical(field, k, amp_plus, None, gauge)
-    amp_minus = np.asarray(coeff_minus, dtype=complex) * np.exp(+1j * kx)
-    return to_canonical(field, k, amp_plus, amp_minus, gauge)
+    phase = np.exp(-1j * minkowski_dot(k, x))
+    amps = [np.asarray(c, dtype=complex) * ph
+            for _, c, ph in zip(field.branches, (coeff_plus, coeff_minus),
+                                with_conjugate(phase))]
+    return to_canonical(field, k, *family_pair(amps), gauge)
 
 
 def hamilton_residual(
@@ -516,7 +471,7 @@ def hamilton_residual(
     center = mode_at(x)
     grads = mode_hamiltonian_gradients(field, k, center, x, worldlines, gauge)
 
-    names = [name for name, _ in center.branches()]
+    names = field.branches
     dq = {name: [] for name in names}      # per mu: d_mu q
     dpi_div = {name: 0.0 for name in names}  # d^mu pi_mu
     for mu in range(4):
@@ -572,10 +527,8 @@ def history_amplitudes(history, mode_index: int = 0):
         idx = int(round((t - x0[0]) / h))
         if idx < 0 or idx >= len(x0) or abs(x0[idx] - t) > 1e-9 * (1 + abs(t)):
             raise ValueError(f"slice {t} is not a recorded history sample")
-        c_plus = history.plus[idx, mode_index]
-        c_minus = None
-        if history.minus is not None:
-            c_minus = history.minus[idx, mode_index]
-        return c_plus, c_minus
+        return family_pair(c[idx, mode_index] for c in
+                           history.field.families(history.plus,
+                                                  history.minus))
 
     return amp_at

@@ -30,6 +30,9 @@ current (U_j, udot_{j nu} or xi_j above).  source_rate contracts the
 currents with the plane-wave phases and the rate normalization; the
 generator J and its gradients in canonical.py read the same terms.
 
+The stored families, the rate normalizations and the spinor's
+kappa pm slash(k) come from the species table (fields.FieldSpec).
+
 The integrator is composite Simpson over uniform panels, globally fourth
 order; rates are independent of the state, so this is plain cumulative
 quadrature and superposes exactly over sources.
@@ -52,8 +55,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac import interaction_spinor, slash
-from .fields import FieldSpec
+from .dirac import interaction_spinor
+from .fields import FieldSpec, family_pair, with_conjugate
 from .minkowski import lower_index, minkowski_dot
 from .modes import ModeGrid
 from .worldlines import Worldline, equal_time_crossing
@@ -104,36 +107,22 @@ def source_rate(
     k = np.asarray(k, dtype=float)
     single = k.ndim == 1
     k = np.atleast_2d(k)
-    n = k.shape[0]
-    comp = field.component_shape
-    sum_plus = np.zeros((n,) + comp, dtype=complex)
-    sum_minus = np.zeros((n,) + comp, dtype=complex)
+    shape = (k.shape[0],) + field.component_shape
+    sums = [np.zeros(shape, dtype=complex) for _ in field.branches]
 
     for w, u, udot, current in source_terms(field, worldlines, x0):
-        phase_plus = np.exp(1j * minkowski_dot(k, u))
+        phase = np.exp(1j * minkowski_dot(k, u))
         scale = w.coupling / udot[0]
-        sum_plus += np.multiply.outer(phase_plus, current) * scale
-        if field.kind != "em":
-            sum_minus += np.multiply.outer(np.conj(phase_plus),
-                                           current) * scale
+        for total, ph in zip(sums, with_conjugate(phase)):
+            total += np.multiply.outer(ph, current) * scale
 
-    if field.kind == "em":
-        rate_plus = 4.0j * np.pi * sum_plus
-        rate_minus = None
-    elif field.kind == "spinor":
-        kap = field.kappa
-        op_plus = kap * np.eye(4) + slash(k)  # (n, 4, 4)
-        op_minus = kap * np.eye(4) - slash(k)
-        rate_plus = (-1j / field.a2) * np.einsum("nab,nb->na", op_plus, sum_plus)
-        rate_minus = (+1j / field.a2) * np.einsum("nab,nb->na", op_minus, sum_minus)
-    else:
-        rate_plus = (-1j / field.a2) * sum_plus
-        rate_minus = (+1j / field.a2) * sum_minus
-
+    if field.kind == "spinor":
+        sums = [np.einsum("nab,nb->na", op, total)
+                for op, total in zip(field.shell_operators(k), sums)]
+    rates = [norm * total for norm, total in zip(field.rate_norms, sums)]
     if single:
-        rate_plus = rate_plus[0]
-        rate_minus = None if rate_minus is None else rate_minus[0]
-    return rate_plus, rate_minus
+        rates = [rate[0] for rate in rates]
+    return family_pair(rates)
 
 
 def straight_line_amplitudes(
@@ -154,22 +143,21 @@ def straight_line_amplitudes(
                          "worldlines")
     n = len(grid)
     expand = (n,) + (1,) * len(field.component_shape)
-    plus = np.zeros((n,) + field.component_shape, dtype=complex)
-    minus = None if field.kind == "em" else np.zeros_like(plus)
+    coeffs = [np.zeros((n,) + field.component_shape, dtype=complex)
+              for _ in field.branches]
     for w in worldlines:
         start = w.switch_on_time()
         span = x0 - start
         if span <= 0.0:
             continue
-        rate_plus, rate_minus = source_rate(field, [w], grid.k, start)
+        rates = source_rate(field, [w], grid.k, start)
         _, udot = w.state(w.tau_on)
         half = 0.5 * span * minkowski_dot(grid.k, udot) / udot[0]
         # np.sinc(x) = sin(pi x) / (pi x)
         factor = span * np.exp(1j * half) * np.sinc(half / np.pi)
-        plus += rate_plus * factor.reshape(expand)
-        if minus is not None:
-            minus += rate_minus * np.conj(factor).reshape(expand)
-    return plus, minus
+        for c, rate, f in zip(coeffs, rates, with_conjugate(factor)):
+            c += rate * f.reshape(expand)
+    return family_pair(coeffs)
 
 
 @dataclass(frozen=True)
@@ -228,51 +216,37 @@ def evolve_amplitudes(
         raise ValueError("x0_end must exceed x0_start")
     if save not in ("all", "last"):
         raise ValueError("save must be 'all' or 'last'")
-    comp = field.component_shape
-    n = len(grid)
-    has_minus = field.kind != "em"
-
-    c_plus = np.zeros((n,) + comp, dtype=complex)
-    if init_plus is not None:
-        c_plus[...] = init_plus
-    c_minus = np.zeros((n,) + comp, dtype=complex) if has_minus else None
-    if has_minus and init_minus is not None:
-        c_minus[...] = init_minus
+    shape = (len(grid),) + field.component_shape
+    coeffs = [np.zeros(shape, dtype=complex) for _ in field.branches]
+    for c, init in zip(coeffs, (init_plus, init_minus)):
+        if init is not None:
+            c[...] = init
 
     times = np.linspace(x0_start, x0_end, steps + 1)
     h = (x0_end - x0_start) / steps
     record = save == "all"
     if record:
-        out_plus = np.empty((steps + 1,) + c_plus.shape, dtype=complex)
-        out_plus[0] = c_plus
-        out_minus = None
-        if has_minus:
-            out_minus = np.empty_like(out_plus)
-            out_minus[0] = c_minus
+        outs = [np.empty((steps + 1,) + shape, dtype=complex)
+                for _ in coeffs]
+        for out, c in zip(outs, coeffs):
+            out[0] = c
 
-    f_plus, f_minus = source_rate(field, worldlines, grid.k, times[0])
+    f = source_rate(field, worldlines, grid.k, times[0])
     for i in range(steps):
-        m_plus, m_minus = source_rate(field, worldlines, grid.k,
-                                      times[i] + 0.5 * h)
-        g_plus, g_minus = source_rate(field, worldlines, grid.k, times[i + 1])
-        c_plus = c_plus + (h / 6.0) * (f_plus + 4.0 * m_plus + g_plus)
-        if has_minus:
-            c_minus = c_minus + (h / 6.0) * (f_minus + 4.0 * m_minus + g_minus)
-        f_plus, f_minus = g_plus, g_minus
+        m = source_rate(field, worldlines, grid.k, times[i] + 0.5 * h)
+        g = source_rate(field, worldlines, grid.k, times[i + 1])
+        coeffs = [c + (h / 6.0) * (fb + 4.0 * mb + gb)
+                  for c, fb, mb, gb in zip(coeffs, f, m, g)]
+        f = g
         if record:
-            out_plus[i + 1] = c_plus
-            if has_minus:
-                out_minus[i + 1] = c_minus
+            for out, c in zip(outs, coeffs):
+                out[i + 1] = c
 
-    if record:
-        return AmplitudeHistory(field=field, x0=times, plus=out_plus,
-                                minus=out_minus)
-    return AmplitudeHistory(
-        field=field,
-        x0=times[-1:],
-        plus=c_plus[None, ...],
-        minus=None if not has_minus else c_minus[None, ...],
-    )
+    if not record:
+        times = times[-1:]
+        outs = [c[None, ...] for c in coeffs]
+    plus, minus = family_pair(outs)
+    return AmplitudeHistory(field=field, x0=times, plus=plus, minus=minus)
 
 
 def reconstruct_field(
@@ -286,20 +260,16 @@ def reconstruct_field(
 
     plus / minus are coefficient arrays of shape (N, *component_shape)
     on the slice x0 = x[0].  Complex species return the complex value
-    sum_k w [C+ e^{-ik.x} + C- e^{+ik.x}]; the em species returns the
-    real four-potential 2 Re sum_k w C e^{-ik.x}.
+    sum_k w [C+ e^{-ik.x} + C- e^{+ik.x}]; the em species (minus None)
+    returns the real four-potential 2 Re sum_k w C e^{-ik.x}.
     """
     x = np.asarray(x, dtype=float)
     phase = np.exp(-1j * minkowski_dot(grid.k, x))
-    w_phase = grid.weight * phase
-    value = np.tensordot(w_phase, plus, axes=(0, 0))
-    if field.kind == "em":
-        return 2.0 * np.real(value)
-    if minus is None:
-        raise ValueError("complex species need both coefficient families")
-    value = value + np.tensordot(grid.weight * np.conj(phase), minus,
-                                 axes=(0, 0))
-    return value
+    terms = zip(field.families(plus, minus, "coefficient"),
+                with_conjugate(phase))
+    return field.field_value(sum(np.tensordot(grid.weight * ph, c,
+                                              axes=(0, 0))
+                                 for c, ph in terms))
 
 
 def mode_equation_residual(
@@ -320,11 +290,9 @@ def mode_equation_residual(
     h = history.spacing()
     worst = 0.0
     for i in range(2, len(history.x0) - 2):
-        rate_plus, rate_minus = source_rate(field, worldlines, grid.k,
-                                            history.x0[i])
-        for c, rate in ((history.plus, rate_plus), (history.minus, rate_minus)):
-            if c is None:
-                continue
+        rates = source_rate(field, worldlines, grid.k, history.x0[i])
+        for c, rate in zip(field.families(history.plus, history.minus),
+                           rates):
             deriv = (c[i - 2] - 8.0 * c[i - 1] + 8.0 * c[i + 1] - c[i + 2]) / (12.0 * h)
             scale = 1.0 + float(np.max(np.abs(rate)))
             worst = np.maximum(worst,

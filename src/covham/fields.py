@@ -19,6 +19,13 @@ not two; its "components" live in spinor space, not on a Lorentz index.
 Field components are stored with lower indices throughout the package
 (T_{nu1..nul}, A_nu, polymomenta pi_{mu nu..}); contractions raise
 indices by sign flips via component_signs.
+
+FieldSpec is also the species table: each per-species decision that
+more than one module reads is a derived property or method here, so the
+other modules loop over field.branches instead of testing the kind.
+The em field is the only real species: it stores one coefficient family,
+its polymomentum carries real_factor = 2, and its canonical free part
+has the sign -1.
 """
 from __future__ import annotations
 
@@ -26,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dirac import slash
 from .minkowski import component_signs
 
 _KINDS = ("scalar", "tensor", "em", "spinor")
@@ -97,9 +105,96 @@ class FieldSpec:
             return np.array([1.0, 1.0, -1.0, -1.0])
         return component_signs(self.rank)
 
+    @property
+    def branches(self) -> tuple[str, ...]:
+        """Coefficient families stored per mode; the real em field keeps
+        plus only, its conjugate being implied by reality."""
+        return ("plus",) if self.is_real else ("plus", "minus")
+
+    def families(self, plus, minus, what: str = "amplitude") -> list:
+        """[plus] or [plus, minus] by the family rule; raises ValueError
+        when minus is given for the real field or missing otherwise."""
+        if self.is_real:
+            if minus is not None:
+                raise ValueError(
+                    f"{self.kind} species carries a single {what} family")
+            return [plus]
+        if minus is None:
+            raise ValueError(f"complex species need both {what} families")
+        return [plus, minus]
+
+    @property
+    def real_factor(self) -> float:
+        """2 for the real field (theta = 2 a2 dA), 1 for complex ones
+        (theta = a2 dT*)."""
+        return 2.0 if self.is_real else 1.0
+
+    def field_value(self, family_sum):
+        """Field value from the summed family terms: the real field adds
+        the conjugate of its single family."""
+        return 2.0 * np.real(family_sum) if self.is_real else family_sum
+
+    @property
+    def free_sign(self) -> float:
+        """Sign of the canonical free part: -1 for em, whose value
+        vanishes on the massless shell while its gradients do not."""
+        return -1.0 if self.is_real else 1.0
+
+    @property
+    def q_signs(self) -> tuple[float, ...]:
+        """s_b per branch in Im w_b = s_b q_b / (2 eps)."""
+        return (1.0,) if self.is_real else (-1.0, 1.0)
+
+    def gauge_factors(self, z: complex) -> tuple:
+        """g_b per branch in w_b = g_b T~_b: the real field sees the
+        gauge constant z as a conjugated phase only."""
+        if self.is_real:
+            return (np.conj(z / abs(z)),)
+        return (z, np.conj(z))
+
+    def epsilon(self, k0: float, z: complex) -> float:
+        """Canonical normalization eps(k0) for the gauge constant z."""
+        if self.is_real:
+            return float(np.sqrt(-self.a2 / k0))
+        if self.kind == "spinor":
+            return float(np.sqrt(self.a2 / (4.0 * k0 * self.kappa))) / abs(z)
+        return float(np.sqrt(self.a2 / (2.0 * k0))) / abs(z)
+
+    @property
+    def rate_norms(self) -> tuple:
+        """Per branch, summed source currents to dC/dx0."""
+        return (4.0j * np.pi,) if self.is_real else (-1j / self.a2,
+                                                     +1j / self.a2)
+
+    @property
+    def coupling_strength(self) -> float:
+        """Source factor of the canonical coupling rows of the
+        second-order species: 2, or 2 / c = -16 pi a2 for em."""
+        return -16.0 * np.pi * self.a2 if self.is_real else 2.0
+
+    def shell_operators(self, k) -> tuple[np.ndarray, np.ndarray]:
+        """The spinor's kappa + slash(k) and kappa - slash(k)."""
+        eye = self.kappa * np.eye(4)
+        sl = slash(k)
+        return eye + sl, eye - sl
+
+
+def with_conjugate(x):
+    """Yield x for the plus branch, then conj(x) for minus; lazily, so
+    zipped after one family it never conjugates."""
+    yield x
+    yield np.conj(x)
+
+
+def family_pair(values) -> tuple:
+    """(plus, minus) from per-branch values; minus None for one family."""
+    return (*values, None)[:2]
+
 
 def scalar_field(s: float = 1.0, m: float = 1.0, c: float = 1.0) -> FieldSpec:
     """Complex Klein-Gordon field; kappa = m c / s."""
+    if not (s > 0.0 and c > 0.0 and m >= 0.0):
+        raise ValueError("scalar species needs s > 0, c > 0 and m >= 0")
     return FieldSpec(kind="scalar", rank=0, a2=s * s / c, b2=m * m * c,
                      kappa=m * c / s)
 
@@ -116,12 +211,16 @@ def tensor_field(rank: int, a2: float, b2: float) -> FieldSpec:
 
 def em_field(c: float = 1.0) -> FieldSpec:
     """Electromagnetic four-potential in Lorenz gauge (real, massless)."""
+    if not c > 0.0:
+        raise ValueError("em species needs c > 0")
     return FieldSpec(kind="em", rank=1, a2=-1.0 / (8.0 * np.pi * c), b2=0.0,
                      kappa=0.0, is_real=True)
 
 
 def spinor_field(s: float = 1.0, m: float = 1.0, c: float = 1.0) -> FieldSpec:
     """First-order spinor field; a2 = s, b2 = m c, kappa = m c / s."""
+    if not (s > 0.0 and c > 0.0 and m > 0.0):
+        raise ValueError("spinor species needs s > 0, c > 0 and m > 0")
     return FieldSpec(kind="spinor", rank=1, a2=s, b2=m * c, kappa=m * c / s)
 
 

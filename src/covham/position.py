@@ -7,7 +7,8 @@ polymomenta stored lower-index:
   H = (1/a2) <theta, theta> + b2 <T, T>, angle brackets contracting
   every index against the metric with the first factor conjugated;
 * em (real):  theta_{mu nu} = -(1/4 pi c) d_mu A_nu = 2 a2 d_mu A_nu
-  and H = -2 pi c theta.theta;
+  and H = -2 pi c theta.theta = theta.theta / (4 a2): the tensor
+  formulas with the factor field.real_factor = 2 of a real field;
 * spinor:  theta_mu = -(i s / 2) gamma_mu psi is a constraint, not a
   definition, so H carries Lagrange-multiplier terms
   H = 2 Re[chibar_mu (theta^mu + (i s / 2) gamma^mu psi)] + m c psibar psi
@@ -17,6 +18,9 @@ Particle interaction terms are delta-supported on the worldlines and
 carry no pointwise value; densities here are the field parts, valid
 away from the particles.  The momentum-representation machinery in
 canonical.py handles the sourced dynamics.
+
+polymomentum and dw_density take any leading point axes, so
+parseval_check evaluates a whole slice of lattice points in one call.
 """
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ import numpy as np
 
 from .dirac import GAMMA, dirac_adjoint
 from .errors import ScenarioError
-from .fields import FieldSpec
+from .fields import FieldSpec, with_conjugate
 from .minkowski import METRIC_DIAG, lower_index, minkowski_dot
 from .modes import box_mode_grid
 from .worldlines import Worldline, equal_time_crossing
@@ -35,108 +39,97 @@ def polymomentum(field: FieldSpec, deriv: np.ndarray | None,
     """Polymomentum theta_{mu ...} from derivatives (or value, spinor).
 
     deriv holds d_mu applied to the stored lower-index components,
-    shape (4,) + component_shape.  The spinor species ignores deriv and
-    builds its constraint momentum from the field value.
+    shape (..., 4) + component_shape, any leading axes being points.
+    The spinor species ignores deriv and builds its constraint momentum
+    from the field value, shape (..., 4).
     """
     comp = field.component_shape
     if field.kind == "spinor":
         if value is None:
             raise ValueError("spinor polymomentum is built from the value")
         value = np.asarray(value, dtype=complex)
-        out = np.empty((4,) + comp, dtype=complex)
+        out = np.empty(value.shape[:-1] + (4,) + comp, dtype=complex)
         for mu in range(4):
-            out[mu] = -0.5j * field.a2 * METRIC_DIAG[mu] * (GAMMA[mu] @ value)
+            out[..., mu, :] = -0.5j * field.a2 * METRIC_DIAG[mu] * (
+                value @ GAMMA[mu].T)
         return out
     deriv = np.asarray(deriv)
-    if deriv.shape != (4,) + comp:
-        raise ValueError(f"deriv shape {deriv.shape}, expected {(4,) + comp}")
-    if field.kind == "em":
-        return 2.0 * field.a2 * deriv
-    return field.a2 * np.conj(deriv)
-
-
-def _metric_pair_signs(field: FieldSpec) -> np.ndarray:
-    """Sign tensor eta^{mu mu} sigma_c for (4,) + component arrays."""
-    sigma = field.pairing_signs()
-    return np.multiply.outer(np.asarray(METRIC_DIAG, dtype=float),
-                             np.asarray(sigma, dtype=float))
+    tail = (4,) + comp
+    if deriv.shape[max(deriv.ndim - len(tail), 0):] != tail:
+        raise ValueError(f"deriv shape {deriv.shape}, expected (...,) + {tail}")
+    return field.real_factor * field.a2 * np.conj(deriv)
 
 
 def dw_density(field: FieldSpec, value: np.ndarray, theta: np.ndarray,
-               chi: np.ndarray | None = None) -> float:
+               chi: np.ndarray | None = None):
     """Hamiltonian density H(x) away from the particle worldlines.
 
-    chi is the spinor Lagrange multiplier (the paper's chi_mu, equal to
-    d_mu psi on solutions); it multiplies the constraint and drops out
-    whenever theta is consistent with the value.  Other species ignore
-    it.
+    value has shape (...,) + component_shape and theta (..., 4) +
+    component_shape; any leading axes are points, and the result has
+    their shape (a float for a single point).  chi is the spinor
+    Lagrange multiplier (the paper's chi_mu, equal to d_mu psi on
+    solutions), shaped like theta; it multiplies the constraint and
+    drops out whenever theta is consistent with the value.  Other
+    species ignore it.
     """
     value = np.asarray(value, dtype=complex)
     theta = np.asarray(theta, dtype=complex)
     comp = field.component_shape
-    if value.shape != comp or theta.shape != (4,) + comp:
+    lead = value.shape[:max(value.ndim - len(comp), 0)]
+    if value.shape != lead + comp or theta.shape != lead + (4,) + comp:
         raise ValueError("value/theta shapes do not match the species")
+    sigma = np.asarray(field.pairing_signs(), dtype=float)
+    quad = np.real(np.sum(sigma * np.conj(value) * value,
+                          axis=tuple(range(-len(comp), 0))))
     if field.kind == "spinor":
-        density = field.b2 * float(np.real(np.sum(dirac_adjoint(value)
-                                                  * value)))
+        density = field.b2 * quad
         if chi is not None:
             chi = np.asarray(chi, dtype=complex)
+            gap = theta - polymomentum(field, None, value)
             cterm = 0.0 + 0.0j
             for mu in range(4):
-                gap = theta[mu] + 0.5j * field.a2 * METRIC_DIAG[mu] * (
-                    GAMMA[mu] @ value)
-                cterm += METRIC_DIAG[mu] * np.sum(
-                    dirac_adjoint(chi[mu]) * gap)
-            density += 2.0 * float(np.real(cterm))
-        return density
-    signs = _metric_pair_signs(field)
-    pair = float(np.real(np.sum(signs * np.conj(theta) * theta)))
-    if field.kind == "em":
-        c_light = -1.0 / (8.0 * np.pi * field.a2)
-        return -2.0 * np.pi * c_light * pair
-    sigma = np.asarray(field.pairing_signs(), dtype=float)
-    quad = float(np.real(np.sum(sigma * np.conj(value) * value)))
-    return pair / field.a2 + field.b2 * quad
+                cterm = cterm + METRIC_DIAG[mu] * np.sum(
+                    dirac_adjoint(chi[..., mu, :]) * gap[..., mu, :],
+                    axis=-1)
+            density = density + 2.0 * np.real(cterm)
+    else:
+        # eta^{mu mu} sigma_c raises every index of theta
+        signs = np.multiply.outer(METRIC_DIAG, sigma)
+        pair = np.real(np.sum(signs * np.conj(theta) * theta,
+                              axis=tuple(range(-1 - len(comp), 0))))
+        density = pair / (field.real_factor**2 * field.a2) + field.b2 * quad
+    return float(density) if not lead else density
 
 
 def plane_wave(field: FieldSpec, k: np.ndarray, coeff_plus,
                coeff_minus=None):
     """Sampler x -> (value, theta) for a single plane-wave mode.
 
-    Complex species: T = C+ exp(-i k.x) + C- exp(+i k.x); em builds the
-    real field C exp(-i k.x) + c.c.; spinor uses both families with the
-    constraint momentum.  k need not be on shell, which makes off-shell
-    waves available as negative controls.
+    Complex species: T = C+ exp(-i k.x) + C- exp(+i k.x); em (coeff_minus
+    None) builds the real field C exp(-i k.x) + c.c.; spinor uses both
+    families with the constraint momentum.  k need not be on shell,
+    which makes off-shell waves available as negative controls.
     """
     k = np.asarray(k, dtype=float)
     k_low = lower_index(k)
     comp = field.component_shape
-    c_plus = np.asarray(coeff_plus, dtype=complex)
-    if c_plus.shape != comp:
-        raise ValueError(f"coeff_plus shape {c_plus.shape}, expected {comp}")
-    if field.kind == "em":
-        if coeff_minus is not None:
-            raise ValueError("em plane wave is C exp(-i k.x) + c.c.")
-        c_minus = np.conj(c_plus)
-    else:
-        if coeff_minus is None:
-            raise ValueError("complex species need both coefficients")
-        c_minus = np.asarray(coeff_minus, dtype=complex)
-        if c_minus.shape != comp:
-            raise ValueError(
-                f"coeff_minus shape {c_minus.shape}, expected {comp}")
+    coeffs = [np.asarray(c, dtype=complex)
+              for c in field.families(coeff_plus, coeff_minus, "coefficient")]
+    for name, c in zip(field.branches, coeffs):
+        if c.shape != comp:
+            raise ValueError(f"coeff_{name} shape {c.shape}, expected {comp}")
 
     comp_ones = (1,) * len(comp)
     k_col = k_low.reshape((4,) + comp_ones)
 
     def sampler(x):
         phase = np.exp(-1j * minkowski_dot(k, np.asarray(x, dtype=float)))
-        value = c_plus * phase + c_minus * np.conj(phase)
-        deriv = (-1j * k_col * c_plus * phase
-                 + 1j * k_col * c_minus * np.conj(phase))
-        if field.kind == "em":
-            value = np.real(value) + 0.0j
-            deriv = np.real(deriv) + 0.0j
+        pairs = list(zip(coeffs, with_conjugate(phase)))
+        value = field.field_value(sum(c * ph for c, ph in pairs)) + 0.0j
+        # d_mu exp(mp i k.x) = mp i k_mu exp(mp i k.x)
+        deriv = field.field_value(sum(
+            sign * k_col * c * ph
+            for sign, (c, ph) in zip((-1j, 1j), pairs))) + 0.0j
         theta = polymomentum(field, deriv, value)
         return value, theta
 
@@ -182,22 +175,15 @@ def position_hamilton_residual(field: FieldSpec, sampler, x: np.ndarray,
 
     scale_v = float(np.max(np.abs(value0)))
     if field.kind == "spinor":
-        gap = np.empty_like(theta0)
-        for mu in range(4):
-            gap[mu] = theta0[mu] + 0.5j * field.a2 * METRIC_DIAG[mu] * (
-                GAMMA[mu] @ value0)
+        gap = theta0 - polymomentum(field, None, value0)
         r1 = float(np.max(np.abs(gap))) / (abs(field.a2) * (1.0 + scale_v))
         slash_d = sum(GAMMA[mu] @ dvalue[mu] for mu in range(4))
         defect = 1j * field.a2 * slash_d - field.b2 * value0
         r2 = float(np.max(np.abs(defect))) / (abs(field.a2)
                                               * (1.0 + scale_v))
         return r1, r2
-    if field.kind == "em":
-        rhs1 = theta0 / (2.0 * field.a2)
-        defect2 = div_theta
-    else:
-        rhs1 = np.conj(theta0) / field.a2
-        defect2 = div_theta + field.b2 * np.conj(value0)
+    rhs1 = np.conj(theta0) / (field.real_factor * field.a2)
+    defect2 = div_theta + field.b2 * np.conj(value0)
     r1 = float(np.max(np.abs(dvalue - rhs1))) / (
         1.0 + float(np.max(np.abs(rhs1))))
     r2 = float(np.max(np.abs(defect2))) / (abs(field.a2) * (1.0 + scale_v))
@@ -291,10 +277,9 @@ def parseval_check(field: FieldSpec, box_length: float, entries,
         phase = np.exp(-1j * t * grid.k0) * spatial  # exp(-i k.x)
         sampled = (phase @ coef_plus + np.conj(phase) @ coef_minus).reshape(
             (len(points), 5) + comp)
-        slice_sum = 0.0
-        for f in sampled:
-            slice_sum += dw_density(field, f[0], polymomentum(field, f[1:]))
-        lhs += slice_sum * cell * dt
+        density = dw_density(field, sampled[:, 0],
+                             polymomentum(field, sampled[:, 1:]))
+        lhs += float(np.sum(density)) * cell * dt
 
     if rhs == 0.0:
         return abs(lhs - rhs)

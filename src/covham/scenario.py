@@ -21,7 +21,7 @@ from .canonical import CanonicalGauge
 from .dirac import DiracCoupling
 from .errors import ScenarioError
 from .fields import FieldSpec, em_field, scalar_field, spinor_field, tensor_field
-from .modes import ModeGrid, build_mode_grid
+from .modes import DEFAULT_MODE_BUDGET, ModeGrid, build_mode_grid
 from .worldlines import Worldline
 
 FORMATS = ("json", "csv", "both")
@@ -133,26 +133,25 @@ def _build_field(blk, where: str = "field") -> FieldSpec:
     _require(not extra, where,
              f"unknown entries for {kind}: {sorted(extra)}")
 
-    if kind == "scalar":
-        s = _number(blk, where, "s", 1.0)
-        m = _number(blk, where, "m", 1.0)
-        c = _number(blk, where, "c", 1.0)
-        spec = scalar_field(s=s, m=m, c=c)
-    elif kind == "tensor":
+    if kind == "tensor":
         rank = blk.get("rank")
         _require(isinstance(rank, int) and not isinstance(rank, bool)
                  and rank >= 1, where, "rank must be an integer >= 1")
-        spec = tensor_field(rank=rank, a2=_number(blk, where, "a2"),
-                            b2=_number(blk, where, "b2"))
+        make, args = tensor_field, dict(rank=rank,
+                                        a2=_number(blk, where, "a2"),
+                                        b2=_number(blk, where, "b2"))
     elif kind == "em":
-        spec = em_field(c=_number(blk, where, "c", 1.0))
+        make, args = em_field, dict(c=_number(blk, where, "c", 1.0))
         if "b2" in blk:
             _require(_number(blk, where, "b2") == 0.0, where,
                      "the em species has no mass term: b2 must be 0")
-    else:  # dirac
-        spec = spinor_field(s=_number(blk, where, "s", 1.0),
-                            m=_number(blk, where, "m", 1.0),
-                            c=_number(blk, where, "c", 1.0))
+    else:
+        make = scalar_field if kind == "scalar" else spinor_field
+        args = {key: _number(blk, where, key, 1.0) for key in ("s", "m", "c")}
+    try:
+        spec = make(**args)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
 
     # explicit a2/b2 entries must agree with the species relations
     for key, want in (("a2", spec.a2), ("b2", spec.b2)):
@@ -235,6 +234,8 @@ def scenario_from_dict(data: dict, sha256: str = "") -> Scenario:
     n_per_axis = grid.get("n_per_axis")
     _require(isinstance(n_per_axis, int) and not isinstance(n_per_axis, bool)
              and n_per_axis >= 1, "grid", "n_per_axis must be an integer >= 1")
+    _require(n_per_axis**3 <= DEFAULT_MODE_BUDGET, "grid",
+             f"{n_per_axis}^3 modes exceed the budget of {DEFAULT_MODE_BUDGET}")
     k0_floor = _number(grid, "grid", "k0_floor", 1e-6 * kmax)
     _require(k0_floor >= 0.0, "grid", "k0_floor must be >= 0")
 

@@ -51,7 +51,7 @@ from .dynamics import (
     source_rate,
     straight_line_amplitudes,
 )
-from .fields import scalar_field, tensor_field
+from .fields import family_pair, scalar_field, tensor_field
 from .green import green_oracle
 from .minkowski import on_shell_k
 from .modes import box_mode_grid, build_mode_grid
@@ -155,12 +155,12 @@ def _fail(records: list, name: str, exc: Exception) -> None:
 
 
 def _random_amps(field, rng):
+    """Random amplitudes (plus, minus) for the families the species
+    stores; minus is None for em."""
     comp = field.component_shape
-    plus = np.asarray(rng.normal(size=comp) + 1j * rng.normal(size=comp))
-    if field.kind == "em":
-        return plus, None
-    return plus, np.asarray(rng.normal(size=comp)
-                            + 1j * rng.normal(size=comp))
+    return family_pair([np.asarray(rng.normal(size=comp)
+                                   + 1j * rng.normal(size=comp))
+                        for _ in field.branches])
 
 
 def _capped_grid(s: Scenario, n_cap: int):
@@ -220,11 +220,10 @@ def _suite_hamilton(s: Scenario, rng, tol, records, tables) -> None:
         k = grid.k[i]
         ap, am = _random_amps(field, rng)
         mode = to_canonical(field, k, ap, am, s.gauge)
-        bp, bm = from_canonical(field, k, mode, s.gauge)
-        defect = float(np.max(np.abs(bp - ap)))
-        if am is not None:
-            defect = _worst(defect, np.max(np.abs(bm - am)))
-        worst_rt = _worst(worst_rt, defect)
+        back = from_canonical(field, k, mode, s.gauge)
+        worst_rt = _worst(worst_rt, *(
+            np.max(np.abs(b - a)) for a, b in zip(field.families(ap, am),
+                                                  field.families(*back))))
 
         # J must not move under a phase rotation of the split constant z
         j_ref = mode_hamiltonian_canonical(
@@ -289,10 +288,8 @@ def _suite_hamilton(s: Scenario, rng, tol, records, tables) -> None:
     for n_steps in (64, 128, 256):
         hist_n = evolve_amplitudes(field, worldlines, grid, s.x0_start,
                                    end, n_steps, save="last")
-        final = hist_n.plus[-1]
-        if hist_n.minus is not None:
-            final = np.concatenate([final.ravel(), hist_n.minus[-1].ravel()])
-        finals[n_steps] = np.asarray(final).ravel()
+        finals[n_steps] = np.concatenate([
+            c[-1].ravel() for c in field.families(hist_n.plus, hist_n.minus)])
     e_coarse = float(np.max(np.abs(finals[64] - finals[128])))
     e_fine = float(np.max(np.abs(finals[128] - finals[256])))
     slope = math.log2(e_coarse / e_fine) if e_fine > 0.0 else float("inf")
@@ -326,9 +323,8 @@ def _suite_simulate(s: Scenario, rng, tol, records, tables) -> None:
     mask = hist.x0 < t_on - 1e-12
     measured = 0.0
     if np.any(mask):
-        measured = float(np.max(np.abs(hist.plus[mask])))
-        if hist.minus is not None:
-            measured = _worst(measured, np.max(np.abs(hist.minus[mask])))
+        measured = _worst(*(np.max(np.abs(c[mask]))
+                            for c in field.families(hist.plus, hist.minus)))
     _add(records, "simulate/causality", measured, tol["causality"],
          {"pre_crossing_samples": int(np.sum(mask))})
 
@@ -346,13 +342,11 @@ def _suite_simulate(s: Scenario, rng, tol, records, tables) -> None:
     if worldlines and all(w.kind in ("static", "uniform")
                           for w in worldlines):
         # the window may open after a switch-on: compare increments
-        start_p, start_m = straight_line_amplitudes(field, worldlines, grid,
-                                                    s.x0_start)
-        end_p, end_m = straight_line_amplitudes(field, worldlines, grid,
-                                                s.x0_end)
-        pairs = [(hist_fd.final_plus, end_p - start_p)]
-        if end_m is not None:
-            pairs.append((hist_fd.final_minus, end_m - start_m))
+        start = straight_line_amplitudes(field, worldlines, grid, s.x0_start)
+        end = straight_line_amplitudes(field, worldlines, grid, s.x0_end)
+        pairs = [(got, b - a) for got, a, b in zip(
+            field.families(hist_fd.final_plus, hist_fd.final_minus),
+            field.families(*start), field.families(*end))]
         diff = _worst(*(np.max(np.abs(got - want)) for got, want in pairs))
         size = _worst(*(np.max(np.abs(want)) for _, want in pairs))
         _add(records, "simulate/exact_vs_simpson", diff / (1.0 + size),
@@ -362,20 +356,15 @@ def _suite_simulate(s: Scenario, rng, tol, records, tables) -> None:
         worst = 0.0
         for frac in (0.25, 0.5, 0.9):
             x0 = s.x0_start + frac * (s.x0_end - s.x0_start)
-            total_p, total_m = source_rate(field, worldlines, grid.k, x0)
-            sum_p = np.zeros_like(total_p)
-            sum_m = None if total_m is None else np.zeros_like(total_m)
-            for w in worldlines:
-                rp, rm = source_rate(field, [w], grid.k, x0)
-                sum_p = sum_p + rp
-                if sum_m is not None:
-                    sum_m = sum_m + rm
-            scale = 1.0 + float(np.max(np.abs(total_p)))
-            worst = _worst(worst,
-                           float(np.max(np.abs(total_p - sum_p))) / scale)
-            if total_m is not None:
+            total = field.families(*source_rate(field, worldlines,
+                                                grid.k, x0))
+            parts = [field.families(*source_rate(field, [w], grid.k, x0))
+                     for w in worldlines]
+            scale = 1.0 + float(np.max(np.abs(total[0])))
+            for b, rate in enumerate(total):
+                summed = sum(part[b] for part in parts)
                 worst = _worst(worst,
-                               float(np.max(np.abs(total_m - sum_m))) / scale)
+                               float(np.max(np.abs(rate - summed))) / scale)
         _add(records, "simulate/superposition", worst, tol["superposition"],
              {"times": 3})
 
@@ -383,15 +372,13 @@ def _suite_simulate(s: Scenario, rng, tol, records, tables) -> None:
     first = evolve_amplitudes(field, worldlines, grid, s.x0_start, mid,
                               steps // 2, save="last")
     second = evolve_amplitudes(field, worldlines, grid, mid, s.x0_end,
-                               steps // 2, init_plus=first.plus[-1],
-                               init_minus=(None if first.minus is None
-                                           else first.minus[-1]),
-                              save="last")
+                               steps // 2, init_plus=first.final_plus,
+                               init_minus=first.final_minus, save="last")
     scale = 1.0 + float(np.max(np.abs(hist.plus[-1])))
-    diff = float(np.max(np.abs(second.plus[-1] - hist.plus[-1]))) / scale
-    if hist.minus is not None:
-        diff = _worst(diff, float(np.max(np.abs(
-            second.minus[-1] - hist.minus[-1]))) / scale)
+    diff = _worst(*(float(np.max(np.abs(b[-1] - a[-1]))) / scale
+                    for a, b in zip(field.families(hist.plus, hist.minus),
+                                    field.families(second.plus,
+                                                   second.minus))))
     _add(records, "simulate/segmented", diff, tol["segmented"],
          {"steps": steps})
 

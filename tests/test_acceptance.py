@@ -42,7 +42,7 @@ from covham.green import green_oracle
 from covham.minkowski import on_shell_k
 from covham.modes import box_mode_grid, build_mode_grid
 from covham.position import parseval_check
-from covham.verify import averaged_profile
+from covham.verify import _random_amps, averaged_profile
 from covham.worldlines import static_worldline, uniform_worldline
 
 SCALAR = scalar_field(s=1.0, m=1.0, c=1.0)
@@ -56,15 +56,6 @@ XI = DiracCoupling(xi1=[0.4, -0.2 + 0.1j, 0.3, 0.05],
 def _line(ok: bool, label: str, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'} {label}: {detail}", flush=True)
     assert ok, f"{label}: {detail}"
-
-
-def _random_amps(field, rng):
-    comp = field.component_shape
-    plus = np.asarray(rng.normal(size=comp) + 1j * rng.normal(size=comp))
-    if field.kind == "em":
-        return plus, None
-    return plus, np.asarray(rng.normal(size=comp)
-                            + 1j * rng.normal(size=comp))
 
 
 def _sources(field):

@@ -338,6 +338,41 @@ class TestLayoutAndGuards:
                      for i in range(len(cfg.grid))]
             assert np.array_equal(lay.pack(modes), state)
 
+    @pytest.mark.parametrize("v", [[1.0, 0.0, 0.0, 0.0],
+                                   [0.7, -0.3, 0.0, 1.9]],
+                             ids=["time-like-axis", "zero-component"])
+    def test_poisson_tensor_matches_entrywise_formula(self, v):
+        # Lambda[q(i, b, c), pi(i, b, mu, c)] = V^mu eta_mumu sigma_c / w_i,
+        # written entry by entry; the array build must agree bit for bit
+        for field in (SCALAR, VECTOR, EM):
+            grid = box_mode_grid(L, NS, field.kappa)
+            cfg = BracketConfig(field=field, grid=grid, v=v)
+            lay = cfg.layout
+            want = np.zeros((lay.size, lay.size))
+            for i in range(len(grid)):
+                for name in lay.branches:
+                    for mu in range(4):
+                        vfac = (1.0 / grid.weight[i]) * cfg.v[mu] * (
+                            1.0 if mu == 0 else -1.0)
+                        if vfac == 0.0:
+                            continue
+                        for c in range(lay.comp_size):
+                            val = vfac * lay.sigma_flat[c]
+                            want[lay.q_index(i, name, c),
+                                 lay.pi_index(i, name, mu, c)] = val
+                            want[lay.pi_index(i, name, mu, c),
+                                 lay.q_index(i, name, c)] = -val
+            got = cfg.poisson_tensor()
+            assert np.array_equal(got, want)
+            assert not np.any(np.signbit(got[got == 0.0]))
+
+    def test_layout_built_once_tensor_fresh(self):
+        cfg = vector_cfg()
+        assert cfg.layout is cfg.layout
+        first = cfg.poisson_tensor()
+        first[0, :] = 7.0
+        assert not np.any(cfg.poisson_tensor() == 7.0)
+
     def test_spinor_sector_rejected(self):
         spinor = spinor_field(s=1.0, m=1.0, c=1.0)
         grid = box_mode_grid(L, NS, spinor.kappa)

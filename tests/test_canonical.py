@@ -34,6 +34,7 @@ from covham.errors import CanonicalStructureError
 from covham.fields import em_field, scalar_field, spinor_field, tensor_field
 from covham.minkowski import on_shell_k
 from covham.modes import build_mode_grid
+from covham.verify import _random_amps as random_amps
 from covham.worldlines import static_worldline, uniform_worldline
 
 SCALAR = scalar_field()
@@ -48,14 +49,6 @@ XI = DiracCoupling(xi1=np.array([0.4, -0.2 + 0.1j, 0.3, 0.05]),
 
 def species_k(field):
     return on_shell_k([0.5, -0.3, 0.8], field.kappa)
-
-
-def random_amps(field, rng):
-    shape = field.component_shape
-    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    if field.kind == "em":
-        return a, None
-    return a, rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
 def make_sources(field):

@@ -5,6 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covham.brackets import StateLayout
+from covham.canonical import to_canonical
+from covham.dirac import DiracCoupling
+from covham.dynamics import (
+    evolve_amplitudes,
+    source_rate,
+    straight_line_amplitudes,
+)
 from covham.fields import (
     FieldSpec,
     contract_full,
@@ -13,6 +21,12 @@ from covham.fields import (
     spinor_field,
     tensor_field,
 )
+from covham.modes import build_mode_grid
+from covham.verify import _random_amps
+from covham.worldlines import static_worldline
+
+SPECIES = [scalar_field(), tensor_field(rank=1, a2=0.7, b2=1.2), em_field(),
+           spinor_field(m=1.2)]
 
 
 class TestSpeciesConstants:
@@ -58,6 +72,55 @@ class TestSpeciesConstants:
         assert np.all(em_field().pairing_signs() == [1, -1, -1, -1])
         assert np.all(spinor_field().pairing_signs() == [1, 1, -1, -1])
         assert float(scalar_field().pairing_signs()) == 1.0
+
+
+class TestSpeciesTable:
+    @pytest.mark.parametrize("field", SPECIES,
+                             ids=[f.kind for f in SPECIES])
+    def test_every_producer_follows_the_family_rule(self, field):
+        # the real em field keeps plus only; every other species both
+        want = ("plus",) if field.kind == "em" else ("plus", "minus")
+        assert field.branches == want
+
+        def stored(pair):
+            return tuple(name for name, c in zip(("plus", "minus"), pair)
+                         if c is not None)
+
+        xi = None
+        if field.kind == "spinor":
+            xi = DiracCoupling(xi1=[0.4, -0.2 + 0.1j, 0.3, 0.05])
+        sources = [static_worldline([0.1, 0.0, -0.2], coupling=0.8, xi=xi)]
+        grid = build_mode_grid(2.0, 2, field.kappa)
+        assert stored(source_rate(field, sources, grid.k, 0.5)) == want
+        assert stored(source_rate(field, sources, grid.k[0], 0.5)) == want
+        assert stored(straight_line_amplitudes(field, sources, grid,
+                                               1.0)) == want
+        hist = evolve_amplitudes(field, sources, grid, 0.0, 1.0, 4)
+        assert stored((hist.plus, hist.minus)) == want
+        amps = _random_amps(field, np.random.default_rng(3))
+        assert stored(amps) == want
+        mode = to_canonical(field, grid.k[0], *amps)
+        assert stored((mode.plus, mode.minus)) == want
+        assert tuple(name for name, _ in mode.branches()) == want
+        if field.kind != "spinor" and field.rank <= 1:
+            assert StateLayout(field, grid).branches == want
+
+    def test_family_rule_enforced(self):
+        one = np.ones(4, dtype=complex)
+        with pytest.raises(ValueError, match="single amplitude family"):
+            em_field().families(one, one)
+        with pytest.raises(ValueError, match="both amplitude families"):
+            spinor_field().families(one, None)
+
+    def test_real_field_factors(self):
+        em, vec = em_field(), tensor_field(rank=1, a2=0.7, b2=1.2)
+        assert (em.real_factor, vec.real_factor) == (2.0, 1.0)
+        assert (em.free_sign, vec.free_sign) == (-1.0, 1.0)
+        assert em.field_value(np.array([1.0 + 2.0j])) == 2.0
+        # em's epsilon does not depend on |z|, the complex species' does
+        assert em.epsilon(2.0, 3.0 + 4.0j) == em.epsilon(2.0, 1.0)
+        assert vec.epsilon(2.0, 2.0) == pytest.approx(
+            0.5 * vec.epsilon(2.0, 1.0), rel=1e-15)
 
 
 class TestContractFull:

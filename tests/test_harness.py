@@ -454,3 +454,27 @@ class TestNonFinite:
                      "hamilton/sourced_residual", "simulate/mode_equation"):
             assert records[name].status == "fail", name
             assert np.isnan(records[name].measured), name
+
+
+class TestBadSpeciesConstants:
+    @pytest.mark.parametrize("section, blk", [
+        ("field", {"kind": "tensor", "rank": 5, "a2": 1.0, "b2": 1.0}),
+        ("field", {"kind": "tensor", "rank": 1, "a2": -1.0, "b2": 1.0}),
+        ("field", {"kind": "scalar", "s": 0.0}),
+        ("field", {"kind": "em", "c": 0.0}),
+        ("field", {"kind": "scalar", "m": -1.0}),
+        ("field", {"kind": "dirac", "m": 0.0}),
+        ("grid", {"kmax": 3.0, "n_per_axis": 100000}),
+    ], ids=["rank-5", "a2-negative", "scalar-s-0", "em-c-0", "scalar-m-neg",
+            "dirac-m-0", "over-mode-budget"])
+    def test_validate_rejects(self, tmp_path, capsys, section, blk):
+        data = free_scalar_dict()
+        data[section] = blk
+        with pytest.raises(ScenarioError, match=f"^{section}: "):
+            scenario_from_dict(data)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"invalid scenario: {section}: " in err
+        assert "Traceback" not in err

@@ -77,6 +77,38 @@ class TestDensity:
             polymomentum(SPINOR, None, value=None)
 
 
+    @pytest.mark.parametrize("field", [SCALAR, VECTOR, EM, SPINOR],
+                             ids=["scalar", "vector", "em", "spinor"])
+    def test_batched_matches_per_point(self, field):
+        rng = np.random.default_rng(23)
+        comp = field.component_shape
+        points = 7
+        value = rng.normal(size=(points,) + comp) + 1j * rng.normal(
+            size=(points,) + comp)
+        deriv = rng.normal(size=(points, 4) + comp)
+        chi = rng.normal(size=(points, 4) + comp) + 1j * rng.normal(
+            size=(points, 4) + comp)
+        if field is not SPINOR:
+            chi = None
+        if field is EM:
+            value = value.real + 0.0j
+        theta = polymomentum(field, deriv, value)
+        for p in range(points):
+            assert np.array_equal(
+                theta[p], polymomentum(field, deriv[p], value[p]))
+        got = dw_density(field, value, theta, chi=chi)
+        assert got.shape == (points,)
+        for p in range(points):
+            single = dw_density(field, value[p], theta[p],
+                                chi=None if chi is None else chi[p])
+            assert isinstance(single, float)
+            assert got[p] == single
+        # the spinor's multiplier term must be exercised off the constraint
+        if chi is not None:
+            shifted = dw_density(field, value, theta + 0.5, chi=chi)
+            assert np.all(np.abs(shifted - got) > 1e-6)
+
+
 class TestPositionHamilton:
     def test_free_scalar_on_shell(self):
         k = on_shell_k([0.3, -0.4, 0.5], 1.0)
