@@ -163,8 +163,9 @@ class FieldSpec:
     @property
     def rate_norms(self) -> tuple:
         """Per branch, summed source currents to dC/dx0."""
-        return (4.0j * np.pi,) if self.is_real else (-1j / self.a2,
-                                                     +1j / self.a2)
+        if self.is_real:
+            return (4.0j * np.pi,)
+        return (-1j / self.a2, +1j / self.a2)
 
     @property
     def coupling_strength(self) -> float:
