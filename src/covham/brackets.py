@@ -51,7 +51,7 @@ class StateLayout:
     """
 
     def __init__(self, field: FieldSpec, grid: ModeGrid):
-        if field.kind == "spinor" or field.rank > 1:
+        if not field.has_bracket_sector:
             raise ValueError(
                 "bracket sectors are defined for component ranks 0 and 1")
         self.field = field

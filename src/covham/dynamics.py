@@ -47,7 +47,11 @@ integral has the closed form (the degenerate case of Filon quadrature)
 
 written with sinc so that it stays accurate as s_j L -> 0.
 straight_line_amplitudes evaluates it on any slice; circular orbits
-still need evolve_amplitudes.
+still need evolve_amplitudes.  The switch-on rate and s_j depend on the
+source only, so _straight_line_mean computes them once per source and
+also gives the mean over several slices of the coefficients carried to
+one reference slice t_ref by their free phase exp(mp i k0 (t - t_ref)):
+the time average verify.averaged_profile reconstructs once per point.
 """
 from __future__ import annotations
 
@@ -138,6 +142,20 @@ def straight_line_amplitudes(
     is None for the em species.  Raises ValueError for a circular
     worldline, whose phase is not linear in x0.
     """
+    return _straight_line_mean(field, worldlines, grid, (x0,), x0)
+
+
+def _straight_line_mean(field, worldlines, grid, samples, t_ref):
+    """Mean over the slices in samples of the closed-form coefficients,
+    each carried to slice t_ref by its free phase:
+
+        D_pm = (1/S) sum_t C_pm(t) exp(mp i k0 (t - t_ref))
+             = sum_j rate_j,pm(a_j) g_j   (conj g_j for minus),
+        g_j  = (1/S) sum_{t > a_j} f_j(t) exp(-i k0 (t - t_ref)),
+
+    f_j(t) = L exp(i s_j L / 2) sinc(s_j L / 2), L = t - a_j, so each
+    switch-on rate is computed once.  One sample at t_ref gives C(t_ref).
+    """
     if any(w.kind not in ("static", "uniform") for w in worldlines):
         raise ValueError("closed-form amplitudes need static or uniform "
                          "worldlines")
@@ -145,17 +163,24 @@ def straight_line_amplitudes(
     expand = (n,) + (1,) * len(field.component_shape)
     coeffs = [np.zeros((n,) + field.component_shape, dtype=complex)
               for _ in field.branches]
+    k0 = grid.k[:, 0]
     for w in worldlines:
         start = w.switch_on_time()
-        span = x0 - start
-        if span <= 0.0:
+        active = [t for t in samples if t > start]
+        if not active:  # source j adds nothing up to its switch-on
             continue
-        rates = source_rate(field, [w], grid.k, start)
         _, udot = w.state(w.tau_on)
-        half = 0.5 * span * minkowski_dot(grid.k, udot) / udot[0]
-        # np.sinc(x) = sin(pi x) / (pi x)
-        factor = span * np.exp(1j * half) * np.sinc(half / np.pi)
-        for c, rate, f in zip(coeffs, rates, with_conjugate(factor)):
+        k_udot = minkowski_dot(grid.k, udot)
+        total = 0.0
+        for t in active:
+            span = t - start
+            half = 0.5 * span * k_udot / udot[0]  # s_j L / 2
+            # np.sinc(x) = sin(pi x) / (pi x)
+            total += (span * np.exp(1j * (half - k0 * (t - t_ref)))
+                      * np.sinc(half / np.pi))
+        rates = source_rate(field, [w], grid.k, start)
+        for c, rate, f in zip(coeffs, rates,
+                              with_conjugate(total / len(samples))):
             c += rate * f.reshape(expand)
     return family_pair(coeffs)
 

@@ -124,6 +124,12 @@ class FieldSpec:
         return [plus, minus]
 
     @property
+    def has_bracket_sector(self) -> bool:
+        """Whether the (q, pi) bracket layout covers the species: component
+        ranks 0 and 1; the spinor's constraint momenta form no pair."""
+        return self.kind != "spinor" and self.rank <= 1
+
+    @property
     def real_factor(self) -> float:
         """2 for the real field (theta = 2 a2 dA), 1 for complex ones
         (theta = a2 dT*)."""

@@ -45,6 +45,7 @@ from .canonical import (
 )
 from .dirac import clifford_defect, projector_defects, shell_projector
 from .dynamics import (
+    _straight_line_mean,
     evolve_amplitudes,
     mode_equation_residual,
     reconstruct_field,
@@ -386,7 +387,7 @@ def _suite_simulate(s: Scenario, rng, tol, records, tables) -> None:
 # -------------------------------------------------------------- bracket
 
 def _bracket_sector(field):
-    if field.kind != "spinor" and field.rank <= 1:
+    if field.has_bracket_sector:
         return field, None
     kappa = field.kappa if field.kappa > 0.0 else 1.0
     note = (f"{field.kind} sector has no unconstrained (q, pi) bracket; "
@@ -491,13 +492,21 @@ def averaged_profile(field, worldlines, grid, points, center: float,
                      period: float, n_samples: int = 32):
     """Time-averaged reconstruction at fixed spatial points.
 
-    Samples the slice at n_samples midpoints of one period centered at
-    `center`, takes the mode coefficients on each from the closed form
-    for straight worldlines (dynamics.straight_line_amplitudes, exact
-    from the switch-on with no time stepping) and reconstructs at every
-    point.  Averaging over a full period suppresses the oscillatory
-    transient left by the switch-on, so the result approximates the
-    steady field.  Raises ValueError for a circular source.
+    Averages over n_samples slices t at the midpoints of one period
+    centered at `center`.  A value is linear in the mode coefficients,
+    and with x = (t, p) the phase factors as e^{-ik.x} = e^{-ik0 t}
+    e^{+ik.p}, so the average is taken on the coefficients before any
+    sum over modes: with t_ref = center,
+
+        D_pm = (1/S) sum_t C_pm(t) exp(mp i k0 (t - t_ref)),
+
+    C_pm(t) the closed form for straight worldlines (exact from each
+    switch-on, no time stepping; a source adds nothing on slices up to
+    its own switch-on), and each point is reconstructed once, at
+    (t_ref, p).  The em field's 2 Re is linear too.  Averaging over a
+    full period suppresses the oscillatory transient left by the
+    switch-on, so the result approximates the steady field.  Raises
+    ValueError for a circular source.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     t_on = min(w.switch_on_time() for w in worldlines)
@@ -506,14 +515,11 @@ def averaged_profile(field, worldlines, grid, points, center: float,
     if samples[0] <= t_on:
         raise ValueError("averaging window starts before the switch-on")
 
-    accum = None
-    for t in samples:
-        plus, minus = straight_line_amplitudes(field, worldlines, grid, t)
-        vals = np.asarray([reconstruct_field(field, grid, plus, minus,
-                                             np.concatenate([[t], pt]))
-                           for pt in points])
-        accum = vals if accum is None else accum + vals
-    return accum / n_samples
+    plus, minus = _straight_line_mean(field, worldlines, grid, samples,
+                                      center)
+    return np.asarray([reconstruct_field(field, grid, plus, minus,
+                                         np.concatenate([[center], pt]))
+                       for pt in points])
 
 
 def _green_applicable(s: Scenario) -> str | None:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from covham import dynamics, verify
 from covham.dynamics import (
     evolve_amplitudes,
     mode_equation_residual,
@@ -292,6 +293,81 @@ class TestStraightLineAmplitudes:
         with pytest.raises(ValueError, match="static or uniform"):
             averaged_profile(EM, lines, grid, [[1.0, 0.0, 0.0]],
                              center=5.0, period=2.0)
+
+
+AVERAGED_FIELDS = {
+    "scalar": SCALAR,
+    "vector": tensor_field(rank=1, a2=1.0, b2=1.0),
+    "em": EM,
+    "spinor": SPINOR,
+}
+PROFILE_POINTS = np.array([[1.0, 0.3, -0.2], [0.0, 1.5, 0.5],
+                           [2.0, 2.0, 2.0]])
+
+
+def _late_source(kind):
+    """A second source switched on at x0 = 5, inside the window [4, 6]."""
+    if kind == "static":
+        return static_worldline([0.5, 0.1, -0.4], coupling=0.9,
+                                t_start=5.0, xi=XI)
+    return uniform_worldline([0.5, 0.1, -0.4], [0.2, 0.1, -0.3],
+                             coupling=0.9, t_start=5.0, xi=XI)
+
+
+def _per_sample_profile(field, worldlines, grid, points, center, period,
+                        n_samples):
+    """Reference average: reconstruct every point on every sample, from
+    the sources switched on before it only."""
+    samples = center + period * ((np.arange(n_samples) + 0.5) / n_samples
+                                 - 0.5)
+    total = 0.0
+    for t in samples:
+        on = [w for w in worldlines if w.switch_on_time() < t]
+        plus, minus = straight_line_amplitudes(field, on, grid, t)
+        total = total + np.asarray([
+            reconstruct_field(field, grid, plus, minus,
+                              np.concatenate([[t], p]))
+            for p in points])
+    return total / n_samples
+
+
+class TestAveragedProfile:
+    @pytest.mark.parametrize("n_samples", [1, 32])
+    @pytest.mark.parametrize("kind", ["static", "uniform"])
+    @pytest.mark.parametrize("name", sorted(AVERAGED_FIELDS))
+    def test_matches_per_sample_reconstruction(self, name, kind, n_samples):
+        field = AVERAGED_FIELDS[name]
+        sources = [_straight_source(kind), _late_source(kind)]
+        grid = build_mode_grid(kmax=2.0, n_per_axis=4, kappa=field.kappa)
+        got = averaged_profile(field, sources, grid, PROFILE_POINTS,
+                               center=5.0, period=2.0, n_samples=n_samples)
+        want = _per_sample_profile(field, sources, grid, PROFILE_POINTS,
+                                   5.0, 2.0, n_samples)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n_samples", [4, 32])
+    def test_work_is_per_source_and_per_point(self, monkeypatch, n_samples):
+        calls = {"source_rate": 0, "reconstruct_field": 0}
+
+        def counted(name):
+            original = getattr(dynamics, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            wrapper = counted(name)
+            for module in (dynamics, verify):
+                monkeypatch.setattr(module, name, wrapper)
+        sources = [_straight_source("static"), _late_source("uniform")]
+        grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=1.0)
+        averaged_profile(SCALAR, sources, grid, PROFILE_POINTS, center=5.0,
+                         period=2.0, n_samples=n_samples)
+        assert calls == {"source_rate": len(sources),
+                         "reconstruct_field": len(PROFILE_POINTS)}
 
 
 class TestReconstructAndResidual:

@@ -22,7 +22,7 @@ from covham.fields import (
     tensor_field,
 )
 from covham.modes import build_mode_grid
-from covham.verify import _random_amps
+from covham.verify import _bracket_sector, _random_amps
 from covham.worldlines import static_worldline
 
 SPECIES = [scalar_field(), tensor_field(rank=1, a2=0.7, b2=1.2), em_field(),
@@ -104,6 +104,23 @@ class TestSpeciesTable:
         assert tuple(name for name, _ in mode.branches()) == want
         if field.kind != "spinor" and field.rank <= 1:
             assert StateLayout(field, grid).branches == want
+
+    @pytest.mark.parametrize("field, covered", [
+        (scalar_field(), True), (tensor_field(rank=1, a2=0.7, b2=1.2), True),
+        (em_field(), True), (spinor_field(m=1.2), False),
+        (tensor_field(rank=2, a2=1.0, b2=1.0), False)],
+        ids=["scalar", "vector", "em", "spinor", "tensor2"])
+    def test_bracket_sector_rule(self, field, covered):
+        # StateLayout and the bracket suite read the same table entry
+        assert field.has_bracket_sector is covered
+        sector, note = _bracket_sector(field)
+        assert (sector is field, note is None) == (covered, covered)
+        grid = build_mode_grid(2.0, 2, field.kappa)
+        if covered:
+            StateLayout(field, grid)
+        else:
+            with pytest.raises(ValueError, match="ranks 0 and 1"):
+                StateLayout(field, grid)
 
     def test_family_rule_enforced(self):
         one = np.ones(4, dtype=complex)

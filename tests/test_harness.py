@@ -341,6 +341,34 @@ class TestGreenSuite:
         assert len(rows) == 6
         assert all(np.isfinite(row["rel_err"]) for row in rows)
 
+    @pytest.mark.parametrize("kind", ["scalar", "em"])
+    def test_radial_distortion_fails(self, kind, monkeypatch):
+        # the grid of test_scalar_profile_structure and its em twin
+        data = sourced_scalar_dict()
+        if kind == "em":
+            data["field"] = {"kind": "em", "c": 1.0}
+        data["grid"] = {"kmax": 4.0, "n_per_axis": 10}
+        data["time"] = {"x0_start": 0.0, "x0_end": 15.2, "steps": 64}
+        s = scenario_from_dict(data)
+        tol = {"green_scalar": 0.65, "green_em": 0.65}
+        assert run_verification(s, "green", seed=0, tolerances=tol).passed
+        original = verify.averaged_profile
+
+        def distorted(field, worldlines, grid, points, center, period,
+                      **kwargs):
+            vals = original(field, worldlines, grid, points, center, period,
+                            **kwargs)
+            r = np.linalg.norm(points - worldlines[0].position, axis=1)
+            return vals * ((1.0 + r) ** 3).reshape(
+                (-1,) + (1,) * (vals.ndim - 1))
+
+        monkeypatch.setattr(verify, "averaged_profile", distorted)
+        report = run_verification(s, "green", seed=0, tolerances=tol)
+        want = ({"green/coulomb"} if kind == "em"
+                else {"green/yukawa_direct", "green/yukawa_ratio"})
+        assert {r.name for r in report.records
+                if r.status == "fail"} == want
+
     def test_moving_source_not_applicable(self):
         data = sourced_scalar_dict(extra_particle=True)
         s = scenario_from_dict(data)
