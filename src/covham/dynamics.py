@@ -26,16 +26,30 @@ contributes nothing, so coefficients inherit free values bit for bit.
 
 source_terms is the one walk over the worldline crossings: for each
 source active on the slice it returns u_j, udot_j and the species
-current (U_j, udot_{j nu} or xi_j above).  source_rate contracts the
-currents with the plane-wave phases and the rate normalization; the
+current (U_j, udot_{j nu} or xi_j above).  _weighted_rate_sum contracts
+the currents with the plane-wave phases and the rate normalization; the
 generator J and its gradients in canonical.py read the same terms.
 
 The stored families, the rate normalizations and the spinor's
 kappa pm slash(k) come from the species table (fields.FieldSpec).
 
 The integrator is composite Simpson over uniform panels, globally fourth
-order; rates are independent of the state, so this is plain cumulative
-quadrature and superposes exactly over sources.
+order.  Rates do not depend on the state and are linear in each source's
+current, so any Simpson sum is one weighted node sum.  Each row r pairs
+a node t with a source j active there:
+
+    sum_t w_t dC_pm/dx0(t) = norm_pm S_pm (E or conj E) @ Cur,
+    E[n, r] = exp(i k_n.u_r),   Cur[r] = w_t g_j current_j / udot_j^0,
+
+with S_pm = kappa pm slash(k) for the spinor (identity otherwise) and
+the rate norm applied once, after the sum.  _weighted_rate_sum builds E
+for _NODE_CHUNK nodes at a time, so it never holds more than N x
+_NODE_CHUNK x (sources) phases, whatever the step count.  save="last"
+is one such sum over all 2 steps + 1 nodes (weights h/6 at the ends,
+h/3 at interior panel boundaries, 4h/6 at midpoints); save="all" adds
+one panel's sum to each saved slice; source_rate is the one-node case.
+Splitting the panels at a switch-on, for fourth order through it, only
+adds nodes and weights.
 
 Static and uniform worldlines need no integrator.  Along a straight
 line k.u is linear in x0: with a_j the switch-on time of source j and
@@ -64,6 +78,10 @@ from .fields import FieldSpec, family_pair, with_conjugate
 from .minkowski import lower_index, minkowski_dot
 from .modes import ModeGrid
 from .worldlines import Worldline, equal_time_crossing
+
+# nodes per block of the phase matrix exp(i k.u): the block, not the
+# step count, sets the memory a long evolution needs on a large grid
+_NODE_CHUNK = 16
 
 
 def source_terms(field: FieldSpec, worldlines: list[Worldline] | None,
@@ -106,27 +124,51 @@ def source_rate(
 
     k has shape (N, 4) or (4,); returns (rate_plus, rate_minus) with
     shape (N, *component_shape) matching the input batching.  For the em
-    species rate_minus is None (single coefficient family).
+    species rate_minus is None (single coefficient family).  This is the
+    one-node case of _weighted_rate_sum: nodes (x0,), weights (1.0,).
     """
     k = np.asarray(k, dtype=float)
-    single = k.ndim == 1
-    k = np.atleast_2d(k)
-    shape = (k.shape[0],) + field.component_shape
-    sums = [np.zeros(shape, dtype=complex) for _ in field.branches]
-
-    for w, u, udot, current in source_terms(field, worldlines, x0):
-        phase = np.exp(1j * minkowski_dot(k, u))
-        scale = w.coupling / udot[0]
-        for total, ph in zip(sums, with_conjugate(phase)):
-            total += np.multiply.outer(ph, current) * scale
-
-    if field.kind == "spinor":
-        sums = [np.einsum("nab,nb->na", op, total)
-                for op, total in zip(field.shell_operators(k), sums)]
-    rates = [norm * total for norm, total in zip(field.rate_norms, sums)]
-    if single:
+    rates = _weighted_rate_sum(field, worldlines, np.atleast_2d(k), (x0,),
+                               (1.0,))
+    if k.ndim == 1:
         rates = [rate[0] for rate in rates]
     return family_pair(rates)
+
+
+def _weighted_rate_sum(field, worldlines, k, nodes, weights) -> list:
+    """sum_t weights[t] dC/dx0(nodes[t]) per branch for modes k (N, 4):
+    norm S (E or conj E) @ Cur over the (node, active source) rows, E
+    built _NODE_CHUNK nodes at a time (see the module docstring).  Arrays
+    (N, *component_shape), exact zeros when no source is ever active.
+    """
+    n_comp = field.n_components
+    twin = len(field.branches) == 2
+    # the first block's product starts the sum: filling a zero array
+    # first would add an (N, columns) array to the peak memory
+    total = None
+    for lo in range(0, len(nodes), _NODE_CHUNK):
+        rows = [(u, weight * w.coupling / udot[0] * np.ravel(current))
+                for t, weight in zip(nodes[lo:lo + _NODE_CHUNK],
+                                     weights[lo:lo + _NODE_CHUNK])
+                for w, u, udot, current in source_terms(field, worldlines, t)]
+        if not rows:
+            continue
+        u, cur = map(np.array, zip(*rows))
+        if twin:  # conj(E) @ Cur = conj(E @ conj(Cur)): one product
+            cur = np.concatenate([cur, np.conj(cur)], axis=1)
+        # k.u with u lowered: no (N, 4) copy of k
+        part = np.exp(1j * (k @ lower_index(u).T)) @ cur
+        total = part if total is None else np.add(total, part, out=total)
+    if total is None:  # no source active on any node
+        total = np.zeros((len(k), n_comp * (1 + twin)), dtype=complex)
+    shape = (len(k),) + field.component_shape
+    sums = [total[:, :n_comp].reshape(shape)]
+    if twin:
+        sums.append(np.conj(total[:, n_comp:]).reshape(shape))
+    if field.kind == "spinor":
+        sums = [np.einsum("nab,nb->na", op, s)
+                for op, s in zip(field.shell_operators(k), sums)]
+    return [norm * s for norm, s in zip(field.rate_norms, sums)]
 
 
 def straight_line_amplitudes(
@@ -230,10 +272,13 @@ def evolve_amplitudes(
 ) -> AmplitudeHistory:
     """Integrate the coefficient rates from x0_start to x0_end.
 
-    steps uniform Simpson panels (two rate evaluations per panel beyond
-    the first).  init_plus / init_minus default to zero coefficients.
-    save="all" records every panel boundary, save="last" only the final
-    state, which keeps long evolutions on large grids in memory budget.
+    steps uniform Simpson panels; a source counts on a node from its
+    switch-on on (boundary active).  init_plus / init_minus default to
+    zero coefficients.  save="all" records every panel boundary, each
+    slice the previous one plus that panel's weighted node sum.
+    save="last" keeps only the final state, the initial one plus a
+    single node sum over all 2 steps + 1 nodes; long evolutions on large
+    grids stay in memory budget either way.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -249,27 +294,30 @@ def evolve_amplitudes(
 
     times = np.linspace(x0_start, x0_end, steps + 1)
     h = (x0_end - x0_start) / steps
-    record = save == "all"
-    if record:
+    mids = times[:-1] + 0.5 * h
+    if save == "last":
+        nodes = np.empty(2 * steps + 1)
+        nodes[0::2] = times
+        nodes[1::2] = mids
+        weights = np.full(2 * steps + 1, 4.0 * h / 6.0)
+        weights[0::2] = h / 3.0
+        weights[[0, -1]] = h / 6.0
+        sums = _weighted_rate_sum(field, worldlines, grid.k, nodes, weights)
+        outs = [(c + total)[None, ...] for c, total in zip(coeffs, sums)]
+        times = times[-1:]
+    else:
         outs = [np.empty((steps + 1,) + shape, dtype=complex)
                 for _ in coeffs]
         for out, c in zip(outs, coeffs):
             out[0] = c
+        panel = (h / 6.0, 4.0 * h / 6.0, h / 6.0)
+        for i in range(steps):
+            sums = _weighted_rate_sum(field, worldlines, grid.k,
+                                      (times[i], mids[i], times[i + 1]),
+                                      panel)
+            for out, total in zip(outs, sums):
+                out[i + 1] = out[i] + total
 
-    f = source_rate(field, worldlines, grid.k, times[0])
-    for i in range(steps):
-        m = source_rate(field, worldlines, grid.k, times[i] + 0.5 * h)
-        g = source_rate(field, worldlines, grid.k, times[i + 1])
-        coeffs = [c + (h / 6.0) * (fb + 4.0 * mb + gb)
-                  for c, fb, mb, gb in zip(coeffs, f, m, g)]
-        f = g
-        if record:
-            for out, c in zip(outs, coeffs):
-                out[i + 1] = c
-
-    if not record:
-        times = times[-1:]
-        outs = [c[None, ...] for c in coeffs]
     plus, minus = family_pair(outs)
     return AmplitudeHistory(field=field, x0=times, plus=plus, minus=minus)
 

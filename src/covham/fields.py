@@ -37,6 +37,8 @@ from .dirac import slash
 from .minkowski import component_signs
 
 _KINDS = ("scalar", "tensor", "em", "spinor")
+_GREEN_RADII = {"em": (1.0, 1.5, 2.0, 2.5, 3.0),
+                "scalar": (0.8, 0.9, 1.0, 1.6, 1.8, 2.0)}
 
 
 @dataclass(frozen=True)
@@ -128,6 +130,16 @@ class FieldSpec:
         """Whether the (q, pi) bracket layout covers the species: component
         ranks 0 and 1; the spinor's constraint momenta form no pair."""
         return self.kind != "spinor" and self.rank <= 1
+
+    @property
+    def has_parseval_identity(self) -> bool:
+        """parseval_check covers the second-order complex species only."""
+        return not self.is_real and self.kind != "spinor"
+
+    @property
+    def green_radii(self) -> tuple[float, ...]:
+        """Green suite comparison radii; empty where it does not apply."""
+        return _GREEN_RADII.get(self.kind, ())
 
     @property
     def real_factor(self) -> float:

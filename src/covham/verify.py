@@ -470,9 +470,6 @@ def _suite_bracket(s: Scenario, rng, tol, records, tables) -> None:
 
 # ------------------------------------------------------------- parseval
 
-PARSEVAL_SPECIES = ("scalar", "tensor")
-
-
 def _suite_parseval(s: Scenario, rng, tol, records, tables) -> None:
     field = s.field
     triples = [(1, 0, 0), (0, 1, 1), (1, 1, 0), (0, 0, 2)]
@@ -523,7 +520,7 @@ def averaged_profile(field, worldlines, grid, points, center: float,
 
 
 def _green_applicable(s: Scenario) -> str | None:
-    if s.field.kind not in ("em", "scalar"):
+    if not s.field.green_radii:
         return ("green oracle comparisons cover the em and scalar species, "
                 f"not {s.field.kind}")
     if not s.particles:
@@ -549,10 +546,7 @@ def _suite_green(s: Scenario, rng, tol, records, tables) -> None:
     anchor = worldlines[0].position
     direction = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
 
-    if field.kind == "em":
-        radii = np.array([1.0, 1.5, 2.0, 2.5, 3.0])
-    else:
-        radii = np.array([0.8, 0.9, 1.0, 1.6, 1.8, 2.0])
+    radii = np.array(field.green_radii)
     t_on = min(w.switch_on_time() for w in worldlines)
     needed = t_on + float(np.max(radii)) + 1.0
     if center - period / 2.0 <= needed:
@@ -566,37 +560,26 @@ def _suite_green(s: Scenario, rng, tol, records, tables) -> None:
     averaged = averaged_profile(field, worldlines, grid, points, center,
                                 period)
 
+    # the real em field is compared in its time component A_0
+    values = np.real(averaged[:, 0] if field.is_real else averaged)
     rows = []
-    if field.kind == "em":
-        worst = 0.0
-        for r, val in zip(radii, averaged):
-            got = float(val[0])
-            ref = float(green_oracle(field, worldlines,
-                                     np.concatenate([[center],
-                                                     anchor + r * direction])
-                                     )[0])
-            err = abs(got - ref) / abs(ref)
-            worst = _worst(worst, err)
-            rows.append({"radius": float(r), "reconstructed": got,
-                         "reference": ref, "rel_err": err})
+    worst = 0.0
+    for r, got, pt in zip(radii, values, points):
+        ref = np.real(green_oracle(field, worldlines,
+                                   np.concatenate([[center], pt])))
+        ref = float(ref[0] if field.is_real else ref)
+        err = abs(float(got) - ref) / abs(ref)
+        worst = _worst(worst, err)
+        rows.append({"radius": float(r), "reconstructed": float(got),
+                     "reference": ref, "rel_err": err})
+    if field.is_real:
         _add(records, "green/coulomb", worst, tol["green_em"],
              {"radii": radii.tolist(), "kmax": s.kmax,
               "n_per_axis": s.n_per_axis})
     else:
+        _add(records, "green/yukawa_direct", worst, tol["green_scalar"],
+             {"radii": radii.tolist()})
         kappa = field.kappa
-        values = np.real(averaged)
-        worst_direct = 0.0
-        for r, got in zip(radii, values):
-            ref = float(np.real(green_oracle(
-                field, worldlines,
-                np.concatenate([[center], anchor + r * direction]))))
-            err = abs(float(got) - ref) / abs(ref)
-            worst_direct = _worst(worst_direct, err)
-            rows.append({"radius": float(r), "reconstructed": float(got),
-                         "reference": ref, "rel_err": err})
-        _add(records, "green/yukawa_direct", worst_direct,
-             tol["green_scalar"], {"radii": radii.tolist()})
-
         half = len(radii) // 2
         worst_ratio = 0.0
         for i in range(half):
@@ -637,7 +620,7 @@ def run_verification(s: Scenario, suite: str, seed: int = 0,
 
     if suite == "all":
         names = ["dirac-algebra", "hamilton", "simulate", "bracket"]
-        if s.field.kind in PARSEVAL_SPECIES:
+        if s.field.has_parseval_identity:
             names.append("parseval")
         if _green_applicable(s) is None:
             names.append("green")

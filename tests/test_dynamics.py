@@ -206,6 +206,166 @@ class TestEvolve:
 
 XI = DiracCoupling(xi1=np.array([1.0, 0.5j, -0.25, 0.1]),
                    xi2=np.array([0.2, 0.0, 0.3j, 0.0]))
+
+
+def _reference_rate_sum(field, worldlines, k, nodes, weights):
+    """sum_t w_t dC/dx0(t), contracted node by node and source by source."""
+    shape = (len(k),) + field.component_shape
+    totals = [np.zeros(shape, dtype=complex) for _ in field.branches]
+    for t, weight in zip(nodes, weights):
+        sums = [np.zeros(shape, dtype=complex) for _ in field.branches]
+        for w, u, udot, current in dynamics.source_terms(field, worldlines,
+                                                         t):
+            phase = np.exp(1j * minkowski_dot(k, u))
+            for total, ph in zip(sums, (phase, np.conj(phase))):
+                total += np.multiply.outer(ph, current) * (w.coupling
+                                                           / udot[0])
+        if field.kind == "spinor":
+            sums = [np.einsum("nab,nb->na", op, total)
+                    for op, total in zip(field.shell_operators(k), sums)]
+        for acc, norm, total in zip(totals, field.rate_norms, sums):
+            acc += weight * norm * total
+    return totals
+
+
+def _reference_history(field, worldlines, grid, start, end, steps, init):
+    """Simpson panel by panel from the reference sum, every slice."""
+    times = np.linspace(start, end, steps + 1)
+    h = (end - start) / steps
+    slices = [list(init)]
+    for i in range(steps):
+        step = _reference_rate_sum(
+            field, worldlines, grid.k,
+            (times[i], times[i] + 0.5 * h, times[i + 1]),
+            (h / 6.0, 4.0 * h / 6.0, h / 6.0))
+        slices.append([c + d for c, d in zip(slices[-1], step)])
+    return [np.array(branch) for branch in zip(*slices)]
+
+
+def _count_calls(monkeypatch, names, modules) -> dict:
+    """Live call counts of the named covham.dynamics functions, wrapped
+    wherever the modules bind them."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        original = getattr(dynamics, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        wrapper = counted(name)
+        for module in modules:
+            monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def _assert_rel_close(got, want, rtol=1e-12):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+FIELDS = {
+    "scalar": SCALAR,
+    "vector": tensor_field(rank=1, a2=1.0, b2=1.0),
+    "em": EM,
+    "spinor": SPINOR,
+}
+WINDOW, STEPS = (0.0, 2.0), 11  # 23 Simpson nodes, over one chunk
+PANEL_EDGE = float(np.linspace(*WINDOW, STEPS + 1)[3])
+
+
+def _orbit_sources(switch_on):
+    """A circular and a uniform source, plus a static one switched on
+    inside a panel or on a panel boundary of WINDOW at STEPS."""
+    lines = [circular_worldline([0.1, -0.2, 0.05], 0.5, 1.2, coupling=1.0,
+                                phase0=0.4, xi=XI),
+             uniform_worldline([0.2, 0.1, -0.3], [0.3, -0.1, 0.2],
+                               coupling=-0.7, t_start=-0.1, xi=XI)]
+    if switch_on == "mid_panel":
+        lines.append(static_worldline([0.3, 0.0, -0.2], coupling=0.9,
+                                      t_start=0.537, xi=XI))
+    elif switch_on == "panel_edge":
+        lines.append(static_worldline([0.3, 0.0, -0.2], coupling=0.9,
+                                      t_start=PANEL_EDGE, xi=XI))
+    return lines
+
+
+def _initial(field, grid, rng):
+    shape = (len(grid),) + field.component_shape
+    return [rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            for _ in field.branches]
+
+
+class TestWeightedRateSum:
+    @pytest.mark.parametrize("n_nodes", [1, dynamics._NODE_CHUNK,
+                                         dynamics._NODE_CHUNK + 1,
+                                         2 * dynamics._NODE_CHUNK + 5])
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_matches_per_node_loop(self, name, n_nodes):
+        field = FIELDS[name]
+        grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=field.kappa)
+        rng = np.random.default_rng(n_nodes)
+        nodes = np.sort(rng.uniform(0.0, 2.0, size=n_nodes))
+        weights = rng.uniform(-1.0, 1.0, size=n_nodes)
+        lines = _orbit_sources("mid_panel")
+        got = dynamics._weighted_rate_sum(field, lines, grid.k, nodes,
+                                          weights)
+        want = _reference_rate_sum(field, lines, grid.k, nodes, weights)
+        for g, w in zip(got, want, strict=True):
+            _assert_rel_close(g, w)
+
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_source_rate_is_the_one_node_case(self, name):
+        field = FIELDS[name]
+        grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=field.kappa)
+        lines = _orbit_sources("panel_edge")
+        rates = source_rate(field, lines, grid.k, PANEL_EDGE)
+        want = _reference_rate_sum(field, lines, grid.k, (PANEL_EDGE,),
+                                   (1.0,))
+        for got, w in zip(field.families(*rates), want, strict=True):
+            _assert_rel_close(got, w)
+
+    def test_no_active_source_gives_exact_zeros(self):
+        grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=1.0)
+        late = [static_worldline([0, 0, 0], coupling=1.0, t_start=5.0)]
+        sums = dynamics._weighted_rate_sum(SCALAR, late, grid.k,
+                                           np.linspace(0.0, 4.0, 40),
+                                           np.ones(40))
+        assert all(not np.any(total) for total in sums)
+
+
+class TestEvolveNodeSum:
+    @pytest.mark.parametrize("save", ["all", "last"])
+    @pytest.mark.parametrize("switch_on", ["none", "mid_panel",
+                                           "panel_edge"])
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_matches_panel_loop(self, name, switch_on, save):
+        field = FIELDS[name]
+        grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=field.kappa)
+        lines = _orbit_sources(switch_on)
+        init = _initial(field, grid, np.random.default_rng(5))
+        hist = evolve_amplitudes(field, lines, grid, *WINDOW, STEPS,
+                                 *init, save=save)
+        want = _reference_history(field, lines, grid, *WINDOW, STEPS, init)
+        if save == "last":
+            want = [branch[-1:] for branch in want]
+        # the increments, which the initial values would otherwise mask
+        for got, w, c in zip(field.families(hist.plus, hist.minus), want,
+                             init, strict=True):
+            _assert_rel_close(got - c, w - c)
+
+    def test_last_slice_reads_each_node_once(self, monkeypatch):
+        calls = _count_calls(monkeypatch, ("source_terms", "source_rate"),
+                             (dynamics,))
+        grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=1.0)
+        evolve_amplitudes(SCALAR, _orbit_sources("mid_panel"), grid,
+                          *WINDOW, STEPS, save="last")
+        assert calls == {"source_terms": 2 * STEPS + 1, "source_rate": 0}
+
+
 STRAIGHT_FIELDS = {
     "scalar": SCALAR,
     "tensor2": tensor_field(rank=2, a2=1.0, b2=1.0),
@@ -295,12 +455,6 @@ class TestStraightLineAmplitudes:
                              center=5.0, period=2.0)
 
 
-AVERAGED_FIELDS = {
-    "scalar": SCALAR,
-    "vector": tensor_field(rank=1, a2=1.0, b2=1.0),
-    "em": EM,
-    "spinor": SPINOR,
-}
 PROFILE_POINTS = np.array([[1.0, 0.3, -0.2], [0.0, 1.5, 0.5],
                            [2.0, 2.0, 2.0]])
 
@@ -334,9 +488,9 @@ def _per_sample_profile(field, worldlines, grid, points, center, period,
 class TestAveragedProfile:
     @pytest.mark.parametrize("n_samples", [1, 32])
     @pytest.mark.parametrize("kind", ["static", "uniform"])
-    @pytest.mark.parametrize("name", sorted(AVERAGED_FIELDS))
+    @pytest.mark.parametrize("name", sorted(FIELDS))
     def test_matches_per_sample_reconstruction(self, name, kind, n_samples):
-        field = AVERAGED_FIELDS[name]
+        field = FIELDS[name]
         sources = [_straight_source(kind), _late_source(kind)]
         grid = build_mode_grid(kmax=2.0, n_per_axis=4, kappa=field.kappa)
         got = averaged_profile(field, sources, grid, PROFILE_POINTS,
@@ -348,20 +502,8 @@ class TestAveragedProfile:
 
     @pytest.mark.parametrize("n_samples", [4, 32])
     def test_work_is_per_source_and_per_point(self, monkeypatch, n_samples):
-        calls = {"source_rate": 0, "reconstruct_field": 0}
-
-        def counted(name):
-            original = getattr(dynamics, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-            return wrapper
-
-        for name in calls:
-            wrapper = counted(name)
-            for module in (dynamics, verify):
-                monkeypatch.setattr(module, name, wrapper)
+        calls = _count_calls(monkeypatch, ("source_rate", "reconstruct_field"),
+                             (dynamics, verify))
         sources = [_straight_source("static"), _late_source("uniform")]
         grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=1.0)
         averaged_profile(SCALAR, sources, grid, PROFILE_POINTS, center=5.0,

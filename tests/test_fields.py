@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from covham.brackets import StateLayout
 from covham.canonical import to_canonical
 from covham.dirac import DiracCoupling
+from covham.errors import ScenarioError
 from covham.dynamics import (
     evolve_amplitudes,
     source_rate,
@@ -22,6 +23,7 @@ from covham.fields import (
     tensor_field,
 )
 from covham.modes import build_mode_grid
+from covham.position import parseval_check
 from covham.verify import _bracket_sector, _random_amps
 from covham.worldlines import static_worldline
 
@@ -121,6 +123,22 @@ class TestSpeciesTable:
         else:
             with pytest.raises(ValueError, match="ranks 0 and 1"):
                 StateLayout(field, grid)
+
+    @pytest.mark.parametrize("field", SPECIES,
+                             ids=["scalar", "vector", "em", "spinor"])
+    def test_parseval_and_green_rules(self, field):
+        # the suites read the table; parseval_check raises on the rest
+        entries = [((1, 0, 0), *_random_amps(field,
+                                             np.random.default_rng(2)))]
+        if field.has_parseval_identity:
+            assert parseval_check(field, 2.0 * np.pi, entries, n_t=2) < 1e-6
+        else:
+            with pytest.raises(ScenarioError):
+                parseval_check(field, 2.0 * np.pi, entries, n_t=2)
+        assert (len(field.green_radii) > 0) == (field.kind in ("em",
+                                                               "scalar"))
+        with pytest.raises(AttributeError):
+            field.green_radii = (1.0,)
 
     def test_family_rule_enforced(self):
         one = np.ones(4, dtype=complex)
