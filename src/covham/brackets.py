@@ -19,10 +19,11 @@ bracket vanishes.  With this normalization the canonical pair obeys
 
 the discrete image of the delta-normalized pair relation.
 
-Observables are quadratic forms in the flattened state (closed under
-the bracket: structure constants are state-independent, so the bracket
-of quadratics is quadratic and Jacobi holds identically) or general
-callables with user-supplied gradients for Leibniz-rule products.
+Observables are quadratic forms in the state, closed under the bracket
+(constant structure constants make the bracket of quadratics quadratic
+and Jacobi exact), or callables with gradients for Leibniz products.
+Jacobi terms use grad {B, C} = Q_B Lambda grad C - Q_C Lambda grad B at
+the state: O(n^2) matrix-vector work, not O(n^3) matrix products.
 
 Sectors cover component ranks 0 and 1 (scalar, vector, em); the
 spinor's constraint momenta do not form an unconstrained (q, pi) pair.
@@ -144,8 +145,8 @@ class BracketConfig:
 class QuadraticObservable:
     """c + a.s + s.Q s / 2 with exact gradients a + Q s.
 
-    Closed under sums, scalar multiples, and the Poisson bracket; the
-    class covers constants (a = 0, Q = 0) and linears (Q = 0).
+    Q must be symmetric: gradient, bracket_observable and jacobi_terms
+    take it as the Hessian.  Closed under sums, multiples and the bracket.
     """
 
     def __init__(self, const: float = 0.0, linear=None, quad=None,
@@ -237,19 +238,22 @@ def momentum_vector_observable(layout: StateLayout, v: np.ndarray,
     return QuadraticObservable(0.0, linear)
 
 
-def poisson_bracket(a, b, cfg: BracketConfig, state: np.ndarray) -> float:
-    """{A, B} at the given state."""
+def _gradients(observables, cfg: BracketConfig, state) -> list[np.ndarray]:
+    """Each observable's gradient at the state, both shapes checked."""
     state = np.asarray(state, dtype=float)
     if state.shape != (cfg.layout.size,):
-        raise ValueError(
-            f"state has shape {state.shape}, layout needs "
-            f"({cfg.layout.size},)")
-    ga = np.asarray(a.gradient(state), dtype=float)
-    gb = np.asarray(b.gradient(state), dtype=float)
-    if ga.shape != state.shape or gb.shape != state.shape:
+        raise ValueError(f"state has shape {state.shape}, layout needs "
+                         f"({cfg.layout.size},)")
+    grads = [np.asarray(o.gradient(state), dtype=float) for o in observables]
+    if any(g.shape != state.shape for g in grads):
         raise ValueError("observable gradients do not match the state size")
-    lam = cfg.poisson_tensor()
-    return float(ga @ (lam @ gb))
+    return grads
+
+
+def poisson_bracket(a, b, cfg: BracketConfig, state: np.ndarray) -> float:
+    """{A, B} at the given state."""
+    ga, gb = _gradients((a, b), cfg, state)
+    return float(ga @ (cfg.poisson_tensor() @ gb))
 
 
 def bracket_observable(a: QuadraticObservable, b: QuadraticObservable,
@@ -274,15 +278,19 @@ def jacobi_terms(a, b, c, cfg: BracketConfig,
                  state: np.ndarray) -> list[float]:
     """[{A,{B,C}}, {B,{C,A}}, {C,{A,B}}] for quadratic observables.
 
+    Each is grad A . Lambda grad {B, C}(s), with grad {B, C}(s) =
+    Q_B Lambda grad C(s) - Q_C Lambda grad B(s): one Lambda, O(n^2) work.
     Their sum is the Jacobi defect; the sum of their magnitudes is the
     scale a relative defect divides by.
     """
-    for obs in (a, b, c):
-        if not isinstance(obs, QuadraticObservable):
-            raise TypeError("Jacobi nesting needs quadratic observables "
-                            "(analytic second derivatives)")
-    return [poisson_bracket(x, bracket_observable(y, z, cfg), cfg, state)
-            for x, y, z in ((a, b, c), (b, c, a), (c, a, b))]
+    obs = (a, b, c)
+    if not all(isinstance(o, QuadraticObservable) for o in obs):
+        raise TypeError("Jacobi nesting needs quadratic observables")
+    g = _gradients(obs, cfg, state)
+    lam = cfg.poisson_tensor()
+    f = [lam @ gi for gi in g]  # Lambda grad, shared by the three terms
+    return [float(g[x] @ (lam @ (obs[y].quad @ f[z] - obs[z].quad @ f[y])))
+            for x, y, z in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]
 
 
 def jacobi_defect(a, b, c, cfg: BracketConfig, state: np.ndarray) -> float:

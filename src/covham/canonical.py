@@ -318,8 +318,13 @@ def mode_hamiltonian_canonical(
     """
     k = np.asarray(k, dtype=float)
     x = np.asarray(x, dtype=float)
-    value = _free_quadratic(field, mode)
     rows = _coupling_rows(field, k, x, worldlines, gauge)
+    return _canonical_value(field, k, mode, rows, gauge)
+
+
+def _canonical_value(field, k, mode, rows, gauge) -> float:
+    """J from the free part and _coupling_rows (None: no active source)."""
+    value = _free_quadratic(field, mode)
     if rows is None:
         return value
     for row, w in zip(rows, _w_values(field, k, mode, gauge)):
@@ -378,12 +383,14 @@ def gradient_consistency(
     """Max defect between analytic gradients of J and finite differences.
 
     Five-point central differences in every stored phase-space
-    component; exact for the quadratic-plus-linear J up to roundoff.
-    Lowered finite-difference gradients are raised with the appropriate
-    signs before comparison.  Returns the max absolute defect scaled by
-    1 + max |gradient|.
+    component, on coupling rows built once (no probe moves a source);
+    exact for the quadratic-plus-linear J up to roundoff.  Lowered
+    finite-difference gradients are raised with the index signs before
+    comparison.  Returns the max defect scaled by 1 + max |gradient|.
     """
+    k, x = np.asarray(k, dtype=float), np.asarray(x, dtype=float)
     analytic = mode_hamiltonian_gradients(field, k, mode, x, worldlines, gauge)
+    rows = _coupling_rows(field, k, x, worldlines, gauge)
     scale = 1.0 + np.max([np.max(np.abs(getattr(bv, slot)))
                           for _, bv in analytic.branches()
                           for slot in ("q", "pi")])
@@ -402,9 +409,9 @@ def gradient_consistency(
                     probe = arr.copy()
                     probe[idx] += off
                     branch = replace(bv, **{slot: probe})
-                    samples.append(mode_hamiltonian_canonical(
-                        field, k, replace(mode, **{name: branch}), x,
-                        worldlines, gauge))
+                    samples.append(_canonical_value(
+                        field, k, replace(mode, **{name: branch}), rows,
+                        gauge))
                 fd = float(np.dot(stencil, samples)) * signs[idx]
                 ana = getattr(getattr(analytic, name), slot)[idx]
                 worst = np.maximum(worst, abs(fd - ana) / scale)

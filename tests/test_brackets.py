@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covham import brackets
 from covham.brackets import (
     BracketConfig,
     GeneralObservable,
@@ -306,6 +307,55 @@ class TestJacobi:
                                 lambda s: 3.0 * s**2)
         with pytest.raises(TypeError, match="quadratic"):
             jacobi_defect(lin, lin, gen, cfg, np.zeros(lay.size))
+
+    @pytest.mark.parametrize("make_cfg, scale, state_scale", [
+        (scalar_cfg, 1.0, 1.0), (vector_cfg, 1.0, 1.0), (em_cfg, 1.0, 1.0),
+        (vector_cfg, 1e4, 1e2)], ids=["scalar", "vector", "em", "vector-1e4"])
+    def test_terms_match_nested_closed_bracket(self, make_cfg, scale,
+                                               state_scale):
+        # the gradient-at-state terms against {x, {y, z}} with {y, z}
+        # formed as a whole quadratic observable first
+        cfg = make_cfg()
+        rng = np.random.default_rng(47)
+        lay = cfg.layout
+        a, b, c = [random_quadratic(lay, rng, scale=scale) for _ in range(3)]
+        state = state_scale * rng.normal(size=lay.size)
+        nested = [poisson_bracket(x, bracket_observable(y, z, cfg), cfg,
+                                  state)
+                  for x, y, z in ((a, b, c), (b, c, a), (c, a, b))]
+        terms = jacobi_terms(a, b, c, cfg, state)
+        bound = 1e-12 * sum(abs(t) for t in nested)
+        assert max(abs(t - n) for t, n in zip(terms, nested)) <= bound
+
+    def test_one_tensor_and_no_closed_bracket_per_call(self, monkeypatch):
+        calls = {"tensor": 0, "closed": 0}
+        tensor = BracketConfig.poisson_tensor
+        closed = brackets.bracket_observable
+
+        def counted_tensor(cfg):
+            calls["tensor"] += 1
+            return tensor(cfg)
+
+        def counted_closed(*args):
+            calls["closed"] += 1
+            return closed(*args)
+
+        monkeypatch.setattr(BracketConfig, "poisson_tensor", counted_tensor)
+        monkeypatch.setattr(brackets, "bracket_observable", counted_closed)
+        cfg = vector_cfg()
+        rng = np.random.default_rng(53)
+        obs = [random_quadratic(cfg.layout, rng) for _ in range(3)]
+        state = rng.normal(size=cfg.layout.size)
+        jacobi_terms(*obs, cfg, state)
+        assert calls == {"tensor": 1, "closed": 0}
+        jacobi_defect(*obs, cfg, state)
+        assert calls == {"tensor": 2, "closed": 0}
+
+    def test_state_size_mismatch_raises(self):
+        cfg = scalar_cfg()
+        a = coordinate_observable(cfg.layout, "q", 0)
+        with pytest.raises(ValueError, match="layout"):
+            jacobi_terms(a, a, a, cfg, np.zeros(4))
 
 
 class TestConservationIdentity:

@@ -6,11 +6,14 @@ the exact coefficients follow from one rate evaluation and the phase
 integral.  That keeps the check independent of the integrator.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covham import canonical
 from covham.canonical import (
     DEFAULT_GAUGE,
     BranchVars,
@@ -32,15 +35,20 @@ from covham.dirac import DiracCoupling
 from covham.dynamics import evolve_amplitudes, source_rate
 from covham.errors import CanonicalStructureError
 from covham.fields import em_field, scalar_field, spinor_field, tensor_field
-from covham.minkowski import on_shell_k
+from covham.minkowski import METRIC_DIAG, on_shell_k
 from covham.modes import build_mode_grid
 from covham.verify import _random_amps as random_amps
-from covham.worldlines import static_worldline, uniform_worldline
+from covham.worldlines import (
+    circular_worldline,
+    static_worldline,
+    uniform_worldline,
+)
 
 SCALAR = scalar_field()
 VECTOR = tensor_field(rank=1, a2=0.7, b2=0.7 * 1.3**2)
 EM = em_field()
 SPINOR = spinor_field(s=1.0, m=1.2, c=1.0)
+RANK2 = tensor_field(rank=2, a2=1.0, b2=0.81)
 ALL_SPECIES = [SCALAR, VECTOR, EM, SPINOR]
 
 XI = DiracCoupling(xi1=np.array([0.4, -0.2 + 0.1j, 0.3, 0.05]),
@@ -262,6 +270,67 @@ class TestGradients:
         mode = canonical_at_point(field, k, c_plus, c_minus, x)
         defect = gradient_consistency(field, k, mode, x, make_sources(field))
         assert defect < 1e-9
+
+    def test_coupling_rows_built_once(self, monkeypatch):
+        # one source walk for the analytic gradients, one for all 160
+        # stencil probes of the rank-1 field
+        walks = []
+        walk = canonical.source_terms
+
+        def counted(*args):
+            walks.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(canonical, "source_terms", counted)
+        rng = np.random.default_rng(23)
+        k = species_k(VECTOR)
+        x = np.array([1.2, 0.3, -0.4, 0.2])
+        mode = canonical_at_point(VECTOR, k, *random_amps(VECTOR, rng), x)
+        gradient_consistency(VECTOR, k, mode, x, make_sources(VECTOR))
+        assert len(walks) == 2
+
+    @pytest.mark.parametrize("source", ["circular", "static"])
+    @pytest.mark.parametrize("field", [SCALAR, VECTOR, RANK2, EM, SPINOR],
+                             ids=["scalar", "rank1", "rank2", "em", "spinor"])
+    def test_defect_matches_per_probe_hamiltonian(self, field, source):
+        xi = XI if field.kind == "spinor" else None
+        if source == "circular":
+            w = circular_worldline([0.1, -0.2, 0.0], radius=0.4, omega=1.1,
+                                   coupling=0.9, xi=xi)
+        else:
+            w = static_worldline([0.2, -0.1, 0.3], coupling=0.8, xi=xi)
+        rng = np.random.default_rng(29)
+        k = species_k(field)
+        x = np.array([1.2, 0.3, -0.4, 0.2])
+        mode = canonical_at_point(field, k, *random_amps(field, rng), x)
+        # the stencil loop written out on mode_hamiltonian_canonical, which
+        # rebuilds the coupling rows for every probe
+        delta = 1e-3
+        analytic = mode_hamiltonian_gradients(field, k, mode, x, [w])
+        scale = 1.0 + np.max([np.max(np.abs(getattr(bv, slot)))
+                              for _, bv in analytic.branches()
+                              for slot in ("q", "pi")])
+        sigma = field.pairing_signs()
+        raise_signs = {"q": sigma,
+                       "pi": np.multiply.outer(METRIC_DIAG, sigma)}
+        stencil = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * delta)
+        worst = 0.0
+        for name, bv in mode.branches():
+            for slot, signs in raise_signs.items():
+                arr = getattr(bv, slot)
+                for idx in np.ndindex(arr.shape):
+                    samples = []
+                    for off in np.array([-2.0, -1.0, 1.0, 2.0]) * delta:
+                        probe = arr.copy()
+                        probe[idx] += off
+                        probed = replace(mode, **{
+                            name: replace(bv, **{slot: probe})})
+                        samples.append(mode_hamiltonian_canonical(
+                            field, k, probed, x, [w]))
+                    fd = float(np.dot(stencil, samples)) * signs[idx]
+                    ana = getattr(getattr(analytic, name), slot)[idx]
+                    worst = np.maximum(worst, abs(fd - ana) / scale)
+        assert gradient_consistency(field, k, mode, x, [w]) == float(worst)
 
 
 class TestHamiltonResidual:

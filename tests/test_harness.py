@@ -5,11 +5,12 @@ protocols live in the acceptance suite.
 """
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from covham import verify
+from covham import canonical, verify
 from covham.brackets import BracketConfig
 from covham.cli import main
 from covham.dynamics import source_rate
@@ -18,6 +19,8 @@ from covham.scenario import load_scenario, scenario_from_dict
 from covham.minkowski import minkowski_dot
 from covham.verify import DEFAULT_TOLERANCES, run_verification, write_report
 from covham.worldlines import static_worldline
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def free_scalar_dict():
@@ -171,6 +174,28 @@ class TestVerificationSuites:
         assert "hamilton_convergence" in report.tables
         assert report.passed, [r.to_dict() for r in report.records
                                if r.status != "pass"]
+
+    @pytest.mark.parametrize("name", ["static_scalar_source",
+                                      "dirac_static_source"])
+    def test_gradient_fd_flags_scaled_q_gradient(self, name, monkeypatch):
+        s = load_scenario(SCENARIOS / f"{name}.json")
+
+        def gradient_fd():
+            report = run_verification(s, "hamilton", seed=0)
+            return [r for r in report.records
+                    if r.name == "hamilton/gradient_fd"][0]
+
+        assert gradient_fd().status == "pass"
+        original = canonical.mode_hamiltonian_gradients
+
+        def scaled(*args, **kwargs):
+            grads = original(*args, **kwargs)
+            return dataclasses.replace(grads, **{
+                b: dataclasses.replace(bv, q=(1.0 + 1e-3) * bv.q)
+                for b, bv in grads.branches()})
+
+        monkeypatch.setattr(canonical, "mode_hamiltonian_gradients", scaled)
+        assert gradient_fd().status == "fail"
 
     def test_simulate_suite_two_sources(self):
         s = scenario_from_dict(sourced_scalar_dict(extra_particle=True))
