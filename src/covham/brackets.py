@@ -4,29 +4,27 @@ The bracket of two observables A, B of the canonical state is
 
     {A, B} = int d4k V^mu (dA/dq_nu dB/dpi^{mu nu} - dB/dq_nu dA/dpi^{mu nu}),
 
-with V a fixed four-vector.  On a mode grid the functional derivative
-picks up one inverse quadrature weight per mode (so that the state
-variable q(k) integrated against a test function reproduces itself),
-which makes the discrete structure constants
+with V a fixed four-vector.  StateLayout views the state as an array of
+(modes, branches, 5, components), q in row 0 and pi_mu in row 1 + mu.
+On a mode grid the functional derivative picks up one inverse
+quadrature weight per mode, so the structure constants
 
     Lambda[q(k, c), pi(k, mu, c)] = (1 / w_k) V^mu eta_mumu sigma_c
 
-block-diagonal per mode and per branch; the two branches of a complex
-species are independent canonical sectors, so every cross-branch
-bracket vanishes.  With this normalization the canonical pair obeys
+couple row 0 to rows 1 + mu inside one (mode, branch) block; the two
+branches of a complex species are independent canonical sectors.  With
+this normalization the canonical pair obeys
 
     {q_c(k), V^mu pi_{mu c'}(k')} = V.V eta_{c c'} delta_kk' / w_k,
 
 the discrete image of the delta-normalized pair relation.
 
-Observables are quadratic forms in the state, closed under the bracket
-(constant structure constants make the bracket of quadratics quadratic
-and Jacobi exact), or callables with gradients for Leibniz products.
-Jacobi terms use grad {B, C} = Q_B Lambda grad C - Q_C Lambda grad B at
-the state: O(n^2) matrix-vector work, not O(n^3) matrix products.
-
-Sectors cover component ranks 0 and 1 (scalar, vector, em); the
-spinor's constraint momenta do not form an unconstrained (q, pi) pair.
+Observables are quadratic forms (closed under the bracket, Jacobi
+exact) or callables with gradients for Leibniz products.  Jacobi terms
+use grad {B, C} = Q_B Lambda grad C - Q_C Lambda grad B at the state:
+O(n^2) matrix-vector work, not O(n^3) matrix products.  Sectors cover
+component ranks 0 and 1 (scalar, vector, em); the spinor's constraint
+momenta do not form an unconstrained (q, pi) pair.
 """
 from __future__ import annotations
 
@@ -36,7 +34,7 @@ import numpy as np
 
 from .canonical import CanonicalMode, BranchVars, mode_hamiltonian_gradients
 from .errors import ModeBudgetError
-from .fields import FieldSpec
+from .fields import FieldSpec, family_pair
 from .minkowski import METRIC_DIAG, minkowski_dot
 from .modes import ModeGrid
 
@@ -44,11 +42,15 @@ MAX_STATE_SIZE = 4096  # dense Poisson tensor guard
 
 
 class StateLayout:
-    """Flattening of the full canonical state over a mode grid.
+    """The bracket state: the flat view of an array of `shape`
+    (modes, branches, 5, components).
 
-    Mode-major order; within a mode, branch-major (plus, then minus for
-    complex species); within a branch, the q components followed by the
-    four pi rows.
+    Branches run plus, then minus for complex species; row 0 of a branch
+    holds q_c and row 1 + mu holds pi_{mu c}, lower-index as stored.
+    `index` (read-only) holds each entry's flat position, the one place
+    offsets are computed.  pack_gradient turns the raised gradients of
+    mode_hamiltonian_gradients into derivatives by the stored variables:
+    q rows times sigma_c, pi_mu rows times eta_mumu sigma_c.
     """
 
     def __init__(self, field: FieldSpec, grid: ModeGrid):
@@ -61,50 +63,45 @@ class StateLayout:
         self.comp_size = field.n_components
         self.sigma_flat = np.asarray(field.pairing_signs(),
                                      dtype=float).reshape(-1)
-        self.per_branch = 5 * self.comp_size  # q block + 4 pi rows
-        self.per_mode = len(self.branches) * self.per_branch
-        self.size = len(grid) * self.per_mode
+        self.shape = (len(grid), len(self.branches), 5, self.comp_size)
+        self.size = int(np.prod(self.shape))
         if self.size > MAX_STATE_SIZE:
             raise ModeBudgetError(
                 f"bracket state has {self.size} variables; the dense "
                 f"Poisson tensor is limited to {MAX_STATE_SIZE}")
+        self.index = np.arange(self.size).reshape(self.shape)
+        self.index.flags.writeable = False
 
     def q_index(self, mode_index: int, branch: str, comp: int = 0) -> int:
-        b = self.branches.index(branch)
-        return (mode_index * self.per_mode + b * self.per_branch + comp)
+        return int(self.index[mode_index, self.branches.index(branch), 0,
+                              comp])
 
     def pi_index(self, mode_index: int, branch: str, mu: int,
                  comp: int = 0) -> int:
-        b = self.branches.index(branch)
-        return (mode_index * self.per_mode + b * self.per_branch
-                + self.comp_size + mu * self.comp_size + comp)
+        return int(self.index[mode_index, self.branches.index(branch),
+                              1 + mu, comp])
 
     def pack(self, modes: list[CanonicalMode]) -> np.ndarray:
         if len(modes) != len(self.grid):
             raise ValueError("state must cover every grid mode")
-        out = np.empty(self.size)
-        for i, mode in enumerate(modes):
-            for b, name in enumerate(self.branches):
-                bv = getattr(mode, name)
-                base = i * self.per_mode + b * self.per_branch
-                out[base:base + self.comp_size] = np.asarray(
-                    bv.q, dtype=float).reshape(-1)
-                out[base + self.comp_size:base + self.per_branch] = \
-                    np.asarray(bv.pi, dtype=float).reshape(-1)
-        return out
+        blocks = [[np.vstack([np.reshape(bv.q, (1, -1)),
+                              np.reshape(bv.pi, (4, -1))])
+                   for _, bv in mode.branches()] for mode in modes]
+        return np.asarray(blocks, dtype=float).reshape(self.size)
+
+    def pack_gradient(self, grads: list[CanonicalMode]) -> np.ndarray:
+        """Per-mode raised gradients as d/d(stored state), flat."""
+        signs = np.concatenate([[1.0], METRIC_DIAG])[:, None] * self.sigma_flat
+        return (self.pack(grads).reshape(self.shape) * signs).reshape(-1)
 
     def unpack_mode(self, state: np.ndarray, mode_index: int) -> CanonicalMode:
         comp = self.field.component_shape
-        parts = {}
-        for b, name in enumerate(self.branches):
-            base = mode_index * self.per_mode + b * self.per_branch
-            q = np.asarray(state[base:base + self.comp_size]).reshape(comp)
-            pi = np.asarray(
-                state[base + self.comp_size:base + self.per_branch]
-            ).reshape((4,) + comp)
-            parts[name] = BranchVars(q=np.array(q), pi=np.array(pi))
+        block = np.array(np.reshape(state, self.shape)[mode_index])
+        plus, minus = family_pair(
+            BranchVars(q=rows[0].reshape(comp),
+                       pi=rows[1:].reshape((4,) + comp)) for rows in block)
         return CanonicalMode(field=self.field, k=self.grid.k[mode_index],
-                             plus=parts["plus"], minus=parts.get("minus"))
+                             plus=plus, minus=minus)
 
 
 @dataclass(frozen=True)
@@ -129,16 +126,17 @@ class BracketConfig:
         every call."""
         lay = self.layout
         vfac = (1.0 / self.grid.weight)[:, None] * self.v * METRIC_DIAG
-        # one entry per (mode i, branch b, row mu, component c)
-        i, b, mu, c = np.indices((len(self.grid), len(lay.branches), 4,
-                                  lay.comp_size))
-        val = vfac[i, mu] * lay.sigma_flat[c]
-        keep = vfac[i, mu] != 0.0
-        qi = i * lay.per_mode + b * lay.per_branch + c
-        pj = qi + lay.comp_size * (1 + mu)
+        # one entry per (mode, branch, pi row mu, component), masked
+        # before lam exists: masking after it cost 20 MB more peak memory
+        pj = lay.index[:, :, 1:]
+        qi = np.broadcast_to(lay.index[:, :, :1], pj.shape)
+        val = np.broadcast_to(vfac[:, None, :, None] * lay.sigma_flat,
+                              pj.shape)
+        keep = val != 0.0
+        qi, pj, val = qi[keep], pj[keep], val[keep]
         lam = np.zeros((lay.size, lay.size))
-        lam[qi[keep], pj[keep]] = val[keep]
-        lam[pj[keep], qi[keep]] = -val[keep]
+        lam[qi, pj] = val
+        lam[pj, qi] = -val
         return lam
 
 
@@ -215,16 +213,14 @@ def coordinate_observable(layout: StateLayout, kind: str, mode_index: int,
                           branch: str = "plus", comp: int = 0,
                           mu: int | None = None) -> QuadraticObservable:
     """The unit observable returning one stored canonical variable."""
-    if kind == "q":
-        idx = layout.q_index(mode_index, branch, comp)
-    elif kind == "pi":
-        if mu is None:
-            raise ValueError("pi coordinate needs mu")
-        idx = layout.pi_index(mode_index, branch, mu, comp)
-    else:
+    if kind not in ("q", "pi"):
         raise ValueError("kind must be 'q' or 'pi'")
+    if kind == "pi" and mu is None:
+        raise ValueError("pi coordinate needs mu")
+    row = 0 if kind == "q" else 1 + mu
     linear = np.zeros(layout.size)
-    linear[idx] = 1.0
+    linear[layout.index[mode_index, layout.branches.index(branch), row,
+                        comp]] = 1.0
     return QuadraticObservable(0.0, linear)
 
 
@@ -233,8 +229,8 @@ def momentum_vector_observable(layout: StateLayout, v: np.ndarray,
                                comp: int = 0) -> QuadraticObservable:
     """pi'_c = V^mu pi_{mu c} at one mode, the promoted conjugate momentum."""
     linear = np.zeros(layout.size)
-    for mu in range(4):
-        linear[layout.pi_index(mode_index, branch, mu, comp)] = v[mu]
+    linear[layout.index[mode_index, layout.branches.index(branch), 1:,
+                        comp]] = v
     return QuadraticObservable(0.0, linear)
 
 
@@ -317,31 +313,25 @@ def dw_conservation_check(cfg: BracketConfig, state: np.ndarray,
                           x0: float = 0.0) -> float:
     """Integrand of the constant-of-motion identity, per mu component.
 
-    Accumulates sum_k w_k sum_c (dJ/dq_c)(dJ/dpi_{mu c}) twice, once in
-    each factor order, and returns the largest difference across mu.
-    The identity is structural (each summand is the same product), so
-    the return is exactly 0.0; anything else indicates a broken
-    gradient path.
+    Packs the per-mode gradients of J through StateLayout.pack_gradient
+    and accumulates sum_k w_k sum_{b,c} (dJ/dq_c)(dJ/dpi_{mu c}) over the
+    state view twice, once in each factor order, returning the largest
+    difference across mu.  The record is structural: each summand is the
+    same product in both orders, so the return is exactly 0.0 unless the
+    gradient path breaks.  A check that the bracket generates the
+    dynamics is ROADMAP item 1.
     """
     lay = cfg.layout
     state = np.asarray(state, dtype=float)
     if state.shape != (lay.size,):
         raise ValueError("state does not match the layout")
     x = np.array([x0, 0.0, 0.0, 0.0])
-    first = np.zeros(4)
-    second = np.zeros(4)
-    # lower both slots of the raised dJ/dpi gradient before contracting
-    comp_metric = (np.ones(1) if lay.comp_size == 1
-                   else np.asarray(METRIC_DIAG, dtype=float))
-    for i in range(len(cfg.grid)):
-        mode = lay.unpack_mode(state, i)
-        grads = mode_hamiltonian_gradients(cfg.field, cfg.grid.k[i], mode, x)
-        w = float(cfg.grid.weight[i])
-        for name in lay.branches:
-            g = getattr(grads, name)
-            dq = np.asarray(g.q, dtype=float).reshape(-1)
-            dpi = (np.asarray(g.pi, dtype=float).reshape(4, -1)
-                   * comp_metric * lay.sigma_flat)
-            first += w * np.sum(dq * dpi, axis=1)
-            second += w * np.sum(dpi * dq, axis=1)
+    grads = lay.pack_gradient([
+        mode_hamiltonian_gradients(cfg.field, cfg.grid.k[i],
+                                   lay.unpack_mode(state, i), x)
+        for i in range(len(cfg.grid))]).reshape(lay.shape)
+    dq, dpi = grads[:, :, None, 0], grads[:, :, 1:]
+    w = cfg.grid.weight[:, None, None, None]
+    first = np.sum(w * (dq * dpi), axis=(0, 1, 3))
+    second = np.sum(w * (dpi * dq), axis=(0, 1, 3))
     return float(np.max(np.abs(first - second)))

@@ -329,19 +329,20 @@ def reconstruct_field(
     minus: np.ndarray | None,
     x: np.ndarray,
 ):
-    """Field value at the spacetime point x from mode coefficients.
+    """Field value at the spacetime points x from mode coefficients.
 
-    plus / minus are coefficient arrays of shape (N, *component_shape)
-    on the slice x0 = x[0].  Complex species return the complex value
-    sum_k w [C+ e^{-ik.x} + C- e^{+ik.x}]; the em species (minus None)
-    returns the real four-potential 2 Re sum_k w C e^{-ik.x}.
+    x has shape (..., 4), any leading axes being points; plus / minus
+    are the slice's coefficients, shape (N, ...) with any trailing axes,
+    and the result has shape x.shape[:-1] + those axes.  Complex species
+    return sum_k w [C+ e^{-ik.x} + C- e^{+ik.x}]; the em species (minus
+    None) returns the real four-potential 2 Re sum_k w C e^{-ik.x}.
     """
     x = np.asarray(x, dtype=float)
-    phase = np.exp(-1j * minkowski_dot(grid.k, x))
+    phase = np.exp(-1j * minkowski_dot(grid.k, x[..., None, :]))
     terms = zip(field.families(plus, minus, "coefficient"),
                 with_conjugate(phase))
     return field.field_value(sum(np.tensordot(grid.weight * ph, c,
-                                              axes=(0, 0))
+                                              axes=(-1, 0))
                                  for c, ph in terms))
 
 

@@ -20,13 +20,15 @@ away from the particles.  The momentum-representation machinery in
 canonical.py handles the sourced dynamics.
 
 polymomentum and dw_density take any leading point axes, so
-parseval_check evaluates a whole slice of lattice points in one call.
+parseval_check evaluates every lattice point of every slice in one
+reconstruct_field call.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .dirac import GAMMA, dirac_adjoint
+from .dynamics import reconstruct_field
 from .errors import ScenarioError
 from .fields import FieldSpec, with_conjugate
 from .minkowski import METRIC_DIAG, lower_index, minkowski_dot
@@ -205,13 +207,10 @@ def parseval_check(field: FieldSpec, box_length: float, entries,
     (cross terms between k and -k survive the box integral).  Returns
     |lhs - rhs| / |rhs| (absolute difference when the reference is 0).
     """
-    if field.kind == "em":
+    if not field.has_parseval_identity:
         raise ScenarioError(
-            "em parseval reference is identically zero on shell; "
-            "the identity carries no content for this species")
-    if field.kind == "spinor":
-        raise ScenarioError(
-            "parseval check covers the second-order tensor species")
+            "parseval check covers the second-order complex species, "
+            f"not {field.kind}")
     if not entries:
         return 0.0
     n_list = []
@@ -236,15 +235,11 @@ def parseval_check(field: FieldSpec, box_length: float, entries,
     grid = box_mode_grid(box_length, n_list, field.kappa)
 
     comp = field.component_shape
-    c_plus = np.empty((len(grid),) + comp, dtype=complex)
-    c_minus = np.empty_like(c_plus)
-    for i, (_, cp, cm) in enumerate(entries):
-        cp = np.asarray(cp, dtype=complex)
-        cm = np.asarray(cm, dtype=complex)
-        if cp.shape != comp or cm.shape != comp:
-            raise ScenarioError(f"mode coefficients must have shape {comp}")
-        c_plus[i] = cp
-        c_minus[i] = cm
+    amps = [np.asarray(a, dtype=complex) for _, cp, cm in entries
+            for a in (cp, cm)]
+    if any(a.shape != comp for a in amps):
+        raise ScenarioError(f"mode coefficients must have shape {comp}")
+    c_plus, c_minus = np.asarray(amps[0::2]), np.asarray(amps[1::2])
 
     sigma_flat = np.asarray(field.pairing_signs(), dtype=float).reshape(-1)
     rhs_rate = float(np.sum(grid.weight * (field.b2 / grid.k0) * (
@@ -261,25 +256,19 @@ def parseval_check(field: FieldSpec, box_length: float, entries,
     t_samples = x0_span[0] + (np.arange(n_t) + 0.5) * (span / n_t)
     dt = span / n_t
 
-    # per mode and family: the value row and the four d_mu rows, so one
-    # (points, modes) phase matrix per slice gives value and derivatives
+    # per mode and family: the value row and the four d_mu rows,
+    # d_mu e^{-ik.x} = -i k_mu e^{-ik.x} (conjugated for minus)
     n = len(grid)
-    rows = grid.weight[:, None] * np.concatenate(
-        [np.ones((n, 1)), -1j * lower_index(grid.k)], axis=1)
-    coef_plus, coef_minus = (
-        np.einsum("nr,nc->nrc", r, c.reshape(n, -1)).reshape(n, -1)
-        for r, c in ((rows, c_plus), (np.conj(rows), c_minus)))
-    points = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
-                      axis=-1).reshape(-1, 3)
-    spatial = np.exp(1j * points @ grid.k_spatial.T)
-    lhs = 0.0
-    for t in t_samples:
-        phase = np.exp(-1j * t * grid.k0) * spatial  # exp(-i k.x)
-        sampled = (phase @ coef_plus + np.conj(phase) @ coef_minus).reshape(
-            (len(points), 5) + comp)
-        density = dw_density(field, sampled[:, 0],
-                             polymomentum(field, sampled[:, 1:]))
-        lhs += float(np.sum(density)) * cell * dt
+    rows = np.concatenate([np.ones((n, 1)), -1j * lower_index(grid.k)],
+                          axis=1).reshape((n, 5) + (1,) * len(comp))
+    coeffs = [r * c[:, None] for r, c in zip(with_conjugate(rows),
+                                             (c_plus, c_minus))]
+    points = np.stack(np.meshgrid(t_samples, axis, axis, axis,
+                                  indexing="ij"), axis=-1).reshape(-1, 4)
+    sampled = reconstruct_field(field, grid, *coeffs, points)
+    density = dw_density(field, sampled[:, 0],
+                         polymomentum(field, sampled[:, 1:]))
+    lhs = float(np.sum(density)) * cell * dt
 
     if rhs == 0.0:
         return abs(lhs - rhs)

@@ -26,9 +26,14 @@ from covham.brackets import (
     poisson_bracket,
     product,
 )
+from covham.canonical import (
+    mode_hamiltonian_canonical,
+    mode_hamiltonian_gradients,
+)
 from covham.errors import GridDomainError, ModeBudgetError
 from covham.fields import em_field, scalar_field, spinor_field, tensor_field
 from covham.modes import box_mode_grid
+from covham.worldlines import static_worldline
 
 SCALAR = scalar_field(s=1.0, m=1.0, c=1.0)
 VECTOR = tensor_field(rank=1, a2=0.7, b2=0.7 * 1.3**2)
@@ -376,6 +381,53 @@ class TestConservationIdentity:
         rng = np.random.default_rng(53)
         state = rng.normal(size=cfg.layout.size)
         assert dw_conservation_check(cfg, state) == 0.0
+
+
+class TestStateView:
+    def test_index_view_matches_coordinates_and_unpack(self):
+        for cfg in (scalar_cfg(), vector_cfg(), em_cfg()):
+            lay = cfg.layout
+            assert lay.index.shape == lay.shape == (
+                len(cfg.grid), len(lay.branches), 5, lay.comp_size)
+            assert not lay.index.flags.writeable
+            state = np.random.default_rng(67).normal(size=lay.size)
+            for i in range(len(cfg.grid)):
+                mode = lay.unpack_mode(state, i)
+                for b, name in enumerate(lay.branches):
+                    bv = getattr(mode, name)
+                    q = bv.q.reshape(-1)
+                    pi = bv.pi.reshape(4, -1)
+                    for c in range(lay.comp_size):
+                        at = lay.index[i, b, :, c]
+                        assert at[0] == lay.q_index(i, name, c)
+                        assert state[at[0]] == q[c]
+                        for mu in range(4):
+                            assert at[1 + mu] == lay.pi_index(i, name, mu, c)
+                            assert state[at[1 + mu]] == pi[mu, c]
+
+    @pytest.mark.parametrize("make_cfg", [scalar_cfg, vector_cfg, em_cfg],
+                             ids=["scalar", "vector", "em"])
+    def test_pack_gradient_matches_central_differences(self, make_cfg):
+        # sum_k J_k is quadratic plus linear in the stored variables, so
+        # central differences are exact up to round-off
+        cfg = make_cfg()
+        lay = cfg.layout
+        source = [static_worldline([0.2, -0.1, 0.3], coupling=0.8)]
+        x = np.array([0.4, 0.1, 0.2, -0.3])
+        state = np.random.default_rng(71).normal(size=lay.size)
+
+        def total_j(s):
+            return sum(mode_hamiltonian_canonical(
+                cfg.field, cfg.grid.k[i], lay.unpack_mode(s, i), x, source)
+                for i in range(len(cfg.grid)))
+
+        got = lay.pack_gradient([mode_hamiltonian_gradients(
+            cfg.field, cfg.grid.k[i], lay.unpack_mode(state, i), x, source)
+            for i in range(len(cfg.grid))])
+        h = 1e-4
+        fd = np.array([(total_j(state + h * e) - total_j(state - h * e))
+                       / (2.0 * h) for e in np.eye(lay.size)])
+        assert np.max(np.abs(got - fd)) <= 1e-10 * np.max(np.abs(got))
 
 
 class TestLayoutAndGuards:

@@ -12,7 +12,13 @@ from covham.dynamics import (
     straight_line_amplitudes,
 )
 from covham.dirac import DiracCoupling, shell_projector
-from covham.fields import em_field, scalar_field, spinor_field, tensor_field
+from covham.fields import (
+    em_field,
+    family_pair,
+    scalar_field,
+    spinor_field,
+    tensor_field,
+)
 from covham.minkowski import minkowski_dot, on_shell_k
 from covham.modes import build_mode_grid
 from covham.verify import averaged_profile
@@ -531,6 +537,31 @@ class TestReconstructAndResidual:
         value = reconstruct_field(EM, grid, c, None, np.array([1.0, 2.0, 0.5, -1.0]))
         assert value.shape == (4,)
         assert value.dtype == np.float64
+
+    @pytest.mark.parametrize("field", [
+        SCALAR, tensor_field(rank=1, a2=1.0, b2=1.0), EM, SPINOR],
+        ids=["scalar", "vector", "em", "spinor"])
+    @pytest.mark.parametrize("lead", [(7,), (2, 3)], ids=["P", "2x3"])
+    def test_batched_points_match_per_point_calls(self, field, lead):
+        grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=field.kappa)
+        rng = np.random.default_rng(37)
+        plus, minus = family_pair(_initial(field, grid, rng))
+        x = rng.normal(size=lead + (4,))
+        got = reconstruct_field(field, grid, plus, minus, x)
+        want = np.array([reconstruct_field(field, grid, plus, minus, p)
+                         for p in x.reshape(-1, 4)])
+        assert got.shape == lead + field.component_shape
+        assert np.max(np.abs(got.reshape(want.shape) - want)) <= (
+            1e-12 * np.max(np.abs(want)))
+        # extra trailing coefficient axes ride along, one result per slot
+        ones = np.ones((1, 2) + (1,) * len(field.component_shape))
+        both = reconstruct_field(field, grid, *(
+            None if c is None else c[:, None] * ones for c in (plus, minus)),
+            x)
+        assert both.shape == lead + (2,) + field.component_shape
+        for slot in range(2):
+            assert np.max(np.abs(both.take(slot, axis=len(lead)) - got)) <= (
+                1e-12 * np.max(np.abs(want)))
 
     def test_mode_equation_residual_small_on_true_history(self):
         w = static_worldline([0.2, -0.1, 0.4], coupling=1.3)

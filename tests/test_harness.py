@@ -11,7 +11,11 @@ import numpy as np
 import pytest
 
 from covham import canonical, verify
-from covham.brackets import BracketConfig
+from covham.brackets import (
+    BracketConfig,
+    GeneralObservable,
+    QuadraticObservable,
+)
 from covham.cli import main
 from covham.dynamics import source_rate
 from covham.errors import ScenarioError
@@ -155,6 +159,49 @@ class TestScenarioLoading:
             scenario_from_dict(data)
 
 
+def _perturb_tensor(monkeypatch, q_at, pi_at, transpose_sign):
+    """Add d to Lambda[q, pi] and transpose_sign * d to Lambda[pi, q];
+    q_at and pi_at are (mode, branch, row) in the index view, component 0."""
+    original = BracketConfig.poisson_tensor
+
+    def poisson_tensor(cfg):
+        lam = original(cfg)
+        q = cfg.layout.index[q_at + (0,)]
+        pi = cfg.layout.index[pi_at + (0,)]
+        d = 1e-3 * np.max(np.abs(lam))
+        lam[q, pi] += d
+        lam[pi, q] += transpose_sign * d
+        return lam
+
+    monkeypatch.setattr(BracketConfig, "poisson_tensor", poisson_tensor)
+
+
+def _misscale_multiple(monkeypatch):
+    original = QuadraticObservable.__rmul__
+    monkeypatch.setattr(QuadraticObservable, "__rmul__",
+                        lambda self, alpha: original(self, alpha * 1.001))
+
+
+def _drop_leibniz_term(monkeypatch):
+    def product(a, b):  # grad(ab) without the b grad(a) term
+        return GeneralObservable(lambda s: a.value(s) * b.value(s),
+                                 lambda s: a.value(s) * b.gradient(s))
+
+    monkeypatch.setattr(verify, "product", product)
+
+
+# one named fault per bracket record that can fail; the canonical pair
+# reads modes 0 and 2 only, so the symmetric part sits in mode 1
+_BRACKET_FAULTS = {
+    "symmetric_tensor_part": lambda mp: _perturb_tensor(
+        mp, (1, 0, 0), (1, 0, 1), 1.0),
+    "misscaled_multiple": _misscale_multiple,
+    "leibniz_term_dropped": _drop_leibniz_term,
+    "cross_mode_coupling": lambda mp: _perturb_tensor(
+        mp, (0, 0, 0), (2, 0, 1), -1.0),
+}
+
+
 class TestVerificationSuites:
     def test_hamilton_free_scalar_passes(self):
         s = scenario_from_dict(free_scalar_dict())
@@ -264,6 +311,24 @@ class TestVerificationSuites:
         report = run_verification(s, "bracket", seed=7)
         rec = [r for r in report.records if r.name == "bracket/jacobi"][0]
         assert rec.status == "fail"
+
+    @pytest.mark.parametrize("fault, failing", [
+        ("symmetric_tensor_part", {"bracket/antisymmetry", "bracket/jacobi"}),
+        ("misscaled_multiple", {"bracket/bilinearity"}),
+        ("leibniz_term_dropped", {"bracket/leibniz"}),
+        ("cross_mode_coupling", {"bracket/canonical_pair"}),
+    ])
+    def test_bracket_records_flag_injected_faults(self, fault, failing,
+                                                  monkeypatch):
+        s = scenario_from_dict(free_scalar_dict())
+
+        def failures():
+            report = run_verification(s, "bracket", seed=7)
+            return {r.name for r in report.records if r.status != "pass"}
+
+        assert failures() == set()
+        _BRACKET_FAULTS[fault](monkeypatch)
+        assert failures() == failing
 
     def test_bracket_suite_zero_vector_keeps_every_record(self):
         # V = 0 zeroes every Jacobi term: no 0 / 0 in the relative defect

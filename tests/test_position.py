@@ -210,6 +210,11 @@ class TestParseval:
         with pytest.raises(ScenarioError, match="em"):
             parseval_check(EM, 2.0, [((1, 0, 0), np.ones(4, complex), None)])
 
+    def test_spinor_rejected(self):
+        with pytest.raises(ScenarioError, match="spinor"):
+            parseval_check(SPINOR, 2.0, [((1, 0, 0), np.ones(4, complex),
+                                          np.ones(4, complex))])
+
 
 class TestWorldlineProximity:
     def test_detects_point_on_particle(self):
