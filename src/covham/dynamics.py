@@ -63,9 +63,11 @@ written with sinc so that it stays accurate as s_j L -> 0.
 straight_line_amplitudes evaluates it on any slice; circular orbits
 still need evolve_amplitudes.  The switch-on rate and s_j depend on the
 source only, so _straight_line_mean computes them once per source and
-also gives the mean over several slices of the coefficients carried to
+also gives the mean over uniform slices of the coefficients carried to
 one reference slice t_ref by their free phase exp(mp i k0 (t - t_ref)):
 the time average verify.averaged_profile reconstructs once per point.
+On uniform slices its phases turn by a fixed factor per slice, so it
+rotates them, _MODE_SLICE modes at a time, instead of re-evaluating them.
 """
 from __future__ import annotations
 
@@ -75,13 +77,15 @@ import numpy as np
 
 from .dirac import interaction_spinor
 from .fields import FieldSpec, family_pair, with_conjugate
-from .minkowski import lower_index, minkowski_dot
+from .minkowski import lower_index
 from .modes import ModeGrid
 from .worldlines import Worldline, equal_time_crossing
 
 # nodes per block of the phase matrix exp(i k.u): the block, not the
 # step count, sets the memory a long evolution needs on a large grid
 _NODE_CHUNK = 16
+# modes per slice of the rotated time average: bounds its per-mode arrays
+_MODE_SLICE = 4096
 
 
 def source_terms(field: FieldSpec, worldlines: list[Worldline] | None,
@@ -184,19 +188,26 @@ def straight_line_amplitudes(
     is None for the em species.  Raises ValueError for a circular
     worldline, whose phase is not linear in x0.
     """
-    return _straight_line_mean(field, worldlines, grid, (x0,), x0)
+    return _straight_line_mean(field, worldlines, grid, x0, 0.0, 1, x0)
 
 
-def _straight_line_mean(field, worldlines, grid, samples, t_ref):
-    """Mean over the slices in samples of the closed-form coefficients,
-    each carried to slice t_ref by its free phase:
+def _straight_line_mean(field, worldlines, grid, first, spacing, count,
+                        t_ref):
+    """Mean over the count uniform slices t = first + m spacing of the
+    closed-form coefficients, each carried to slice t_ref by its free
+    phase:
 
         D_pm = (1/S) sum_t C_pm(t) exp(mp i k0 (t - t_ref))
              = sum_j rate_j,pm(a_j) g_j   (conj g_j for minus),
-        g_j  = (1/S) sum_{t > a_j} f_j(t) exp(-i k0 (t - t_ref)),
+        g_j  = (1/S) sum_{t > a_j} Im(z_t) zw_t / c,
 
-    f_j(t) = L exp(i s_j L / 2) sinc(s_j L / 2), L = t - a_j, so each
-    switch-on rate is computed once.  One sample at t_ref gives C(t_ref).
+    c = s_j / 2 > 0, L = t - a_j, z_t = exp(i c L) and zw_t = z_t
+    exp(-i k0 (t - t_ref)), since L exp(i c L) sinc(c L / pi) =
+    sin(c L) exp(i c L) / c: accurate as c L -> 0, with no cancellation.
+    From one slice to the next z turns by exp(i c spacing) and zw by
+    that times exp(-i k0 spacing), so the sum takes no transcendental
+    per slice.  Modes go _MODE_SLICE at a time, and each switch-on rate
+    is computed once.  One slice at t_ref gives C(t_ref).
     """
     if any(w.kind not in ("static", "uniform") for w in worldlines):
         raise ValueError("closed-form amplitudes need static or uniform "
@@ -205,25 +216,30 @@ def _straight_line_mean(field, worldlines, grid, samples, t_ref):
     expand = (n,) + (1,) * len(field.component_shape)
     coeffs = [np.zeros((n,) + field.component_shape, dtype=complex)
               for _ in field.branches]
-    k0 = grid.k[:, 0]
+    times = first + spacing * np.arange(count)
     for w in worldlines:
         start = w.switch_on_time()
-        active = [t for t in samples if t > start]
-        if not active:  # source j adds nothing up to its switch-on
+        skip = int(np.searchsorted(times, start, side="right"))
+        if skip == count:  # source j adds nothing up to its switch-on
             continue
         _, udot = w.state(w.tau_on)
-        k_udot = minkowski_dot(grid.k, udot)
-        total = 0.0
-        for t in active:
-            span = t - start
-            half = 0.5 * span * k_udot / udot[0]  # s_j L / 2
-            # np.sinc(x) = sin(pi x) / (pi x)
-            total += (span * np.exp(1j * (half - k0 * (t - t_ref)))
-                      * np.sinc(half / np.pi))
+        mean = np.empty(n, dtype=complex)
+        for lo in range(0, n, _MODE_SLICE):
+            k = grid.k[lo:lo + _MODE_SLICE]
+            c = 0.5 * (k @ lower_index(udot)) / udot[0]  # s_j / 2
+            z = np.exp(1j * c * (times[skip] - start))
+            zw = z * np.exp(-1j * k[:, 0] * (times[skip] - t_ref))
+            turn = np.exp(1j * c * spacing)
+            turn_w = turn * np.exp(-1j * k[:, 0] * spacing)
+            total = z.imag * zw
+            for _ in range(skip + 1, count):
+                z *= turn
+                zw *= turn_w
+                total += z.imag * zw
+            mean[lo:lo + _MODE_SLICE] = total / (c * count)
         rates = source_rate(field, [w], grid.k, start)
-        for c, rate, f in zip(coeffs, rates,
-                              with_conjugate(total / len(samples))):
-            c += rate * f.reshape(expand)
+        for cf, rate, f in zip(coeffs, rates, with_conjugate(mean)):
+            cf += rate * f.reshape(expand)
     return family_pair(coeffs)
 
 
@@ -338,7 +354,8 @@ def reconstruct_field(
     None) returns the real four-potential 2 Re sum_k w C e^{-ik.x}.
     """
     x = np.asarray(x, dtype=float)
-    phase = np.exp(-1j * minkowski_dot(grid.k, x[..., None, :]))
+    # k.x with x lowered: one (..., 4) @ (4, N) product, no (..., N, 4)
+    phase = np.exp(-1j * (lower_index(x) @ grid.k.T))
     terms = zip(field.families(plus, minus, "coefficient"),
                 with_conjugate(phase))
     return field.field_value(sum(np.tensordot(grid.weight * ph, c,

@@ -29,6 +29,7 @@ has the sign -1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,7 +95,7 @@ class FieldSpec:
 
     @property
     def n_components(self) -> int:
-        return int(np.prod(self.component_shape, dtype=int))
+        return math.prod(self.component_shape)
 
     def pairing_signs(self) -> np.ndarray:
         """Signs raising all component indices in quadratic pairings.

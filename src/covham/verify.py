@@ -500,23 +500,26 @@ def averaged_profile(field, worldlines, grid, points, center: float,
     C_pm(t) the closed form for straight worldlines (exact from each
     switch-on, no time stepping; a source adds nothing on slices up to
     its own switch-on), and each point is reconstructed once, at
-    (t_ref, p).  The em field's 2 Re is linear too.  Averaging over a
-    full period suppresses the oscillatory transient left by the
-    switch-on, so the result approximates the steady field.  Raises
-    ValueError for a circular source.
+    (t_ref, p).  The em field's 2 Re is linear too.  The samples are
+    uniform, so the sum over them rotates each mode's phases by a fixed
+    factor per sample, a slice of modes at a time (see
+    dynamics._straight_line_mean).  Averaging over a full period
+    suppresses the oscillatory transient left by the switch-on, so the
+    result approximates the steady field.  Raises ValueError for a
+    circular source.
 
     One reconstruct_field call per point: batching 5-6 points on a 48^3
-    grid holds a (points, modes, 4) temporary, about 16 MB more peak.
+    grid holds a (points, modes) complex phase, about 10 MB more peak.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     t_on = min(w.switch_on_time() for w in worldlines)
-    samples = center + period * ((np.arange(n_samples) + 0.5) / n_samples
-                                 - 0.5)
-    if samples[0] <= t_on:
+    spacing = period / n_samples
+    first = center - 0.5 * (period - spacing)
+    if first <= t_on:
         raise ValueError("averaging window starts before the switch-on")
 
-    plus, minus = _straight_line_mean(field, worldlines, grid, samples,
-                                      center)
+    plus, minus = _straight_line_mean(field, worldlines, grid, first,
+                                      spacing, n_samples, center)
     return np.asarray([reconstruct_field(field, grid, plus, minus,
                                          np.concatenate([[center], pt]))
                        for pt in points])

@@ -18,6 +18,7 @@ from covham.fields import (
     scalar_field,
     spinor_field,
     tensor_field,
+    with_conjugate,
 )
 from covham.minkowski import minkowski_dot, on_shell_k
 from covham.modes import build_mode_grid
@@ -516,6 +517,77 @@ class TestAveragedProfile:
                          period=2.0, n_samples=n_samples)
         assert calls == {"source_rate": len(sources),
                          "reconstruct_field": len(PROFILE_POINTS)}
+
+
+def _per_sample_mean(field, worldlines, grid, first, spacing, count, t_ref,
+                     fault=None):
+    """Reference for dynamics._straight_line_mean: every sample's
+    L exp(i c L) sinc(c L / pi) exp(-i k0 (t - t_ref)) evaluated afresh.
+    fault "one_short" drops the last active sample, as a rotation loop
+    advanced once too few; "k0_sign" flips the sign of the free phase."""
+    times = first + spacing * np.arange(count)
+    sign = 1.0 if fault == "k0_sign" else -1.0
+    expand = (len(grid),) + (1,) * len(field.component_shape)
+    coeffs = [0.0, 0.0]
+    for w in worldlines:
+        start = w.switch_on_time()
+        active = times[times > start]
+        if fault == "one_short":
+            active = active[:-1]
+        if not len(active):
+            continue
+        _, udot = w.state(w.tau_on)
+        c = 0.5 * minkowski_dot(grid.k, udot) / udot[0]
+        mean = sum((t - start) * np.sinc(c * (t - start) / np.pi)
+                   * np.exp(1j * (c * (t - start)
+                                  + sign * grid.k[:, 0] * (t - t_ref)))
+                   for t in active) / count
+        rates = source_rate(field, [w], grid.k, start)
+        for b, (rate, f) in enumerate(zip(field.families(*rates),
+                                          with_conjugate(mean))):
+            coeffs[b] = coeffs[b] + rate * f.reshape(expand)
+    return family_pair(coeffs[:len(field.branches)])
+
+
+def _uniform_samples(count, center=5.0, period=2.0):
+    """(first, spacing, count) of averaged_profile's window."""
+    spacing = period / count
+    return center - 0.5 * (period - spacing), spacing, count
+
+
+class TestRotatedMean:
+    @pytest.mark.parametrize("count", [1, 2, 32, 257])
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_matches_per_sample_sum(self, name, count):
+        field = FIELDS[name]
+        # the late sources switch on at 5.0, after the first sample
+        sources = [_straight_source("uniform"), _late_source("static"),
+                   _late_source("uniform")]
+        grid = build_mode_grid(kmax=2.0, n_per_axis=4, kappa=field.kappa)
+        args = (field, sources, grid, *_uniform_samples(count), 5.0)
+        got = dynamics._straight_line_mean(*args)
+        want = _per_sample_mean(*args)
+        for g, w in zip(field.families(*got), field.families(*want)):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
+
+    def test_mode_slices_cover_a_ragged_grid(self):
+        grid = build_mode_grid(kmax=3.0, n_per_axis=17, kappa=1.0)
+        assert len(grid) > dynamics._MODE_SLICE
+        assert len(grid) % dynamics._MODE_SLICE
+        sources = [_straight_source("static"), _late_source("uniform")]
+        args = (SCALAR, sources, grid, *_uniform_samples(32), 5.0)
+        for g, w in zip(dynamics._straight_line_mean(*args),
+                        _per_sample_mean(*args)):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("fault", ["one_short", "k0_sign"])
+    def test_comparison_flags_faulty_rotation(self, fault):
+        sources = [_straight_source("uniform"), _late_source("static")]
+        grid = build_mode_grid(kmax=2.0, n_per_axis=4, kappa=1.0)
+        args = (SCALAR, sources, grid, *_uniform_samples(32), 5.0)
+        got = dynamics._straight_line_mean(*args)
+        bad = _per_sample_mean(*args, fault=fault)
+        assert np.max(np.abs(got[0] - bad[0])) > 1e-3 * np.max(np.abs(got[0]))
 
 
 class TestReconstructAndResidual:

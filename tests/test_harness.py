@@ -22,7 +22,7 @@ from covham.errors import ScenarioError
 from covham.scenario import load_scenario, scenario_from_dict
 from covham.minkowski import minkowski_dot
 from covham.verify import DEFAULT_TOLERANCES, run_verification, write_report
-from covham.worldlines import static_worldline
+from covham.worldlines import Worldline, static_worldline
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -202,6 +202,34 @@ _BRACKET_FAULTS = {
 }
 
 
+def _sources_after_window_dict():
+    """Two sources switching on after the window: every sample precedes
+    the crossings, and unpatched every coefficient stays zero.  (A
+    switch-on inside the window fails simulate/mode_equation, whose
+    stencil spans the kink.)"""
+    data = sourced_scalar_dict(extra_particle=True)
+    for blk in data["particles"]:
+        blk["t_start"] = data["time"]["x0_end"] + 0.5
+    return data
+
+
+def _ignore_init_plus(monkeypatch):
+    original = verify.evolve_amplitudes
+
+    def evolve(*args, init_plus=None, **kwargs):
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "evolve_amplitudes", evolve)
+
+
+# one named fault per simulate record that has none elsewhere
+_SIMULATE_FAULTS = {
+    "source_always_active": lambda mp: mp.setattr(
+        Worldline, "active_at", lambda self, x0: True),
+    "init_plus_ignored": _ignore_init_plus,
+}
+
+
 class TestVerificationSuites:
     def test_hamilton_free_scalar_passes(self):
         s = scenario_from_dict(free_scalar_dict())
@@ -288,6 +316,24 @@ class TestVerificationSuites:
         rec = [r for r in report.records
                if r.name == "simulate/exact_vs_simpson"][0]
         assert rec.status == "fail" and rec.measured > 1e-3
+
+    @pytest.mark.parametrize("fault, data, failing", [
+        ("source_always_active", _sources_after_window_dict,
+         {"simulate/causality", "simulate/exact_vs_simpson"}),
+        ("init_plus_ignored", lambda: sourced_scalar_dict(True),
+         {"simulate/segmented"}),
+    ])
+    def test_simulate_records_flag_injected_faults(self, fault, data,
+                                                   failing, monkeypatch):
+        s = scenario_from_dict(data())
+
+        def failures():
+            report = run_verification(s, "simulate", seed=5)
+            return {r.name for r in report.records if r.status != "pass"}
+
+        assert failures() == set()
+        _SIMULATE_FAULTS[fault](monkeypatch)
+        assert failures() == failing
 
     def test_bracket_suite_scalar(self):
         s = scenario_from_dict(free_scalar_dict())
