@@ -6,12 +6,7 @@ import sys
 
 from .errors import ScenarioError
 from .scenario import FORMATS, load_scenario
-from .verify import (
-    DEFAULT_TOLERANCES,
-    SUITE_NAMES,
-    run_verification,
-    write_report,
-)
+from .verify import SUITE_NAMES, run_verification, write_report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,22 +37,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _tolerance_overrides(items: list[str]) -> dict[str, float]:
+    """Parse NAME=VALUE pairs; run_verification checks names and values."""
     out = {}
     for item in items:
         name, sep, raw = item.partition("=")
         if not sep or not name:
             raise ValueError(f"--tol needs NAME=VALUE, got {item!r}")
-        if name not in DEFAULT_TOLERANCES:
-            raise ValueError(
-                f"unknown tolerance {name!r}; known names: "
-                f"{', '.join(sorted(DEFAULT_TOLERANCES))}")
         try:
-            value = float(raw)
+            out[name] = float(raw)
         except ValueError:
             raise ValueError(f"--tol {name}: {raw!r} is not a number")
-        if value < 0.0:
-            raise ValueError(f"--tol {name}: must be >= 0")
-        out[name] = value
     return out
 
 
@@ -76,11 +65,14 @@ def main(argv=None) -> int:
               f"{scenario.n_per_axis}^3 modes)")
         return 0
 
+    out_dir = args.out if args.out is not None else scenario.output_dir
+    fmt = args.format if args.format is not None else scenario.output_format
     try:
         overrides = _tolerance_overrides(args.tol)
         report = run_verification(scenario, args.suite, seed=args.seed,
                                   tolerances=overrides)
-    except ValueError as exc:
+        written = write_report(report, out_dir, fmt)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -92,9 +84,7 @@ def main(argv=None) -> int:
             print(f"{rec.status} {rec.name}: measured={rec.measured:.3e} "
                   f"tolerance={rec.tolerance:.3e}")
 
-    out_dir = args.out if args.out is not None else scenario.output_dir
-    fmt = args.format if args.format is not None else scenario.output_format
-    for path in write_report(report, out_dir, fmt):
+    for path in written:
         print(f"wrote {path}")
 
     failed = sum(1 for r in report.records if r.status != "pass")

@@ -56,6 +56,8 @@ class FieldSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown field kind {self.kind!r}")
+        if not all(map(math.isfinite, (self.a2, self.b2, self.kappa))):
+            raise ValueError(f"{self.kind}: a2, b2 and kappa must be finite")
         if self.a2 == 0.0:
             raise ValueError(f"{self.kind}: a2 must be nonzero")
         if self.kind == "em":
@@ -76,10 +78,10 @@ class FieldSpec:
                     f"a2 * kappa = {self.a2 * self.kappa}"
                 )
         else:
-            if not np.isclose(self.b2, self.a2 * self.kappa**2, rtol=1e-12, atol=0.0):
+            if not np.isclose(self.b2, self.a2 * self.kappa * self.kappa, rtol=1e-12, atol=0.0):
                 raise ValueError(
                     f"{self.kind}: b2 = {self.b2} inconsistent with "
-                    f"a2 * kappa^2 = {self.a2 * self.kappa**2}"
+                    f"a2 * kappa^2 = {self.a2 * self.kappa * self.kappa}"
                 )
         if self.kind != "em" and self.is_real:
             raise ValueError("only the em species is stored as a real field")

@@ -4,8 +4,10 @@ A scenario names the field species and its constants, the source
 worldlines, the momentum grid, the evolution window, and optional
 gauge, bracket-vector, tolerance, and output settings.  Loading
 validates everything up front so a verification run never dies halfway
-through with a bad parameter; every complaint names the offending
-section.
+through with a bad parameter; every complaint is a ScenarioError that
+names the offending section.  Every real number goes through `_finite`,
+and the tolerance rule in `check_tolerances` is shared with the CLI and
+`covham.verify`.
 """
 from __future__ import annotations
 
@@ -39,6 +41,34 @@ _PARTICLE_KEYS = {"kind", "coupling", "position", "t_start", "tau_on",
 _SECTIONS = {"field", "particles", "grid", "time", "gauge", "bracket",
              "tolerances", "output"}
 
+# every check's default tolerance, by name; the defaults double as the
+# documented check contract
+DEFAULT_TOLERANCES = {
+    "clifford": 1e-15,
+    "projector": 1e-12,
+    "shell_annihilation": 1e-10,
+    "roundtrip": 1e-12,
+    "gauge_invariance": 1e-12,
+    "hamilton_free": 1e-10,
+    "hamilton_sourced": 1e-6,
+    "gradient_fd": 1e-6,
+    "order_window": 0.4,
+    "causality": 0.0,
+    "mode_equation": 1e-6,
+    "superposition": 1e-12,
+    "segmented": 1e-12,
+    "exact_vs_simpson": 1e-8,
+    "parseval": 1e-6,
+    "antisymmetry": 1e-12,
+    "bilinearity": 1e-12,
+    "leibniz": 1e-10,
+    "jacobi": 1e-8,
+    "canonical_pair": 1e-12,
+    "conservation": 0.0,
+    "green_em": 0.05,
+    "green_scalar": 0.05,
+}
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -59,10 +89,9 @@ class Scenario:
     output_format: str = "json"
     sha256: str = ""
 
-    def build_grid(self, mode_budget: int | None = None) -> ModeGrid:
-        kwargs = {} if mode_budget is None else {"mode_budget": mode_budget}
+    def build_grid(self) -> ModeGrid:
         return build_mode_grid(self.kmax, self.n_per_axis, self.field.kappa,
-                               k0_floor=self.k0_floor, **kwargs)
+                               k0_floor=self.k0_floor)
 
     def metadata(self) -> dict:
         return {
@@ -100,11 +129,45 @@ def _number(blk: dict, where: str, key: str, default=None) -> float:
     return _finite(blk[key], where, f"'{key}'")
 
 
-def _vector3(blk: dict, where: str, key: str, msg: str) -> np.ndarray:
-    raw = blk.get(key)
-    _require(isinstance(raw, list) and len(raw) == 3, where, msg)
+def _integer(blk: dict, where: str, key: str, low: int) -> int:
+    val = blk.get(key)
+    _require(isinstance(val, int) and not isinstance(val, bool)
+             and val >= low, where, f"{key} must be an integer >= {low}")
+    return val
+
+
+def _vector(blk: dict, where: str, key: str, msg: str, n: int = 3,
+            default=None) -> np.ndarray:
+    raw = blk.get(key, default)
+    _require(isinstance(raw, list) and len(raw) == n, where, msg)
     return np.array([_finite(val, where, f"{key}[{i}]")
                      for i, val in enumerate(raw)])
+
+
+def _section(data: dict, name: str, keys) -> dict:
+    """An optional object section whose entries are all named in keys."""
+    blk = data.get(name, {})
+    _require(isinstance(blk, dict), name, "must be an object")
+    extra = set(blk) - set(keys)
+    _require(not extra, name, f"unknown entries: {sorted(extra)}")
+    return blk
+
+
+def check_tolerances(values) -> dict[str, float]:
+    """The one tolerance rule, for the scenario's `tolerances` section,
+    `covham run --tol` and `run_verification`: every name is a key of
+    DEFAULT_TOLERANCES and every value a finite number >= 0 (an infinite
+    tolerance would make its check unable to fail)."""
+    _require(isinstance(values, dict), "tolerances", "must be an object")
+    unknown = set(values) - set(DEFAULT_TOLERANCES)
+    _require(not unknown, "tolerances",
+             f"unknown tolerance names {sorted(map(str, unknown))}; known "
+             f"names: {', '.join(sorted(DEFAULT_TOLERANCES))}")
+    out = {name: _finite(val, "tolerances", f"'{name}'")
+           for name, val in values.items()}
+    for name, val in out.items():
+        _require(val >= 0.0, "tolerances", f"'{name}' must be >= 0")
+    return out
 
 
 def _complex_vector(raw, where: str) -> np.ndarray:
@@ -127,17 +190,14 @@ def _complex_vector(raw, where: str) -> np.ndarray:
 def _build_field(blk, where: str = "field") -> FieldSpec:
     _require(isinstance(blk, dict), where, "must be an object")
     kind = blk.get("kind")
-    _require(kind in _FIELD_KEYS, where,
+    _require(isinstance(kind, str) and kind in _FIELD_KEYS, where,
              f"kind must be one of {sorted(_FIELD_KEYS)}, got {kind!r}")
     extra = set(blk) - _FIELD_KEYS[kind]
     _require(not extra, where,
              f"unknown entries for {kind}: {sorted(extra)}")
 
     if kind == "tensor":
-        rank = blk.get("rank")
-        _require(isinstance(rank, int) and not isinstance(rank, bool)
-                 and rank >= 1, where, "rank must be an integer >= 1")
-        make, args = tensor_field, dict(rank=rank,
+        make, args = tensor_field, dict(rank=_integer(blk, where, "rank", 1),
                                         a2=_number(blk, where, "a2"),
                                         b2=_number(blk, where, "b2"))
     elif kind == "em":
@@ -171,8 +231,8 @@ def _build_particle(blk, spec: FieldSpec, where: str) -> Worldline:
     _require(kind in ("static", "uniform", "circular"), where,
              f"kind must be static, uniform, or circular, got {kind!r}")
     coupling = _number(blk, where, "coupling")
-    position = _vector3(blk, where, "position",
-                        "position must be a spatial 3-vector")
+    position = _vector(blk, where, "position",
+                       "position must be a spatial 3-vector")
 
     xi = None
     if "xi1" in blk:
@@ -196,8 +256,8 @@ def _build_particle(blk, spec: FieldSpec, where: str) -> Worldline:
         xi=xi,
     )
     if kind == "uniform":
-        kwargs["beta"] = _vector3(blk, where, "beta",
-                                  "uniform worldline needs a beta 3-vector")
+        kwargs["beta"] = _vector(blk, where, "beta",
+                                 "uniform worldline needs a beta 3-vector")
     if kind == "circular":
         kwargs["radius"] = _number(blk, where, "radius")
         kwargs["omega"] = _number(blk, where, "omega")
@@ -225,35 +285,22 @@ def scenario_from_dict(data: dict, sha256: str = "") -> Scenario:
         for i, blk in enumerate(raw_particles)
     )
 
-    grid = data["grid"]
-    _require(isinstance(grid, dict), "grid", "must be an object")
-    extra = set(grid) - {"kmax", "n_per_axis", "k0_floor"}
-    _require(not extra, "grid", f"unknown entries: {sorted(extra)}")
+    grid = _section(data, "grid", {"kmax", "n_per_axis", "k0_floor"})
     kmax = _number(grid, "grid", "kmax")
     _require(kmax > 0.0, "grid", "kmax must be positive")
-    n_per_axis = grid.get("n_per_axis")
-    _require(isinstance(n_per_axis, int) and not isinstance(n_per_axis, bool)
-             and n_per_axis >= 1, "grid", "n_per_axis must be an integer >= 1")
+    n_per_axis = _integer(grid, "grid", "n_per_axis", 1)
     _require(n_per_axis**3 <= DEFAULT_MODE_BUDGET, "grid",
              f"{n_per_axis}^3 modes exceed the budget of {DEFAULT_MODE_BUDGET}")
     k0_floor = _number(grid, "grid", "k0_floor", 1e-6 * kmax)
     _require(k0_floor >= 0.0, "grid", "k0_floor must be >= 0")
 
-    time = data["time"]
-    _require(isinstance(time, dict), "time", "must be an object")
-    extra = set(time) - {"x0_start", "x0_end", "steps"}
-    _require(not extra, "time", f"unknown entries: {sorted(extra)}")
+    time = _section(data, "time", {"x0_start", "x0_end", "steps"})
     x0_start = _number(time, "time", "x0_start")
     x0_end = _number(time, "time", "x0_end")
     _require(x0_end > x0_start, "time", "x0_end must exceed x0_start")
-    steps = time.get("steps")
-    _require(isinstance(steps, int) and not isinstance(steps, bool)
-             and steps >= 2, "time", "steps must be an integer >= 2")
+    steps = _integer(time, "time", "steps", 2)
 
-    gauge_blk = data.get("gauge", {})
-    _require(isinstance(gauge_blk, dict), "gauge", "must be an object")
-    extra = set(gauge_blk) - {"z_re", "z_im"}
-    _require(not extra, "gauge", f"unknown entries: {sorted(extra)}")
+    gauge_blk = _section(data, "gauge", {"z_re", "z_im"})
     z = complex(_number(gauge_blk, "gauge", "z_re", 2**-0.5),
                 _number(gauge_blk, "gauge", "z_im", 0.0))
     try:
@@ -261,29 +308,10 @@ def scenario_from_dict(data: dict, sha256: str = "") -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"gauge: {exc}") from exc
 
-    bracket_blk = data.get("bracket", {})
-    _require(isinstance(bracket_blk, dict), "bracket", "must be an object")
-    extra = set(bracket_blk) - {"V"}
-    _require(not extra, "bracket", f"unknown entries: {sorted(extra)}")
-    v_raw = bracket_blk.get("V", [1.0, 0.0, 0.0, 0.0])
-    _require(isinstance(v_raw, list) and len(v_raw) == 4, "bracket",
-             "V must be a list of 4 reals")
-    v = np.asarray(v_raw, dtype=float)
-    _require(bool(np.all(np.isfinite(v))), "bracket", "V must be finite")
+    v = _vector(_section(data, "bracket", {"V"}), "bracket", "V",
+                "V must be a list of 4 reals", 4, [1.0, 0.0, 0.0, 0.0])
 
-    tol_blk = data.get("tolerances", {})
-    _require(isinstance(tol_blk, dict), "tolerances", "must be an object")
-    tolerances = {}
-    for name, val in tol_blk.items():
-        _require(isinstance(val, (int, float)) and not isinstance(val, bool)
-                 and val >= 0.0, "tolerances",
-                 f"'{name}' must be a number >= 0")
-        tolerances[str(name)] = float(val)
-
-    out_blk = data.get("output", {})
-    _require(isinstance(out_blk, dict), "output", "must be an object")
-    extra = set(out_blk) - {"directory", "format"}
-    _require(not extra, "output", f"unknown entries: {sorted(extra)}")
+    out_blk = _section(data, "output", {"directory", "format"})
     out_format = out_blk.get("format", "json")
     _require(out_format in FORMATS, "output",
              f"format must be one of {FORMATS}")
@@ -302,7 +330,7 @@ def scenario_from_dict(data: dict, sha256: str = "") -> Scenario:
         steps=steps,
         gauge=gauge,
         v=v,
-        tolerances=tolerances,
+        tolerances=check_tolerances(data.get("tolerances", {})),
         output_dir=out_dir,
         output_format=out_format,
         sha256=sha256,

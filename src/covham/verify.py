@@ -7,8 +7,11 @@ schema version, the scenario digest, the package version, and the RNG
 seed, and serialize with sorted keys and no timestamps, so the same
 scenario and seed give byte-identical bodies.
 
-Tolerances are all named; scenario files and the CLI can override any
-of them.  The defaults double as the documented check contract.
+Tolerances are all named.  The table of defaults and the one rule for
+overriding them (a known name and a finite number >= 0) live in
+`covham.scenario`, so the scenario's `tolerances` section, `covham run
+--tol` and the `tolerances` argument of `run_verification` are checked
+alike.
 """
 from __future__ import annotations
 
@@ -57,36 +60,10 @@ from .green import green_oracle
 from .minkowski import on_shell_k
 from .modes import box_mode_grid, build_mode_grid
 from .position import parseval_check
-from .scenario import Scenario
+from .scenario import DEFAULT_TOLERANCES, Scenario, check_tolerances
 
 SUITE_NAMES = ("simulate", "hamilton", "bracket", "parseval", "green",
                "dirac-algebra")
-
-DEFAULT_TOLERANCES = {
-    "clifford": 1e-15,
-    "projector": 1e-12,
-    "shell_annihilation": 1e-10,
-    "roundtrip": 1e-12,
-    "gauge_invariance": 1e-12,
-    "hamilton_free": 1e-10,
-    "hamilton_sourced": 1e-6,
-    "gradient_fd": 1e-6,
-    "order_window": 0.4,
-    "causality": 0.0,
-    "mode_equation": 1e-6,
-    "superposition": 1e-12,
-    "segmented": 1e-12,
-    "exact_vs_simpson": 1e-8,
-    "parseval": 1e-6,
-    "antisymmetry": 1e-12,
-    "bilinearity": 1e-12,
-    "leibniz": 1e-10,
-    "jacobi": 1e-8,
-    "canonical_pair": 1e-12,
-    "conservation": 0.0,
-    "green_em": 0.05,
-    "green_scalar": 0.05,
-}
 
 
 @dataclass
@@ -616,13 +593,8 @@ def run_verification(s: Scenario, suite: str, seed: int = 0,
     if suite != "all" and suite not in _SUITES:
         raise ValueError(
             f"unknown suite {suite!r}; choose from {SUITE_NAMES + ('all',)}")
-    merged = dict(DEFAULT_TOLERANCES)
-    merged.update(s.tolerances)
-    if tolerances:
-        merged.update(tolerances)
-    unknown = set(merged) - set(DEFAULT_TOLERANCES)
-    if unknown:
-        raise ValueError(f"unknown tolerance names: {sorted(unknown)}")
+    merged = {**DEFAULT_TOLERANCES,
+              **check_tolerances({**s.tolerances, **(tolerances or {})})}
 
     if suite == "all":
         names = ["dirac-algebra", "hamilton", "simulate", "bracket"]

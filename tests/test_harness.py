@@ -3,12 +3,15 @@
 Suites here run on deliberately small grids; the full-resolution
 protocols live in the acceptance suite.
 """
+import copy
 import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covham import canonical, verify
 from covham.brackets import (
@@ -19,7 +22,7 @@ from covham.brackets import (
 from covham.cli import main
 from covham.dynamics import source_rate
 from covham.errors import ScenarioError
-from covham.scenario import load_scenario, scenario_from_dict
+from covham.scenario import Scenario, load_scenario, scenario_from_dict
 from covham.minkowski import minkowski_dot
 from covham.verify import DEFAULT_TOLERANCES, run_verification, write_report
 from covham.worldlines import Worldline, static_worldline
@@ -59,6 +62,38 @@ def dirac_dict():
         "grid": {"kmax": 3.0, "n_per_axis": 4},
         "time": {"x0_start": 0.0, "x0_end": 2.0, "steps": 80},
     }
+
+
+# the shipped scenarios with every optional section present, so that a
+# mutation can reach each kind of entry
+_FULL_SHIPPED = {
+    path.stem: {**json.loads(path.read_text()),
+                "gauge": {"z_re": 0.5, "z_im": 0.5},
+                "bracket": {"V": [1.0, 0.0, 0.0, 0.0]},
+                "tolerances": {"roundtrip": 1e-12}}
+    for path in SCENARIOS.glob("*.json")
+}
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400)
+    | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=8), inner,
+                                     max_size=4)),
+    max_leaves=8)
+
+
+def _entry_paths(node, path=()):
+    """The key path of every entry (section, object key, list item)."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _entry_paths(child, path + (key,))
 
 
 class TestScenarioLoading:
@@ -157,6 +192,22 @@ class TestScenarioLoading:
         data["time"]["steps"] = True
         with pytest.raises(ScenarioError, match="steps"):
             scenario_from_dict(data)
+
+    @settings(deadline=None, max_examples=150)
+    @given(data=st.data())
+    def test_mutated_entry_loads_or_raises_scenario_error(self, data):
+        name = data.draw(st.sampled_from(sorted(_FULL_SHIPPED)))
+        doc = copy.deepcopy(_FULL_SHIPPED[name])
+        path = data.draw(st.sampled_from(list(_entry_paths(doc))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = data.draw(_JSON_VALUES)
+        try:
+            result = scenario_from_dict(doc)
+        except ScenarioError:
+            return
+        assert isinstance(result, Scenario)
 
 
 def _perturb_tensor(monkeypatch, q_at, pi_at, transpose_sign):
@@ -566,8 +617,20 @@ class TestCli:
 
     def test_bad_tolerance_flag(self, tmp_path, capsys):
         path = self.write(tmp_path, free_scalar_dict())
-        assert main(["run", path, "--tol", "bogus=1"]) == 2
-        assert "unknown tolerance" in capsys.readouterr().err
+        for flag, message in (("bogus=1", "unknown tolerance"),
+                              ("clifford=nan", "finite"),
+                              ("clifford=inf", "finite")):
+            assert main(["run", path, "--out", str(tmp_path / "o"),
+                         "--tol", flag]) == 2, flag
+            assert message in capsys.readouterr().err, flag
+
+    def test_uncreatable_out_dir(self, tmp_path, capsys):
+        path = self.write(tmp_path, free_scalar_dict())
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["run", path, "--suite", "dirac-algebra",
+                     "--out", str(blocker / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_tolerance_names_documented(self):
         # the CLI help promise: every default is a known name
@@ -636,8 +699,21 @@ class TestBadSpeciesConstants:
         ("field", {"kind": "scalar", "m": -1.0}),
         ("field", {"kind": "dirac", "m": 0.0}),
         ("grid", {"kmax": 3.0, "n_per_axis": 100000}),
+        ("field", {"kind": ["scalar"]}),
+        ("field", {"kind": "scalar", "m": 1e200}),
+        ("field", {"kind": "scalar", "s": 1e-160}),
+        ("bracket", {"V": ["a", 0, 0, 0]}),
+        ("bracket", {"V": [[1], 0, 0, 0]}),
+        ("bracket", {"V": [10**400, 0, 0, 0]}),
+        ("bracket", {"V": [True, 0, 0, 0]}),
+        ("tolerances", {"bogus": 1.0}),
+        ("tolerances", {"clifford": float("inf")}),
+        ("tolerances", {"clifford": 10**400}),
     ], ids=["rank-5", "a2-negative", "scalar-s-0", "em-c-0", "scalar-m-neg",
-            "dirac-m-0", "over-mode-budget"])
+            "dirac-m-0", "over-mode-budget", "kind-list", "b2-overflow",
+            "kappa-squared-overflow", "V-string", "V-nested-list",
+            "V-int-overflow", "V-bool", "unknown-tolerance",
+            "infinite-tolerance", "tolerance-int-overflow"])
     def test_validate_rejects(self, tmp_path, capsys, section, blk):
         data = free_scalar_dict()
         data[section] = blk
