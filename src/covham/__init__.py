@@ -88,80 +88,3 @@ from covham.worldlines import (
     static_worldline,
     uniform_worldline,
 )
-
-__all__ = [
-    "AmplitudeHistory",
-    "BracketConfig",
-    "CanonicalGauge",
-    "CanonicalMode",
-    "CanonicalStructureError",
-    "CovhamError",
-    "CrossingError",
-    "DEFAULT_TOLERANCES",
-    "DiracCoupling",
-    "FieldSpec",
-    "GeneralObservable",
-    "GridDomainError",
-    "METRIC_DIAG",
-    "ModeBudgetError",
-    "ModeGrid",
-    "QuadraticObservable",
-    "Report",
-    "Scenario",
-    "ScenarioError",
-    "StateLayout",
-    "Worldline",
-    "ZeroModeError",
-    "averaged_profile",
-    "box_mode_grid",
-    "bracket_observable",
-    "build_mode_grid",
-    "canonical_at_point",
-    "canonical_pair_bracket",
-    "circular_worldline",
-    "clifford_defect",
-    "constant_amplitudes",
-    "contract_full",
-    "coordinate_observable",
-    "dw_conservation_check",
-    "em_field",
-    "em_potential",
-    "evolve_amplitudes",
-    "four_vector",
-    "from_canonical",
-    "gradient_consistency",
-    "green_oracle",
-    "hamilton_residual",
-    "history_amplitudes",
-    "jacobi_defect",
-    "jacobi_terms",
-    "load_scenario",
-    "lower_index",
-    "mass_shell_energy",
-    "minkowski_dot",
-    "mode_equation_residual",
-    "mode_hamiltonian",
-    "mode_hamiltonian_canonical",
-    "mode_hamiltonian_gradients",
-    "momentum_vector_observable",
-    "on_shell_k",
-    "parseval_check",
-    "poisson_bracket",
-    "product",
-    "projector_defects",
-    "reconstruct_field",
-    "run_verification",
-    "scalar_field",
-    "scalar_yukawa",
-    "scenario_from_dict",
-    "shell_projector",
-    "slash",
-    "source_rate",
-    "spinor_field",
-    "static_worldline",
-    "straight_line_amplitudes",
-    "tensor_field",
-    "to_canonical",
-    "uniform_worldline",
-    "write_report",
-]

@@ -59,7 +59,8 @@ from .dirac import dirac_adjoint, slash
 from .dynamics import source_terms
 from .errors import CanonicalStructureError
 from .fields import FieldSpec, contract_full, family_pair, with_conjugate
-from .minkowski import METRIC_DIAG, lower_index, minkowski_dot
+from .minkowski import (FIVE_POINT_OFFSETS, METRIC_DIAG, five_point,
+                        lower_index, minkowski_dot)
 from .worldlines import Worldline
 
 
@@ -75,11 +76,6 @@ class CanonicalGauge:
 
 
 DEFAULT_GAUGE = CanonicalGauge()
-
-
-def epsilon_scale(field: FieldSpec, k0: float, gauge: CanonicalGauge) -> float:
-    """Species normalization eps(k0); see module docstring."""
-    return field.epsilon(k0, gauge.z)
 
 
 @dataclass(frozen=True)
@@ -382,7 +378,7 @@ def gradient_consistency(
 ) -> float:
     """Max defect between analytic gradients of J and finite differences.
 
-    Five-point central differences in every stored phase-space
+    minkowski.five_point differences in every stored phase-space
     component, on coupling rows built once (no probe moves a source);
     exact for the quadratic-plus-linear J up to roundoff.  Lowered
     finite-difference gradients are raised with the index signs before
@@ -397,8 +393,7 @@ def gradient_consistency(
     sigma = field.pairing_signs()
     # raise the finite-difference indices to match the gradient convention
     raise_signs = {"q": sigma, "pi": np.multiply.outer(METRIC_DIAG, sigma)}
-    stencil = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * delta)
-    offsets = np.array([-2.0, -1.0, 1.0, 2.0]) * delta
+    offsets = FIVE_POINT_OFFSETS * delta
     worst = 0.0
     for name, bv in mode.branches():
         for slot, signs in raise_signs.items():
@@ -412,7 +407,7 @@ def gradient_consistency(
                     samples.append(_canonical_value(
                         field, k, replace(mode, **{name: branch}), rows,
                         gauge))
-                fd = float(np.dot(stencil, samples)) * signs[idx]
+                fd = float(five_point(samples, delta)) * signs[idx]
                 ana = getattr(getattr(analytic, name), slot)[idx]
                 worst = np.maximum(worst, abs(fd - ana) / scale)
     return float(worst)
@@ -455,8 +450,8 @@ def hamilton_residual(
     amp_at(x0) must return the coefficient pair (C_plus, C_minus) on the
     requested slice (C_minus ignored for em), consistent with the
     evolution equations; free fields pass constants.  Both equations are
-    probed with fourth-order five-point stencils of spacing h in all
-    four coordinate directions (time displacements re-evaluate the
+    probed with minkowski.five_point stencils of spacing h in all four
+    coordinate directions (time displacements re-evaluate the
     coefficients, spatial ones move only the explicit phases):
 
         r1 = max |d_mu q_c - dJ/dpi^{mu c}| / (1 + max |dJ/dpi|)
@@ -468,43 +463,29 @@ def hamilton_residual(
     x = np.asarray(x, dtype=float)
     if h is None:
         h = 5e-3 / (1.0 + k[0])
-    coeffs = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
-    offsets = (-2, -1, 1, 2)
 
     def mode_at(point):
         c_plus, c_minus = amp_at(point[0])
         return canonical_at_point(field, k, c_plus, c_minus, point, gauge)
 
-    center = mode_at(x)
-    grads = mode_hamiltonian_gradients(field, k, center, x, worldlines, gauge)
-
-    names = field.branches
-    dq = {name: [] for name in names}      # per mu: d_mu q
-    dpi_div = {name: 0.0 for name in names}  # d^mu pi_mu
-    for mu in range(4):
-        samples = []
-        for off in offsets:
-            shifted = x.copy()
-            shifted[mu] += off * h
-            samples.append(mode_at(shifted))
-        for name in names:
-            qs = [getattr(s, name).q for s in samples]
-            pis = [getattr(s, name).pi for s in samples]
-            dmu_q = sum(c * q for c, q in zip(coeffs, qs)) / h
-            dmu_pi_mu = sum(c * p[mu] for c, p in zip(coeffs, pis)) / h
-            dq[name].append(dmu_q)
-            dpi_div[name] = dpi_div[name] + METRIC_DIAG[mu] * dmu_pi_mu
-
+    grads = mode_hamiltonian_gradients(field, k, mode_at(x), x, worldlines,
+                                       gauge)
+    # samples[mu][o]: the mode at x shifted by o h along axis mu
+    samples = [[mode_at(x + shift) for shift in row] for row in
+               h * FIVE_POINT_OFFSETS[:, None] * np.eye(4)[:, None]]
     r1 = 0.0
     r2 = 0.0
-    for name in names:
+    for name in field.branches:
         g = getattr(grads, name)
-        scale1 = 1.0 + float(np.max(np.abs(g.pi)))
-        scale2 = 1.0 + float(np.max(np.abs(g.q)))
-        defect1 = np.stack(dq[name]) - g.pi
-        defect2 = dpi_div[name] + g.q
-        r1 = np.maximum(r1, float(np.max(np.abs(defect1))) / scale1)
-        r2 = np.maximum(r2, float(np.max(np.abs(defect2))) / scale2)
+        # d_mu q and d_mu pi_nu, mu leading
+        dq, dpi = (np.stack([five_point([getattr(getattr(m, name), slot)
+                                         for m in row], h)
+                             for row in samples]) for slot in ("q", "pi"))
+        div_pi = np.einsum("m,mm...->...", METRIC_DIAG, dpi)
+        r1 = np.maximum(r1, float(np.max(np.abs(dq - g.pi)))
+                        / (1.0 + float(np.max(np.abs(g.pi)))))
+        r2 = np.maximum(r2, float(np.max(np.abs(div_pi + g.q)))
+                        / (1.0 + float(np.max(np.abs(g.q)))))
     return float(r1), float(r2)
 
 

@@ -17,6 +17,21 @@ from .errors import ZeroModeError
 # diag(eta) for signature (+,-,-,-)
 METRIC_DIAG = np.array([1.0, -1.0, -1.0, -1.0])
 
+# sample offsets, in units of the spacing h, of the five-point stencil
+FIVE_POINT_OFFSETS = np.array([-2, -1, 1, 2])
+
+
+def five_point(samples, h: float):
+    """Fourth-order central first derivative from stacked samples.
+
+    samples holds f(x + o h) for o in FIVE_POINT_OFFSETS on axis 0, with
+    any trailing axes; the result has the trailing shape.  Every
+    derivative check in the package (the J gradients, the Hamilton
+    equations in both representations and the mode equation) uses it.
+    """
+    return np.tensordot(np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h),
+                        samples, axes=1)
+
 
 def four_vector(t: float, spatial) -> np.ndarray:
     """Assemble a contravariant four-vector from time and spatial parts."""

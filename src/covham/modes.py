@@ -24,6 +24,10 @@ from .errors import GridDomainError, ModeBudgetError
 from .minkowski import mass_shell_energy
 
 DEFAULT_MODE_BUDGET = 2_000_000
+# most time steps a scenario may ask for, directly or through a window
+# the simulate and hamilton suites refine to k0 h <= 0.03; each step of
+# the simulate suite's history holds every mode's coefficients
+STEP_BUDGET = 20_000
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,9 @@ from .dirac import GAMMA, dirac_adjoint
 from .dynamics import reconstruct_field
 from .errors import ScenarioError
 from .fields import FieldSpec, with_conjugate
-from .minkowski import METRIC_DIAG, lower_index, minkowski_dot
+from .minkowski import (FIVE_POINT_OFFSETS, METRIC_DIAG, five_point,
+                        lower_index, minkowski_dot)
 from .modes import box_mode_grid
-from .worldlines import Worldline, equal_time_crossing
 
 
 def polymomentum(field: FieldSpec, deriv: np.ndarray | None,
@@ -147,7 +147,7 @@ def position_hamilton_residual(field: FieldSpec, sampler, x: np.ndarray,
         r1 = max |d_mu value - dH/dtheta^mu| / (1 + max |dH/dtheta|)
         r2 = max |d^mu theta_mu + dH/dvalue| / (|a2| (1 + max |value|))
 
-    with fourth-order five-point stencils for the derivatives.  The
+    with minkowski.five_point stencils for the derivatives.  The
     spinor r1 is the (FD-free) constraint defect and r2 the residual of
     the Dirac equation i a2 gamma^mu d_mu psi = b2 psi.  Off-shell data
     make r2 grow like |k.k - kappa^2|, so the check detects wrong
@@ -157,23 +157,14 @@ def position_hamilton_residual(field: FieldSpec, sampler, x: np.ndarray,
     value0, theta0 = sampler(x)
     value0 = np.asarray(value0, dtype=complex)
     theta0 = np.asarray(theta0, dtype=complex)
-    coeffs = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
-    offsets = (-2, -1, 1, 2)
-
-    dvalue = np.empty_like(theta0)
-    div_theta = np.zeros_like(value0)
-    for mu in range(4):
-        vs = []
-        ts = []
-        for off in offsets:
-            shifted = x.copy()
-            shifted[mu] += off * h
-            v, t = sampler(shifted)
-            vs.append(np.asarray(v, dtype=complex))
-            ts.append(np.asarray(t, dtype=complex)[mu])
-        dvalue[mu] = sum(c * v for c, v in zip(coeffs, vs)) / h
-        div_theta += METRIC_DIAG[mu] * sum(
-            c * t for c, t in zip(coeffs, ts)) / h
+    # samples[mu][o]: (value, theta) at x shifted by o h along axis mu
+    samples = [[sampler(x + shift) for shift in row] for row in
+               h * FIVE_POINT_OFFSETS[:, None] * np.eye(4)[:, None]]
+    # d_mu value and d_mu theta_nu, mu leading
+    dvalue, dtheta = (np.stack([five_point(
+        [np.asarray(pair[slot], dtype=complex) for pair in row], h)
+        for row in samples]) for slot in (0, 1))
+    div_theta = np.einsum("m,mm...->...", METRIC_DIAG, dtheta)
 
     scale_v = float(np.max(np.abs(value0)))
     if field.kind == "spinor":
@@ -273,17 +264,3 @@ def parseval_check(field: FieldSpec, box_length: float, entries,
     if rhs == 0.0:
         return abs(lhs - rhs)
     return abs(lhs - rhs) / abs(rhs)
-
-
-def density_on_worldline(worldlines: list[Worldline], x: np.ndarray,
-                         tol: float = 1e-9) -> bool:
-    """True when x coincides with an active particle (density singular)."""
-    x = np.asarray(x, dtype=float)
-    for w in worldlines or []:
-        if not w.active_at(x[0]):
-            continue
-        tau = equal_time_crossing(w, x[0])
-        u, _ = w.state(tau)
-        if np.max(np.abs(u[1:] - x[1:])) <= tol:
-            return True
-    return False

@@ -21,7 +21,6 @@ from covham.canonical import (
     CanonicalMode,
     canonical_at_point,
     constant_amplitudes,
-    epsilon_scale,
     from_canonical,
     gradient_consistency,
     hamilton_residual,
@@ -97,13 +96,13 @@ class TestCanonicalSplit:
         assert mode.minus.q == pytest.approx(np.sqrt(2.0), rel=1e-14)
 
     def test_epsilon_values(self):
-        assert epsilon_scale(SCALAR, 2.0, CanonicalGauge(z=2.0 + 0.0j)) \
+        assert SCALAR.epsilon(2.0, CanonicalGauge(z=2.0 + 0.0j).z) \
             == pytest.approx(0.25, rel=1e-14)
-        assert epsilon_scale(spinor_field(), 2.0, DEFAULT_GAUGE) \
+        assert spinor_field().epsilon(2.0, DEFAULT_GAUGE.z) \
             == pytest.approx(0.5, rel=1e-14)
         # em scale carries no gauge dependence
-        e1 = epsilon_scale(EM, 2.0, DEFAULT_GAUGE)
-        e2 = epsilon_scale(EM, 2.0, CanonicalGauge(z=3.0 + 4.0j))
+        e1 = EM.epsilon(2.0, DEFAULT_GAUGE.z)
+        e2 = EM.epsilon(2.0, CanonicalGauge(z=3.0 + 4.0j).z)
         assert e1 == e2 == pytest.approx(1.0 / np.sqrt(16.0 * np.pi),
                                          rel=1e-14)
 

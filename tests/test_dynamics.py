@@ -647,3 +647,11 @@ class TestReconstructAndResidual:
         hist = evolve_amplitudes(SCALAR, [w], grid, 0.0, 2.0, steps=40)
         hist.plus[20] += 0.1
         assert mode_equation_residual(SCALAR, [w], grid, hist) > 1e-3
+
+    def test_mode_equation_residual_skips_switch_on_kinks(self):
+        # stencils across t_start 0.7 and 0.9 read 0.2 unless skipped
+        ws = [static_worldline([0.2, -0.1, 0.4], coupling=1.3, t_start=0.7),
+              static_worldline([-0.3, 0.2, 0.1], coupling=0.8, t_start=0.9)]
+        grid = build_mode_grid(kmax=2.0, n_per_axis=5, kappa=1.0)
+        hist = evolve_amplitudes(SCALAR, ws, grid, 0.0, 2.0, steps=396)
+        assert mode_equation_residual(SCALAR, ws, grid, hist) < 1e-7

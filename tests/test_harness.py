@@ -162,6 +162,15 @@ class TestScenarioLoading:
         data["time"]["steps"] = 1
         with pytest.raises(ScenarioError, match="steps"):
             scenario_from_dict(data)
+        # over the step budget, directly or through the refined window
+        for steps, x0_end, kmax in ((10**12, 2.0, 4.0), (20_001, 2.0, 4.0),
+                                    (64, 1e4, 4.0), (64, 15.2, 1e3),
+                                    (64, 2.0, 1e308)):
+            data = free_scalar_dict()
+            data["time"].update(steps=steps, x0_end=x0_end)
+            data["grid"]["kmax"] = kmax
+            with pytest.raises(ScenarioError, match="^time: .*steps"):
+                scenario_from_dict(data)
         data = free_scalar_dict()
         data["time"]["x0_end"] = -1.0
         with pytest.raises(ScenarioError, match="x0_end"):
@@ -274,6 +283,33 @@ def _ignore_init_plus(monkeypatch):
 
 
 # one named fault per simulate record that has none elsewhere
+def _drifting_constant_amplitudes(monkeypatch):
+    def drifting(coeff_plus, coeff_minus=None):
+        def amp_at(x0):
+            # no longer constant: d_0 C != 0 on a free field
+            return tuple(None if c is None else (1.0 + 1e-3 * x0) * c
+                         for c in (coeff_plus, coeff_minus))
+        return amp_at
+
+    monkeypatch.setattr(verify, "constant_amplitudes", drifting)
+
+
+def _sign_flipped_from_canonical(monkeypatch):
+    original = canonical.from_canonical
+
+    def flipped(*args, **kwargs):
+        return tuple(None if a is None else -a
+                     for a in original(*args, **kwargs))
+
+    monkeypatch.setattr(verify, "from_canonical", flipped)
+
+
+_HAMILTON_FAULTS = {
+    "drifting_free_amplitudes": _drifting_constant_amplitudes,
+    "sign_flipped_from_canonical": _sign_flipped_from_canonical,
+}
+
+
 _SIMULATE_FAULTS = {
     "source_always_active": lambda mp: mp.setattr(
         Worldline, "active_at", lambda self, x0: True),
@@ -290,6 +326,22 @@ class TestVerificationSuites:
                          "hamilton/gradient_fd", "hamilton/free_residual"}
         assert report.passed, [r.to_dict() for r in report.records
                                if r.status != "pass"]
+
+    @pytest.mark.parametrize("fault, failing", [
+        ("drifting_free_amplitudes", {"hamilton/free_residual"}),
+        ("sign_flipped_from_canonical", {"hamilton/roundtrip"}),
+    ])
+    def test_hamilton_records_flag_injected_faults(self, fault, failing,
+                                                   monkeypatch):
+        s = scenario_from_dict(free_scalar_dict())
+
+        def failures():
+            report = run_verification(s, "hamilton", seed=3)
+            return {r.name for r in report.records if r.status != "pass"}
+
+        assert failures() == set()
+        _HAMILTON_FAULTS[fault](monkeypatch)
+        assert failures() == failing
 
     def test_hamilton_sourced_records(self):
         s = scenario_from_dict(sourced_scalar_dict())

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from covham.errors import ZeroModeError
 from covham.minkowski import (
+    FIVE_POINT_OFFSETS,
     component_signs,
+    five_point,
     four_vector,
     lower_index,
     mass_shell_energy,
@@ -104,3 +106,26 @@ def test_component_signs_rank2():
 def test_component_signs_rank0_is_unit_scalar():
     assert component_signs(0).shape == ()
     assert float(component_signs(0)) == 1.0
+
+
+def test_five_point_exact_on_quartic():
+    x, h = 0.3, 0.1
+    t = x + h * FIVE_POINT_OFFSETS
+    got = five_point(2.0 - t + 0.5 * t**2 - 3.0 * t**3 + 1.5 * t**4, h)
+    assert got == pytest.approx(-1.0 + x - 9.0 * x**2 + 6.0 * x**3,
+                                rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("trail", [(), (3, 2)])
+def test_five_point_fourth_order_on_sine(trail):
+    # stacked samples: one frequency per trailing slot, derivative per slot
+    omega = np.linspace(0.5, 1.5, int(np.prod(trail))).reshape(trail)
+    x = 0.4
+    errs = []
+    for h in (0.1, 0.05, 0.025):
+        t = x + h * FIVE_POINT_OFFSETS.reshape((4,) + (1,) * len(trail))
+        got = five_point(np.sin(omega * t), h)
+        assert np.shape(got) == trail
+        errs.append(np.max(np.abs(got - omega * np.cos(omega * x))))
+    slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all(np.abs(slopes - 4.0) < 0.1), slopes

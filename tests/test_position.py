@@ -8,14 +8,12 @@ from covham.errors import ScenarioError
 from covham.fields import em_field, scalar_field, spinor_field, tensor_field
 from covham.minkowski import METRIC_DIAG, on_shell_k
 from covham.position import (
-    density_on_worldline,
     dw_density,
     parseval_check,
     plane_wave,
     polymomentum,
     position_hamilton_residual,
 )
-from covham.worldlines import static_worldline
 
 SCALAR = scalar_field()
 EM = em_field()
@@ -214,13 +212,3 @@ class TestParseval:
         with pytest.raises(ScenarioError, match="spinor"):
             parseval_check(SPINOR, 2.0, [((1, 0, 0), np.ones(4, complex),
                                           np.ones(4, complex))])
-
-
-class TestWorldlineProximity:
-    def test_detects_point_on_particle(self):
-        w = static_worldline([0.5, 0.0, -0.25], coupling=1.0)
-        assert density_on_worldline([w], np.array([1.0, 0.5, 0.0, -0.25]))
-        assert not density_on_worldline([w], np.array([1.0, 0.5, 0.1, -0.25]))
-        # inactive particle occupies no point
-        late = static_worldline([0.5, 0.0, -0.25], coupling=1.0, t_start=2.0)
-        assert not density_on_worldline([late], np.array([1.0, 0.5, 0.0, -0.25]))
