@@ -115,7 +115,7 @@ def to_canonical(
     amp_plus / amp_minus are the full amplitudes including their plane
     wave phases; passing the bare coefficients C_pm corresponds to the
     point x = 0.  For the em species amp_plus holds A~ and amp_minus
-    must be None.
+    must be None.  Leading amplitude axes stay leading axes of q and pi.
     """
     k = np.asarray(k, dtype=float)
     eps = field.epsilon(k[0], gauge.z)
@@ -127,13 +127,14 @@ def to_canonical(
                                     field.gauge_factors(gauge.z),
                                     field.q_signs):
         amp = np.asarray(amp, dtype=complex)
-        if amp.shape != comp:
+        if amp.shape[amp.ndim - len(comp):] != comp:
             raise ValueError(f"amp_{name} shape {amp.shape}, expected {comp}")
         w = g * amp
         # asarray keeps rank-0 components as 0-d arrays, not numpy scalars
         branches.append(BranchVars(
             q=np.asarray(q_sign * 2.0 * eps * np.imag(w)),
-            pi=np.asarray(2.0 * eps * k_col * np.real(w))))
+            pi=2.0 * eps * k_col * np.expand_dims(np.real(w),
+                                                  -1 - len(comp))))
     plus, minus = family_pair(branches)
     return CanonicalMode(field=field, k=k, plus=plus, minus=minus)
 
@@ -154,7 +155,9 @@ def _w_values(field: FieldSpec, k: np.ndarray, mode: CanonicalMode,
               gauge: CanonicalGauge) -> list[np.ndarray]:
     """Complex w per branch via the pi_0 extension (exact on-shell)."""
     eps = field.epsilon(k[0], gauge.z)
-    return [bv.pi[0] / (2.0 * eps * k[0]) + 1j * (q_sign * bv.q / (2.0 * eps))
+    mu = -1 - len(field.component_shape)  # the pi row axis
+    return [np.take(bv.pi, 0, axis=mu) / (2.0 * eps * k[0])
+            + 1j * (q_sign * bv.q / (2.0 * eps))
             for (_, bv), q_sign in zip(mode.branches(), field.q_signs)]
 
 
@@ -252,22 +255,6 @@ def mode_hamiltonian(
     return value
 
 
-def _free_quadratic(field: FieldSpec, mode: CanonicalMode) -> float:
-    """Free part of J as a phase-space function.
-
-    1/2 sum_c sigma_c [pi_c.pi_c + kappa^2 q_c^2] per branch, with an
-    overall minus for the em species (whose value vanishes on the
-    massless shell while its gradients do not).
-    """
-    sigma = field.pairing_signs()
-    kap2 = field.kappa**2
-    total = 0.0
-    for _, bv in mode.branches():
-        pipi = np.einsum("m,m...->...", METRIC_DIAG, bv.pi**2)
-        total += 0.5 * float(np.sum(sigma * (pipi + kap2 * bv.q**2)))
-    return field.free_sign * total
-
-
 def _coupling_rows(field: FieldSpec, k: np.ndarray, x: np.ndarray,
                    worldlines: list[Worldline] | None,
                    gauge: CanonicalGauge) -> list[np.ndarray] | None:
@@ -315,16 +302,31 @@ def mode_hamiltonian_canonical(
     k = np.asarray(k, dtype=float)
     x = np.asarray(x, dtype=float)
     rows = _coupling_rows(field, k, x, worldlines, gauge)
-    return _canonical_value(field, k, mode, rows, gauge)
+    return float(_canonical_value(field, k, mode, rows, gauge))
 
 
-def _canonical_value(field, k, mode, rows, gauge) -> float:
-    """J from the free part and _coupling_rows (None: no active source)."""
-    value = _free_quadratic(field, mode)
+def _canonical_value(field, k, mode, rows, gauge):
+    """J as a phase-space function, one value per entry of leading axes.
+
+    The free part is 1/2 sum_c sigma_c [pi_c.pi_c + kappa^2 q_c^2] per
+    branch, with an overall minus for the em species (whose value
+    vanishes on the massless shell while its gradients do not); the
+    coupling rows (None: no active source) add Re sum_c A_b,c w_b,c.
+    """
+    sigma = field.pairing_signs()
+    kap2 = field.kappa**2
+    comp_axes = tuple(range(-len(field.component_shape), 0))
+    total = 0.0
+    for _, bv in mode.branches():
+        pipi = np.einsum("m,m...->...", METRIC_DIAG,
+                         np.moveaxis(bv.pi**2, -1 - len(comp_axes), 0))
+        total = total + 0.5 * np.sum(sigma * (pipi + kap2 * bv.q**2),
+                                     axis=comp_axes)
+    value = field.free_sign * total
     if rows is None:
         return value
     for row, w in zip(rows, _w_values(field, k, mode, gauge)):
-        value += float(np.real(np.sum(row * w)))
+        value = value + np.real(np.sum(row * w, axis=comp_axes))
     return value
 
 
@@ -367,6 +369,9 @@ def mode_hamiltonian_gradients(
     return CanonicalMode(field=field, k=k, plus=plus, minus=minus)
 
 
+_GRADIENT_STEP = 1e-3  # spacing of the gradient_consistency stencil
+
+
 def gradient_consistency(
     field: FieldSpec,
     k: np.ndarray,
@@ -374,13 +379,13 @@ def gradient_consistency(
     x: np.ndarray,
     worldlines: list[Worldline] | None = None,
     gauge: CanonicalGauge = DEFAULT_GAUGE,
-    delta: float = 1e-3,
 ) -> float:
     """Max defect between analytic gradients of J and finite differences.
 
     minkowski.five_point differences in every stored phase-space
     component, on coupling rows built once (no probe moves a source);
-    exact for the quadratic-plus-linear J up to roundoff.  Lowered
+    exact for the quadratic-plus-linear J up to roundoff.  J is
+    evaluated once per branch slot, on all its probes stacked.  Lowered
     finite-difference gradients are raised with the index signs before
     comparison.  Returns the max defect scaled by 1 + max |gradient|.
     """
@@ -393,23 +398,21 @@ def gradient_consistency(
     sigma = field.pairing_signs()
     # raise the finite-difference indices to match the gradient convention
     raise_signs = {"q": sigma, "pi": np.multiply.outer(METRIC_DIAG, sigma)}
-    offsets = FIVE_POINT_OFFSETS * delta
     worst = 0.0
     for name, bv in mode.branches():
         for slot, signs in raise_signs.items():
             arr = getattr(bv, slot)
-            for idx in np.ndindex(arr.shape):
-                samples = []
-                for off in offsets:
-                    probe = arr.copy()
-                    probe[idx] += off
-                    branch = replace(bv, **{slot: probe})
-                    samples.append(_canonical_value(
-                        field, k, replace(mode, **{name: branch}), rows,
-                        gauge))
-                fd = float(five_point(samples, delta)) * signs[idx]
-                ana = getattr(getattr(analytic, name), slot)[idx]
-                worst = np.maximum(worst, abs(fd - ana) / scale)
+            n = arr.size
+            # probes[i, o]: the slot with entry i moved by offset o
+            probes = np.broadcast_to(arr, (n, 4) + arr.shape).copy()
+            probes.reshape(n, 4, n)[np.arange(n), :, np.arange(n)] += (
+                FIVE_POINT_OFFSETS * _GRADIENT_STEP)
+            values = _canonical_value(field, k, replace(mode, **{
+                name: replace(bv, **{slot: probes})}), rows, gauge)
+            fd = [five_point(v, _GRADIENT_STEP) for v in values]
+            ana = getattr(getattr(analytic, name), slot).ravel()
+            worst = np.maximum(worst, np.max(
+                np.abs(fd * signs.ravel() - ana) / scale))
     return float(worst)
 
 
@@ -425,11 +428,12 @@ def canonical_at_point(
 
     Restores the plane wave phases T~_pm = C_pm exp(mp i k.x) before the
     canonical split; em uses the single family with exp(-i k.x) and
-    ignores coeff_minus.
+    ignores coeff_minus.  Points (..., 4) and coefficients may be stacked.
     """
     k = np.asarray(k, dtype=float)
     x = np.asarray(x, dtype=float)
     phase = np.exp(-1j * minkowski_dot(k, x))
+    phase = np.reshape(phase, phase.shape + (1,) * len(field.component_shape))
     amps = [np.asarray(c, dtype=complex) * ph
             for _, c, ph in zip(field.branches, (coeff_plus, coeff_minus),
                                 with_conjugate(phase))]
@@ -463,24 +467,19 @@ def hamilton_residual(
     x = np.asarray(x, dtype=float)
     if h is None:
         h = 5e-3 / (1.0 + k[0])
-
-    def mode_at(point):
-        c_plus, c_minus = amp_at(point[0])
-        return canonical_at_point(field, k, c_plus, c_minus, point, gauge)
-
-    grads = mode_hamiltonian_gradients(field, k, mode_at(x), x, worldlines,
-                                       gauge)
-    # samples[mu][o]: the mode at x shifted by o h along axis mu
-    samples = [[mode_at(x + shift) for shift in row] for row in
-               h * FIVE_POINT_OFFSETS[:, None] * np.eye(4)[:, None]]
-    r1 = 0.0
-    r2 = 0.0
-    for name in field.branches:
+    grads = mode_hamiltonian_gradients(
+        field, k, canonical_at_point(field, k, *amp_at(x[0]), x, gauge), x,
+        worldlines, gauge)
+    # points[o, mu]: x shifted by o h along axis mu, converted in one call
+    points = x + h * FIVE_POINT_OFFSETS[:, None, None] * np.eye(4)
+    coeffs = [np.reshape(c, (4, 4) + np.shape(c[0])) for c in
+              zip(*(amp_at(t) for t in points[..., 0].ravel()))]
+    shifted = canonical_at_point(field, k, *coeffs, points, gauge)
+    r1 = r2 = 0.0
+    for name, bv in shifted.branches():
         g = getattr(grads, name)
         # d_mu q and d_mu pi_nu, mu leading
-        dq, dpi = (np.stack([five_point([getattr(getattr(m, name), slot)
-                                         for m in row], h)
-                             for row in samples]) for slot in ("q", "pi"))
+        dq, dpi = five_point(bv.q, h), five_point(bv.pi, h)
         div_pi = np.einsum("m,mm...->...", METRIC_DIAG, dpi)
         r1 = np.maximum(r1, float(np.max(np.abs(dq - g.pi)))
                         / (1.0 + float(np.max(np.abs(g.pi)))))

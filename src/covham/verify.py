@@ -5,7 +5,7 @@ metadata}.  Suites never abort on a module error; the error becomes a
 failed record with its message and the run continues.  Reports carry a
 schema version, the scenario digest, the package version, and the RNG
 seed, and serialize with sorted keys and no timestamps, so the same
-scenario and seed give byte-identical bodies.
+scenario, seed and BLAS thread count give byte-identical bodies.
 
 Tolerances are all named.  The table of defaults and the one rule for
 overriding them (a known name and a finite number >= 0) live in

@@ -332,6 +332,67 @@ class TestGradients:
         assert gradient_consistency(field, k, mode, x, [w]) == float(worst)
 
 
+FIVE_SPECIES = pytest.mark.parametrize(
+    "field", [SCALAR, VECTOR, RANK2, EM, SPINOR],
+    ids=["scalar", "rank1", "rank2", "em", "spinor"])
+
+
+class TestStacking:
+    @FIVE_SPECIES
+    def test_stacked_points_match_per_point_calls(self, field):
+        rng = np.random.default_rng(31)
+        k = species_k(field)
+        c_plus, c_minus = random_amps(field, rng)
+        points = rng.normal(size=(4, 4, 4))
+        stacked = canonical_at_point(field, k, c_plus, c_minus, points)
+        for idx in np.ndindex(points.shape[:-1]):
+            single = canonical_at_point(field, k, c_plus, c_minus,
+                                        points[idx])
+            for (_, bv), (_, one) in zip(stacked.branches(),
+                                         single.branches()):
+                assert np.array_equal(bv.q[idx], one.q)
+                assert np.array_equal(bv.pi[idx], one.pi)
+
+    @FIVE_SPECIES
+    def test_stacked_amplitudes_keep_the_trailing_shape_check(self, field):
+        k = species_k(field)
+        comp = field.component_shape
+        amp = np.ones((3,) + comp, dtype=complex)
+        minus = None if field.kind == "em" else amp
+        mode = to_canonical(field, k, amp, minus)
+        assert mode.plus.q.shape == (3,) + comp
+        assert mode.plus.pi.shape == (3, 4) + comp
+        if not comp:
+            return  # every shape is a stack of scalar amplitudes
+        bad = np.ones((3,) + comp[:-1] + (comp[-1] + 1,), dtype=complex)
+        with pytest.raises(ValueError, match="amp_plus shape"):
+            to_canonical(field, k, bad, None if minus is None else amp)
+
+    @FIVE_SPECIES
+    def test_one_stacked_call_per_stencil(self, field, monkeypatch):
+        calls = {"_canonical_value": 0, "to_canonical": 0}
+        for name in calls:
+            original = getattr(canonical, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(canonical, name, counted)
+        rng = np.random.default_rng(37)
+        k = species_k(field)
+        c_plus, c_minus = random_amps(field, rng)
+        x = np.array([1.2, 0.3, -0.4, 0.2])
+        mode = canonical_at_point(field, k, c_plus, c_minus, x)
+        calls["to_canonical"] = 0
+        gradient_consistency(field, k, mode, x, make_sources(field))
+        # one J evaluation per branch and slot (q and pi)
+        assert calls["_canonical_value"] == 2 * len(field.branches)
+        hamilton_residual(field, k, constant_amplitudes(c_plus, c_minus), x)
+        # the mode at x, then the 16 shifted points in one call
+        assert calls["to_canonical"] == 2
+
+
 class TestHamiltonResidual:
     @pytest.mark.parametrize("field", ALL_SPECIES,
                              ids=[f.kind + str(f.rank) for f in ALL_SPECIES])

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covham import canonical, verify
+from covham import canonical, dirac, verify
 from covham.brackets import (
     BracketConfig,
     GeneralObservable,
@@ -304,9 +304,51 @@ def _sign_flipped_from_canonical(monkeypatch):
     monkeypatch.setattr(verify, "from_canonical", flipped)
 
 
+def _order_two_error(monkeypatch):
+    original = verify.evolve_amplitudes
+
+    def evolve(*args, **kwargs):
+        hist = original(*args, **kwargs)
+        if kwargs.get("save") != "last":
+            return hist
+        # a second-order error term on the fourth-order final slice
+        factor = 1.0 + 1.0 / args[5] ** 2
+        return dataclasses.replace(hist, plus=factor * hist.plus, minus=None
+                                   if hist.minus is None
+                                   else factor * hist.minus)
+
+    monkeypatch.setattr(verify, "evolve_amplitudes", evolve)
+
+
 _HAMILTON_FAULTS = {
     "drifting_free_amplitudes": _drifting_constant_amplitudes,
     "sign_flipped_from_canonical": _sign_flipped_from_canonical,
+    "order_two_final_slice": _order_two_error,
+}
+
+
+def _scaled_gamma_one(monkeypatch):
+    gamma = dirac.GAMMA.copy()
+    gamma[1] *= 1.01
+    monkeypatch.setattr(dirac, "GAMMA", gamma)
+
+
+def _scaled_slash(monkeypatch):
+    original = dirac.slash
+    monkeypatch.setattr(dirac, "slash", lambda k: 1.01 * original(k))
+
+
+def _swapped_source_families(monkeypatch):
+    original = verify.source_rate
+    monkeypatch.setattr(verify, "source_rate",
+                        lambda *args: original(*args)[::-1])
+
+
+# one named fault per dirac-algebra record
+_DIRAC_FAULTS = {
+    "scaled_gamma_one": _scaled_gamma_one,
+    "scaled_slash": _scaled_slash,
+    "swapped_source_families": _swapped_source_families,
 }
 
 
@@ -327,13 +369,17 @@ class TestVerificationSuites:
         assert report.passed, [r.to_dict() for r in report.records
                                if r.status != "pass"]
 
-    @pytest.mark.parametrize("fault, failing", [
-        ("drifting_free_amplitudes", {"hamilton/free_residual"}),
-        ("sign_flipped_from_canonical", {"hamilton/roundtrip"}),
+    @pytest.mark.parametrize("fault, data, failing", [
+        ("drifting_free_amplitudes", free_scalar_dict,
+         {"hamilton/free_residual"}),
+        ("sign_flipped_from_canonical", free_scalar_dict,
+         {"hamilton/roundtrip"}),
+        ("order_two_final_slice", sourced_scalar_dict,
+         {"hamilton/integrator_order"}),
     ])
-    def test_hamilton_records_flag_injected_faults(self, fault, failing,
-                                                   monkeypatch):
-        s = scenario_from_dict(free_scalar_dict())
+    def test_hamilton_records_flag_injected_faults(self, fault, data,
+                                                   failing, monkeypatch):
+        s = scenario_from_dict(data())
 
         def failures():
             report = run_verification(s, "hamilton", seed=3)
@@ -517,6 +563,24 @@ class TestVerificationSuites:
                          "dirac/branch_annihilation"}
         assert report.passed, [r.to_dict() for r in report.records
                                if r.status != "pass"]
+
+    @pytest.mark.parametrize("fault, failing", [
+        ("scaled_gamma_one", {"dirac/clifford", "dirac/projectors",
+                              "dirac/branch_annihilation"}),
+        ("scaled_slash", {"dirac/projectors", "dirac/branch_annihilation"}),
+        ("swapped_source_families", {"dirac/branch_annihilation"}),
+    ])
+    def test_dirac_records_flag_injected_faults(self, fault, failing,
+                                                monkeypatch):
+        s = scenario_from_dict(dirac_dict())
+
+        def failures():
+            report = run_verification(s, "dirac-algebra", seed=3)
+            return {r.name for r in report.records if r.status != "pass"}
+
+        assert failures() == set()
+        _DIRAC_FAULTS[fault](monkeypatch)
+        assert failures() == failing
 
     def test_all_suite_covers_applicable(self):
         s = scenario_from_dict(free_scalar_dict())
