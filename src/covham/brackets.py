@@ -32,9 +32,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .canonical import CanonicalMode, BranchVars, mode_hamiltonian_gradients
+from .canonical import CanonicalMode, mode_hamiltonian_gradients, row_signs
 from .errors import ModeBudgetError
-from .fields import FieldSpec, family_pair
+from .fields import FieldSpec
 from .minkowski import METRIC_DIAG, minkowski_dot
 from .modes import ModeGrid
 
@@ -43,14 +43,15 @@ MAX_STATE_SIZE = 4096  # dense Poisson tensor guard
 
 class StateLayout:
     """The bracket state: the flat view of an array of `shape`
-    (modes, branches, 5, components).
+    (modes, branches, 5, components), one CanonicalMode.rows block per
+    mode with its components flattened.
 
     Branches run plus, then minus for complex species; row 0 of a branch
     holds q_c and row 1 + mu holds pi_{mu c}, lower-index as stored.
     `index` (read-only) holds each entry's flat position, the one place
     offsets are computed.  pack_gradient turns the raised gradients of
-    mode_hamiltonian_gradients into derivatives by the stored variables:
-    q rows times sigma_c, pi_mu rows times eta_mumu sigma_c.
+    mode_hamiltonian_gradients into derivatives by the stored variables
+    by multiplying with canonical.row_signs.
     """
 
     def __init__(self, field: FieldSpec, grid: ModeGrid):
@@ -84,24 +85,19 @@ class StateLayout:
     def pack(self, modes: list[CanonicalMode]) -> np.ndarray:
         if len(modes) != len(self.grid):
             raise ValueError("state must cover every grid mode")
-        blocks = [[np.vstack([np.reshape(bv.q, (1, -1)),
-                              np.reshape(bv.pi, (4, -1))])
-                   for _, bv in mode.branches()] for mode in modes]
-        return np.asarray(blocks, dtype=float).reshape(self.size)
+        return np.asarray([mode.rows for mode in modes],
+                          dtype=float).reshape(self.size)
 
     def pack_gradient(self, grads: list[CanonicalMode]) -> np.ndarray:
         """Per-mode raised gradients as d/d(stored state), flat."""
-        signs = np.concatenate([[1.0], METRIC_DIAG])[:, None] * self.sigma_flat
+        signs = row_signs(self.field).reshape(5, -1)
         return (self.pack(grads).reshape(self.shape) * signs).reshape(-1)
 
     def unpack_mode(self, state: np.ndarray, mode_index: int) -> CanonicalMode:
-        comp = self.field.component_shape
-        block = np.array(np.reshape(state, self.shape)[mode_index])
-        plus, minus = family_pair(
-            BranchVars(q=rows[0].reshape(comp),
-                       pi=rows[1:].reshape((4,) + comp)) for rows in block)
+        block = np.reshape(state, self.shape)[mode_index]
         return CanonicalMode(field=self.field, k=self.grid.k[mode_index],
-                             plus=plus, minus=minus)
+                             rows=np.array(block).reshape(
+                                 block.shape[:2] + self.field.component_shape))
 
 
 @dataclass(frozen=True)

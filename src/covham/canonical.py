@@ -79,28 +79,38 @@ DEFAULT_GAUGE = CanonicalGauge()
 
 
 @dataclass(frozen=True)
-class BranchVars:
-    """One branch of canonical data: q (components), pi (4, components)."""
-
-    q: np.ndarray
-    pi: np.ndarray
-
-
-@dataclass(frozen=True)
 class CanonicalMode:
-    """Canonical variables of a single mode.
+    """Canonical variables of a single mode, one array of rows.
 
-    Complex species carry both branches; the em field stores its single
-    family in plus and leaves minus None.
+    rows has shape (..., branches, 5, *component_shape): per branch
+    (plus, then minus; the em field keeps plus only) row 0 holds q_c and
+    row 1 + mu holds pi_{mu c}, lower-index as stored.  This is the
+    per-mode block that brackets.StateLayout views.
     """
 
     field: FieldSpec
     k: np.ndarray
-    plus: BranchVars
-    minus: BranchVars | None
+    rows: np.ndarray
 
-    def branches(self):
-        return [(name, getattr(self, name)) for name in self.field.branches]
+    @property
+    def q(self) -> np.ndarray:
+        """q_c per branch, (..., branches, *component_shape), a view."""
+        return self.rows[(..., 0) + (slice(None),)
+                         * len(self.field.component_shape)]
+
+    @property
+    def pi(self) -> np.ndarray:
+        """pi_{mu c} per branch, (..., branches, 4, *component_shape),
+        a view."""
+        return self.rows[(..., slice(1, None)) + (slice(None),)
+                         * len(self.field.component_shape)]
+
+
+def row_signs(field: FieldSpec) -> np.ndarray:
+    """Index-raising signs of the rows, (5, *component_shape): sigma_c on
+    q and eta_mumu sigma_c on pi_mu, the [1, eta] (x) sigma rule."""
+    return np.multiply.outer(np.concatenate([[1.0], METRIC_DIAG]),
+                             field.pairing_signs())
 
 
 def to_canonical(
@@ -115,50 +125,53 @@ def to_canonical(
     amp_plus / amp_minus are the full amplitudes including their plane
     wave phases; passing the bare coefficients C_pm corresponds to the
     point x = 0.  For the em species amp_plus holds A~ and amp_minus
-    must be None.  Leading amplitude axes stay leading axes of q and pi.
+    must be None.  Leading amplitude axes stay leading axes of the rows;
+    both families must share one shape.
     """
     k = np.asarray(k, dtype=float)
     eps = field.epsilon(k[0], gauge.z)
     comp = field.component_shape
-    k_col = lower_index(k).reshape((4,) + (1,) * len(comp))
-    branches = []
-    for name, amp, g, q_sign in zip(field.branches,
-                                    field.families(amp_plus, amp_minus),
-                                    field.gauge_factors(gauge.z),
-                                    field.q_signs):
-        amp = np.asarray(amp, dtype=complex)
-        if amp.shape[amp.ndim - len(comp):] != comp:
-            raise ValueError(f"amp_{name} shape {amp.shape}, expected {comp}")
-        w = g * amp
-        # asarray keeps rank-0 components as 0-d arrays, not numpy scalars
-        branches.append(BranchVars(
-            q=np.asarray(q_sign * 2.0 * eps * np.imag(w)),
-            pi=2.0 * eps * k_col * np.expand_dims(np.real(w),
-                                                  -1 - len(comp))))
-    plus, minus = family_pair(branches)
-    return CanonicalMode(field=field, k=k, plus=plus, minus=minus)
+    ones = (1,) * len(comp)
+    amp_plus = np.asarray(amp_plus, dtype=complex)
+    if amp_plus.shape[amp_plus.ndim - len(comp):] != comp:
+        raise ValueError(f"amp_plus shape {amp_plus.shape}, expected {comp}")
+    row = -1 - len(comp)  # the branch axis of w, the row axis of rows
+    w = (np.reshape(field.gauge_factors(gauge.z), (-1,) + ones)
+         * np.stack(field.families(amp_plus, amp_minus), axis=row))
+    q = np.reshape(field.q_signs, (-1,) + ones) * 2.0 * eps * np.imag(w)
+    k_col = lower_index(k).reshape((4,) + ones)
+    pi = 2.0 * eps * k_col * np.expand_dims(np.real(w), row)
+    return CanonicalMode(field=field, k=k, rows=np.concatenate(
+        [np.expand_dims(q, row), pi], axis=row))
 
 
-def _check_collinear(bv: BranchVars, k: np.ndarray, tol: float) -> None:
-    k_low = lower_index(k)
-    comp_ones = (1,) * bv.q.ndim
-    model = k_low.reshape((4,) + comp_ones) * bv.pi[0] / k[0]
-    defect = np.max(np.abs(bv.pi - model))
-    if defect > tol * (1.0 + np.max(np.abs(bv.pi))):
+def _check_collinear(mode: CanonicalMode, k: np.ndarray, tol: float) -> None:
+    """Each branch's pi rows against k pi_0 / k0, scaled by that branch's
+    1 + max |pi|; non-finite rows fail too."""
+    comp = len(mode.field.component_shape)
+    pi = mode.pi
+    k_col = lower_index(k).reshape((4,) + (1,) * comp)
+    model = k_col * np.take(pi, [0], axis=-1 - comp) / k[0]
+    # every axis but the branch axis
+    axes = tuple(np.delete(np.arange(pi.ndim), pi.ndim - 2 - comp))
+    defect = np.max(np.abs(pi - model), axis=axes)
+    if not (np.all(defect <= tol * (1.0 + np.max(np.abs(pi), axis=axes)))
+            and np.all(np.isfinite(mode.rows))):
         raise CanonicalStructureError(
-            f"pi is not collinear with k (defect {defect:.3e}); "
+            f"pi is not collinear with k (defect {np.max(defect):.3e}); "
             "not the canonical image of an on-shell mode"
         )
 
 
 def _w_values(field: FieldSpec, k: np.ndarray, mode: CanonicalMode,
-              gauge: CanonicalGauge) -> list[np.ndarray]:
-    """Complex w per branch via the pi_0 extension (exact on-shell)."""
+              gauge: CanonicalGauge) -> np.ndarray:
+    """Complex w, (..., branches, *comp), via the pi_0 extension (exact
+    on-shell)."""
     eps = field.epsilon(k[0], gauge.z)
-    mu = -1 - len(field.component_shape)  # the pi row axis
-    return [np.take(bv.pi, 0, axis=mu) / (2.0 * eps * k[0])
-            + 1j * (q_sign * bv.q / (2.0 * eps))
-            for (_, bv), q_sign in zip(mode.branches(), field.q_signs)]
+    comp = field.component_shape
+    q_signs = np.reshape(field.q_signs, (-1,) + (1,) * len(comp))
+    return (np.take(mode.rows, 1, axis=-1 - len(comp)) / (2.0 * eps * k[0])
+            + 1j * (q_signs * mode.q / (2.0 * eps)))
 
 
 def from_canonical(
@@ -171,13 +184,15 @@ def from_canonical(
     """Amplitudes T~_pm back from canonical variables.
 
     Raises CanonicalStructureError when any pi row fails to be
-    proportional to k, which no on-shell mode can produce.
+    proportional to k, which no on-shell mode can produce, or when a row
+    is not finite.
     """
     k = np.asarray(k, dtype=float)
-    for _, bv in mode.branches():
-        _check_collinear(bv, k, tol)
-    return family_pair(w / g for w, g in zip(_w_values(field, k, mode, gauge),
-                                             field.gauge_factors(gauge.z)))
+    _check_collinear(mode, k, tol)
+    comp = field.component_shape
+    amps = _w_values(field, k, mode, gauge) / np.reshape(
+        field.gauge_factors(gauge.z), (-1,) + (1,) * len(comp))
+    return family_pair(np.moveaxis(amps, -1 - len(comp), 0))
 
 
 def mode_hamiltonian(
@@ -257,8 +272,9 @@ def mode_hamiltonian(
 
 def _coupling_rows(field: FieldSpec, k: np.ndarray, x: np.ndarray,
                    worldlines: list[Worldline] | None,
-                   gauge: CanonicalGauge) -> list[np.ndarray] | None:
-    """Interaction rows A_b per branch: J_int = Re sum_c A_b,c w_b,c at x.
+                   gauge: CanonicalGauge) -> np.ndarray | None:
+    """Interaction rows A, (branches, *comp): J_int = Re sum_c A_b,c w_b,c
+    at x.
 
     None when no source is active on the slice x0 = x[0].  The gauge
     factor is 1 / g_plus (field.gauge_factors); the minus row carries
@@ -281,7 +297,7 @@ def _coupling_rows(field: FieldSpec, k: np.ndarray, x: np.ndarray,
         rows = [r + row * ph for r, ph in zip(rows, with_conjugate(phase))]
     if field.kind == "spinor":
         rows = [r @ op for r, op in zip(rows, field.shell_operators(k))]
-    return rows
+    return np.array(rows)
 
 
 def mode_hamiltonian_canonical(
@@ -301,32 +317,32 @@ def mode_hamiltonian_canonical(
     """
     k = np.asarray(k, dtype=float)
     x = np.asarray(x, dtype=float)
-    rows = _coupling_rows(field, k, x, worldlines, gauge)
-    return float(_canonical_value(field, k, mode, rows, gauge))
+    coupling = _coupling_rows(field, k, x, worldlines, gauge)
+    return float(_canonical_value(field, k, mode, coupling, gauge))
 
 
-def _canonical_value(field, k, mode, rows, gauge):
+def _canonical_value(field, k, mode, coupling, gauge):
     """J as a phase-space function, one value per entry of leading axes.
 
     The free part is 1/2 sum_c sigma_c [pi_c.pi_c + kappa^2 q_c^2] per
     branch, with an overall minus for the em species (whose value
     vanishes on the massless shell while its gradients do not); the
-    coupling rows (None: no active source) add Re sum_c A_b,c w_b,c.
+    coupling rows (None: no active source) add Re sum_c A_b,c w_b,c,
+    one branch after the other so the round-off order stays fixed.
     """
     sigma = field.pairing_signs()
-    kap2 = field.kappa**2
     comp_axes = tuple(range(-len(field.component_shape), 0))
-    total = 0.0
-    for _, bv in mode.branches():
-        pipi = np.einsum("m,m...->...", METRIC_DIAG,
-                         np.moveaxis(bv.pi**2, -1 - len(comp_axes), 0))
-        total = total + 0.5 * np.sum(sigma * (pipi + kap2 * bv.q**2),
-                                     axis=comp_axes)
-    value = field.free_sign * total
-    if rows is None:
+    pipi = np.einsum("m,m...->...", METRIC_DIAG,
+                     np.moveaxis(mode.pi**2, -1 - len(comp_axes), 0))
+    free = 0.5 * np.sum(sigma * (pipi + field.kappa**2 * mode.q**2),
+                        axis=comp_axes)
+    value = field.free_sign * np.sum(free, axis=-1)
+    if coupling is None:
         return value
-    for row, w in zip(rows, _w_values(field, k, mode, gauge)):
-        value = value + np.real(np.sum(row * w, axis=comp_axes))
+    terms = np.real(np.sum(coupling * _w_values(field, k, mode, gauge),
+                           axis=comp_axes))
+    for term in np.moveaxis(terms, -1, 0):
+        value = value + term
     return value
 
 
@@ -340,33 +356,28 @@ def mode_hamiltonian_gradients(
 ) -> CanonicalMode:
     """Raised phase-space gradients of J at the point x.
 
-    Returns a CanonicalMode whose branch fields hold dJ/dq^c in q and
-    dJ/dpi^{mu c} in pi, index raising included (metric signs on mu and
-    tensor components, adjoint signs on spinor components).  The free
-    parts reduce to dJ/dpi^{mu c} = pm pi_{mu c}, dJ/dq^c = pm kappa^2
-    q_c (minus for em); sources add only to the mu = 0 momentum row and
-    to the q gradient, both read off the coupling rows A_b (see the
-    module docstring).
+    Returns a CanonicalMode whose rows hold dJ/dq^c in row 0 and
+    dJ/dpi^{mu c} in row 1 + mu, index raising included (metric signs on
+    mu and tensor components, adjoint signs on spinor components).  The
+    free parts reduce to dJ/dpi^{mu c} = pm pi_{mu c}, dJ/dq^c = pm
+    kappa^2 q_c (minus for em); sources add only to the mu = 0 momentum
+    row and to the q gradient, both read off the coupling rows A_b (see
+    the module docstring).
     """
     k = np.asarray(k, dtype=float)
     x = np.asarray(x, dtype=float)
-    sign = field.free_sign
-    kap2 = field.kappa**2
-    rows = _coupling_rows(field, k, x, worldlines, gauge)
-    if rows is not None:
+    ones = (1,) * len(field.component_shape)
+    free = field.free_sign * np.concatenate([[field.kappa**2], np.ones(4)])
+    grads = free.reshape((5,) + ones) * mode.rows
+    coupling = _coupling_rows(field, k, x, worldlines, gauge)
+    if coupling is not None:
         sigma = field.pairing_signs()
         eps = field.epsilon(k[0], gauge.z)
-    branches = []
-    for b, ((_, bv), q_sign) in enumerate(zip(mode.branches(),
-                                              field.q_signs)):
-        gq = sign * kap2 * bv.q.astype(float)
-        gpi = sign * bv.pi.astype(float)
-        if rows is not None:
-            gpi[0] += sigma * np.real(rows[b]) / (2.0 * eps * k[0])
-            gq = gq - q_sign * sigma * np.imag(rows[b]) / (2.0 * eps)
-        branches.append(BranchVars(q=gq, pi=gpi))
-    plus, minus = family_pair(branches)
-    return CanonicalMode(field=field, k=k, plus=plus, minus=minus)
+        by_row = np.moveaxis(grads, -1 - len(ones), 0)  # a view of grads
+        by_row[0] -= (np.reshape(field.q_signs, (-1,) + ones) * sigma
+                      * np.imag(coupling) / (2.0 * eps))
+        by_row[1] += sigma * np.real(coupling) / (2.0 * eps * k[0])
+    return CanonicalMode(field=field, k=k, rows=grads)
 
 
 _GRADIENT_STEP = 1e-3  # spacing of the gradient_consistency stencil
@@ -385,35 +396,25 @@ def gradient_consistency(
     minkowski.five_point differences in every stored phase-space
     component, on coupling rows built once (no probe moves a source);
     exact for the quadratic-plus-linear J up to roundoff.  J is
-    evaluated once per branch slot, on all its probes stacked.  Lowered
-    finite-difference gradients are raised with the index signs before
+    evaluated once, on the probes of every entry of the rows stacked.
+    Lowered finite-difference gradients are raised with row_signs before
     comparison.  Returns the max defect scaled by 1 + max |gradient|.
     """
     k, x = np.asarray(k, dtype=float), np.asarray(x, dtype=float)
-    analytic = mode_hamiltonian_gradients(field, k, mode, x, worldlines, gauge)
-    rows = _coupling_rows(field, k, x, worldlines, gauge)
-    scale = 1.0 + np.max([np.max(np.abs(getattr(bv, slot)))
-                          for _, bv in analytic.branches()
-                          for slot in ("q", "pi")])
-    sigma = field.pairing_signs()
-    # raise the finite-difference indices to match the gradient convention
-    raise_signs = {"q": sigma, "pi": np.multiply.outer(METRIC_DIAG, sigma)}
-    worst = 0.0
-    for name, bv in mode.branches():
-        for slot, signs in raise_signs.items():
-            arr = getattr(bv, slot)
-            n = arr.size
-            # probes[i, o]: the slot with entry i moved by offset o
-            probes = np.broadcast_to(arr, (n, 4) + arr.shape).copy()
-            probes.reshape(n, 4, n)[np.arange(n), :, np.arange(n)] += (
-                FIVE_POINT_OFFSETS * _GRADIENT_STEP)
-            values = _canonical_value(field, k, replace(mode, **{
-                name: replace(bv, **{slot: probes})}), rows, gauge)
-            fd = [five_point(v, _GRADIENT_STEP) for v in values]
-            ana = getattr(getattr(analytic, name), slot).ravel()
-            worst = np.maximum(worst, np.max(
-                np.abs(fd * signs.ravel() - ana) / scale))
-    return float(worst)
+    analytic = mode_hamiltonian_gradients(field, k, mode, x, worldlines,
+                                          gauge).rows
+    coupling = _coupling_rows(field, k, x, worldlines, gauge)
+    n = mode.rows.size
+    # probes[i, o]: the rows with entry i moved by offset o
+    probes = np.broadcast_to(mode.rows, (n, 4) + mode.rows.shape).copy()
+    probes.reshape(n, 4, n)[np.arange(n), :, np.arange(n)] += (
+        FIVE_POINT_OFFSETS * _GRADIENT_STEP)
+    values = _canonical_value(field, k, replace(mode, rows=probes),
+                              coupling, gauge)
+    fd = [five_point(v, _GRADIENT_STEP) for v in values]
+    signs = np.broadcast_to(row_signs(field), analytic.shape).ravel()
+    return float(np.max(np.abs(fd * signs - analytic.ravel())
+                        / (1.0 + np.max(np.abs(analytic)))))
 
 
 def canonical_at_point(
@@ -461,6 +462,9 @@ def hamilton_residual(
         r1 = max |d_mu q_c - dJ/dpi^{mu c}| / (1 + max |dJ/dpi|)
         r2 = max |d^mu pi_{mu c} + dJ/dq^c| / (1 + max |dJ/dq|)
 
+    each branch scaled by its own gradient maximum, the worst branch
+    returned.
+
     h defaults to 5e-3 / (1 + k0), keeping the k0 h phase step small.
     """
     k = np.asarray(k, dtype=float)
@@ -475,17 +479,16 @@ def hamilton_residual(
     coeffs = [np.reshape(c, (4, 4) + np.shape(c[0])) for c in
               zip(*(amp_at(t) for t in points[..., 0].ravel()))]
     shifted = canonical_at_point(field, k, *coeffs, points, gauge)
-    r1 = r2 = 0.0
-    for name, bv in shifted.branches():
-        g = getattr(grads, name)
-        # d_mu q and d_mu pi_nu, mu leading
-        dq, dpi = five_point(bv.q, h), five_point(bv.pi, h)
-        div_pi = np.einsum("m,mm...->...", METRIC_DIAG, dpi)
-        r1 = np.maximum(r1, float(np.max(np.abs(dq - g.pi)))
-                        / (1.0 + float(np.max(np.abs(g.pi)))))
-        r2 = np.maximum(r2, float(np.max(np.abs(div_pi + g.q)))
-                        / (1.0 + float(np.max(np.abs(g.q)))))
-    return float(r1), float(r2)
+    # d_mu of every row, mu leading: (4, branches, 5, *comp)
+    d = CanonicalMode(field=field, k=k, rows=five_point(shifted.rows, h))
+    dq = np.moveaxis(d.q, 0, -1 - len(field.component_shape))
+    div_pi = np.einsum("m,mbm...->b...", METRIC_DIAG, d.pi)
+    n_b = len(field.branches)
+    r1 = (np.max(np.abs(dq - grads.pi).reshape(n_b, -1), axis=1)
+          / (1.0 + np.max(np.abs(grads.pi).reshape(n_b, -1), axis=1)))
+    r2 = (np.max(np.abs(div_pi + grads.q).reshape(n_b, -1), axis=1)
+          / (1.0 + np.max(np.abs(grads.q).reshape(n_b, -1), axis=1)))
+    return float(np.max(r1)), float(np.max(r2))
 
 
 def constant_amplitudes(coeff_plus, coeff_minus=None):

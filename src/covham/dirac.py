@@ -111,16 +111,14 @@ def interaction_spinor(coupling: DiracCoupling, udot) -> np.ndarray:
     return out
 
 
-def clifford_defect(k=None) -> float:
-    """Max deviation of {gamma^mu, gamma^nu} from 2 eta^{mu nu} (exact 0)."""
-    eta = np.diag([1.0, -1.0, -1.0, -1.0])
-    worst = 0.0
-    for mu in range(4):
-        for nu in range(4):
-            anti = GAMMA[mu] @ GAMMA[nu] + GAMMA[nu] @ GAMMA[mu]
-            worst = max(worst, float(np.max(np.abs(
-                anti - 2.0 * eta[mu, nu] * np.eye(4)))))
-    return worst
+def clifford_defect() -> float:
+    """Max deviation of {gamma^mu, gamma^nu} from 2 eta^{mu nu} (exact 0),
+    over all 16 pairs at once; a NaN in any gamma reads NaN."""
+    prod = GAMMA[:, None] @ GAMMA[None, :]  # [mu, nu] = gamma^mu gamma^nu
+    anti = prod + prod.swapaxes(0, 1)
+    target = 2.0 * np.multiply.outer(np.diag([1.0, -1.0, -1.0, -1.0]),
+                                     np.eye(4))
+    return float(np.max(np.abs(anti - target)))
 
 
 def projector_defects(k, kappa: float) -> dict[str, float]:

@@ -394,9 +394,8 @@ class TestStateView:
             for i in range(len(cfg.grid)):
                 mode = lay.unpack_mode(state, i)
                 for b, name in enumerate(lay.branches):
-                    bv = getattr(mode, name)
-                    q = bv.q.reshape(-1)
-                    pi = bv.pi.reshape(4, -1)
+                    q = mode.q[b].reshape(-1)
+                    pi = mode.pi[b].reshape(4, -1)
                     for c in range(lay.comp_size):
                         at = lay.index[i, b, :, c]
                         assert at[0] == lay.q_index(i, name, c)

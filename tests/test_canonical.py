@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from covham import canonical
 from covham.canonical import (
     DEFAULT_GAUGE,
-    BranchVars,
     CanonicalGauge,
     CanonicalMode,
     canonical_at_point,
@@ -86,14 +85,15 @@ class TestCanonicalSplit:
     def test_frozen_scalar_split(self):
         # a2 = kappa = 1, k = (1, 0, 0, 0), default gauge z = 1/sqrt(2):
         # eps = 1, so T~+ = 1 gives pi_+ = (sqrt(2), 0, 0, 0), q_+ = 0
-        # and T~- = i gives pi_- = 0, q_- = sqrt(2)
+        # and T~- = i gives pi_- = 0, q_- = sqrt(2); branch 0 is plus
         k = on_shell_k([0.0, 0.0, 0.0], 1.0)
         mode = to_canonical(SCALAR, k, 1.0 + 0.0j, 1.0j)
-        assert mode.plus.pi[0] == pytest.approx(np.sqrt(2.0), rel=1e-14)
-        assert np.all(mode.plus.pi[1:] == 0.0)
-        assert mode.plus.q == pytest.approx(0.0, abs=1e-15)
-        assert np.max(np.abs(mode.minus.pi)) == pytest.approx(0.0, abs=1e-15)
-        assert mode.minus.q == pytest.approx(np.sqrt(2.0), rel=1e-14)
+        assert mode.rows.shape == (2, 5)
+        assert mode.pi[0, 0] == pytest.approx(np.sqrt(2.0), rel=1e-14)
+        assert np.all(mode.pi[0, 1:] == 0.0)
+        assert mode.q[0] == pytest.approx(0.0, abs=1e-15)
+        assert np.max(np.abs(mode.pi[1])) == pytest.approx(0.0, abs=1e-15)
+        assert mode.q[1] == pytest.approx(np.sqrt(2.0), rel=1e-14)
 
     def test_epsilon_values(self):
         assert SCALAR.epsilon(2.0, CanonicalGauge(z=2.0 + 0.0j).z) \
@@ -152,13 +152,23 @@ class TestCanonicalSplit:
         rng = np.random.default_rng(4)
         k = species_k(SCALAR)
         mode = to_canonical(SCALAR, k, *random_amps(SCALAR, rng))
-        bad_pi = mode.plus.pi.copy()
-        bad_pi[1] += 0.3
-        broken = CanonicalMode(field=SCALAR, k=k,
-                               plus=BranchVars(q=mode.plus.q, pi=bad_pi),
-                               minus=mode.minus)
+        rows = mode.rows.copy()
+        rows[0, 2] += 0.3  # pi_1 of the plus branch
+        broken = CanonicalMode(field=SCALAR, k=k, rows=rows)
         with pytest.raises(CanonicalStructureError, match="collinear"):
             from_canonical(SCALAR, k, broken)
+
+    @pytest.mark.parametrize("row", [0, 1, 2], ids=["q", "pi_0", "pi_1"])
+    def test_non_finite_row_rejected(self, row):
+        # a NaN compares False against the collinearity bound; it must
+        # still fail the check instead of converting back silently
+        k = species_k(SCALAR)
+        mode = to_canonical(SCALAR, k, 0.4 - 0.2j, 0.1 + 0.3j)
+        rows = mode.rows.copy()
+        rows[1, row] = np.nan
+        with pytest.raises(CanonicalStructureError):
+            from_canonical(SCALAR, k, CanonicalMode(field=SCALAR, k=k,
+                                                    rows=rows))
 
     def test_gauge_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -243,11 +253,9 @@ class TestGradients:
             x = np.array([0.9, 0.1, 0.2, 0.3])
             grads = mode_hamiltonian_gradients(field, k, mode, x)
             sign = -1.0 if field.kind == "em" else 1.0
-            for name, bv in mode.branches():
-                g = getattr(grads, name)
-                assert np.allclose(g.pi, sign * bv.pi, rtol=0, atol=1e-15)
-                assert np.allclose(g.q, sign * field.kappa**2 * bv.q,
-                                   rtol=0, atol=1e-15)
+            assert np.allclose(grads.pi, sign * mode.pi, rtol=0, atol=1e-15)
+            assert np.allclose(grads.q, sign * field.kappa**2 * mode.q,
+                               rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("field", ALL_SPECIES,
                              ids=[f.kind + str(f.rank) for f in ALL_SPECIES])
@@ -305,30 +313,23 @@ class TestGradients:
         # the stencil loop written out on mode_hamiltonian_canonical, which
         # rebuilds the coupling rows for every probe
         delta = 1e-3
-        analytic = mode_hamiltonian_gradients(field, k, mode, x, [w])
-        scale = 1.0 + np.max([np.max(np.abs(getattr(bv, slot)))
-                              for _, bv in analytic.branches()
-                              for slot in ("q", "pi")])
+        analytic = mode_hamiltonian_gradients(field, k, mode, x, [w]).rows
+        scale = 1.0 + np.max(np.abs(analytic))
         sigma = field.pairing_signs()
-        raise_signs = {"q": sigma,
-                       "pi": np.multiply.outer(METRIC_DIAG, sigma)}
         stencil = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * delta)
         worst = 0.0
-        for name, bv in mode.branches():
-            for slot, signs in raise_signs.items():
-                arr = getattr(bv, slot)
-                for idx in np.ndindex(arr.shape):
-                    samples = []
-                    for off in np.array([-2.0, -1.0, 1.0, 2.0]) * delta:
-                        probe = arr.copy()
-                        probe[idx] += off
-                        probed = replace(mode, **{
-                            name: replace(bv, **{slot: probe})})
-                        samples.append(mode_hamiltonian_canonical(
-                            field, k, probed, x, [w]))
-                    fd = float(np.dot(stencil, samples)) * signs[idx]
-                    ana = getattr(getattr(analytic, name), slot)[idx]
-                    worst = np.maximum(worst, abs(fd - ana) / scale)
+        # idx = (branch, row, *component); row 0 is q, row 1 + mu is pi_mu
+        for idx in np.ndindex(mode.rows.shape):
+            samples = []
+            for off in np.array([-2.0, -1.0, 1.0, 2.0]) * delta:
+                probe = mode.rows.copy()
+                probe[idx] += off
+                samples.append(mode_hamiltonian_canonical(
+                    field, k, replace(mode, rows=probe), x, [w]))
+            row = idx[1]
+            sign = sigma[idx[2:]] * (1.0 if row == 0 else METRIC_DIAG[row - 1])
+            fd = float(np.dot(stencil, samples)) * sign
+            worst = np.maximum(worst, abs(fd - analytic[idx]) / scale)
         assert gradient_consistency(field, k, mode, x, [w]) == float(worst)
 
 
@@ -348,10 +349,7 @@ class TestStacking:
         for idx in np.ndindex(points.shape[:-1]):
             single = canonical_at_point(field, k, c_plus, c_minus,
                                         points[idx])
-            for (_, bv), (_, one) in zip(stacked.branches(),
-                                         single.branches()):
-                assert np.array_equal(bv.q[idx], one.q)
-                assert np.array_equal(bv.pi[idx], one.pi)
+            assert np.array_equal(stacked.rows[idx], single.rows)
 
     @FIVE_SPECIES
     def test_stacked_amplitudes_keep_the_trailing_shape_check(self, field):
@@ -360,8 +358,10 @@ class TestStacking:
         amp = np.ones((3,) + comp, dtype=complex)
         minus = None if field.kind == "em" else amp
         mode = to_canonical(field, k, amp, minus)
-        assert mode.plus.q.shape == (3,) + comp
-        assert mode.plus.pi.shape == (3, 4) + comp
+        n_b = len(field.branches)
+        assert mode.rows.shape == (3, n_b, 5) + comp
+        assert mode.q.shape == (3, n_b) + comp
+        assert mode.pi.shape == (3, n_b, 4) + comp
         if not comp:
             return  # every shape is a stack of scalar amplitudes
         bad = np.ones((3,) + comp[:-1] + (comp[-1] + 1,), dtype=complex)
@@ -386,8 +386,8 @@ class TestStacking:
         mode = canonical_at_point(field, k, c_plus, c_minus, x)
         calls["to_canonical"] = 0
         gradient_consistency(field, k, mode, x, make_sources(field))
-        # one J evaluation per branch and slot (q and pi)
-        assert calls["_canonical_value"] == 2 * len(field.branches)
+        # one J evaluation on the probes of every stored entry
+        assert calls["_canonical_value"] == 1
         hamilton_residual(field, k, constant_amplitudes(c_plus, c_minus), x)
         # the mode at x, then the 16 shifted points in one call
         assert calls["to_canonical"] == 2

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covham.brackets import StateLayout
-from covham.canonical import to_canonical
+from covham.canonical import from_canonical, to_canonical
 from covham.dirac import DiracCoupling
 from covham.errors import ScenarioError
 from covham.dynamics import (
@@ -102,8 +102,8 @@ class TestSpeciesTable:
         amps = _random_amps(field, np.random.default_rng(3))
         assert stored(amps) == want
         mode = to_canonical(field, grid.k[0], *amps)
-        assert stored((mode.plus, mode.minus)) == want
-        assert tuple(name for name, _ in mode.branches()) == want
+        assert mode.rows.shape[0] == len(want)
+        assert stored(from_canonical(field, grid.k[0], mode)) == want
         if field.kind != "spinor" and field.rank <= 1:
             assert StateLayout(field, grid).branches == want
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covham import canonical, dirac, verify
+from covham import canonical, dirac, position, verify
 from covham.brackets import (
     BracketConfig,
     GeneralObservable,
@@ -333,6 +333,12 @@ def _scaled_gamma_one(monkeypatch):
     monkeypatch.setattr(dirac, "GAMMA", gamma)
 
 
+def _nan_gamma_two(monkeypatch):
+    gamma = dirac.GAMMA.copy()
+    gamma[2, 0, 0] = np.nan
+    monkeypatch.setattr(dirac, "GAMMA", gamma)
+
+
 def _scaled_slash(monkeypatch):
     original = dirac.slash
     monkeypatch.setattr(dirac, "slash", lambda k: 1.01 * original(k))
@@ -344,18 +350,32 @@ def _swapped_source_families(monkeypatch):
                         lambda *args: original(*args)[::-1])
 
 
-# one named fault per dirac-algebra record
+# one named fault per dirac-algebra record, and a NaN that must reach all
 _DIRAC_FAULTS = {
     "scaled_gamma_one": _scaled_gamma_one,
     "scaled_slash": _scaled_slash,
     "swapped_source_families": _swapped_source_families,
+    "nan_gamma_two": _nan_gamma_two,
 }
+
+
+def _scaled_single_source_rate(monkeypatch):
+    original = verify.source_rate
+
+    def rate(field, worldlines, *args):
+        rates = original(field, worldlines, *args)
+        if len(worldlines) != 1:
+            return rates
+        return tuple(None if r is None else (1.0 + 1e-9) * r for r in rates)
+
+    monkeypatch.setattr(verify, "source_rate", rate)
 
 
 _SIMULATE_FAULTS = {
     "source_always_active": lambda mp: mp.setattr(
         Worldline, "active_at", lambda self, x0: True),
     "init_plus_ignored": _ignore_init_plus,
+    "single_source_rate_scaled": _scaled_single_source_rate,
 }
 
 
@@ -414,9 +434,9 @@ class TestVerificationSuites:
 
         def scaled(*args, **kwargs):
             grads = original(*args, **kwargs)
-            return dataclasses.replace(grads, **{
-                b: dataclasses.replace(bv, q=(1.0 + 1e-3) * bv.q)
-                for b, bv in grads.branches()})
+            out = dataclasses.replace(grads, rows=grads.rows.copy())
+            out.q[...] *= 1.0 + 1e-3  # q is the row-0 view of rows
+            return out
 
         monkeypatch.setattr(canonical, "mode_hamiltonian_gradients", scaled)
         assert gradient_fd().status == "fail"
@@ -471,6 +491,8 @@ class TestVerificationSuites:
          {"simulate/causality", "simulate/exact_vs_simpson"}),
         ("init_plus_ignored", lambda: sourced_scalar_dict(True),
          {"simulate/segmented"}),
+        ("single_source_rate_scaled", lambda: sourced_scalar_dict(True),
+         {"simulate/superposition"}),
     ])
     def test_simulate_records_flag_injected_faults(self, fault, data,
                                                    failing, monkeypatch):
@@ -547,6 +569,19 @@ class TestVerificationSuites:
         assert report.passed
         assert report.records[0].name == "parseval/box_sum"
 
+    def test_parseval_box_sum_flags_scaled_density(self, monkeypatch):
+        s = scenario_from_dict(free_scalar_dict())
+
+        def failures():
+            report = run_verification(s, "parseval", seed=11)
+            return {r.name for r in report.records if r.status != "pass"}
+
+        assert failures() == set()
+        original = position.dw_density
+        monkeypatch.setattr(position, "dw_density",
+                            lambda *a, **kw: 1.001 * original(*a, **kw))
+        assert failures() == {"parseval/box_sum"}
+
     def test_parseval_em_fails_with_context(self):
         data = free_scalar_dict()
         data["field"] = {"kind": "em"}
@@ -569,6 +604,8 @@ class TestVerificationSuites:
                               "dirac/branch_annihilation"}),
         ("scaled_slash", {"dirac/projectors", "dirac/branch_annihilation"}),
         ("swapped_source_families", {"dirac/branch_annihilation"}),
+        ("nan_gamma_two", {"dirac/clifford", "dirac/projectors",
+                           "dirac/branch_annihilation"}),
     ])
     def test_dirac_records_flag_injected_faults(self, fault, failing,
                                                 monkeypatch):
