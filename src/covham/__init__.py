@@ -66,7 +66,6 @@ from covham.fields import (
 from covham.green import em_potential, green_oracle, scalar_yukawa
 from covham.minkowski import (
     METRIC_DIAG,
-    four_vector,
     lower_index,
     mass_shell_energy,
     minkowski_dot,

@@ -5,7 +5,8 @@ The bracket of two observables A, B of the canonical state is
     {A, B} = int d4k V^mu (dA/dq_nu dB/dpi^{mu nu} - dB/dq_nu dA/dpi^{mu nu}),
 
 with V a fixed four-vector.  StateLayout views the state as an array of
-(modes, branches, 5, components), q in row 0 and pi_mu in row 1 + mu.
+(modes, branches, 5, components), q in row 0 and pi_mu in row 1 + mu,
+and as the one canonical.CanonicalMode of its whole grid (modes).
 On a mode grid the functional derivative picks up one inverse
 quadrature weight per mode, so the structure constants
 
@@ -43,15 +44,16 @@ MAX_STATE_SIZE = 4096  # dense Poisson tensor guard
 
 class StateLayout:
     """The bracket state: the flat view of an array of `shape`
-    (modes, branches, 5, components), one CanonicalMode.rows block per
-    mode with its components flattened.
+    (modes, branches, 5, components), the grid's CanonicalMode.rows with
+    the components flattened.
 
     Branches run plus, then minus for complex species; row 0 of a branch
     holds q_c and row 1 + mu holds pi_{mu c}, lower-index as stored.
     `index` (read-only) holds each entry's flat position, the one place
-    offsets are computed.  pack_gradient turns the raised gradients of
-    mode_hamiltonian_gradients into derivatives by the stored variables
-    by multiplying with canonical.row_signs.
+    offsets are computed.  modes(state) is the state as one
+    CanonicalMode over the grid; the raised gradients
+    mode_hamiltonian_gradients returns for it, times canonical.row_signs,
+    are the derivatives by the stored variables.
     """
 
     def __init__(self, field: FieldSpec, grid: ModeGrid):
@@ -82,22 +84,10 @@ class StateLayout:
         return int(self.index[mode_index, self.branches.index(branch),
                               1 + mu, comp])
 
-    def pack(self, modes: list[CanonicalMode]) -> np.ndarray:
-        if len(modes) != len(self.grid):
-            raise ValueError("state must cover every grid mode")
-        return np.asarray([mode.rows for mode in modes],
-                          dtype=float).reshape(self.size)
-
-    def pack_gradient(self, grads: list[CanonicalMode]) -> np.ndarray:
-        """Per-mode raised gradients as d/d(stored state), flat."""
-        signs = row_signs(self.field).reshape(5, -1)
-        return (self.pack(grads).reshape(self.shape) * signs).reshape(-1)
-
-    def unpack_mode(self, state: np.ndarray, mode_index: int) -> CanonicalMode:
-        block = np.reshape(state, self.shape)[mode_index]
-        return CanonicalMode(field=self.field, k=self.grid.k[mode_index],
-                             rows=np.array(block).reshape(
-                                 block.shape[:2] + self.field.component_shape))
+    def modes(self, state: np.ndarray) -> CanonicalMode:
+        """The state as one CanonicalMode over the grid, rows a view."""
+        rows = np.reshape(state, self.shape[:3] + self.field.component_shape)
+        return CanonicalMode(field=self.field, k=self.grid.k, rows=rows)
 
 
 @dataclass(frozen=True)
@@ -309,10 +299,10 @@ def dw_conservation_check(cfg: BracketConfig, state: np.ndarray,
                           x0: float = 0.0) -> float:
     """Integrand of the constant-of-motion identity, per mu component.
 
-    Packs the per-mode gradients of J through StateLayout.pack_gradient
-    and accumulates sum_k w_k sum_{b,c} (dJ/dq_c)(dJ/dpi_{mu c}) over the
-    state view twice, once in each factor order, returning the largest
-    difference across mu.  The record is structural: each summand is the
+    Takes the gradients of J by the stored variables in one call on
+    StateLayout.modes, then accumulates sum_k w_k sum_{b,c} (dJ/dq_c)
+    (dJ/dpi_{mu c}) over the state view twice, once in each factor
+    order, returning the largest difference across mu.  The record is structural: each summand is the
     same product in both orders, so the return is exactly 0.0 unless the
     gradient path breaks.  A check that the bracket generates the
     dynamics is ROADMAP item 1.
@@ -322,10 +312,9 @@ def dw_conservation_check(cfg: BracketConfig, state: np.ndarray,
     if state.shape != (lay.size,):
         raise ValueError("state does not match the layout")
     x = np.array([x0, 0.0, 0.0, 0.0])
-    grads = lay.pack_gradient([
-        mode_hamiltonian_gradients(cfg.field, cfg.grid.k[i],
-                                   lay.unpack_mode(state, i), x)
-        for i in range(len(cfg.grid))]).reshape(lay.shape)
+    grads = (mode_hamiltonian_gradients(cfg.field, cfg.grid.k,
+                                        lay.modes(state), x).rows
+             * row_signs(cfg.field)).reshape(lay.shape)
     dq, dpi = grads[:, :, None, 0], grads[:, :, 1:]
     w = cfg.grid.weight[:, None, None, None]
     first = np.sum(w * (dq * dpi), axis=(0, 1, 3))

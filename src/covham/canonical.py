@@ -46,8 +46,10 @@ factor.  Since Re w_c = pi_{0 c} / (2 eps k0) and Im w_c = s_b q_c /
     dJ/dpi^{0 c} = sigma_c Re A_b,c / (2 eps k0)
     dJ/dq^c      = -s_b sigma_c Im A_b,c / (2 eps)
 
-mode_hamiltonian keeps the amplitude form written out per species: it
-is the independent reference the canonical value is checked against.
+mode_hamiltonian, the amplitude form written out per species, is the
+independent reference the canonical value is checked against; it and
+hamilton_residual take one k.  The rest also take stacked k (..., 4),
+one per leading entry of the amplitudes or rows, each mode scaled alone.
 """
 from __future__ import annotations
 
@@ -80,12 +82,12 @@ DEFAULT_GAUGE = CanonicalGauge()
 
 @dataclass(frozen=True)
 class CanonicalMode:
-    """Canonical variables of a single mode, one array of rows.
+    """Canonical variables of one mode or a stack, one array of rows.
 
     rows has shape (..., branches, 5, *component_shape): per branch
     (plus, then minus; the em field keeps plus only) row 0 holds q_c and
-    row 1 + mu holds pi_{mu c}, lower-index as stored.  This is the
-    per-mode block that brackets.StateLayout views.
+    row 1 + mu holds pi_{mu c}, lower-index as stored.  k is (4,) or one
+    wave vector per leading entry; brackets.StateLayout holds a grid's.
     """
 
     field: FieldSpec
@@ -113,6 +115,15 @@ def row_signs(field: FieldSpec) -> np.ndarray:
                              field.pairing_signs())
 
 
+def _mode_scales(field: FieldSpec, k: np.ndarray, z: complex):
+    """eps and k0 of each wave vector of k (..., 4) against w (...,
+    branches, *comp), its lowered k_mu against pi (..., branches, 4, *comp)."""
+    lead, ones = k.shape[:-1], (1,) * len(field.component_shape)
+    k0 = np.reshape(k[..., 0], lead + (1,) + ones)
+    return (field.epsilon(k0, z), k0,
+            np.reshape(lower_index(k), lead + (1, 4) + ones))
+
+
 def to_canonical(
     field: FieldSpec,
     k: np.ndarray,
@@ -126,10 +137,11 @@ def to_canonical(
     wave phases; passing the bare coefficients C_pm corresponds to the
     point x = 0.  For the em species amp_plus holds A~ and amp_minus
     must be None.  Leading amplitude axes stay leading axes of the rows;
-    both families must share one shape.
+    both families must share one shape, and stacked k (..., 4) must
+    broadcast against the leading axes.
     """
     k = np.asarray(k, dtype=float)
-    eps = field.epsilon(k[0], gauge.z)
+    eps, _, k_mu = _mode_scales(field, k, gauge.z)
     comp = field.component_shape
     ones = (1,) * len(comp)
     amp_plus = np.asarray(amp_plus, dtype=complex)
@@ -139,21 +151,19 @@ def to_canonical(
     w = (np.reshape(field.gauge_factors(gauge.z), (-1,) + ones)
          * np.stack(field.families(amp_plus, amp_minus), axis=row))
     q = np.reshape(field.q_signs, (-1,) + ones) * 2.0 * eps * np.imag(w)
-    k_col = lower_index(k).reshape((4,) + ones)
-    pi = 2.0 * eps * k_col * np.expand_dims(np.real(w), row)
+    pi = 2.0 * np.expand_dims(eps, row) * k_mu * np.expand_dims(w.real, row)
     return CanonicalMode(field=field, k=k, rows=np.concatenate(
         [np.expand_dims(q, row), pi], axis=row))
 
 
-def _check_collinear(mode: CanonicalMode, k: np.ndarray, tol: float) -> None:
-    """Each branch's pi rows against k pi_0 / k0, scaled by that branch's
-    1 + max |pi|; non-finite rows fail too."""
+def _check_collinear(mode: CanonicalMode, k0, k_mu, tol: float) -> None:
+    """Each (mode, branch)'s pi rows against k pi_0 / k0, scaled by its
+    own 1 + max |pi|; non-finite rows fail too."""
     comp = len(mode.field.component_shape)
     pi = mode.pi
-    k_col = lower_index(k).reshape((4,) + (1,) * comp)
-    model = k_col * np.take(pi, [0], axis=-1 - comp) / k[0]
-    # every axis but the branch axis
-    axes = tuple(np.delete(np.arange(pi.ndim), pi.ndim - 2 - comp))
+    model = k_mu * np.take(pi, [0], axis=-1 - comp) / np.expand_dims(
+        k0, -1 - comp)
+    axes = tuple(range(-1 - comp, 0))  # mu and the components
     defect = np.max(np.abs(pi - model), axis=axes)
     if not (np.all(defect <= tol * (1.0 + np.max(np.abs(pi), axis=axes)))
             and np.all(np.isfinite(mode.rows))):
@@ -163,14 +173,13 @@ def _check_collinear(mode: CanonicalMode, k: np.ndarray, tol: float) -> None:
         )
 
 
-def _w_values(field: FieldSpec, k: np.ndarray, mode: CanonicalMode,
-              gauge: CanonicalGauge) -> np.ndarray:
+def _w_values(field: FieldSpec, mode: CanonicalMode, eps: np.ndarray,
+              k0: np.ndarray) -> np.ndarray:
     """Complex w, (..., branches, *comp), via the pi_0 extension (exact
-    on-shell)."""
-    eps = field.epsilon(k[0], gauge.z)
+    on-shell); eps and k0 as _mode_scales shapes them."""
     comp = field.component_shape
     q_signs = np.reshape(field.q_signs, (-1,) + (1,) * len(comp))
-    return (np.take(mode.rows, 1, axis=-1 - len(comp)) / (2.0 * eps * k[0])
+    return (np.take(mode.rows, 1, axis=-1 - len(comp)) / (2.0 * eps * k0)
             + 1j * (q_signs * mode.q / (2.0 * eps)))
 
 
@@ -185,12 +194,12 @@ def from_canonical(
 
     Raises CanonicalStructureError when any pi row fails to be
     proportional to k, which no on-shell mode can produce, or when a row
-    is not finite.
+    is not finite; the bound scales with each mode's own pi.
     """
-    k = np.asarray(k, dtype=float)
-    _check_collinear(mode, k, tol)
+    eps, k0, k_mu = _mode_scales(field, np.asarray(k, dtype=float), gauge.z)
+    _check_collinear(mode, k0, k_mu, tol)
     comp = field.component_shape
-    amps = _w_values(field, k, mode, gauge) / np.reshape(
+    amps = _w_values(field, mode, eps, k0) / np.reshape(
         field.gauge_factors(gauge.z), (-1,) + (1,) * len(comp))
     return family_pair(np.moveaxis(amps, -1 - len(comp), 0))
 
@@ -202,7 +211,6 @@ def mode_hamiltonian(
     amp_minus: np.ndarray | None,
     x0: float,
     worldlines: list[Worldline] | None = None,
-    include_conjugate: bool = False,
 ) -> float:
     """Momentum-space Hamiltonian J of one mode, amplitude form.
 
@@ -210,17 +218,10 @@ def mode_hamiltonian(
     wave phases carry no content here: J is evaluated on-shell, where
     interaction phases collapse to exp(-i k.u(tau*))).  The value is
     manifestly independent of the canonical gauge.
-
-    include_conjugate adds the conjugate-amplitude companion of the
-    spinor Hamiltonian; it mirrors the same dynamics and is only useful
-    as a reported diagnostic.
     """
     k = np.asarray(k, dtype=float)
     amp_plus = np.asarray(amp_plus, dtype=complex)
     k0 = k[0]
-    if include_conjugate and field.kind != "spinor":
-        raise ValueError("the conjugate companion exists for the spinor "
-                         "species only")
     sources = source_terms(field, worldlines, x0)
 
     if field.kind == "em":
@@ -240,11 +241,9 @@ def mode_hamiltonian(
     amp_minus = np.asarray(amp_minus, dtype=complex)
     if field.kind == "spinor":
         signs = field.pairing_signs()
-        free = (field.a2 * field.kappa / (2.0 * k0)) * float(np.real(
+        value = (field.a2 * field.kappa / (2.0 * k0)) * float(np.real(
             np.sum(signs * (np.conj(amp_plus) * amp_plus
                             + np.conj(amp_minus) * amp_minus))))
-        # the conjugate companion carries the same free part
-        value = 2.0 * free if include_conjugate else free
         if sources:
             m_plus = field.kappa * np.eye(4) + slash(k)
             m_minus = field.kappa * np.eye(4) - slash(k)
@@ -253,9 +252,6 @@ def mode_hamiltonian(
                 phase = np.exp(-1j * minkowski_dot(k, u))
                 term = xibar @ (m_plus @ amp_plus) * phase
                 term += xibar @ (m_minus @ amp_minus) * np.conj(phase)
-                if include_conjugate:
-                    term += xibar @ (m_plus @ np.conj(amp_plus)) * np.conj(phase)
-                    term += xibar @ (m_minus @ np.conj(amp_minus)) * phase
                 value += float(np.real(term)) / (field.kappa * udot[0])
         return value
 
@@ -273,8 +269,8 @@ def mode_hamiltonian(
 def _coupling_rows(field: FieldSpec, k: np.ndarray, x: np.ndarray,
                    worldlines: list[Worldline] | None,
                    gauge: CanonicalGauge) -> np.ndarray | None:
-    """Interaction rows A, (branches, *comp): J_int = Re sum_c A_b,c w_b,c
-    at x.
+    """Interaction rows A, (..., branches, *comp): J_int = Re sum_c A_b,c
+    w_b,c at x, one per wave vector of k (..., 4).
 
     None when no source is active on the slice x0 = x[0].  The gauge
     factor is 1 / g_plus (field.gauge_factors); the minus row carries
@@ -285,6 +281,7 @@ def _coupling_rows(field: FieldSpec, k: np.ndarray, x: np.ndarray,
         return None
     sigma = field.pairing_signs()
     zeta = 1.0 / field.gauge_factors(gauge.z)[0]
+    ones = (1,) * len(field.component_shape)
     rows = [0.0 for _ in field.branches]
     for w, u, udot, current in sources:
         if field.kind == "spinor":
@@ -294,10 +291,12 @@ def _coupling_rows(field: FieldSpec, k: np.ndarray, x: np.ndarray,
             row = sigma * current * (field.coupling_strength * w.coupling
                                      / udot[0])
         phase = zeta * np.exp(1j * minkowski_dot(k, x - u))
+        phase = np.reshape(phase, phase.shape + ones)
         rows = [r + row * ph for r, ph in zip(rows, with_conjugate(phase))]
     if field.kind == "spinor":
-        rows = [r @ op for r, op in zip(rows, field.shell_operators(k))]
-    return np.array(rows)
+        rows = [(r[..., None, :] @ op)[..., 0, :]  # r @ op per mode
+                for r, op in zip(rows, field.shell_operators(k))]
+    return np.stack(rows, axis=-1 - len(ones))
 
 
 def mode_hamiltonian_canonical(
@@ -307,18 +306,18 @@ def mode_hamiltonian_canonical(
     x: np.ndarray,
     worldlines: list[Worldline] | None = None,
     gauge: CanonicalGauge = DEFAULT_GAUGE,
-) -> float:
-    """J evaluated through the canonical variables at the point x.
+) -> float | np.ndarray:
+    """J evaluated through the canonical variables at the point x, one
+    value per stacked mode.
 
     The slice is x0 = x[0].  On canonical data built from amplitudes at
     the same x this reproduces mode_hamiltonian for any x and any gauge:
     the explicit x dependence of the variables and of the interaction
     phases cancels in the value.
     """
-    k = np.asarray(k, dtype=float)
-    x = np.asarray(x, dtype=float)
+    k, x = np.asarray(k, dtype=float), np.asarray(x, dtype=float)
     coupling = _coupling_rows(field, k, x, worldlines, gauge)
-    return float(_canonical_value(field, k, mode, coupling, gauge))
+    return _canonical_value(field, k, mode, coupling, gauge)
 
 
 def _canonical_value(field, k, mode, coupling, gauge):
@@ -339,7 +338,8 @@ def _canonical_value(field, k, mode, coupling, gauge):
     value = field.free_sign * np.sum(free, axis=-1)
     if coupling is None:
         return value
-    terms = np.real(np.sum(coupling * _w_values(field, k, mode, gauge),
+    eps, k0, _ = _mode_scales(field, k, gauge.z)
+    terms = np.real(np.sum(coupling * _w_values(field, mode, eps, k0),
                            axis=comp_axes))
     for term in np.moveaxis(terms, -1, 0):
         value = value + term
@@ -364,19 +364,18 @@ def mode_hamiltonian_gradients(
     row and to the q gradient, both read off the coupling rows A_b (see
     the module docstring).
     """
-    k = np.asarray(k, dtype=float)
-    x = np.asarray(x, dtype=float)
+    k, x = np.asarray(k, dtype=float), np.asarray(x, dtype=float)
     ones = (1,) * len(field.component_shape)
     free = field.free_sign * np.concatenate([[field.kappa**2], np.ones(4)])
     grads = free.reshape((5,) + ones) * mode.rows
     coupling = _coupling_rows(field, k, x, worldlines, gauge)
     if coupling is not None:
         sigma = field.pairing_signs()
-        eps = field.epsilon(k[0], gauge.z)
+        eps, k0, _ = _mode_scales(field, k, gauge.z)
         by_row = np.moveaxis(grads, -1 - len(ones), 0)  # a view of grads
         by_row[0] -= (np.reshape(field.q_signs, (-1,) + ones) * sigma
                       * np.imag(coupling) / (2.0 * eps))
-        by_row[1] += sigma * np.real(coupling) / (2.0 * eps * k[0])
+        by_row[1] += sigma * np.real(coupling) / (2.0 * eps * k0)
     return CanonicalMode(field=field, k=k, rows=grads)
 
 
@@ -396,25 +395,29 @@ def gradient_consistency(
     minkowski.five_point differences in every stored phase-space
     component, on coupling rows built once (no probe moves a source);
     exact for the quadratic-plus-linear J up to roundoff.  J is
-    evaluated once, on the probes of every entry of the rows stacked.
-    Lowered finite-difference gradients are raised with row_signs before
-    comparison.  Returns the max defect scaled by 1 + max |gradient|.
+    evaluated once, on the probes of every entry of the rows stacked;
+    a probe moves that entry in every stacked mode at once, since each
+    mode's J sees its own rows only.  Lowered finite-difference
+    gradients are raised with row_signs before comparison.  Each mode's
+    defect is scaled by its own 1 + max |gradient|; returns the largest.
     """
     k, x = np.asarray(k, dtype=float), np.asarray(x, dtype=float)
     analytic = mode_hamiltonian_gradients(field, k, mode, x, worldlines,
                                           gauge).rows
     coupling = _coupling_rows(field, k, x, worldlines, gauge)
-    n = mode.rows.size
-    # probes[i, o]: the rows with entry i moved by offset o
+    signs = row_signs(field)
+    entries = tuple(range(-1 - signs.ndim, 0))  # one mode's axes
+    n = len(field.branches) * signs.size
+    # probes[i, o]: the rows with entry i of every mode moved by offset o
     probes = np.broadcast_to(mode.rows, (n, 4) + mode.rows.shape).copy()
-    probes.reshape(n, 4, n)[np.arange(n), :, np.arange(n)] += (
-        FIVE_POINT_OFFSETS * _GRADIENT_STEP)
+    probes.reshape(n, 4, -1, n)[np.arange(n), :, :, np.arange(n)] += (
+        FIVE_POINT_OFFSETS[:, None] * _GRADIENT_STEP)
     values = _canonical_value(field, k, replace(mode, rows=probes),
                               coupling, gauge)
-    fd = [five_point(v, _GRADIENT_STEP) for v in values]
-    signs = np.broadcast_to(row_signs(field), analytic.shape).ravel()
-    return float(np.max(np.abs(fd * signs - analytic.ravel())
-                        / (1.0 + np.max(np.abs(analytic)))))
+    fd = np.moveaxis([five_point(v, _GRADIENT_STEP) for v in values], 0, -1)
+    return float(np.max(np.abs(fd.reshape(analytic.shape) * signs - analytic)
+                        / (1.0 + np.max(np.abs(analytic), axis=entries,
+                                        keepdims=True))))
 
 
 def canonical_at_point(
@@ -429,7 +432,8 @@ def canonical_at_point(
 
     Restores the plane wave phases T~_pm = C_pm exp(mp i k.x) before the
     canonical split; em uses the single family with exp(-i k.x) and
-    ignores coeff_minus.  Points (..., 4) and coefficients may be stacked.
+    ignores coeff_minus.  Wave vectors, points (..., 4) and coefficients
+    may be stacked; their leading axes broadcast.
     """
     k = np.asarray(k, dtype=float)
     x = np.asarray(x, dtype=float)

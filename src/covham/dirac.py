@@ -39,11 +39,6 @@ GAMMA.setflags(write=False)
 ADJOINT_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 
 
-def gamma_matrices() -> np.ndarray:
-    """The four gamma^mu, shape (4, 4, 4), index order (mu, row, col)."""
-    return GAMMA
-
-
 def slash(k) -> np.ndarray:
     """k_mu gamma^mu for contravariant k.
 
@@ -122,16 +117,20 @@ def clifford_defect() -> float:
 
 
 def projector_defects(k, kappa: float) -> dict[str, float]:
-    """Idempotence, complementarity, and trace defects of P_pm at one k."""
+    """Idempotence, complementarity, and trace defects of P_pm, each the
+    worst over k (4,) or stacked (..., 4)."""
     p_plus = shell_projector(k, kappa, +1)
     p_minus = shell_projector(k, kappa, -1)
-    shell = abs(minkowski_dot(k, k) - kappa**2)
+
+    def worst(defect):
+        return float(np.max(np.abs(defect)))
+
     return {
-        "idempotent_plus": float(np.max(np.abs(p_plus @ p_plus - p_plus))),
-        "idempotent_minus": float(np.max(np.abs(p_minus @ p_minus - p_minus))),
-        "complementary": float(np.max(np.abs(p_plus @ p_minus))),
-        "sum_identity": float(np.max(np.abs(p_plus + p_minus - np.eye(4)))),
-        "trace_plus": float(abs(np.trace(p_plus) - 2.0)),
-        "trace_minus": float(abs(np.trace(p_minus) - 2.0)),
-        "shell": float(shell),
+        "idempotent_plus": worst(p_plus @ p_plus - p_plus),
+        "idempotent_minus": worst(p_minus @ p_minus - p_minus),
+        "complementary": worst(p_plus @ p_minus),
+        "sum_identity": worst(p_plus + p_minus - np.eye(4)),
+        "trace_plus": worst(np.trace(p_plus, axis1=-2, axis2=-1) - 2.0),
+        "trace_minus": worst(np.trace(p_minus, axis1=-2, axis2=-1) - 2.0),
+        "shell": worst(minkowski_dot(k, k) - kappa**2),
     }

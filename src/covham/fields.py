@@ -173,13 +173,13 @@ class FieldSpec:
             return (np.conj(z / abs(z)),)
         return (z, np.conj(z))
 
-    def epsilon(self, k0: float, z: complex) -> float:
-        """Canonical normalization eps(k0) for the gauge constant z."""
+    def epsilon(self, k0, z: complex):
+        """Canonical normalization eps(k0) per entry of k0, gauge z."""
         if self.is_real:
-            return float(np.sqrt(-self.a2 / k0))
+            return np.sqrt(-self.a2 / k0)
         if self.kind == "spinor":
-            return float(np.sqrt(self.a2 / (4.0 * k0 * self.kappa))) / abs(z)
-        return float(np.sqrt(self.a2 / (2.0 * k0))) / abs(z)
+            return np.sqrt(self.a2 / (4.0 * k0 * self.kappa)) / abs(z)
+        return np.sqrt(self.a2 / (2.0 * k0)) / abs(z)
 
     @property
     def rate_norms(self) -> tuple:

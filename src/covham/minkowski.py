@@ -33,14 +33,6 @@ def five_point(samples, h: float):
                         samples, axes=1)
 
 
-def four_vector(t: float, spatial) -> np.ndarray:
-    """Assemble a contravariant four-vector from time and spatial parts."""
-    v = np.empty(4)
-    v[0] = t
-    v[1:] = np.asarray(spatial, dtype=float)
-    return v
-
-
 def minkowski_dot(a, b):
     """Lorentz-invariant product a.b = a^0 b^0 - a_spatial . b_spatial.
 

@@ -25,9 +25,13 @@ from .minkowski import mass_shell_energy
 
 DEFAULT_MODE_BUDGET = 2_000_000
 # most time steps a scenario may ask for, directly or through a window
-# the simulate and hamilton suites refine to k0 h <= 0.03; each step of
-# the simulate suite's history holds every mode's coefficients
+# refined to STENCIL_K0H; each step of the simulate suite's history holds
+# every mode's coefficients
 STEP_BUDGET = 20_000
+# largest k0 h of the simulate suite's mode-equation stencil, the finest
+# refinement a suite asks of the scenario window (the hamilton suite
+# refines its probed modes to 0.06)
+STENCIL_K0H = 0.03
 
 
 @dataclass(frozen=True)

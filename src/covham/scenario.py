@@ -23,7 +23,8 @@ from .canonical import CanonicalGauge
 from .dirac import DiracCoupling
 from .errors import ScenarioError
 from .fields import FieldSpec, em_field, scalar_field, spinor_field, tensor_field
-from .modes import DEFAULT_MODE_BUDGET, STEP_BUDGET, ModeGrid, build_mode_grid
+from .modes import (DEFAULT_MODE_BUDGET, STENCIL_K0H, STEP_BUDGET, ModeGrid,
+                    build_mode_grid)
 from .worldlines import Worldline
 
 FORMATS = ("json", "csv", "both")
@@ -303,10 +304,10 @@ def scenario_from_dict(data: dict, sha256: str = "") -> Scenario:
              f"{steps} steps exceed the budget of {STEP_BUDGET}")
     # no suite grid reaches past the corner shell energy of [-kmax, kmax]^3
     refined = (x0_end - x0_start) * math.hypot(math.sqrt(3.0) * kmax,
-                                               spec.kappa) / 0.03
+                                               spec.kappa) / STENCIL_K0H
     _require(refined <= STEP_BUDGET, "time",
-             f"the window needs {refined:.4g} refined steps (k0 h <= 0.03), "
-             f"above the budget of {STEP_BUDGET}")
+             f"the window needs {refined:.4g} refined steps (k0 h <= "
+             f"{STENCIL_K0H}), above the budget of {STEP_BUDGET}")
 
     gauge_blk = _section(data, "gauge", {"z_re", "z_im"})
     z = complex(_number(gauge_blk, "gauge", "z_re", 2**-0.5),

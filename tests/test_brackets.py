@@ -29,6 +29,7 @@ from covham.brackets import (
 from covham.canonical import (
     mode_hamiltonian_canonical,
     mode_hamiltonian_gradients,
+    row_signs,
 )
 from covham.errors import GridDomainError, ModeBudgetError
 from covham.fields import em_field, scalar_field, spinor_field, tensor_field
@@ -384,18 +385,18 @@ class TestConservationIdentity:
 
 
 class TestStateView:
-    def test_index_view_matches_coordinates_and_unpack(self):
+    def test_index_view_matches_coordinates_and_modes(self):
         for cfg in (scalar_cfg(), vector_cfg(), em_cfg()):
             lay = cfg.layout
             assert lay.index.shape == lay.shape == (
                 len(cfg.grid), len(lay.branches), 5, lay.comp_size)
             assert not lay.index.flags.writeable
             state = np.random.default_rng(67).normal(size=lay.size)
+            modes = lay.modes(state)
             for i in range(len(cfg.grid)):
-                mode = lay.unpack_mode(state, i)
                 for b, name in enumerate(lay.branches):
-                    q = mode.q[b].reshape(-1)
-                    pi = mode.pi[b].reshape(4, -1)
+                    q = modes.q[i, b].reshape(-1)
+                    pi = modes.pi[i, b].reshape(4, -1)
                     for c in range(lay.comp_size):
                         at = lay.index[i, b, :, c]
                         assert at[0] == lay.q_index(i, name, c)
@@ -407,8 +408,9 @@ class TestStateView:
     @pytest.mark.parametrize("make_cfg", [scalar_cfg, vector_cfg, em_cfg],
                              ids=["scalar", "vector", "em"])
     def test_pack_gradient_matches_central_differences(self, make_cfg):
-        # sum_k J_k is quadratic plus linear in the stored variables, so
-        # central differences are exact up to round-off
+        # the gradient by the stored variables: one stacked call on the
+        # grid's modes times row_signs.  sum_k J_k is quadratic plus
+        # linear in them, so central differences are exact up to round-off
         cfg = make_cfg()
         lay = cfg.layout
         source = [static_worldline([0.2, -0.1, 0.3], coupling=0.8)]
@@ -416,13 +418,12 @@ class TestStateView:
         state = np.random.default_rng(71).normal(size=lay.size)
 
         def total_j(s):
-            return sum(mode_hamiltonian_canonical(
-                cfg.field, cfg.grid.k[i], lay.unpack_mode(s, i), x, source)
-                for i in range(len(cfg.grid)))
+            return np.sum(mode_hamiltonian_canonical(
+                cfg.field, cfg.grid.k, lay.modes(s), x, source))
 
-        got = lay.pack_gradient([mode_hamiltonian_gradients(
-            cfg.field, cfg.grid.k[i], lay.unpack_mode(state, i), x, source)
-            for i in range(len(cfg.grid))])
+        got = (mode_hamiltonian_gradients(
+            cfg.field, cfg.grid.k, lay.modes(state), x, source).rows
+            * row_signs(cfg.field)).ravel()
         h = 1e-4
         fd = np.array([(total_j(state + h * e) - total_j(state - h * e))
                        / (2.0 * h) for e in np.eye(lay.size)])
@@ -430,14 +431,17 @@ class TestStateView:
 
 
 class TestLayoutAndGuards:
-    def test_pack_unpack_roundtrip(self):
+    def test_modes_view_the_state(self):
         for cfg in (scalar_cfg(), vector_cfg(), em_cfg()):
             lay = cfg.layout
             rng = np.random.default_rng(59)
             state = rng.normal(size=lay.size)
-            modes = [lay.unpack_mode(state, i)
-                     for i in range(len(cfg.grid))]
-            assert np.array_equal(lay.pack(modes), state)
+            modes = lay.modes(state)
+            assert modes.rows.shape == lay.shape[:3] + (
+                cfg.field.component_shape)
+            assert np.shares_memory(modes.rows, state)
+            assert np.array_equal(modes.rows.ravel(), state)
+            assert modes.k is cfg.grid.k
 
     @pytest.mark.parametrize("v", [[1.0, 0.0, 0.0, 0.0],
                                    [0.7, -0.3, 0.0, 1.9]],

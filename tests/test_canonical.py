@@ -32,7 +32,8 @@ from covham.canonical import (
 from covham.dirac import DiracCoupling
 from covham.dynamics import evolve_amplitudes, source_rate
 from covham.errors import CanonicalStructureError
-from covham.fields import em_field, scalar_field, spinor_field, tensor_field
+from covham.fields import (em_field, family_pair, scalar_field, spinor_field,
+                           tensor_field)
 from covham.minkowski import METRIC_DIAG, on_shell_k
 from covham.modes import build_mode_grid
 from covham.verify import _random_amps as random_amps
@@ -182,19 +183,6 @@ class TestModeHamiltonian:
         assert k[0] == pytest.approx(2.0, rel=1e-15)
         value = mode_hamiltonian(SCALAR, k, 1.0 + 0.0j, 0.0j, x0=0.7)
         assert value == pytest.approx(0.5, rel=1e-14)
-
-    def test_conjugate_companion_doubles_free_part(self):
-        rng = np.random.default_rng(7)
-        k = species_k(SPINOR)
-        a_plus, a_minus = random_amps(SPINOR, rng)
-        j1 = mode_hamiltonian(SPINOR, k, a_plus, a_minus, x0=1.0)
-        j2 = mode_hamiltonian(SPINOR, k, a_plus, a_minus, x0=1.0,
-                              include_conjugate=True)
-        assert j2 == pytest.approx(2.0 * j1, rel=1e-13)
-        # second-order species carry no conjugate companion
-        with pytest.raises(ValueError, match="spinor"):
-            mode_hamiltonian(SCALAR, k, 1.0 + 0j, 0.5j, x0=1.0,
-                             include_conjugate=True)
 
     def test_em_free_value_is_exactly_zero(self):
         rng = np.random.default_rng(9)
@@ -391,6 +379,101 @@ class TestStacking:
         hamilton_residual(field, k, constant_amplitudes(c_plus, c_minus), x)
         # the mode at x, then the 16 shifted points in one call
         assert calls["to_canonical"] == 2
+
+
+def stacked_draw(field, rng, n=4):
+    """n on-shell wave vectors (n, 4) and their amplitudes, stacked per
+    family (minus None for em)."""
+    k = on_shell_k(rng.uniform(-1.5, 1.5, size=(n, 3)), field.kappa)
+    drawn = [field.families(*random_amps(field, rng)) for _ in range(n)]
+    return (k, *family_pair(np.stack(f) for f in zip(*drawn)))
+
+
+def mode_of(amps, i):
+    return None if amps is None else amps[i]
+
+
+class TestStackedModes:
+    """Stacked wave vectors against the per-mode loop, and per-mode
+    scaling of the checks."""
+
+    @FIVE_SPECIES
+    def test_split_matches_per_mode_calls(self, field):
+        k, ap, am = stacked_draw(field, np.random.default_rng(41))
+        mode = to_canonical(field, k, ap, am)
+        back = field.families(*from_canonical(field, k, mode))
+        for i in range(len(k)):
+            single = to_canonical(field, k[i], ap[i], mode_of(am, i))
+            assert np.array_equal(mode.rows[i], single.rows)
+            want = field.families(*from_canonical(field, k[i], single))
+            for got, one in zip(back, want):
+                assert np.array_equal(got[i], one)
+
+    @FIVE_SPECIES
+    def test_hamiltonian_and_gradients_match_per_mode_calls(self, field):
+        k, ap, am = stacked_draw(field, np.random.default_rng(43))
+        x = np.array([1.2, 0.3, -0.4, 0.2])
+        sources = make_sources(field)
+        mode = canonical_at_point(field, k, ap, am, x)
+        j = mode_hamiltonian_canonical(field, k, mode, x, sources)
+        grads = mode_hamiltonian_gradients(field, k, mode, x, sources).rows
+        assert j.shape == (len(k),)
+        defects = []
+        for i in range(len(k)):
+            single = canonical_at_point(field, k[i], ap[i], mode_of(am, i), x)
+            assert j[i] == pytest.approx(mode_hamiltonian_canonical(
+                field, k[i], single, x, sources), rel=1e-13, abs=1e-13)
+            want = mode_hamiltonian_gradients(field, k[i], single, x,
+                                              sources).rows
+            assert np.max(np.abs(grads[i] - want)) <= 1e-13 * np.max(
+                np.abs(want))
+            defects.append(gradient_consistency(field, k[i], single, x,
+                                                sources))
+        # each defect is already relative to its mode's gradient scale
+        assert abs(gradient_consistency(field, k, mode, x, sources)
+                   - max(defects)) <= 1e-13
+
+    def test_large_mode_does_not_hide_a_bent_small_mode(self):
+        # a bend of 1e-6 is far above tol (1 + |pi|) for the small mode;
+        # scaled by the 1e6-sized neighbour it would pass
+        k = on_shell_k([[0.5, -0.3, 0.8], [0.2, 0.1, -0.4]], SCALAR.kappa)
+        mode = to_canonical(SCALAR, k, np.array([1e6, 0.3 - 0.2j]),
+                            np.array([1e6j, 0.1 + 0.4j]))
+        for i, raises in ((0, False), (1, True)):
+            rows = mode.rows.copy()
+            rows[i, 0, 2] += 1e-6  # pi_1 of mode i's plus branch
+            bent = replace(mode, rows=rows)
+            if raises:
+                with pytest.raises(CanonicalStructureError,
+                                   match="collinear"):
+                    from_canonical(SCALAR, k, bent)
+            else:
+                from_canonical(SCALAR, k, bent)
+
+    def test_gradient_defect_is_scaled_per_mode(self, monkeypatch):
+        # an offset of 1e-6 on every analytic gradient reads 1e-6 / (1 +
+        # max |gradient|) per mode, so the small mode sets the worst
+        # value; scaled by its 1e3-sized neighbour it would shrink
+        original = canonical.mode_hamiltonian_gradients
+
+        def offset(*args, **kwargs):
+            grads = original(*args, **kwargs)
+            return replace(grads, rows=grads.rows + 1e-6)
+
+        monkeypatch.setattr(canonical, "mode_hamiltonian_gradients", offset)
+        rng = np.random.default_rng(47)
+        big, small = random_amps(VECTOR, rng), random_amps(VECTOR, rng)
+        ap, am = (np.stack([1e3 * b, s]) for b, s in zip(big, small))
+        k = on_shell_k([[0.5, -0.3, 0.8], [0.2, 0.1, -0.4]], VECTOR.kappa)
+        x = np.array([1.2, 0.3, -0.4, 0.2])
+        sources = make_sources(VECTOR)
+        defects = [gradient_consistency(
+            VECTOR, k[i], canonical_at_point(VECTOR, k[i], ap[i], am[i], x),
+            x, sources) for i in range(2)]
+        assert defects[1] > 10.0 * defects[0]
+        stacked = gradient_consistency(
+            VECTOR, k, canonical_at_point(VECTOR, k, ap, am, x), x, sources)
+        assert stacked == pytest.approx(defects[1], rel=1e-6)
 
 
 class TestHamiltonResidual:

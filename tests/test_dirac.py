@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covham.dirac import (
+    GAMMA,
     DiracCoupling,
     clifford_defect,
     dirac_adjoint,
-    gamma_matrices,
     interaction_spinor,
     projector_defects,
     shell_projector,
@@ -33,7 +33,7 @@ def test_clifford_algebra_exact():
 
 
 def test_gamma0_hermitian_gammai_antihermitian():
-    g = gamma_matrices()
+    g = GAMMA
     assert np.max(np.abs(g[0] - g[0].conj().T)) == 0.0
     for i in (1, 2, 3):
         assert np.max(np.abs(g[i] + g[i].conj().T)) == 0.0
