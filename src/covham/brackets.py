@@ -295,25 +295,24 @@ def canonical_pair_bracket(mu: int, nu: int, k_spatial, kprime_spatial,
     return float(vv) * METRIC_DIAG[mu] / float(cfg.grid.weight[i])
 
 
-def dw_conservation_check(cfg: BracketConfig, state: np.ndarray,
-                          x0: float = 0.0) -> float:
+def dw_conservation_check(cfg: BracketConfig, state: np.ndarray) -> float:
     """Integrand of the constant-of-motion identity, per mu component.
 
-    Takes the gradients of J by the stored variables in one call on
-    StateLayout.modes, then accumulates sum_k w_k sum_{b,c} (dJ/dq_c)
-    (dJ/dpi_{mu c}) over the state view twice, once in each factor
-    order, returning the largest difference across mu.  The record is structural: each summand is the
-    same product in both orders, so the return is exactly 0.0 unless the
-    gradient path breaks.  A check that the bracket generates the
-    dynamics is ROADMAP item 1.
+    Takes the gradients of J by the stored variables at x = 0 in one
+    call on StateLayout.modes, then accumulates sum_k w_k sum_{b,c}
+    (dJ/dq_c) (dJ/dpi_{mu c}) over the state view twice, once in each
+    factor order, returning the largest difference across mu.  The
+    record is structural: each summand is the same product in both
+    orders, so the return is exactly 0.0 unless the gradient path
+    breaks.  A check that the bracket generates the dynamics is ROADMAP
+    item 1.
     """
     lay = cfg.layout
     state = np.asarray(state, dtype=float)
     if state.shape != (lay.size,):
         raise ValueError("state does not match the layout")
-    x = np.array([x0, 0.0, 0.0, 0.0])
     grads = (mode_hamiltonian_gradients(cfg.field, cfg.grid.k,
-                                        lay.modes(state), x).rows
+                                        lay.modes(state), np.zeros(4)).rows
              * row_signs(cfg.field)).reshape(lay.shape)
     dq, dpi = grads[:, :, None, 0], grads[:, :, 1:]
     w = cfg.grid.weight[:, None, None, None]

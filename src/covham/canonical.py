@@ -79,6 +79,9 @@ class CanonicalGauge:
 
 DEFAULT_GAUGE = CanonicalGauge()
 
+# relative bound on pi's departure from k pi_0 / k0 in from_canonical
+COLLINEAR_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class CanonicalMode:
@@ -188,16 +191,16 @@ def from_canonical(
     k: np.ndarray,
     mode: CanonicalMode,
     gauge: CanonicalGauge = DEFAULT_GAUGE,
-    tol: float = 1e-10,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Amplitudes T~_pm back from canonical variables.
 
     Raises CanonicalStructureError when any pi row fails to be
     proportional to k, which no on-shell mode can produce, or when a row
-    is not finite; the bound scales with each mode's own pi.
+    is not finite; the bound, COLLINEAR_TOL, scales with each mode's own
+    pi.
     """
     eps, k0, k_mu = _mode_scales(field, np.asarray(k, dtype=float), gauge.z)
-    _check_collinear(mode, k0, k_mu, tol)
+    _check_collinear(mode, k0, k_mu, COLLINEAR_TOL)
     comp = field.component_shape
     amps = _w_values(field, mode, eps, k0) / np.reshape(
         field.gauge_factors(gauge.z), (-1,) + (1,) * len(comp))
@@ -521,8 +524,6 @@ def history_amplitudes(history, mode_index: int = 0):
         idx = int(round((t - x0[0]) / h))
         if idx < 0 or idx >= len(x0) or abs(x0[idx] - t) > 1e-9 * (1 + abs(t)):
             raise ValueError(f"slice {t} is not a recorded history sample")
-        return family_pair(c[idx, mode_index] for c in
-                           history.field.families(history.plus,
-                                                  history.minus))
+        return family_pair(history.coeffs[idx, :, mode_index])
 
     return amp_at

@@ -31,7 +31,10 @@ the currents with the plane-wave phases and the rate normalization; the
 generator J and its gradients in canonical.py read the same terms.
 
 The stored families, the rate normalizations and the spinor's
-kappa pm slash(k) come from the species table (fields.FieldSpec).
+kappa pm slash(k) come from the species table (fields.FieldSpec).  The
+families are an array axis: a slice's rates or coefficients are one
+(branches, N, *component_shape) array, AmplitudeHistory.coeffs stacks
+the slices in front, and the public (plus, minus) pairs are its views.
 
 The integrator is composite Simpson over uniform panels, globally fourth
 order.  Rates do not depend on the state and are linear in each source's
@@ -134,19 +137,16 @@ def source_rate(
     k = np.asarray(k, dtype=float)
     rates = _weighted_rate_sum(field, worldlines, np.atleast_2d(k), (x0,),
                                (1.0,))
-    if k.ndim == 1:
-        rates = [rate[0] for rate in rates]
-    return family_pair(rates)
+    return family_pair(rates[:, 0] if k.ndim == 1 else rates)
 
 
-def _weighted_rate_sum(field, worldlines, k, nodes, weights) -> list:
-    """sum_t weights[t] dC/dx0(nodes[t]) per branch for modes k (N, 4):
-    norm S (E or conj E) @ Cur over the (node, active source) rows, E
-    built _NODE_CHUNK nodes at a time (see the module docstring).  Arrays
-    (N, *component_shape), exact zeros when no source is ever active.
+def _weighted_rate_sum(field, worldlines, k, nodes, weights) -> np.ndarray:
+    """sum_t weights[t] dC/dx0(nodes[t]) for modes k (N, 4): norm S (E or
+    conj E) @ Cur over the (node, active source) rows, E built
+    _NODE_CHUNK nodes at a time (see the module docstring).  (branches,
+    N, *component_shape), exact zeros when no source is ever active.
     """
-    n_comp = field.n_components
-    twin = len(field.branches) == 2
+    n_comp, n_b = field.n_components, len(field.branches)
     # the first block's product starts the sum: filling a zero array
     # first would add an (N, columns) array to the peak memory
     total = None
@@ -158,21 +158,25 @@ def _weighted_rate_sum(field, worldlines, k, nodes, weights) -> list:
         if not rows:
             continue
         u, cur = map(np.array, zip(*rows))
-        if twin:  # conj(E) @ Cur = conj(E @ conj(Cur)): one product
+        if n_b == 2:  # conj(E) @ Cur = conj(E @ conj(Cur)): one product
             cur = np.concatenate([cur, np.conj(cur)], axis=1)
         # k.u with u lowered: no (N, 4) copy of k
         part = np.exp(1j * (k @ lower_index(u).T)) @ cur
         total = part if total is None else np.add(total, part, out=total)
+    shape = (n_b, len(k)) + field.component_shape
     if total is None:  # no source active on any node
-        total = np.zeros((len(k), n_comp * (1 + twin)), dtype=complex)
-    shape = (len(k),) + field.component_shape
-    sums = [total[:, :n_comp].reshape(shape)]
-    if twin:
-        sums.append(np.conj(total[:, n_comp:]).reshape(shape))
-    if field.kind == "spinor":
-        sums = [np.einsum("nab,nb->na", op, s)
-                for op, s in zip(field.shell_operators(k), sums)]
-    return [norm * s for norm, s in zip(field.rate_norms, sums)]
+        return np.zeros(shape, dtype=complex)
+    # each branch written in place: no stacked copy of the rates
+    out = np.empty((n_b, len(k), n_comp), dtype=complex)
+    ops = field.shell_operators(k) if field.kind == "spinor" else None
+    for b, norm in enumerate(field.rate_norms):
+        half = total[:, b * n_comp:(b + 1) * n_comp]
+        if b:
+            half = np.conj(half)
+        if ops is not None:
+            half = np.einsum("nab,nb->na", ops[b], half)
+        np.multiply(norm, half, out=out[b])
+    return out.reshape(shape)
 
 
 def straight_line_amplitudes(
@@ -188,7 +192,8 @@ def straight_line_amplitudes(
     is None for the em species.  Raises ValueError for a circular
     worldline, whose phase is not linear in x0.
     """
-    return _straight_line_mean(field, worldlines, grid, x0, 0.0, 1, x0)
+    return family_pair(_straight_line_mean(field, worldlines, grid, x0, 0.0,
+                                           1, x0))
 
 
 def _straight_line_mean(field, worldlines, grid, first, spacing, count,
@@ -207,15 +212,16 @@ def _straight_line_mean(field, worldlines, grid, first, spacing, count,
     From one slice to the next z turns by exp(i c spacing) and zw by
     that times exp(-i k0 spacing), so the sum takes no transcendental
     per slice.  Modes go _MODE_SLICE at a time, and each switch-on rate
-    is computed once.  One slice at t_ref gives C(t_ref).
+    is computed once.  One slice at t_ref gives D = C(t_ref), (branches,
+    N, *component_shape).
     """
     if any(w.kind not in ("static", "uniform") for w in worldlines):
         raise ValueError("closed-form amplitudes need static or uniform "
                          "worldlines")
     n = len(grid)
     expand = (n,) + (1,) * len(field.component_shape)
-    coeffs = [np.zeros((n,) + field.component_shape, dtype=complex)
-              for _ in field.branches]
+    coeffs = np.zeros((len(field.branches), n) + field.component_shape,
+                      dtype=complex)
     times = first + spacing * np.arange(count)
     for w in worldlines:
         start = w.switch_on_time()
@@ -240,22 +246,30 @@ def _straight_line_mean(field, worldlines, grid, first, spacing, count,
         rates = source_rate(field, [w], grid.k, start)
         for cf, rate, f in zip(coeffs, rates, with_conjugate(mean)):
             cf += rate * f.reshape(expand)
-    return family_pair(coeffs)
+    return coeffs
 
 
 @dataclass(frozen=True)
 class AmplitudeHistory:
     """Mode coefficients sampled along an evolution.
 
-    x0 has shape (S,), plus has shape (S, N, *component_shape); minus is
-    None for the em species.  With save="last" only the final slice is
-    kept (S = 1).
+    x0 has shape (S,) and coeffs (S, branches, N, *component_shape), the
+    branches plus then minus (the em species keeps plus only); plus and
+    minus are views of it, (S, N, *component_shape), minus None for em.
+    With save="last" only the final slice is kept (S = 1).
     """
 
     field: FieldSpec
     x0: np.ndarray
-    plus: np.ndarray
-    minus: np.ndarray | None
+    coeffs: np.ndarray
+
+    @property
+    def plus(self) -> np.ndarray:
+        return self.coeffs[:, 0]
+
+    @property
+    def minus(self) -> np.ndarray | None:
+        return None if self.field.is_real else self.coeffs[:, 1]
 
     @property
     def final_plus(self) -> np.ndarray:
@@ -302,13 +316,14 @@ def evolve_amplitudes(
         raise ValueError("x0_end must exceed x0_start")
     if save not in ("all", "last"):
         raise ValueError("save must be 'all' or 'last'")
-    shape = (len(grid),) + field.component_shape
-    coeffs = [np.zeros(shape, dtype=complex) for _ in field.branches]
-    for c, init in zip(coeffs, (init_plus, init_minus)):
-        if init is not None:
-            c[...] = init
-
+    n_b = len(field.branches)
     times = np.linspace(x0_start, x0_end, steps + 1)
+    out = np.zeros((1 if save == "last" else steps + 1, n_b, len(grid))
+                   + field.component_shape, dtype=complex)
+    for b, init in enumerate((init_plus, init_minus)[:n_b]):
+        if init is not None:
+            out[0, b] = init
+
     h = (x0_end - x0_start) / steps
     mids = times[:-1] + 0.5 * h
     if save == "last":
@@ -318,24 +333,16 @@ def evolve_amplitudes(
         weights = np.full(2 * steps + 1, 4.0 * h / 6.0)
         weights[0::2] = h / 3.0
         weights[[0, -1]] = h / 6.0
-        sums = _weighted_rate_sum(field, worldlines, grid.k, nodes, weights)
-        outs = [(c + total)[None, ...] for c, total in zip(coeffs, sums)]
+        out[0] += _weighted_rate_sum(field, worldlines, grid.k, nodes,
+                                     weights)
         times = times[-1:]
     else:
-        outs = [np.empty((steps + 1,) + shape, dtype=complex)
-                for _ in coeffs]
-        for out, c in zip(outs, coeffs):
-            out[0] = c
         panel = (h / 6.0, 4.0 * h / 6.0, h / 6.0)
         for i in range(steps):
-            sums = _weighted_rate_sum(field, worldlines, grid.k,
-                                      (times[i], mids[i], times[i + 1]),
-                                      panel)
-            for out, total in zip(outs, sums):
-                out[i + 1] = out[i] + total
-
-    plus, minus = family_pair(outs)
-    return AmplitudeHistory(field=field, x0=times, plus=plus, minus=minus)
+            out[i + 1] = out[i] + _weighted_rate_sum(
+                field, worldlines, grid.k, (times[i], mids[i], times[i + 1]),
+                panel)
+    return AmplitudeHistory(field=field, x0=times, coeffs=out)
 
 
 def reconstruct_field(
@@ -372,9 +379,9 @@ def mode_equation_residual(
     """Max normalized defect of the coefficient evolution equation.
 
     minkowski.five_point applied to the recorded history at interior
-    samples, compared against the analytic rate: max |dC_fd - rate| /
-    (1 + |rate|), over samples, modes, components, and branches.  A
-    stencil that straddles a switch-on a (x0[i-2] < a <= x0[i+2]) sees
+    samples, all branches in one call, compared against the analytic
+    rate: max |dC_fd - rate| / (1 + max |rate|) per branch, over
+    samples, modes, components and branches.  A stencil that straddles a switch-on a (x0[i-2] < a <= x0[i+2]) sees
     the kink in C there, not a dynamics error, and is skipped; a sample
     counts as before a when it is more than 1e-12 earlier, as in the
     simulate suite's causality mask.
@@ -385,15 +392,15 @@ def mode_equation_residual(
     h = history.spacing()
     ons = np.array([w.switch_on_time() for w in worldlines]) - 1e-12
     straddles = np.any((x0[:-4, None] < ons) & (ons <= x0[4:, None]), axis=1)
+    per_branch = tuple(range(1, history.coeffs.ndim - 1))  # modes, comps
     worst = 0.0
     for i in range(2, len(x0) - 2):
         if straddles[i - 2]:
             continue
-        rates = source_rate(field, worldlines, grid.k, x0[i])
-        for c, rate in zip(field.families(history.plus, history.minus),
-                           rates):
-            deriv = five_point(c[i + FIVE_POINT_OFFSETS], h)
-            scale = 1.0 + float(np.max(np.abs(rate)))
-            worst = np.maximum(worst,
-                               float(np.max(np.abs(deriv - rate))) / scale)
+        rates = np.array(field.families(*source_rate(field, worldlines,
+                                                     grid.k, x0[i])))
+        deriv = five_point(history.coeffs[i + FIVE_POINT_OFFSETS], h)
+        worst = np.maximum(worst, np.max(
+            np.max(np.abs(deriv - rates), axis=per_branch)
+            / (1.0 + np.max(np.abs(rates), axis=per_branch))))
     return float(worst)

@@ -32,6 +32,8 @@ STEP_BUDGET = 20_000
 # refinement a suite asks of the scenario window (the hamilton suite
 # refines its probed modes to 0.06)
 STENCIL_K0H = 0.03
+# largest spatial-component distance at which index_of matches a node
+NODE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -62,16 +64,16 @@ class ModeGrid:
     def k_spatial(self) -> np.ndarray:
         return self.k[:, 1:]
 
-    def index_of(self, k_spatial, tol: float = 1e-9) -> int:
+    def index_of(self, k_spatial) -> int:
         """Index of the grid mode with the given spatial wave vector.
 
         Used to resolve discrete delta factors in bracket evaluations.
-        Raises GridDomainError when no node matches within tol.
+        Raises GridDomainError when no node matches within NODE_TOL.
         """
         k_spatial = np.asarray(k_spatial, dtype=float)
         dist = np.max(np.abs(self.k_spatial - k_spatial), axis=1)
         i = int(np.argmin(dist))
-        if dist[i] > tol:
+        if dist[i] > NODE_TOL:
             raise GridDomainError(
                 f"wave vector {k_spatial.tolist()} is not a node of this "
                 f"grid (nearest is off by {dist[i]:.3e})"

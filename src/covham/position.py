@@ -21,7 +21,8 @@ canonical.py handles the sourced dynamics.
 
 polymomentum and dw_density take any leading point axes, so
 parseval_check evaluates every lattice point of every slice in one
-reconstruct_field call.
+reconstruct_field call.  plane_wave's sampler takes them too, so
+position_hamilton_residual samples all 16 stencil points in one call.
 """
 from __future__ import annotations
 
@@ -49,12 +50,9 @@ def polymomentum(field: FieldSpec, deriv: np.ndarray | None,
     if field.kind == "spinor":
         if value is None:
             raise ValueError("spinor polymomentum is built from the value")
-        value = np.asarray(value, dtype=complex)
-        out = np.empty(value.shape[:-1] + (4,) + comp, dtype=complex)
-        for mu in range(4):
-            out[..., mu, :] = -0.5j * field.a2 * METRIC_DIAG[mu] * (
-                value @ GAMMA[mu].T)
-        return out
+        return -0.5j * field.a2 * np.einsum(  # eta_mumu gamma^mu psi
+            "m,mab,...b->...ma", METRIC_DIAG, GAMMA,
+            np.asarray(value, dtype=complex))
     deriv = np.asarray(deriv)
     tail = (4,) + comp
     if deriv.shape[max(deriv.ndim - len(tail), 0):] != tail:
@@ -88,11 +86,8 @@ def dw_density(field: FieldSpec, value: np.ndarray, theta: np.ndarray,
         if chi is not None:
             chi = np.asarray(chi, dtype=complex)
             gap = theta - polymomentum(field, None, value)
-            cterm = 0.0 + 0.0j
-            for mu in range(4):
-                cterm = cterm + METRIC_DIAG[mu] * np.sum(
-                    dirac_adjoint(chi[..., mu, :]) * gap[..., mu, :],
-                    axis=-1)
+            cterm = np.einsum("m,...ma,...ma->...", METRIC_DIAG,
+                              dirac_adjoint(chi), gap)
             density = density + 2.0 * np.real(cterm)
     else:
         # eta^{mu mu} sigma_c raises every index of theta
@@ -110,7 +105,8 @@ def plane_wave(field: FieldSpec, k: np.ndarray, coeff_plus,
     Complex species: T = C+ exp(-i k.x) + C- exp(+i k.x); em (coeff_minus
     None) builds the real field C exp(-i k.x) + c.c.; spinor uses both
     families with the constraint momentum.  k need not be on shell,
-    which makes off-shell waves available as negative controls.
+    which makes off-shell waves available as negative controls.  Points
+    x (..., 4) may be stacked; value and theta gain their leading axes.
     """
     k = np.asarray(k, dtype=float)
     k_low = lower_index(k)
@@ -126,11 +122,12 @@ def plane_wave(field: FieldSpec, k: np.ndarray, coeff_plus,
 
     def sampler(x):
         phase = np.exp(-1j * minkowski_dot(k, np.asarray(x, dtype=float)))
+        phase = np.reshape(phase, phase.shape + comp_ones)
         pairs = list(zip(coeffs, with_conjugate(phase)))
         value = field.field_value(sum(c * ph for c, ph in pairs)) + 0.0j
         # d_mu exp(mp i k.x) = mp i k_mu exp(mp i k.x)
         deriv = field.field_value(sum(
-            sign * k_col * c * ph
+            sign * k_col * c * np.expand_dims(ph, -1 - len(comp))
             for sign, (c, ph) in zip((-1j, 1j), pairs))) + 0.0j
         theta = polymomentum(field, deriv, value)
         return value, theta
@@ -142,7 +139,9 @@ def position_hamilton_residual(field: FieldSpec, sampler, x: np.ndarray,
                                h: float = 1e-3) -> tuple[float, float]:
     """Defects of the position-space Hamilton equations at x.
 
-    sampler(x) -> (value, theta).  For the second-order species:
+    sampler(x) -> (value, theta) takes stacked points, as plane_wave's
+    does: one call at x, one on all 16 stencil points.  For the
+    second-order species:
 
         r1 = max |d_mu value - dH/dtheta^mu| / (1 + max |dH/dtheta|)
         r2 = max |d^mu theta_mu + dH/dvalue| / (|a2| (1 + max |value|))
@@ -154,23 +153,19 @@ def position_hamilton_residual(field: FieldSpec, sampler, x: np.ndarray,
     dynamics rather than merely measuring stencil noise.
     """
     x = np.asarray(x, dtype=float)
-    value0, theta0 = sampler(x)
-    value0 = np.asarray(value0, dtype=complex)
-    theta0 = np.asarray(theta0, dtype=complex)
-    # samples[mu][o]: (value, theta) at x shifted by o h along axis mu
-    samples = [[sampler(x + shift) for shift in row] for row in
-               h * FIVE_POINT_OFFSETS[:, None] * np.eye(4)[:, None]]
+    value0, theta0 = (np.asarray(v, dtype=complex) for v in sampler(x))
+    # points[o, mu]: x shifted by o h along axis mu
+    points = x + h * FIVE_POINT_OFFSETS[:, None, None] * np.eye(4)
     # d_mu value and d_mu theta_nu, mu leading
-    dvalue, dtheta = (np.stack([five_point(
-        [np.asarray(pair[slot], dtype=complex) for pair in row], h)
-        for row in samples]) for slot in (0, 1))
+    dvalue, dtheta = (five_point(np.asarray(v, dtype=complex), h)
+                      for v in sampler(points))
     div_theta = np.einsum("m,mm...->...", METRIC_DIAG, dtheta)
 
     scale_v = float(np.max(np.abs(value0)))
     if field.kind == "spinor":
         gap = theta0 - polymomentum(field, None, value0)
         r1 = float(np.max(np.abs(gap))) / (abs(field.a2) * (1.0 + scale_v))
-        slash_d = sum(GAMMA[mu] @ dvalue[mu] for mu in range(4))
+        slash_d = np.einsum("mab,mb->a", GAMMA, dvalue)
         defect = 1j * field.a2 * slash_d - field.b2 * value0
         r2 = float(np.max(np.abs(defect))) / (abs(field.a2)
                                               * (1.0 + scale_v))

@@ -20,7 +20,8 @@ from covham.fields import (
     tensor_field,
     with_conjugate,
 )
-from covham.minkowski import minkowski_dot, on_shell_k
+from covham.minkowski import (FIVE_POINT_OFFSETS, five_point,
+                              minkowski_dot, on_shell_k)
 from covham.modes import build_mode_grid
 from covham.verify import averaged_profile
 from covham.worldlines import (
@@ -334,6 +335,7 @@ class TestWeightedRateSum:
                                    (1.0,))
         for got, w in zip(field.families(*rates), want, strict=True):
             _assert_rel_close(got, w)
+            assert got.flags.c_contiguous
 
     def test_no_active_source_gives_exact_zeros(self):
         grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=1.0)
@@ -363,6 +365,23 @@ class TestEvolveNodeSum:
         for got, w, c in zip(field.families(hist.plus, hist.minus), want,
                              init, strict=True):
             _assert_rel_close(got - c, w - c)
+
+    @pytest.mark.parametrize("save", ["all", "last"])
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_families_are_views_of_one_array(self, name, save):
+        field = FIELDS[name]
+        grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=field.kappa)
+        hist = evolve_amplitudes(field, _orbit_sources("mid_panel"), grid,
+                                 *WINDOW, STEPS, save=save)
+        assert hist.coeffs.shape == ((len(hist.x0), len(field.branches),
+                                      len(grid)) + field.component_shape)
+        assert (hist.minus is None) == field.is_real
+        for b, view in enumerate(field.families(hist.plus, hist.minus)):
+            assert np.shares_memory(view, hist.coeffs)
+            assert np.array_equal(view, hist.coeffs[:, b])
+            # every slice, and so the whole of a save="last" history
+            assert all(c.flags.c_contiguous for c in view)
+            assert view.flags.c_contiguous or save == "all"
 
     def test_last_slice_reads_each_node_once(self, monkeypatch):
         calls = _count_calls(monkeypatch, ("source_terms", "source_rate"),
@@ -567,7 +586,7 @@ class TestRotatedMean:
         args = (field, sources, grid, *_uniform_samples(count), 5.0)
         got = dynamics._straight_line_mean(*args)
         want = _per_sample_mean(*args)
-        for g, w in zip(field.families(*got), field.families(*want)):
+        for g, w in zip(got, field.families(*want), strict=True):
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
 
     def test_mode_slices_cover_a_ragged_grid(self):
@@ -647,6 +666,33 @@ class TestReconstructAndResidual:
         hist = evolve_amplitudes(SCALAR, [w], grid, 0.0, 2.0, steps=40)
         hist.plus[20] += 0.1
         assert mode_equation_residual(SCALAR, [w], grid, hist) > 1e-3
+
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_mode_equation_residual_one_stencil_per_sample(self, name,
+                                                           monkeypatch):
+        field = FIELDS[name]
+        grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=field.kappa)
+        lines = _orbit_sources("none")
+        hist = evolve_amplitudes(field, lines, grid, *WINDOW, 20)
+        # the branch-by-branch form, each branch scaled by its own rates
+        want = 0.0
+        for i in range(2, len(hist.x0) - 2):
+            rates = field.families(*source_rate(field, lines, grid.k,
+                                                hist.x0[i]))
+            for c, rate in zip(field.families(hist.plus, hist.minus),
+                               rates, strict=True):
+                deriv = five_point(c[i + FIVE_POINT_OFFSETS],
+                                   hist.spacing())
+                want = max(want, np.max(np.abs(deriv - rate))
+                           / (1.0 + np.max(np.abs(rate))))
+        calls = []
+        original = dynamics.five_point
+        monkeypatch.setattr(dynamics, "five_point", lambda samples, h: (
+            calls.append(np.shape(samples)) or original(samples, h)))
+        got = mode_equation_residual(field, lines, grid, hist)
+        assert got == pytest.approx(want, rel=1e-12)
+        stacked = (4, len(field.branches), len(grid)) + field.component_shape
+        assert calls == [stacked] * (len(hist.x0) - 4)
 
     def test_mode_equation_residual_skips_switch_on_kinks(self):
         # stencils across t_start 0.7 and 0.9 read 0.2 unless skipped

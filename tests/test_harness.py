@@ -313,9 +313,7 @@ def _order_two_error(monkeypatch):
             return hist
         # a second-order error term on the fourth-order final slice
         factor = 1.0 + 1.0 / args[5] ** 2
-        return dataclasses.replace(hist, plus=factor * hist.plus, minus=None
-                                   if hist.minus is None
-                                   else factor * hist.minus)
+        return dataclasses.replace(hist, coeffs=factor * hist.coeffs)
 
     monkeypatch.setattr(verify, "evolve_amplitudes", evolve)
 
@@ -493,6 +491,8 @@ class TestVerificationSuites:
          {"simulate/segmented"}),
         ("single_source_rate_scaled", lambda: sourced_scalar_dict(True),
          {"simulate/superposition"}),
+        # the window opens at the switch-on: only the probe sees the fault
+        ("source_always_active", sourced_scalar_dict, {"simulate/causality"}),
     ])
     def test_simulate_records_flag_injected_faults(self, fault, data,
                                                    failing, monkeypatch):

@@ -154,6 +154,37 @@ class TestPositionHamilton:
         _, r2 = position_hamilton_residual(SPINOR, sampler, X)
         assert r2 > 0.1
 
+    @pytest.mark.parametrize("field", [SCALAR, VECTOR, EM, SPINOR],
+                             ids=["scalar", "vector", "em", "spinor"])
+    def test_stacked_sampler_matches_per_point_calls(self, field):
+        rng = np.random.default_rng(41)
+        comp = field.component_shape
+        k = on_shell_k(rng.normal(size=3), field.kappa)
+        cp, cm = (rng.normal(size=comp) + 1j * rng.normal(size=comp)
+                  for _ in range(2))
+        sampler = plane_wave(field, k, cp, None if field is EM else cm)
+        points = 3.0 * rng.normal(size=(2, 3, 4))
+        value, theta = sampler(points)
+        assert value.shape == (2, 3) + comp
+        assert theta.shape == (2, 3, 4) + comp
+        for idx in np.ndindex(2, 3):
+            one_value, one_theta = sampler(points[idx])
+            assert np.array_equal(value[idx], one_value)
+            assert np.array_equal(theta[idx], one_theta)
+
+    def test_residual_samples_the_stencil_in_one_call(self):
+        k = on_shell_k([0.3, -0.4, 0.5], 1.0)
+        wave = plane_wave(SCALAR, k, 0.7 - 0.2j, 0.1 + 0.4j)
+        shapes = []
+
+        def sampler(x):
+            shapes.append(np.shape(x))
+            return wave(x)
+
+        r1, r2 = position_hamilton_residual(SCALAR, sampler, X)
+        assert shapes == [(4,), (4, 4, 4)]  # x, then (offset, mu) points
+        assert r1 < 1e-8 and r2 < 1e-8
+
     def test_off_shell_wave_detected(self):
         # k.k - kappa^2 = 3 - 1 = 2; residual scales with the violation
         k = np.array([2.0, 1.0, 0.0, 0.0])
