@@ -96,13 +96,14 @@ class DiracCoupling:
 
 
 def interaction_spinor(coupling: DiracCoupling, udot) -> np.ndarray:
-    """xi1 + slash(udot) xi2 + slash(udot)^2 xi3 at one trajectory point."""
+    """xi1 + slash(udot) xi2 + slash(udot)^2 xi3 at one trajectory point,
+    or per point of stacked udot (..., 4), returning (..., 4)."""
     s = slash(udot)
-    out = coupling.xi1.astype(complex).copy()
+    out = np.broadcast_to(coupling.xi1, s.shape[:-1]).astype(complex)
     if coupling.xi2 is not None:
         out += s @ coupling.xi2
     if coupling.xi3 is not None:
-        out += s @ (s @ coupling.xi3)
+        out += (s @ (s @ coupling.xi3)[..., None])[..., 0]
     return out
 
 

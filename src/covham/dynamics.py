@@ -24,11 +24,13 @@ resolved against 1 / u_dot^0:
 A source switches on sharply at tau_on (boundary active); before that it
 contributes nothing, so coefficients inherit free values bit for bit.
 
-source_terms is the one walk over the worldline crossings: for each
-source active on the slice it returns u_j, udot_j and the species
-current (U_j, udot_{j nu} or xi_j above).  _weighted_rate_sum contracts
-the currents with the plane-wave phases and the rate normalization; the
-generator J and its gradients in canonical.py read the same terms.
+_crossings is the one walk over the worldline crossings: for an array
+of slices it returns, for each source on every slice where it is
+active, u_j, udot_j and the species current (U_j, udot_{j nu} or xi_j
+above), each source taking all its slices in one array call.
+_rate_sums contracts the currents with the plane-wave phases and the
+rate normalization; source_terms, its one-slice view, gives the
+generator J and its gradients in canonical.py the same terms.
 
 The stored families, the rate normalizations and the spinor's
 kappa pm slash(k) come from the species table (fields.FieldSpec).  The
@@ -38,21 +40,29 @@ the slices in front, and the public (plus, minus) pairs are its views.
 
 The integrator is composite Simpson over uniform panels, globally fourth
 order.  Rates do not depend on the state and are linear in each source's
-current, so any Simpson sum is one weighted node sum.  Each row r pairs
-a node t with a source j active there:
+current, so any Simpson sum is one weighted node sum, and a set of them
+one weighted sum per group g.  Each row r pairs a node t with a source j
+active there:
 
-    sum_t w_t dC_pm/dx0(t) = norm_pm S_pm (E or conj E) @ Cur,
-    E[n, r] = exp(i k_n.u_r),   Cur[r] = w_t g_j current_j / udot_j^0,
+    sum_t W[g, t] dC_pm/dx0(t) = norm_pm S_pm (E or conj E) @ Cur_g,
+    E[n, r] = exp(i k_n.u_r),   Cur_g[r] = W[g, t] g_j current_j / udot_j^0,
 
-with S_pm = kappa pm slash(k) for the spinor (identity otherwise) and
-the rate norm applied once, after the sum.  _weighted_rate_sum builds E
-for _NODE_CHUNK nodes at a time, so it never holds more than N x
-_NODE_CHUNK x (sources) phases, whatever the step count.  save="last"
-is one such sum over all 2 steps + 1 nodes (weights h/6 at the ends,
-h/3 at interior panel boundaries, 4h/6 at midpoints); save="all" adds
-one panel's sum to each saved slice; source_rate is the one-node case.
-Splitting the panels at a switch-on, for fourth order through it, only
-adds nodes and weights.
+with S_pm = kappa pm slash(k) for the spinor (identity otherwise).
+_rate_sums makes one crossing walk, one phase block E and one product
+E @ (W x Cur) per chunk of nodes, every group and branch in its
+columns, and applies the rate norm, the conjugation and S_pm once per
+group, after the sum.  The product costs N x branches x components x
+nodes x groups per source, and _BLOCK_WORK bounds it: node chunks, and
+so the phases held, stay small whatever the step count, and blocks of
+groups stay small enough that the dense weights, whose waste grows as
+the square of the groups, cost less than the Python calls they save.
+save="last" is one group over all 2 steps + 1 nodes (weights h/6 at the
+ends, h/3 at interior panel boundaries, 4h/6 at midpoints); save="all"
+takes blocks of panels, one group per panel, and adds each panel's sum
+to the slice before it; mode_equation_residual takes blocks of stencil
+samples, one group per sample; source_rate is the one-node, one-group
+case.  Splitting the panels at a switch-on, for fourth order through
+it, only adds nodes and weights.
 
 Static and uniform worldlines need no integrator.  Along a straight
 line k.u is linear in x0: with a_j the switch-on time of source j and
@@ -84,29 +94,33 @@ from .minkowski import FIVE_POINT_OFFSETS, five_point, lower_index
 from .modes import ModeGrid
 from .worldlines import Worldline, equal_time_crossing
 
-# nodes per block of the phase matrix exp(i k.u): the block, not the
-# step count, sets the memory a long evolution needs on a large grid
-_NODE_CHUNK = 16
+# complex multiply-adds per source of one block's product E @ (W x Cur)
+# (see the module docstring): sizes node chunks and blocks of groups
+_BLOCK_WORK = 2**19
 # modes per slice of the rotated time average: bounds its per-mode arrays
 _MODE_SLICE = 4096
 
 
-def source_terms(field: FieldSpec, worldlines: list[Worldline] | None,
-                 x0: float) -> list[tuple]:
-    """(worldline, u, udot, current) for every source active on slice x0.
+def _crossings(field: FieldSpec, worldlines: list[Worldline] | None,
+               nodes: np.ndarray) -> list[tuple]:
+    """The one walk over the worldline crossings of the slices nodes (T,).
 
-    u, udot are the worldline position and velocity at the crossing
-    tau* of the slice.  current is the species coupling of the source
-    before its strength and 1 / udot^0: the lowered velocity monomial
-    U of the field rank (1 for scalars, udot_nu for em) or the
+    One (worldline, node, u, udot, current) per source active on some
+    slice: the indices of those slices (R,), u and udot at the crossings
+    (R, 4) and the species current (R, *component_shape), from one array
+    call each of active_at, equal_time_crossing, state and, for the
+    spinor, interaction_spinor.  current is the species coupling of the
+    source before its strength and 1 / udot^0: the lowered velocity
+    monomial U of the field rank (1 for scalars, udot_nu for em) or the
     interaction spinor xi(tau*) for the spinor species.
     """
     out = []
     for w in worldlines or []:
-        if not w.active_at(x0):
+        # | also broadcasts an active_at that answers with one bool
+        node = np.nonzero(np.zeros(nodes.shape, bool) | w.active_at(nodes))[0]
+        if not node.size:
             continue
-        tau = equal_time_crossing(w, x0)
-        u, udot = w.state(tau)
+        u, udot = w.state(equal_time_crossing(w, nodes[node]))
         if field.kind == "spinor":
             if w.xi is None:
                 raise ValueError(
@@ -114,11 +128,19 @@ def source_terms(field: FieldSpec, worldlines: list[Worldline] | None,
                 )
             current = interaction_spinor(w.xi, udot)
         else:
-            current = np.array(1.0)
+            current, low = np.ones(node.size), lower_index(udot)
             for _ in range(field.rank):
-                current = np.multiply.outer(current, lower_index(udot))
-        out.append((w, u, udot, current))
+                current = np.einsum("r...,ra->r...a", current, low)
+        out.append((w, node, u, udot, current))
     return out
+
+
+def source_terms(field: FieldSpec, worldlines: list[Worldline] | None,
+                 x0: float) -> list[tuple]:
+    """(worldline, u, udot, current) for every source active on slice x0:
+    the one-node view of the crossing walk (see _crossings)."""
+    return [(w, u[0], udot[0], current[0]) for w, _, u, udot, current
+            in _crossings(field, worldlines, np.array([x0], dtype=float))]
 
 
 def source_rate(
@@ -132,50 +154,73 @@ def source_rate(
     k has shape (N, 4) or (4,); returns (rate_plus, rate_minus) with
     shape (N, *component_shape) matching the input batching.  For the em
     species rate_minus is None (single coefficient family).  This is the
-    one-node case of _weighted_rate_sum: nodes (x0,), weights (1.0,).
+    one-node, one-group case of _rate_sums.
     """
     k = np.asarray(k, dtype=float)
-    rates = _weighted_rate_sum(field, worldlines, np.atleast_2d(k), (x0,),
-                               (1.0,))
+    rates = _rate_sums(field, worldlines, np.atleast_2d(k),
+                       np.array([x0], dtype=float), np.ones((1, 1)))[0]
     return family_pair(rates[:, 0] if k.ndim == 1 else rates)
 
 
-def _weighted_rate_sum(field, worldlines, k, nodes, weights) -> np.ndarray:
-    """sum_t weights[t] dC/dx0(nodes[t]) for modes k (N, 4): norm S (E or
-    conj E) @ Cur over the (node, active source) rows, E built
-    _NODE_CHUNK nodes at a time (see the module docstring).  (branches,
-    N, *component_shape), exact zeros when no source is ever active.
+def _block_size(field: FieldSpec, n_modes: int, nodes_per_group: int,
+                extra_nodes: int) -> int:
+    """Groups per block: the most G, at least 1, whose nodes_per_group G
+    + extra_nodes nodes make one node chunk of _rate_sums, n_modes x
+    branches x components x nodes x G within _BLOCK_WORK."""
+    per = _BLOCK_WORK // (n_modes * len(field.branches) * field.n_components)
+    g = 1
+    while (g + 1) * (nodes_per_group * (g + 1) + extra_nodes) <= per:
+        g += 1
+    return g
+
+
+def _rate_sums(field, worldlines, k, nodes, weights) -> np.ndarray:
+    """sum_t weights[g, t] dC/dx0(nodes[t]) per group g, for modes k (N,
+    4): (groups, branches, N, *component_shape), exact zeros when no
+    source is ever active.
+
+    Per chunk of nodes one crossing walk, one phase block E and one
+    product E @ (W x Cur), every group and branch in its columns.  The
+    rate norm, the conjugation of the minus branch and the spinor's
+    kappa pm slash(k) act once per group, after the sum (see the module
+    docstring).
     """
     n_comp, n_b = field.n_components, len(field.branches)
-    # the first block's product starts the sum: filling a zero array
+    n_g = len(weights)
+    chunk = max(1, _BLOCK_WORK // (len(k) * n_b * n_comp * n_g))
+    # the first chunk's product starts the sum: filling a zero array
     # first would add an (N, columns) array to the peak memory
     total = None
-    for lo in range(0, len(nodes), _NODE_CHUNK):
-        rows = [(u, weight * w.coupling / udot[0] * np.ravel(current))
-                for t, weight in zip(nodes[lo:lo + _NODE_CHUNK],
-                                     weights[lo:lo + _NODE_CHUNK])
-                for w, u, udot, current in source_terms(field, worldlines, t)]
+    for lo in range(0, len(nodes), chunk):
+        rows = _crossings(field, worldlines, nodes[lo:lo + chunk])
         if not rows:
             continue
-        u, cur = map(np.array, zip(*rows))
+        u = np.concatenate([r[2] for r in rows])
+        m = np.empty((len(u), n_g, n_b, n_comp), dtype=complex)
+        m[:, :, 0] = np.concatenate([
+            (weights[:, lo + node] * w.coupling / udot[:, 0]).T[..., None]
+            * current.reshape(len(node), 1, n_comp)
+            for w, node, _, udot, current in rows])
         if n_b == 2:  # conj(E) @ Cur = conj(E @ conj(Cur)): one product
-            cur = np.concatenate([cur, np.conj(cur)], axis=1)
+            np.conj(m[:, :, 0], out=m[:, :, 1])
         # k.u with u lowered: no (N, 4) copy of k
-        part = np.exp(1j * (k @ lower_index(u).T)) @ cur
+        phases = np.exp(1j * (k @ lower_index(u).T))
+        part = phases @ m.reshape(len(u), -1)
         total = part if total is None else np.add(total, part, out=total)
-    shape = (n_b, len(k)) + field.component_shape
+    shape = (n_g, n_b, len(k)) + field.component_shape
     if total is None:  # no source active on any node
         return np.zeros(shape, dtype=complex)
+    total = total.reshape(len(k), n_g, n_b, n_comp)
     # each branch written in place: no stacked copy of the rates
-    out = np.empty((n_b, len(k), n_comp), dtype=complex)
+    out = np.empty((n_g, n_b, len(k), n_comp), dtype=complex)
     ops = field.shell_operators(k) if field.kind == "spinor" else None
     for b, norm in enumerate(field.rate_norms):
-        half = total[:, b * n_comp:(b + 1) * n_comp]
+        half = total[:, :, b]
         if b:
             half = np.conj(half)
         if ops is not None:
-            half = np.einsum("nab,nb->na", ops[b], half)
-        np.multiply(norm, half, out=out[b])
+            half = np.einsum("nab,ngb->nga", ops[b], half)
+        np.multiply(norm, half.transpose(1, 0, 2), out=out[:, b])
     return out.reshape(shape)
 
 
@@ -305,10 +350,11 @@ def evolve_amplitudes(
     steps uniform Simpson panels; a source counts on a node from its
     switch-on on (boundary active).  init_plus / init_minus default to
     zero coefficients.  save="all" records every panel boundary, each
-    slice the previous one plus that panel's weighted node sum.
-    save="last" keeps only the final state, the initial one plus a
-    single node sum over all 2 steps + 1 nodes; long evolutions on large
-    grids stay in memory budget either way.
+    slice the previous one plus that panel's weighted node sum, the sums
+    taken a block of panels at a time.  save="last" keeps only the final
+    state, the initial one plus a single node sum over all 2 steps + 1
+    nodes; long evolutions on large grids stay in memory budget either
+    way.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -325,23 +371,30 @@ def evolve_amplitudes(
             out[0, b] = init
 
     h = (x0_end - x0_start) / steps
-    mids = times[:-1] + 0.5 * h
+    nodes = np.empty(2 * steps + 1)
+    nodes[0::2] = times
+    nodes[1::2] = times[:-1] + 0.5 * h
     if save == "last":
-        nodes = np.empty(2 * steps + 1)
-        nodes[0::2] = times
-        nodes[1::2] = mids
-        weights = np.full(2 * steps + 1, 4.0 * h / 6.0)
-        weights[0::2] = h / 3.0
-        weights[[0, -1]] = h / 6.0
-        out[0] += _weighted_rate_sum(field, worldlines, grid.k, nodes,
-                                     weights)
+        weights = np.full((1, 2 * steps + 1), 4.0 * h / 6.0)
+        weights[:, 0::2] = h / 3.0
+        weights[:, [0, -1]] = h / 6.0
+        out[0] += _rate_sums(field, worldlines, grid.k, nodes, weights)[0]
         times = times[-1:]
     else:
-        panel = (h / 6.0, 4.0 * h / 6.0, h / 6.0)
-        for i in range(steps):
-            out[i + 1] = out[i] + _weighted_rate_sum(
-                field, worldlines, grid.k, (times[i], mids[i], times[i + 1]),
-                panel)
+        # panel g of a block weighs its nodes 2g, 2g + 1, 2g + 2
+        block = _block_size(field, len(grid), 2, 1)
+        for lo in range(0, steps, block):
+            hi = min(lo + block, steps)
+            weights = np.zeros((hi - lo, 2 * (hi - lo) + 1))
+            panel = np.arange(hi - lo)
+            for col, weight in enumerate((h / 6.0, 4.0 * h / 6.0, h / 6.0)):
+                weights[panel, 2 * panel + col] = weight
+            sums = _rate_sums(field, worldlines, grid.k,
+                              nodes[2 * lo:2 * hi + 1], weights)
+            # one add per slice: np.cumsum over axis 0 runs one short
+            # loop per mode and component, about ten times slower here
+            for i, step in enumerate(sums, start=lo):
+                np.add(out[i], step, out=out[i + 1])
     return AmplitudeHistory(field=field, x0=times, coeffs=out)
 
 
@@ -379,12 +432,14 @@ def mode_equation_residual(
     """Max normalized defect of the coefficient evolution equation.
 
     minkowski.five_point applied to the recorded history at interior
-    samples, all branches in one call, compared against the analytic
-    rate: max |dC_fd - rate| / (1 + max |rate|) per branch, over
-    samples, modes, components and branches.  A stencil that straddles a switch-on a (x0[i-2] < a <= x0[i+2]) sees
-    the kink in C there, not a dynamics error, and is skipped; a sample
-    counts as before a when it is more than 1e-12 earlier, as in the
-    simulate suite's causality mask.
+    samples, compared against the analytic rate: max |dC_fd - rate| /
+    (1 + max |rate|) per branch, over samples, modes, components and
+    branches.  Samples go in blocks: one _rate_sums call, one group per
+    sample, and one five_point call over every sample and branch of the
+    block.  A stencil that straddles a switch-on a (x0[i-2] < a <=
+    x0[i+2]) sees the kink in C there, not a dynamics error, and is
+    skipped; a sample counts as before a when it is more than 1e-12
+    earlier, as in the simulate suite's causality mask.
     """
     x0 = history.x0
     if len(x0) < 5:
@@ -392,14 +447,16 @@ def mode_equation_residual(
     h = history.spacing()
     ons = np.array([w.switch_on_time() for w in worldlines]) - 1e-12
     straddles = np.any((x0[:-4, None] < ons) & (ons <= x0[4:, None]), axis=1)
-    per_branch = tuple(range(1, history.coeffs.ndim - 1))  # modes, comps
+    samples = 2 + np.flatnonzero(~straddles)
+    per_branch = tuple(range(2, history.coeffs.ndim))  # modes, comps
+    block = _block_size(field, len(grid), 1, 0)
     worst = 0.0
-    for i in range(2, len(x0) - 2):
-        if straddles[i - 2]:
-            continue
-        rates = np.array(field.families(*source_rate(field, worldlines,
-                                                     grid.k, x0[i])))
-        deriv = five_point(history.coeffs[i + FIVE_POINT_OFFSETS], h)
+    for lo in range(0, len(samples), block):
+        at = samples[lo:lo + block]
+        rates = _rate_sums(field, worldlines, grid.k, x0[at],
+                           np.eye(len(at)))
+        deriv = five_point(history.coeffs[at + FIVE_POINT_OFFSETS[:, None]],
+                           h)
         worst = np.maximum(worst, np.max(
             np.max(np.abs(deriv - rates), axis=per_branch)
             / (1.0 + np.max(np.abs(rates), axis=per_branch))))

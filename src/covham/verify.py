@@ -309,9 +309,9 @@ def _suite_simulate(s: Scenario, rng, tol, records, tables) -> None:
     if worldlines and all(w.kind in ("static", "uniform")
                           for w in worldlines):
         # the window may open after a switch-on: compare increments
-        start, end = (field.families(*straight_line_amplitudes(
-            field, worldlines, grid, t)) for t in (s.x0_start, s.x0_end))
-        want = np.array([b - a for a, b in zip(start, end)])
+        start, end = (np.array(field.families(*straight_line_amplitudes(
+            field, worldlines, grid, t))) for t in (s.x0_start, s.x0_end))
+        want = end - start
         diff = float(np.max(np.abs(hist_fd.coeffs[-1] - want)))
         size = float(np.max(np.abs(want)))
         _add(records, "simulate/exact_vs_simpson", diff / (1.0 + size),

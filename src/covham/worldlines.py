@@ -78,32 +78,38 @@ class Worldline:
             return 1.0 / np.sqrt(1.0 - v * v)
         return 1.0
 
-    def state(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
-        """Position u(tau) and four-velocity u_dot(tau), both contravariant."""
+    def state(self, tau) -> tuple[np.ndarray, np.ndarray]:
+        """Position u(tau) and four-velocity u_dot(tau), both contravariant.
+
+        tau is a float or an array; each result has shape tau.shape + (4,).
+        """
+        tau = np.asarray(tau, dtype=float)
         g = self.gamma
-        u = np.empty(4)
-        udot = np.empty(4)
-        u[0] = self.t_start + g * tau
-        udot[0] = g
+        u = np.empty(tau.shape + (4,))
+        udot = np.empty(tau.shape + (4,))
+        u[..., 0] = self.t_start + g * tau
+        udot[..., 0] = g
         if self.kind == "static":
-            u[1:] = self.position
-            udot[1:] = 0.0
+            u[..., 1:] = self.position
+            udot[..., 1:] = 0.0
         elif self.kind == "uniform":
-            u[1:] = self.position + g * tau * self.beta
-            udot[1:] = g * self.beta
+            u[..., 1:] = self.position + (g * tau)[..., None] * self.beta
+            udot[..., 1:] = g * self.beta
         else:  # circular, in the xy-plane about position
             angle = self.omega * g * tau + self.phase0
+            cos, sin = np.cos(angle), np.sin(angle)
             r = self.radius
-            u[1] = self.position[0] + r * np.cos(angle)
-            u[2] = self.position[1] + r * np.sin(angle)
-            u[3] = self.position[2]
-            udot[1] = -r * self.omega * g * np.sin(angle)
-            udot[2] = r * self.omega * g * np.cos(angle)
-            udot[3] = 0.0
+            u[..., 1] = self.position[0] + r * cos
+            u[..., 2] = self.position[1] + r * sin
+            u[..., 3] = self.position[2]
+            udot[..., 1] = -r * self.omega * g * sin
+            udot[..., 2] = r * self.omega * g * cos
+            udot[..., 3] = 0.0
         return u, udot
 
-    def active_at(self, x0: float) -> bool:
-        """True when the equal-time slice x0 meets the active segment."""
+    def active_at(self, x0):
+        """True when the equal-time slice x0 meets the active segment;
+        one bool per entry for an array of slices."""
         return x0 >= self.t_start + self.gamma * self.tau_on
 
     def switch_on_time(self) -> float:
@@ -111,20 +117,22 @@ class Worldline:
         return self.t_start + self.gamma * self.tau_on
 
 
-def equal_time_crossing(worldline: Worldline, x0: float) -> float:
-    """Proper time tau* with u0(tau*) = x0.
+def equal_time_crossing(worldline: Worldline, x0):
+    """Proper time tau* with u0(tau*) = x0, per entry for an array x0.
 
-    Raises CrossingError exactly when active_at(x0) is false;
-    callers that want "no contribution yet" should test active_at first.
+    Raises CrossingError exactly when active_at(x0) is false (for any
+    entry); callers that want "no contribution yet" should test
+    active_at first.
     """
-    if not worldline.active_at(x0):
+    if not np.all(worldline.active_at(x0)):
         raise CrossingError(
             f"x0 = {x0} precedes the worldline switch-on at "
             f"u0 = {worldline.switch_on_time()}"
         )
     # on a slice active_at admits, rounding can still put tau* a hair
     # before tau_on (x0 = switch_on_time() itself, for instance)
-    return max((x0 - worldline.t_start) / worldline.gamma, worldline.tau_on)
+    return np.maximum((x0 - worldline.t_start) / worldline.gamma,
+                      worldline.tau_on)
 
 
 def static_worldline(position, coupling: float, t_start: float = 0.0,

@@ -307,23 +307,59 @@ def _initial(field, grid, rng):
             for _ in field.branches]
 
 
+CHUNK = 16  # nodes per phase block of the one-group sums below
+
+
+def _width(field, grid) -> int:
+    """Modes x branches x components: a block's work per node and group."""
+    return len(grid) * len(field.branches) * field.n_components
+
+
+def _set_panels(monkeypatch, field, grid, panels):
+    """Set the block constant so that save="all" sums panels per block."""
+    monkeypatch.setattr(dynamics, "_BLOCK_WORK",
+                        _width(field, grid) * panels * (2 * panels + 1))
+    assert dynamics._block_size(field, len(grid), 2, 1) == panels
+
+
 class TestWeightedRateSum:
-    @pytest.mark.parametrize("n_nodes", [1, dynamics._NODE_CHUNK,
-                                         dynamics._NODE_CHUNK + 1,
-                                         2 * dynamics._NODE_CHUNK + 5])
+    @pytest.mark.parametrize("n_nodes", [1, CHUNK, CHUNK + 1, 2 * CHUNK + 5])
     @pytest.mark.parametrize("name", sorted(FIELDS))
-    def test_matches_per_node_loop(self, name, n_nodes):
+    def test_matches_per_node_loop(self, name, n_nodes, monkeypatch):
         field = FIELDS[name]
         grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=field.kappa)
+        monkeypatch.setattr(dynamics, "_BLOCK_WORK",
+                            _width(field, grid) * CHUNK)
         rng = np.random.default_rng(n_nodes)
         nodes = np.sort(rng.uniform(0.0, 2.0, size=n_nodes))
         weights = rng.uniform(-1.0, 1.0, size=n_nodes)
         lines = _orbit_sources("mid_panel")
-        got = dynamics._weighted_rate_sum(field, lines, grid.k, nodes,
-                                          weights)
+        got = dynamics._rate_sums(field, lines, grid.k, nodes,
+                                  weights[None])
+        assert got.shape == (1, len(field.branches), len(grid)) + (
+            field.component_shape)
         want = _reference_rate_sum(field, lines, grid.k, nodes, weights)
-        for g, w in zip(got, want, strict=True):
+        for g, w in zip(got[0], want, strict=True):
             _assert_rel_close(g, w)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 40])
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_groups_match_per_group_sums(self, name, chunk, monkeypatch):
+        field = FIELDS[name]
+        grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=field.kappa)
+        groups = 3
+        monkeypatch.setattr(dynamics, "_BLOCK_WORK",
+                            _width(field, grid) * groups * chunk)
+        rng = np.random.default_rng(chunk)
+        nodes = np.sort(rng.uniform(0.0, 2.0, size=11))
+        weights = rng.uniform(-1.0, 1.0, size=(groups, 11))
+        weights[1, 4:] = 0.0  # a group that ends before the switch-on
+        lines = _orbit_sources("mid_panel")
+        got = dynamics._rate_sums(field, lines, grid.k, nodes, weights)
+        for sums, row in zip(got, weights, strict=True):
+            want = _reference_rate_sum(field, lines, grid.k, nodes, row)
+            for g, w in zip(sums, want, strict=True):
+                _assert_rel_close(g, w)
 
     @pytest.mark.parametrize("name", sorted(FIELDS))
     def test_source_rate_is_the_one_node_case(self, name):
@@ -340,10 +376,9 @@ class TestWeightedRateSum:
     def test_no_active_source_gives_exact_zeros(self):
         grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=1.0)
         late = [static_worldline([0, 0, 0], coupling=1.0, t_start=5.0)]
-        sums = dynamics._weighted_rate_sum(SCALAR, late, grid.k,
-                                           np.linspace(0.0, 4.0, 40),
-                                           np.ones(40))
-        assert all(not np.any(total) for total in sums)
+        sums = dynamics._rate_sums(SCALAR, late, grid.k,
+                                   np.linspace(0.0, 4.0, 40), np.ones((2, 40)))
+        assert sums.shape == (2, 2, len(grid)) and not np.any(sums)
 
 
 class TestEvolveNodeSum:
@@ -366,6 +401,23 @@ class TestEvolveNodeSum:
                              init, strict=True):
             _assert_rel_close(got - c, w - c)
 
+    # 1 panel, a block that does not divide STEPS, one above STEPS
+    @pytest.mark.parametrize("panels", [1, 4, STEPS + 5])
+    @pytest.mark.parametrize("switch_on", ["none", "mid_panel",
+                                           "panel_edge"])
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_panel_blocks_agree(self, name, switch_on, panels, monkeypatch):
+        field = FIELDS[name]
+        grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=field.kappa)
+        lines = _orbit_sources(switch_on)
+        init = _initial(field, grid, np.random.default_rng(7))
+        want = evolve_amplitudes(field, lines, grid, *WINDOW, STEPS, *init)
+        _set_panels(monkeypatch, field, grid, panels)
+        got = evolve_amplitudes(field, lines, grid, *WINDOW, STEPS, *init)
+        _assert_rel_close(got.coeffs[1:] - got.coeffs[0],
+                          want.coeffs[1:] - want.coeffs[0], rtol=1e-13)
+        assert np.array_equal(got.coeffs[0], want.coeffs[0])
+
     @pytest.mark.parametrize("save", ["all", "last"])
     @pytest.mark.parametrize("name", sorted(FIELDS))
     def test_families_are_views_of_one_array(self, name, save):
@@ -384,12 +436,26 @@ class TestEvolveNodeSum:
             assert view.flags.c_contiguous or save == "all"
 
     def test_last_slice_reads_each_node_once(self, monkeypatch):
-        calls = _count_calls(monkeypatch, ("source_terms", "source_rate"),
+        # one crossing walk per chunk of CHUNK of the 2 STEPS + 1 nodes
+        calls = _count_calls(monkeypatch, ("_crossings", "source_rate"),
                              (dynamics,))
         grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=1.0)
+        monkeypatch.setattr(dynamics, "_BLOCK_WORK",
+                            _width(SCALAR, grid) * CHUNK)
         evolve_amplitudes(SCALAR, _orbit_sources("mid_panel"), grid,
                           *WINDOW, STEPS, save="last")
-        assert calls == {"source_terms": 2 * STEPS + 1, "source_rate": 0}
+        assert calls == {"_crossings": -(-(2 * STEPS + 1) // CHUNK),
+                         "source_rate": 0}
+
+    @pytest.mark.parametrize("panels", [1, 4, STEPS + 5])
+    def test_one_walk_per_panel_block(self, panels, monkeypatch):
+        grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=1.0)
+        _set_panels(monkeypatch, SCALAR, grid, panels)
+        calls = _count_calls(monkeypatch, ("_crossings", "source_rate"),
+                             (dynamics,))
+        evolve_amplitudes(SCALAR, _orbit_sources("mid_panel"), grid,
+                          *WINDOW, STEPS)
+        assert calls == {"_crossings": -(-STEPS // panels), "source_rate": 0}
 
 
 STRAIGHT_FIELDS = {
@@ -689,10 +755,26 @@ class TestReconstructAndResidual:
         original = dynamics.five_point
         monkeypatch.setattr(dynamics, "five_point", lambda samples, h: (
             calls.append(np.shape(samples)) or original(samples, h)))
+        # 17 interior samples in blocks of 5
+        monkeypatch.setattr(dynamics, "_BLOCK_WORK", _width(field, grid) * 25)
         got = mode_equation_residual(field, lines, grid, hist)
         assert got == pytest.approx(want, rel=1e-12)
-        stacked = (4, len(field.branches), len(grid)) + field.component_shape
-        assert calls == [stacked] * (len(hist.x0) - 4)
+        stacked = (len(field.branches), len(grid)) + field.component_shape
+        assert calls == [(4, 5) + stacked] * 3 + [(4, 2) + stacked]
+
+    @pytest.mark.parametrize("corrupt", [None, 6, 7])
+    def test_mode_equation_residual_flags_block_edge_corruption(
+            self, corrupt, monkeypatch):
+        # blocks of 4 samples, 2-5 and 6-9 first: stencils of both
+        # blocks read slices 6 and 7
+        w = static_worldline([0.2, -0.1, 0.4], coupling=1.3)
+        grid = build_mode_grid(kmax=1.0, n_per_axis=2, kappa=1.0)
+        hist = evolve_amplitudes(SCALAR, [w], grid, 0.0, 2.0, steps=100)
+        monkeypatch.setattr(dynamics, "_BLOCK_WORK", _width(SCALAR, grid) * 16)
+        if corrupt is not None:
+            hist.minus[corrupt, 3] += 1e-3
+        resid = mode_equation_residual(SCALAR, [w], grid, hist)
+        assert (resid > 1e-3) if corrupt else (resid < 1e-7)
 
     def test_mode_equation_residual_skips_switch_on_kinks(self):
         # stencils across t_start 0.7 and 0.9 read 0.2 unless skipped

@@ -464,7 +464,8 @@ class TestVerificationSuites:
     def test_exact_vs_simpson_flags_flipped_phase_rate(self, monkeypatch):
         def flipped(field, worldlines, grid, x0):
             # straight_line_amplitudes with the sign of s flipped
-            plus, minus = 0.0, 0.0
+            plus, minus = (np.zeros((len(grid),) + field.component_shape,
+                                    dtype=complex) for _ in range(2))
             for w in worldlines:
                 span = x0 - w.switch_on_time()
                 if span <= 0.0:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covham.dirac import DiracCoupling, interaction_spinor
 from covham.errors import CrossingError
 from covham.minkowski import minkowski_dot
 from covham.worldlines import (
@@ -117,3 +118,53 @@ def test_superluminal_inputs_rejected():
         uniform_worldline([0, 0, 0], [1.0, 0, 0], coupling=1.0)
     with pytest.raises(ValueError):
         circular_worldline([0, 0, 0], radius=2.0, omega=0.5, coupling=1.0)
+
+
+# one of each shape, switched on at x0 = 0.37 (static: 0.3 + 0.07)
+ARRAY_LINES = {
+    "static": static_worldline([0.3, -0.2, 0.1], coupling=1.0,
+                               t_start=0.3, tau_on=0.07),
+    # (switch_on_time() - t_start) / gamma rounds below tau_on here
+    "uniform": uniform_worldline([0, 0, 0], [0.35, -0.2, 0.15],
+                                 coupling=1.0, t_start=-0.1, tau_on=0.4),
+    "circular": circular_worldline([0.1, -0.2, 0.05], 0.5, 1.2,
+                                   coupling=1.0, phase0=0.4, t_start=-0.2,
+                                   tau_on=0.3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ARRAY_LINES))
+def test_array_crossing_matches_scalar_calls(kind):
+    w = ARRAY_LINES[kind]
+    on = w.switch_on_time()
+    x0 = np.array([[on, on + 0.1, on + 0.7], [on + 1.3, on + 2.9, on + 5.0]])
+    active = w.active_at(x0)
+    assert active.shape == x0.shape and active.all()
+    tau = equal_time_crossing(w, x0)
+    assert tau.shape == x0.shape
+    assert tau[0, 0] == w.tau_on  # the clamp at tau_on, entry by entry
+    u, udot = w.state(tau)
+    assert u.shape == udot.shape == x0.shape + (4,)
+    coupling = DiracCoupling(xi1=[1.0, 0.5j, -0.25, 0.1],
+                             xi2=[0.2, 0.0, 0.3j, 0.0],
+                             xi3=[0.0, -0.1, 0.0, 0.4j])
+    xi = interaction_spinor(coupling, udot)
+    assert xi.shape == x0.shape + (4,)
+    for i in np.ndindex(x0.shape):
+        assert tau[i] == equal_time_crossing(w, x0[i])
+        u_i, udot_i = w.state(tau[i])
+        assert np.array_equal(u[i], u_i)
+        assert np.array_equal(udot[i], udot_i)
+        assert np.array_equal(xi[i], interaction_spinor(coupling, udot_i))
+
+
+@pytest.mark.parametrize("kind", sorted(ARRAY_LINES))
+def test_array_crossing_raises_before_switch_on(kind):
+    w = ARRAY_LINES[kind]
+    on = w.switch_on_time()
+    x0 = np.array([on - 1e-9, on, on + 1.0])
+    assert w.active_at(x0).tolist() == [False, True, True]
+    with pytest.raises(CrossingError):
+        equal_time_crossing(w, x0)
+    with pytest.raises(CrossingError):  # the scalar call, unchanged
+        equal_time_crossing(w, on - 1e-9)
