@@ -260,7 +260,7 @@ def _straight_line_mean(field, worldlines, grid, first, spacing, count,
     is computed once.  One slice at t_ref gives D = C(t_ref), (branches,
     N, *component_shape).
     """
-    if any(w.kind not in ("static", "uniform") for w in worldlines):
+    if not all(w.straight for w in worldlines):
         raise ValueError("closed-form amplitudes need static or uniform "
                          "worldlines")
     n = len(grid)

@@ -35,7 +35,7 @@ def _retarded_proper_time(w: Worldline, x: np.ndarray) -> float:
     timelike normalization makes the quadratic explicit:
     tau_r = d.udot - sqrt((d.udot)^2 - d.d) with d = x - u(0).
     """
-    if w.kind not in ("static", "uniform"):
+    if not w.straight:
         raise ValueError("retarded time in closed form needs a straight line")
     u0, udot = w.state(0.0)
     d = np.asarray(x, dtype=float) - u0

@@ -25,7 +25,7 @@ from .errors import ScenarioError
 from .fields import FieldSpec, em_field, scalar_field, spinor_field, tensor_field
 from .modes import (DEFAULT_MODE_BUDGET, STENCIL_K0H, STEP_BUDGET, ModeGrid,
                     build_mode_grid)
-from .worldlines import Worldline
+from .worldlines import SHAPE_PARAMS, Worldline
 
 FORMATS = ("json", "csv", "both")
 
@@ -36,8 +36,9 @@ _FIELD_KEYS = {
     "dirac": {"kind", "s", "m", "c", "a2", "b2"},
 }
 
+_SHAPE_KEYS = set().union(*SHAPE_PARAMS.values())
 _PARTICLE_KEYS = {"kind", "coupling", "position", "t_start", "tau_on",
-                  "beta", "radius", "omega", "phase0", "xi1", "xi2", "xi3"}
+                  "xi1", "xi2", "xi3"} | _SHAPE_KEYS
 
 _SECTIONS = {"field", "particles", "grid", "time", "gauge", "bracket",
              "tolerances", "output"}
@@ -229,24 +230,23 @@ def _build_particle(blk, spec: FieldSpec, where: str) -> Worldline:
     extra = set(blk) - _PARTICLE_KEYS
     _require(not extra, where, f"unknown entries: {sorted(extra)}")
     kind = blk.get("kind", "static")
-    _require(kind in ("static", "uniform", "circular"), where,
+    _require(isinstance(kind, str) and kind in SHAPE_PARAMS, where,
              f"kind must be static, uniform, or circular, got {kind!r}")
+    foreign = (_SHAPE_KEYS - set(SHAPE_PARAMS[kind])) & set(blk)
+    _require(not foreign, where,
+             f"a {kind} particle takes no {sorted(foreign)}")
     coupling = _number(blk, where, "coupling")
     position = _vector(blk, where, "position",
                        "position must be a spatial 3-vector")
 
-    xi = None
-    if "xi1" in blk:
-        xi = DiracCoupling(
-            xi1=_complex_vector(blk["xi1"], f"{where}.xi1"),
-            xi2=(_complex_vector(blk["xi2"], f"{where}.xi2")
-                 if "xi2" in blk else None),
-            xi3=(_complex_vector(blk["xi3"], f"{where}.xi3")
-                 if "xi3" in blk else None),
-        )
-    if spec.kind == "spinor" and xi is None:
-        raise ScenarioError(
-            f"{where}: dirac sources need coupling spinors (xi1)")
+    spinors = {key: _complex_vector(blk[key], f"{where}.{key}")
+               for key in ("xi1", "xi2", "xi3") if key in blk}
+    if spec.kind == "spinor":
+        _require("xi1" in spinors, where,
+                 "dirac sources need coupling spinors (xi1)")
+    else:
+        _require(not spinors, where, "coupling spinors (xi1-xi3) need a "
+                 f"dirac field, not {spec.kind}")
 
     kwargs = dict(
         kind=kind,
@@ -254,15 +254,13 @@ def _build_particle(blk, spec: FieldSpec, where: str) -> Worldline:
         position=position,
         t_start=_number(blk, where, "t_start", 0.0),
         tau_on=_number(blk, where, "tau_on", 0.0),
-        xi=xi,
+        xi=DiracCoupling(**spinors) if spinors else None,
     )
-    if kind == "uniform":
-        kwargs["beta"] = _vector(blk, where, "beta",
-                                 "uniform worldline needs a beta 3-vector")
-    if kind == "circular":
-        kwargs["radius"] = _number(blk, where, "radius")
-        kwargs["omega"] = _number(blk, where, "omega")
-        kwargs["phase0"] = _number(blk, where, "phase0", 0.0)
+    for name in SHAPE_PARAMS[kind]:
+        kwargs[name] = (
+            _vector(blk, where, name, "beta must be a spatial 3-vector")
+            if name == "beta" else
+            _number(blk, where, name, 0.0 if name == "phase0" else None))
     try:
         return Worldline(**kwargs)
     except ValueError as exc:

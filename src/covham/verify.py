@@ -306,8 +306,7 @@ def _suite_simulate(s: Scenario, rng, tol, records, tables) -> None:
          mode_equation_residual(field, worldlines, grid, hist_fd),
          tol["mode_equation"], {"steps": steps_fd})
 
-    if worldlines and all(w.kind in ("static", "uniform")
-                          for w in worldlines):
+    if worldlines and all(w.straight for w in worldlines):
         # the window may open after a switch-on: compare increments
         start, end = (np.array(field.families(*straight_line_amplitudes(
             field, worldlines, grid, t))) for t in (s.x0_start, s.x0_end))

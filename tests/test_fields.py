@@ -104,7 +104,7 @@ class TestSpeciesTable:
         mode = to_canonical(field, grid.k[0], *amps)
         assert mode.rows.shape[0] == len(want)
         assert stored(from_canonical(field, grid.k[0], mode)) == want
-        if field.kind != "spinor" and field.rank <= 1:
+        if field.has_bracket_sector:
             assert StateLayout(field, grid).branches == want
 
     @pytest.mark.parametrize("field, covered", [

@@ -6,6 +6,7 @@ protocols live in the acceptance suite.
 import copy
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -792,9 +793,10 @@ class TestCli:
             assert name in DEFAULT_TOLERANCES
 
     def test_shipped_scenarios_validate(self, capsys):
-        for name in ("free_scalar", "static_em_charge",
-                     "static_scalar_source", "dirac_static_source"):
-            assert main(["validate", f"scenarios/{name}.json"]) == 0
+        paths = sorted(SCENARIOS.glob("*.json"))
+        assert paths
+        for path in paths:
+            assert main(["validate", str(path)]) == 0, path.name
         capsys.readouterr()
 
 
@@ -863,19 +865,31 @@ class TestBadSpeciesConstants:
         ("tolerances", {"bogus": 1.0}),
         ("tolerances", {"clifford": float("inf")}),
         ("tolerances", {"clifford": 10**400}),
+        ("particles", [{"kind": "static", "coupling": 1.0,
+                        "position": [0, 0, 0], "beta": [0.9, 0, 0],
+                        "radius": 3.0, "omega": 5.0}]),
+        ("particles", [{"kind": "circular", "coupling": 1.0,
+                        "position": [0, 0, 0], "radius": 1.0, "omega": 0.5,
+                        "beta": [0.99, 0, 0]}]),
+        ("particles", [{"kind": "circular", "coupling": 1.0,
+                        "position": [0, 0, 0], "radius": 1.0, "omega": 0.5,
+                        "xi1": [1, 0, 0, 0]}]),
     ], ids=["rank-5", "a2-negative", "scalar-s-0", "em-c-0", "scalar-m-neg",
             "dirac-m-0", "over-mode-budget", "kind-list", "b2-overflow",
             "kappa-squared-overflow", "V-string", "V-nested-list",
             "V-int-overflow", "V-bool", "unknown-tolerance",
-            "infinite-tolerance", "tolerance-int-overflow"])
+            "infinite-tolerance", "tolerance-int-overflow",
+            "static-with-orbit-entries", "circular-with-beta",
+            "xi-on-scalar-field"])
     def test_validate_rejects(self, tmp_path, capsys, section, blk):
         data = free_scalar_dict()
         data[section] = blk
-        with pytest.raises(ScenarioError, match=f"^{section}: "):
+        where = f"{section}[0]" if section == "particles" else section
+        with pytest.raises(ScenarioError, match=f"^{re.escape(where)}: "):
             scenario_from_dict(data)
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(data))
         assert main(["validate", str(path)]) == 1
         err = capsys.readouterr().err
-        assert f"invalid scenario: {section}: " in err
+        assert f"invalid scenario: {where}: " in err
         assert "Traceback" not in err

@@ -9,6 +9,7 @@ from covham.dirac import DiracCoupling, interaction_spinor
 from covham.errors import CrossingError
 from covham.minkowski import minkowski_dot
 from covham.worldlines import (
+    Worldline,
     circular_worldline,
     equal_time_crossing,
     static_worldline,
@@ -168,3 +169,28 @@ def test_array_crossing_raises_before_switch_on(kind):
         equal_time_crossing(w, x0)
     with pytest.raises(CrossingError):  # the scalar call, unchanged
         equal_time_crossing(w, on - 1e-9)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(kind="static", beta=[0.3, 0.0, 0.0]),
+    dict(kind="uniform", beta=[0.3, 0.0, 0.0], radius=0.5),
+    dict(kind="static", omega=0.2),
+    dict(kind="circular", radius=1.0, omega=0.5, beta=[0.0, 0.1, 0.0]),
+], ids=["static-beta", "uniform-radius", "static-omega", "circular-beta"])
+def test_foreign_shape_parameter_rejected(kwargs):
+    with pytest.raises(ValueError, match="takes no"):
+        Worldline(coupling=1.0, position=[0.0, 0.0, 0.0], **kwargs)
+
+
+@pytest.mark.parametrize("w", [
+    uniform_worldline([0.3, -0.2, 0.1], [0.0, 0.0, 0.0], coupling=1.0,
+                      t_start=0.3),
+    circular_worldline([0.3, -0.2, 0.1], 0.0, 1.2, coupling=1.0,
+                       phase0=0.4, t_start=0.3),
+], ids=["uniform-at-rest", "circular-zero-radius"])
+def test_degenerate_shapes_equal_static(w):
+    static = static_worldline([0.3, -0.2, 0.1], coupling=1.0, t_start=0.3)
+    assert w.gamma == static.gamma == 1.0
+    tau = np.linspace(-3.0, 7.0, 41)
+    for got, want in zip(w.state(tau), static.state(tau)):
+        assert np.array_equal(got, want)
