@@ -13,15 +13,28 @@ zero mode.  Each node carries the quadrature weight
     w = dk^3 / (8 pi^3 * 2 k0),
 
 so sum_k w f(k) approximates the integral above.
+
+Every source rate and every reconstructed field value is a sum of plane
+waves exp(pm i k.x) over the grid.  With x lowered the phase factors by
+component, exp(pm i k.x) = prod_a exp(pm i k^a x_a), and on a cube grid
+each component takes few distinct values (16 per spatial axis and 66
+values of k0 on a 16^3 grid; 48 and about 1,800 on the shipped 48^3
+grids).  PlaneWaves keeps, per component, the distinct values and each
+mode's index into them, and evaluates a block of points from one cos
+and sin per distinct value and point, four gathers and three in-place
+multiplies, with no complex exponential per mode.  The formula holds
+for any k; only its cost depends on how many values repeat.
+ModeGrid.waves builds the tables once per grid.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import GridDomainError, ModeBudgetError
-from .minkowski import mass_shell_energy
+from .minkowski import lower_index, mass_shell_energy
 
 DEFAULT_MODE_BUDGET = 2_000_000
 # most time steps a scenario may ask for, directly or through a window
@@ -34,6 +47,60 @@ STEP_BUDGET = 20_000
 STENCIL_K0H = 0.03
 # largest spatial-component distance at which index_of matches a node
 NODE_TOL = 1e-9
+# complex entries per chunk of PlaneWaves.at: a chunk's rows and the one
+# gather buffer stay in cache, and no second array the size of the block
+# is allocated; on a (4,096 x 32) block the fresh pages of one cost more
+# than the four gathers together
+_GATHER_CHUNK = 2**15
+
+
+class PlaneWaves:
+    """The plane waves exp(sign i k.x) of the modes k (N, 4).
+
+    tables holds, per component a of k, its distinct values (np.unique)
+    and each mode's index into them, in the smallest unsigned dtype that
+    holds it.
+    """
+
+    def __init__(self, k):
+        self.k = np.asarray(k, dtype=float)
+        self.tables = []
+        for column in self.k.T:
+            values, index = np.unique(column, return_inverse=True)
+            self.tables.append(
+                (values, index.astype(np.min_scalar_type(len(values) - 1))))
+
+    def at(self, x, sign: int) -> np.ndarray:
+        """exp(sign i k.x) at the points x (P, 4) or (4,): shape (N, P).
+
+        Per component the (values, P) factors cos + i sin of sign k^a x_a
+        fill one complex buffer; the phase is the product of their rows
+        gathered by mode, taken in place _GATHER_CHUNK entries at a time.
+        """
+        x_low = sign * lower_index(np.asarray(x, dtype=float).reshape(-1, 4))
+        factors = []
+        for (values, index), x_a in zip(self.tables, x_low.T):
+            theta = np.multiply.outer(values, x_a)
+            factor = np.empty(theta.shape, dtype=complex)
+            np.cos(theta, out=factor.real)
+            np.sin(theta, out=factor.imag)
+            factors.append((factor, index))
+        out = np.empty((len(self.k), len(x_low)), dtype=complex)
+        step = max(1, _GATHER_CHUNK // max(1, len(x_low)))
+        gathered = np.empty((min(step, len(out)), len(x_low)), dtype=complex)
+        (first, first_index), *rest = factors
+        # mode="clip": the indices are in range, and "raise" would buffer
+        # out, one more array of its size
+        for lo in range(0, len(out), step):
+            rows = out[lo:lo + step]
+            np.take(first, first_index[lo:lo + step], axis=0, out=rows,
+                    mode="clip")
+            part = gathered[:len(rows)]
+            for factor, index in rest:
+                np.take(factor, index[lo:lo + step], axis=0, out=part,
+                        mode="clip")
+                rows *= part
+        return out
 
 
 @dataclass(frozen=True)
@@ -42,7 +109,9 @@ class ModeGrid:
 
     k has shape (N, 4) (contravariant, k[:, 0] on the positive shell),
     weight has shape (N,).  Instances are produced by build_mode_grid;
-    building one by hand is fine as long as k is on shell.
+    building one by hand is fine as long as k is on shell.  waves, the
+    grid's PlaneWaves, builds its per-component phase tables on first
+    use and keeps them: k must not change after that.
     """
 
     k: np.ndarray
@@ -55,6 +124,10 @@ class ModeGrid:
 
     def __len__(self) -> int:
         return self.k.shape[0]
+
+    @cached_property
+    def waves(self) -> PlaneWaves:
+        return PlaneWaves(self.k)
 
     @property
     def k0(self) -> np.ndarray:

@@ -22,7 +22,7 @@ from covham.fields import (
 )
 from covham.minkowski import (FIVE_POINT_OFFSETS, five_point,
                               minkowski_dot, on_shell_k)
-from covham.modes import build_mode_grid
+from covham.modes import PlaneWaves, build_mode_grid
 from covham.verify import averaged_profile
 from covham.worldlines import (
     circular_worldline,
@@ -266,7 +266,8 @@ def _count_calls(monkeypatch, names, modules) -> dict:
     for name in names:
         wrapper = counted(name)
         for module in modules:
-            monkeypatch.setattr(module, name, wrapper)
+            if name in vars(module):
+                monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
@@ -334,7 +335,7 @@ class TestWeightedRateSum:
         nodes = np.sort(rng.uniform(0.0, 2.0, size=n_nodes))
         weights = rng.uniform(-1.0, 1.0, size=n_nodes)
         lines = _orbit_sources("mid_panel")
-        got = dynamics._rate_sums(field, lines, grid.k, nodes,
+        got = dynamics._rate_sums(field, lines, grid.waves, nodes,
                                   weights[None])
         assert got.shape == (1, len(field.branches), len(grid)) + (
             field.component_shape)
@@ -355,7 +356,7 @@ class TestWeightedRateSum:
         weights = rng.uniform(-1.0, 1.0, size=(groups, 11))
         weights[1, 4:] = 0.0  # a group that ends before the switch-on
         lines = _orbit_sources("mid_panel")
-        got = dynamics._rate_sums(field, lines, grid.k, nodes, weights)
+        got = dynamics._rate_sums(field, lines, grid.waves, nodes, weights)
         for sums, row in zip(got, weights, strict=True):
             want = _reference_rate_sum(field, lines, grid.k, nodes, row)
             for g, w in zip(sums, want, strict=True):
@@ -376,7 +377,7 @@ class TestWeightedRateSum:
     def test_no_active_source_gives_exact_zeros(self):
         grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=1.0)
         late = [static_worldline([0, 0, 0], coupling=1.0, t_start=5.0)]
-        sums = dynamics._rate_sums(SCALAR, late, grid.k,
+        sums = dynamics._rate_sums(SCALAR, late, grid.waves,
                                    np.linspace(0.0, 4.0, 40), np.ones((2, 40)))
         assert sums.shape == (2, 2, len(grid)) and not np.any(sums)
 
@@ -594,14 +595,37 @@ class TestAveragedProfile:
 
     @pytest.mark.parametrize("n_samples", [4, 32])
     def test_work_is_per_source_and_per_point(self, monkeypatch, n_samples):
-        calls = _count_calls(monkeypatch, ("source_rate", "reconstruct_field"),
+        # one switch-on rate per source, on the grid's cached phase
+        # tables: never the public source_rate, which builds its own
+        calls = _count_calls(monkeypatch, ("_rate_sums", "source_rate",
+                                           "reconstruct_field"),
                              (dynamics, verify))
         sources = [_straight_source("static"), _late_source("uniform")]
         grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=1.0)
         averaged_profile(SCALAR, sources, grid, PROFILE_POINTS, center=5.0,
                          period=2.0, n_samples=n_samples)
-        assert calls == {"source_rate": len(sources),
+        assert calls == {"_rate_sums": len(sources), "source_rate": 0,
                          "reconstruct_field": len(PROFILE_POINTS)}
+
+    def test_phase_tables_built_once_per_grid(self, monkeypatch):
+        builds = []
+        original = PlaneWaves.__init__
+
+        def counted(self, k):
+            builds.append(len(k))
+            original(self, k)
+
+        monkeypatch.setattr(PlaneWaves, "__init__", counted)
+        grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=1.0)
+        sources = [_straight_source("static"), _late_source("uniform")]
+        hist = evolve_amplitudes(SCALAR, sources, grid, 4.0, 6.0, 40,
+                                 save="all")
+        mode_equation_residual(SCALAR, sources, grid, hist)
+        points = np.concatenate([PROFILE_POINTS, -PROFILE_POINTS])
+        assert len(points) == 6
+        averaged_profile(SCALAR, sources, grid, points, center=5.0,
+                         period=2.0, n_samples=32)
+        assert builds == [len(grid)]
 
 
 def _per_sample_mean(field, worldlines, grid, first, spacing, count, t_ref,

@@ -1,4 +1,4 @@
-"""Mode grids: weights, shell exactness, budget, box modes."""
+"""Mode grids: weights, shell exactness, budget, box modes, plane waves."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covham.errors import GridDomainError, ModeBudgetError
-from covham.minkowski import minkowski_dot
-from covham.modes import box_mode_grid, build_mode_grid
+from covham.minkowski import lower_index, minkowski_dot, on_shell_k
+from covham.modes import ModeGrid, PlaneWaves, box_mode_grid, build_mode_grid
 
 
 def test_single_cell_weight_frozen_value():
@@ -92,3 +92,72 @@ def test_box_modes_reject_duplicates_and_non_integers():
         box_mode_grid(1.0, [[1, 0, 0], [1, 0, 0]], kappa=1.0)
     with pytest.raises(ValueError):
         box_mode_grid(1.0, [[0.5, 0, 0]], kappa=1.0)
+
+
+def _hand_built_grid(rng, n=40, kappa=0.8):
+    """A grid whose k components are all distinct, built by hand."""
+    k = on_shell_k(rng.uniform(-2.0, 2.0, size=(n, 3)), kappa)
+    return ModeGrid(k=k, weight=1.0 / (2.0 * k[:, 0]), kappa=kappa,
+                    kmax=2.0, n_per_axis=0, spacing=0.0)
+
+
+PHASE_GRIDS = {
+    "even": lambda rng: build_mode_grid(kmax=2.0, n_per_axis=6, kappa=1.0),
+    "odd_massless": lambda rng: build_mode_grid(kmax=2.0, n_per_axis=5,
+                                                kappa=0.0),
+    "box": lambda rng: box_mode_grid(
+        3.0, [[0, 0, 1], [1, -1, 0], [2, 0, -1], [-1, 2, 2]], 0.5),
+    "all_distinct": _hand_built_grid,
+}
+
+
+class TestPlaneWaves:
+    @pytest.mark.parametrize("name", sorted(PHASE_GRIDS))
+    def test_matches_complex_exponential(self, name):
+        rng = np.random.default_rng(11)
+        grid = PHASE_GRIDS[name](rng)
+        x = rng.uniform(-1.5, 1.5, size=(7, 4))
+        kx = lower_index(x) @ grid.k.T  # (points, modes)
+        for sign in (-1, +1):
+            want = np.exp(sign * 1j * kx).T
+            got = grid.waves.at(x, sign)
+            assert got.shape == (len(grid), len(x))
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+        # one point given as (4,) is the one-column case
+        assert np.array_equal(grid.waves.at(x[2], -1)[:, 0],
+                              grid.waves.at(x, -1)[:, 2])
+
+    def test_tables_hold_each_distinct_value_once(self):
+        rng = np.random.default_rng(2)
+        grid = _hand_built_grid(rng)
+        for values, _ in grid.waves.tables:
+            assert len(values) == len(grid)
+        cube = build_mode_grid(kmax=3.0, n_per_axis=48, kappa=1.0)
+        tables = cube.waves.tables
+        assert [len(v) for v, _ in tables[1:]] == [48, 48, 48]
+        assert len(tables[0][0]) < 2000  # k0 repeats under the cube's symmetry
+        for column, (values, index) in zip(cube.k.T, tables):
+            assert index.dtype.itemsize <= 2
+            assert np.array_equal(values[index], column)
+        assert cube.waves is cube.waves  # built once, then cached
+
+    @pytest.mark.parametrize("name", sorted(PHASE_GRIDS))
+    def test_one_mode_equals_its_row_of_the_grid(self, name):
+        rng = np.random.default_rng(5)
+        grid = PHASE_GRIDS[name](rng)
+        x = rng.uniform(-3.0, 3.0, size=(9, 4))
+        for sign in (-1, +1):
+            rows = grid.waves.at(x, sign)
+            for i in (0, len(grid) // 2, len(grid) - 1):
+                one = PlaneWaves(grid.k[i:i + 1]).at(x, sign)
+                assert np.all(one[0] == rows[i])
+
+    def test_swapped_index_entries_are_seen(self):
+        grid = build_mode_grid(kmax=2.0, n_per_axis=6, kappa=1.0)
+        x = np.random.default_rng(3).uniform(-1.5, 1.5, size=(5, 4))
+        want = np.exp(-1j * (lower_index(x) @ grid.k.T)).T
+        waves = PlaneWaves(grid.k)
+        _, index = waves.tables[1]  # kx
+        first, other = 0, int(np.flatnonzero(index != index[0])[0])
+        index[[first, other]] = index[[other, first]]
+        assert np.max(np.abs(waves.at(x, -1) - want)) >= 1e-3
