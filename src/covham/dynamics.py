@@ -86,7 +86,12 @@ also gives the mean over uniform slices of the coefficients carried to
 one reference slice t_ref by their free phase exp(mp i k0 (t - t_ref)):
 the time average verify.averaged_profile reconstructs once per point.
 On uniform slices its phases turn by a fixed factor per slice, so it
-rotates them, _MODE_SLICE modes at a time, instead of re-evaluating them.
+rotates them, _MODE_SLICE rows at a time, instead of re-evaluating them.
+The rows are the modes for a source that moves.  For a static one the
+spatial terms of k.udot are exact zeros, so the mean is a function of k0
+alone: its rows are the grid's k0 table (ModeGrid.waves), about 1,800
+values for the 110,592 modes of a 48^3 grid, and the result is gathered
+by each mode's index into it, bit for bit what the per-mode rows give.
 """
 from __future__ import annotations
 
@@ -103,7 +108,7 @@ from .worldlines import Worldline, equal_time_crossing
 # complex multiply-adds per source of one block's product E @ (W x Cur)
 # (see the module docstring): sizes node chunks and blocks of groups
 _BLOCK_WORK = 2**19
-# modes per slice of the rotated time average: bounds its per-mode arrays
+# rows per slice of the rotated time average: bounds its per-row arrays
 _MODE_SLICE = 4096
 
 
@@ -263,9 +268,11 @@ def _straight_line_mean(field, worldlines, grid, first, spacing, count,
     sin(c L) exp(i c L) / c: accurate as c L -> 0, with no cancellation.
     From one slice to the next z turns by exp(i c spacing) and zw by
     that times exp(-i k0 spacing), so the sum takes no transcendental
-    per slice.  Modes go _MODE_SLICE at a time, and each switch-on rate
-    is computed once.  One slice at t_ref gives D = C(t_ref), (branches,
-    N, *component_shape).
+    per slice.  g_j depends on k only through k0 and c, so it runs over
+    the rows _mean_modes gives, _MODE_SLICE at a time: every mode, or for
+    a static source each distinct k0 once, gathered by mode after the
+    loop.  Each switch-on rate is computed once.  One slice at t_ref
+    gives D = C(t_ref), (branches, N, *component_shape).
     """
     if not all(w.straight for w in worldlines):
         raise ValueError("closed-form amplitudes need static or uniform "
@@ -281,9 +288,10 @@ def _straight_line_mean(field, worldlines, grid, first, spacing, count,
         if skip == count:  # source j adds nothing up to its switch-on
             continue
         _, udot = w.state(w.tau_on)
-        mean = np.empty(n, dtype=complex)
-        for lo in range(0, n, _MODE_SLICE):
-            k = grid.k[lo:lo + _MODE_SLICE]
+        rows, index = _mean_modes(grid, udot)
+        mean = np.empty(len(rows), dtype=complex)
+        for lo in range(0, len(rows), _MODE_SLICE):
+            k = rows[lo:lo + _MODE_SLICE]
             c = 0.5 * (k @ lower_index(udot)) / udot[0]  # s_j / 2
             z = np.exp(1j * c * (times[skip] - start))
             zw = z * np.exp(-1j * k[:, 0] * (times[skip] - t_ref))
@@ -295,11 +303,27 @@ def _straight_line_mean(field, worldlines, grid, first, spacing, count,
                 zw *= turn_w
                 total += z.imag * zw
             mean[lo:lo + _MODE_SLICE] = total / (c * count)
+        if index is not None:
+            mean = mean[index]
         rates = _rate_sums(field, [w], grid.waves, np.array([start]),
                            np.ones((1, 1)))[0]
         for cf, rate, f in zip(coeffs, rates, with_conjugate(mean)):
             cf += rate * f.reshape(expand)
     return coeffs
+
+
+def _mean_modes(grid: ModeGrid, udot: np.ndarray):
+    """The rows (M, 4) _straight_line_mean runs over for a source of
+    velocity udot, and the index (N,) that gathers them by mode (None:
+    the rows are grid.k).  With no spatial velocity k.udot = k0 udot^0,
+    the spatial terms being exact zeros, so the rows are (k0, 0, 0, 0)
+    over the grid's k0 table."""
+    if np.any(udot[1:]):
+        return grid.k, None
+    values, index = grid.waves.tables[0]
+    rows = np.zeros((len(values), 4))
+    rows[:, 0] = values
+    return rows, index
 
 
 @dataclass(frozen=True)

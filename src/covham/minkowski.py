@@ -58,7 +58,12 @@ def mass_shell_energy(k_spatial, kappa: float):
     touches the light-cone tip and 1/(2 k0) is meaningless.
     """
     k_spatial = np.asarray(k_spatial, dtype=float)
-    k0 = np.sqrt(np.sum(k_spatial**2, axis=-1) + float(kappa) ** 2)
+    return _positive_shell(
+        np.sqrt(np.sum(k_spatial**2, axis=-1) + float(kappa) ** 2))
+
+
+def _positive_shell(k0):
+    """k0, or ZeroModeError if any entry is the massless zero mode."""
     if np.any(k0 == 0.0):
         raise ZeroModeError(
             "k0 = 0 encountered: massless zero mode (kappa = 0, k = 0) "

@@ -24,17 +24,20 @@ mode's index into them, and evaluates a block of points from one cos
 and sin per distinct value and point, four gathers and three in-place
 multiplies, with no complex exponential per mode.  The formula holds
 for any k; only its cost depends on how many values repeat.
-ModeGrid.waves builds the tables once per grid.
+ModeGrid.waves builds the tables once per grid.  On a cube grid the
+spatial tables are the axis itself and each node's index into it, which
+build_mode_grid already holds and hands on, so only the k0 column is
+sorted (np.unique); hand-built and box grids sort every column.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import GridDomainError, ModeBudgetError
-from .minkowski import lower_index, mass_shell_energy
+from .minkowski import _positive_shell, lower_index, mass_shell_energy
 
 DEFAULT_MODE_BUDGET = 2_000_000
 # most time steps a scenario may ask for, directly or through a window
@@ -59,16 +62,29 @@ class PlaneWaves:
 
     tables holds, per component a of k, its distinct values (np.unique)
     and each mode's index into them, in the smallest unsigned dtype that
-    holds it.
+    holds it.  cube = (axis, axis_index), given by build_mode_grid, is a
+    cube grid's sorted axis values (n,) and, per spatial component, each
+    mode's index into them (N,): the spatial tables are then read off
+    the axis values some mode uses, equal to np.unique's, with no sort.
     """
 
-    def __init__(self, k):
+    def __init__(self, k, *, cube=None):
         self.k = np.asarray(k, dtype=float)
         self.tables = []
-        for column in self.k.T:
+        for column in self.k.T if cube is None else self.k.T[:1]:
             values, index = np.unique(column, return_inverse=True)
             self.tables.append(
                 (values, index.astype(np.min_scalar_type(len(values) - 1))))
+        if cube is not None:
+            axis, axis_index = cube
+            for index in axis_index:
+                used = np.zeros(len(axis), dtype=bool)
+                used[index] = True
+                values = axis[used]
+                # a value's rank among the used ones is np.unique's index
+                rank = np.cumsum(used) - 1
+                self.tables.append((values, rank.astype(
+                    np.min_scalar_type(len(values) - 1))[index]))
 
     def at(self, x, sign: int) -> np.ndarray:
         """exp(sign i k.x) at the points x (P, 4) or (4,): shape (N, P).
@@ -111,7 +127,8 @@ class ModeGrid:
     weight has shape (N,).  Instances are produced by build_mode_grid;
     building one by hand is fine as long as k is on shell.  waves, the
     grid's PlaneWaves, builds its per-component phase tables on first
-    use and keeps them: k must not change after that.
+    use and keeps them: k must not change after that.  _cube is the
+    (axis, axis_index) build_mode_grid leaves for them (None otherwise).
     """
 
     k: np.ndarray
@@ -121,13 +138,15 @@ class ModeGrid:
     n_per_axis: int
     spacing: float
     k0_floor: float = 0.0
+    _cube: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def __len__(self) -> int:
         return self.k.shape[0]
 
     @cached_property
     def waves(self) -> PlaneWaves:
-        return PlaneWaves(self.k)
+        return PlaneWaves(self.k, cube=self._cube)
 
     @property
     def k0(self) -> np.ndarray:
@@ -184,21 +203,27 @@ def build_mode_grid(
 
     dk = 2.0 * kmax / n_per_axis
     axis = -kmax + dk * (np.arange(n_per_axis) + 0.5)
-    kx, ky, kz = np.meshgrid(axis, axis, axis, indexing="ij")
-    k_spatial = np.column_stack([kx.ravel(), ky.ravel(), kz.ravel()])
-
-    k0 = np.sqrt(np.sum(k_spatial**2, axis=1) + kappa**2)
+    # node (i, j, l) in C order: mass_shell_energy's sum (kx^2 + ky^2) +
+    # kz^2 + kappa^2, bit for bit, from the axis squares
+    sq = axis**2
+    k0 = np.sqrt(((sq[:, None, None] + sq[None, :, None]) + sq[None, None, :]
+                  + float(kappa) ** 2).ravel())
     keep = k0 >= k0_floor
-    k_spatial = k_spatial[keep]
-    k0 = mass_shell_energy(k_spatial, kappa)
+    k0 = _positive_shell(k0[keep])
+    # each node's index into axis per spatial component, a row at a time
+    # (one (3, N) mask takes about ten times as long)
+    axis_index = [index[keep] for index in np.indices(
+        (n_per_axis,) * 3,
+        dtype=np.min_scalar_type(n_per_axis - 1)).reshape(3, -1)]
 
-    k = np.empty((k_spatial.shape[0], 4))
+    k = np.empty((len(k0), 4))
     k[:, 0] = k0
-    k[:, 1:] = k_spatial
+    for a, index in enumerate(axis_index, start=1):
+        k[:, a] = axis[index]
     weight = dk**3 / (8.0 * np.pi**3 * 2.0 * k0)
     k.setflags(write=False)
     weight.setflags(write=False)
-    return ModeGrid(
+    grid = ModeGrid(
         k=k,
         weight=weight,
         kappa=float(kappa),
@@ -207,6 +232,9 @@ def build_mode_grid(
         spacing=dk,
         k0_floor=float(k0_floor),
     )
+    # for waves: the spatial tables come from the axis, with no sort
+    object.__setattr__(grid, "_cube", (axis, axis_index))
+    return grid
 
 
 def box_mode_grid(box_length: float, n_vectors, kappa: float) -> ModeGrid:

@@ -459,15 +459,24 @@ def averaged_profile(field, worldlines, grid, points, center: float,
     its own switch-on), and each point is reconstructed once, at
     (t_ref, p).  The em field's 2 Re is linear too.  The samples are
     uniform, so the sum over them rotates each mode's phases by a fixed
-    factor per sample, a slice of modes at a time (see
+    factor per sample; a static source's sum depends on k0 alone and
+    runs once per distinct k0 of the grid, then is gathered by mode (see
     dynamics._straight_line_mean).  Averaging over a full period
     suppresses the oscillatory transient left by the switch-on, so the
-    result approximates the steady field.  Raises ValueError for a
-    circular source.
+    result approximates the steady field.  Raises ValueError, naming the
+    argument, for no worldlines, an n_samples that is not an integer >= 1
+    or a period that is not positive, and for a circular source.
 
     One reconstruct_field call per point: batching 5-6 points on a 48^3
     grid holds a (points, modes) complex phase, about 10 MB more peak.
     """
+    if not worldlines:
+        raise ValueError("worldlines must hold at least one source")
+    if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
+        raise ValueError(f"n_samples must be an integer >= 1, got "
+                         f"{n_samples!r}")
+    if not period > 0.0:
+        raise ValueError(f"period must be positive, got {period}")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     t_on = min(w.switch_on_time() for w in worldlines)
     spacing = period / n_samples

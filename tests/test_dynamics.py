@@ -607,13 +607,30 @@ class TestAveragedProfile:
         assert calls == {"_rate_sums": len(sources), "source_rate": 0,
                          "reconstruct_field": len(PROFILE_POINTS)}
 
+    @pytest.mark.parametrize("bad, name", [
+        ({"n_samples": 0}, "n_samples"),
+        ({"n_samples": -3}, "n_samples"),
+        ({"n_samples": 2.5}, "n_samples"),
+        ({"period": 0.0}, "period"),
+        ({"period": -1.0}, "period"),
+        ({"period": float("nan")}, "period"),
+        ({"worldlines": []}, "worldlines"),
+    ])
+    def test_rejects_bad_arguments_by_name(self, bad, name):
+        grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=1.0)
+        args = {"field": SCALAR, "worldlines": [_straight_source("static")],
+                "grid": grid, "points": PROFILE_POINTS, "center": 5.0,
+                "period": 2.0, "n_samples": 4} | bad
+        with pytest.raises(ValueError, match=name):
+            averaged_profile(**args)
+
     def test_phase_tables_built_once_per_grid(self, monkeypatch):
         builds = []
         original = PlaneWaves.__init__
 
-        def counted(self, k):
+        def counted(self, k, **cube):
             builds.append(len(k))
-            original(self, k)
+            original(self, k, **cube)
 
         monkeypatch.setattr(PlaneWaves, "__init__", counted)
         grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=1.0)
@@ -697,6 +714,74 @@ class TestRotatedMean:
         got = dynamics._straight_line_mean(*args)
         bad = _per_sample_mean(*args, fault=fault)
         assert np.max(np.abs(got[0] - bad[0])) > 1e-3 * np.max(np.abs(got[0]))
+
+
+def _per_mode_mean(monkeypatch, *args):
+    """dynamics._straight_line_mean with every source on the per-mode
+    loop, whose rows are grid.k, the k0 table left unused."""
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "_mean_modes", lambda grid, udot: (grid.k, None))
+        return dynamics._straight_line_mean(*args)
+
+
+# (n_per_axis, kappa): even and odd, and a massless odd grid whose zero
+# mode is dropped
+TABLE_GRIDS = [(6, 1.0), (5, 1.0), (5, 0.0)]
+
+
+class TestK0TableMean:
+    @pytest.mark.parametrize("n, kappa", TABLE_GRIDS)
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_static_sources_equal_the_per_mode_loop(self, monkeypatch, name,
+                                                    n, kappa):
+        field = FIELDS[name]
+        # switched on at 0.3 and 5.0: before and inside the window
+        sources = [_straight_source("static"), _late_source("static")]
+        grid = build_mode_grid(kmax=2.0, n_per_axis=n, kappa=kappa)
+        assert len(grid.waves.tables[0][0]) < len(grid) / 4
+        args = (field, sources, grid, *_uniform_samples(32), 5.0)
+        got = dynamics._straight_line_mean(*args)
+        want = _per_mode_mean(monkeypatch, *args)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n, kappa", TABLE_GRIDS)
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_static_and_uniform_match_per_sample_sum(self, name, n, kappa):
+        field = FIELDS[name]
+        sources = [_straight_source("static"), _late_source("uniform")]
+        grid = build_mode_grid(kmax=2.0, n_per_axis=n, kappa=kappa)
+        args = (field, sources, grid, *_uniform_samples(32), 5.0)
+        got = dynamics._straight_line_mean(*args)
+        want = _per_sample_mean(*args)
+        for g, w in zip(got, field.families(*want), strict=True):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
+
+    def test_only_a_static_source_takes_the_table(self):
+        grid = build_mode_grid(kmax=2.0, n_per_axis=6, kappa=1.0)
+        _, udot = _straight_source("static").state(0.2)
+        rows, index = dynamics._mean_modes(grid, udot)
+        assert index is grid.waves.tables[0][1]
+        assert np.array_equal(rows[:, 0], grid.waves.tables[0][0])
+        assert not np.any(rows[:, 1:])
+        _, udot = _straight_source("uniform").state(0.4)
+        rows, index = dynamics._mean_modes(grid, udot)
+        assert rows is grid.k and index is None
+
+    def test_comparison_flags_a_gather_by_the_wrong_table(self, monkeypatch):
+        sources = [_straight_source("static"), _late_source("static")]
+        grid = build_mode_grid(kmax=2.0, n_per_axis=6, kappa=1.0)
+        args = (SCALAR, sources, grid, *_uniform_samples(32), 5.0)
+        want = _per_mode_mean(monkeypatch, *args)
+        original = dynamics._mean_modes
+
+        def by_kx(grid, udot):  # the k0 rows gathered by each kx index
+            rows, _ = original(grid, udot)
+            return rows, grid.waves.tables[1][1]
+
+        monkeypatch.setattr(dynamics, "_mean_modes", by_kx)
+        bad = dynamics._straight_line_mean(*args)
+        assert not np.array_equal(bad, want)
+        assert np.max(np.abs(bad - want)) > 1e-3 * np.max(np.abs(want))
 
 
 class TestReconstructAndResidual:

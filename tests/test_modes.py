@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covham.errors import GridDomainError, ModeBudgetError
-from covham.minkowski import lower_index, minkowski_dot, on_shell_k
+from covham.errors import GridDomainError, ModeBudgetError, ZeroModeError
+from covham.minkowski import (lower_index, mass_shell_energy, minkowski_dot,
+                              on_shell_k)
 from covham.modes import ModeGrid, PlaneWaves, box_mode_grid, build_mode_grid
 
 
@@ -92,6 +93,37 @@ def test_box_modes_reject_duplicates_and_non_integers():
         box_mode_grid(1.0, [[1, 0, 0], [1, 0, 0]], kappa=1.0)
     with pytest.raises(ValueError):
         box_mode_grid(1.0, [[0.5, 0, 0]], kappa=1.0)
+
+
+# (n_per_axis, kappa, k0_floor): even and odd; massless and odd, the
+# zero mode dropped; and a floor of 2.3 on the axis (-1.6, -0.8, 0, 0.8,
+# 1.6), which drops every node whose kx is 0 (the largest such |k| is
+# 1.6 sqrt 2 = 2.26) and so a value of each spatial table
+CUBE_GRIDS = [(6, 1.0, None), (7, 0.5, None), (5, 0.0, None),
+              (4, 0.0, None), (1, 1.0, None), (5, 0.0, 2.3)]
+
+
+@pytest.mark.parametrize("n, kappa, floor", CUBE_GRIDS)
+def test_cube_tables_equal_np_unique_and_k0_the_shell(n, kappa, floor):
+    grid = build_mode_grid(kmax=2.0, n_per_axis=n, kappa=kappa,
+                           k0_floor=floor)
+    assert np.array_equal(grid.k0, mass_shell_energy(grid.k_spatial, kappa))
+    for column, (values, index) in zip(grid.k.T, grid.waves.tables,
+                                       strict=True):
+        want, inverse = np.unique(column, return_inverse=True)
+        inverse = inverse.astype(np.min_scalar_type(len(want) - 1))
+        assert values.dtype == want.dtype and np.array_equal(values, want)
+        assert index.dtype == inverse.dtype
+        assert np.array_equal(index, inverse)
+    if floor is not None:  # an axis value no mode uses is left out
+        assert [len(v) for v, _ in grid.waves.tables[1:]] == [n - 1] * 3
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_zero_mode_kept_by_a_zero_floor_raises(n):
+    with pytest.raises(ZeroModeError, match="zero mode"):
+        build_mode_grid(kmax=2.0, n_per_axis=n, kappa=0.0, k0_floor=0.0)
+    assert len(build_mode_grid(kmax=2.0, n_per_axis=n, kappa=0.0)) == n**3 - 1
 
 
 def _hand_built_grid(rng, n=40, kappa=0.8):
