@@ -16,16 +16,17 @@ couple row 0 to rows 1 + mu inside one (mode, branch) block; the two
 branches of a complex species are independent canonical sectors.  With
 this normalization the canonical pair obeys
 
-    {q_c(k), V^mu pi_{mu c'}(k')} = V.V eta_{c c'} delta_kk' / w_k,
+    {q_c(k), V^mu pi_{mu c'}(k')} = V.V sigma_c delta_cc' delta_kk' / w_k,
 
-the discrete image of the delta-normalized pair relation.
+sigma_c the metric signs raising every index of the component c, the
+discrete image of the delta-normalized pair relation.
 
 Observables are quadratic forms (closed under the bracket, Jacobi
 exact) or callables with gradients for Leibniz products.  Jacobi terms
 use grad {B, C} = Q_B Lambda grad C - Q_C Lambda grad B at the state:
 O(n^2) matrix-vector work, not O(n^3) matrix products.  Sectors cover
-component ranks 0 and 1 (scalar, vector, em); the spinor's constraint
-momenta do not form an unconstrained (q, pi) pair.
+every tensor rank and em; the spinor's constraint momenta do not form
+an unconstrained (q, pi) pair.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ import numpy as np
 from .canonical import CanonicalMode, mode_hamiltonian_gradients, row_signs
 from .errors import ModeBudgetError
 from .fields import FieldSpec
-from .minkowski import METRIC_DIAG, minkowski_dot
+from .minkowski import METRIC_DIAG, component_signs, minkowski_dot
 from .modes import ModeGrid
 
 MAX_STATE_SIZE = 4096  # dense Poisson tensor guard
@@ -58,8 +59,8 @@ class StateLayout:
 
     def __init__(self, field: FieldSpec, grid: ModeGrid):
         if not field.has_bracket_sector:
-            raise ValueError(
-                "bracket sectors are defined for component ranks 0 and 1")
+            raise ValueError("the spinor's constraint momenta form no "
+                             "unconstrained (q, pi) bracket sector")
         self.field = field
         self.grid = grid
         self.branches = field.branches
@@ -280,19 +281,21 @@ def jacobi_defect(a, b, c, cfg: BracketConfig, state: np.ndarray) -> float:
     return abs(sum(jacobi_terms(a, b, c, cfg, state)))
 
 
-def canonical_pair_bracket(mu: int, nu: int, k_spatial, kprime_spatial,
-                           cfg: BracketConfig) -> float:
-    """{q_mu(k), V.pi_nu(k')} by the closed pair formula.
+def canonical_pair_bracket(c, c2, k_spatial, kprime_spatial,
+                           cfg: BracketConfig):
+    """{q_c(k), V.pi_c2(k')} by the closed pair formula.
 
-    V.V eta_{mu nu} delta_kk' / w_k, the discrete image of the
-    delta-normalized canonical pair; off-grid wave vectors raise.
+    V.V sigma_c delta_cc' delta_kk' / w_k for flat component indices c,
+    c2 broadcast together (rank 1: c is mu), sigma_c from the metric
+    (component_signs), not from the signs Lambda is built from; off-grid
+    wave vectors raise.
     """
     i = cfg.grid.index_of(k_spatial)
     j = cfg.grid.index_of(kprime_spatial)
-    if i != j or mu != nu:
-        return 0.0
-    vv = minkowski_dot(cfg.v, cfg.v)
-    return float(vv) * METRIC_DIAG[mu] / float(cfg.grid.weight[i])
+    sigma = component_signs(cfg.field.rank).reshape(-1)[c]
+    pair = float(minkowski_dot(cfg.v, cfg.v)) * sigma / float(
+        cfg.grid.weight[i])
+    return np.where(np.equal(c, c2) & (i == j), pair, 0.0)[()]
 
 
 def dw_conservation_check(cfg: BracketConfig, state: np.ndarray) -> float:

@@ -110,6 +110,8 @@ from .worldlines import Worldline, equal_time_crossing
 _BLOCK_WORK = 2**19
 # rows per slice of the rotated time average: bounds its per-row arrays
 _MODE_SLICE = 4096
+# a slice counts as before a switch-on when it is more than this earlier
+SWITCH_ON_SLACK = 1e-12
 
 
 def _crossings(field: FieldSpec, worldlines: list[Worldline] | None,
@@ -475,14 +477,14 @@ def mode_equation_residual(
     sample, and one five_point call over every sample and branch of the
     block.  A stencil that straddles a switch-on a (x0[i-2] < a <=
     x0[i+2]) sees the kink in C there, not a dynamics error, and is
-    skipped; a sample counts as before a when it is more than 1e-12
-    earlier, as in the simulate suite's causality mask.
+    skipped; a sample counts as before a when it is more than
+    SWITCH_ON_SLACK earlier, as in the simulate suite's causality mask.
     """
     x0 = history.x0
     if len(x0) < 5:
         raise ValueError("need at least 5 uniform samples for the stencil")
     h = history.spacing()
-    ons = np.array([w.switch_on_time() for w in worldlines]) - 1e-12
+    ons = np.array([w.switch_on_time() for w in worldlines]) - SWITCH_ON_SLACK
     straddles = np.any((x0[:-4, None] < ons) & (ons <= x0[4:, None]), axis=1)
     samples = 2 + np.flatnonzero(~straddles)
     per_branch = tuple(range(2, history.coeffs.ndim))  # modes, comps

@@ -130,9 +130,9 @@ class FieldSpec:
 
     @property
     def has_bracket_sector(self) -> bool:
-        """Whether the (q, pi) bracket layout covers the species: component
-        ranks 0 and 1; the spinor's constraint momenta form no pair."""
-        return self.kind != "spinor" and self.rank <= 1
+        """Whether the (q, pi) bracket layout covers the species: every
+        tensor rank and em; the spinor's constraint momenta form no pair."""
+        return self.kind != "spinor"
 
     @property
     def has_parseval_identity(self) -> bool:

@@ -292,6 +292,15 @@ def scenario_from_dict(data: dict, sha256: str = "") -> Scenario:
              f"{n_per_axis}^3 modes exceed the budget of {DEFAULT_MODE_BUDGET}")
     k0_floor = _number(grid, "grid", "k0_floor", 1e-6 * kmax)
     _require(k0_floor >= 0.0, "grid", "k0_floor must be >= 0")
+    # from the centre and corner nodes, without building the grid
+    _require(n_per_axis % 2 == 0 or spec.kappa > 0.0 or k0_floor > 0.0,
+             "grid", "an odd n_per_axis keeps the massless zero mode k = 0 "
+             "(kappa = 0); set k0_floor > 0")
+    edge = max(abs(-kmax + 2.0 * kmax / n_per_axis * (i + 0.5))
+               for i in (0, n_per_axis - 1))
+    top = math.sqrt(3.0 * (edge * edge) + spec.kappa * spec.kappa)
+    _require(k0_floor <= top, "grid", f"k0_floor = {k0_floor} drops every "
+             f"node (the largest k0 is {top:.6g})")
 
     time = _section(data, "time", {"x0_start", "x0_end", "steps"})
     x0_start = _number(time, "time", "x0_start")

@@ -25,13 +25,12 @@ import numpy as np
 
 from . import __version__
 from .brackets import (
+    MAX_STATE_SIZE,
     BracketConfig,
     QuadraticObservable,
     canonical_pair_bracket,
-    coordinate_observable,
     dw_conservation_check,
     jacobi_terms,
-    momentum_vector_observable,
     poisson_bracket,
     product,
 )
@@ -48,6 +47,7 @@ from .canonical import (
 )
 from .dirac import clifford_defect, projector_defects, shell_projector
 from .dynamics import (
+    SWITCH_ON_SLACK,
     _straight_line_mean,
     evolve_amplitudes,
     mode_equation_residual,
@@ -55,7 +55,7 @@ from .dynamics import (
     source_rate,
     straight_line_amplitudes,
 )
-from .fields import family_pair, scalar_field, tensor_field
+from .fields import family_pair, scalar_field
 from .green import green_oracle
 from .minkowski import on_shell_k
 from .modes import STENCIL_K0H, box_mode_grid, build_mode_grid
@@ -249,11 +249,9 @@ def _suite_hamilton(s: Scenario, rng, tol, records, tables) -> None:
     _add(records, "hamilton/sourced_residual", worst_src,
          tol["hamilton_sourced"], {"steps": steps, "x0": float(hist.x0[mid])})
 
-    finals = {}
-    for n_steps in (64, 128, 256):
-        hist_n = evolve_amplitudes(field, worldlines, grid, s.x0_start,
-                                   end, n_steps, save="last")
-        finals[n_steps] = hist_n.coeffs[-1]
+    finals = {n: evolve_amplitudes(field, worldlines, grid, s.x0_start, end,
+                                   n, save="last").coeffs[-1]
+              for n in (64, 128, 256)}
     e_coarse = float(np.max(np.abs(finals[64] - finals[128])))
     e_fine = float(np.max(np.abs(finals[128] - finals[256])))
     slope = math.log2(e_coarse / e_fine) if e_fine > 0.0 else float("inf")
@@ -274,22 +272,20 @@ def _suite_simulate(s: Scenario, rng, tol, records, tables) -> None:
     grid = build_mode_grid(min(s.kmax, 2.0), min(s.n_per_axis, 5),
                            s.field.kappa)
     worldlines = list(s.particles)
-    steps = int(max(s.steps, 8))
-    if steps % 2:
-        steps += 1
+    steps = 2 * math.ceil(max(s.steps, 8) / 2)  # even, for the halves
     hist = evolve_amplitudes(field, worldlines, grid, s.x0_start, s.x0_end,
                              steps, save="all")
 
     t_on = min((w.switch_on_time() for w in worldlines),
                default=float("inf"))
     probe, meta = hist, {}
-    if hist.x0[0] >= t_on - 1e-12:
+    if hist.x0[0] >= t_on - SWITCH_ON_SLACK:
         # no sample precedes the first switch-on: evolve 4 that do
         h = hist.spacing()
         probe = evolve_amplitudes(field, worldlines, grid, t_on - 4.0 * h,
                                   t_on + 4.0 * h, 8)
         meta["probe_window"] = [float(probe.x0[0]), float(probe.x0[-1])]
-    mask = probe.x0 < t_on - 1e-12
+    mask = probe.x0 < t_on - SWITCH_ON_SLACK
     meta["pre_crossing_samples"] = int(np.sum(mask))
     _add(records, "simulate/causality",
          np.max(np.abs(probe.coeffs[mask]), initial=0.0), tol["causality"],
@@ -346,10 +342,10 @@ def _suite_simulate(s: Scenario, rng, tol, records, tables) -> None:
 def _bracket_sector(field):
     if field.has_bracket_sector:
         return field, None
-    kappa = field.kappa if field.kappa > 0.0 else 1.0
+    # the spinor: its constraint momenta need a Dirac-constraint bracket
     note = (f"{field.kind} sector has no unconstrained (q, pi) bracket; "
-            f"checks run on the rank-0 sector at kappa = {kappa}")
-    return scalar_field(s=1.0, m=kappa, c=1.0), note
+            f"checks run on the rank-0 sector at kappa = {field.kappa}")
+    return scalar_field(s=1.0, m=field.kappa, c=1.0), note
 
 
 def _random_quadratic(layout, rng):
@@ -360,17 +356,18 @@ def _random_quadratic(layout, rng):
 
 def _suite_bracket(s: Scenario, rng, tol, records, tables) -> None:
     sector, note = _bracket_sector(s.field)
-    meta = {"sector": sector.kind}
-    if note:
-        meta["note"] = note
-    ns = [(1, 0, 0), (0, 1, 0), (0, 1, 1)]
-    grid = box_mode_grid(1.0, ns, sector.kappa)
-    cfg = BracketConfig(field=sector, grid=grid, v=s.v)
+    # as many box modes as the dense Poisson tensor holds, at least one
+    fit = MAX_STATE_SIZE // (len(sector.branches) * 5 * sector.n_components)
+    ns = [(1, 0, 0), (0, 1, 0), (0, 1, 1)][:max(1, fit)]
+    if fit < 3:
+        note = (f"rank-{sector.rank} box cut to {len(ns)} of 3 modes: the "
+                f"dense Poisson tensor holds {MAX_STATE_SIZE} variables")
+    meta = {"sector": sector.kind, **({"note": note} if note else {})}
+    cfg = BracketConfig(field=sector, grid=box_mode_grid(1.0, ns,
+                                                         sector.kappa), v=s.v)
     lay = cfg.layout
     state = rng.normal(size=lay.size)
-    a = _random_quadratic(lay, rng)
-    b = _random_quadratic(lay, rng)
-    c = _random_quadratic(lay, rng)
+    a, b, c = (_random_quadratic(lay, rng) for _ in range(3))
 
     ab = poisson_bracket(a, b, cfg, state)
     ba = poisson_bracket(b, a, cfg, state)
@@ -397,28 +394,18 @@ def _suite_bracket(s: Scenario, rng, tol, records, tables) -> None:
     _add(records, "bracket/jacobi", defect / scale if scale else defect,
          tol["jacobi"], meta)
 
-    # the canonical pair needs the vector sector for all four components
-    vec = tensor_field(rank=1, a2=1.0, b2=sector.kappa**2)
-    vcfg = BracketConfig(field=vec, grid=box_mode_grid(1.0, ns, vec.kappa),
-                         v=s.v)
-    vlay = vcfg.layout
-    zero = np.zeros(vlay.size)
-    worst = 0.0
-    for i in (0, 2):
-        for j in (0, 2):
-            for mu in range(4):
-                for nu in range(4):
-                    obs_q = coordinate_observable(vlay, "q", i, "plus",
-                                                  comp=mu)
-                    obs_p = momentum_vector_observable(vlay, vcfg.v, j,
-                                                       "plus", comp=nu)
-                    got = poisson_bracket(obs_q, obs_p, vcfg, zero)
-                    want = canonical_pair_bracket(
-                        mu, nu, vcfg.grid.k_spatial[i],
-                        vcfg.grid.k_spatial[j], vcfg)
-                    worst = _worst(worst, abs(got - want))
-    _add(records, "bracket/canonical_pair", worst, tol["canonical_pair"],
-         {"pairs": 64})
+    # {q_c(k_i), V.pi_c'(k_j)} on the plus branch for the first and last
+    # box modes and every component pair, all from one block of Lambda
+    box = sorted({0, len(ns) - 1})
+    q, pi = lay.index[box, 0, 0], lay.index[box, 0, 1:]  # (i, c), (j, mu, c')
+    block = cfg.poisson_tensor()[np.ix_(q.ravel(), pi.ravel())]
+    got = np.moveaxis(block.reshape(q.shape + pi.shape), 3, -1) @ cfg.v
+    comps, k = np.arange(lay.comp_size), cfg.grid.k_spatial[box]
+    want = [[canonical_pair_bracket(comps[:, None], comps, ki, kj, cfg)
+             for kj in k] for ki in k]  # (i, j, c, c')
+    _add(records, "bracket/canonical_pair",
+         np.max(np.abs(got - np.moveaxis(want, 2, 1))), tol["canonical_pair"],
+         {**meta, "pairs": got.size})
 
     _add(records, "bracket/conservation",
          dw_conservation_check(cfg, rng.normal(size=lay.size)),
@@ -430,10 +417,7 @@ def _suite_bracket(s: Scenario, rng, tol, records, tables) -> None:
 def _suite_parseval(s: Scenario, rng, tol, records, tables) -> None:
     field = s.field
     triples = [(1, 0, 0), (0, 1, 1), (1, 1, 0), (0, 0, 2)]
-    entries = []
-    for n in triples:
-        cp, cm = _random_amps(field, rng)
-        entries.append((n, cp, cm))
+    entries = [(n, *_random_amps(field, rng)) for n in triples]
     measured = parseval_check(field, 2.0 * np.pi, entries,
                               x0_span=(0.0, 0.7), n_t=4)
     _add(records, "parseval/box_sum", measured, tol["parseval"],

@@ -33,6 +33,7 @@ from covham.canonical import (
 )
 from covham.errors import GridDomainError, ModeBudgetError
 from covham.fields import em_field, scalar_field, spinor_field, tensor_field
+from covham.minkowski import METRIC_DIAG, minkowski_dot
 from covham.modes import box_mode_grid
 from covham.worldlines import static_worldline
 
@@ -79,11 +80,33 @@ class TestCanonicalPair:
                                     rel=1e-13)
 
     def test_spatial_component_flips_sign(self):
-        cfg = scalar_cfg()
+        # the arguments are component indices: for rank 1, c is mu
+        cfg = vector_cfg()
         k = cfg.grid.k_spatial[1]
         plus = canonical_pair_bracket(0, 0, k, k, cfg)
         minus = canonical_pair_bracket(1, 1, k, k, cfg)
         assert minus == pytest.approx(-plus, rel=1e-13)
+
+    def test_pair_broadcasts_over_rank_two_components(self):
+        # sigma_c is the product of the metric signs of c's two indices
+        rank2 = tensor_field(rank=2, a2=1.0, b2=1.0)
+        cfg = BracketConfig(field=rank2, grid=box_mode_grid(
+            L, NS, rank2.kappa), v=[1.0, 0.3, -0.2, 0.1])
+        k, other = cfg.grid.k_spatial[2], cfg.grid.k_spatial[0]
+        c = np.arange(16)
+        got = canonical_pair_bracket(c[:, None], c, k, k, cfg)
+        sigma = np.outer(METRIC_DIAG, METRIC_DIAG).ravel()
+        vv = minkowski_dot(cfg.v, cfg.v)
+        assert np.array_equal(got, np.diag(vv * sigma / cfg.grid.weight[2]))
+        assert got[4, 4] == canonical_pair_bracket(4, 4, k, k, cfg) < 0.0
+        assert not np.any(canonical_pair_bracket(c[:, None], c, k, other,
+                                                 cfg))
+        lay = cfg.layout
+        for cc in (0, 1, 4, 6, 15):
+            a = coordinate_observable(lay, "q", 2, "plus", comp=cc)
+            b = momentum_vector_observable(lay, cfg.v, 2, "plus", comp=cc)
+            assert poisson_bracket(a, b, cfg, np.zeros(lay.size)) == (
+                pytest.approx(got[cc, cc], rel=1e-12))
 
     def test_distinct_modes_vanish(self):
         cfg = scalar_cfg()
@@ -481,14 +504,16 @@ class TestLayoutAndGuards:
     def test_spinor_sector_rejected(self):
         spinor = spinor_field(s=1.0, m=1.0, c=1.0)
         grid = box_mode_grid(L, NS, spinor.kappa)
-        with pytest.raises(ValueError, match="rank"):
+        with pytest.raises(ValueError, match="spinor"):
             StateLayout(spinor, grid)
 
-    def test_rank_two_sector_rejected(self):
+    def test_rank_two_sector_accepted(self):
         rank2 = tensor_field(rank=2, a2=1.0, b2=1.0)
         grid = box_mode_grid(L, NS, rank2.kappa)
-        with pytest.raises(ValueError, match="rank"):
-            StateLayout(rank2, grid)
+        lay = StateLayout(rank2, grid)
+        assert lay.shape == (3, 2, 5, 16) and lay.size == 480
+        assert np.array_equal(lay.sigma_flat,
+                              np.outer(METRIC_DIAG, METRIC_DIAG).ravel())
 
     def test_oversized_grid_rejected(self):
         ns = [(i, j, 1) for i in range(-10, 11) for j in range(-10, 11)]

@@ -110,7 +110,7 @@ class TestSpeciesTable:
     @pytest.mark.parametrize("field, covered", [
         (scalar_field(), True), (tensor_field(rank=1, a2=0.7, b2=1.2), True),
         (em_field(), True), (spinor_field(m=1.2), False),
-        (tensor_field(rank=2, a2=1.0, b2=1.0), False)],
+        (tensor_field(rank=2, a2=1.0, b2=1.0), True)],
         ids=["scalar", "vector", "em", "spinor", "tensor2"])
     def test_bracket_sector_rule(self, field, covered):
         # StateLayout and the bracket suite read the same table entry
@@ -121,7 +121,7 @@ class TestSpeciesTable:
         if covered:
             StateLayout(field, grid)
         else:
-            with pytest.raises(ValueError, match="ranks 0 and 1"):
+            with pytest.raises(ValueError, match="spinor"):
                 StateLayout(field, grid)
 
     @pytest.mark.parametrize("field", SPECIES,

@@ -23,8 +23,9 @@ from covham.brackets import (
 from covham.cli import main
 from covham.dynamics import source_rate
 from covham.errors import ScenarioError
+from covham.fields import FieldSpec
 from covham.scenario import Scenario, load_scenario, scenario_from_dict
-from covham.minkowski import minkowski_dot
+from covham.minkowski import component_signs, minkowski_dot
 from covham.verify import DEFAULT_TOLERANCES, run_verification, write_report
 from covham.worldlines import Worldline, static_worldline
 
@@ -557,6 +558,52 @@ class TestVerificationSuites:
         assert "bracket/jacobi" in {r.name for r in report.records}
         assert report.passed, [r.to_dict() for r in report.records]
 
+    def test_bracket_suite_runs_on_the_rank_two_field(self, monkeypatch):
+        s = load_scenario(SCENARIOS / "rank2_circular_orbit.json")
+        builds = []
+        original = BracketConfig.poisson_tensor
+        monkeypatch.setattr(BracketConfig, "poisson_tensor",
+                            lambda cfg: builds.append(1) or original(cfg))
+        report = run_verification(s, "bracket", seed=7)
+        assert report.passed, [r.to_dict() for r in report.records]
+        assert all(r.metadata["sector"] == "tensor" and "note" not in
+                   r.metadata for r in report.records)
+        pair = [r for r in report.records
+                if r.name == "bracket/canonical_pair"][0]
+        assert pair.metadata["pairs"] == 4 * 16**2
+        # nine law brackets and one block for every canonical pair
+        assert len(builds) == 10
+
+    def test_bracket_pair_flags_signs_tiled_from_rank_one(self,
+                                                          monkeypatch):
+        # Lambda built with the rank-1 signs repeated over the first index:
+        # the laws hold for any signs, the closed pair reads the metric
+        s = load_scenario(SCENARIOS / "rank2_circular_orbit.json")
+
+        def failures():
+            report = run_verification(s, "bracket", seed=7)
+            return {r.name for r in report.records if r.status != "pass"}
+
+        assert failures() == set()
+        monkeypatch.setattr(FieldSpec, "pairing_signs", lambda self: np.tile(
+            component_signs(1), (4, 1)))
+        assert failures() == {"bracket/canonical_pair"}
+
+    def test_bracket_suite_cuts_the_rank_four_box(self):
+        # 2,560 variables a mode: one box mode fits the dense tensor
+        data = json.loads((SCENARIOS / "rank2_circular_orbit.json")
+                          .read_text())
+        data["field"]["rank"] = 4
+        report = run_verification(scenario_from_dict(data), "bracket",
+                                  seed=7)
+        assert report.passed, [r.to_dict() for r in report.records]
+        for rec in report.records:
+            assert rec.metadata["sector"] == "tensor"
+            assert "box cut to 1 of 3 modes" in rec.metadata["note"]
+        pair = [r for r in report.records
+                if r.name == "bracket/canonical_pair"][0]
+        assert pair.metadata["pairs"] == 256**2
+
     def test_bracket_suite_dirac_uses_fallback_sector(self):
         s = scenario_from_dict(dirac_dict())
         report = run_verification(s, "bracket", seed=7)
@@ -792,6 +839,13 @@ class TestCli:
         for name in ("roundtrip", "jacobi", "green_em", "causality"):
             assert name in DEFAULT_TOLERANCES
 
+    @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")),
+                             ids=lambda path: path.stem)
+    def test_shipped_scenario_passes_every_suite(self, path):
+        report = run_verification(load_scenario(path), "all", seed=0)
+        assert report.passed, [r.to_dict() for r in report.records
+                               if r.status != "pass"]
+
     def test_shipped_scenarios_validate(self, capsys):
         paths = sorted(SCENARIOS.glob("*.json"))
         assert paths
@@ -855,6 +909,7 @@ class TestBadSpeciesConstants:
         ("field", {"kind": "scalar", "m": -1.0}),
         ("field", {"kind": "dirac", "m": 0.0}),
         ("grid", {"kmax": 3.0, "n_per_axis": 100000}),
+        ("grid", {"kmax": 4.0, "n_per_axis": 6, "k0_floor": 100.0}),
         ("field", {"kind": ["scalar"]}),
         ("field", {"kind": "scalar", "m": 1e200}),
         ("field", {"kind": "scalar", "s": 1e-160}),
@@ -875,7 +930,8 @@ class TestBadSpeciesConstants:
                         "position": [0, 0, 0], "radius": 1.0, "omega": 0.5,
                         "xi1": [1, 0, 0, 0]}]),
     ], ids=["rank-5", "a2-negative", "scalar-s-0", "em-c-0", "scalar-m-neg",
-            "dirac-m-0", "over-mode-budget", "kind-list", "b2-overflow",
+            "dirac-m-0", "over-mode-budget", "floor-above-every-node",
+            "kind-list", "b2-overflow",
             "kappa-squared-overflow", "V-string", "V-nested-list",
             "V-int-overflow", "V-bool", "unknown-tolerance",
             "infinite-tolerance", "tolerance-int-overflow",
@@ -893,3 +949,29 @@ class TestBadSpeciesConstants:
         err = capsys.readouterr().err
         assert f"invalid scenario: {where}: " in err
         assert "Traceback" not in err
+
+    def test_validate_rejects_the_massless_zero_mode(self, tmp_path,
+                                                     capsys):
+        # an odd n puts a node at k = 0, which only a floor > 0 drops
+        data = json.loads((SCENARIOS / "static_em_charge.json").read_text())
+        data["grid"] = {"kmax": 4, "n_per_axis": 5, "k0_floor": 0}
+        with pytest.raises(ScenarioError, match="^grid: .*zero mode"):
+            scenario_from_dict(data)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 1
+        assert "invalid scenario: grid: " in capsys.readouterr().err
+        for grid in ({"kmax": 4, "n_per_axis": 5},
+                     {"kmax": 4, "n_per_axis": 6, "k0_floor": 0}):
+            data["grid"] = grid
+            assert len(scenario_from_dict(data).build_grid()) > 0
+
+    def test_floor_at_the_largest_k0_keeps_the_corners(self):
+        data = free_scalar_dict()
+        data["grid"]["k0_floor"] = 0.0
+        top = float(np.max(scenario_from_dict(data).build_grid().k0))
+        data["grid"]["k0_floor"] = top
+        assert len(scenario_from_dict(data).build_grid()) == 8
+        data["grid"]["k0_floor"] = float(np.nextafter(top, np.inf))
+        with pytest.raises(ScenarioError, match="^grid: .*every node"):
+            scenario_from_dict(data)
