@@ -131,7 +131,9 @@ class QuadraticObservable:
     """c + a.s + s.Q s / 2 with exact gradients a + Q s.
 
     Q must be symmetric: gradient, bracket_observable and jacobi_terms
-    take it as the Hessian.  Closed under sums, multiples and the bracket.
+    take it as the Hessian.  quad None is a linear observable, Q = 0
+    held without an n x n array; every operation treats it as zero.
+    Closed under sums, multiples and the bracket.
     """
 
     def __init__(self, const: float = 0.0, linear=None, quad=None,
@@ -143,30 +145,37 @@ class QuadraticObservable:
         self.const = float(const)
         self.linear = np.asarray(linear, dtype=float)
         n = self.linear.shape[0]
-        if quad is None:
-            quad = np.zeros((n, n))
-        self.quad = np.asarray(quad, dtype=float)
-        if self.quad.shape != (n, n):
+        self.quad = None if quad is None else np.asarray(quad, dtype=float)
+        if self.quad is not None and self.quad.shape != (n, n):
             raise ValueError("quadratic part must be square over the state")
+
+    def _quad_times(self, x: np.ndarray) -> np.ndarray:
+        """Q x, zeros for a linear observable."""
+        return np.zeros(len(x)) if self.quad is None else self.quad @ x
 
     def value(self, state: np.ndarray) -> float:
         state = np.asarray(state, dtype=float)
         return self.const + float(self.linear @ state) + 0.5 * float(
-            state @ (self.quad @ state))
+            state @ self._quad_times(state))
 
     def gradient(self, state: np.ndarray) -> np.ndarray:
-        return self.linear + self.quad @ np.asarray(state, dtype=float)
+        state = np.asarray(state, dtype=float)
+        return self.linear + self._quad_times(state)
 
     def __add__(self, other):
         if not isinstance(other, QuadraticObservable):
             return NotImplemented
+        if self.quad is None or other.quad is None:
+            quad = other.quad if self.quad is None else self.quad
+        else:
+            quad = self.quad + other.quad
         return QuadraticObservable(self.const + other.const,
-                                   self.linear + other.linear,
-                                   self.quad + other.quad)
+                                   self.linear + other.linear, quad)
 
     def __rmul__(self, alpha):
         return QuadraticObservable(alpha * self.const, alpha * self.linear,
-                                   alpha * self.quad)
+                                   None if self.quad is None
+                                   else alpha * self.quad)
 
 
 class GeneralObservable:
@@ -250,7 +259,10 @@ def bracket_observable(a: QuadraticObservable, b: QuadraticObservable,
     """
     lam = cfg.poisson_tensor()
     const = float(a.linear @ (lam @ b.linear))
-    linear = a.quad @ (lam @ b.linear) - b.quad @ (lam @ a.linear)
+    linear = (a._quad_times(lam @ b.linear)
+              - b._quad_times(lam @ a.linear))
+    if a.quad is None or b.quad is None:
+        return QuadraticObservable(const, linear)
     quad = a.quad @ lam @ b.quad
     # Q_A Lambda Q_B - Q_B Lambda Q_A, symmetric since Lambda^T = -Lambda
     quad = quad + quad.T
@@ -272,7 +284,8 @@ def jacobi_terms(a, b, c, cfg: BracketConfig,
     g = _gradients(obs, cfg, state)
     lam = cfg.poisson_tensor()
     f = [lam @ gi for gi in g]  # Lambda grad, shared by the three terms
-    return [float(g[x] @ (lam @ (obs[y].quad @ f[z] - obs[z].quad @ f[y])))
+    return [float(g[x] @ (lam @ (obs[y]._quad_times(f[z])
+                                  - obs[z]._quad_times(f[y]))))
             for x, y, z in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]
 
 

@@ -383,6 +383,9 @@ def mode_hamiltonian_gradients(
 
 
 _GRADIENT_STEP = 1e-3  # spacing of the gradient_consistency stencil
+# bytes of the probes gradient_consistency holds at once: entries are
+# probed in blocks, 4 copies of the stacked rows per entry
+_PROBE_BYTES = 2**24
 
 
 def gradient_consistency(
@@ -398,11 +401,12 @@ def gradient_consistency(
     minkowski.five_point differences in every stored phase-space
     component, on coupling rows built once (no probe moves a source);
     exact for the quadratic-plus-linear J up to roundoff.  J is
-    evaluated once, on the probes of every entry of the rows stacked;
-    a probe moves that entry in every stacked mode at once, since each
-    mode's J sees its own rows only.  Lowered finite-difference
-    gradients are raised with row_signs before comparison.  Each mode's
-    defect is scaled by its own 1 + max |gradient|; returns the largest.
+    evaluated once per block of entries, on the probes of those entries
+    stacked, the blocks sized by _PROBE_BYTES; a probe moves its entry
+    in every stacked mode at once, since each mode's J sees its own rows
+    only.  Lowered finite-difference gradients are raised with row_signs
+    before comparison.  Each mode's defect is scaled by its own
+    1 + max |gradient|; returns the largest.
     """
     k, x = np.asarray(k, dtype=float), np.asarray(x, dtype=float)
     analytic = mode_hamiltonian_gradients(field, k, mode, x, worldlines,
@@ -411,13 +415,21 @@ def gradient_consistency(
     signs = row_signs(field)
     entries = tuple(range(-1 - signs.ndim, 0))  # one mode's axes
     n = len(field.branches) * signs.size
-    # probes[i, o]: the rows with entry i of every mode moved by offset o
-    probes = np.broadcast_to(mode.rows, (n, 4) + mode.rows.shape).copy()
-    probes.reshape(n, 4, -1, n)[np.arange(n), :, :, np.arange(n)] += (
-        FIVE_POINT_OFFSETS[:, None] * _GRADIENT_STEP)
-    values = _canonical_value(field, k, replace(mode, rows=probes),
-                              coupling, gauge)
-    fd = np.moveaxis([five_point(v, _GRADIENT_STEP) for v in values], 0, -1)
+    block = max(1, _PROBE_BYTES // (4 * mode.rows.nbytes))
+    fd = []
+    for lo in range(0, n, block):
+        moved = np.arange(lo, min(lo + block, n))
+        # probes[i, o]: the rows with entry moved[i] of every mode moved
+        # by offset o
+        probes = np.broadcast_to(mode.rows, (len(moved), 4)
+                                 + mode.rows.shape).copy()
+        probes.reshape(len(moved), 4, -1, n)[
+            np.arange(len(moved)), :, :, moved] += (
+                FIVE_POINT_OFFSETS[:, None] * _GRADIENT_STEP)
+        values = _canonical_value(field, k, replace(mode, rows=probes),
+                                  coupling, gauge)
+        fd += [five_point(v, _GRADIENT_STEP) for v in values]
+    fd = np.moveaxis(fd, 0, -1)
     return float(np.max(np.abs(fd.reshape(analytic.shape) * signs - analytic)
                         / (1.0 + np.max(np.abs(analytic), axis=entries,
                                         keepdims=True))))

@@ -62,28 +62,39 @@ source, and _BLOCK_WORK bounds it: node chunks, and so the phases held,
 stay small whatever the step count, and blocks of groups stay small
 enough that the dense weights, whose waste grows as the square of the
 groups, cost less than the Python calls they save.
-save="last" is one group over all 2 steps + 1 nodes (weights h/6 at the
-ends, h/3 at interior panel boundaries, 4h/6 at midpoints); save="all"
-takes blocks of panels, one group per panel, and adds each panel's sum
-to the slice before it; mode_equation_residual takes blocks of stencil
-samples, one group per sample; source_rate is the one-node, one-group
-case.  Splitting the panels at a switch-on, for fourth order through
-it, only adds nodes and weights.
+In evolve_amplitudes only circular sources take this walk: save="last"
+is one group over all 2 steps + 1 nodes (weights h/6 at the ends, h/3
+at interior panel boundaries, 4h/6 at midpoints); save="all" takes
+blocks of panels, one group per panel, and adds each panel's sum to the
+slice before it.  mode_equation_residual walks every source, in blocks
+of stencil samples, one group per sample, and source_rate is the
+one-node, one-group case, so the residual compares a history with rates
+computed apart from it.  Splitting the panels at a switch-on, for fourth
+order through it, only adds nodes and weights.
 
-Static and uniform worldlines need no integrator.  Along a straight
-line k.u is linear in x0: with a_j the switch-on time of source j and
-s_j = k.udot_j / udot_j^0 > 0, its rate on slice y >= a_j is
-rate_j(a_j) exp(pm i s_j (y - a_j)).  With L = x0 - a_j the coefficient
-integral has the closed form (the degenerate case of Filon quadrature)
+Along a straight line (static and uniform worldlines) k.u is linear in
+x0: with a_j the switch-on time of source j and s_j = k.udot_j /
+udot_j^0 > 0, its rate on slice y >= a_j is R_j exp(pm i s_j (y - a_j)),
+R_j = rate_j(a_j).  On Simpson's uniform nodes the phases then form a
+geometric sequence, so evolve_amplitudes adds each straight source's
+Simpson sums as a geometric series (_add_straight_simpson), with the
+same nodes, weights and boundary-active rule as the walk and no crossing
+walk or phase block per node: one closed sum per mode for save="last",
+blocks of panel sums by rotation and running sums for save="all".
+Rates are linear in the sources, so the walk over the circular ones
+and the series of the straight ones just add.  With L = x0 - a_j the
+coefficient integral itself has the closed form (the degenerate case of
+Filon quadrature)
 
     C_pm(x0) = sum_j rate_j,pm(a_j) L exp(pm i s_j L / 2) sinc(s_j L / 2),
 
 written with sinc so that it stays accurate as s_j L -> 0.
 straight_line_amplitudes evaluates it on any slice; circular orbits
-still need evolve_amplitudes.  The switch-on rate and s_j depend on the
-source only, so _straight_line_mean computes them once per source and
-also gives the mean over uniform slices of the coefficients carried to
-one reference slice t_ref by their free phase exp(mp i k0 (t - t_ref)):
+still need the walk.  a_j, s_j and R_j depend on the source only
+(_straight_source), so _straight_line_mean computes them once per
+source and also gives the mean over uniform slices of the coefficients
+carried to one reference slice t_ref by their free phase
+exp(mp i k0 (t - t_ref)):
 the time average verify.averaged_profile reconstructs once per point.
 On uniform slices its phases turn by a fixed factor per slice, so it
 rotates them, _MODE_SLICE rows at a time, instead of re-evaluating them.
@@ -110,6 +121,9 @@ from .worldlines import Worldline, equal_time_crossing
 _BLOCK_WORK = 2**19
 # rows per slice of the rotated time average: bounds its per-row arrays
 _MODE_SLICE = 4096
+# complex entries of the (panels, N) series and of the (slices, N x
+# components) products a straight source adds to a history per block
+_SERIES_BLOCK = 2**15
 # a slice counts as before a switch-on when it is more than this earlier
 SWITCH_ON_SLACK = 1e-12
 
@@ -238,6 +252,144 @@ def _rate_sums(field, worldlines, waves, nodes, weights) -> np.ndarray:
     return out.reshape(shape)
 
 
+def _walk_simpson(field, worldlines, grid, times, h, out) -> None:
+    """Add the Simpson sums of the worldlines over the panels of times
+    (S + 1,), of width h, to the history out in place, by the node walk
+    of _rate_sums.  With one slice (save="last") out[0] gets one group
+    over all 2 S + 1 nodes; otherwise each slice is the one before it
+    plus its panel's group, the groups taken a block of panels at a
+    time."""
+    steps = len(times) - 1
+    nodes = np.empty(2 * steps + 1)
+    nodes[0::2] = times
+    nodes[1::2] = times[:-1] + 0.5 * h
+    if len(out) == 1:
+        weights = np.full((1, 2 * steps + 1), 4.0 * h / 6.0)
+        weights[:, 0::2] = h / 3.0
+        weights[:, [0, -1]] = h / 6.0
+        out[0] += _rate_sums(field, worldlines, grid.waves, nodes, weights)[0]
+        return
+    # panel g of a block weighs its nodes 2g, 2g + 1, 2g + 2
+    block = _block_size(field, len(grid), 2, 1)
+    for lo in range(0, steps, block):
+        hi = min(lo + block, steps)
+        weights = np.zeros((hi - lo, 2 * (hi - lo) + 1))
+        panel = np.arange(hi - lo)
+        for col, weight in enumerate((h / 6.0, 4.0 * h / 6.0, h / 6.0)):
+            weights[panel, 2 * panel + col] = weight
+        sums = _rate_sums(field, worldlines, grid.waves,
+                          nodes[2 * lo:2 * hi + 1], weights)
+        # one add per slice: np.cumsum over axis 0 runs one short loop
+        # per mode and component, about ten times slower here
+        for i, step in enumerate(sums, start=lo):
+            np.add(out[i], step, out=out[i + 1])
+
+
+def _straight_source(field, worldline, grid, k):
+    """(a_j, s_j, R_j) of a static or uniform source: its switch-on time
+    a_j, the turn rate s_j = k.udot_j / udot_j^0 of its phase over the
+    rows k (M, 4), and R_j, its rates on slice a_j over the grid,
+    (branches, N, *component_shape), from one one-node _rate_sums call.
+    On a slice y >= a_j its rate is R_j exp(pm i s_j (y - a_j))."""
+    _, udot = worldline.state(worldline.tau_on)
+    a = worldline.switch_on_time()
+    rate = _rate_sums(field, [worldline], grid.waves, np.array([a]),
+                      np.ones((1, 1)))[0]
+    return a, (k @ lower_index(udot)) / udot[0], rate
+
+
+def _add_straight_simpson(field, worldline, grid, times, h, out) -> None:
+    """Add the Simpson sums of one static or uniform source over the
+    panels of times (S + 1,), of width h, to the history out in place.
+
+    out[0] gets the sum over every panel when out has one slice
+    (save="last"); otherwise out[i + 1] gets the sum over panels 0..i.
+
+    A node t the source is active on adds weight x R_j z(t), conj z(t)
+    for minus, z(t) = exp(i s_j max(t - a_j, 0)): the clamp is
+    equal_time_crossing's.  Per panel that is R_j G_i, and on the tail
+    of panels active on every node from t_i >= a_j on,
+    G_i = P z(t_i), P = (h/6)(1 + 4q + q^2), q = exp(i s_j h / 2): a
+    geometric series turning by q^2 per panel.  save="last" takes its
+    closed sum, q^{K-1} sin(K theta) / sin(theta) with theta = s_j h / 2
+    taken mod pi; save="all" takes blocks of panels from a rotation
+    table (cumprod) and running sums (cumsum), each block anchored at
+    its exact phase.  The head panels before the tail take each node as
+    it comes: weights times 1 for nodes at or before a_j, one phase per
+    later node (the panel holding a switch-on, at most).
+    """
+    nodes = np.column_stack([times[:-1], times[:-1] + 0.5 * h, times[1:]])
+    # | also broadcasts an active_at that answers with one bool
+    weight = np.array([h / 6.0, 4.0 * h / 6.0, h / 6.0]) * (
+        np.zeros(nodes.shape, bool) | worldline.active_at(nodes))
+    if not weight.any():
+        return
+    a, s, rate = _straight_source(field, worldline, grid, grid.k)
+    steps, n = len(nodes), len(grid)
+    tail = np.all(weight != 0.0, axis=1) & (nodes[:, 0] >= a)
+    off = np.flatnonzero(~tail)
+    head = off[-1] + 1 if off.size else 0  # the first panel of the tail
+    flat = np.where(nodes[:head] <= a, weight[:head], 0.0).sum(axis=1)
+    bent = [(i, weight[i, c] * np.exp(1j * s * (nodes[i, c] - a)))
+            for i, c in zip(*np.nonzero((nodes[:head] > a)
+                                        & (weight[:head] != 0.0)))]
+    q = np.exp(0.5j * s * h)
+    panel = h / 6.0 * (1.0 + 4.0 * q + q * q)
+    if len(out) == 1:
+        total = np.full(n, flat.sum(), dtype=complex)
+        for _, term in bent:
+            total += term
+        if head < steps:
+            count = steps - head
+            theta = 0.5 * s * h
+            theta -= np.pi * np.round(theta / np.pi)  # only q^2 turns
+            sin = np.sin(theta)
+            ratio = np.divide(np.sin(count * theta), sin,
+                              out=np.full(n, float(count)), where=sin != 0.0)
+            total += panel * ratio * np.exp(1j * (s * (times[head] - a)
+                                                  + (count - 1) * theta))
+        expand = (n,) + (1,) * len(field.component_shape)
+        for cf, r, g in zip(out[0], rate, with_conjugate(total)):
+            cf += r * g.reshape(expand)
+        return
+    block = max(1, _SERIES_BLOCK // n)  # panels per block of sums
+    sub = max(1, _SERIES_BLOCK // (n * field.n_components))  # per product
+    turns = np.empty((min(block, steps - head), n), dtype=complex)
+    if len(turns):
+        turns[0] = panel
+        turns[1:] = np.exp(1j * s * h)
+        np.cumprod(turns, axis=0, out=turns)  # P q^{2j}
+    series = np.empty((block, n), dtype=complex)
+    conj = np.empty_like(series)
+    prod = np.empty((sub, n, field.n_components), dtype=complex)
+    rates = rate.reshape(len(rate), n, -1)
+    slices = out.reshape(len(out), len(rate), -1)  # a view, N x components
+    carry = 0.0
+    for lo in range(0, steps, block):
+        hi = min(lo + block, steps)
+        sums = series[:hi - lo]
+        first = min(max(head, lo), hi)  # the block's first tail panel
+        sums[:first - lo] = flat[lo:first, None]
+        for i, term in bent:
+            if lo <= i < hi:
+                sums[i - lo] += term
+        if first < hi:  # anchored at its exact phase
+            np.multiply(turns[:hi - first],
+                        np.exp(1j * s * (times[first] - a)),
+                        out=sums[first - lo:])
+        np.cumsum(sums, axis=0, out=sums)
+        sums += carry
+        carry = sums[-1].copy()
+        for b, r in enumerate(rates):
+            g = np.conj(sums, out=conj[:hi - lo]) if b else sums
+            for w0 in range(lo, hi, sub):
+                w1 = min(w0 + sub, hi)
+                part = prod[:w1 - w0]
+                np.multiply(g[w0 - lo:w1 - lo, :, None], r, out=part)
+                dst = slices[w0 + 1:w1 + 1, b]
+                np.add(dst, part.reshape(w1 - w0, -1), out=dst)
+
+
 def straight_line_amplitudes(
     field: FieldSpec,
     worldlines: list[Worldline],
@@ -289,12 +441,12 @@ def _straight_line_mean(field, worldlines, grid, first, spacing, count,
         skip = int(np.searchsorted(times, start, side="right"))
         if skip == count:  # source j adds nothing up to its switch-on
             continue
-        _, udot = w.state(w.tau_on)
-        rows, index = _mean_modes(grid, udot)
+        rows, index = _mean_modes(grid, w.state(w.tau_on)[1])
+        _, s, rates = _straight_source(field, w, grid, rows)
         mean = np.empty(len(rows), dtype=complex)
         for lo in range(0, len(rows), _MODE_SLICE):
             k = rows[lo:lo + _MODE_SLICE]
-            c = 0.5 * (k @ lower_index(udot)) / udot[0]  # s_j / 2
+            c = 0.5 * s[lo:lo + _MODE_SLICE]
             z = np.exp(1j * c * (times[skip] - start))
             zw = z * np.exp(-1j * k[:, 0] * (times[skip] - t_ref))
             turn = np.exp(1j * c * spacing)
@@ -307,8 +459,6 @@ def _straight_line_mean(field, worldlines, grid, first, spacing, count,
             mean[lo:lo + _MODE_SLICE] = total / (c * count)
         if index is not None:
             mean = mean[index]
-        rates = _rate_sums(field, [w], grid.waves, np.array([start]),
-                           np.ones((1, 1)))[0]
         for cf, rate, f in zip(coeffs, rates, with_conjugate(mean)):
             cf += rate * f.reshape(expand)
     return coeffs
@@ -384,11 +534,15 @@ def evolve_amplitudes(
     steps uniform Simpson panels; a source counts on a node from its
     switch-on on (boundary active).  init_plus / init_minus default to
     zero coefficients.  save="all" records every panel boundary, each
-    slice the previous one plus that panel's weighted node sum, the sums
-    taken a block of panels at a time.  save="last" keeps only the final
-    state, the initial one plus a single node sum over all 2 steps + 1
-    nodes; long evolutions on large grids stay in memory budget either
-    way.
+    slice the initial one plus the weighted node sums of the panels
+    before it.  save="last" keeps only the final state, the initial one
+    plus a single node sum over all 2 steps + 1 nodes; long evolutions
+    on large grids stay in memory budget either way.  Circular sources
+    take the node walk (_walk_simpson: crossings and phase blocks per
+    chunk of nodes, the panel sums a block of panels at a time); static
+    and uniform ones add their node sums as geometric series
+    (_add_straight_simpson), so a list of straight sources walks no
+    node.  mode_equation_residual still walks every source.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -405,32 +559,17 @@ def evolve_amplitudes(
             out[0, b] = init
 
     h = (x0_end - x0_start) / steps
-    nodes = np.empty(2 * steps + 1)
-    nodes[0::2] = times
-    nodes[1::2] = times[:-1] + 0.5 * h
-    if save == "last":
-        weights = np.full((1, 2 * steps + 1), 4.0 * h / 6.0)
-        weights[:, 0::2] = h / 3.0
-        weights[:, [0, -1]] = h / 6.0
-        out[0] += _rate_sums(field, worldlines, grid.waves, nodes,
-                             weights)[0]
-        times = times[-1:]
-    else:
-        # panel g of a block weighs its nodes 2g, 2g + 1, 2g + 2
-        block = _block_size(field, len(grid), 2, 1)
-        for lo in range(0, steps, block):
-            hi = min(lo + block, steps)
-            weights = np.zeros((hi - lo, 2 * (hi - lo) + 1))
-            panel = np.arange(hi - lo)
-            for col, weight in enumerate((h / 6.0, 4.0 * h / 6.0, h / 6.0)):
-                weights[panel, 2 * panel + col] = weight
-            sums = _rate_sums(field, worldlines, grid.waves,
-                              nodes[2 * lo:2 * hi + 1], weights)
-            # one add per slice: np.cumsum over axis 0 runs one short
-            # loop per mode and component, about ten times slower here
-            for i, step in enumerate(sums, start=lo):
-                np.add(out[i], step, out=out[i + 1])
-    return AmplitudeHistory(field=field, x0=times, coeffs=out)
+    # rates are linear in the sources: circular ones take the node walk,
+    # and each straight one then adds its series
+    circular = [w for w in worldlines or [] if not w.straight]
+    if circular:
+        _walk_simpson(field, circular, grid, times, h, out)
+    elif save == "all":
+        out[1:] = out[0]
+    for w in worldlines or []:
+        if w.straight:
+            _add_straight_simpson(field, w, grid, times, h, out)
+    return AmplitudeHistory(field=field, x0=times[-len(out):], coeffs=out)
 
 
 def reconstruct_field(

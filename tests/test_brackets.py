@@ -5,6 +5,8 @@ dual route here is formula vs. the generic bracket applied to unit
 coordinate observables.  Algebra laws (antisymmetry, bilinearity,
 Leibniz, Jacobi) are checked on random observables with seeded draws.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -273,6 +275,55 @@ class TestAlgebraLaws:
             dn[idx] -= h
             fd = (prod.value(up) - prod.value(dn)) / (2.0 * h)
             assert grad[idx] == pytest.approx(fd, rel=1e-5, abs=1e-5)
+
+    def test_linear_part_alone_equals_a_dense_zero_hessian(self):
+        cfg = vector_cfg()
+        rng = np.random.default_rng(43)
+        n = cfg.layout.size
+        state = rng.normal(size=n)
+        linears = [rng.normal(size=n) for _ in range(3)]
+        quad = random_quadratic(cfg.layout, rng)
+        lean = [QuadraticObservable(0.0, a) for a in linears] + [quad]
+        dense = [QuadraticObservable(0.0, a, np.zeros((n, n)))
+                 for a in linears] + [quad]
+        assert lean[0].quad is None
+        for obs in (lean, dense):
+            obs.append(2.5 * obs[0] + obs[1])
+            obs.append(obs[1] + obs[3])
+        for x, y in zip(lean, dense):
+            assert x.value(state) == y.value(state)
+            assert np.array_equal(x.gradient(state), y.gradient(state))
+        for i, j in ((0, 1), (0, 3), (3, 2), (4, 5), (5, 4)):
+            assert (poisson_bracket(lean[i], lean[j], cfg, state)
+                    == poisson_bracket(dense[i], dense[j], cfg, state))
+            got = bracket_observable(lean[i], lean[j], cfg)
+            want = bracket_observable(dense[i], dense[j], cfg)
+            assert got.value(state) == want.value(state)
+            assert np.array_equal(got.gradient(state), want.gradient(state))
+        for obs in (lean[:3], lean[2:5], lean[3:]):
+            dense_obs = [dense[lean.index(o)] for o in obs]
+            assert (jacobi_terms(*obs, cfg, state)
+                    == jacobi_terms(*dense_obs, cfg, state))
+
+    def test_coordinate_observable_holds_no_dense_hessian(self):
+        # 400 rank-0 box modes: 4,000 variables, a 128 MB n x n array
+        ns = [(i, j, k) for i in range(-4, 4) for j in range(-4, 4)
+              for k in range(-4, 4)][:400]
+        lay = StateLayout(SCALAR, box_mode_grid(L, ns, SCALAR.kappa))
+        assert lay.size == 4000
+        state = np.random.default_rng(47).normal(size=lay.size)
+        tracemalloc.start()
+        try:
+            q = coordinate_observable(lay, "q", 5)
+            p = momentum_vector_observable(lay, np.array([1.0, 0.3, 0.0,
+                                                          -0.2]), 7)
+            grads = [q.gradient(state), p.gradient(state)]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert q.quad is None and p.quad is None
+        assert grads[0][lay.index[5, 0, 0, 0]] == 1.0
+        assert peak < 10 * lay.size * 8  # a few n-vectors, no n x n array
 
     def test_gradient_size_mismatch_raises(self):
         cfg = scalar_cfg()

@@ -6,6 +6,7 @@ the exact coefficients follow from one rate evaluation and the phase
 integral.  That keeps the check independent of the integrator.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -319,6 +320,48 @@ class TestGradients:
             fd = float(np.dot(stencil, samples)) * sign
             worst = np.maximum(worst, abs(fd - analytic[idx]) / scale)
         assert gradient_consistency(field, k, mode, x, [w]) == float(worst)
+
+    @pytest.mark.parametrize("field", [SCALAR, VECTOR, RANK2],
+                             ids=["rank0", "rank1", "rank2"])
+    def test_probe_blocks_equal_one_block(self, field, monkeypatch):
+        rng = np.random.default_rng(53)
+        k = on_shell_k([[0.5, -0.3, 0.8], [0.2, 0.1, -0.4],
+                        [-0.6, 0.4, 0.1]], field.kappa)
+        amps = [np.stack([random_amps(field, rng)[b] for _ in range(3)])
+                for b in range(2)]
+        x = np.array([1.2, 0.3, -0.4, 0.2])
+        mode = canonical_at_point(field, k, *amps, x)
+        sources = make_sources(field)
+        whole = gradient_consistency(field, k, mode, x, sources)
+        # 1 entry per block, and 3 (which divides no entry count here)
+        for entries in (1, 3):
+            monkeypatch.setattr(canonical, "_PROBE_BYTES",
+                                entries * 4 * mode.rows.nbytes)
+            assert gradient_consistency(field, k, mode, x, sources) == whole
+
+    def test_rank_three_probes_stay_within_the_budget(self, monkeypatch):
+        field = tensor_field(rank=3, a2=1.0, b2=1.0)
+        rng = np.random.default_rng(59)
+        k = on_shell_k(rng.uniform(-1.0, 1.0, size=(4, 3)), field.kappa)
+        rows = rng.normal(size=(4, 2, 5) + field.component_shape)
+        mode = CanonicalMode(field=field, k=k, rows=rows)
+        sources = make_sources(field)
+        budget = 2**20
+        monkeypatch.setattr(canonical, "_PROBE_BYTES", budget)
+        # the probes of every entry at once would be 640 x 4 copies of
+        # the rows, 52 MB
+        assert 640 * 4 * mode.rows.nbytes > 40 * budget
+        tracemalloc.start()
+        try:
+            defect = gradient_consistency(field, k, mode, x=np.zeros(4),
+                                          worldlines=sources)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert defect < 1e-6
+        # one block of probes and the few arrays of its size that J's
+        # evaluation makes
+        assert peak < 4 * budget
 
 
 FIVE_SPECIES = pytest.mark.parametrize(

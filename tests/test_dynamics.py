@@ -1,5 +1,7 @@
 """Source rates, Simpson evolution, reconstruction, equation residuals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -437,26 +439,185 @@ class TestEvolveNodeSum:
             assert view.flags.c_contiguous or save == "all"
 
     def test_last_slice_reads_each_node_once(self, monkeypatch):
-        # one crossing walk per chunk of CHUNK of the 2 STEPS + 1 nodes
-        calls = _count_calls(monkeypatch, ("_crossings", "source_rate"),
-                             (dynamics,))
+        # one crossing walk per chunk of CHUNK of the 2 STEPS + 1 nodes,
+        # for the circular source only; each straight source is walked
+        # once, on its switch-on slice
+        walks = _record_walks(monkeypatch)
         grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=1.0)
         monkeypatch.setattr(dynamics, "_BLOCK_WORK",
                             _width(SCALAR, grid) * CHUNK)
         evolve_amplitudes(SCALAR, _orbit_sources("mid_panel"), grid,
                           *WINDOW, STEPS, save="last")
-        assert calls == {"_crossings": -(-(2 * STEPS + 1) // CHUNK),
-                         "source_rate": 0}
+        chunks = -(-(2 * STEPS + 1) // CHUNK)
+        assert walks == [(("circular",), CHUNK)] * (chunks - 1) + [
+            (("circular",), (2 * STEPS + 1) % CHUNK),
+            (("uniform",), 1), (("static",), 1)]
 
     @pytest.mark.parametrize("panels", [1, 4, STEPS + 5])
     def test_one_walk_per_panel_block(self, panels, monkeypatch):
         grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=1.0)
         _set_panels(monkeypatch, SCALAR, grid, panels)
-        calls = _count_calls(monkeypatch, ("_crossings", "source_rate"),
-                             (dynamics,))
+        walks = _record_walks(monkeypatch)
         evolve_amplitudes(SCALAR, _orbit_sources("mid_panel"), grid,
                           *WINDOW, STEPS)
-        assert calls == {"_crossings": -(-STEPS // panels), "source_rate": 0}
+        blocks = -(-STEPS // panels)
+        assert [lines for lines, _ in walks] == [("circular",)] * blocks + [
+            ("uniform",), ("static",)]
+        assert sum(nodes for _, nodes in walks) == 2 * STEPS + blocks + 2
+
+
+def _record_walks(monkeypatch) -> list:
+    """Every _crossings call as (the kinds of its worldlines, its node
+    count), and no public source_rate call."""
+    walks = []
+    original = dynamics._crossings
+
+    def walk(field, worldlines, nodes):
+        walks.append((tuple(w.kind for w in worldlines), len(nodes)))
+        return original(field, worldlines, nodes)
+
+    monkeypatch.setattr(dynamics, "_crossings", walk)
+    monkeypatch.setattr(dynamics, "source_rate", None)
+    return walks
+
+
+SERIES_FIELDS = {
+    "scalar": SCALAR,
+    "rank1": tensor_field(rank=1, a2=1.0, b2=1.0),
+    "rank2": tensor_field(rank=2, a2=1.0, b2=1.0),
+    "em": EM,
+    "spinor": SPINOR,
+}
+# switch-on times against WINDOW at STEPS panels
+SWITCH_ONS = {"before": -0.3, "at_start": WINDOW[0], "panel_edge": PANEL_EDGE,
+              "mid_panel": 0.537, "after": WINDOW[1] + 0.5}
+
+
+def _line(kind, t_start, coupling=0.8):
+    if kind == "static":
+        return static_worldline([0.3, -0.2, 0.1], coupling=coupling,
+                                t_start=t_start, xi=XI)
+    return uniform_worldline([0.1, 0.4, -0.3], [0.35, -0.2, 0.15],
+                             coupling=coupling, t_start=t_start, xi=XI)
+
+
+def _simpson_by_source_rate(field, worldlines, grid, start, end, steps,
+                            init):
+    """Every slice of composite Simpson written out: source_rate at each
+    node of each panel, weighed h/6, 4h/6, h/6, the panels added up in
+    turn: (S + 1, branches, N, *component_shape)."""
+    times = np.linspace(start, end, steps + 1)
+    h = (end - start) / steps
+    slices = [np.array(init)]
+    for t in times[:-1]:
+        panel = sum(weight * np.array(field.families(*source_rate(
+            field, worldlines, grid.k, node)))
+            for weight, node in ((h / 6.0, t), (4.0 * h / 6.0, t + 0.5 * h),
+                                 (h / 6.0, t + h)))
+        slices.append(slices[-1] + panel)
+    return np.array(slices)
+
+
+class TestStraightSeries:
+    @pytest.mark.parametrize("save", ["all", "last"])
+    @pytest.mark.parametrize("switch_on", sorted(SWITCH_ONS))
+    @pytest.mark.parametrize("kind", ["static", "uniform"])
+    @pytest.mark.parametrize("name", sorted(SERIES_FIELDS))
+    def test_matches_simpson_by_source_rate(self, name, kind, switch_on,
+                                            save):
+        field = SERIES_FIELDS[name]
+        grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=field.kappa)
+        lines = [_line(kind, SWITCH_ONS[switch_on])]
+        init = _initial(field, grid, np.random.default_rng(11))
+        hist = evolve_amplitudes(field, lines, grid, *WINDOW, STEPS, *init,
+                                 save=save)
+        want = _simpson_by_source_rate(field, lines, grid, *WINDOW, STEPS,
+                                       init)
+        if save == "last":
+            want = want[-1:]
+        # the increments, which the initial values would otherwise mask;
+        # a source that switches on after the window adds exact zeros
+        _assert_rel_close(hist.coeffs - hist.coeffs[0], want - want[0],
+                          rtol=1e-13)
+
+    @pytest.mark.parametrize("save", ["all", "last"])
+    @pytest.mark.parametrize("steps", [7, 13])
+    def test_coarse_panels_turn_past_half_a_turn(self, steps, save):
+        # s_j h / 2 reaches about 20 and 11: the closed sum takes it mod pi
+        field = SERIES_FIELDS["rank1"]
+        grid = build_mode_grid(kmax=4.0, n_per_axis=4, kappa=field.kappa)
+        lines = [_line("uniform", 1.7)]
+        assert np.max(grid.k[:, 0]) * 40.0 / steps > 4.0 * np.pi
+        init = _initial(field, grid, np.random.default_rng(13))
+        hist = evolve_amplitudes(field, lines, grid, 0.0, 40.0, steps,
+                                 *init, save=save)
+        want = _simpson_by_source_rate(field, lines, grid, 0.0, 40.0, steps,
+                                       init)
+        if save == "last":
+            want = want[-1:]
+        _assert_rel_close(hist.coeffs - hist.coeffs[0], want - want[0],
+                          rtol=1e-13)
+
+    @pytest.mark.parametrize("detune", [0.0, 1e-10, -1e-7])
+    def test_panels_of_a_full_turn(self, detune):
+        # the one mode k = 0 turns by s_j h = 2 pi (1 + detune) a panel:
+        # sin(theta) vanishes or nearly, and the sum is of 5 equal terms
+        grid = build_mode_grid(kmax=1.0, n_per_axis=1, kappa=1.0)
+        assert np.array_equal(grid.k, [[1.0, 0.0, 0.0, 0.0]])
+        lines = [static_worldline([0.0, 0.0, 0.0], coupling=0.8)]
+        end = 10.0 * np.pi * (1.0 + detune)
+        hist = evolve_amplitudes(SCALAR, lines, grid, 0.0, end, 5,
+                                 save="last")
+        want = _simpson_by_source_rate(SCALAR, lines, grid, 0.0, end, 5,
+                                       [np.zeros(1), np.zeros(1)])
+        _assert_rel_close(hist.coeffs, want[-1:], rtol=1e-13)
+
+    @pytest.mark.parametrize("save", ["all", "last"])
+    @pytest.mark.parametrize("steps", [3, 200])
+    def test_straight_sources_walk_only_their_switch_on(self, steps, save,
+                                                       monkeypatch):
+        walks = _record_walks(monkeypatch)
+        blocks = []
+        original = PlaneWaves.at
+
+        def at(self, x, sign):
+            blocks.append(np.shape(x))
+            return original(self, x, sign)
+
+        monkeypatch.setattr(PlaneWaves, "at", at)
+        grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=1.0)
+        lines = [_line("static", 0.537), _line("uniform", -0.3)]
+        evolve_amplitudes(SCALAR, lines, grid, *WINDOW, steps, save=save)
+        assert walks == [(("static",), 1), (("uniform",), 1)]
+        assert blocks == [(1, 4), (1, 4)]
+
+    def test_residual_still_walks_every_sample(self, monkeypatch):
+        grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=1.0)
+        lines = [_line("static", -0.3), _line("uniform", -0.3)]
+        hist = evolve_amplitudes(SCALAR, lines, grid, *WINDOW, 200)
+        walks = _record_walks(monkeypatch)
+        assert mode_equation_residual(SCALAR, lines, grid, hist) < 1e-6
+        assert {kinds for kinds, _ in walks} == {("static", "uniform")}
+        assert sum(nodes for _, nodes in walks) == len(hist.x0) - 4
+
+    def test_history_is_most_of_the_memory(self):
+        field = tensor_field(rank=1, a2=1.0, b2=1.0)
+        grid = build_mode_grid(kmax=4.0, n_per_axis=16, kappa=field.kappa)
+        lines = [_line("uniform", 0.537)]
+        grid.waves  # the cached phase tables are the grid's, not the call's
+        steps = 24
+        history = (steps + 1) * 2 * len(grid) * 4 * 16
+        tracemalloc.start()
+        try:
+            hist = evolve_amplitudes(field, lines, grid, *WINDOW, steps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert hist.coeffs.nbytes == history
+        # four series arrays of _SERIES_BLOCK entries and a few one-slice
+        # arrays (the switch-on rates), nothing that grows with the steps
+        one_slice = history // (steps + 1)
+        assert peak - history < 4 * dynamics._SERIES_BLOCK * 16 + 3 * one_slice
 
 
 STRAIGHT_FIELDS = {

@@ -379,6 +379,35 @@ _SIMULATE_FAULTS = {
 }
 
 
+_MATRIX_FIELDS = {
+    "scalar": {"kind": "scalar", "s": 1.0, "m": 1.0, "c": 1.0},
+    "rank1": {"kind": "tensor", "rank": 1, "a2": 1.0, "b2": 1.0},
+    "rank2": {"kind": "tensor", "rank": 2, "a2": 1.0, "b2": 1.0},
+    "em": {"kind": "em", "c": 1.0},
+    "dirac": {"kind": "dirac", "s": 1.0, "m": 1.2, "c": 1.0},
+}
+_MATRIX_SHAPES = {
+    "static": {"kind": "static"},
+    "uniform": {"kind": "uniform", "beta": [0.2, -0.3, 0.1]},
+    "circular": {"kind": "circular", "radius": 0.5, "omega": 1.2},
+}
+
+
+def _matrix_dict(kind, shape):
+    """One always-on source of the given shape driving the given field
+    over [0, 2] in 64 steps."""
+    particle = {"coupling": 0.8, "position": [0.1, -0.2, 0.05],
+                **_MATRIX_SHAPES[shape]}
+    grid = {"kmax": 4.0, "n_per_axis": 6}
+    if kind == "dirac":
+        particle.update(xi1=[0.4, [-0.2, 0.1], 0.3, 0.05],
+                        xi2=[0.1, 0.2, -0.15, [0.0, 0.3]])
+        grid = {"kmax": 3.0, "n_per_axis": 4}
+    return {"field": _MATRIX_FIELDS[kind], "particles": [particle],
+            "grid": grid,
+            "time": {"x0_start": 0.0, "x0_end": 2.0, "steps": 64}}
+
+
 class TestVerificationSuites:
     def test_hamilton_free_scalar_passes(self):
         s = scenario_from_dict(free_scalar_dict())
@@ -508,6 +537,16 @@ class TestVerificationSuites:
         assert failures() == set()
         _SIMULATE_FAULTS[fault](monkeypatch)
         assert failures() == failing
+
+    @pytest.mark.parametrize("shape", sorted(_MATRIX_SHAPES))
+    @pytest.mark.parametrize("kind", sorted(_MATRIX_FIELDS))
+    def test_every_species_and_shape_passes_simulate_and_hamilton(
+            self, kind, shape):
+        s = scenario_from_dict(_matrix_dict(kind, shape))
+        for suite in ("simulate", "hamilton"):
+            report = run_verification(s, suite, seed=0)
+            assert report.passed, [r.to_dict() for r in report.records
+                                   if r.status != "pass"]
 
     def test_bracket_suite_scalar(self):
         s = scenario_from_dict(free_scalar_dict())
