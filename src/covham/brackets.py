@@ -21,6 +21,12 @@ this normalization the canonical pair obeys
 sigma_c the metric signs raising every index of the component c, the
 discrete image of the delta-normalized pair relation.
 
+Each BracketConfig builds Lambda once, on its first bracket, keeps its
+nonzero entries and drops the dense array; every bracket applies Lambda
+through those entries (BracketConfig.apply), O(nnz) work a vector.  A
+patched poisson_tensor therefore reaches the bracket only if it is in
+place before the config's first bracket.
+
 Observables are quadratic forms (closed under the bracket, Jacobi
 exact) or callables with gradients for Leibniz products.  Jacobi terms
 use grad {B, C} = Q_B Lambda grad C - Q_C Lambda grad B at the state:
@@ -31,6 +37,7 @@ an unconstrained (q, pi) pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -110,7 +117,9 @@ class BracketConfig:
 
     def poisson_tensor(self) -> np.ndarray:
         """Dense antisymmetric structure matrix Lambda, a new array on
-        every call."""
+        every call.  The brackets read it once per config, through
+        `_entries` on the first bracket: a patch of this method must be
+        in place before then."""
         lay = self.layout
         vfac = (1.0 / self.grid.weight)[:, None] * self.v * METRIC_DIAG
         # one entry per (mode, branch, pi row mu, component), masked
@@ -125,6 +134,24 @@ class BracketConfig:
         lam[qi, pj] = val
         lam[pj, qi] = -val
         return lam
+
+    @cached_property
+    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and values of Lambda's nonzero entries."""
+        lam = self.poisson_tensor()
+        rows, cols = np.nonzero(lam)
+        return rows, cols, lam[rows, cols]
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Lambda x for x of shape (n,) or (n, m), from the nonzero entries."""
+        x = np.asarray(x, dtype=float)
+        rows, cols, vals = self._entries
+        if x.ndim == 1:
+            return np.bincount(rows, weights=vals * x[cols],
+                               minlength=self.layout.size)
+        out = np.zeros((self.layout.size,) + x.shape[1:])
+        np.add.at(out, rows, vals[:, None] * x[cols])
+        return out
 
 
 class QuadraticObservable:
@@ -245,7 +272,7 @@ def _gradients(observables, cfg: BracketConfig, state) -> list[np.ndarray]:
 def poisson_bracket(a, b, cfg: BracketConfig, state: np.ndarray) -> float:
     """{A, B} at the given state."""
     ga, gb = _gradients((a, b), cfg, state)
-    return float(ga @ (cfg.poisson_tensor() @ gb))
+    return float(ga @ cfg.apply(gb))
 
 
 def bracket_observable(a: QuadraticObservable, b: QuadraticObservable,
@@ -255,16 +282,15 @@ def bracket_observable(a: QuadraticObservable, b: QuadraticObservable,
     With constant structure matrix Lambda,
     {A, B}(s) = a_A.Lambda a_B + s.(Q_A Lambda a_B - Q_B Lambda a_A)
                 + s.(Q_A Lambda Q_B) s,
-    and the last kernel is already symmetric after antisymmetrization.
+    the middle term written with Lambda^T = -Lambda.  The new Hessian,
+    Q_A Lambda Q_B plus its transpose, does not use that symmetry.
     """
-    lam = cfg.poisson_tensor()
-    const = float(a.linear @ (lam @ b.linear))
-    linear = (a._quad_times(lam @ b.linear)
-              - b._quad_times(lam @ a.linear))
+    lam_a, lam_b = cfg.apply(a.linear), cfg.apply(b.linear)
+    const = float(a.linear @ lam_b)
+    linear = a._quad_times(lam_b) - b._quad_times(lam_a)
     if a.quad is None or b.quad is None:
         return QuadraticObservable(const, linear)
-    quad = a.quad @ lam @ b.quad
-    # Q_A Lambda Q_B - Q_B Lambda Q_A, symmetric since Lambda^T = -Lambda
+    quad = a.quad @ cfg.apply(b.quad)
     quad = quad + quad.T
     return QuadraticObservable(const, linear, quad)
 
@@ -274,7 +300,8 @@ def jacobi_terms(a, b, c, cfg: BracketConfig,
     """[{A,{B,C}}, {B,{C,A}}, {C,{A,B}}] for quadratic observables.
 
     Each is grad A . Lambda grad {B, C}(s), with grad {B, C}(s) =
-    Q_B Lambda grad C(s) - Q_C Lambda grad B(s): one Lambda, O(n^2) work.
+    Q_B Lambda grad C(s) - Q_C Lambda grad B(s): six applications of
+    Lambda, O(n^2) work in the Q products.
     Their sum is the Jacobi defect; the sum of their magnitudes is the
     scale a relative defect divides by.
     """
@@ -282,10 +309,9 @@ def jacobi_terms(a, b, c, cfg: BracketConfig,
     if not all(isinstance(o, QuadraticObservable) for o in obs):
         raise TypeError("Jacobi nesting needs quadratic observables")
     g = _gradients(obs, cfg, state)
-    lam = cfg.poisson_tensor()
-    f = [lam @ gi for gi in g]  # Lambda grad, shared by the three terms
-    return [float(g[x] @ (lam @ (obs[y]._quad_times(f[z])
-                                  - obs[z]._quad_times(f[y]))))
+    f = [cfg.apply(gi) for gi in g]  # Lambda grad, shared by the three terms
+    return [float(g[x] @ cfg.apply(obs[y]._quad_times(f[z])
+                                   - obs[z]._quad_times(f[y])))
             for x, y, z in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]
 
 

@@ -395,10 +395,13 @@ def _suite_bracket(s: Scenario, rng, tol, records, tables) -> None:
          tol["jacobi"], meta)
 
     # {q_c(k_i), V.pi_c'(k_j)} on the plus branch for the first and last
-    # box modes and every component pair, all from one block of Lambda
+    # box modes and every component pair, all from one block of Lambda:
+    # Lambda on the pi unit columns, read at the q rows
     box = sorted({0, len(ns) - 1})
     q, pi = lay.index[box, 0, 0], lay.index[box, 0, 1:]  # (i, c), (j, mu, c')
-    block = cfg.poisson_tensor()[np.ix_(q.ravel(), pi.ravel())]
+    units = np.zeros((lay.size, pi.size))
+    units[pi.ravel(), np.arange(pi.size)] = 1.0
+    block = cfg.apply(units)[q.ravel()]
     got = np.moveaxis(block.reshape(q.shape + pi.shape), 3, -1) @ cfg.v
     comps, k = np.arange(lay.comp_size), cfg.grid.k_spatial[box]
     want = [[canonical_pair_bracket(comps[:, None], comps, ki, kj, cfg)

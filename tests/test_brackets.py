@@ -428,14 +428,101 @@ class TestJacobi:
         state = rng.normal(size=cfg.layout.size)
         jacobi_terms(*obs, cfg, state)
         assert calls == {"tensor": 1, "closed": 0}
+        # one Lambda per config: later brackets reuse its entries
         jacobi_defect(*obs, cfg, state)
-        assert calls == {"tensor": 2, "closed": 0}
+        poisson_bracket(obs[0], obs[1], cfg, state)
+        assert calls == {"tensor": 1, "closed": 0}
 
     def test_state_size_mismatch_raises(self):
         cfg = scalar_cfg()
         a = coordinate_observable(cfg.layout, "q", 0)
         with pytest.raises(ValueError, match="layout"):
             jacobi_terms(a, a, a, cfg, np.zeros(4))
+
+
+class TestApply:
+    """Lambda applied through its nonzero entries, built once per config."""
+
+    V = [0.7, -0.3, 0.2, 1.9]  # every pi row in every q row's sum
+
+    def cfg(self, field, v=V):
+        return BracketConfig(field=field, grid=box_mode_grid(
+            L, NS, field.kappa), v=v)
+
+    @staticmethod
+    def assert_close(got, want):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("field", [SCALAR, VECTOR, tensor_field(
+        rank=2, a2=1.0, b2=1.0), EM], ids=["scalar", "rank1", "rank2", "em"])
+    @pytest.mark.parametrize("cols", [(), (3,)], ids=["1d", "2d"])
+    def test_matches_the_dense_tensor(self, field, cols):
+        cfg = self.cfg(field)
+        x = np.random.default_rng(73).normal(size=(cfg.layout.size,) + cols)
+        self.assert_close(cfg.apply(x), cfg.poisson_tensor() @ x)
+
+    def test_every_bracket_sees_a_non_antisymmetric_patch(self,
+                                                          monkeypatch):
+        # one entry moved off antisymmetry and one zero entry filled,
+        # patched before the config's first bracket
+        original = BracketConfig.poisson_tensor
+
+        def poisson_tensor(cfg):
+            lam = original(cfg)
+            d = 1e-1 * np.max(np.abs(lam))
+            lam[cfg.layout.q_index(1, "plus"),
+                cfg.layout.pi_index(1, "plus", 0)] += d
+            lam[0, -1] += d
+            return lam
+
+        cfg = self.cfg(VECTOR)
+        monkeypatch.setattr(BracketConfig, "poisson_tensor", poisson_tensor)
+        lam, clean = cfg.poisson_tensor(), original(cfg)
+        assert not np.array_equal(lam, -lam.T)
+        rng = np.random.default_rng(79)
+        a, b, c = [random_quadratic(cfg.layout, rng) for _ in range(3)]
+        state = rng.normal(size=cfg.layout.size)
+        ga, gb, gc = (o.gradient(state) for o in (a, b, c))
+
+        got = poisson_bracket(a, b, cfg, state)
+        assert got == pytest.approx(ga @ lam @ gb, rel=1e-12)
+        assert got != pytest.approx(ga @ clean @ gb, rel=1e-6)
+
+        ab = bracket_observable(a, b, cfg)
+        assert ab.const == pytest.approx(a.linear @ lam @ b.linear,
+                                         rel=1e-12)
+        self.assert_close(ab.linear, a.quad @ lam @ b.linear
+                          - b.quad @ lam @ a.linear)
+        quad = a.quad @ lam @ b.quad
+        self.assert_close(ab.quad, quad + quad.T)
+
+        def nested(x, y, z):  # grad x . Lambda grad {y, z} at the state
+            return x @ lam @ (y[1].quad @ lam @ z[0] - z[1].quad @ lam @ y[0])
+
+        pairs = [(ga, a), (gb, b), (gc, c)]
+        want = [nested(pairs[x][0], pairs[y], pairs[z])
+                for x, y, z in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]
+        assert jacobi_terms(a, b, c, cfg, state) == pytest.approx(want,
+                                                                  rel=1e-10)
+
+    def test_returned_tensor_does_not_reach_the_entries(self):
+        cfg = self.cfg(VECTOR)
+        x = np.random.default_rng(83).normal(size=cfg.layout.size)
+        cfg.poisson_tensor()[:] = 7.0  # before the entries exist
+        want = cfg.apply(x)
+        cfg.poisson_tensor()[:] = 7.0  # after
+        assert np.array_equal(cfg.apply(x), want)
+        self.assert_close(want, cfg.poisson_tensor() @ x)
+
+    def test_configs_keep_separate_entries(self):
+        one, two = self.cfg(SCALAR), self.cfg(SCALAR, v=[1.0, 0.0, 0.0, 0.0])
+        x = np.random.default_rng(89).normal(size=one.layout.size)
+        first = one.apply(x)
+        self.assert_close(two.apply(x), two.poisson_tensor() @ x)
+        assert one._entries is not two._entries
+        assert np.array_equal(one.apply(x), first)
+        assert not np.allclose(first, two.apply(x))
 
 
 class TestConservationIdentity:

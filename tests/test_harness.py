@@ -610,8 +610,8 @@ class TestVerificationSuites:
         pair = [r for r in report.records
                 if r.name == "bracket/canonical_pair"][0]
         assert pair.metadata["pairs"] == 4 * 16**2
-        # nine law brackets and one block for every canonical pair
-        assert len(builds) == 10
+        # nine law brackets and the canonical-pair block share one Lambda
+        assert len(builds) == 1
 
     def test_bracket_pair_flags_signs_tiled_from_rank_one(self,
                                                           monkeypatch):
