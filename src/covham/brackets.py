@@ -280,14 +280,18 @@ def bracket_observable(a: QuadraticObservable, b: QuadraticObservable,
     """{A, B} as a new quadratic observable (exact, state-independent).
 
     With constant structure matrix Lambda,
-    {A, B}(s) = a_A.Lambda a_B + s.(Q_A Lambda a_B - Q_B Lambda a_A)
+    {A, B}(s) = a_A.Lambda a_B + s.(Q_A Lambda a_B + Q_B Lambda^T a_A)
                 + s.(Q_A Lambda Q_B) s,
-    the middle term written with Lambda^T = -Lambda.  The new Hessian,
-    Q_A Lambda Q_B plus its transpose, does not use that symmetry.
+    with Lambda^T a_A read from the same nonzero entries as Lambda.  No
+    term uses Lambda^T = -Lambda, so the result is poisson_bracket's for
+    any Lambda, antisymmetric or not.
     """
-    lam_a, lam_b = cfg.apply(a.linear), cfg.apply(b.linear)
+    rows, cols, vals = cfg._entries
+    lam_b = cfg.apply(b.linear)
+    lam_t_a = np.bincount(cols, weights=vals * a.linear[rows],
+                          minlength=cfg.layout.size)
     const = float(a.linear @ lam_b)
-    linear = a._quad_times(lam_b) - b._quad_times(lam_a)
+    linear = a._quad_times(lam_b) + b._quad_times(lam_t_a)
     if a.quad is None or b.quad is None:
         return QuadraticObservable(const, linear)
     quad = a.quad @ cfg.apply(b.quad)

@@ -40,13 +40,11 @@ from .errors import GridDomainError, ModeBudgetError
 from .minkowski import _positive_shell, lower_index, mass_shell_energy
 
 DEFAULT_MODE_BUDGET = 2_000_000
-# most time steps a scenario may ask for, directly or through a window
-# refined to STENCIL_K0H; each step of the simulate suite's history holds
-# every mode's coefficients
+# most time steps any suite may take, as covham.scenario's suite plan
+# counts them; each step of a saved history holds every mode's
+# coefficients
 STEP_BUDGET = 20_000
-# largest k0 h of the simulate suite's mode-equation stencil, the finest
-# refinement a suite asks of the scenario window (the hamilton suite
-# refines its probed modes to 0.06)
+# largest k0 h of the simulate suite's mode-equation stencil
 STENCIL_K0H = 0.03
 # largest spatial-component distance at which index_of matches a node
 NODE_TOL = 1e-9
@@ -173,6 +171,33 @@ class ModeGrid:
         return i
 
 
+def _axis(kmax: float, n_per_axis: int):
+    """Cell width and cell centres of [-kmax, kmax] in n_per_axis cells."""
+    dk = 2.0 * kmax / n_per_axis
+    return dk, -kmax + dk * (np.arange(n_per_axis) + 0.5)
+
+
+def k0_bounds(kmax: float, n_per_axis: int, kappa: float,
+              k0_floor: float) -> tuple[float, float]:
+    """Smallest and largest k0 that build_mode_grid keeps, bit for bit,
+    without building the grid (inf past the float range).  A node's
+    sqrt(((x^2 + y^2) + z^2) + kappa^2) rounds up as any axis square
+    grows, so the extremes sit at the least and the largest square,
+    unless the floor drops the least (an odd massless axis); then every
+    sum is taken, one z at a time."""
+    kk = float(kappa) ** 2
+    with np.errstate(over="ignore"):
+        sq = _axis(kmax, n_per_axis)[1] ** 2
+        low, top = (float(np.sqrt(((v + v) + v) + kk))
+                    for v in (sq.min(), sq.max()))
+        if low < k0_floor <= top:
+            xy = np.add.outer(sq, sq)
+            low = min(float(np.min(k0, where=k0 >= k0_floor,
+                                   initial=np.inf))
+                      for k0 in (np.sqrt((xy + z) + kk) for z in sq))
+    return low, top
+
+
 def build_mode_grid(
     kmax: float,
     n_per_axis: int,
@@ -201,8 +226,7 @@ def build_mode_grid(
     if k0_floor is None:
         k0_floor = 1e-6 * kmax
 
-    dk = 2.0 * kmax / n_per_axis
-    axis = -kmax + dk * (np.arange(n_per_axis) + 0.5)
+    dk, axis = _axis(kmax, n_per_axis)
     # node (i, j, l) in C order: mass_shell_energy's sum (kx^2 + ky^2) +
     # kz^2 + kappa^2, bit for bit, from the axis squares
     sq = axis**2

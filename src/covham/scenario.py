@@ -8,6 +8,10 @@ through with a bad parameter; every complaint is a ScenarioError that
 names the offending section.  Every real number goes through `_finite`,
 and the tolerance rule in `check_tolerances` is shared with the CLI and
 `covham.verify`.
+
+`Scenario.plan` (a SuitePlan) is where each scenario-dependent suite's
+grid and step counts are decided, once: loading holds its step counts
+to STEP_BUDGET, and the suites in `covham.verify` run what it says.
 """
 from __future__ import annotations
 
@@ -15,16 +19,17 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .canonical import CanonicalGauge
 from .dirac import DiracCoupling
-from .errors import ScenarioError
+from .errors import ScenarioError, ZeroModeError
 from .fields import FieldSpec, em_field, scalar_field, spinor_field, tensor_field
 from .modes import (DEFAULT_MODE_BUDGET, STENCIL_K0H, STEP_BUDGET, ModeGrid,
-                    build_mode_grid)
+                    build_mode_grid, k0_bounds)
 from .worldlines import SHAPE_PARAMS, Worldline
 
 FORMATS = ("json", "csv", "both")
@@ -95,6 +100,11 @@ class Scenario:
         return build_mode_grid(self.kmax, self.n_per_axis, self.field.kappa,
                                k0_floor=self.k0_floor)
 
+    @cached_property
+    def plan(self) -> SuitePlan:
+        """The suites' grids and step counts (SuitePlan), on first use."""
+        return SuitePlan(self)
+
     def metadata(self) -> dict:
         return {
             "field": self.field.kind,
@@ -104,6 +114,77 @@ class Scenario:
             "steps": self.steps,
             "window": [self.x0_start, self.x0_end],
         }
+
+
+# largest k0 h on the hamilton suite's two probed modes
+_PROBE_K0H = 0.06
+
+
+def _refined(span: float, k0: float, k0h: float, least: int):
+    """Steps over span that keep k0 h <= k0h, at least `least`; inf when
+    the count overflows a float."""
+    need = span * k0 / k0h
+    return max(least, math.ceil(need)) if math.isfinite(need) else need
+
+
+class SuitePlan:
+    """Each scenario-dependent suite's grid and step counts, decided from
+    the scenario's values alone (no RNG draw).
+
+    simulate: a soft grid (kmax <= 2, <= 5 per axis), `steps` (even, for
+    its halves) and `steps_fd` (k0 h <= STENCIL_K0H for the stencil).
+    hamilton: the grid capped at 5 per axis, the `probes` of its sourced
+    residual and `hamilton_steps` (k0 h <= _PROBE_K0H on them, None
+    without sources) over its `hamilton_span`.  green: the scenario grid
+    averaged over `green_window` = (period, center), or `green_skip` =
+    (record, reason).  The fixed counts stay in the suites.
+    """
+
+    def __init__(self, s: Scenario):
+        kappa, span = s.field.kappa, s.x0_end - s.x0_start
+        self.simulate_grid = build_mode_grid(min(s.kmax, 2.0),
+                                             min(s.n_per_axis, 5), kappa)
+        self.steps = 2 * math.ceil(max(s.steps, 8) / 2)
+        self.steps_fd = _refined(span, float(np.max(self.simulate_grid.k0)),
+                                 STENCIL_K0H, self.steps)
+        n = min(s.n_per_axis, 5)
+        grid = self.hamilton_grid = build_mode_grid(
+            s.kmax, n, kappa, k0_floor=s.k0_floor if n == s.n_per_axis
+            else None)
+        order = np.argsort(grid.k0)
+        self.probes = (int(order[0]), int(order[len(order) // 3]))
+        self.hamilton_span = min(2.0, span)
+        self.hamilton_steps = (_refined(
+            self.hamilton_span, float(max(grid.k0[list(self.probes)])),
+            _PROBE_K0H, 64) if s.particles else None)
+        self.green_window, self.green_skip = None, None
+        if not s.field.green_radii:
+            why = ("green oracle comparisons cover the em and scalar "
+                   f"species, not {s.field.kind}")
+        elif not s.particles:
+            why = "green suite needs at least one source worldline"
+        elif any(w.kind != "static" for w in s.particles):
+            why = "time-averaged comparison requires static sources"
+        else:
+            self._plan_green(s)
+            return
+        self.green_skip = ("green/applicability", why)
+
+    def _plan_green(self, s: Scenario) -> None:
+        # the full grid's smallest k0, bit for bit, without building it
+        k0_min = k0_bounds(s.kmax, s.n_per_axis, s.field.kappa, s.k0_floor)[0]
+        period = 2.0 * np.pi / max(k0_min, 1.0)
+        center = s.x0_end - period / 2.0
+        # the average must start after the switch-on front has passed
+        # the largest radius, with 1 to spare for the transient
+        needed = (min(w.switch_on_time() for w in s.particles)
+                  + max(s.field.green_radii) + 1.0)
+        if center - period / 2.0 > needed:
+            self.green_window = (period, center)
+        else:
+            self.green_skip = ("green/window", "evolution window too short "
+                               "for a post-transient average (need x0_end > "
+                               f"{needed + period:.2f})")
 
 
 def _require(cond: bool, where: str, msg: str) -> None:
@@ -296,9 +377,9 @@ def scenario_from_dict(data: dict, sha256: str = "") -> Scenario:
     _require(n_per_axis % 2 == 0 or spec.kappa > 0.0 or k0_floor > 0.0,
              "grid", "an odd n_per_axis keeps the massless zero mode k = 0 "
              "(kappa = 0); set k0_floor > 0")
-    edge = max(abs(-kmax + 2.0 * kmax / n_per_axis * (i + 0.5))
-               for i in (0, n_per_axis - 1))
-    top = math.sqrt(3.0 * (edge * edge) + spec.kappa * spec.kappa)
+    top = k0_bounds(kmax, n_per_axis, spec.kappa, k0_floor)[1]
+    _require(math.isfinite(top), "grid",
+             f"kmax = {kmax} puts the corner k0 past the float range")
     _require(k0_floor <= top, "grid", f"k0_floor = {k0_floor} drops every "
              f"node (the largest k0 is {top:.6g})")
 
@@ -309,12 +390,6 @@ def scenario_from_dict(data: dict, sha256: str = "") -> Scenario:
     steps = _integer(time, "time", "steps", 2)
     _require(steps <= STEP_BUDGET, "time",
              f"{steps} steps exceed the budget of {STEP_BUDGET}")
-    # no suite grid reaches past the corner shell energy of [-kmax, kmax]^3
-    refined = (x0_end - x0_start) * math.hypot(math.sqrt(3.0) * kmax,
-                                               spec.kappa) / STENCIL_K0H
-    _require(refined <= STEP_BUDGET, "time",
-             f"the window needs {refined:.4g} refined steps (k0 h <= "
-             f"{STENCIL_K0H}), above the budget of {STEP_BUDGET}")
 
     gauge_blk = _section(data, "gauge", {"z_re", "z_im"})
     z = complex(_number(gauge_blk, "gauge", "z_re", 2**-0.5),
@@ -335,7 +410,7 @@ def scenario_from_dict(data: dict, sha256: str = "") -> Scenario:
     _require(isinstance(out_dir, str) and out_dir != "", "output",
              "directory must be a non-empty string")
 
-    return Scenario(
+    s = Scenario(
         field=spec,
         particles=particles,
         kmax=kmax,
@@ -351,6 +426,17 @@ def scenario_from_dict(data: dict, sha256: str = "") -> Scenario:
         output_format=out_format,
         sha256=sha256,
     )
+    try:
+        plan = s.plan
+    except ZeroModeError as exc:  # 1e-6 kmax, the capped floor, is 0
+        raise ScenarioError(f"grid: {exc}") from exc
+    # steps_fd >= steps; the fixed counts are far below the budget
+    for suite, need in (("simulate", plan.steps_fd),
+                        ("hamilton", plan.hamilton_steps or 0)):
+        _require(need <= STEP_BUDGET, "time", f"the {suite} suite needs "
+                 f"{need:.6g} steps over the window, above the budget of "
+                 f"{STEP_BUDGET}")
+    return s
 
 
 def load_scenario(path) -> Scenario:

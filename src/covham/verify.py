@@ -7,6 +7,9 @@ schema version, the scenario digest, the package version, and the RNG
 seed, and serialize with sorted keys and no timestamps, so the same
 scenario, seed and BLAS thread count give byte-identical bodies.
 
+The simulate, hamilton and green suites run the grids and step counts
+of `Scenario.plan`, which `covham validate` has held to the step budget.
+
 Tolerances are all named.  The table of defaults and the one rule for
 overriding them (a known name and a finite number >= 0) live in
 `covham.scenario`, so the scenario's `tolerances` section, `covham run
@@ -58,7 +61,7 @@ from .dynamics import (
 from .fields import family_pair, scalar_field
 from .green import green_oracle
 from .minkowski import on_shell_k
-from .modes import STENCIL_K0H, box_mode_grid, build_mode_grid
+from .modes import box_mode_grid
 from .position import parseval_check
 from .scenario import DEFAULT_TOLERANCES, Scenario, check_tolerances
 
@@ -127,9 +130,8 @@ def _worst(*values) -> float:
     return float(np.max(values))
 
 
-def _fail(records: list, name: str, exc: Exception) -> None:
-    records.append(CheckRecord(name, "fail", None, None,
-                               {"error": f"{type(exc).__name__}: {exc}"}))
+def _fail(records: list, name: str, error: str) -> None:
+    records.append(CheckRecord(name, "fail", None, None, {"error": error}))
 
 
 def _random_amps(field, rng):
@@ -139,13 +141,6 @@ def _random_amps(field, rng):
     return family_pair([np.asarray(rng.normal(size=comp)
                                    + 1j * rng.normal(size=comp))
                         for _ in field.branches])
-
-
-def _capped_grid(s: Scenario, n_cap: int):
-    """Scenario grid, resolution-capped for evolution-heavy checks."""
-    n = min(s.n_per_axis, n_cap)
-    return build_mode_grid(s.kmax, n, s.field.kappa,
-                           k0_floor=s.k0_floor if n == s.n_per_axis else None)
 
 
 # ---------------------------------------------------------------- dirac
@@ -182,7 +177,8 @@ def _suite_dirac(s: Scenario, rng, tol, records, tables) -> None:
 
 def _suite_hamilton(s: Scenario, rng, tol, records, tables) -> None:
     field = s.field
-    grid = _capped_grid(s, 5)
+    plan = s.plan
+    grid = plan.hamilton_grid
     worldlines = list(s.particles)
     idx = rng.choice(len(grid), size=min(6, len(grid)), replace=False)
     x = np.array([0.35, 0.1, -0.2, 0.05])
@@ -226,21 +222,17 @@ def _suite_hamilton(s: Scenario, rng, tol, records, tables) -> None:
     if not worldlines:
         return
 
-    # short local window: the residual probes one interior slice, and the
-    # stencil needs k0 * h small, so refine steps by the probed modes
-    span = min(2.0, s.x0_end - s.x0_start)
-    end = s.x0_start + span
-    order = np.argsort(grid.k[:, 0])
-    probes = [int(order[0]), int(order[len(order) // 3])]
-    k0_sel = float(max(grid.k[i, 0] for i in probes))
-    steps = max(64, int(math.ceil(span * k0_sel / 0.06)))
+    # short local window: the residual probes one interior slice, with
+    # steps refined on the probed modes
+    end = s.x0_start + plan.hamilton_span
+    steps = plan.hamilton_steps
     hist = evolve_amplitudes(field, worldlines, grid, s.x0_start, end,
                              steps, save="all")
     h = hist.spacing()
     mid = len(hist.x0) // 2
     x_mid = np.array([hist.x0[mid], 0.3, -0.1, 0.2])
     worst_src = 0.0
-    for i in probes:
+    for i in plan.probes:
         r1, r2 = hamilton_residual(field, grid.k[i],
                                    history_amplitudes(hist, mode_index=i),
                                    x_mid, worldlines=worldlines,
@@ -267,12 +259,9 @@ def _suite_hamilton(s: Scenario, rng, tol, records, tables) -> None:
 
 def _suite_simulate(s: Scenario, rng, tol, records, tables) -> None:
     field = s.field
-    # integrator checks need k0 * h resolved, not spectral coverage, so
-    # this suite runs on a deliberately soft grid
-    grid = build_mode_grid(min(s.kmax, 2.0), min(s.n_per_axis, 5),
-                           s.field.kappa)
+    plan = s.plan
+    grid, steps, steps_fd = plan.simulate_grid, plan.steps, plan.steps_fd
     worldlines = list(s.particles)
-    steps = 2 * math.ceil(max(s.steps, 8) / 2)  # even, for the halves
     hist = evolve_amplitudes(field, worldlines, grid, s.x0_start, s.x0_end,
                              steps, save="all")
 
@@ -291,10 +280,7 @@ def _suite_simulate(s: Scenario, rng, tol, records, tables) -> None:
          np.max(np.abs(probe.coeffs[mask]), initial=0.0), tol["causality"],
          meta)
 
-    # the stencil check needs (k0 h)^4 below tolerance; refine separately
-    k0_max = float(np.max(grid.k[:, 0]))
-    span = s.x0_end - s.x0_start
-    steps_fd = max(steps, int(math.ceil(span * k0_max / STENCIL_K0H)))
+    # the stencil check needs (k0 h)^4 below tolerance: its own steps
     hist_fd = (hist if steps_fd == steps else
                evolve_amplitudes(field, worldlines, grid, s.x0_start,
                                  s.x0_end, steps_fd, save="all"))
@@ -478,43 +464,18 @@ def averaged_profile(field, worldlines, grid, points, center: float,
                        for pt in points])
 
 
-def _green_applicable(s: Scenario) -> str | None:
-    if not s.field.green_radii:
-        return ("green oracle comparisons cover the em and scalar species, "
-                f"not {s.field.kind}")
-    if not s.particles:
-        return "green suite needs at least one source worldline"
-    if any(w.kind != "static" for w in s.particles):
-        return "time-averaged comparison requires static sources"
-    return None
-
-
 def _suite_green(s: Scenario, rng, tol, records, tables) -> None:
-    why_not = _green_applicable(s)
-    if why_not is not None:
-        records.append(CheckRecord("green/applicability", "fail", None,
-                                   None, {"error": why_not}))
+    if s.plan.green_skip is not None:
+        _fail(records, *s.plan.green_skip)
         return
 
     field = s.field
     worldlines = list(s.particles)
     grid = s.build_grid()
-    k0_min = float(np.min(grid.k[:, 0]))
-    period = 2.0 * np.pi / max(k0_min, 1.0)
-    center = s.x0_end - period / 2.0
+    period, center = s.plan.green_window
     anchor = worldlines[0].position
     direction = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
-
     radii = np.array(field.green_radii)
-    t_on = min(w.switch_on_time() for w in worldlines)
-    needed = t_on + float(np.max(radii)) + 1.0
-    if center - period / 2.0 <= needed:
-        records.append(CheckRecord(
-            "green/window", "fail", None, None,
-            {"error": "evolution window too short for a post-transient "
-                      f"average (need x0_end > {needed + period:.2f})"}))
-        return
-
     points = anchor[None, :] + radii[:, None] * direction[None, :]
     averaged = averaged_profile(field, worldlines, grid, points, center,
                                 period)
@@ -576,7 +537,7 @@ def run_verification(s: Scenario, suite: str, seed: int = 0,
         names = ["dirac-algebra", "hamilton", "simulate", "bracket"]
         if s.field.has_parseval_identity:
             names.append("parseval")
-        if _green_applicable(s) is None:
+        if s.plan.green_skip is None:
             names.append("green")
     else:
         names = [suite]
@@ -588,7 +549,7 @@ def run_verification(s: Scenario, suite: str, seed: int = 0,
         try:
             _SUITES[name](s, rng, merged, records, tables)
         except Exception as exc:  # noqa: BLE001 - suite isolation
-            _fail(records, f"{name}/error", exc)
+            _fail(records, f"{name}/error", f"{type(exc).__name__}: {exc}")
     return Report(suite=suite, seed=seed, scenario_sha256=s.sha256,
                   scenario=s.metadata(), records=records, tables=tables)
 

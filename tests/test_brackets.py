@@ -493,9 +493,11 @@ class TestApply:
         assert ab.const == pytest.approx(a.linear @ lam @ b.linear,
                                          rel=1e-12)
         self.assert_close(ab.linear, a.quad @ lam @ b.linear
-                          - b.quad @ lam @ a.linear)
+                          + b.quad @ lam.T @ a.linear)
         quad = a.quad @ lam @ b.quad
         self.assert_close(ab.quad, quad + quad.T)
+        # the closed bracket follows the patch as poisson_bracket does
+        assert ab.value(state) == pytest.approx(got, rel=1e-12)
 
         def nested(x, y, z):  # grad x . Lambda grad {y, z} at the state
             return x @ lam @ (y[1].quad @ lam @ z[0] - z[1].quad @ lam @ y[0])

@@ -164,15 +164,29 @@ class TestScenarioLoading:
         data["time"]["steps"] = 1
         with pytest.raises(ScenarioError, match="steps"):
             scenario_from_dict(data)
-        # over the step budget, directly or through the refined window
-        for steps, x0_end, kmax in ((10**12, 2.0, 4.0), (20_001, 2.0, 4.0),
-                                    (64, 1e4, 4.0), (64, 15.2, 1e3),
-                                    (64, 2.0, 1e308)):
-            data = free_scalar_dict()
+        # over the step budget, directly or through a suite's refinement:
+        # on the sourced scalar, kmax 1e3 makes the hamilton plan 27,639
+        # steps, where simulate, on its soft grid, takes 1,411
+        for make, steps, x0_end, kmax in (
+                (free_scalar_dict, 10**12, 2.0, 4.0),
+                (free_scalar_dict, 20_001, 2.0, 4.0),
+                (free_scalar_dict, 64, 1e4, 4.0),
+                (sourced_scalar_dict, 64, 15.2, 1e3)):
+            data = make()
             data["time"].update(steps=steps, x0_end=x0_end)
             data["grid"]["kmax"] = kmax
             with pytest.raises(ScenarioError, match="^time: .*steps"):
                 scenario_from_dict(data)
+        # with no source no suite refines past the soft grid
+        data = free_scalar_dict()
+        data["time"].update(steps=64, x0_end=15.2)
+        data["grid"]["kmax"] = 1e3
+        plan = scenario_from_dict(data).plan
+        assert (plan.steps_fd, plan.hamilton_steps) == (1411, None)
+        # the corner k0 of kmax 1e308 is past the float range
+        data["grid"]["kmax"] = 1e308
+        with pytest.raises(ScenarioError, match="^(grid|time): "):
+            scenario_from_dict(data)
         data = free_scalar_dict()
         data["time"]["x0_end"] = -1.0
         with pytest.raises(ScenarioError, match="x0_end"):
@@ -540,13 +554,11 @@ class TestVerificationSuites:
 
     @pytest.mark.parametrize("shape", sorted(_MATRIX_SHAPES))
     @pytest.mark.parametrize("kind", sorted(_MATRIX_FIELDS))
-    def test_every_species_and_shape_passes_simulate_and_hamilton(
-            self, kind, shape):
+    def test_every_species_and_shape_passes_every_suite(self, kind, shape):
         s = scenario_from_dict(_matrix_dict(kind, shape))
-        for suite in ("simulate", "hamilton"):
-            report = run_verification(s, suite, seed=0)
-            assert report.passed, [r.to_dict() for r in report.records
-                                   if r.status != "pass"]
+        report = run_verification(s, "all", seed=0)
+        assert report.passed, [r.to_dict() for r in report.records
+                               if r.status != "pass"]
 
     def test_bracket_suite_scalar(self):
         s = scenario_from_dict(free_scalar_dict())
@@ -803,6 +815,35 @@ class TestGreenSuite:
         names = {r.name.split("/")[0]
                  for r in run_verification(s, "all", seed=0).records}
         assert names.isdisjoint({"green", "parseval"})
+
+    @pytest.mark.parametrize("kind, needed", [("scalar", "7.11"),
+                                              ("em", "9.44")])
+    def test_short_window_not_applicable(self, kind, needed):
+        # window [0, 2]: the average would start before the field has
+        # settled at the largest radius
+        s = scenario_from_dict(_matrix_dict(kind, "static"))
+        record, = run_verification(s, "green", seed=0).records
+        assert (record.name, record.status) == ("green/window", "fail")
+        assert f"need x0_end > {needed})" in record.metadata["error"]
+        report = run_verification(s, "all", seed=0)
+        assert "green" not in {r.name.split("/")[0] for r in report.records}
+        assert report.passed
+
+    def test_long_static_window_validates_and_passes(self, tmp_path):
+        # 4,911 simulate steps: the budget counts the soft grid's k0, not
+        # the corner shell energy of the scenario grid
+        data = json.loads((SCENARIOS / "static_scalar_source.json")
+                          .read_text())
+        data["time"]["x0_end"] = 50.0
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 0
+        s = load_scenario(path)
+        assert s.plan.steps_fd == 4911
+        report = run_verification(s, "all", seed=0)
+        assert "green/yukawa_direct" in {r.name for r in report.records}
+        assert report.passed, [r.to_dict() for r in report.records
+                               if r.status != "pass"]
 
     def test_moving_source_not_applicable(self):
         data = sourced_scalar_dict(extra_particle=True)

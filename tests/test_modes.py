@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from covham.errors import GridDomainError, ModeBudgetError, ZeroModeError
 from covham.minkowski import (lower_index, mass_shell_energy, minkowski_dot,
                               on_shell_k)
-from covham.modes import ModeGrid, PlaneWaves, box_mode_grid, build_mode_grid
+from covham.modes import (ModeGrid, PlaneWaves, box_mode_grid,
+                          build_mode_grid, k0_bounds)
 
 
 def test_single_cell_weight_frozen_value():
@@ -124,6 +125,27 @@ def test_zero_mode_kept_by_a_zero_floor_raises(n):
     with pytest.raises(ZeroModeError, match="zero mode"):
         build_mode_grid(kmax=2.0, n_per_axis=n, kappa=0.0, k0_floor=0.0)
     assert len(build_mode_grid(kmax=2.0, n_per_axis=n, kappa=0.0)) == n**3 - 1
+
+
+@settings(deadline=None, max_examples=100)
+@given(kmax=st.floats(0.5, 13.0), n=st.integers(1, 24),
+       kappa=st.sampled_from([0.0, 0.3, 1.0, 1.2]),
+       floor=st.floats(0.0, 1.0))
+def test_k0_bounds_are_the_grid_extremes_bit_for_bit(kmax, n, kappa, floor):
+    # floor is a fraction of the largest k0: every floor the validator
+    # admits, the centre of an odd massless axis dropped or kept
+    top = k0_bounds(kmax, n, kappa, 0.0)[1]
+    k0_floor = floor * top
+    if n % 2 and kappa == 0.0 and k0_floor == 0.0:
+        k0_floor = 1e-6 * kmax
+    grid = build_mode_grid(kmax, n, kappa, k0_floor=k0_floor)
+    assume(len(grid))  # n = 1 massless: the one node is the centre
+    assert k0_bounds(kmax, n, kappa, k0_floor) == (np.min(grid.k0),
+                                                   np.max(grid.k0))
+
+
+def test_k0_bounds_overflow_to_inf():
+    assert k0_bounds(1e200, 4, 1.0, 0.0)[1] == np.inf
 
 
 def _hand_built_grid(rng, n=40, kappa=0.8):
