@@ -50,10 +50,20 @@ mode_hamiltonian, the amplitude form written out per species, is the
 independent reference the canonical value is checked against; it and
 hamilton_residual take one k.  The rest also take stacked k (..., 4),
 one per leading entry of the amplitudes or rows, each mode scaled alone.
+
+The constants of one (field, gauge z) are built once and kept: g_b, s_b
+and 2 s_b, sigma_c, row_signs, the free gradient factor of each row, and
+the index tuples that pick q, pi and pi_0 out of the (..., branches, 5,
+*comp) rows.  Each call then writes and reads its rows in place by basic
+indexing, one code path for one mode and for a stack, so a one-mode call
+pays for little more than its arithmetic.  gradient_consistency
+evaluates J on the probes of every stored entry and applies one
+five_point stencil to all of them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -118,13 +128,69 @@ def row_signs(field: FieldSpec) -> np.ndarray:
                              field.pairing_signs())
 
 
-def _mode_scales(field: FieldSpec, k: np.ndarray, z: complex):
+@dataclass(frozen=True)
+class _Constants:
+    """What the canonical map needs of one (field, gauge z), built once.
+
+    Arrays are read-only and shaped against w (..., branches, *comp) or
+    rows (..., branches, 5, *comp); the index tuples pick rows out of
+    those by basic indexing, so no call restacks or moves an axis.
+    """
+
+    field: FieldSpec
+    z: complex
+    comp: tuple[int, ...]
+    g: np.ndarray            # g_b, (branches, *ones)
+    q_signs: np.ndarray      # s_b, (branches, *ones)
+    two_q_signs: np.ndarray  # 2 s_b
+    sigma: np.ndarray        # sigma_c, comp
+    q_sigma: np.ndarray      # s_b sigma_c, (branches, *comp)
+    row_signs: np.ndarray    # row_signs(field), (5, *comp)
+    free_rows: np.ndarray    # free gradient factor per row, (5, *ones)
+    zeta: complex            # 1 / g_plus, the coupling rows' gauge factor
+    q_at: tuple              # row 0: (..., branches, *comp)
+    pi_at: tuple             # rows 1-4: (..., branches, 4, *comp)
+    pi0_at: tuple            # row 1, pi_0
+    pi0_kept: tuple          # row 1 as (..., branches, 1, *comp)
+    branch_at: tuple         # per branch b, entry b of the branch axis
+    new_row: tuple           # inserts a row axis before the components
+    mu_comp_axes: tuple      # the mu and component axes of pi
+    comp_axes: tuple
+
+
+@lru_cache(maxsize=64)
+def _constants(field: FieldSpec, z: complex) -> _Constants:
+    comp = field.component_shape
+    ones = (1,) * len(comp)
+    cs = (slice(None),) * len(comp)
+    q_signs = np.reshape(field.q_signs, (-1,) + ones)
+    sigma = field.pairing_signs()
+    free = field.free_sign * np.concatenate([[field.kappa**2], np.ones(4)])
+    arrays = {"g": np.reshape(field.gauge_factors(z), (-1,) + ones),
+              "q_signs": q_signs, "two_q_signs": q_signs * 2.0,
+              "sigma": sigma, "q_sigma": q_signs * sigma,
+              "row_signs": row_signs(field),
+              "free_rows": free.reshape((5,) + ones)}
+    for a in arrays.values():
+        a.setflags(write=False)
+    return _Constants(
+        field=field, z=z, comp=comp, **arrays,
+        zeta=1.0 / field.gauge_factors(z)[0],
+        q_at=(..., 0) + cs, pi_at=(..., slice(1, None)) + cs,
+        pi0_at=(..., 1) + cs, pi0_kept=(..., slice(1, 2)) + cs,
+        branch_at=tuple((..., b) + cs for b in range(len(field.branches))),
+        new_row=(..., None) + cs,
+        mu_comp_axes=tuple(range(-1 - len(comp), 0)),
+        comp_axes=tuple(range(-len(comp), 0)))
+
+
+def _mode_scales(c: _Constants, k: np.ndarray):
     """eps and k0 of each wave vector of k (..., 4) against w (...,
     branches, *comp), its lowered k_mu against pi (..., branches, 4, *comp)."""
-    lead, ones = k.shape[:-1], (1,) * len(field.component_shape)
-    k0 = np.reshape(k[..., 0], lead + (1,) + ones)
-    return (field.epsilon(k0, z), k0,
-            np.reshape(lower_index(k), lead + (1, 4) + ones))
+    lead, ones = k.shape[:-1], (1,) * len(c.comp)
+    k0 = k[..., 0].reshape(lead + (1,) + ones)
+    return (c.field.epsilon(k0, c.z), k0,
+            lower_index(k).reshape(lead + (1, 4) + ones))
 
 
 def to_canonical(
@@ -143,47 +209,50 @@ def to_canonical(
     both families must share one shape, and stacked k (..., 4) must
     broadcast against the leading axes.
     """
+    c = _constants(field, gauge.z)
     k = np.asarray(k, dtype=float)
-    eps, _, k_mu = _mode_scales(field, k, gauge.z)
-    comp = field.component_shape
-    ones = (1,) * len(comp)
+    eps, _, k_mu = _mode_scales(c, k)
+    comp = c.comp
     amp_plus = np.asarray(amp_plus, dtype=complex)
     if amp_plus.shape[amp_plus.ndim - len(comp):] != comp:
         raise ValueError(f"amp_plus shape {amp_plus.shape}, expected {comp}")
-    row = -1 - len(comp)  # the branch axis of w, the row axis of rows
-    w = (np.reshape(field.gauge_factors(gauge.z), (-1,) + ones)
-         * np.stack(field.families(amp_plus, amp_minus), axis=row))
-    q = np.reshape(field.q_signs, (-1,) + ones) * 2.0 * eps * np.imag(w)
-    pi = 2.0 * np.expand_dims(eps, row) * k_mu * np.expand_dims(w.real, row)
-    return CanonicalMode(field=field, k=k, rows=np.concatenate(
-        [np.expand_dims(q, row), pi], axis=row))
+    w = np.empty(amp_plus.shape[:amp_plus.ndim - len(comp)]
+                 + c.g.shape[:1] + comp, dtype=complex)
+    for at, amp in zip(c.branch_at, field.families(amp_plus, amp_minus)):
+        if np.shape(amp) != amp_plus.shape:
+            raise ValueError(f"amp_minus shape {np.shape(amp)}, expected "
+                             f"the shape of amp_plus {amp_plus.shape}")
+        w[at] = amp
+    np.multiply(c.g, w, out=w)  # w_b = g_b T~_b
+    q = c.two_q_signs * eps * w.imag
+    rows = np.empty(q.shape[:q.ndim - len(comp)] + (5,) + comp)
+    rows[c.q_at] = q
+    np.multiply(2.0 * eps[c.new_row] * k_mu, w.real[c.new_row],
+                out=rows[c.pi_at])
+    return CanonicalMode(field=field, k=k, rows=rows)
 
 
-def _check_collinear(mode: CanonicalMode, k0, k_mu, tol: float) -> None:
+def _check_collinear(c: _Constants, mode: CanonicalMode, k0, k_mu,
+                     tol: float) -> None:
     """Each (mode, branch)'s pi rows against k pi_0 / k0, scaled by its
     own 1 + max |pi|; non-finite rows fail too."""
-    comp = len(mode.field.component_shape)
-    pi = mode.pi
-    model = k_mu * np.take(pi, [0], axis=-1 - comp) / np.expand_dims(
-        k0, -1 - comp)
-    axes = tuple(range(-1 - comp, 0))  # mu and the components
-    defect = np.max(np.abs(pi - model), axis=axes)
-    if not (np.all(defect <= tol * (1.0 + np.max(np.abs(pi), axis=axes)))
-            and np.all(np.isfinite(mode.rows))):
+    pi = mode.rows[c.pi_at]
+    model = k_mu * mode.rows[c.pi0_kept] / k0[c.new_row]
+    defect = np.abs(pi - model).max(axis=c.mu_comp_axes)
+    if not ((defect <= tol * (1.0 + np.abs(pi).max(axis=c.mu_comp_axes)))
+            .all() and np.isfinite(mode.rows).all()):
         raise CanonicalStructureError(
             f"pi is not collinear with k (defect {np.max(defect):.3e}); "
             "not the canonical image of an on-shell mode"
         )
 
 
-def _w_values(field: FieldSpec, mode: CanonicalMode, eps: np.ndarray,
+def _w_values(c: _Constants, mode: CanonicalMode, eps: np.ndarray,
               k0: np.ndarray) -> np.ndarray:
     """Complex w, (..., branches, *comp), via the pi_0 extension (exact
     on-shell); eps and k0 as _mode_scales shapes them."""
-    comp = field.component_shape
-    q_signs = np.reshape(field.q_signs, (-1,) + (1,) * len(comp))
-    return (np.take(mode.rows, 1, axis=-1 - len(comp)) / (2.0 * eps * k0)
-            + 1j * (q_signs * mode.q / (2.0 * eps)))
+    return (mode.rows[c.pi0_at] / (2.0 * eps * k0)
+            + 1j * (c.q_signs * mode.rows[c.q_at] / (2.0 * eps)))
 
 
 def from_canonical(
@@ -199,12 +268,11 @@ def from_canonical(
     is not finite; the bound, COLLINEAR_TOL, scales with each mode's own
     pi.
     """
-    eps, k0, k_mu = _mode_scales(field, np.asarray(k, dtype=float), gauge.z)
-    _check_collinear(mode, k0, k_mu, COLLINEAR_TOL)
-    comp = field.component_shape
-    amps = _w_values(field, mode, eps, k0) / np.reshape(
-        field.gauge_factors(gauge.z), (-1,) + (1,) * len(comp))
-    return family_pair(np.moveaxis(amps, -1 - len(comp), 0))
+    c = _constants(field, gauge.z)
+    eps, k0, k_mu = _mode_scales(c, np.asarray(k, dtype=float))
+    _check_collinear(c, mode, k0, k_mu, COLLINEAR_TOL)
+    amps = _w_values(c, mode, eps, k0) / c.g
+    return family_pair([amps[at] for at in c.branch_at])
 
 
 def mode_hamiltonian(
@@ -282,19 +350,18 @@ def _coupling_rows(field: FieldSpec, k: np.ndarray, x: np.ndarray,
     sources = source_terms(field, worldlines, x[0])
     if not sources:
         return None
-    sigma = field.pairing_signs()
-    zeta = 1.0 / field.gauge_factors(gauge.z)[0]
-    ones = (1,) * len(field.component_shape)
+    c = _constants(field, gauge.z)
+    ones = (1,) * len(c.comp)
     rows = [0.0 for _ in field.branches]
     for w, u, udot, current in sources:
         if field.kind == "spinor":
             row = dirac_adjoint(current) * (w.coupling
                                             / (field.kappa * udot[0]))
         else:
-            row = sigma * current * (field.coupling_strength * w.coupling
-                                     / udot[0])
-        phase = zeta * np.exp(1j * minkowski_dot(k, x - u))
-        phase = np.reshape(phase, phase.shape + ones)
+            row = c.sigma * current * (field.coupling_strength * w.coupling
+                                       / udot[0])
+        phase = c.zeta * np.exp(1j * minkowski_dot(k, x - u))
+        phase = phase.reshape(phase.shape + ones)
         rows = [r + row * ph for r, ph in zip(rows, with_conjugate(phase))]
     if field.kind == "spinor":
         rows = [(r[..., None, :] @ op)[..., 0, :]  # r @ op per mode
@@ -332,20 +399,19 @@ def _canonical_value(field, k, mode, coupling, gauge):
     coupling rows (None: no active source) add Re sum_c A_b,c w_b,c,
     one branch after the other so the round-off order stays fixed.
     """
-    sigma = field.pairing_signs()
-    comp_axes = tuple(range(-len(field.component_shape), 0))
+    c = _constants(field, gauge.z)
     pipi = np.einsum("m,m...->...", METRIC_DIAG,
-                     np.moveaxis(mode.pi**2, -1 - len(comp_axes), 0))
-    free = 0.5 * np.sum(sigma * (pipi + field.kappa**2 * mode.q**2),
-                        axis=comp_axes)
+                     np.moveaxis(mode.rows[c.pi_at]**2, -1 - len(c.comp), 0))
+    free = 0.5 * np.sum(c.sigma * (pipi + field.kappa**2
+                                   * mode.rows[c.q_at]**2), axis=c.comp_axes)
     value = field.free_sign * np.sum(free, axis=-1)
     if coupling is None:
         return value
-    eps, k0, _ = _mode_scales(field, k, gauge.z)
-    terms = np.real(np.sum(coupling * _w_values(field, mode, eps, k0),
-                           axis=comp_axes))
-    for term in np.moveaxis(terms, -1, 0):
-        value = value + term
+    eps, k0, _ = _mode_scales(c, k)
+    terms = np.real(np.sum(coupling * _w_values(c, mode, eps, k0),
+                           axis=c.comp_axes))
+    for b in range(terms.shape[-1]):
+        value = value + terms[..., b]
     return value
 
 
@@ -368,17 +434,13 @@ def mode_hamiltonian_gradients(
     the module docstring).
     """
     k, x = np.asarray(k, dtype=float), np.asarray(x, dtype=float)
-    ones = (1,) * len(field.component_shape)
-    free = field.free_sign * np.concatenate([[field.kappa**2], np.ones(4)])
-    grads = free.reshape((5,) + ones) * mode.rows
+    c = _constants(field, gauge.z)
+    grads = c.free_rows * mode.rows
     coupling = _coupling_rows(field, k, x, worldlines, gauge)
     if coupling is not None:
-        sigma = field.pairing_signs()
-        eps, k0, _ = _mode_scales(field, k, gauge.z)
-        by_row = np.moveaxis(grads, -1 - len(ones), 0)  # a view of grads
-        by_row[0] -= (np.reshape(field.q_signs, (-1,) + ones) * sigma
-                      * np.imag(coupling) / (2.0 * eps))
-        by_row[1] += sigma * np.real(coupling) / (2.0 * eps * k0)
+        eps, k0, _ = _mode_scales(c, k)
+        grads[c.q_at] -= c.q_sigma * coupling.imag / (2.0 * eps)
+        grads[c.pi0_at] += c.sigma * coupling.real / (2.0 * eps * k0)
     return CanonicalMode(field=field, k=k, rows=grads)
 
 
@@ -404,32 +466,34 @@ def gradient_consistency(
     evaluated once per block of entries, on the probes of those entries
     stacked, the blocks sized by _PROBE_BYTES; a probe moves its entry
     in every stacked mode at once, since each mode's J sees its own rows
-    only.  Lowered finite-difference gradients are raised with row_signs
-    before comparison.  Each mode's defect is scaled by its own
-    1 + max |gradient|; returns the largest.
+    only.  One stencil then runs over the J values of all blocks, so the
+    result does not depend on the block size.  Lowered finite-difference
+    gradients are raised with row_signs before comparison.  Each mode's
+    defect is scaled by its own 1 + max |gradient|; returns the largest.
     """
     k, x = np.asarray(k, dtype=float), np.asarray(x, dtype=float)
     analytic = mode_hamiltonian_gradients(field, k, mode, x, worldlines,
                                           gauge).rows
     coupling = _coupling_rows(field, k, x, worldlines, gauge)
-    signs = row_signs(field)
+    signs = _constants(field, gauge.z).row_signs
     entries = tuple(range(-1 - signs.ndim, 0))  # one mode's axes
     n = len(field.branches) * signs.size
     block = max(1, _PROBE_BYTES // (4 * mode.rows.nbytes))
-    fd = []
+    values = []
     for lo in range(0, n, block):
         moved = np.arange(lo, min(lo + block, n))
-        # probes[i, o]: the rows with entry moved[i] of every mode moved
+        # probes[o, i]: the rows with entry moved[i] of every mode moved
         # by offset o
-        probes = np.broadcast_to(mode.rows, (len(moved), 4)
+        probes = np.broadcast_to(mode.rows, (4, len(moved))
                                  + mode.rows.shape).copy()
-        probes.reshape(len(moved), 4, -1, n)[
-            np.arange(len(moved)), :, :, moved] += (
+        probes.reshape(4, len(moved), -1, n)[
+            :, np.arange(len(moved)), :, moved] += (
                 FIVE_POINT_OFFSETS[:, None] * _GRADIENT_STEP)
-        values = _canonical_value(field, k, replace(mode, rows=probes),
-                                  coupling, gauge)
-        fd += [five_point(v, _GRADIENT_STEP) for v in values]
-    fd = np.moveaxis(fd, 0, -1)
+        values.append(_canonical_value(
+            field, k, replace(mode, rows=probes), coupling, gauge))
+    # J of every probe, (4, n, ...), under one stencil
+    fd = np.moveaxis(five_point(np.concatenate(values, axis=1),
+                                _GRADIENT_STEP), 0, -1)
     return float(np.max(np.abs(fd.reshape(analytic.shape) * signs - analytic)
                         / (1.0 + np.max(np.abs(analytic), axis=entries,
                                         keepdims=True))))
@@ -453,7 +517,7 @@ def canonical_at_point(
     k = np.asarray(k, dtype=float)
     x = np.asarray(x, dtype=float)
     phase = np.exp(-1j * minkowski_dot(k, x))
-    phase = np.reshape(phase, phase.shape + (1,) * len(field.component_shape))
+    phase = phase.reshape(phase.shape + (1,) * len(field.component_shape))
     amps = [np.asarray(c, dtype=complex) * ph
             for _, c, ph in zip(field.branches, (coeff_plus, coeff_minus),
                                 with_conjugate(phase))]
@@ -499,15 +563,18 @@ def hamilton_residual(
               zip(*(amp_at(t) for t in points[..., 0].ravel()))]
     shifted = canonical_at_point(field, k, *coeffs, points, gauge)
     # d_mu of every row, mu leading: (4, branches, 5, *comp)
-    d = CanonicalMode(field=field, k=k, rows=five_point(shifted.rows, h))
-    dq = np.moveaxis(d.q, 0, -1 - len(field.component_shape))
-    div_pi = np.einsum("m,mbm...->b...", METRIC_DIAG, d.pi)
-    n_b = len(field.branches)
-    r1 = (np.max(np.abs(dq - grads.pi).reshape(n_b, -1), axis=1)
-          / (1.0 + np.max(np.abs(grads.pi).reshape(n_b, -1), axis=1)))
-    r2 = (np.max(np.abs(div_pi + grads.q).reshape(n_b, -1), axis=1)
-          / (1.0 + np.max(np.abs(grads.q).reshape(n_b, -1), axis=1)))
-    return float(np.max(r1)), float(np.max(r2))
+    d = five_point(shifted.rows, h)
+    c = _constants(field, gauge.z)
+    g_q, g_pi = grads.rows[c.q_at], grads.rows[c.pi_at]
+    n_b = len(g_q)
+    # d_mu q_c against dJ/dpi^{mu c}, both mu leading
+    r1 = (np.abs(d[c.q_at] - g_pi.swapaxes(0, 1)).reshape(4, n_b, -1)
+          .max(axis=(0, 2))
+          / (1.0 + np.abs(g_pi).reshape(n_b, -1).max(axis=1)))
+    div_pi = np.einsum("m,mbm...->b...", METRIC_DIAG, d[c.pi_at])
+    r2 = (np.abs(div_pi + g_q).reshape(n_b, -1).max(axis=1)
+          / (1.0 + np.abs(g_q).reshape(n_b, -1).max(axis=1)))
+    return float(r1.max()), float(r2.max())
 
 
 def constant_amplitudes(coeff_plus, coeff_minus=None):

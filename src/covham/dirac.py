@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroModeError
-from .minkowski import minkowski_dot
+from .minkowski import METRIC_DIAG, minkowski_dot
 
 _SIGMA = np.array([
     [[0, 1], [1, 0]],
@@ -42,11 +42,13 @@ ADJOINT_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 def slash(k) -> np.ndarray:
     """k_mu gamma^mu for contravariant k.
 
-    Accepts (4,) or stacked (..., 4); returns (..., 4, 4).
+    Accepts (4,) or stacked (..., 4); returns (..., 4, 4).  One matrix
+    product with the gamma matrices flattened to (4, 16), read from
+    GAMMA at call time.
     """
     k = np.asarray(k)
-    return np.einsum("m,...m,mab->...ab", np.array([1.0, -1.0, -1.0, -1.0]),
-                     k, GAMMA)
+    return ((k * METRIC_DIAG) @ GAMMA.reshape(4, 16)).reshape(
+        k.shape[:-1] + (4, 4))
 
 
 def dirac_adjoint(psi) -> np.ndarray:

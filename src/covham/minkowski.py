@@ -42,7 +42,7 @@ def minkowski_dot(a, b):
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    return np.sum(METRIC_DIAG * a * b, axis=-1)
+    return (METRIC_DIAG * a * b).sum(axis=-1)
 
 
 def lower_index(v):

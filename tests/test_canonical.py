@@ -35,7 +35,7 @@ from covham.dynamics import evolve_amplitudes, source_rate
 from covham.errors import CanonicalStructureError
 from covham.fields import (em_field, family_pair, scalar_field, spinor_field,
                            tensor_field)
-from covham.minkowski import METRIC_DIAG, on_shell_k
+from covham.minkowski import METRIC_DIAG, five_point, on_shell_k
 from covham.modes import build_mode_grid
 from covham.verify import _random_amps as random_amps
 from covham.worldlines import (
@@ -143,6 +143,48 @@ class TestCanonicalSplit:
         b_plus, b_minus = from_canonical(SCALAR, k, mode, gauge)
         assert b_plus == pytest.approx(a_plus, rel=1e-11, abs=1e-12)
         assert b_minus == pytest.approx(a_minus, rel=1e-11, abs=1e-12)
+
+    @pytest.mark.parametrize("gauge", [DEFAULT_GAUGE,
+                                       CanonicalGauge(0.8 - 1.3j)],
+                             ids=["default", "z"])
+    @pytest.mark.parametrize("field", [SCALAR, VECTOR, RANK2, EM, SPINOR],
+                             ids=["scalar", "rank1", "rank2", "em", "spinor"])
+    def test_split_follows_the_module_formulas(self, field, gauge):
+        # w_b = g_b T~_b, q_b = -+2 eps Im w_b (em: +), pi_mu = 2 eps k_mu
+        # Re w_b, with g_b and eps per species written out
+        rng = np.random.default_rng(41)
+        z = gauge.z
+        for lead in ((), (3,)):
+            k = on_shell_k(rng.uniform(-1.5, 1.5, size=lead + (3,)),
+                           field.kappa)
+            shape = lead + field.component_shape
+            amps = [rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                    for _ in field.branches]
+            mode = to_canonical(field, k, *family_pair(amps), gauge)
+            for i in np.ndindex(lead):
+                k0 = k[i][0]
+                if field.kind == "em":
+                    g, signs = [np.conj(z) / abs(z)], [1.0]
+                    eps = np.sqrt(-field.a2 / k0)
+                elif field.kind == "spinor":
+                    g, signs = [z, np.conj(z)], [-1.0, 1.0]
+                    eps = np.sqrt(field.a2 / (4.0 * k0 * field.kappa
+                                              * abs(z) ** 2))
+                else:
+                    g, signs = [z, np.conj(z)], [-1.0, 1.0]
+                    eps = np.sqrt(field.a2 / (2.0 * k0 * abs(z) ** 2))
+                k_low = METRIC_DIAG * k[i]
+                for b, (g_b, s_b, amp) in enumerate(zip(g, signs, amps)):
+                    w = g_b * amp[i]
+                    rows = mode.rows[i][b]
+                    np.testing.assert_allclose(
+                        rows[0], s_b * 2.0 * eps * w.imag, rtol=1e-14, atol=0)
+                    np.testing.assert_allclose(
+                        rows[1:], 2.0 * eps * np.multiply.outer(k_low, w.real),
+                        rtol=1e-14, atol=0)
+            back = from_canonical(field, k, mode, gauge)
+            for got, amp in zip(back, amps):
+                np.testing.assert_allclose(got, amp, rtol=1e-13, atol=1e-14)
 
     def test_em_single_family_enforced(self):
         k = species_k(EM)
@@ -299,26 +341,29 @@ class TestGradients:
         k = species_k(field)
         x = np.array([1.2, 0.3, -0.4, 0.2])
         mode = canonical_at_point(field, k, *random_amps(field, rng), x)
-        # the stencil loop written out on mode_hamiltonian_canonical, which
-        # rebuilds the coupling rows for every probe
+        # the probes written out on mode_hamiltonian_canonical, which
+        # rebuilds the coupling rows for every probe, then one stencil
         delta = 1e-3
         analytic = mode_hamiltonian_gradients(field, k, mode, x, [w]).rows
         scale = 1.0 + np.max(np.abs(analytic))
         sigma = field.pairing_signs()
-        stencil = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * delta)
-        worst = 0.0
         # idx = (branch, row, *component); row 0 is q, row 1 + mu is pi_mu
-        for idx in np.ndindex(mode.rows.shape):
-            samples = []
-            for off in np.array([-2.0, -1.0, 1.0, 2.0]) * delta:
+        entries = list(np.ndindex(mode.rows.shape))
+        # samples[o, i]: J with entry i moved by offset o
+        samples = np.empty((4, len(entries)))
+        for i, idx in enumerate(entries):
+            for o, off in enumerate(np.array([-2.0, -1.0, 1.0, 2.0]) * delta):
                 probe = mode.rows.copy()
                 probe[idx] += off
-                samples.append(mode_hamiltonian_canonical(
-                    field, k, replace(mode, rows=probe), x, [w]))
+                samples[o, i] = mode_hamiltonian_canonical(
+                    field, k, replace(mode, rows=probe), x, [w])
+        fd = five_point(samples, delta)
+        worst = 0.0
+        for i, idx in enumerate(entries):
             row = idx[1]
             sign = sigma[idx[2:]] * (1.0 if row == 0 else METRIC_DIAG[row - 1])
-            fd = float(np.dot(stencil, samples)) * sign
-            worst = np.maximum(worst, abs(fd - analytic[idx]) / scale)
+            worst = np.maximum(worst,
+                               abs(fd[i] * sign - analytic[idx]) / scale)
         assert gradient_consistency(field, k, mode, x, [w]) == float(worst)
 
     @pytest.mark.parametrize("field", [SCALAR, VECTOR, RANK2],
@@ -398,6 +443,10 @@ class TestStacking:
         bad = np.ones((3,) + comp[:-1] + (comp[-1] + 1,), dtype=complex)
         with pytest.raises(ValueError, match="amp_plus shape"):
             to_canonical(field, k, bad, None if minus is None else amp)
+        if minus is not None:
+            # one family that would broadcast against the other
+            with pytest.raises(ValueError, match="amp_minus shape"):
+                to_canonical(field, k, amp, amp[0])
 
     @FIVE_SPECIES
     def test_one_stacked_call_per_stencil(self, field, monkeypatch):

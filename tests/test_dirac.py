@@ -53,6 +53,16 @@ def test_slash_stacks():
     assert np.allclose(s[0], slash(ks[0]))
 
 
+def test_slash_is_the_metric_contraction_written_out():
+    # sum_mu eta_mumu k^mu gamma^mu, one term per mu; each entry of the
+    # sum has one nonzero term, so the product form must equal it exactly
+    rng = np.random.default_rng(3)
+    for k in (rng.normal(size=4), rng.normal(size=(7, 3, 4))):
+        want = sum(ETA[mu, mu] * k[..., mu, None, None] * GAMMA[mu]
+                   for mu in range(4))
+        assert np.array_equal(slash(k), want)
+
+
 @given(data=on_shell_ks())
 @settings(max_examples=60)
 def test_projector_identities_on_shell(data):
