@@ -163,12 +163,7 @@ class QuadraticObservable:
     Closed under sums, multiples and the bracket.
     """
 
-    def __init__(self, const: float = 0.0, linear=None, quad=None,
-                 size: int | None = None):
-        if linear is None:
-            if size is None:
-                raise ValueError("need linear coefficients or a state size")
-            linear = np.zeros(size)
+    def __init__(self, const: float, linear, quad=None):
         self.const = float(const)
         self.linear = np.asarray(linear, dtype=float)
         n = self.linear.shape[0]

@@ -63,6 +63,9 @@ def main(argv=None) -> int:
         print(f"{args.scenario}: valid ({scenario.field.kind} field, "
               f"{len(scenario.particles)} particle(s), "
               f"{scenario.n_per_axis}^3 modes)")
+        print(f"--suite all runs: {', '.join(scenario.plan.suites)}")
+        if scenario.plan.green_skip is not None:
+            print("green skipped ({}): {}".format(*scenario.plan.green_skip))
         return 0
 
     out_dir = args.out if args.out is not None else scenario.output_dir

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac import slash
+from .dirac import ADJOINT_SIGNS, slash
 from .minkowski import component_signs
 
 _KINDS = ("scalar", "tensor", "em", "spinor")
@@ -89,8 +89,6 @@ class FieldSpec:
     @property
     def component_shape(self) -> tuple[int, ...]:
         """Shape of one field value: () scalar, (4,)*rank tensor/em, (4,) spinor."""
-        if self.kind == "scalar":
-            return ()
         if self.kind == "spinor":
             return (4,)
         return (4,) * self.rank
@@ -102,12 +100,11 @@ class FieldSpec:
     def pairing_signs(self) -> np.ndarray:
         """Signs raising all component indices in quadratic pairings.
 
-        Metric signs for tensor indices; for the spinor species the role
-        is played by diag(gamma^0) = (1, 1, -1, -1), the signs of the
-        Dirac adjoint pairing psi_bar psi.
+        Metric signs for tensor indices; for the spinor, diag(gamma^0),
+        the signs of the Dirac adjoint pairing (dirac.ADJOINT_SIGNS).
         """
         if self.kind == "spinor":
-            return np.array([1.0, 1.0, -1.0, -1.0])
+            return ADJOINT_SIGNS.copy()
         return component_signs(self.rank)
 
     @property

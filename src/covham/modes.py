@@ -203,7 +203,6 @@ def build_mode_grid(
     n_per_axis: int,
     kappa: float,
     k0_floor: float | None = None,
-    mode_budget: int = DEFAULT_MODE_BUDGET,
 ) -> ModeGrid:
     """Midpoint cube grid over [-kmax, kmax]^3 with shell weights.
 
@@ -218,11 +217,10 @@ def build_mode_grid(
     if kappa < 0.0:
         raise ValueError("kappa must be >= 0")
     n_total = n_per_axis**3
-    if n_total > mode_budget:
+    if n_total > DEFAULT_MODE_BUDGET:
         raise ModeBudgetError(
             f"grid of {n_per_axis}^3 = {n_total} modes exceeds the budget "
-            f"of {mode_budget}; raise mode_budget explicitly if intended"
-        )
+            f"of {DEFAULT_MODE_BUDGET}")
     if k0_floor is None:
         k0_floor = 1e-6 * kmax
 

@@ -9,9 +9,10 @@ names the offending section.  Every real number goes through `_finite`,
 and the tolerance rule in `check_tolerances` is shared with the CLI and
 `covham.verify`.
 
-`Scenario.plan` (a SuitePlan) is where each scenario-dependent suite's
-grid and step counts are decided, once: loading holds its step counts
-to STEP_BUDGET, and the suites in `covham.verify` run what it says.
+`Scenario.plan` (a SuitePlan) is where every scenario-dependent suite
+decision is made, once: each suite's grid, step counts and sector, and
+which suites `--suite all` runs.  Loading holds its step counts to
+STEP_BUDGET, and `covham.verify` runs what it says.
 """
 from __future__ import annotations
 
@@ -24,12 +25,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .brackets import MAX_STATE_SIZE
 from .canonical import CanonicalGauge
 from .dirac import DiracCoupling
 from .errors import ScenarioError, ZeroModeError
 from .fields import FieldSpec, em_field, scalar_field, spinor_field, tensor_field
 from .modes import (DEFAULT_MODE_BUDGET, STENCIL_K0H, STEP_BUDGET, ModeGrid,
-                    build_mode_grid, k0_bounds)
+                    box_mode_grid, build_mode_grid, k0_bounds)
 from .worldlines import SHAPE_PARAMS, Worldline
 
 FORMATS = ("json", "csv", "both")
@@ -102,7 +104,7 @@ class Scenario:
 
     @cached_property
     def plan(self) -> SuitePlan:
-        """The suites' grids and step counts (SuitePlan), on first use."""
+        """Every suite decision (SuitePlan), on first use."""
         return SuitePlan(self)
 
     def metadata(self) -> dict:
@@ -128,16 +130,19 @@ def _refined(span: float, k0: float, k0h: float, least: int):
 
 
 class SuitePlan:
-    """Each scenario-dependent suite's grid and step counts, decided from
-    the scenario's values alone (no RNG draw).
+    """Each scenario-dependent suite decision, from the scenario's values
+    alone (no RNG draw).
 
     simulate: a soft grid (kmax <= 2, <= 5 per axis), `steps` (even, for
     its halves) and `steps_fd` (k0 h <= STENCIL_K0H for the stencil).
     hamilton: the grid capped at 5 per axis, the `probes` of its sourced
     residual and `hamilton_steps` (k0 h <= _PROBE_K0H on them, None
-    without sources) over its `hamilton_span`.  green: the scenario grid
-    averaged over `green_window` = (period, center), or `green_skip` =
-    (record, reason).  The fixed counts stay in the suites.
+    without sources) over its `hamilton_span`.  bracket: the field's
+    sector or the spinor's rank-0 stand-in on `bracket_grid`, as many of
+    three box modes as MAX_STATE_SIZE holds, and `bracket_note` (None, or
+    what was replaced or cut).  green: the scenario grid averaged over
+    `green_window` = (period, center), or `green_skip` = (record,
+    reason).  `suites`: what `--suite all` runs, in order.
     """
 
     def __init__(self, s: Scenario):
@@ -157,34 +162,62 @@ class SuitePlan:
         self.hamilton_steps = (_refined(
             self.hamilton_span, float(max(grid.k0[list(self.probes)])),
             _PROBE_K0H, 64) if s.particles else None)
-        self.green_window, self.green_skip = None, None
-        if not s.field.green_radii:
-            why = ("green oracle comparisons cover the em and scalar "
-                   f"species, not {s.field.kind}")
-        elif not s.particles:
-            why = "green suite needs at least one source worldline"
-        elif any(w.kind != "static" for w in s.particles):
-            why = "time-averaged comparison requires static sources"
-        else:
-            self._plan_green(s)
-            return
-        self.green_skip = ("green/applicability", why)
 
-    def _plan_green(self, s: Scenario) -> None:
-        # the full grid's smallest k0, bit for bit, without building it
-        k0_min = k0_bounds(s.kmax, s.n_per_axis, s.field.kappa, s.k0_floor)[0]
-        period = 2.0 * np.pi / max(k0_min, 1.0)
-        center = s.x0_end - period / 2.0
-        # the average must start after the switch-on front has passed
-        # the largest radius, with 1 to spare for the transient
-        needed = (min(w.switch_on_time() for w in s.particles)
-                  + max(s.field.green_radii) + 1.0)
-        if center - period / 2.0 > needed:
-            self.green_window = (period, center)
-        else:
-            self.green_skip = ("green/window", "evolution window too short "
-                               "for a post-transient average (need x0_end > "
-                               f"{needed + period:.2f})")
+        sector, note = s.field, None
+        if not sector.has_bracket_sector:
+            note = (f"{sector.kind} sector has no unconstrained (q, pi) "
+                    f"bracket; checks run on the rank-0 sector at kappa = "
+                    f"{sector.kappa}")
+            sector = scalar_field(s=1.0, m=sector.kappa, c=1.0)
+        fit = MAX_STATE_SIZE // (len(sector.branches) * 5
+                                 * sector.n_components)
+        box = [(1, 0, 0), (0, 1, 0), (0, 1, 1)][:max(1, fit)]
+        if fit < 3:
+            note = (f"rank-{sector.rank} box cut to {len(box)} of 3 modes: "
+                    f"the dense Poisson tensor holds {MAX_STATE_SIZE} "
+                    "variables")
+        self.bracket_sector, self.bracket_note = sector, note
+        self.bracket_grid = box_mode_grid(1.0, box, sector.kappa)
+
+        self.green_window, self.green_skip = _plan_green(s)
+        self.suites = (("dirac-algebra", "hamilton", "simulate", "bracket")
+                       + ("parseval",) * s.field.has_parseval_identity
+                       + ("green",) * (self.green_skip is None))
+
+
+def _plan_green(s: Scenario):
+    """(period, center), None, or None, (record, reason)."""
+    skip = "green/applicability"
+    if not s.field.green_radii:
+        return None, (skip, "green oracle comparisons cover the em and "
+                      f"scalar species, not {s.field.kind}")
+    if not s.particles:
+        return None, (skip, "green suite needs at least one source worldline")
+    if any(w.kind != "static" for w in s.particles):
+        return None, (skip, "time-averaged comparison requires static sources")
+    # the full grid's smallest k0, bit for bit, without building it
+    k0_min = k0_bounds(s.kmax, s.n_per_axis, s.field.kappa, s.k0_floor)[0]
+    period = 2.0 * np.pi / max(k0_min, 1.0)
+    center = s.x0_end - period / 2.0
+    # the average must start after the switch-on front has passed
+    # the largest radius, with 1 to spare for the transient
+    t_on = min(w.switch_on_time() for w in s.particles)
+    needed = t_on + max(s.field.green_radii) + 1.0
+    if center - period / 2.0 <= needed:
+        return None, ("green/window", "evolution window too short for a "
+                      "post-transient average (need x0_end > "
+                      f"{needed + period:.2f})")
+    # the cube grid is periodic with length L = 2 pi / dk: a massless
+    # field's image fronts are undamped and must not reach a sample point
+    reach = max(s.field.green_radii) + max(np.linalg.norm(
+        w.position - s.particles[0].position) for w in s.particles)
+    latest = t_on + np.pi * s.n_per_axis / s.kmax - reach
+    if s.field.kappa == 0.0 and s.x0_end > latest:
+        return None, ("green/window", "evolution window too long for the "
+                      "periodic grid: a source image reaches the comparison "
+                      "radii (need x0_end <= "
+                      f"{math.floor(100.0 * latest) / 100.0:.2f})")
+    return (period, center), None
 
 
 def _require(cond: bool, where: str, msg: str) -> None:

@@ -7,8 +7,10 @@ schema version, the scenario digest, the package version, and the RNG
 seed, and serialize with sorted keys and no timestamps, so the same
 scenario, seed and BLAS thread count give byte-identical bodies.
 
-The simulate, hamilton and green suites run the grids and step counts
-of `Scenario.plan`, which `covham validate` has held to the step budget.
+Each scenario-dependent choice (the suites' grids, step counts and
+bracket sector, and what `--suite all` runs) is read from `Scenario.plan`,
+which `covham validate` has held to the step budget; the fixed counts,
+such as the parseval box, stay with their suites.
 
 Tolerances are all named.  The table of defaults and the one rule for
 overriding them (a known name and a finite number >= 0) live in
@@ -21,14 +23,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .brackets import (
-    MAX_STATE_SIZE,
     BracketConfig,
     QuadraticObservable,
     canonical_pair_bracket,
@@ -58,10 +59,9 @@ from .dynamics import (
     source_rate,
     straight_line_amplitudes,
 )
-from .fields import family_pair, scalar_field
+from .fields import family_pair
 from .green import green_oracle
 from .minkowski import on_shell_k
-from .modes import box_mode_grid
 from .position import parseval_check
 from .scenario import DEFAULT_TOLERANCES, Scenario, check_tolerances
 
@@ -78,13 +78,7 @@ class CheckRecord:
     metadata: dict = dc_field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "measured": self.measured,
-            "tolerance": self.tolerance,
-            "metadata": self.metadata,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -325,15 +319,6 @@ def _suite_simulate(s: Scenario, rng, tol, records, tables) -> None:
 
 # -------------------------------------------------------------- bracket
 
-def _bracket_sector(field):
-    if field.has_bracket_sector:
-        return field, None
-    # the spinor: its constraint momenta need a Dirac-constraint bracket
-    note = (f"{field.kind} sector has no unconstrained (q, pi) bracket; "
-            f"checks run on the rank-0 sector at kappa = {field.kappa}")
-    return scalar_field(s=1.0, m=field.kappa, c=1.0), note
-
-
 def _random_quadratic(layout, rng):
     a = rng.normal(size=layout.size)
     m = rng.normal(size=(layout.size, layout.size))
@@ -341,16 +326,11 @@ def _random_quadratic(layout, rng):
 
 
 def _suite_bracket(s: Scenario, rng, tol, records, tables) -> None:
-    sector, note = _bracket_sector(s.field)
-    # as many box modes as the dense Poisson tensor holds, at least one
-    fit = MAX_STATE_SIZE // (len(sector.branches) * 5 * sector.n_components)
-    ns = [(1, 0, 0), (0, 1, 0), (0, 1, 1)][:max(1, fit)]
-    if fit < 3:
-        note = (f"rank-{sector.rank} box cut to {len(ns)} of 3 modes: the "
-                f"dense Poisson tensor holds {MAX_STATE_SIZE} variables")
-    meta = {"sector": sector.kind, **({"note": note} if note else {})}
-    cfg = BracketConfig(field=sector, grid=box_mode_grid(1.0, ns,
-                                                         sector.kappa), v=s.v)
+    plan = s.plan
+    meta = {"sector": plan.bracket_sector.kind}
+    if plan.bracket_note:
+        meta["note"] = plan.bracket_note
+    cfg = BracketConfig(plan.bracket_sector, plan.bracket_grid, s.v)
     lay = cfg.layout
     state = rng.normal(size=lay.size)
     a, b, c = (_random_quadratic(lay, rng) for _ in range(3))
@@ -383,7 +363,7 @@ def _suite_bracket(s: Scenario, rng, tol, records, tables) -> None:
     # {q_c(k_i), V.pi_c'(k_j)} on the plus branch for the first and last
     # box modes and every component pair, all from one block of Lambda:
     # Lambda on the pi unit columns, read at the q rows
-    box = sorted({0, len(ns) - 1})
+    box = sorted({0, len(cfg.grid) - 1})
     q, pi = lay.index[box, 0, 0], lay.index[box, 0, 1:]  # (i, c), (j, mu, c')
     units = np.zeros((lay.size, pi.size))
     units[pi.ravel(), np.arange(pi.size)] = 1.0
@@ -533,14 +513,7 @@ def run_verification(s: Scenario, suite: str, seed: int = 0,
     merged = {**DEFAULT_TOLERANCES,
               **check_tolerances({**s.tolerances, **(tolerances or {})})}
 
-    if suite == "all":
-        names = ["dirac-algebra", "hamilton", "simulate", "bracket"]
-        if s.field.has_parseval_identity:
-            names.append("parseval")
-        if s.plan.green_skip is None:
-            names.append("green")
-    else:
-        names = [suite]
+    names = s.plan.suites if suite == "all" else [suite]
 
     records: list[CheckRecord] = []
     tables: dict[str, list[dict]] = {}

@@ -1,5 +1,7 @@
 """Species constants and tensor contractions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,8 @@ from covham.fields import (
 )
 from covham.modes import build_mode_grid
 from covham.position import parseval_check
-from covham.verify import _bracket_sector, _random_amps
+from covham.scenario import scenario_from_dict
+from covham.verify import _random_amps
 from covham.worldlines import static_worldline
 
 SPECIES = [scalar_field(), tensor_field(rank=1, a2=0.7, b2=1.2), em_field(),
@@ -113,9 +116,14 @@ class TestSpeciesTable:
         (tensor_field(rank=2, a2=1.0, b2=1.0), True)],
         ids=["scalar", "vector", "em", "spinor", "tensor2"])
     def test_bracket_sector_rule(self, field, covered):
-        # StateLayout and the bracket suite read the same table entry
+        # StateLayout and the bracket suite's plan read the same entry
         assert field.has_bracket_sector is covered
-        sector, note = _bracket_sector(field)
+        base = scenario_from_dict({
+            "field": {"kind": "scalar"},
+            "grid": {"kmax": 2.0, "n_per_axis": 2},
+            "time": {"x0_start": 0.0, "x0_end": 1.0, "steps": 8}})
+        plan = dataclasses.replace(base, field=field).plan
+        sector, note = plan.bracket_sector, plan.bracket_note
         assert (sector is field, note is None) == (covered, covered)
         grid = build_mode_grid(2.0, 2, field.kappa)
         if covered:

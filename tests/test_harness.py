@@ -6,7 +6,10 @@ protocols live in the acceptance suite.
 import copy
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -407,6 +410,24 @@ _MATRIX_SHAPES = {
 }
 
 
+_BASE_SUITES = ("dirac-algebra", "hamilton", "simulate", "bracket")
+
+
+def _suites_run(monkeypatch):
+    """The list, filled as run_verification runs, of the suites it runs."""
+    ran = []
+
+    def wrap(name, suite):
+        def run(*args):
+            ran.append(name)
+            suite(*args)
+        return run
+
+    monkeypatch.setattr(verify, "_SUITES", {
+        name: wrap(name, suite) for name, suite in verify._SUITES.items()})
+    return ran
+
+
 def _matrix_dict(kind, shape):
     """One always-on source of the given shape driving the given field
     over [0, 2] in 64 steps."""
@@ -554,11 +575,17 @@ class TestVerificationSuites:
 
     @pytest.mark.parametrize("shape", sorted(_MATRIX_SHAPES))
     @pytest.mark.parametrize("kind", sorted(_MATRIX_FIELDS))
-    def test_every_species_and_shape_passes_every_suite(self, kind, shape):
+    def test_every_species_and_shape_passes_every_suite(self, kind, shape,
+                                                         monkeypatch):
         s = scenario_from_dict(_matrix_dict(kind, shape))
+        ran = _suites_run(monkeypatch)
         report = run_verification(s, "all", seed=0)
         assert report.passed, [r.to_dict() for r in report.records
                                if r.status != "pass"]
+        # green: a moving source, no oracle, or a window too short
+        parseval = ("parseval",) if kind in ("scalar", "rank1",
+                                             "rank2") else ()
+        assert ran == list(s.plan.suites) == list(_BASE_SUITES + parseval)
 
     def test_bracket_suite_scalar(self):
         s = scenario_from_dict(free_scalar_dict())
@@ -654,6 +681,30 @@ class TestVerificationSuites:
         pair = [r for r in report.records
                 if r.name == "bracket/canonical_pair"][0]
         assert pair.metadata["pairs"] == 256**2
+
+    def test_rank_four_all_suites_peak_below_500_mb(self):
+        # the child reports its own peak: RUSAGE_CHILDREN would also count
+        # every earlier child of this process
+        data = json.loads((SCENARIOS / "rank2_circular_orbit.json")
+                          .read_text())
+        data["field"]["rank"] = 4
+        child = ("import json, resource, sys\n"
+                 "from covham.scenario import scenario_from_dict\n"
+                 "from covham.verify import run_verification\n"
+                 "report = run_verification(scenario_from_dict("
+                 "json.loads(sys.argv[1])), 'all')\n"
+                 "print(report.passed, resource.getrusage("
+                 "resource.RUSAGE_SELF).ru_maxrss)\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [
+                       str(SCENARIOS.parent / "src"),
+                       os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", child, json.dumps(data)],
+                             env=env, capture_output=True, text=True,
+                             check=True)
+        passed, peak_kib = out.stdout.split()
+        assert passed == "True"
+        assert int(peak_kib) < 500 * 1024
 
     def test_bracket_suite_dirac_uses_fallback_sector(self):
         s = scenario_from_dict(dirac_dict())
@@ -829,6 +880,28 @@ class TestGreenSuite:
         assert "green" not in {r.name.split("/")[0] for r in report.records}
         assert report.passed
 
+    @pytest.mark.parametrize("x0_end, second, latest", [
+        (19.0, None, "15.84"),
+        # a second charge 1 from the first: its images arrive 1 earlier
+        (15.2, [1.0, 0.0, 0.0], "14.84")])
+    def test_long_massless_window_not_applicable(self, x0_end, second,
+                                                 latest):
+        # L = 2 pi / dk = 18.85 on the shipped em grid: a periodic image
+        # of the charge reaches r = 3 before x0_end = 19
+        data = json.loads((SCENARIOS / "static_em_charge.json").read_text())
+        data["time"]["x0_end"] = x0_end
+        if second:
+            data["particles"].append({"kind": "static", "coupling": 0.5,
+                                      "position": second})
+        s = scenario_from_dict(data)
+        record, = run_verification(s, "green", seed=0).records
+        assert (record.name, record.status) == ("green/window", "fail")
+        assert f"need x0_end <= {latest})" in record.metadata["error"]
+        report = run_verification(s, "all", seed=0)
+        assert "green" not in {r.name.split("/")[0] for r in report.records}
+        assert report.passed, [r.to_dict() for r in report.records
+                               if r.status != "pass"]
+
     def test_long_static_window_validates_and_passes(self, tmp_path):
         # 4,911 simulate steps: the budget counts the soft grid's k0, not
         # the corner shell energy of the scenario grid
@@ -862,7 +935,12 @@ class TestCli:
     def test_validate_ok(self, tmp_path, capsys):
         path = self.write(tmp_path, free_scalar_dict())
         assert main(["validate", path]) == 0
-        assert "valid" in capsys.readouterr().out
+        valid, suites, green = capsys.readouterr().out.splitlines()
+        assert "valid" in valid
+        assert suites == ("--suite all runs: dirac-algebra, hamilton, "
+                          "simulate, bracket, parseval")
+        assert green == ("green skipped (green/applicability): green suite "
+                         "needs at least one source worldline")
 
     def test_validate_bad(self, tmp_path, capsys):
         data = free_scalar_dict()
@@ -921,10 +999,17 @@ class TestCli:
 
     @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")),
                              ids=lambda path: path.stem)
-    def test_shipped_scenario_passes_every_suite(self, path):
-        report = run_verification(load_scenario(path), "all", seed=0)
+    def test_shipped_scenario_passes_every_suite(self, path, monkeypatch):
+        s = load_scenario(path)
+        ran = _suites_run(monkeypatch)
+        report = run_verification(s, "all", seed=0)
         assert report.passed, [r.to_dict() for r in report.records
                                if r.status != "pass"]
+        extra = {"dirac_static_source": (), "free_scalar": ("parseval",),
+                 "rank2_circular_orbit": ("parseval",),
+                 "static_em_charge": ("green",),
+                 "static_scalar_source": ("parseval", "green")}[path.stem]
+        assert ran == list(s.plan.suites) == list(_BASE_SUITES + extra)
 
     def test_shipped_scenarios_validate(self, capsys):
         paths = sorted(SCENARIOS.glob("*.json"))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from covham import modes
 from covham.errors import GridDomainError, ModeBudgetError, ZeroModeError
 from covham.minkowski import (lower_index, mass_shell_energy, minkowski_dot,
                               on_shell_k)
@@ -52,9 +53,10 @@ def test_midpoint_rule_second_order_on_smooth_integrand():
     assert all(r > 1.7 for r in rates)
 
 
-def test_budget_enforced_before_allocation():
+def test_budget_enforced_before_allocation(monkeypatch):
+    monkeypatch.setattr(modes, "DEFAULT_MODE_BUDGET", 10**5)
     with pytest.raises(ModeBudgetError):
-        build_mode_grid(kmax=1.0, n_per_axis=100, kappa=1.0, mode_budget=10**5)
+        build_mode_grid(kmax=1.0, n_per_axis=100, kappa=1.0)
 
 
 def test_k0_floor_drops_nothing_on_massive_grid():
