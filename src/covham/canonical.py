@@ -554,14 +554,20 @@ def hamilton_residual(
     x = np.asarray(x, dtype=float)
     if h is None:
         h = 5e-3 / (1.0 + k[0])
+    at_x = amp_at(x[0])
     grads = mode_hamiltonian_gradients(
-        field, k, canonical_at_point(field, k, *amp_at(x[0]), x, gauge), x,
+        field, k, canonical_at_point(field, k, *at_x, x, gauge), x,
         worldlines, gauge)
     # points[o, mu]: x shifted by o h along axis mu, converted in one call
     points = x + h * FIVE_POINT_OFFSETS[:, None, None] * np.eye(4)
-    coeffs = [np.reshape(c, (4, 4) + np.shape(c[0])) for c in
-              zip(*(amp_at(t) for t in points[..., 0].ravel()))]
-    shifted = canonical_at_point(field, k, *coeffs, points, gauge)
+    # their coefficient pairs, stacked once: (4, 4, branches, *comp)
+    n_b = len(field.branches)
+    coeffs = np.empty((4, 4, n_b) + np.shape(at_x[0]), dtype=complex)
+    for pair, t in zip(coeffs.reshape((16,) + coeffs.shape[2:]),
+                       points[..., 0].ravel()):
+        pair[...] = amp_at(t)[:n_b]
+    shifted = canonical_at_point(
+        field, k, *family_pair(np.moveaxis(coeffs, 2, 0)), points, gauge)
     # d_mu of every row, mu leading: (4, branches, 5, *comp)
     d = five_point(shifted.rows, h)
     c = _constants(field, gauge.z)

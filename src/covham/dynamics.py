@@ -28,9 +28,10 @@ _crossings is the one walk over the worldline crossings: for an array
 of slices it returns, for each source on every slice where it is
 active, u_j, udot_j and the species current (U_j, udot_{j nu} or xi_j
 above), each source taking all its slices in one array call.
-_rate_sums contracts the currents with the plane-wave phases and the
-rate normalization; source_terms, its one-slice view, gives the
-generator J and its gradients in canonical.py the same terms.
+_node_rates contracts the currents with the plane-wave phases and the
+rate normalization slice by slice, _rate_sums into weighted sums over
+slices; source_terms, its one-slice view, gives the generator J and its
+gradients in canonical.py the same terms.
 
 The stored families, the rate normalizations and the spinor's
 kappa pm slash(k) come from the species table (fields.FieldSpec).  The
@@ -66,11 +67,19 @@ In evolve_amplitudes only circular sources take this walk: save="last"
 is one group over all 2 steps + 1 nodes (weights h/6 at the ends, h/3
 at interior panel boundaries, 4h/6 at midpoints); save="all" takes
 blocks of panels, one group per panel, and adds each panel's sum to the
-slice before it.  mode_equation_residual walks every source, in blocks
-of stencil samples, one group per sample, and source_rate is the
-one-node, one-group case, so the residual compares a history with rates
-computed apart from it.  Splitting the panels at a switch-on, for fourth
-order through it, only adds nodes and weights.
+slice before it.  Splitting the panels at a switch-on, for fourth order
+through it, only adds nodes and weights.
+
+_node_rates gives the rates slice by slice, with no weights: per slice
+one product of its sources' phase columns (the norm and the minus
+branch's conjugation folded into each branch's) with their currents,
+which sums over the sources only, so the work is linear in the slices.
+The spinor's kappa pm slash(k), cached with the phase tables
+(PlaneWaves.shell_operators), acts once per block.
+mode_equation_residual takes every source's rates from it, exp(i k.u)
+evaluated on each stencil sample, so it checks a history against rates
+computed apart from it; source_rate and the switch-on rate R_j below
+are its one-node case.
 
 Along a straight line (static and uniform worldlines) k.u is linear in
 x0: with a_j the switch-on time of source j and s_j = k.udot_j /
@@ -112,7 +121,7 @@ import numpy as np
 
 from .dirac import interaction_spinor
 from .fields import FieldSpec, family_pair, with_conjugate
-from .minkowski import FIVE_POINT_OFFSETS, five_point, lower_index
+from .minkowski import lower_index
 from .modes import ModeGrid, PlaneWaves
 from .worldlines import Worldline, equal_time_crossing
 
@@ -121,8 +130,10 @@ from .worldlines import Worldline, equal_time_crossing
 _BLOCK_WORK = 2**19
 # rows per slice of the rotated time average: bounds its per-row arrays
 _MODE_SLICE = 4096
-# complex entries of the (panels, N) series and of the (slices, N x
-# components) products a straight source adds to a history per block
+# complex entries of the history-shaped arrays of one block: the
+# (panels, N) series and (slices, N x components) products a straight
+# source adds to a history, and mode_equation_residual's (samples,
+# branches x N x components) rates and derivatives
 _SERIES_BLOCK = 2**15
 # a slice counts as before a switch-on when it is more than this earlier
 SWITCH_ON_SLACK = 1e-12
@@ -181,23 +192,66 @@ def source_rate(
     k has shape (N, 4) or (4,); returns (rate_plus, rate_minus) with
     shape (N, *component_shape) matching the input batching.  For the em
     species rate_minus is None (single coefficient family).  This is the
-    one-node, one-group case of _rate_sums, on phase tables built for
-    this k; callers that hold a grid use its cached ModeGrid.waves.
+    one-node case of _node_rates, on phase tables built for this k;
+    callers that hold a grid use its cached ModeGrid.waves.
     """
     k = np.asarray(k, dtype=float)
-    rates = _rate_sums(field, worldlines, PlaneWaves(np.atleast_2d(k)),
-                       np.array([x0], dtype=float), np.ones((1, 1)))[0]
+    rates = _node_rates(field, worldlines, PlaneWaves(np.atleast_2d(k)),
+                        np.array([x0], dtype=float))[0]
     return family_pair(rates[:, 0] if k.ndim == 1 else rates)
 
 
-def _block_size(field: FieldSpec, n_modes: int, nodes_per_group: int,
-                extra_nodes: int) -> int:
-    """Groups per block: the most G, at least 1, whose nodes_per_group G
-    + extra_nodes nodes make one node chunk of _rate_sums, n_modes x
-    branches x components x nodes x G within _BLOCK_WORK."""
+def _node_rates(field, worldlines, waves, nodes) -> np.ndarray:
+    """dC/dx0 on each slice of nodes (T,) for the modes waves.k (N, 4) of
+    the PlaneWaves waves: (T, branches, N, *component_shape), exact
+    zeros on a slice no source is active on.
+
+    Per slice, one product of its sources' phases with their currents
+    (_slice_factors).  The spinor's kappa pm slash(k), kept with the
+    phase tables, then acts once per branch.
+    """
+    n_b, n_comp, n = len(field.branches), field.n_components, len(waves.k)
+    phases, currents = _slice_factors(
+        field, waves, _crossings(field, worldlines, nodes), len(nodes))
+    out = (phases.reshape(len(nodes), n_b * n, -1) @ currents).reshape(
+        len(nodes), n_b, n, n_comp)
+    if field.kind == "spinor":
+        for b, op in enumerate(waves.shell_operators(field)):
+            out[:, b] = (op @ out[:, b, :, :, None])[..., 0]
+    return out.reshape((len(nodes), n_b, n) + field.component_shape)
+
+
+def _slice_factors(field, waves, rows, n_slices):
+    """The factors of _node_rates' per-slice products, from the crossing
+    rows of _crossings: phases (T, branches, N, sources), one phase
+    block E over every row, each branch's scaled by the rate norm and
+    conjugated for minus, and currents (T, sources, components), each
+    times strength / udot^0; both zero for a source not yet active.
+    Apart from _node_rates, so that E is freed before the product."""
+    n_b, n_comp, n = len(field.branches), field.n_components, len(waves.k)
+    phases = np.zeros((n_slices, n_b, n, len(rows)), dtype=complex)
+    currents = np.zeros((n_slices, len(rows), n_comp), dtype=complex)
+    if rows:
+        e = waves.at(np.concatenate([r[2] for r in rows]), +1)
+        lo = 0
+        for j, (w, node, _, udot, current) in enumerate(rows):
+            col = e[:, lo:lo + len(node)].T
+            lo += len(node)
+            for b, (norm, ph) in enumerate(zip(field.rate_norms,
+                                               with_conjugate(col))):
+                phases[node, b, :, j] = norm * ph
+            currents[node, j] = (w.coupling / udot[:, 0, None]) * (
+                current.reshape(len(node), n_comp))
+    return phases, currents
+
+
+def _block_size(field: FieldSpec, n_modes: int) -> int:
+    """Panels per block of _walk_simpson: the most G, at least 1, whose
+    2 G + 1 nodes make one node chunk of _rate_sums, n_modes x branches
+    x components x nodes x G within _BLOCK_WORK."""
     per = _BLOCK_WORK // (n_modes * len(field.branches) * field.n_components)
     g = 1
-    while (g + 1) * (nodes_per_group * (g + 1) + extra_nodes) <= per:
+    while (g + 1) * (2 * (g + 1) + 1) <= per:
         g += 1
     return g
 
@@ -241,7 +295,7 @@ def _rate_sums(field, worldlines, waves, nodes, weights) -> np.ndarray:
     total = total.reshape(len(k), n_g, n_b, n_comp)
     # each branch written in place: no stacked copy of the rates
     out = np.empty((n_g, n_b, len(k), n_comp), dtype=complex)
-    ops = field.shell_operators(k) if field.kind == "spinor" else None
+    ops = waves.shell_operators(field) if field.kind == "spinor" else None
     for b, norm in enumerate(field.rate_norms):
         half = total[:, :, b]
         if b:
@@ -270,7 +324,7 @@ def _walk_simpson(field, worldlines, grid, times, h, out) -> None:
         out[0] += _rate_sums(field, worldlines, grid.waves, nodes, weights)[0]
         return
     # panel g of a block weighs its nodes 2g, 2g + 1, 2g + 2
-    block = _block_size(field, len(grid), 2, 1)
+    block = _block_size(field, len(grid))
     for lo in range(0, steps, block):
         hi = min(lo + block, steps)
         weights = np.zeros((hi - lo, 2 * (hi - lo) + 1))
@@ -289,12 +343,11 @@ def _straight_source(field, worldline, grid, k):
     """(a_j, s_j, R_j) of a static or uniform source: its switch-on time
     a_j, the turn rate s_j = k.udot_j / udot_j^0 of its phase over the
     rows k (M, 4), and R_j, its rates on slice a_j over the grid,
-    (branches, N, *component_shape), from one one-node _rate_sums call.
+    (branches, N, *component_shape), from one one-node _node_rates call.
     On a slice y >= a_j its rate is R_j exp(pm i s_j (y - a_j))."""
     _, udot = worldline.state(worldline.tau_on)
     a = worldline.switch_on_time()
-    rate = _rate_sums(field, [worldline], grid.waves, np.array([a]),
-                      np.ones((1, 1)))[0]
+    rate = _node_rates(field, [worldline], grid.waves, np.array([a]))[0]
     return a, (k @ lower_index(udot)) / udot[0], rate
 
 
@@ -542,7 +595,8 @@ def evolve_amplitudes(
     chunk of nodes, the panel sums a block of panels at a time); static
     and uniform ones add their node sums as geometric series
     (_add_straight_simpson), so a list of straight sources walks no
-    node.  mode_equation_residual still walks every source.
+    node.  mode_equation_residual takes the rates of every source on
+    each sample from _node_rates instead, apart from both.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -609,33 +663,42 @@ def mode_equation_residual(
 ) -> float:
     """Max normalized defect of the coefficient evolution equation.
 
-    minkowski.five_point applied to the recorded history at interior
-    samples, compared against the analytic rate: max |dC_fd - rate| /
-    (1 + max |rate|) per branch, over samples, modes, components and
-    branches.  Samples go in blocks: one _rate_sums call, one group per
-    sample, and one five_point call over every sample and branch of the
-    block.  A stencil that straddles a switch-on a (x0[i-2] < a <=
-    x0[i+2]) sees the kink in C there, not a dynamics error, and is
-    skipped; a sample counts as before a when it is more than
-    SWITCH_ON_SLACK earlier, as in the simulate suite's causality mask.
+    The five-point central derivative of the recorded history at
+    interior samples (minkowski.five_point's stencil), compared against
+    the analytic rate: max |dC_fd - rate| / (1 + max |rate|) per branch,
+    over samples, modes, components and branches.  Samples go in blocks
+    of _SERIES_BLOCK entries: one _node_rates call, which evaluates
+    exp(i k.u) on every sample afresh, and the derivative of every
+    sample and branch from four shifted views of the history.  A
+    stencil that straddles a switch-on a (x0[i-2] < a <= x0[i+2]) sees
+    the kink in C there, not a dynamics error, and is skipped; a sample
+    counts as before a when it is more than SWITCH_ON_SLACK earlier, as
+    in the simulate suite's causality mask.  A NaN anywhere a stencil
+    reads makes the result NaN.
     """
-    x0 = history.x0
+    x0, c = history.x0, history.coeffs
     if len(x0) < 5:
         raise ValueError("need at least 5 uniform samples for the stencil")
     h = history.spacing()
     ons = np.array([w.switch_on_time() for w in worldlines]) - SWITCH_ON_SLACK
-    straddles = np.any((x0[:-4, None] < ons) & (ons <= x0[4:, None]), axis=1)
-    samples = 2 + np.flatnonzero(~straddles)
-    per_branch = tuple(range(2, history.coeffs.ndim))  # modes, comps
-    block = _block_size(field, len(grid), 1, 0)
+    # per interior sample 2 .. S - 3
+    keep = ~np.any((x0[:-4, None] < ons) & (ons <= x0[4:, None]), axis=1)
+    per_branch = tuple(range(2, c.ndim))  # modes, comps
+    block = max(1, _SERIES_BLOCK // c[0].size)
+    deriv = np.empty((min(block, len(keep)),) + c.shape[1:], dtype=complex)
     worst = 0.0
-    for lo in range(0, len(samples), block):
-        at = samples[lo:lo + block]
-        rates = _rate_sums(field, worldlines, grid.waves, x0[at],
-                           np.eye(len(at)))
-        deriv = five_point(history.coeffs[at + FIVE_POINT_OFFSETS[:, None]],
-                           h)
-        worst = np.maximum(worst, np.max(
-            np.max(np.abs(deriv - rates), axis=per_branch)
-            / (1.0 + np.max(np.abs(rates), axis=per_branch))))
+    for lo in range(2, len(x0) - 2, block):
+        hi = min(lo + block, len(x0) - 2)
+        rates = _node_rates(field, worldlines, grid.waves, x0[lo:hi])
+        # (c[i-2] - 8 c[i-1] + 8 c[i+1] - c[i+2]) / 12 h, sample i in lo..hi
+        d = np.subtract(c[lo + 1:hi + 1], c[lo - 1:hi - 1],
+                        out=deriv[:hi - lo])
+        d *= 8.0
+        d += c[lo - 2:hi - 2]
+        d -= c[lo + 2:hi + 2]
+        d *= 1.0 / (12.0 * h)  # a complex division costs several times more
+        d -= rates
+        ratio = (np.max(np.abs(d), axis=per_branch)
+                 / (1.0 + np.max(np.abs(rates), axis=per_branch)))
+        worst = np.max(ratio, where=keep[lo - 2:hi - 2, None], initial=worst)
     return float(worst)

@@ -25,9 +25,10 @@ def five_point(samples, h: float):
     """Fourth-order central first derivative from stacked samples.
 
     samples holds f(x + o h) for o in FIVE_POINT_OFFSETS on axis 0, with
-    any trailing axes; the result has the trailing shape.  Every
-    derivative check in the package (the J gradients, the Hamilton
-    equations in both representations and the mode equation) uses it.
+    any trailing axes; the result has the trailing shape.  The
+    derivative checks of the J gradients and of the Hamilton equations
+    in both representations use it; the mode equation takes the same
+    stencil on four shifted views of a history, with no stacked copy.
     """
     return np.tensordot(np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h),
                         samples, axes=1)

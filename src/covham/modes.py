@@ -64,11 +64,14 @@ class PlaneWaves:
     cube grid's sorted axis values (n,) and, per spatial component, each
     mode's index into them (N,): the spatial tables are then read off
     the axis values some mode uses, equal to np.unique's, with no sort.
+    The spinor's shell operators of these modes are built on first use
+    and kept with the tables (shell_operators).
     """
 
     def __init__(self, k, *, cube=None):
         self.k = np.asarray(k, dtype=float)
         self.tables = []
+        self._shell = {}
         for column in self.k.T if cube is None else self.k.T[:1]:
             values, index = np.unique(column, return_inverse=True)
             self.tables.append(
@@ -83,6 +86,17 @@ class PlaneWaves:
                 rank = np.cumsum(used) - 1
                 self.tables.append((values, rank.astype(
                     np.min_scalar_type(len(values) - 1))[index]))
+
+    def shell_operators(self, field) -> tuple[np.ndarray, np.ndarray]:
+        """field.shell_operators(k), kappa pm slash(k) per mode (N, 4, 4),
+        built on the first call for field.kappa and kept, read-only."""
+        ops = self._shell.get(field.kappa)
+        if ops is None:
+            ops = field.shell_operators(self.k)
+            for op in ops:
+                op.setflags(write=False)
+            self._shell[field.kappa] = ops
+        return ops
 
     def at(self, x, sign: int) -> np.ndarray:
         """exp(sign i k.x) at the points x (P, 4) or (4,): shape (N, P).

@@ -322,7 +322,7 @@ def _set_panels(monkeypatch, field, grid, panels):
     """Set the block constant so that save="all" sums panels per block."""
     monkeypatch.setattr(dynamics, "_BLOCK_WORK",
                         _width(field, grid) * panels * (2 * panels + 1))
-    assert dynamics._block_size(field, len(grid), 2, 1) == panels
+    assert dynamics._block_size(field, len(grid)) == panels
 
 
 class TestWeightedRateSum:
@@ -382,6 +382,74 @@ class TestWeightedRateSum:
         sums = dynamics._rate_sums(SCALAR, late, grid.waves,
                                    np.linspace(0.0, 4.0, 40), np.ones((2, 40)))
         assert sums.shape == (2, 2, len(grid)) and not np.any(sums)
+        rates = dynamics._node_rates(SCALAR, late, grid.waves,
+                                     np.linspace(0.0, 4.0, 40))
+        assert rates.shape == (40, 2, len(grid)) and not np.any(rates)
+
+
+# a circular source, and a static one switched on at 0.537: inside the
+# block of samples 5-7 (x0 0.5-0.7) of a 20-step history over WINDOW
+def _two_sources():
+    return _orbit_sources("mid_panel")[::2]
+
+
+class TestNodeRates:
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_matches_reference_node_by_node(self, name):
+        field = FIELDS[name]
+        grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=field.kappa)
+        lines = _two_sources()
+        nodes = np.linspace(*WINDOW, 21)
+        got = dynamics._node_rates(field, lines, grid.waves, nodes)
+        assert got.shape == (len(nodes), len(field.branches), len(grid)) + (
+            field.component_shape)
+        for t, rates in zip(nodes, got, strict=True):
+            want = _reference_rate_sum(field, lines, grid.k, (t,), (1.0,))
+            for g, w in zip(rates, want, strict=True):
+                _assert_rel_close(g, w)
+
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_residual_blocks_see_reference_rates(self, name, monkeypatch):
+        # blocks of 3 samples, the switch-on inside the second
+        field = FIELDS[name]
+        grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=field.kappa)
+        lines = _two_sources()
+        hist = evolve_amplitudes(field, lines, grid, *WINDOW, 20)
+        seen = []
+        original = dynamics._node_rates
+
+        def recorded(*args):
+            rates = original(*args)
+            seen.append((args[3], rates))
+            return rates
+
+        monkeypatch.setattr(dynamics, "_node_rates", recorded)
+        monkeypatch.setattr(dynamics, "_SERIES_BLOCK", _width(field, grid) * 3)
+        mode_equation_residual(field, lines, grid, hist)
+        assert [len(nodes) for nodes, _ in seen] == [3] * 5 + [2]
+        assert np.array_equal(np.concatenate([n for n, _ in seen]),
+                              hist.x0[2:-2])
+        assert seen[1][0][0] < lines[1].switch_on_time() < seen[1][0][-1]
+        for nodes, got in seen:
+            for t, rates in zip(nodes, got, strict=True):
+                want = _reference_rate_sum(field, lines, grid.k, (t,), (1.0,))
+                for g, w in zip(rates, want, strict=True):
+                    _assert_rel_close(g, w)
+
+    def test_spinor_operators_built_once_per_grid(self, monkeypatch):
+        builds = []
+        original = SPINOR.shell_operators
+        monkeypatch.setattr(type(SPINOR), "shell_operators",
+                            lambda self, k: builds.append(len(k))
+                            or original(k))
+        grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=SPINOR.kappa)
+        lines = _two_sources()
+        hist = evolve_amplitudes(SPINOR, lines, grid, *WINDOW, 20)
+        mode_equation_residual(SPINOR, lines, grid, hist)
+        assert builds == [len(grid)]
+        ops = grid.waves.shell_operators(SPINOR)
+        assert ops is grid.waves.shell_operators(SPINOR)
+        assert not any(op.flags.writeable for op in ops)
 
 
 class TestEvolveNodeSum:
@@ -758,14 +826,16 @@ class TestAveragedProfile:
     def test_work_is_per_source_and_per_point(self, monkeypatch, n_samples):
         # one switch-on rate per source, on the grid's cached phase
         # tables: never the public source_rate, which builds its own
-        calls = _count_calls(monkeypatch, ("_rate_sums", "source_rate",
+        calls = _count_calls(monkeypatch, ("_node_rates", "_rate_sums",
+                                           "source_rate",
                                            "reconstruct_field"),
                              (dynamics, verify))
         sources = [_straight_source("static"), _late_source("uniform")]
         grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=1.0)
         averaged_profile(SCALAR, sources, grid, PROFILE_POINTS, center=5.0,
                          period=2.0, n_samples=n_samples)
-        assert calls == {"_rate_sums": len(sources), "source_rate": 0,
+        assert calls == {"_node_rates": len(sources), "_rate_sums": 0,
+                         "source_rate": 0,
                          "reconstruct_field": len(PROFILE_POINTS)}
 
     @pytest.mark.parametrize("bad, name", [
@@ -1022,15 +1092,14 @@ class TestReconstructAndResidual:
                 want = max(want, np.max(np.abs(deriv - rate))
                            / (1.0 + np.max(np.abs(rate))))
         calls = []
-        original = dynamics.five_point
-        monkeypatch.setattr(dynamics, "five_point", lambda samples, h: (
-            calls.append(np.shape(samples)) or original(samples, h)))
+        original = dynamics._node_rates
+        monkeypatch.setattr(dynamics, "_node_rates", lambda *args: (
+            calls.append(len(args[3])) or original(*args)))
         # 17 interior samples in blocks of 5
-        monkeypatch.setattr(dynamics, "_BLOCK_WORK", _width(field, grid) * 25)
+        monkeypatch.setattr(dynamics, "_SERIES_BLOCK", _width(field, grid) * 5)
         got = mode_equation_residual(field, lines, grid, hist)
         assert got == pytest.approx(want, rel=1e-12)
-        stacked = (len(field.branches), len(grid)) + field.component_shape
-        assert calls == [(4, 5) + stacked] * 3 + [(4, 2) + stacked]
+        assert calls == [5] * 3 + [2]
 
     @pytest.mark.parametrize("corrupt", [None, 6, 7])
     def test_mode_equation_residual_flags_block_edge_corruption(
@@ -1040,11 +1109,27 @@ class TestReconstructAndResidual:
         w = static_worldline([0.2, -0.1, 0.4], coupling=1.3)
         grid = build_mode_grid(kmax=1.0, n_per_axis=2, kappa=1.0)
         hist = evolve_amplitudes(SCALAR, [w], grid, 0.0, 2.0, steps=100)
-        monkeypatch.setattr(dynamics, "_BLOCK_WORK", _width(SCALAR, grid) * 16)
+        monkeypatch.setattr(dynamics, "_SERIES_BLOCK",
+                            _width(SCALAR, grid) * 4)
         if corrupt is not None:
             hist.minus[corrupt, 3] += 1e-3
         resid = mode_equation_residual(SCALAR, [w], grid, hist)
         assert (resid > 1e-3) if corrupt else (resid < 1e-7)
+
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_mode_equation_residual_is_nan_for_nan_history(self, name,
+                                                           monkeypatch):
+        # blocks of 4 samples: only the stencils of samples 9, 10, 12
+        # and 13 read slice 11, none of them in the first block
+        field = FIELDS[name]
+        grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=field.kappa)
+        lines = _orbit_sources("none")
+        hist = evolve_amplitudes(field, lines, grid, *WINDOW, 20)
+        monkeypatch.setattr(dynamics, "_SERIES_BLOCK", _width(field, grid) * 4)
+        assert mode_equation_residual(field, lines, grid, hist) < 1e-3
+        hist.coeffs[(11, -1, len(grid) // 2) + (0,) * len(
+            field.component_shape)] = np.nan
+        assert np.isnan(mode_equation_residual(field, lines, grid, hist))
 
     def test_mode_equation_residual_skips_switch_on_kinks(self):
         # stencils across t_start 0.7 and 0.9 read 0.2 unless skipped

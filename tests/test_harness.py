@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covham import canonical, dirac, position, verify
+from covham import canonical, dirac, dynamics, position, verify
 from covham.brackets import (
     BracketConfig,
     GeneralObservable,
@@ -550,6 +550,31 @@ class TestVerificationSuites:
         rec = [r for r in report.records
                if r.name == "simulate/exact_vs_simpson"][0]
         assert rec.status == "fail" and rec.measured > 1e-3
+
+    def test_mode_equation_record_fails_on_nan_history(self, monkeypatch):
+        # blocks of 16 samples: slice 100 lies past the first block
+        s = scenario_from_dict(sourced_scalar_dict())
+        plan = s.plan
+        assert plan.steps_fd != plan.steps
+        original = verify.evolve_amplitudes
+
+        def evolve(*args, **kwargs):
+            hist = original(*args, **kwargs)
+            if args[5] == plan.steps_fd:
+                hist.coeffs[100, 0, 3] = np.nan
+            return hist
+
+        def record():
+            report = run_verification(s, "simulate", seed=5)
+            return {r.name: r for r in report.records}[
+                "simulate/mode_equation"]
+
+        monkeypatch.setattr(dynamics, "_SERIES_BLOCK",
+                            16 * 2 * len(plan.simulate_grid))
+        assert record().status == "pass"
+        monkeypatch.setattr(verify, "evolve_amplitudes", evolve)
+        rec = record()
+        assert rec.status == "fail" and np.isnan(rec.measured)
 
     @pytest.mark.parametrize("fault, data, failing", [
         ("source_always_active", _sources_after_window_dict,
