@@ -25,13 +25,14 @@ A source switches on sharply at tau_on (boundary active); before that it
 contributes nothing, so coefficients inherit free values bit for bit.
 
 _crossings is the one walk over the worldline crossings: for an array
-of slices it returns, for each source on every slice where it is
-active, u_j, udot_j and the species current (U_j, udot_{j nu} or xi_j
-above), each source taking all its slices in one array call.
-_node_rates contracts the currents with the plane-wave phases and the
-rate normalization slice by slice, _rate_sums into weighted sums over
-slices; source_terms, its one-slice view, gives the generator J and its
-gradients in canonical.py the same terms.
+of slices it returns, for each source active on some slice, u_j, udot_j
+and the species current (U_j, udot_{j nu} or xi_j above) on every
+slice, a slice before the switch-on taking the switch-on state, each
+source taking all its slices in one array call.  _window_sums contracts
+the currents with the plane-wave phases and the rate normalization into
+weighted sums over windows of slices; source_terms, the walk's one-slice
+view, gives the generator J and its gradients in canonical.py the same
+terms.
 
 The stored families, the rate normalizations and the spinor's
 kappa pm slash(k) come from the species table (fields.FieldSpec).  The
@@ -41,45 +42,39 @@ the slices in front, and the public (plus, minus) pairs are its views.
 
 The integrator is composite Simpson over uniform panels, globally fourth
 order.  Rates do not depend on the state and are linear in each source's
-current, so any Simpson sum is one weighted node sum, and a set of them
-one weighted sum per group g.  Each row r pairs a node t with a source j
-active there:
+current, so every weighted sum of them over nodes t is one product.
+Each row r pairs a node t with a source j, node-major, and window o
+covers the width nodes from o step on:
 
-    sum_t W[g, t] dC_pm/dx0(t) = norm_pm S_pm (E or conj E) @ Cur_g,
-    E[n, r] = exp(i k_n.u_r),   Cur_g[r] = W[g, t] g_j current_j / udot_j^0,
+    sum_{t in o} W[t] dC_pm/dx0(t) = S_pm (E or conj E)[:, o] @ Cur_pm[o],
+    E[n, r] = exp(i k_n.u_r),  Cur_pm[r] = norm_pm W[t] g_j current_j
+                                          / udot_j^0,
 
-with S_pm = kappa pm slash(k) for the spinor (identity otherwise).
-_rate_sums makes one crossing walk, one phase block E and one product
-E @ (W x Cur) per chunk of nodes, every group and branch in its
-columns, and applies the rate norm, the conjugation and S_pm once per
-group, after the sum.  E comes from the grid's cached phase tables
-(modes.PlaneWaves): one cos and sin per distinct value of each k
-component and crossing, then four gathers and three in-place
-multiplies, with no complex exponential per mode: a (4,096 x 32)
-block on a 16^3 grid takes about 1.0 ms, against 9.8 ms for np.exp of
-k.u and 0.2 ms for the product that consumes it (2 cores, min of 50).
-The product costs N x branches x components x nodes x groups per
-source, and _BLOCK_WORK bounds it: node chunks, and so the phases held,
-stay small whatever the step count, and blocks of groups stay small
-enough that the dense weights, whose waste grows as the square of the
-groups, cost less than the Python calls they save.
-In evolve_amplitudes only circular sources take this walk: save="last"
-is one group over all 2 steps + 1 nodes (weights h/6 at the ends, h/3
-at interior panel boundaries, 4h/6 at midpoints); save="all" takes
-blocks of panels, one group per panel, and adds each panel's sum to the
-slice before it.  Splitting the panels at a switch-on, for fourth order
-through it, only adds nodes and weights.
-
-_node_rates gives the rates slice by slice, with no weights: per slice
-one product of its sources' phase columns (the norm and the minus
-branch's conjugation folded into each branch's) with their currents,
-which sums over the sources only, so the work is linear in the slices.
-The spinor's kappa pm slash(k), cached with the phase tables
-(PlaneWaves.shell_operators), acts once per block.
-mode_equation_residual takes every source's rates from it, exp(i k.u)
-evaluated on each stencil sample, so it checks a history against rates
-computed apart from it; source_rate and the switch-on rate R_j below
-are its one-node case.
+with S_pm = kappa pm slash(k) for the spinor (identity otherwise) and
+Cur_pm zero on a row before the source's switch-on.  The minus branch
+takes conj E @ Cur_- as conj(E @ conj Cur_-), so one phase block E
+serves both.  _window_sums makes, per chunk of nodes, one crossing walk
+(a row at every node for each source active on some node of the chunk,
+so only the chunk holding a switch-on carries rows of zero current),
+one phase block E and one np.matmul of the windows of E's columns and
+of the rows of Cur, strided views with no copy, every branch in the
+product's stack; the conjugation and S_pm then act once per window.
+Its callers are window shapes: per-slice rates (_node_rates, and
+through it mode_equation_residual, source_rate and the switch-on rate
+R_j below) take windows of one node, so the residual checks a history
+against rates evaluated on each stencil sample; a save="all" history takes
+one window per panel, 3 nodes at step 2 weighted h/6, 4h/6, h/6, and
+adds each panel to the slice before it; save="last" takes one window of
+every node with the composite weights (h/3 at inner panel boundaries),
+in parts of a chunk each, summed.  A chunk holds _BLOCK_WORK / (N x
+branches x components) nodes, so its product, N x branches x components
+per node and source, and its phase block stay small whatever the step
+count.  E comes from the grid's cached phase tables (modes.PlaneWaves):
+one cos and sin per distinct value of each k component and crossing,
+then four gathers and three in-place multiplies, with no complex
+exponential per mode.  In evolve_amplitudes only circular sources take
+this walk.  Splitting the panels at a switch-on, for fourth order
+through it, would only add nodes and weights.
 
 Along a straight line (static and uniform worldlines) k.u is linear in
 x0: with a_j the switch-on time of source j and s_j = k.udot_j /
@@ -125,8 +120,8 @@ from .minkowski import lower_index
 from .modes import ModeGrid, PlaneWaves
 from .worldlines import Worldline, equal_time_crossing
 
-# complex multiply-adds per source of one block's product E @ (W x Cur)
-# (see the module docstring): sizes node chunks and blocks of groups
+# complex multiply-adds per source of one chunk's product (see the module
+# docstring): N x branches x components per node sizes the node chunks
 _BLOCK_WORK = 2**19
 # rows per slice of the rotated time average: bounds its per-row arrays
 _MODE_SLICE = 4096
@@ -143,22 +138,25 @@ def _crossings(field: FieldSpec, worldlines: list[Worldline] | None,
                nodes: np.ndarray) -> list[tuple]:
     """The one walk over the worldline crossings of the slices nodes (T,).
 
-    One (worldline, node, u, udot, current) per source active on some
-    slice: the indices of those slices (R,), u and udot at the crossings
-    (R, 4) and the species current (R, *component_shape), from one array
-    call each of active_at, equal_time_crossing, state and, for the
-    spinor, interaction_spinor.  current is the species coupling of the
-    source before its strength and 1 / udot^0: the lowered velocity
-    monomial U of the field rank (1 for scalars, udot_nu for em) or the
-    interaction spinor xi(tau*) for the spinor species.
+    One (worldline, active, u, udot, current) per source active on some
+    slice, each at every slice: active (T,) says where it is, u and udot
+    at the crossings (T, 4) and the species current (T,
+    *component_shape), from one array call each of active_at,
+    equal_time_crossing, state and, for the spinor, interaction_spinor.
+    A slice before the switch-on takes the crossing clamped to it, the
+    switch-on state.  current is the species coupling of the source
+    before its strength and 1 / udot^0: the lowered velocity monomial U
+    of the field rank (1 for scalars, udot_nu for em) or the interaction
+    spinor xi(tau*) for the spinor species.
     """
     out = []
     for w in worldlines or []:
         # | also broadcasts an active_at that answers with one bool
-        node = np.nonzero(np.zeros(nodes.shape, bool) | w.active_at(nodes))[0]
-        if not node.size:
+        active = np.zeros(nodes.shape, bool) | w.active_at(nodes)
+        if not active.any():
             continue
-        u, udot = w.state(equal_time_crossing(w, nodes[node]))
+        u, udot = w.state(equal_time_crossing(
+            w, np.maximum(nodes, w.switch_on_time())))
         if field.kind == "spinor":
             if w.xi is None:
                 raise ValueError(
@@ -166,10 +164,10 @@ def _crossings(field: FieldSpec, worldlines: list[Worldline] | None,
                 )
             current = interaction_spinor(w.xi, udot)
         else:
-            current, low = np.ones(node.size), lower_index(udot)
+            current, low = np.ones(len(nodes)), lower_index(udot)
             for _ in range(field.rank):
                 current = np.einsum("r...,ra->r...a", current, low)
-        out.append((w, node, u, udot, current))
+        out.append((w, active, u, udot, current))
     return out
 
 
@@ -204,139 +202,123 @@ def source_rate(
 def _node_rates(field, worldlines, waves, nodes) -> np.ndarray:
     """dC/dx0 on each slice of nodes (T,) for the modes waves.k (N, 4) of
     the PlaneWaves waves: (T, branches, N, *component_shape), exact
-    zeros on a slice no source is active on.
-
-    Per slice, one product of its sources' phases with their currents
-    (_slice_factors).  The spinor's kappa pm slash(k), kept with the
-    phase tables, then acts once per branch.
-    """
-    n_b, n_comp, n = len(field.branches), field.n_components, len(waves.k)
-    phases, currents = _slice_factors(
-        field, waves, _crossings(field, worldlines, nodes), len(nodes))
-    out = (phases.reshape(len(nodes), n_b * n, -1) @ currents).reshape(
-        len(nodes), n_b, n, n_comp)
-    if field.kind == "spinor":
-        for b, op in enumerate(waves.shell_operators(field)):
-            out[:, b] = (op @ out[:, b, :, :, None])[..., 0]
-    return out.reshape((len(nodes), n_b, n) + field.component_shape)
+    zeros on a slice no source is active on.  The windows of
+    _window_sums one node wide, weighted 1."""
+    out = np.empty((len(nodes), len(field.branches), len(waves.k))
+                   + field.component_shape, dtype=complex)
+    _window_sums(field, worldlines, waves, nodes, np.ones(len(nodes)), 1, 1,
+                 out)
+    return out
 
 
-def _slice_factors(field, waves, rows, n_slices):
-    """The factors of _node_rates' per-slice products, from the crossing
-    rows of _crossings: phases (T, branches, N, sources), one phase
-    block E over every row, each branch's scaled by the rate norm and
-    conjugated for minus, and currents (T, sources, components), each
-    times strength / udot^0; both zero for a source not yet active.
-    Apart from _node_rates, so that E is freed before the product."""
-    n_b, n_comp, n = len(field.branches), field.n_components, len(waves.k)
-    phases = np.zeros((n_slices, n_b, n, len(rows)), dtype=complex)
-    currents = np.zeros((n_slices, len(rows), n_comp), dtype=complex)
-    if rows:
-        e = waves.at(np.concatenate([r[2] for r in rows]), +1)
-        lo = 0
-        for j, (w, node, _, udot, current) in enumerate(rows):
-            col = e[:, lo:lo + len(node)].T
-            lo += len(node)
-            for b, (norm, ph) in enumerate(zip(field.rate_norms,
-                                               with_conjugate(col))):
-                phases[node, b, :, j] = norm * ph
-            currents[node, j] = (w.coupling / udot[:, 0, None]) * (
-                current.reshape(len(node), n_comp))
-    return phases, currents
+def _window_sums(field, worldlines, waves, nodes, weights, width, step,
+                 out) -> None:
+    """Write sum_t weights[t] dC/dx0(nodes[t]) over window o, the width
+    consecutive nodes from o step on, to out[o], a C-contiguous
+    (windows, branches, N, *component_shape), for the modes waves.k
+    (N, 4) of the PlaneWaves waves; a node no source is active on adds
+    exact zeros.
 
-
-def _block_size(field: FieldSpec, n_modes: int) -> int:
-    """Panels per block of _walk_simpson: the most G, at least 1, whose
-    2 G + 1 nodes make one node chunk of _rate_sums, n_modes x branches
-    x components x nodes x G within _BLOCK_WORK."""
-    per = _BLOCK_WORK // (n_modes * len(field.branches) * field.n_components)
-    g = 1
-    while (g + 1) * (2 * (g + 1) + 1) <= per:
-        g += 1
-    return g
-
-
-def _rate_sums(field, worldlines, waves, nodes, weights) -> np.ndarray:
-    """sum_t weights[g, t] dC/dx0(nodes[t]) per group g, for the modes
-    waves.k (N, 4) of the PlaneWaves waves: (groups, branches, N,
-    *component_shape), exact zeros when no source is ever active.
-
-    Per chunk of nodes one crossing walk, one phase block E and one
-    product E @ (W x Cur), every group and branch in its columns.  The
-    rate norm, the conjugation of the minus branch and the spinor's
-    kappa pm slash(k) act once per group, after the sum (see the module
+    A chunk holds whole windows within _BLOCK_WORK / (N x branches x
+    components) nodes, or one such part of a wider window, the parts
+    added up.  Per chunk one crossing walk, with a row per node and
+    source active on some node of the chunk (node-major), one phase
+    block E and one product of the windows of E's columns with those of
+    the rows of the currents, each branch's weighted and normalized,
+    written in place; the conjugation of the minus branch and the
+    spinor's kappa pm slash(k) then act once per window (see the module
     docstring).
     """
-    k = waves.k
-    n_comp, n_b = field.n_components, len(field.branches)
-    n_g = len(weights)
-    chunk = max(1, _BLOCK_WORK // (len(k) * n_b * n_comp * n_g))
-    # the first chunk's product starts the sum: filling a zero array
-    # first would add an (N, columns) array to the peak memory
-    total = None
-    for lo in range(0, len(nodes), chunk):
-        rows = _crossings(field, worldlines, nodes[lo:lo + chunk])
-        if not rows:
-            continue
-        u = np.concatenate([r[2] for r in rows])
-        m = np.empty((len(u), n_g, n_b, n_comp), dtype=complex)
-        m[:, :, 0] = np.concatenate([
-            (weights[:, lo + node] * w.coupling / udot[:, 0]).T[..., None]
-            * current.reshape(len(node), 1, n_comp)
-            for w, node, _, udot, current in rows])
-        if n_b == 2:  # conj(E) @ Cur = conj(E @ conj(Cur)): one product
-            np.conj(m[:, :, 0], out=m[:, :, 1])
-        phases = waves.at(u, +1)
-        part = phases @ m.reshape(len(u), -1)
-        total = part if total is None else np.add(total, part, out=total)
-    shape = (n_g, n_b, len(k)) + field.component_shape
-    if total is None:  # no source active on any node
-        return np.zeros(shape, dtype=complex)
-    total = total.reshape(len(k), n_g, n_b, n_comp)
-    # each branch written in place: no stacked copy of the rates
-    out = np.empty((n_g, n_b, len(k), n_comp), dtype=complex)
+    n, n_b, n_comp = len(waves.k), len(field.branches), field.n_components
+    chunk = max(1, _BLOCK_WORK // (n * n_b * n_comp))
+    per = max(1, (chunk - width) // step + 1)  # whole windows per chunk
+    out = out.reshape(len(out), n_b, n, n_comp)
     ops = waves.shell_operators(field) if field.kind == "spinor" else None
-    for b, norm in enumerate(field.rate_norms):
-        half = total[:, :, b]
-        if b:
-            half = np.conj(half)
+    part = np.empty_like(out[:1]) if width > chunk else None
+    for first in range(0, len(out), per):
+        last = min(first + per, len(out))
+        end = (last - 1) * step + width
+        sums, filled = out[first:last], False
+        for lo in range(first * step, end, chunk):
+            hi = min(lo + chunk, end)
+            rows = _crossings(field, worldlines, nodes[lo:hi])
+            if not rows:
+                continue
+            # node-major rows, (nodes x sources, branches, components); the
+            # weighted current goes to the last branch, whose norm is
+            # applied last, in place
+            cur = np.empty((hi - lo, len(rows), n_b, n_comp), dtype=complex)
+            for j, (w, active, _, udot, current) in enumerate(rows):
+                scale = np.where(active, weights[lo:hi], 0.0) * (
+                    w.coupling) / udot[:, 0]
+                np.multiply(scale[:, None], current.reshape(hi - lo, n_comp),
+                            out=cur[:, j, -1])
+            for b, norm in enumerate(field.rate_norms):
+                np.multiply(cur[:, :, -1], norm, out=cur[:, :, b])
+            # minus: norm_- conj(E) @ Cur = conj(E @ conj(norm_- Cur)), the
+            # outer conj taken once the window is summed
+            cur = cur.reshape(-1, n_b, n_comp)
+            if n_b == 2:
+                np.conj(cur[:, 1], out=cur[:, 1])
+            phases = waves.at(
+                np.stack([r[2] for r in rows], axis=1).reshape(-1, 4), +1)
+            span, jump = min(width, hi - lo) * len(rows), step * len(rows)
+            # every branch in one product, E's windows broadcast
+            np.matmul(_windows(phases, span, jump, 1)[:, None],
+                      _windows(cur, span, jump, 0).transpose(0, 2, 1, 3),
+                      out=part if filled else sums)
+            if filled:
+                sums += part
+            filled = True
+        if not filled:
+            sums[...] = 0.0
+            continue
+        if n_b == 2:
+            np.conj(sums[:, 1], out=sums[:, 1])
         if ops is not None:
-            half = np.einsum("nab,ngb->nga", ops[b], half)
-        np.multiply(norm, half.transpose(1, 0, 2), out=out[:, b])
-    return out.reshape(shape)
+            for b, op in enumerate(ops):
+                sums[:, b] = (op @ sums[:, b, :, :, None])[..., 0]
+
+
+def _windows(a, span, jump, axis):
+    """The windows of span entries, jump apart, along axis of the
+    C-contiguous a, in front: sliding_window_view(a, span, axis)[::jump]
+    with its window axis in place of axis, a view built directly, since
+    sliding_window_view's checks cost more than a small product."""
+    shape, strides = list(a.shape), list(a.strides)
+    count = (shape[axis] - span) // jump + 1
+    shape[axis] = span
+    return np.ndarray([count] + shape, a.dtype, a, 0,
+                      [jump * strides[axis]] + strides)
 
 
 def _walk_simpson(field, worldlines, grid, times, h, out) -> None:
     """Add the Simpson sums of the worldlines over the panels of times
-    (S + 1,), of width h, to the history out in place, by the node walk
-    of _rate_sums.  With one slice (save="last") out[0] gets one group
-    over all 2 S + 1 nodes; otherwise each slice is the one before it
-    plus its panel's group, the groups taken a block of panels at a
-    time."""
+    (S + 1,), of width h, to the history out in place, as windows of
+    _window_sums over the 2 S + 1 nodes, weighted h/6 at panel
+    boundaries and 4h/6 at midpoints.  With one slice (save="last")
+    out[0] gets one window of every node, each inner boundary weighted
+    h/3 as it ends one panel and starts the next; otherwise window i is
+    panel i, nodes 2i to 2i + 2, written to out[i + 1], and each slice
+    is then the one before it plus its panel's sum."""
     steps = len(times) - 1
     nodes = np.empty(2 * steps + 1)
     nodes[0::2] = times
     nodes[1::2] = times[:-1] + 0.5 * h
+    weights = np.full(len(nodes), 4.0 * h / 6.0)
+    weights[0::2] = h / 6.0
     if len(out) == 1:
-        weights = np.full((1, 2 * steps + 1), 4.0 * h / 6.0)
-        weights[:, 0::2] = h / 3.0
-        weights[:, [0, -1]] = h / 6.0
-        out[0] += _rate_sums(field, worldlines, grid.waves, nodes, weights)[0]
+        weights[2:-1:2] = h / 3.0
+        total = np.empty_like(out)
+        _window_sums(field, worldlines, grid.waves, nodes, weights,
+                     len(nodes), len(nodes), total)
+        out += total
         return
-    # panel g of a block weighs its nodes 2g, 2g + 1, 2g + 2
-    block = _block_size(field, len(grid))
-    for lo in range(0, steps, block):
-        hi = min(lo + block, steps)
-        weights = np.zeros((hi - lo, 2 * (hi - lo) + 1))
-        panel = np.arange(hi - lo)
-        for col, weight in enumerate((h / 6.0, 4.0 * h / 6.0, h / 6.0)):
-            weights[panel, 2 * panel + col] = weight
-        sums = _rate_sums(field, worldlines, grid.waves,
-                          nodes[2 * lo:2 * hi + 1], weights)
-        # one add per slice: np.cumsum over axis 0 runs one short loop
-        # per mode and component, about ten times slower here
-        for i, step in enumerate(sums, start=lo):
-            np.add(out[i], step, out=out[i + 1])
+    _window_sums(field, worldlines, grid.waves, nodes, weights, 3, 2, out[1:])
+    # one add per slice: np.cumsum over axis 0 runs one short loop per
+    # mode and component, about ten times slower here
+    for i in range(steps):
+        np.add(out[i], out[i + 1], out=out[i + 1])
 
 
 def _straight_source(field, worldline, grid, k):
@@ -591,12 +573,11 @@ def evolve_amplitudes(
     before it.  save="last" keeps only the final state, the initial one
     plus a single node sum over all 2 steps + 1 nodes; long evolutions
     on large grids stay in memory budget either way.  Circular sources
-    take the node walk (_walk_simpson: crossings and phase blocks per
-    chunk of nodes, the panel sums a block of panels at a time); static
-    and uniform ones add their node sums as geometric series
-    (_add_straight_simpson), so a list of straight sources walks no
-    node.  mode_equation_residual takes the rates of every source on
-    each sample from _node_rates instead, apart from both.
+    take the node walk (_walk_simpson: windows of _window_sums, one per
+    panel or one over every node); static and uniform ones add their
+    node sums as geometric series (_add_straight_simpson), so a list of
+    straight sources walks no node.  mode_equation_residual takes the
+    rates of every source on each sample from _node_rates instead.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")

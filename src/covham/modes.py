@@ -64,8 +64,10 @@ class PlaneWaves:
     cube grid's sorted axis values (n,) and, per spatial component, each
     mode's index into them (N,): the spatial tables are then read off
     the axis values some mode uses, equal to np.unique's, with no sort.
-    The spinor's shell operators of these modes are built on first use
-    and kept with the tables (shell_operators).
+    The values of every component are also kept as one concatenation,
+    with each value's component, for at.  The spinor's shell operators
+    of these modes are built on first use and kept with the tables
+    (shell_operators).
     """
 
     def __init__(self, k, *, cube=None):
@@ -86,6 +88,10 @@ class PlaneWaves:
                 rank = np.cumsum(used) - 1
                 self.tables.append((values, rank.astype(
                     np.min_scalar_type(len(values) - 1))[index]))
+        sizes = [len(values) for values, _ in self.tables]
+        self._values = np.concatenate([values for values, _ in self.tables])
+        self._component = np.repeat(np.arange(len(sizes)), sizes)
+        self._offsets = np.cumsum([0] + sizes[:-1])
 
     def shell_operators(self, field) -> tuple[np.ndarray, np.ndarray]:
         """field.shell_operators(k), kappa pm slash(k) per mode (N, 4, 4),
@@ -101,18 +107,20 @@ class PlaneWaves:
     def at(self, x, sign: int) -> np.ndarray:
         """exp(sign i k.x) at the points x (P, 4) or (4,): shape (N, P).
 
-        Per component the (values, P) factors cos + i sin of sign k^a x_a
-        fill one complex buffer; the phase is the product of their rows
-        gathered by mode, taken in place _GATHER_CHUNK entries at a time.
+        The factors cos + i sin of sign k^a x_a of every component's
+        values fill one (values, P) table, one product, one cos and one
+        sin for all; the phase is the product of the rows of each
+        component's slice of it gathered by mode, taken in place
+        _GATHER_CHUNK entries at a time.
         """
         x_low = sign * lower_index(np.asarray(x, dtype=float).reshape(-1, 4))
-        factors = []
-        for (values, index), x_a in zip(self.tables, x_low.T):
-            theta = np.multiply.outer(values, x_a)
-            factor = np.empty(theta.shape, dtype=complex)
-            np.cos(theta, out=factor.real)
-            np.sin(theta, out=factor.imag)
-            factors.append((factor, index))
+        # each component's factors are the rows of its slice of the table
+        theta = self._values[:, None] * x_low.T[self._component]
+        table = np.empty(theta.shape, dtype=complex)
+        np.cos(theta, out=table.real)
+        np.sin(theta, out=table.imag)
+        factors = [(table[lo:lo + len(values)], index) for lo, (values, index)
+                   in zip(self._offsets, self.tables)]
         out = np.empty((len(self.k), len(x_low)), dtype=complex)
         step = max(1, _GATHER_CHUNK // max(1, len(x_low)))
         gathered = np.empty((min(step, len(out)), len(x_low)), dtype=complex)

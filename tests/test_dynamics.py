@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from covham import dynamics, verify
 from covham.dynamics import (
@@ -310,25 +311,37 @@ def _initial(field, grid, rng):
             for _ in field.branches]
 
 
-CHUNK = 16  # nodes per phase block of the one-group sums below
+CHUNK = 16  # nodes per phase block of the window sums below
 
 
 def _width(field, grid) -> int:
-    """Modes x branches x components: a block's work per node and group."""
+    """Modes x branches x components: a chunk's work per node."""
     return len(grid) * len(field.branches) * field.n_components
 
 
 def _set_panels(monkeypatch, field, grid, panels):
-    """Set the block constant so that save="all" sums panels per block."""
+    """Set the block constant so that save="all" sums panels per chunk:
+    2 panels + 1 nodes, the panel windows of 3 nodes 2 apart."""
     monkeypatch.setattr(dynamics, "_BLOCK_WORK",
-                        _width(field, grid) * panels * (2 * panels + 1))
-    assert dynamics._block_size(field, len(grid)) == panels
+                        _width(field, grid) * (2 * panels + 1))
+
+
+def _windowed(field, lines, grid, nodes, weights, width, step):
+    """dynamics._window_sums into a NaN-filled array, so that every entry
+    it returns was written."""
+    count = (len(nodes) - width) // step + 1
+    out = np.full((count, len(field.branches), len(grid))
+                  + field.component_shape, np.nan, dtype=complex)
+    dynamics._window_sums(field, lines, grid.waves, nodes, weights, width,
+                          step, out)
+    return out
 
 
 class TestWeightedRateSum:
     @pytest.mark.parametrize("n_nodes", [1, CHUNK, CHUNK + 1, 2 * CHUNK + 5])
     @pytest.mark.parametrize("name", sorted(FIELDS))
     def test_matches_per_node_loop(self, name, n_nodes, monkeypatch):
+        # one window of every node, in parts of CHUNK nodes
         field = FIELDS[name]
         grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=field.kappa)
         monkeypatch.setattr(dynamics, "_BLOCK_WORK",
@@ -337,30 +350,37 @@ class TestWeightedRateSum:
         nodes = np.sort(rng.uniform(0.0, 2.0, size=n_nodes))
         weights = rng.uniform(-1.0, 1.0, size=n_nodes)
         lines = _orbit_sources("mid_panel")
-        got = dynamics._rate_sums(field, lines, grid.waves, nodes,
-                                  weights[None])
+        got = _windowed(field, lines, grid, nodes, weights, n_nodes, n_nodes)
         assert got.shape == (1, len(field.branches), len(grid)) + (
             field.component_shape)
         want = _reference_rate_sum(field, lines, grid.k, nodes, weights)
         for g, w in zip(got[0], want, strict=True):
             _assert_rel_close(g, w)
 
-    @pytest.mark.parametrize("chunk", [1, 3, 40])
+    # a chunk of 1 node (every window in parts), of whole windows, of all
+    @pytest.mark.parametrize("chunk", [1, 5, 40])
+    # per-slice rates, Simpson panels, windows with a gap between them
+    @pytest.mark.parametrize("width, step", [(1, 1), (3, 2), (2, 3)])
     @pytest.mark.parametrize("name", sorted(FIELDS))
-    def test_groups_match_per_group_sums(self, name, chunk, monkeypatch):
+    def test_windows_match_per_window_sums(self, name, width, step, chunk,
+                                           monkeypatch):
         field = FIELDS[name]
         grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=field.kappa)
-        groups = 3
         monkeypatch.setattr(dynamics, "_BLOCK_WORK",
-                            _width(field, grid) * groups * chunk)
+                            _width(field, grid) * chunk)
         rng = np.random.default_rng(chunk)
         nodes = np.sort(rng.uniform(0.0, 2.0, size=11))
-        weights = rng.uniform(-1.0, 1.0, size=(groups, 11))
-        weights[1, 4:] = 0.0  # a group that ends before the switch-on
+        weights = rng.uniform(-1.0, 1.0, size=11)
+        # the static source switches on at 0.537: windows before it, across
+        # it and after it
         lines = _orbit_sources("mid_panel")
-        got = dynamics._rate_sums(field, lines, grid.waves, nodes, weights)
-        for sums, row in zip(got, weights, strict=True):
-            want = _reference_rate_sum(field, lines, grid.k, nodes, row)
+        assert nodes[0] < lines[2].switch_on_time() < nodes[-1]
+        got = _windowed(field, lines, grid, nodes, weights, width, step)
+        assert len(got) == (11 - width) // step + 1
+        for o, sums in enumerate(got):
+            window = slice(o * step, o * step + width)
+            want = _reference_rate_sum(field, lines, grid.k, nodes[window],
+                                       weights[window])
             for g, w in zip(sums, want, strict=True):
                 _assert_rel_close(g, w)
 
@@ -379,12 +399,23 @@ class TestWeightedRateSum:
     def test_no_active_source_gives_exact_zeros(self):
         grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=1.0)
         late = [static_worldline([0, 0, 0], coupling=1.0, t_start=5.0)]
-        sums = dynamics._rate_sums(SCALAR, late, grid.waves,
-                                   np.linspace(0.0, 4.0, 40), np.ones((2, 40)))
-        assert sums.shape == (2, 2, len(grid)) and not np.any(sums)
+        sums = _windowed(SCALAR, late, grid, np.linspace(0.0, 4.0, 41),
+                         np.ones(41), 3, 2)
+        assert sums.shape == (20, 2, len(grid)) and not np.any(sums)
         rates = dynamics._node_rates(SCALAR, late, grid.waves,
                                      np.linspace(0.0, 4.0, 40))
         assert rates.shape == (40, 2, len(grid)) and not np.any(rates)
+
+    def test_window_views_are_sliding_windows(self):
+        a = np.arange(3 * 14 * 2, dtype=complex).reshape(3, 14, 2)
+        for axis, span, jump in ((1, 4, 2), (1, 14, 14), (0, 1, 1),
+                                 (1, 3, 5)):
+            got = dynamics._windows(a, span, jump, axis)
+            want = np.moveaxis(sliding_window_view(a, span, axis)[
+                (slice(None),) * axis + (slice(None, None, jump),)],
+                (axis, -1), (0, axis + 1))
+            assert np.shares_memory(got, a)
+            assert np.array_equal(got, want)
 
 
 # a circular source, and a static one switched on at 0.537: inside the
@@ -584,6 +615,71 @@ def _simpson_by_source_rate(field, worldlines, grid, start, end, steps,
                                  (h / 6.0, t + h)))
         slices.append(slices[-1] + panel)
     return np.array(slices)
+
+
+# 5-node chunks over the 2 STEPS + 1 = 23 nodes of WINDOW: save="all"
+# takes 2 panels per chunk from nodes 0, 4, .., 20 and save="last" parts
+# from nodes 0, 5, .., 20, each last chunk 3 nodes long
+PAD_CHUNK = 5
+# node 20 (slice 10) starts a chunk in both; 0.537 lies inside one
+PAD_SWITCH_ONS = (0.537, float(np.linspace(*WINDOW, STEPS + 1)[10]))
+
+
+def _late_orbits():
+    """Two circular sources, switched on inside a chunk and on a chunk
+    edge."""
+    return [circular_worldline([0.1, -0.2, 0.05], 0.5, 1.2, coupling=1.0,
+                               phase0=0.4, t_start=t_on, xi=XI)
+            for t_on in PAD_SWITCH_ONS]
+
+
+class TestPaddedRows:
+    """Rows before a switch-on, in a chunk where the source is active
+    later: the clamped switch-on state with a zero current."""
+
+    @pytest.mark.parametrize("save", ["all", "last"])
+    @pytest.mark.parametrize("name", ["scalar", "rank2", "spinor"])
+    def test_switch_ons_inside_and_on_chunk_edges(self, name, save,
+                                                  monkeypatch):
+        field = SERIES_FIELDS[name]
+        grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=field.kappa)
+        monkeypatch.setattr(dynamics, "_BLOCK_WORK",
+                            _width(field, grid) * PAD_CHUNK)
+        lines = _late_orbits()
+        assert [w.switch_on_time() for w in lines] == list(PAD_SWITCH_ONS)
+        zero = [np.zeros((len(grid),) + field.component_shape)
+                for _ in field.branches]
+        want = _simpson_by_source_rate(field, lines, grid, *WINDOW, STEPS,
+                                       zero)
+        walks = _record_walks(monkeypatch)
+        hist = evolve_amplitudes(field, lines, grid, *WINDOW, STEPS,
+                                 save=save)
+        if save == "last":
+            assert [n for _, n in walks] == [5, 5, 5, 5, 3]
+            _assert_rel_close(hist.coeffs, want[-1:])
+            return
+        assert [n for _, n in walks] == [5, 5, 5, 5, 5, 3]
+        _assert_rel_close(hist.coeffs, want)
+        # exact zeros on every slice before the first switch-on
+        assert not np.any(hist.coeffs[hist.x0 < PAD_SWITCH_ONS[0]])
+        after = hist.coeffs[hist.x0 > PAD_SWITCH_ONS[0]]
+        assert all(np.any(c) for c in after)
+
+    @pytest.mark.parametrize("name", ["scalar", "rank2", "spinor"])
+    def test_each_source_adds_exact_zeros_before_its_switch_on(
+            self, name, monkeypatch):
+        field = SERIES_FIELDS[name]
+        grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=field.kappa)
+        monkeypatch.setattr(dynamics, "_BLOCK_WORK",
+                            _width(field, grid) * PAD_CHUNK)
+        nodes = np.linspace(*WINDOW, 2 * STEPS + 1)
+        for line, t_on in zip(_late_orbits(), PAD_SWITCH_ONS, strict=True):
+            hist = evolve_amplitudes(field, [line], grid, *WINDOW, STEPS)
+            assert not np.any(hist.coeffs[hist.x0 < t_on])
+            assert all(np.any(c) for c in hist.coeffs[hist.x0 >= t_on])
+            rates = dynamics._node_rates(field, [line], grid.waves, nodes)
+            assert not np.any(rates[nodes < t_on])
+            assert all(np.any(r) for r in rates[nodes >= t_on])
 
 
 class TestStraightSeries:
@@ -826,7 +922,7 @@ class TestAveragedProfile:
     def test_work_is_per_source_and_per_point(self, monkeypatch, n_samples):
         # one switch-on rate per source, on the grid's cached phase
         # tables: never the public source_rate, which builds its own
-        calls = _count_calls(monkeypatch, ("_node_rates", "_rate_sums",
+        calls = _count_calls(monkeypatch, ("_node_rates", "_window_sums",
                                            "source_rate",
                                            "reconstruct_field"),
                              (dynamics, verify))
@@ -834,7 +930,8 @@ class TestAveragedProfile:
         grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=1.0)
         averaged_profile(SCALAR, sources, grid, PROFILE_POINTS, center=5.0,
                          period=2.0, n_samples=n_samples)
-        assert calls == {"_node_rates": len(sources), "_rate_sums": 0,
+        assert calls == {"_node_rates": len(sources),
+                         "_window_sums": len(sources),
                          "source_rate": 0,
                          "reconstruct_field": len(PROFILE_POINTS)}
 
