@@ -25,7 +25,10 @@ Each BracketConfig builds Lambda once, on its first bracket, keeps its
 nonzero entries and drops the dense array; every bracket applies Lambda
 through those entries (BracketConfig.apply), O(nnz) work a vector.  A
 patched poisson_tensor therefore reaches the bracket only if it is in
-place before the config's first bracket.
+place before the config's first bracket.  The dense array lives in an
+anonymous private mapping, so only the pages its entries are written
+to are ever allocated; the scan for its nonzero entries still reads
+every entry (about 130 ms at 4,000^2).
 
 Observables are quadratic forms (closed under the bracket, Jacobi
 exact) or callables with gradients for Leibniz products.  Jacobi terms
@@ -36,6 +39,7 @@ an unconstrained (q, pi) pair.
 """
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -47,7 +51,9 @@ from .fields import FieldSpec
 from .minkowski import METRIC_DIAG, component_signs, minkowski_dot
 from .modes import ModeGrid
 
-MAX_STATE_SIZE = 4096  # dense Poisson tensor guard
+# bounds the scan of the dense Poisson tensor for its nonzero entries
+# and the bracket suite's dense n x n quadratic observables
+MAX_STATE_SIZE = 4096
 
 
 class StateLayout:
@@ -116,10 +122,17 @@ class BracketConfig:
         object.__setattr__(self, "layout", StateLayout(self.field, self.grid))
 
     def poisson_tensor(self) -> np.ndarray:
-        """Dense antisymmetric structure matrix Lambda, a new array on
-        every call.  The brackets read it once per config, through
-        `_entries` on the first bracket: a patch of this method must be
-        in place before then."""
+        """Dense antisymmetric structure matrix Lambda, a new writable
+        array on every call.  The brackets read it once per config,
+        through `_entries` on the first bracket: a patch of this method
+        must be in place before then.
+
+        Lambda comes from an anonymous private mapping, not numpy's
+        heap: numpy asks for transparent huge pages on large arrays, and
+        the scattered writes below would then make every 2 MB page of
+        it resident.  Here untouched 4 KB pages are never allocated and
+        read as zeros, `_entries`' scan of every entry included (about
+        130 ms at 4,000^2)."""
         lay = self.layout
         vfac = (1.0 / self.grid.weight)[:, None] * self.v * METRIC_DIAG
         # one entry per (mode, branch, pi row mu, component), masked
@@ -130,7 +143,11 @@ class BracketConfig:
                               pj.shape)
         keep = val != 0.0
         qi, pj, val = qi[keep], pj[keep], val[keep]
-        lam = np.zeros((lay.size, lay.size))
+        n = lay.size
+        # a mapping of 0 bytes is refused: map one for a 0-variable grid
+        buf = mmap.mmap(-1, max(8 * n * n, 1),
+                        flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+        lam = np.frombuffer(buf, count=n * n).reshape(n, n)
         lam[qi, pj] = val
         lam[pj, qi] = -val
         return lam

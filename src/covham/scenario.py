@@ -137,7 +137,9 @@ class SuitePlan:
     its halves) and `steps_fd` (k0 h <= STENCIL_K0H for the stencil).
     hamilton: the grid capped at 5 per axis, the `probes` of its sourced
     residual and `hamilton_steps` (k0 h <= _PROBE_K0H on them, None
-    without sources) over its `hamilton_span`.  bracket: the field's
+    without sources) over its `hamilton_span` from `hamilton_start`
+    (x0_start, or the first switch-on if that is at or after the end of
+    the window from x0_start).  bracket: the field's
     sector or the spinor's rank-0 stand-in on `bracket_grid`, as many of
     three box modes as MAX_STATE_SIZE holds, and `bracket_note` (None, or
     what was replaced or cut).  green: the scenario grid averaged over
@@ -159,6 +161,12 @@ class SuitePlan:
         order = np.argsort(grid.k0)
         self.probes = (int(order[0]), int(order[len(order) // 3]))
         self.hamilton_span = min(2.0, span)
+        # a window that every source switches on after holds no source:
+        # then it opens at the first switch-on
+        t_on = min((w.switch_on_time() for w in s.particles),
+                   default=s.x0_start)
+        self.hamilton_start = (t_on if t_on >= s.x0_start + self.hamilton_span
+                               else s.x0_start)
         self.hamilton_steps = (_refined(
             self.hamilton_span, float(max(grid.k0[list(self.probes)])),
             _PROBE_K0H, 64) if s.particles else None)

@@ -218,10 +218,11 @@ def _suite_hamilton(s: Scenario, rng, tol, records, tables) -> None:
 
     # short local window: the residual probes one interior slice, with
     # steps refined on the probed modes
-    end = s.x0_start + plan.hamilton_span
+    start = plan.hamilton_start
+    end = start + plan.hamilton_span
     steps = plan.hamilton_steps
-    hist = evolve_amplitudes(field, worldlines, grid, s.x0_start, end,
-                             steps, save="all")
+    hist = evolve_amplitudes(field, worldlines, grid, start, end, steps,
+                             save="all")
     h = hist.spacing()
     mid = len(hist.x0) // 2
     x_mid = np.array([hist.x0[mid], 0.3, -0.1, 0.2])
@@ -235,8 +236,8 @@ def _suite_hamilton(s: Scenario, rng, tol, records, tables) -> None:
     _add(records, "hamilton/sourced_residual", worst_src,
          tol["hamilton_sourced"], {"steps": steps, "x0": float(hist.x0[mid])})
 
-    finals = {n: evolve_amplitudes(field, worldlines, grid, s.x0_start, end,
-                                   n, save="last").coeffs[-1]
+    finals = {n: evolve_amplitudes(field, worldlines, grid, start, end, n,
+                                   save="last").coeffs[-1]
               for n in (64, 128, 256)}
     e_coarse = float(np.max(np.abs(finals[64] - finals[128])))
     e_fine = float(np.max(np.abs(finals[128] - finals[256])))

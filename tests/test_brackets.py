@@ -5,7 +5,12 @@ dual route here is formula vs. the generic bracket applied to unit
 coordinate observables.  Algebra laws (antisymmetry, bilinearity,
 Leibniz, Jacobi) are checked on random observables with seeded draws.
 """
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +41,7 @@ from covham.canonical import (
 from covham.errors import GridDomainError, ModeBudgetError
 from covham.fields import em_field, scalar_field, spinor_field, tensor_field
 from covham.minkowski import METRIC_DIAG, minkowski_dot
-from covham.modes import box_mode_grid
+from covham.modes import box_mode_grid, build_mode_grid
 from covham.worldlines import static_worldline
 
 SCALAR = scalar_field(s=1.0, m=1.0, c=1.0)
@@ -525,6 +530,51 @@ class TestApply:
         assert one._entries is not two._entries
         assert np.array_equal(one.apply(x), first)
         assert not np.allclose(first, two.apply(x))
+
+    def test_first_bracket_leaves_lambda_mostly_unallocated(self):
+        # 100 rank-1 box modes: 4,000 variables, a 128 MB dense Lambda
+        # with a few nonzero entries a row.  The child reports its own
+        # peak growth over the first bracket, which builds Lambda
+        child = textwrap.dedent("""\
+            import resource
+            import numpy as np
+            from covham.brackets import BracketConfig, QuadraticObservable
+            from covham.brackets import poisson_bracket
+            from covham.fields import tensor_field
+            from covham.modes import box_mode_grid
+            vec = tensor_field(rank=1, a2=0.7, b2=0.7 * 1.3**2)
+            ns = [(i, j, k) for i in range(-2, 3) for j in range(-2, 3)
+                  for k in range(-2, 2)]
+            cfg = BracketConfig(vec, box_mode_grid(1.0, ns, vec.kappa),
+                                v=[0.7, -0.3, 0.2, 1.9])
+            n = cfg.layout.size
+            obs = QuadraticObservable(0.0, np.ones(n))
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            poisson_bracket(obs, obs, cfg, np.zeros(n))
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            print(n, after - before)
+            """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [
+                       src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", child], env=env,
+                             capture_output=True, text=True, check=True)
+        size, growth_kib = map(int, out.stdout.split())
+        assert size == 4000
+        assert growth_kib < 40 * 1024
+
+    def test_zero_variable_config(self):
+        # a massless 1-per-axis grid drops its one node, k = 0
+        massless = scalar_field(s=1.0, m=0.0, c=1.0)
+        cfg = BracketConfig(field=massless,
+                            grid=build_mode_grid(1.0, 1, massless.kappa))
+        assert cfg.layout.size == 0
+        assert cfg.poisson_tensor().shape == (0, 0)
+        assert cfg.apply(np.zeros(0)).shape == (0,)
+        assert cfg.apply(np.zeros((0, 3))).shape == (0, 3)
+        empty = QuadraticObservable(1.0, np.zeros(0))
+        assert poisson_bracket(empty, empty, cfg, np.zeros(0)) == 0.0
 
 
 class TestConservationIdentity:

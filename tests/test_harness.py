@@ -337,6 +337,16 @@ def _order_two_error(monkeypatch):
     monkeypatch.setattr(verify, "evolve_amplitudes", evolve)
 
 
+def _late_source(name, t_start):
+    """A shipped scenario whose sources all switch on at t_start."""
+    def data():
+        data = json.loads((SCENARIOS / f"{name}.json").read_text())
+        for blk in data["particles"]:
+            blk["t_start"] = t_start
+        return data
+    return data
+
+
 _HAMILTON_FAULTS = {
     "drifting_free_amplitudes": _drifting_constant_amplitudes,
     "sign_flipped_from_canonical": _sign_flipped_from_canonical,
@@ -460,6 +470,13 @@ class TestVerificationSuites:
          {"hamilton/roundtrip"}),
         ("order_two_final_slice", sourced_scalar_dict,
          {"hamilton/integrator_order"}),
+        # every switch-on at or after the default window's end: the
+        # window opens at the switch-on, and its order is measured there
+        *(pytest.param("order_two_final_slice", _late_source(name, t_start),
+                       {"hamilton/integrator_order"}, id=f"late-{name}")
+          for name, t_start in (("static_scalar_source", 5.0),
+                                ("static_em_charge", 3.0),
+                                ("dirac_static_source", 2.5))),
     ])
     def test_hamilton_records_flag_injected_faults(self, fault, data,
                                                    failing, monkeypatch):
@@ -482,6 +499,21 @@ class TestVerificationSuites:
         assert "hamilton_convergence" in report.tables
         assert report.passed, [r.to_dict() for r in report.records
                                if r.status != "pass"]
+
+    @pytest.mark.parametrize("t_start, start", [
+        (0.0, 0.0), (1.9, 0.0), (2.0, 2.0), (2.5, 2.5)])
+    def test_hamilton_window_opens_at_a_late_switch_on(self, t_start,
+                                                       start):
+        # span 2 from x0_start 0: a switch-on inside keeps the window
+        data = _late_source("dirac_static_source", t_start)()
+        plan = scenario_from_dict(data).plan
+        assert (plan.hamilton_start, plan.hamilton_span) == (start, 2.0)
+
+    def test_late_switch_on_gives_a_sourced_residual(self):
+        s = scenario_from_dict(_late_source("dirac_static_source", 2.5)())
+        report = run_verification(s, "hamilton", seed=0)
+        rec = {r.name: r for r in report.records}["hamilton/sourced_residual"]
+        assert rec.measured > 0.0 and 2.5 < rec.metadata["x0"] < 4.5
 
     @pytest.mark.parametrize("name", ["static_scalar_source",
                                       "dirac_static_source"])
