@@ -101,7 +101,7 @@ class StateLayout:
     def modes(self, state: np.ndarray) -> CanonicalMode:
         """The state as one CanonicalMode over the grid, rows a view."""
         rows = np.reshape(state, self.shape[:3] + self.field.component_shape)
-        return CanonicalMode(field=self.field, k=self.grid.k, rows=rows)
+        return CanonicalMode(field=self.field, rows=rows)
 
 
 @dataclass(frozen=True)

@@ -99,12 +99,12 @@ class CanonicalMode:
 
     rows has shape (..., branches, 5, *component_shape): per branch
     (plus, then minus; the em field keeps plus only) row 0 holds q_c and
-    row 1 + mu holds pi_{mu c}, lower-index as stored.  k is (4,) or one
-    wave vector per leading entry; brackets.StateLayout holds a grid's.
+    row 1 + mu holds pi_{mu c}, lower-index as stored.  The mode keeps no
+    wave vector: every function that takes one also takes k, (4,) or one
+    wave vector per leading entry.
     """
 
     field: FieldSpec
-    k: np.ndarray
     rows: np.ndarray
 
     @property
@@ -229,7 +229,7 @@ def to_canonical(
     rows[c.q_at] = q
     np.multiply(2.0 * eps[c.new_row] * k_mu, w.real[c.new_row],
                 out=rows[c.pi_at])
-    return CanonicalMode(field=field, k=k, rows=rows)
+    return CanonicalMode(field=field, rows=rows)
 
 
 def _check_collinear(c: _Constants, mode: CanonicalMode, k0, k_mu,
@@ -441,7 +441,7 @@ def mode_hamiltonian_gradients(
         eps, k0, _ = _mode_scales(c, k)
         grads[c.q_at] -= c.q_sigma * coupling.imag / (2.0 * eps)
         grads[c.pi0_at] += c.sigma * coupling.real / (2.0 * eps * k0)
-    return CanonicalMode(field=field, k=k, rows=grads)
+    return CanonicalMode(field=field, rows=grads)
 
 
 _GRADIENT_STEP = 1e-3  # spacing of the gradient_consistency stencil

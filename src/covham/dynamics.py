@@ -519,11 +519,11 @@ class AmplitudeHistory:
 
     x0 has shape (S,) and coeffs (S, branches, N, *component_shape), the
     branches plus then minus (the em species keeps plus only); plus and
-    minus are views of it, (S, N, *component_shape), minus None for em.
-    With save="last" only the final slice is kept (S = 1).
+    minus are views of it, (S, N, *component_shape), minus None when the
+    history has one branch.  With save="last" only the final slice is
+    kept (S = 1).
     """
 
-    field: FieldSpec
     x0: np.ndarray
     coeffs: np.ndarray
 
@@ -533,7 +533,7 @@ class AmplitudeHistory:
 
     @property
     def minus(self) -> np.ndarray | None:
-        return None if self.field.is_real else self.coeffs[:, 1]
+        return self.coeffs[:, 1] if self.coeffs.shape[1] > 1 else None
 
     @property
     def final_plus(self) -> np.ndarray:
@@ -604,7 +604,7 @@ def evolve_amplitudes(
     for w in worldlines or []:
         if w.straight:
             _add_straight_simpson(field, w, grid, times, h, out)
-    return AmplitudeHistory(field=field, x0=times[-len(out):], coeffs=out)
+    return AmplitudeHistory(x0=times[-len(out):], coeffs=out)
 
 
 def reconstruct_field(

@@ -20,12 +20,13 @@ Field components are stored with lower indices throughout the package
 (T_{nu1..nul}, A_nu, polymomenta pi_{mu nu..}); contractions raise
 indices by sign flips via component_signs.
 
-FieldSpec is also the species table: each per-species decision that
-more than one module reads is a derived property or method here, so the
-other modules loop over field.branches instead of testing the kind.
-The em field is the only real species: it stores one coefficient family,
-its polymomentum carries real_factor = 2, and its canonical free part
-has the sign -1.
+FieldSpec holds five values, the kind, the rank and (a2, b2, kappa);
+it is also the species table: each per-species decision that more than
+one module reads is a property or method derived from those five, so
+the other modules loop over field.branches instead of testing the kind.
+The em field is the only real species (is_real reads the kind): it
+stores one coefficient family, its polymomentum carries real_factor = 2,
+and its canonical free part has the sign -1.
 """
 from __future__ import annotations
 
@@ -44,14 +45,13 @@ _GREEN_RADII = {"em": (1.0, 1.5, 2.0, 2.5, 3.0),
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Species tag plus the constants every formula downstream needs."""
+    """The species: kind and rank, plus its constants a2, b2 and kappa."""
 
     kind: str
     rank: int
     a2: float
     b2: float
     kappa: float
-    is_real: bool = False
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -68,8 +68,6 @@ class FieldSpec:
                 )
             if self.kappa != 0.0:
                 raise ValueError("em: kappa must vanish")
-            if not self.is_real:
-                raise ValueError("em: field must be real")
         elif self.kind == "spinor":
             # first-order kinetic term: one power of kappa
             if not np.isclose(self.b2, self.a2 * self.kappa, rtol=1e-12, atol=0.0):
@@ -83,8 +81,11 @@ class FieldSpec:
                     f"{self.kind}: b2 = {self.b2} inconsistent with "
                     f"a2 * kappa^2 = {self.a2 * self.kappa * self.kappa}"
                 )
-        if self.kind != "em" and self.is_real:
-            raise ValueError("only the em species is stored as a real field")
+
+    @property
+    def is_real(self) -> bool:
+        """Whether the field is real: the em species, and only it."""
+        return self.kind == "em"
 
     @property
     def component_shape(self) -> tuple[int, ...]:
@@ -233,7 +234,7 @@ def em_field(c: float = 1.0) -> FieldSpec:
     if not c > 0.0:
         raise ValueError("em species needs c > 0")
     return FieldSpec(kind="em", rank=1, a2=-1.0 / (8.0 * np.pi * c), b2=0.0,
-                     kappa=0.0, is_real=True)
+                     kappa=0.0)
 
 
 def spinor_field(s: float = 1.0, m: float = 1.0, c: float = 1.0) -> FieldSpec:

@@ -144,8 +144,10 @@ class ModeGrid:
     """Flat list of on-shell modes with quadrature weights.
 
     k has shape (N, 4) (contravariant, k[:, 0] on the positive shell),
-    weight has shape (N,).  Instances are produced by build_mode_grid;
-    building one by hand is fine as long as k is on shell.  waves, the
+    weight has shape (N,), the invariant weights d^3k / (8 pi^3 2 k0)
+    (1 / (L^3 2 k0) on a box); kappa and the build parameters are not
+    kept.  Instances are produced by build_mode_grid; building one by
+    hand is fine as long as k is on shell.  waves, the
     grid's PlaneWaves, builds its per-component phase tables on first
     use and keeps them: k must not change after that.  _cube is the
     (axis, axis_index) build_mode_grid leaves for them (None otherwise).
@@ -153,11 +155,6 @@ class ModeGrid:
 
     k: np.ndarray
     weight: np.ndarray
-    kappa: float
-    kmax: float
-    n_per_axis: int
-    spacing: float
-    k0_floor: float = 0.0
     _cube: tuple | None = field(default=None, init=False, repr=False,
                                 compare=False)
 
@@ -267,15 +264,7 @@ def build_mode_grid(
     weight = dk**3 / (8.0 * np.pi**3 * 2.0 * k0)
     k.setflags(write=False)
     weight.setflags(write=False)
-    grid = ModeGrid(
-        k=k,
-        weight=weight,
-        kappa=float(kappa),
-        kmax=float(kmax),
-        n_per_axis=int(n_per_axis),
-        spacing=dk,
-        k0_floor=float(k0_floor),
-    )
+    grid = ModeGrid(k=k, weight=weight)
     # for waves: the spatial tables come from the axis, with no sort
     object.__setattr__(grid, "_cube", (axis, axis_index))
     return grid
@@ -302,12 +291,4 @@ def box_mode_grid(box_length: float, n_vectors, kappa: float) -> ModeGrid:
     k0 = mass_shell_energy(k_spatial, kappa)
     k = np.column_stack([k0, k_spatial])
     weight = 1.0 / (box_length**3 * 2.0 * k0)
-    return ModeGrid(
-        k=k,
-        weight=weight,
-        kappa=float(kappa),
-        kmax=float(np.max(np.abs(k_spatial), initial=0.0)),
-        n_per_axis=0,
-        spacing=2.0 * np.pi / box_length,
-        k0_floor=0.0,
-    )
+    return ModeGrid(k=k, weight=weight)

@@ -49,7 +49,7 @@ from .canonical import (
     mode_hamiltonian_canonical,
     to_canonical,
 )
-from .dirac import clifford_defect, projector_defects, shell_projector
+from .dirac import GAMMA, clifford_defect, projector_defects, shell_projector
 from .dynamics import (
     SWITCH_ON_SLACK,
     _straight_line_mean,
@@ -140,19 +140,20 @@ def _random_amps(field, rng):
 # ---------------------------------------------------------------- dirac
 
 def _suite_dirac(s: Scenario, rng, tol, records, tables) -> None:
+    # one relation per pair (mu, nu) of the gammas
     _add(records, "dirac/clifford", clifford_defect(), tol["clifford"],
-         {"relations": 16})
+         {"relations": len(GAMMA) ** 2})
 
     kappa = s.field.kappa if s.field.kappa > 0.0 else 1.0
     k = on_shell_k(rng.uniform(-3.0, 3.0, size=(100, 3)), kappa)
     _add(records, "dirac/projectors",
          _worst(*projector_defects(k, kappa).values()), tol["projector"],
-         {"draws": 100, "kappa": kappa})
+         {"draws": len(k), "kappa": kappa})
 
     if s.field.kind == "spinor" and s.particles:
         worldlines = list(s.particles)
-        worst = 0.0
-        for draw in range(4):
+        worst, draws = 0.0, range(4)
+        for draw in draws:
             k = on_shell_k(rng.uniform(-2.0, 2.0, size=3), kappa)
             x0 = s.x0_start + (draw + 1) / 5.0 * (s.x0_end - s.x0_start)
             rate_p, rate_m = source_rate(s.field, worldlines, k, x0)
@@ -164,7 +165,7 @@ def _suite_dirac(s: Scenario, rng, tol, records, tables) -> None:
                     worst = _worst(worst,
                                 float(np.linalg.norm(mat @ vec)) / norm)
         _add(records, "dirac/branch_annihilation", worst,
-             tol["shell_annihilation"], {"samples": 4})
+             tol["shell_annihilation"], {"samples": len(draws)})
 
 
 # ------------------------------------------------------------- hamilton
@@ -200,8 +201,8 @@ def _suite_hamilton(s: Scenario, rng, tol, records, tables) -> None:
         field, k, mode, x, worldlines, s.gauge), tol["gradient_fd"],
          {"modes": int(len(idx))})
 
-    worst_free = 0.0
-    for i in idx[:2]:
+    worst_free, free = 0.0, idx[:2]
+    for i in free:
         ap, am = _random_amps(field, rng)
         # stencil truncation goes like (k0 h)^4; halve the default step
         # so high-k0 grid corners stay inside the tolerance budget
@@ -211,7 +212,7 @@ def _suite_hamilton(s: Scenario, rng, tol, records, tables) -> None:
                                    worldlines=None, gauge=s.gauge, h=h)
         worst_free = _worst(worst_free, r1, r2)
     _add(records, "hamilton/free_residual", worst_free,
-         tol["hamilton_free"], {"modes": 2})
+         tol["hamilton_free"], {"modes": len(free)})
 
     if not worldlines:
         return
@@ -239,15 +240,15 @@ def _suite_hamilton(s: Scenario, rng, tol, records, tables) -> None:
     finals = {n: evolve_amplitudes(field, worldlines, grid, start, end, n,
                                    save="last").coeffs[-1]
               for n in (64, 128, 256)}
-    e_coarse = float(np.max(np.abs(finals[64] - finals[128])))
-    e_fine = float(np.max(np.abs(finals[128] - finals[256])))
+    counts = list(finals)
+    diffs = [float(np.max(np.abs(finals[n] - finals[m])))
+             for n, m in zip(counts, counts[1:])]
+    e_coarse, e_fine = diffs
     slope = math.log2(e_coarse / e_fine) if e_fine > 0.0 else float("inf")
     _add(records, "hamilton/integrator_order", abs(slope - 4.0),
-         tol["order_window"], {"steps": [64, 128, 256], "slope": slope})
+         tol["order_window"], {"steps": counts, "slope": slope})
     tables["hamilton_convergence"] = [
-        {"steps": 64, "difference_to_next": e_coarse},
-        {"steps": 128, "difference_to_next": e_fine},
-    ]
+        {"steps": n, "difference_to_next": e} for n, e in zip(counts, diffs)]
 
 
 # ------------------------------------------------------------- simulate
@@ -294,8 +295,8 @@ def _suite_simulate(s: Scenario, rng, tol, records, tables) -> None:
              tol["exact_vs_simpson"], {"steps": steps_fd})
 
     if len(worldlines) >= 2:
-        worst = 0.0
-        for frac in (0.25, 0.5, 0.9):
+        worst, fracs = 0.0, (0.25, 0.5, 0.9)
+        for frac in fracs:
             x0 = s.x0_start + frac * (s.x0_end - s.x0_start)
             total, *parts = (np.array(field.families(*source_rate(
                 field, lines, grid.k, x0)))
@@ -304,7 +305,7 @@ def _suite_simulate(s: Scenario, rng, tol, records, tables) -> None:
             worst = _worst(worst, float(np.max(np.abs(total - sum(parts))))
                            / scale)
         _add(records, "simulate/superposition", worst, tol["superposition"],
-             {"times": 3})
+             {"times": len(fracs)})
 
     mid = 0.5 * (s.x0_start + s.x0_end)
     first = evolve_amplitudes(field, worldlines, grid, s.x0_start, mid,
@@ -388,10 +389,11 @@ def _suite_parseval(s: Scenario, rng, tol, records, tables) -> None:
     field = s.field
     triples = [(1, 0, 0), (0, 1, 1), (1, 1, 0), (0, 0, 2)]
     entries = [(n, *_random_amps(field, rng)) for n in triples]
-    measured = parseval_check(field, 2.0 * np.pi, entries,
+    box_length = 2.0 * np.pi
+    measured = parseval_check(field, box_length, entries,
                               x0_span=(0.0, 0.7), n_t=4)
     _add(records, "parseval/box_sum", measured, tol["parseval"],
-         {"modes": len(entries), "box_length": 2.0 * np.pi})
+         {"modes": len(entries), "box_length": box_length})
 
 
 # ---------------------------------------------------------------- green

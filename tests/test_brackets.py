@@ -654,7 +654,6 @@ class TestLayoutAndGuards:
                 cfg.field.component_shape)
             assert np.shares_memory(modes.rows, state)
             assert np.array_equal(modes.rows.ravel(), state)
-            assert modes.k is cfg.grid.k
 
     @pytest.mark.parametrize("v", [[1.0, 0.0, 0.0, 0.0],
                                    [0.7, -0.3, 0.0, 1.9]],

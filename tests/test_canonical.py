@@ -198,7 +198,7 @@ class TestCanonicalSplit:
         mode = to_canonical(SCALAR, k, *random_amps(SCALAR, rng))
         rows = mode.rows.copy()
         rows[0, 2] += 0.3  # pi_1 of the plus branch
-        broken = CanonicalMode(field=SCALAR, k=k, rows=rows)
+        broken = CanonicalMode(field=SCALAR, rows=rows)
         with pytest.raises(CanonicalStructureError, match="collinear"):
             from_canonical(SCALAR, k, broken)
 
@@ -211,8 +211,7 @@ class TestCanonicalSplit:
         rows = mode.rows.copy()
         rows[1, row] = np.nan
         with pytest.raises(CanonicalStructureError):
-            from_canonical(SCALAR, k, CanonicalMode(field=SCALAR, k=k,
-                                                    rows=rows))
+            from_canonical(SCALAR, k, CanonicalMode(field=SCALAR, rows=rows))
 
     def test_gauge_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -389,7 +388,7 @@ class TestGradients:
         rng = np.random.default_rng(59)
         k = on_shell_k(rng.uniform(-1.0, 1.0, size=(4, 3)), field.kappa)
         rows = rng.normal(size=(4, 2, 5) + field.component_shape)
-        mode = CanonicalMode(field=field, k=k, rows=rows)
+        mode = CanonicalMode(field=field, rows=rows)
         sources = make_sources(field)
         budget = 2**20
         monkeypatch.setattr(canonical, "_PROBE_BYTES", budget)

@@ -60,8 +60,7 @@ class TestSpeciesConstants:
 
     def test_em_with_mass_term_rejected(self):
         with pytest.raises(ValueError, match="em.*b2"):
-            FieldSpec(kind="em", rank=1, a2=-1.0, b2=0.1, kappa=0.0,
-                      is_real=True)
+            FieldSpec(kind="em", rank=1, a2=-1.0, b2=0.1, kappa=0.0)
 
     def test_inconsistent_kappa_rejected(self):
         with pytest.raises(ValueError, match="inconsistent"):

@@ -113,7 +113,8 @@ class TestScenarioLoading:
     def test_build_grid_uses_field_mass(self):
         s = scenario_from_dict(free_scalar_dict())
         grid = s.build_grid()
-        assert grid.kappa == pytest.approx(s.field.kappa)
+        # every node sits on the field's mass shell k.k = kappa^2
+        assert np.allclose(minkowski_dot(grid.k, grid.k), s.field.kappa**2)
         assert len(grid) == 64
 
     def test_load_from_file_records_digest(self, tmp_path):
@@ -190,10 +191,11 @@ class TestScenarioLoading:
         data["grid"]["kmax"] = 1e308
         with pytest.raises(ScenarioError, match="^(grid|time): "):
             scenario_from_dict(data)
-        data = free_scalar_dict()
-        data["time"]["x0_end"] = -1.0
-        with pytest.raises(ScenarioError, match="x0_end"):
-            scenario_from_dict(data)
+        for x0_end in (-1.0, 0.0):  # before, and at, x0_start = 0
+            data = free_scalar_dict()
+            data["time"]["x0_end"] = x0_end
+            with pytest.raises(ScenarioError, match="^time: x0_end"):
+                scenario_from_dict(data)
 
     def test_unknown_section_rejected(self):
         data = free_scalar_dict()
@@ -463,6 +465,18 @@ class TestVerificationSuites:
         assert report.passed, [r.to_dict() for r in report.records
                                if r.status != "pass"]
 
+    def test_one_mode_grid_records_count_one_mode(self):
+        # a one-node cube gives a one-mode hamilton grid; every mode count
+        # in the records is the number of modes the check evaluated
+        data = json.loads((SCENARIOS / "free_scalar.json").read_text())
+        data["grid"] = {"kmax": 2.0, "n_per_axis": 1}
+        s = scenario_from_dict(data)
+        assert len(s.plan.hamilton_grid) == 1
+        report = run_verification(s, "hamilton", seed=0)
+        assert {r.name: r.metadata.get("modes") for r in report.records} == {
+            "hamilton/roundtrip": 1, "hamilton/gauge_invariance": None,
+            "hamilton/gradient_fd": 1, "hamilton/free_residual": 1}
+
     @pytest.mark.parametrize("fault, data, failing", [
         ("drifting_free_amplitudes", free_scalar_dict,
          {"hamilton/free_residual"}),
@@ -496,7 +510,10 @@ class TestVerificationSuites:
         names = {r.name for r in report.records}
         assert "hamilton/sourced_residual" in names
         assert "hamilton/integrator_order" in names
-        assert "hamilton_convergence" in report.tables
+        # the table rows are the step counts the order check evolved
+        order = {r.name: r for r in report.records}["hamilton/integrator_order"]
+        assert [row["steps"] for row in report.tables[
+            "hamilton_convergence"]] == order.metadata["steps"][:-1]
         assert report.passed, [r.to_dict() for r in report.records
                                if r.status != "pass"]
 
@@ -1126,6 +1143,7 @@ class TestBadSpeciesConstants:
     @pytest.mark.parametrize("section, blk", [
         ("field", {"kind": "tensor", "rank": 5, "a2": 1.0, "b2": 1.0}),
         ("field", {"kind": "tensor", "rank": 1, "a2": -1.0, "b2": 1.0}),
+        ("field", {"kind": "tensor", "rank": 1, "a2": 0.0, "b2": 1.0}),
         ("field", {"kind": "scalar", "s": 0.0}),
         ("field", {"kind": "em", "c": 0.0}),
         ("field", {"kind": "scalar", "m": -1.0}),
@@ -1151,9 +1169,9 @@ class TestBadSpeciesConstants:
         ("particles", [{"kind": "circular", "coupling": 1.0,
                         "position": [0, 0, 0], "radius": 1.0, "omega": 0.5,
                         "xi1": [1, 0, 0, 0]}]),
-    ], ids=["rank-5", "a2-negative", "scalar-s-0", "em-c-0", "scalar-m-neg",
-            "dirac-m-0", "over-mode-budget", "floor-above-every-node",
-            "kind-list", "b2-overflow",
+    ], ids=["rank-5", "a2-negative", "a2-zero", "scalar-s-0", "em-c-0",
+            "scalar-m-neg", "dirac-m-0", "over-mode-budget",
+            "floor-above-every-node", "kind-list", "b2-overflow",
             "kappa-squared-overflow", "V-string", "V-nested-list",
             "V-int-overflow", "V-bool", "unknown-tolerance",
             "infinite-tolerance", "tolerance-int-overflow",
@@ -1171,6 +1189,16 @@ class TestBadSpeciesConstants:
         err = capsys.readouterr().err
         assert f"invalid scenario: {where}: " in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("a2", [0.0, -1.0])
+    def test_tensor_needs_positive_a2(self, a2):
+        # a2 = 0 is the bound: past tensor_field's check, kappa^2 = b2 / a2
+        # fails another way, so only the message pins the bound
+        data = free_scalar_dict()
+        data["field"] = {"kind": "tensor", "rank": 1, "a2": a2, "b2": 1.0}
+        with pytest.raises(ScenarioError,
+                           match="^field: tensor species needs a2 > 0"):
+            scenario_from_dict(data)
 
     def test_validate_rejects_the_massless_zero_mode(self, tmp_path,
                                                      capsys):

@@ -153,8 +153,7 @@ def test_k0_bounds_overflow_to_inf():
 def _hand_built_grid(rng, n=40, kappa=0.8):
     """A grid whose k components are all distinct, built by hand."""
     k = on_shell_k(rng.uniform(-2.0, 2.0, size=(n, 3)), kappa)
-    return ModeGrid(k=k, weight=1.0 / (2.0 * k[:, 0]), kappa=kappa,
-                    kmax=2.0, n_per_axis=0, spacing=0.0)
+    return ModeGrid(k=k, weight=1.0 / (2.0 * k[:, 0]))
 
 
 PHASE_GRIDS = {
