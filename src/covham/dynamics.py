@@ -460,16 +460,17 @@ def _straight_line_mean(field, worldlines, grid, first, spacing, count,
     per slice.  g_j depends on k only through k0 and c, so it runs over
     the rows _mean_modes gives, _MODE_SLICE at a time: every mode, or for
     a static source each distinct k0 once, gathered by mode after the
-    loop.  Each switch-on rate is computed once.  One slice at t_ref
-    gives D = C(t_ref), (branches, N, *component_shape).
+    loop.  Each switch-on rate is computed once and scaled by g_j in
+    place: the first active source's array is the sum the later ones are
+    added to, so at most two coefficient arrays are held at a time.  One
+    slice at t_ref gives D = C(t_ref), (branches, N, *component_shape).
     """
     if not all(w.straight for w in worldlines):
         raise ValueError("closed-form amplitudes need static or uniform "
                          "worldlines")
     n = len(grid)
     expand = (n,) + (1,) * len(field.component_shape)
-    coeffs = np.zeros((len(field.branches), n) + field.component_shape,
-                      dtype=complex)
+    coeffs = None
     times = first + spacing * np.arange(count)
     for w in worldlines:
         start = w.switch_on_time()
@@ -494,8 +495,15 @@ def _straight_line_mean(field, worldlines, grid, first, spacing, count,
             mean[lo:lo + _MODE_SLICE] = total / (c * count)
         if index is not None:
             mean = mean[index]
-        for cf, rate, f in zip(coeffs, rates, with_conjugate(mean)):
-            cf += rate * f.reshape(expand)
+        for rate, f in zip(rates, with_conjugate(mean)):
+            rate *= f.reshape(expand)
+        if coeffs is None:
+            coeffs = rates
+        else:
+            coeffs += rates
+    if coeffs is None:
+        return np.zeros((len(field.branches), n) + field.component_shape,
+                        dtype=complex)
     return coeffs
 
 

@@ -423,8 +423,10 @@ def averaged_profile(field, worldlines, grid, points, center: float,
     argument, for no worldlines, an n_samples that is not an integer >= 1
     or a period that is not positive, and for a circular source.
 
-    One reconstruct_field call per point: batching 5-6 points on a 48^3
-    grid holds a (points, modes) complex phase, about 10 MB more peak.
+    The working set is the mean's coefficients plus one source's at a
+    time, each (branches, N, *component_shape): 7 MB for em on a 48^3
+    grid.  One reconstruct_field call per point: batching 5-6 points
+    there holds a (points, modes) complex phase, about 10 MB more peak.
     """
     if not worldlines:
         raise ValueError("worldlines must hold at least one source")

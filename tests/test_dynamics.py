@@ -972,6 +972,23 @@ class TestAveragedProfile:
                          period=2.0, n_samples=32)
         assert builds == [len(grid)]
 
+    @pytest.mark.parametrize("field", [EM, SCALAR], ids=["em", "scalar"])
+    def test_peak_is_under_three_coefficient_arrays(self, field):
+        # the mean's array plus one source's, scaled in place: no third
+        # array for a product or a zero accumulator
+        grid = build_mode_grid(kmax=4.0, n_per_axis=32, kappa=field.kappa)
+        grid.waves  # the cached phase tables are the grid's, not the call's
+        sources = [static_worldline([0.3, -0.2, 0.1], coupling=0.7)]
+        one = len(field.branches) * len(grid) * field.n_components * 16
+        tracemalloc.start()
+        try:
+            averaged_profile(field, sources, grid, PROFILE_POINTS[:1],
+                             center=5.0, period=2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.75 * one, peak / one
+
 
 def _per_sample_mean(field, worldlines, grid, first, spacing, count, t_ref,
                      fault=None):
@@ -1033,6 +1050,25 @@ class TestRotatedMean:
         for g, w in zip(dynamics._straight_line_mean(*args),
                         _per_sample_mean(*args)):
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
+
+    def test_repeated_call_is_identical(self):
+        # the rates are scaled in place, so each call must get fresh ones
+        sources = [_straight_source("static"), _late_source("uniform")]
+        grid = build_mode_grid(kmax=2.0, n_per_axis=4, kappa=1.0)
+        args = (SPINOR, sources, grid, *_uniform_samples(32), 5.0)
+        first = dynamics._straight_line_mean(*args)
+        assert np.array_equal(first, dynamics._straight_line_mean(*args))
+
+    @pytest.mark.parametrize("field", [EM, SPINOR], ids=["em", "spinor"])
+    def test_sources_after_the_last_sample_give_zeros(self, field):
+        sources = [_late_source("static"), _late_source("uniform")]
+        grid = build_mode_grid(kmax=2.0, n_per_axis=4, kappa=field.kappa)
+        args = (field, sources, grid, *_uniform_samples(4, center=3.0), 3.0)
+        got = dynamics._straight_line_mean(*args)
+        assert got.shape == ((len(field.branches), len(grid))
+                             + field.component_shape)
+        assert got.dtype == complex and got.flags.writeable
+        assert not np.any(got)
 
     @pytest.mark.parametrize("fault", ["one_short", "k0_sign"])
     def test_comparison_flags_faulty_rotation(self, fault):

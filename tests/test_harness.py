@@ -954,6 +954,17 @@ class TestGreenSuite:
         assert "green" not in {r.name.split("/")[0] for r in report.records}
         assert report.passed
 
+    def test_window_boundary_not_applicable(self):
+        # needed 4.0 + period 2 pi: the averaging window opens at needed
+        # exactly, which the rule still rejects
+        data = json.loads((SCENARIOS / "static_em_charge.json").read_text())
+        x0_end = 10.283185307179586
+        data["time"]["x0_end"] = x0_end
+        plan = scenario_from_dict(data).plan
+        assert plan.green_skip[0] == "green/window"
+        data["time"]["x0_end"] = float(np.nextafter(x0_end, np.inf))
+        assert scenario_from_dict(data).plan.green_skip is None
+
     @pytest.mark.parametrize("x0_end, second, latest", [
         (19.0, None, "15.84"),
         # a second charge 1 from the first: its images arrive 1 earlier
