@@ -434,9 +434,17 @@ def mode_hamiltonian_gradients(
     the module docstring).
     """
     k, x = np.asarray(k, dtype=float), np.asarray(x, dtype=float)
+    return _gradients(field, k, mode,
+                      _coupling_rows(field, k, x, worldlines, gauge), gauge)
+
+
+def _gradients(field: FieldSpec, k: np.ndarray, mode: CanonicalMode,
+               coupling: np.ndarray | None,
+               gauge: CanonicalGauge) -> CanonicalMode:
+    """mode_hamiltonian_gradients on coupling rows already built
+    (_coupling_rows; None when no source is active)."""
     c = _constants(field, gauge.z)
     grads = c.free_rows * mode.rows
-    coupling = _coupling_rows(field, k, x, worldlines, gauge)
     if coupling is not None:
         eps, k0, _ = _mode_scales(c, k)
         grads[c.q_at] -= c.q_sigma * coupling.imag / (2.0 * eps)
@@ -461,7 +469,8 @@ def gradient_consistency(
     """Max defect between analytic gradients of J and finite differences.
 
     minkowski.five_point differences in every stored phase-space
-    component, on coupling rows built once (no probe moves a source);
+    component, on coupling rows built once for the analytic gradients
+    and every probe (no probe moves a source);
     exact for the quadratic-plus-linear J up to roundoff.  J is
     evaluated once per block of entries, on the probes of those entries
     stacked, the blocks sized by _PROBE_BYTES; a probe moves its entry
@@ -472,9 +481,8 @@ def gradient_consistency(
     defect is scaled by its own 1 + max |gradient|; returns the largest.
     """
     k, x = np.asarray(k, dtype=float), np.asarray(x, dtype=float)
-    analytic = mode_hamiltonian_gradients(field, k, mode, x, worldlines,
-                                          gauge).rows
     coupling = _coupling_rows(field, k, x, worldlines, gauge)
+    analytic = _gradients(field, k, mode, coupling, gauge).rows
     signs = _constants(field, gauge.z).row_signs
     entries = tuple(range(-1 - signs.ndim, 0))  # one mode's axes
     n = len(field.branches) * signs.size

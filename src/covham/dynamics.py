@@ -99,7 +99,7 @@ still need the walk.  a_j, s_j and R_j depend on the source only
 source and also gives the mean over uniform slices of the coefficients
 carried to one reference slice t_ref by their free phase
 exp(mp i k0 (t - t_ref)):
-the time average verify.averaged_profile reconstructs once per point.
+the time average verify.averaged_profile reconstructs at its points.
 On uniform slices its phases turn by a fixed factor per slice, so it
 rotates them, _MODE_SLICE rows at a time, instead of re-evaluating them.
 The rows are the modes for a source that moves.  For a static one the
@@ -107,6 +107,15 @@ spatial terms of k.udot are exact zeros, so the mean is a function of k0
 alone: its rows are the grid's k0 table (ModeGrid.waves), about 1,800
 values for the 110,592 modes of a 48^3 grid, and the result is gathered
 by each mode's index into it, bit for bit what the per-mode rows give.
+
+reconstruct_field sums the modes at any points, one (N, points) phase
+block per call.  Points that share one slice t take _slice_profile
+instead: on a cube grid k = (k0, a_i, a_j, a_l) over the axis a, so with
+G_pm = w exp(mp i k0 t) C_pm the sum factors as G_pm contracted with
+exp(pm i a p_x), exp(pm i a p_y) and exp(pm i a p_z) axis by axis
+(_axis_sum): one BLAS product (P x n) @ (n x n^2 components) for the
+first axis and small batched ones for the other two, after one pass
+that scales the coefficients into G in place.
 """
 from __future__ import annotations
 
@@ -597,7 +606,8 @@ def evolve_amplitudes(
     times = np.linspace(x0_start, x0_end, steps + 1)
     out = np.zeros((1 if save == "last" else steps + 1, n_b, len(grid))
                    + field.component_shape, dtype=complex)
-    for b, init in enumerate((init_plus, init_minus)[:n_b]):
+    inits = (init_plus, init_minus)[:n_b]
+    for b, init in enumerate(inits):
         if init is not None:
             out[0, b] = init
 
@@ -607,8 +617,8 @@ def evolve_amplitudes(
     circular = [w for w in worldlines or [] if not w.straight]
     if circular:
         _walk_simpson(field, circular, grid, times, h, out)
-    elif save == "all":
-        out[1:] = out[0]
+    elif save == "all" and any(init is not None for init in inits):
+        out[1:] = out[0]  # np.zeros already zeroed the other slices
     for w in worldlines or []:
         if w.straight:
             _add_straight_simpson(field, w, grid, times, h, out)
@@ -642,6 +652,65 @@ def reconstruct_field(
                 for c, ph in zip(coeffs, with_conjugate(phase)))
     return field.field_value(total.reshape(x.shape[:-1]
                                           + coeffs[0].shape[1:]))
+
+
+def _slice_profile(field: FieldSpec, grid: ModeGrid, coeffs: np.ndarray,
+                   t: float, points: np.ndarray) -> np.ndarray:
+    """Field values at the points (t, p) of one slice, p in points (P, 3),
+    from the slice's coefficients (branches, N, *component_shape): what
+    reconstruct_field gives at each point, (P, *component_shape).
+
+    On a cube grid mode (i, j, l) has k = (k0, a_i, a_j, a_l), a the
+    axis, so the mode sum factors axis by axis:
+
+        value_pm(p) = sum_ijl G_pm[i, j, l] e^{pm i a_i p_x}
+                      e^{pm i a_j p_y} e^{pm i a_l p_z},
+        G_pm = w exp(mp i k0 t) C_pm,
+
+    the k0 factor read off the grid's k0 table.  It scales plus and minus
+    in place into G_pm, so coeffs is consumed; with every node kept the
+    modes are in build_mode_grid's C order and G is a reshape, else it
+    is scattered into a zero n^3 cube.  _axis_sum then contracts the first axis of every
+    point with one BLAS product and the other two with small batched
+    ones.  A grid with no cube (built by hand) takes one reconstruct_field
+    call per point and leaves coeffs as they are.  At one point
+    reconstruct_field is the faster of the two.
+    """
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    if grid._cube is None:
+        plus, minus = family_pair(coeffs)
+        return np.asarray([reconstruct_field(field, grid, plus, minus,
+                                             np.concatenate([[t], p]))
+                           for p in points])
+    axis, axis_index = grid._cube
+    n = len(axis)
+    values, index = grid.waves.tables[0]
+    scale = np.exp(-1j * t * values)[index]
+    scale *= grid.weight
+    expand = (len(grid),) + (1,) * len(field.component_shape)
+    # exp(+i a p) per spatial component, point and axis value: (3, P, n)
+    factors = np.exp(1j * points.T[:, :, None] * axis)
+    total = 0.0
+    for c, f, fac in zip(coeffs, with_conjugate(scale),
+                         with_conjugate(factors)):
+        c *= f.reshape(expand)
+        if len(grid) != n**3:
+            full = np.zeros((n**3,) + c.shape[1:], dtype=complex)
+            full[np.ravel_multi_index(axis_index, (n,) * 3)] = c
+            c = full
+        total = total + _axis_sum(c.reshape((n,) * 3 + (-1,)), fac)
+    return field.field_value(total.reshape((len(points),)
+                                           + field.component_shape))
+
+
+def _axis_sum(cube: np.ndarray, factors) -> np.ndarray:
+    """sum_ijl cube[i, j, l] fx[p, i] fy[p, j] fz[p, l] for each point p:
+    cube (n, n, n, m), factors (fx, fy, fz) each (P, n); result (P, m)."""
+    fx, fy, fz = factors
+    n = len(cube)
+    part = (fx @ cube.reshape(n, -1)).reshape(len(fx), n, -1)
+    part = (fy[:, None, :] @ part).reshape(len(fx), n, -1)
+    return (fz[:, None, :] @ part)[:, 0]
 
 
 def mode_equation_residual(

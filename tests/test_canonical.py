@@ -308,9 +308,10 @@ class TestGradients:
         defect = gradient_consistency(field, k, mode, x, make_sources(field))
         assert defect < 1e-9
 
-    def test_coupling_rows_built_once(self, monkeypatch):
-        # one source walk for the analytic gradients, one for all 160
-        # stencil probes of the rank-1 field
+    @pytest.mark.parametrize("calls", [1, 3])
+    def test_coupling_rows_built_once(self, monkeypatch, calls):
+        # one source walk per call serves the analytic gradients and all
+        # 160 stencil probes of the rank-1 field
         walks = []
         walk = canonical.source_terms
 
@@ -323,8 +324,9 @@ class TestGradients:
         k = species_k(VECTOR)
         x = np.array([1.2, 0.3, -0.4, 0.2])
         mode = canonical_at_point(VECTOR, k, *random_amps(VECTOR, rng), x)
-        gradient_consistency(VECTOR, k, mode, x, make_sources(VECTOR))
-        assert len(walks) == 2
+        for _ in range(calls):
+            gradient_consistency(VECTOR, k, mode, x, make_sources(VECTOR))
+        assert len(walks) == calls
 
     @pytest.mark.parametrize("source", ["circular", "static"])
     @pytest.mark.parametrize("field", [SCALAR, VECTOR, RANK2, EM, SPINOR],
@@ -545,13 +547,15 @@ class TestStackedModes:
         # an offset of 1e-6 on every analytic gradient reads 1e-6 / (1 +
         # max |gradient|) per mode, so the small mode sets the worst
         # value; scaled by its 1e3-sized neighbour it would shrink
-        original = canonical.mode_hamiltonian_gradients
+        # the analytic gradients of mode_hamiltonian_gradients and of
+        # gradient_consistency, on coupling rows built once
+        original = canonical._gradients
 
         def offset(*args, **kwargs):
             grads = original(*args, **kwargs)
             return replace(grads, rows=grads.rows + 1e-6)
 
-        monkeypatch.setattr(canonical, "mode_hamiltonian_gradients", offset)
+        monkeypatch.setattr(canonical, "_gradients", offset)
         rng = np.random.default_rng(47)
         big, small = random_amps(VECTOR, rng), random_amps(VECTOR, rng)
         ap, am = (np.stack([1e3 * b, s]) for b, s in zip(big, small))

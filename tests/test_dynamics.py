@@ -25,7 +25,7 @@ from covham.fields import (
 )
 from covham.minkowski import (FIVE_POINT_OFFSETS, five_point,
                               minkowski_dot, on_shell_k)
-from covham.modes import PlaneWaves, build_mode_grid
+from covham.modes import ModeGrid, PlaneWaves, build_mode_grid
 from covham.verify import averaged_profile
 from covham.worldlines import (
     circular_worldline,
@@ -204,6 +204,19 @@ class TestEvolve:
                                   init_plus=part1.final_plus,
                                   init_minus=part1.final_minus, save="last")
         assert np.allclose(part2.final_plus, full.final_plus, rtol=1e-13)
+
+    @pytest.mark.parametrize("field", [SCALAR, EM], ids=["scalar", "em"])
+    def test_no_initial_values_equal_explicit_zeros(self, field):
+        # the history starts zeroed, so no initial slice is copied in
+        w = static_worldline([0.2, -0.1, 0.4], coupling=1.3, t_start=0.5)
+        grid = build_mode_grid(kmax=1.0, n_per_axis=3, kappa=field.kappa)
+        zeros = np.zeros((len(grid),) + field.component_shape, dtype=complex)
+        inits = dict(zip(("init_plus", "init_minus"),
+                         [zeros] * len(field.branches)))
+        bare = evolve_amplitudes(field, [w], grid, 0.0, 2.0, steps=20)
+        zeroed = evolve_amplitudes(field, [w], grid, 0.0, 2.0, steps=20,
+                                   **inits)
+        assert np.array_equal(bare.coeffs, zeroed.coeffs)
 
     def test_input_validation(self):
         grid = build_mode_grid(kmax=1.0, n_per_axis=1, kappa=1.0)
@@ -922,8 +935,9 @@ class TestAveragedProfile:
     def test_work_is_per_source_and_per_point(self, monkeypatch, n_samples):
         # one switch-on rate per source, on the grid's cached phase
         # tables: never the public source_rate, which builds its own
+        # and one axis sum for every point of the cube grid
         calls = _count_calls(monkeypatch, ("_node_rates", "_window_sums",
-                                           "source_rate",
+                                           "source_rate", "_slice_profile",
                                            "reconstruct_field"),
                              (dynamics, verify))
         sources = [_straight_source("static"), _late_source("uniform")]
@@ -933,7 +947,8 @@ class TestAveragedProfile:
         assert calls == {"_node_rates": len(sources),
                          "_window_sums": len(sources),
                          "source_rate": 0,
-                         "reconstruct_field": len(PROFILE_POINTS)}
+                         "_slice_profile": 1,
+                         "reconstruct_field": 0}
 
     @pytest.mark.parametrize("bad, name", [
         ({"n_samples": 0}, "n_samples"),
@@ -988,6 +1003,82 @@ class TestAveragedProfile:
         finally:
             tracemalloc.stop()
         assert peak < 2.75 * one, peak / one
+
+
+SLICE_FIELDS = FIELDS | {"rank2": tensor_field(rank=2, a2=1.0, b2=0.81)}
+# (n_per_axis, massive): the odd massless cube drops its k = 0 node
+SLICE_GRIDS = {"even_massive": (4, True), "even_massless": (4, False),
+               "odd_massless": (5, False)}
+SLICE_POINTS = np.array([[0.3, -0.7, 1.1], [1.2, 0.4, -0.5],
+                         [-0.9, 1.3, 0.2], [0.6, 0.6, -1.4],
+                         [-0.2, -1.1, 0.8], [1.5, -0.3, 0.35]])
+
+
+def _slice_case(name, grid_name, seed=41):
+    """A field, its cube grid and random slice coefficients (branches, N,
+    *component_shape)."""
+    field = SLICE_FIELDS[name]
+    n, massive = SLICE_GRIDS[grid_name]
+    grid = build_mode_grid(kmax=2.0, n_per_axis=n,
+                           kappa=field.kappa if massive else 0.0)
+    rng = np.random.default_rng(seed)
+    shape = (len(field.branches), len(grid)) + field.component_shape
+    return field, grid, rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _per_point_profile(field, grid, coeffs, t, points):
+    """Reference: one reconstruct_field call per point of the slice."""
+    plus, minus = family_pair(coeffs)
+    return np.asarray([reconstruct_field(field, grid, plus, minus,
+                                         np.concatenate([[t], p]))
+                       for p in points])
+
+
+class TestSliceProfile:
+    @pytest.mark.parametrize("count", [1, 6])
+    @pytest.mark.parametrize("grid_name", sorted(SLICE_GRIDS))
+    @pytest.mark.parametrize("name", sorted(SLICE_FIELDS))
+    def test_matches_per_point_reconstruction(self, name, grid_name, count):
+        field, grid, coeffs = _slice_case(name, grid_name)
+        if grid_name == "odd_massless":
+            assert len(grid) == 5**3 - 1
+        points = SLICE_POINTS[:count]
+        want = _per_point_profile(field, grid, coeffs, 0.7, points)
+        got = dynamics._slice_profile(field, grid, coeffs, 0.7, points)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        _assert_rel_close(got, want, rtol=1e-13)
+
+    @pytest.mark.parametrize("name", ["scalar", "em"])
+    def test_nan_coefficient_reaches_every_point(self, name):
+        field, grid, coeffs = _slice_case(name, "even_massive")
+        coeffs[(0, 17) + (0,) * len(field.component_shape)] = np.nan
+        got = dynamics._slice_profile(field, grid, coeffs, 0.7, SLICE_POINTS)
+        # the profile's value is the scalar itself or em's A_0
+        assert np.all(np.isnan(got if name == "scalar" else got[:, 0]))
+
+    def test_swapped_axes_are_seen(self, monkeypatch):
+        # negative control: the points lie off the axes, so summing x with
+        # y's factors moves the values far past the comparison's 1e-13
+        field, grid, coeffs = _slice_case("vector", "even_massive")
+        want = _per_point_profile(field, grid, coeffs, 0.7, SLICE_POINTS)
+        original = dynamics._axis_sum
+
+        def swapped(cube, factors):
+            fx, fy, fz = factors
+            return original(cube, (fy, fx, fz))
+
+        monkeypatch.setattr(dynamics, "_axis_sum", swapped)
+        got = dynamics._slice_profile(field, grid, coeffs, 0.7, SLICE_POINTS)
+        assert np.max(np.abs(got - want)) >= 1e-3 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("name", ["scalar", "em"])
+    def test_hand_built_grid_takes_per_point_values(self, name):
+        field, cube, coeffs = _slice_case(name, "even_massive")
+        grid = ModeGrid(k=cube.k, weight=cube.weight)
+        assert grid._cube is None
+        want = _per_point_profile(field, grid, coeffs, 0.7, SLICE_POINTS)
+        got = dynamics._slice_profile(field, grid, coeffs, 0.7, SLICE_POINTS)
+        assert np.array_equal(got, want)
 
 
 def _per_sample_mean(field, worldlines, grid, first, spacing, count, t_ref,

@@ -543,7 +543,9 @@ class TestVerificationSuites:
                     if r.name == "hamilton/gradient_fd"][0]
 
         assert gradient_fd().status == "pass"
-        original = canonical.mode_hamiltonian_gradients
+        # the analytic gradients of mode_hamiltonian_gradients and of
+        # gradient_consistency, on coupling rows built once
+        original = canonical._gradients
 
         def scaled(*args, **kwargs):
             grads = original(*args, **kwargs)
@@ -551,7 +553,7 @@ class TestVerificationSuites:
             out.q[...] *= 1.0 + 1e-3  # q is the row-0 view of rows
             return out
 
-        monkeypatch.setattr(canonical, "mode_hamiltonian_gradients", scaled)
+        monkeypatch.setattr(canonical, "_gradients", scaled)
         assert gradient_fd().status == "fail"
 
     def test_simulate_suite_two_sources(self):
@@ -930,6 +932,32 @@ class TestGreenSuite:
                 else {"green/yukawa_direct", "green/yukawa_ratio"})
         assert {r.name for r in report.records
                 if r.status == "fail"} == want
+
+    @pytest.mark.parametrize("kind", ["scalar", "em"])
+    def test_nan_coefficient_fails_every_record(self, kind, monkeypatch):
+        # one NaN among the mean's coefficients reaches every radius
+        # through the axis sum, and a NaN error fails each record
+        data = sourced_scalar_dict()
+        if kind == "em":
+            data["field"] = {"kind": "em", "c": 1.0}
+        data["grid"] = {"kmax": 8.0, "n_per_axis": 48}
+        data["time"] = {"x0_start": 0.0, "x0_end": 15.2, "steps": 64}
+        s = scenario_from_dict(data)
+        assert run_verification(s, "green", seed=0).passed
+        original = verify._straight_line_mean
+
+        def poisoned(*args):
+            coeffs = original(*args)
+            coeffs.reshape(-1)[0] = np.nan  # mode 0, branch 0, component 0
+            return coeffs
+
+        monkeypatch.setattr(verify, "_straight_line_mean", poisoned)
+        report = run_verification(s, "green", seed=0)
+        assert all(np.isnan(row["reconstructed"])
+                   for row in report.tables["green_profile"])
+        want = ({"green/coulomb"} if kind == "em"
+                else {"green/yukawa_direct", "green/yukawa_ratio"})
+        assert {r.name for r in report.records if r.status == "fail"} == want
 
     def test_uncovered_species_not_applicable(self):
         s = scenario_from_dict(dirac_dict())
