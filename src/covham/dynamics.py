@@ -562,12 +562,25 @@ class AmplitudeHistory:
 
     def spacing(self) -> float:
         """Uniform sample spacing; raises if sampling is not uniform."""
-        if len(self.x0) < 2:
-            raise ValueError("history has no spacing with fewer than 2 samples")
-        h = np.diff(self.x0)
-        if not np.allclose(h, h[0], rtol=1e-9, atol=1e-12):
-            raise ValueError("history is not uniformly sampled")
-        return float(h[0])
+        return uniform_spacing(self.x0)
+
+
+def uniform_spacing(x0: np.ndarray) -> float:
+    """The step of the times x0 (S,) if every step matches the first to
+    1e-9 of it (far from x0 = 0 they round unequal); else ValueError."""
+    if len(x0) < 2:
+        raise ValueError("history has no spacing with fewer than 2 samples")
+    h = np.diff(x0)
+    if not np.allclose(h, h[0], rtol=1e-9, atol=1e-12):
+        raise ValueError("history is not uniformly sampled")
+    return float(h[0])
+
+
+def sample_times(x0_start: float, x0_end: float, steps: int) -> np.ndarray:
+    """The steps + 1 panel boundaries evolve_amplitudes samples."""
+    if x0_end <= x0_start:
+        raise ValueError("x0_end must exceed x0_start")
+    return np.linspace(x0_start, x0_end, steps + 1)
 
 
 def evolve_amplitudes(
@@ -598,12 +611,10 @@ def evolve_amplitudes(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if x0_end <= x0_start:
-        raise ValueError("x0_end must exceed x0_start")
     if save not in ("all", "last"):
         raise ValueError("save must be 'all' or 'last'")
     n_b = len(field.branches)
-    times = np.linspace(x0_start, x0_end, steps + 1)
+    times = sample_times(x0_start, x0_end, steps)
     out = np.zeros((1 if save == "last" else steps + 1, n_b, len(grid))
                    + field.component_shape, dtype=complex)
     inits = (init_plus, init_minus)[:n_b]

@@ -147,9 +147,9 @@ class ModeGrid:
     weight has shape (N,), the invariant weights d^3k / (8 pi^3 2 k0)
     (1 / (L^3 2 k0) on a box); kappa and the build parameters are not
     kept.  Instances are produced by build_mode_grid; building one by
-    hand is fine as long as k is on shell.  waves, the
-    grid's PlaneWaves, builds its per-component phase tables on first
-    use and keeps them: k must not change after that.  _cube is the
+    hand is fine, with k on shell (reconstruct_field sums any k).  waves,
+    the grid's PlaneWaves, builds its per-component phase tables on
+    first use and keeps them: k must not change after that.  _cube is the
     (axis, axis_index) build_mode_grid leaves for them (None otherwise).
     """
 

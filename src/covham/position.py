@@ -19,10 +19,12 @@ carry no pointwise value; densities here are the field parts, valid
 away from the particles.  The momentum-representation machinery in
 canonical.py handles the sourced dynamics.
 
-polymomentum and dw_density take any leading point axes, so
-parseval_check evaluates every lattice point of every slice in one
-reconstruct_field call.  plane_wave's sampler takes them too, so
-position_hamilton_residual samples all 16 stencil points in one call.
+polymomentum and dw_density take any leading point axes.  Both checks
+read the field through reconstruct_field, the program's own mode sum:
+parseval_check samples every lattice point of every slice in one call,
+and position_hamilton_residual samples x in one and all 16 stencil
+points in another, on any grid (a hand-built one-node grid is a single
+plane wave, on shell or not).
 """
 from __future__ import annotations
 
@@ -31,10 +33,10 @@ import numpy as np
 from .dirac import GAMMA, dirac_adjoint
 from .dynamics import reconstruct_field
 from .errors import ScenarioError
-from .fields import FieldSpec, with_conjugate
+from .fields import FieldSpec, family_pair, with_conjugate
 from .minkowski import (FIVE_POINT_OFFSETS, METRIC_DIAG, five_point,
-                        lower_index, minkowski_dot)
-from .modes import box_mode_grid
+                        lower_index)
+from .modes import ModeGrid, box_mode_grid
 
 
 def polymomentum(field: FieldSpec, deriv: np.ndarray | None,
@@ -98,50 +100,34 @@ def dw_density(field: FieldSpec, value: np.ndarray, theta: np.ndarray,
     return float(density) if not lead else density
 
 
-def plane_wave(field: FieldSpec, k: np.ndarray, coeff_plus,
-               coeff_minus=None):
-    """Sampler x -> (value, theta) for a single plane-wave mode.
-
-    Complex species: T = C+ exp(-i k.x) + C- exp(+i k.x); em (coeff_minus
-    None) builds the real field C exp(-i k.x) + c.c.; spinor uses both
-    families with the constraint momentum.  k need not be on shell,
-    which makes off-shell waves available as negative controls.  Points
-    x (..., 4) may be stacked; value and theta gain their leading axes.
-    """
-    k = np.asarray(k, dtype=float)
-    k_low = lower_index(k)
-    comp = field.component_shape
-    coeffs = [np.asarray(c, dtype=complex)
-              for c in field.families(coeff_plus, coeff_minus, "coefficient")]
-    for name, c in zip(field.branches, coeffs):
-        if c.shape != comp:
-            raise ValueError(f"coeff_{name} shape {c.shape}, expected {comp}")
-
-    comp_ones = (1,) * len(comp)
-    k_col = k_low.reshape((4,) + comp_ones)
-
-    def sampler(x):
-        phase = np.exp(-1j * minkowski_dot(k, np.asarray(x, dtype=float)))
-        phase = np.reshape(phase, phase.shape + comp_ones)
-        pairs = list(zip(coeffs, with_conjugate(phase)))
-        value = field.field_value(sum(c * ph for c, ph in pairs)) + 0.0j
-        # d_mu exp(mp i k.x) = mp i k_mu exp(mp i k.x)
-        deriv = field.field_value(sum(
-            sign * k_col * c * np.expand_dims(ph, -1 - len(comp))
-            for sign, (c, ph) in zip((-1j, 1j), pairs))) + 0.0j
-        theta = polymomentum(field, deriv, value)
-        return value, theta
-
-    return sampler
+def _value_theta(field: FieldSpec, grid: ModeGrid, coeff_plus, coeff_minus,
+                 x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(value, theta) at the points x (..., 4) of the mode sum of
+    coeff_plus / coeff_minus (N,) + component_shape (minus None for em)
+    on grid, in one reconstruct_field call."""
+    # per mode and family: the value row and the four d_mu rows,
+    # d_mu e^{-ik.x} = -i k_mu e^{-ik.x} (conjugated for minus)
+    n, comp = len(grid), field.component_shape
+    rows = np.concatenate([np.ones((n, 1)), -1j * lower_index(grid.k)],
+                          axis=1).reshape((n, 5) + (1,) * len(comp))
+    coeffs = [r * np.asarray(c)[:, None] for r, c in zip(
+        with_conjugate(rows),
+        field.families(coeff_plus, coeff_minus, "coefficient"))]
+    sampled = reconstruct_field(field, grid, *family_pair(coeffs), x)
+    points = (slice(None),) * (np.ndim(x) - 1)
+    value, deriv = sampled[points + (0,)], sampled[points + (slice(1, None),)]
+    return value, polymomentum(field, deriv, value)
 
 
-def position_hamilton_residual(field: FieldSpec, sampler, x: np.ndarray,
+def position_hamilton_residual(field: FieldSpec, grid: ModeGrid, coeff_plus,
+                               coeff_minus, x: np.ndarray,
                                h: float = 1e-3) -> tuple[float, float]:
     """Defects of the position-space Hamilton equations at x.
 
-    sampler(x) -> (value, theta) takes stacked points, as plane_wave's
-    does: one call at x, one on all 16 stencil points.  For the
-    second-order species:
+    The field is the mode sum of coeff_plus / coeff_minus (N,) +
+    component_shape (minus None for em) on grid, sampled by
+    reconstruct_field: one call at x, one on all 16 stencil points.  For
+    the second-order species:
 
         r1 = max |d_mu value - dH/dtheta^mu| / (1 + max |dH/dtheta|)
         r2 = max |d^mu theta_mu + dH/dvalue| / (|a2| (1 + max |value|))
@@ -152,30 +138,26 @@ def position_hamilton_residual(field: FieldSpec, sampler, x: np.ndarray,
     make r2 grow like |k.k - kappa^2|, so the check detects wrong
     dynamics rather than merely measuring stencil noise.
     """
-    x = np.asarray(x, dtype=float)
-    value0, theta0 = (np.asarray(v, dtype=complex) for v in sampler(x))
+    value0, theta0 = _value_theta(field, grid, coeff_plus, coeff_minus, x)
     # points[o, mu]: x shifted by o h along axis mu
     points = x + h * FIVE_POINT_OFFSETS[:, None, None] * np.eye(4)
     # d_mu value and d_mu theta_nu, mu leading
-    dvalue, dtheta = (five_point(np.asarray(v, dtype=complex), h)
-                      for v in sampler(points))
+    dvalue, dtheta = (five_point(v, h) for v in _value_theta(
+        field, grid, coeff_plus, coeff_minus, points))
     div_theta = np.einsum("m,mm...->...", METRIC_DIAG, dtheta)
 
-    scale_v = float(np.max(np.abs(value0)))
+    norm = abs(field.a2) * (1.0 + float(np.max(np.abs(value0))))
     if field.kind == "spinor":
         gap = theta0 - polymomentum(field, None, value0)
-        r1 = float(np.max(np.abs(gap))) / (abs(field.a2) * (1.0 + scale_v))
         slash_d = np.einsum("mab,mb->a", GAMMA, dvalue)
         defect = 1j * field.a2 * slash_d - field.b2 * value0
-        r2 = float(np.max(np.abs(defect))) / (abs(field.a2)
-                                              * (1.0 + scale_v))
-        return r1, r2
+        return (float(np.max(np.abs(gap))) / norm,
+                float(np.max(np.abs(defect))) / norm)
     rhs1 = np.conj(theta0) / (field.real_factor * field.a2)
     defect2 = div_theta + field.b2 * np.conj(value0)
     r1 = float(np.max(np.abs(dvalue - rhs1))) / (
         1.0 + float(np.max(np.abs(rhs1))))
-    r2 = float(np.max(np.abs(defect2))) / (abs(field.a2) * (1.0 + scale_v))
-    return r1, r2
+    return r1, float(np.max(np.abs(defect2))) / norm
 
 
 def parseval_check(field: FieldSpec, box_length: float, entries,
@@ -202,22 +184,19 @@ def parseval_check(field: FieldSpec, box_length: float, entries,
     n_list = []
     for n, _, _ in entries:
         trip = tuple(int(v) for v in np.asarray(n).tolist())
+        neg = tuple(-v for v in trip)
         if np.any(np.asarray(n, dtype=float) != np.asarray(trip, dtype=float)):
             raise ScenarioError(f"box mode {n} is not commensurate")
         if trip == (0, 0, 0):
             raise ScenarioError(
                 "the k=0 box mode breaks the cross-term cancellation")
-        n_list.append(trip)
-    seen = set()
-    for trip in n_list:
-        if trip in seen:
+        if trip in n_list:
             raise ScenarioError(f"duplicate box mode {trip}")
-        neg = (-trip[0], -trip[1], -trip[2])
-        if neg in seen:
+        if neg in n_list:
             raise ScenarioError(
                 f"box modes {trip} and {neg} are spatial opposites; "
                 "their cross terms do not integrate to zero")
-        seen.add(trip)
+        n_list.append(trip)
     grid = box_mode_grid(box_length, n_list, field.kappa)
 
     comp = field.component_shape
@@ -242,18 +221,10 @@ def parseval_check(field: FieldSpec, box_length: float, entries,
     t_samples = x0_span[0] + (np.arange(n_t) + 0.5) * (span / n_t)
     dt = span / n_t
 
-    # per mode and family: the value row and the four d_mu rows,
-    # d_mu e^{-ik.x} = -i k_mu e^{-ik.x} (conjugated for minus)
-    n = len(grid)
-    rows = np.concatenate([np.ones((n, 1)), -1j * lower_index(grid.k)],
-                          axis=1).reshape((n, 5) + (1,) * len(comp))
-    coeffs = [r * c[:, None] for r, c in zip(with_conjugate(rows),
-                                             (c_plus, c_minus))]
     points = np.stack(np.meshgrid(t_samples, axis, axis, axis,
                                   indexing="ij"), axis=-1).reshape(-1, 4)
-    sampled = reconstruct_field(field, grid, *coeffs, points)
-    density = dw_density(field, sampled[:, 0],
-                         polymomentum(field, sampled[:, 1:]))
+    density = dw_density(field, *_value_theta(field, grid, c_plus, c_minus,
+                                              points))
     lhs = float(np.sum(density)) * cell * dt
 
     if rhs == 0.0:

@@ -28,6 +28,7 @@ import numpy as np
 from .brackets import MAX_STATE_SIZE
 from .canonical import CanonicalGauge
 from .dirac import DiracCoupling
+from .dynamics import sample_times, uniform_spacing
 from .errors import ScenarioError, ZeroModeError
 from .fields import FieldSpec, em_field, scalar_field, spinor_field, tensor_field
 from .modes import (DEFAULT_MODE_BUDGET, STENCIL_K0H, STEP_BUDGET, ModeGrid,
@@ -471,23 +472,39 @@ def scenario_from_dict(data: dict, sha256: str = "") -> Scenario:
         plan = s.plan
     except ZeroModeError as exc:  # 1e-6 kmax, the capped floor, is 0
         raise ScenarioError(f"grid: {exc}") from exc
-    # steps_fd >= steps; the fixed counts are far below the budget
-    for suite, need in (("simulate", plan.steps_fd),
-                        ("hamilton", plan.hamilton_steps or 0)):
-        _require(need <= STEP_BUDGET, "time", f"the {suite} suite needs "
-                 f"{need:.6g} steps over the window, above the budget of "
+    # every suite window keeps to the step budget and, far from x0 = 0,
+    # to equal steps; a moved hamilton window is the particles' fault
+    start = plan.hamilton_start
+    for where, suite, a, b, steps in (
+            ("time", "simulate", s.x0_start, s.x0_end, plan.steps),
+            ("time", "simulate", s.x0_start, s.x0_end, plan.steps_fd),
+            ("time" if start == s.x0_start else "particles", "hamilton",
+             start, start + plan.hamilton_span, plan.hamilton_steps)):
+        if steps is None:  # no source: no sourced hamilton window
+            continue
+        _require(steps <= STEP_BUDGET, "time", f"the {suite} suite needs "
+                 f"{steps:.6g} steps over the window, above the budget of "
                  f"{STEP_BUDGET}")
+        try:
+            uniform_spacing(sample_times(a, b, steps))
+        except ValueError as exc:
+            raise ScenarioError(f"{where}: the {suite} suite's {steps} steps "
+                                f"over [{a:.10g}, {b:.10g}] are too far from "
+                                f"x0 = 0 to stay equal: {exc}") from exc
     return s
 
 
 def load_scenario(path) -> Scenario:
     """Read, parse, and validate one scenario file."""
     path = Path(path)
-    if not path.is_file():
-        raise ScenarioError(f"{path}: no such scenario file")
-    raw = path.read_bytes()
     try:
+        if not path.is_file():
+            raise ScenarioError(f"{path}: no such scenario file")
+        raw = path.read_bytes()
         data = json.loads(raw.decode("utf-8"))
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        # unreadable, not UTF-8, or nested past the parser's depth
+        raise ScenarioError(f"{path}: cannot read the file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"{path}: parse error at line {exc.lineno} column "

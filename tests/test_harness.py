@@ -1131,6 +1131,67 @@ class TestCli:
             assert main(["validate", str(path)]) == 0, path.name
         capsys.readouterr()
 
+    @pytest.mark.parametrize("kind", ["non_utf8", "deep_nesting",
+                                      "permission"])
+    def test_unreadable_file_is_an_invalid_scenario(self, kind, tmp_path,
+                                                    capsys, monkeypatch):
+        path = tmp_path / "scenario.json"
+        if kind == "non_utf8":
+            path.write_bytes(b'\xff\xfe{"field": 1}')
+        elif kind == "deep_nesting":
+            path.write_text("[" * 100_000 + "]" * 100_000)
+        else:
+            path.write_text(json.dumps(free_scalar_dict()))
+
+            def denied(self):
+                raise PermissionError(13, "Permission denied", str(self))
+
+            # a root test run reads any file: deny the read itself
+            monkeypatch.setattr(Path, "read_bytes", denied)
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid scenario: {path}: ")
+        assert "Traceback" not in err
+
+    # the source's switch-on, or the window and its source together,
+    # moved a decade at a time away from x0 = 0
+    @pytest.mark.parametrize("name", ["static_scalar_source",
+                                      "static_em_charge"])
+    @pytest.mark.parametrize("move, decade", [
+        *(("switch_on", d) for d in range(1, 21)),
+        *(("translate", d) for d in range(1, 8))])
+    def test_far_window_is_rejected_or_runs_clean(self, name, move, decade,
+                                                  tmp_path, capsys):
+        data = json.loads((SCENARIOS / f"{name}.json").read_text())
+        offset = 10.0**decade
+        data["particles"][0]["t_start"] = offset
+        if move == "translate":
+            data["time"]["x0_start"] += offset
+            data["time"]["x0_end"] += offset
+        path = self.write(tmp_path, data)
+        if main(["validate", path]) == 1:
+            # a window moved to the switch-on is the particles' fault
+            section = "particles" if move == "switch_on" else "time"
+            assert re.match(f"invalid scenario: {section}: the "
+                            "(hamilton|simulate) suite's",
+                            capsys.readouterr().err)
+            return
+        out = tmp_path / "out"
+        main(["run", path, "--suite", "all", "--out", str(out)])
+        records = json.loads((out / "report.json").read_text())["records"]
+        assert not [r["name"] for r in records
+                    if r["name"].endswith("/error")]
+
+    def test_overflowing_switch_on_is_rejected(self, tmp_path, capsys):
+        # tau_on 1e308 at beta 0.9: the switch-on time overflows to inf
+        data = sourced_scalar_dict()
+        data["particles"][0] = {"kind": "uniform", "coupling": 1.0,
+                                "position": [0.0, 0.0, 0.0],
+                                "beta": [0.9, 0.0, 0.0], "tau_on": 1e308}
+        assert main(["validate", self.write(tmp_path, data)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "invalid scenario: particles: the hamilton suite's")
+
 
 class TestNonFinite:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400],

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from covham.dirac import GAMMA, shell_projector
+from covham import dynamics, position
+from covham.dirac import shell_projector
 from covham.errors import ScenarioError
 from covham.fields import em_field, scalar_field, spinor_field, tensor_field
 from covham.minkowski import METRIC_DIAG, on_shell_k
+from covham.modes import ModeGrid, box_mode_grid
 from covham.position import (
+    _value_theta,
     dw_density,
     parseval_check,
-    plane_wave,
     polymomentum,
     position_hamilton_residual,
 )
@@ -23,12 +25,24 @@ VECTOR = tensor_field(rank=1, a2=1.0, b2=2.25)
 X = np.array([0.6, 0.2, -0.8, 0.4])
 
 
+def one_node(k) -> ModeGrid:
+    """A single plane wave: a hand-built grid of one node k (on shell
+    or not) with weight 1."""
+    return ModeGrid(k=np.asarray(k, dtype=float)[None], weight=np.ones(1))
+
+
+def wave(*coeffs):
+    """One node's coefficients, (1,) + component_shape; None stays."""
+    return [None if c is None else np.asarray(c, dtype=complex)[None]
+            for c in coeffs]
+
+
 class TestDensity:
     def test_scalar_plane_wave_frozen_value(self):
         # on shell: theta*.theta / a2 = b2 |phi|^2, so H = 2 b2 |phi|^2
         k = on_shell_k([0.3, -0.4, 0.5], 1.0)
-        sampler = plane_wave(SCALAR, k, 1.0 + 0.0j, 0.0j)
-        value, theta = sampler(X)
+        value, theta = _value_theta(SCALAR, one_node(k),
+                                    *wave(1.0 + 0.0j, 0.0j), X)
         assert dw_density(SCALAR, value, theta) == pytest.approx(2.0,
                                                                  rel=1e-13)
 
@@ -42,7 +56,7 @@ class TestDensity:
         rng = np.random.default_rng(2)
         k = on_shell_k([1.0, -0.5, 0.25], 0.0)
         c = rng.normal(size=4) + 1j * rng.normal(size=4)
-        value, theta = plane_wave(EM, k, c)(X)
+        value, theta = _value_theta(EM, one_node(k), *wave(c, None), X)
         deriv = theta / (2.0 * EM.a2)
         signs = np.multiply.outer(np.asarray(METRIC_DIAG, float),
                                   np.asarray(METRIC_DIAG, float))
@@ -110,8 +124,8 @@ class TestDensity:
 class TestPositionHamilton:
     def test_free_scalar_on_shell(self):
         k = on_shell_k([0.3, -0.4, 0.5], 1.0)
-        sampler = plane_wave(SCALAR, k, 0.7 - 0.2j, 0.1 + 0.4j)
-        r1, r2 = position_hamilton_residual(SCALAR, sampler, X)
+        r1, r2 = position_hamilton_residual(
+            SCALAR, one_node(k), *wave(0.7 - 0.2j, 0.1 + 0.4j), X)
         assert r1 < 1e-8
         assert r2 < 1e-8
 
@@ -120,8 +134,8 @@ class TestPositionHamilton:
         k = on_shell_k([0.5, 0.1, -0.3], 1.5)
         cp = rng.normal(size=4) + 1j * rng.normal(size=4)
         cm = rng.normal(size=4) + 1j * rng.normal(size=4)
-        sampler = plane_wave(VECTOR, k, cp, cm)
-        r1, r2 = position_hamilton_residual(VECTOR, sampler, X)
+        r1, r2 = position_hamilton_residual(VECTOR, one_node(k),
+                                            *wave(cp, cm), X)
         assert r1 < 1e-8
         assert r2 < 1e-8
 
@@ -129,20 +143,31 @@ class TestPositionHamilton:
         rng = np.random.default_rng(12)
         k = on_shell_k([0.8, -0.6, 0.0], 0.0)
         c = rng.normal(size=4) + 1j * rng.normal(size=4)
-        r1, r2 = position_hamilton_residual(EM, plane_wave(EM, k, c), X)
+        r1, r2 = position_hamilton_residual(EM, one_node(k), *wave(c, None),
+                                            X)
         assert r1 < 1e-8
         assert r2 < 1e-8
 
-    def test_free_dirac_from_projector_ranges(self):
+    @staticmethod
+    def _dirac_wave():
         rng = np.random.default_rng(15)
         k = on_shell_k([0.4, 0.7, -0.2], 1.0)
         seed = rng.normal(size=4) + 1j * rng.normal(size=4)
         c_plus = shell_projector(k, 1.0, +1) @ seed
         c_minus = shell_projector(k, 1.0, -1) @ (seed[::-1])
-        sampler = plane_wave(SPINOR, k, c_plus, c_minus)
-        r1, r2 = position_hamilton_residual(SPINOR, sampler, X)
+        return one_node(k), *wave(c_plus, c_minus)
+
+    def test_free_dirac_from_projector_ranges(self):
+        r1, r2 = position_hamilton_residual(SPINOR, *self._dirac_wave(), X)
         assert r1 < 1e-14  # constraint is exact, no stencil involved
         assert r2 < 1e-8
+
+    def test_dirac_unconjugated_minus_phase_detected(self, monkeypatch):
+        # the minus family summed with e^{-ik.x} instead of e^{+ik.x}
+        monkeypatch.setattr(dynamics, "with_conjugate",
+                            lambda x: iter((x, x)))
+        _, r2 = position_hamilton_residual(SPINOR, *self._dirac_wave(), X)
+        assert r2 > 0.1
 
     def test_dirac_wrong_branch_detected(self):
         # a plus-phase wave built from the minus projector violates the
@@ -150,47 +175,68 @@ class TestPositionHamilton:
         k = on_shell_k([0.4, 0.7, -0.2], 1.0)
         seed = np.array([1.0, 0.2, -0.4, 0.1], dtype=complex)
         c_bad = shell_projector(k, 1.0, -1) @ seed
-        sampler = plane_wave(SPINOR, k, c_bad, np.zeros(4, dtype=complex))
-        _, r2 = position_hamilton_residual(SPINOR, sampler, X)
+        _, r2 = position_hamilton_residual(
+            SPINOR, one_node(k), *wave(c_bad, np.zeros(4)), X)
         assert r2 > 0.1
 
-    @pytest.mark.parametrize("field", [SCALAR, VECTOR, EM, SPINOR],
-                             ids=["scalar", "vector", "em", "spinor"])
-    def test_stacked_sampler_matches_per_point_calls(self, field):
-        rng = np.random.default_rng(41)
-        comp = field.component_shape
-        k = on_shell_k(rng.normal(size=3), field.kappa)
-        cp, cm = (rng.normal(size=comp) + 1j * rng.normal(size=comp)
-                  for _ in range(2))
-        sampler = plane_wave(field, k, cp, None if field is EM else cm)
-        points = 3.0 * rng.normal(size=(2, 3, 4))
-        value, theta = sampler(points)
-        assert value.shape == (2, 3) + comp
-        assert theta.shape == (2, 3, 4) + comp
-        for idx in np.ndindex(2, 3):
-            one_value, one_theta = sampler(points[idx])
-            assert np.array_equal(value[idx], one_value)
-            assert np.array_equal(theta[idx], one_theta)
-
-    def test_residual_samples_the_stencil_in_one_call(self):
+    def test_residual_samples_the_stencil_in_one_call(self, monkeypatch):
         k = on_shell_k([0.3, -0.4, 0.5], 1.0)
-        wave = plane_wave(SCALAR, k, 0.7 - 0.2j, 0.1 + 0.4j)
         shapes = []
 
-        def sampler(x):
+        def counted(field, grid, plus, minus, x):
             shapes.append(np.shape(x))
-            return wave(x)
+            return dynamics.reconstruct_field(field, grid, plus, minus, x)
 
-        r1, r2 = position_hamilton_residual(SCALAR, sampler, X)
+        monkeypatch.setattr(position, "reconstruct_field", counted)
+        r1, r2 = position_hamilton_residual(
+            SCALAR, one_node(k), *wave(0.7 - 0.2j, 0.1 + 0.4j), X)
         assert shapes == [(4,), (4, 4, 4)]  # x, then (offset, mu) points
         assert r1 < 1e-8 and r2 < 1e-8
 
     def test_off_shell_wave_detected(self):
         # k.k - kappa^2 = 3 - 1 = 2; residual scales with the violation
         k = np.array([2.0, 1.0, 0.0, 0.0])
-        sampler = plane_wave(SCALAR, k, 1.0 + 0.0j, 0.0j)
-        _, r2 = position_hamilton_residual(SCALAR, sampler, X)
+        _, r2 = position_hamilton_residual(SCALAR, one_node(k),
+                                           *wave(1.0 + 0.0j, 0.0j), X)
         assert 0.5 < r2 < 2.5
+
+
+class TestSuperposition:
+    """The residual on three box modes at once, L = 2 pi."""
+
+    BOX = [(1, 0, 0), (0, 1, 1), (1, 2, 0)]
+
+    @staticmethod
+    def _coeffs(field, grid, rng):
+        draw = (rng.normal(size=(len(grid),) + field.component_shape)
+                + 1j * rng.normal(size=(len(grid),) + field.component_shape)
+                for _ in range(2))
+        if field is not SPINOR:
+            return tuple(draw)
+        # each family in its projector's range
+        return tuple(np.einsum("nab,nb->na",
+                               shell_projector(grid.k, field.kappa, sign), c)
+                     for sign, c in zip((+1, -1), draw))
+
+    @pytest.mark.parametrize("field", [SCALAR, SPINOR],
+                             ids=["scalar", "spinor"])
+    def test_three_modes_on_shell(self, field):
+        grid = box_mode_grid(2.0 * np.pi, self.BOX, field.kappa)
+        coeffs = self._coeffs(field, grid, np.random.default_rng(31))
+        r1, r2 = position_hamilton_residual(field, grid, *coeffs, X)
+        assert r1 < 1e-12
+        assert r2 < 1e-12
+
+    @pytest.mark.parametrize("field", [SCALAR, SPINOR],
+                             ids=["scalar", "spinor"])
+    def test_one_raised_k0_detected(self, field):
+        grid = box_mode_grid(2.0 * np.pi, self.BOX, field.kappa)
+        k = grid.k.copy()
+        k[1, 0] += 0.5
+        off = ModeGrid(k=k, weight=grid.weight)
+        coeffs = self._coeffs(field, off, np.random.default_rng(31))
+        _, r2 = position_hamilton_residual(field, off, *coeffs, X)
+        assert r2 > 1e-4
 
 
 class TestParseval:
