@@ -27,12 +27,12 @@ contributes nothing, so coefficients inherit free values bit for bit.
 _crossings is the one walk over the worldline crossings: for an array
 of slices it returns, for each source active on some slice, u_j, udot_j
 and the species current (U_j, udot_{j nu} or xi_j above) on every
-slice, a slice before the switch-on taking the switch-on state, each
-source taking all its slices in one array call.  _window_sums contracts
-the currents with the plane-wave phases and the rate normalization into
-weighted sums over windows of slices; source_terms, the walk's one-slice
-view, gives the generator J and its gradients in canonical.py the same
-terms.
+slice (u^0 the slice time itself), a slice before the switch-on taking
+the switch-on state, each source taking all its slices in one array
+call.  _window_sums contracts the currents with the plane-wave phases
+and the rate normalization into weighted sums over windows of slices;
+source_terms, the walk's one-slice view, gives the generator J and its
+gradients in canonical.py the same terms.
 
 The stored families, the rate normalizations and the spinor's
 kappa pm slash(k) come from the species table (fields.FieldSpec).  The
@@ -60,33 +60,30 @@ one phase block E and one np.matmul of the windows of E's columns and
 of the rows of Cur, strided views with no copy, every branch in the
 product's stack; the conjugation and S_pm then act once per window.
 Its callers are window shapes: per-slice rates (_node_rates, and
-through it mode_equation_residual, source_rate and the switch-on rate
-R_j below) take windows of one node, so the residual checks a history
-against rates evaluated on each stencil sample; a save="all" history takes
-one window per panel, 3 nodes at step 2 weighted h/6, 4h/6, h/6, and
-adds each panel to the slice before it; save="last" takes one window of
-every node with the composite weights (h/3 at inner panel boundaries),
-in parts of a chunk each, summed.  A chunk holds _BLOCK_WORK / (N x
-branches x components) nodes, so its product, N x branches x components
-per node and source, and its phase block stay small whatever the step
-count.  E comes from the grid's cached phase tables (modes.PlaneWaves):
-one cos and sin per distinct value of each k component and crossing,
-then four gathers and three in-place multiplies, with no complex
-exponential per mode.  In evolve_amplitudes only circular sources take
-this walk.  Splitting the panels at a switch-on, for fourth order
-through it, would only add nodes and weights.
+through it mode_equation_residual, source_rate and the rate R_j below)
+take windows of one node, so the residual checks a history against
+rates evaluated on each stencil sample; the Simpson walk (_walk_simpson)
+gives a save="all" history one window per panel, 3 nodes at step 2
+weighted h/6, 4h/6, h/6, and adds each panel to the slice before it;
+save="last" takes one window of every node with the composite weights
+(h/3 at inner panel boundaries), in parts of a chunk each, summed.  A
+chunk holds _BLOCK_WORK / (N x branches x components) nodes, so its
+product, N x branches x components per node and source, and its phase
+block stay small whatever the step count.  E comes from the grid's
+cached phase tables (modes.PlaneWaves): one cos and sin per distinct
+value of each k component and crossing, then four gathers and three
+in-place multiplies, with no complex exponential per mode.  Every panel
+that holds a switch-on takes this walk, for any source shape; splitting
+it there, for fourth order through it, would only add nodes and weights.
 
 Along a straight line (static and uniform worldlines) k.u is linear in
 x0: with a_j the switch-on time of source j and s_j = k.udot_j /
-udot_j^0 > 0, its rate on slice y >= a_j is R_j exp(pm i s_j (y - a_j)),
-R_j = rate_j(a_j).  On Simpson's uniform nodes the phases then form a
-geometric sequence, so evolve_amplitudes adds each straight source's
-Simpson sums as a geometric series (_add_straight_simpson), with the
-same nodes, weights and boundary-active rule as the walk and no crossing
-walk or phase block per node: one closed sum per mode for save="last",
-blocks of panel sums by rotation and running sums for save="all".
-Rates are linear in the sources, so the walk over the circular ones
-and the series of the straight ones just add.  With L = x0 - a_j the
+udot_j^0 > 0, its rate on slices y >= t >= a_j is rate_j(t) exp(pm i
+s_j (y - t)).  On Simpson's uniform nodes the phases form a geometric
+sequence, so evolve_amplitudes adds a straight source's tail, its panels
+from the first boundary t_h >= a_j on, as a geometric series anchored at
+t_h (_add_straight_simpson), with no crossing walk or phase block per
+node; only its switch-on panel takes the walk.  With L = x0 - a_j the
 coefficient integral itself has the closed form (the degenerate case of
 Filon quadrature)
 
@@ -94,19 +91,19 @@ Filon quadrature)
 
 written with sinc so that it stays accurate as s_j L -> 0.
 straight_line_amplitudes evaluates it on any slice; circular orbits
-still need the walk.  a_j, s_j and R_j depend on the source only
+still need the walk.  s_j and rate_j(a_j) depend on the source only
 (_straight_source), so _straight_line_mean computes them once per
 source and also gives the mean over uniform slices of the coefficients
-carried to one reference slice t_ref by their free phase
-exp(mp i k0 (t - t_ref)):
-the time average verify.averaged_profile reconstructs at its points.
-On uniform slices its phases turn by a fixed factor per slice, so it
-rotates them, _MODE_SLICE rows at a time, instead of re-evaluating them.
-The rows are the modes for a source that moves.  For a static one the
-spatial terms of k.udot are exact zeros, so the mean is a function of k0
-alone: its rows are the grid's k0 table (ModeGrid.waves), about 1,800
-values for the 110,592 modes of a 48^3 grid, and the result is gathered
-by each mode's index into it, bit for bit what the per-mode rows give.
+carried to one reference slice t_ref by their free phase exp(mp i k0 (t
+- t_ref)): the time average verify.averaged_profile reconstructs at its
+points.  On uniform slices its phases turn by a fixed factor per slice,
+so it rotates them, _MODE_SLICE rows at a time, instead of re-evaluating
+them.  The rows are the modes for a source that moves.  For a static one
+the spatial terms of k.udot are exact zeros, so the mean is a function
+of k0 alone: its rows are the grid's k0 table (ModeGrid.waves), about
+1,800 values for the 110,592 modes of a 48^3 grid, and the result is
+gathered by each mode's index into it, bit for bit what the per-mode
+rows give.
 
 reconstruct_field sums the modes at any points, one (N, points) phase
 block per call.  Points that share one slice t take _slice_profile
@@ -164,8 +161,9 @@ def _crossings(field: FieldSpec, worldlines: list[Worldline] | None,
         active = np.zeros(nodes.shape, bool) | w.active_at(nodes)
         if not active.any():
             continue
-        u, udot = w.state(equal_time_crossing(
-            w, np.maximum(nodes, w.switch_on_time())))
+        on = np.maximum(nodes, w.switch_on_time())
+        u, udot = w.state(equal_time_crossing(w, on))
+        u[:, 0] = on  # exact, where t_start + gamma tau* rounds
         if field.kind == "spinor":
             if w.xi is None:
                 raise ValueError(
@@ -230,13 +228,8 @@ def _window_sums(field, worldlines, waves, nodes, weights, width, step,
 
     A chunk holds whole windows within _BLOCK_WORK / (N x branches x
     components) nodes, or one such part of a wider window, the parts
-    added up.  Per chunk one crossing walk, with a row per node and
-    source active on some node of the chunk (node-major), one phase
-    block E and one product of the windows of E's columns with those of
-    the rows of the currents, each branch's weighted and normalized,
-    written in place; the conjugation of the minus branch and the
-    spinor's kappa pm slash(k) then act once per window (see the module
-    docstring).
+    added up; per chunk one crossing walk, one phase block E and one
+    product, as the module docstring sets out.
     """
     n, n_b, n_comp = len(waves.k), len(field.branches), field.n_components
     chunk = max(1, _BLOCK_WORK // (n * n_b * n_comp))
@@ -330,97 +323,82 @@ def _walk_simpson(field, worldlines, grid, times, h, out) -> None:
         np.add(out[i], out[i + 1], out=out[i + 1])
 
 
-def _straight_source(field, worldline, grid, k):
-    """(a_j, s_j, R_j) of a static or uniform source: its switch-on time
-    a_j, the turn rate s_j = k.udot_j / udot_j^0 of its phase over the
-    rows k (M, 4), and R_j, its rates on slice a_j over the grid,
-    (branches, N, *component_shape), from one one-node _node_rates call.
-    On a slice y >= a_j its rate is R_j exp(pm i s_j (y - a_j))."""
+def _straight_source(field, worldline, grid, k, x0):
+    """(s_j, R_j) of a static or uniform source: the turn rate s_j =
+    k.udot_j / udot_j^0 of its phase over the rows k (M, 4), and R_j, its
+    rates on a slice x0 at or after its switch-on, over the grid,
+    (branches, N, *component_shape), from one one-node _node_rates call:
+    on a slice y >= x0 its rate is R_j exp(pm i s_j (y - x0))."""
     _, udot = worldline.state(worldline.tau_on)
-    a = worldline.switch_on_time()
-    rate = _node_rates(field, [worldline], grid.waves, np.array([a]))[0]
-    return a, (k @ lower_index(udot)) / udot[0], rate
+    rate = _node_rates(field, [worldline], grid.waves, np.array([x0]))[0]
+    return (k @ lower_index(udot)) / udot[0], rate
 
 
 def _add_straight_simpson(field, worldline, grid, times, h, out) -> None:
     """Add the Simpson sums of one static or uniform source over the
-    panels of times (S + 1,), of width h, to the history out in place.
+    panels of times (S + 1,), of width h, to the history out in place:
+    to out[0] the sum over every panel when out has one slice
+    (save="last"), otherwise to out[i + 1] the sum over panels 0..i.
 
-    out[0] gets the sum over every panel when out has one slice
-    (save="last"); otherwise out[i + 1] gets the sum over panels 0..i.
-
-    A node t the source is active on adds weight x R_j z(t), conj z(t)
-    for minus, z(t) = exp(i s_j max(t - a_j, 0)): the clamp is
-    equal_time_crossing's.  Per panel that is R_j G_i, and on the tail
-    of panels active on every node from t_i >= a_j on,
-    G_i = P z(t_i), P = (h/6)(1 + 4q + q^2), q = exp(i s_j h / 2): a
-    geometric series turning by q^2 per panel.  save="last" takes its
-    closed sum, q^{K-1} sin(K theta) / sin(theta) with theta = s_j h / 2
-    taken mod pi; save="all" takes blocks of panels from a rotation
-    table (cumprod) and running sums (cumsum), each block anchored at
-    its exact phase.  The head panels before the tail take each node as
-    it comes: weights times 1 for nodes at or before a_j, one phase per
-    later node (the panel holding a switch-on, at most).
+    On the tail, the panels from the first boundary t_h >= a_j on, the
+    rate is R_j z(t), conj z(t) for minus, R_j from _straight_source on
+    t_h and z(t) = exp(i s_j (t - t_h)), so panel i adds R_j P z(t_i),
+    P = (h/6)(1 + 4q + q^2), q = exp(i s_j h / 2): a geometric series
+    turning by q^2 per panel.  save="last" takes its closed sum, q^{K-1}
+    sin(K theta) / sin(theta) with theta = s_j h / 2 taken mod pi;
+    save="all" takes blocks of panels from a rotation table (cumprod)
+    and running sums (cumsum), each block anchored at its exact phase.
+    The panels before the tail that end on an active node (the one that
+    holds the switch-on) take the walk, into a history of their own.
     """
-    nodes = np.column_stack([times[:-1], times[:-1] + 0.5 * h, times[1:]])
+    steps, n = len(times) - 1, len(grid)
+    head = int(np.searchsorted(times, worldline.switch_on_time()))
     # | also broadcasts an active_at that answers with one bool
-    weight = np.array([h / 6.0, 4.0 * h / 6.0, h / 6.0]) * (
-        np.zeros(nodes.shape, bool) | worldline.active_at(nodes))
-    if not weight.any():
+    ends = np.flatnonzero(np.zeros(min(head, steps), bool)
+                          | worldline.active_at(times[1:head + 1]))
+    if ends.size:
+        first, stop = ends[0], ends[-1] + 1
+        walked = np.zeros_like(out[:stop - first + 1 if len(out) > 1 else 1])
+        _walk_simpson(field, [worldline], grid, times[first:stop + 1], h,
+                      walked)
+        out[first + 1:stop + 1] += walked[1:]  # none for save="last"
+        out[stop + 1 if len(out) > 1 else 0:] += walked[-1]
+        del walked
+    count = steps - head  # tail panels
+    if count <= 0:
         return
-    a, s, rate = _straight_source(field, worldline, grid, grid.k)
-    steps, n = len(nodes), len(grid)
-    tail = np.all(weight != 0.0, axis=1) & (nodes[:, 0] >= a)
-    off = np.flatnonzero(~tail)
-    head = off[-1] + 1 if off.size else 0  # the first panel of the tail
-    flat = np.where(nodes[:head] <= a, weight[:head], 0.0).sum(axis=1)
-    bent = [(i, weight[i, c] * np.exp(1j * s * (nodes[i, c] - a)))
-            for i, c in zip(*np.nonzero((nodes[:head] > a)
-                                        & (weight[:head] != 0.0)))]
+    s, rate = _straight_source(field, worldline, grid, grid.k, times[head])
     q = np.exp(0.5j * s * h)
     panel = h / 6.0 * (1.0 + 4.0 * q + q * q)
     if len(out) == 1:
-        total = np.full(n, flat.sum(), dtype=complex)
-        for _, term in bent:
-            total += term
-        if head < steps:
-            count = steps - head
-            theta = 0.5 * s * h
-            theta -= np.pi * np.round(theta / np.pi)  # only q^2 turns
-            sin = np.sin(theta)
-            ratio = np.divide(np.sin(count * theta), sin,
-                              out=np.full(n, float(count)), where=sin != 0.0)
-            total += panel * ratio * np.exp(1j * (s * (times[head] - a)
-                                                  + (count - 1) * theta))
+        theta = 0.5 * s * h
+        theta -= np.pi * np.round(theta / np.pi)  # only q^2 turns
+        sin = np.sin(theta)
+        ratio = np.divide(np.sin(count * theta), sin,
+                          out=np.full(n, float(count)), where=sin != 0.0)
+        total = panel * ratio * np.exp(1j * (count - 1) * theta)
         expand = (n,) + (1,) * len(field.component_shape)
         for cf, r, g in zip(out[0], rate, with_conjugate(total)):
             cf += r * g.reshape(expand)
         return
     block = max(1, _SERIES_BLOCK // n)  # panels per block of sums
     sub = max(1, _SERIES_BLOCK // (n * field.n_components))  # per product
-    turns = np.empty((min(block, steps - head), n), dtype=complex)
-    if len(turns):
-        turns[0] = panel
-        turns[1:] = np.exp(1j * s * h)
-        np.cumprod(turns, axis=0, out=turns)  # P q^{2j}
-    series = np.empty((block, n), dtype=complex)
+    turns = np.empty((min(block, count), n), dtype=complex)
+    turns[0] = panel
+    turns[1:] = np.exp(1j * s * h)
+    np.cumprod(turns, axis=0, out=turns)  # P q^{2j}
+    series = np.empty_like(turns)
     conj = np.empty_like(series)
     prod = np.empty((sub, n, field.n_components), dtype=complex)
     rates = rate.reshape(len(rate), n, -1)
     slices = out.reshape(len(out), len(rate), -1)  # a view, N x components
     carry = 0.0
-    for lo in range(0, steps, block):
+    for lo in range(head, steps, block):
         hi = min(lo + block, steps)
         sums = series[:hi - lo]
-        first = min(max(head, lo), hi)  # the block's first tail panel
-        sums[:first - lo] = flat[lo:first, None]
-        for i, term in bent:
-            if lo <= i < hi:
-                sums[i - lo] += term
-        if first < hi:  # anchored at its exact phase
-            np.multiply(turns[:hi - first],
-                        np.exp(1j * s * (times[first] - a)),
-                        out=sums[first - lo:])
+        # anchored at its exact phase
+        np.multiply(turns[:hi - lo],
+                    np.exp(1j * s * (times[lo] - times[head])), out=sums)
         np.cumsum(sums, axis=0, out=sums)
         sums += carry
         carry = sums[-1].copy()
@@ -487,7 +465,7 @@ def _straight_line_mean(field, worldlines, grid, first, spacing, count,
         if skip == count:  # source j adds nothing up to its switch-on
             continue
         rows, index = _mean_modes(grid, w.state(w.tau_on)[1])
-        _, s, rates = _straight_source(field, w, grid, rows)
+        s, rates = _straight_source(field, w, grid, rows, start)
         mean = np.empty(len(rows), dtype=complex)
         for lo in range(0, len(rows), _MODE_SLICE):
             k = rows[lo:lo + _MODE_SLICE]
@@ -605,9 +583,10 @@ def evolve_amplitudes(
     on large grids stay in memory budget either way.  Circular sources
     take the node walk (_walk_simpson: windows of _window_sums, one per
     panel or one over every node); static and uniform ones add their
-    node sums as geometric series (_add_straight_simpson), so a list of
-    straight sources walks no node.  mode_equation_residual takes the
-    rates of every source on each sample from _node_rates instead.
+    tails as geometric series (_add_straight_simpson), walking only the
+    panel that holds a switch-on and the tail's first slice.
+    mode_equation_residual takes the rates of every source on each
+    sample from _node_rates instead.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")

@@ -28,7 +28,7 @@ import numpy as np
 from .brackets import MAX_STATE_SIZE
 from .canonical import CanonicalGauge
 from .dirac import DiracCoupling
-from .dynamics import sample_times, uniform_spacing
+from .dynamics import SWITCH_ON_SLACK, sample_times, uniform_spacing
 from .errors import ScenarioError, ZeroModeError
 from .fields import FieldSpec, em_field, scalar_field, spinor_field, tensor_field
 from .modes import (DEFAULT_MODE_BUDGET, STENCIL_K0H, STEP_BUDGET, ModeGrid,
@@ -135,15 +135,17 @@ class SuitePlan:
     alone (no RNG draw).
 
     simulate: a soft grid (kmax <= 2, <= 5 per axis), `steps` (even, for
-    its halves) and `steps_fd` (k0 h <= STENCIL_K0H for the stencil).
+    its halves), `steps_fd` (k0 h <= STENCIL_K0H for the stencil) and the
+    `causality_probe` (t_on -+ 4 h in 8 steps, when no sample precedes
+    the first switch-on t_on; else None).
     hamilton: the grid capped at 5 per axis, the `probes` of its sourced
     residual and `hamilton_steps` (k0 h <= _PROBE_K0H on them, None
     without sources) over its `hamilton_span` from `hamilton_start`
     (x0_start, or the first switch-on if that is at or after the end of
-    the window from x0_start).  bracket: the field's
-    sector or the spinor's rank-0 stand-in on `bracket_grid`, as many of
-    three box modes as MAX_STATE_SIZE holds, and `bracket_note` (None, or
-    what was replaced or cut).  green: the scenario grid averaged over
+    the window from x0_start).  bracket: the field's sector or the
+    spinor's rank-0 stand-in on `bracket_grid`, as many of three box
+    modes as MAX_STATE_SIZE holds, and `bracket_note` (None, or what was
+    replaced or cut).  green: the scenario grid averaged over
     `green_window` = (period, center), or `green_skip` = (record,
     reason).  `suites`: what `--suite all` runs, in order.
     """
@@ -155,6 +157,13 @@ class SuitePlan:
         self.steps = 2 * math.ceil(max(s.steps, 8) / 2)
         self.steps_fd = _refined(span, float(np.max(self.simulate_grid.k0)),
                                  STENCIL_K0H, self.steps)
+        t_on = min((w.switch_on_time() for w in s.particles),
+                   default=s.x0_start)
+        # h: the simulate spacing, as uniform_spacing gives it
+        h = np.diff(sample_times(s.x0_start, s.x0_end, self.steps)[:2])[0]
+        self.causality_probe = (
+            (t_on - 4.0 * h, t_on + 4.0 * h, 8) if s.particles
+            and s.x0_start >= t_on - SWITCH_ON_SLACK else None)
         n = min(s.n_per_axis, 5)
         grid = self.hamilton_grid = build_mode_grid(
             s.kmax, n, kappa, k0_floor=s.k0_floor if n == s.n_per_axis
@@ -164,8 +173,6 @@ class SuitePlan:
         self.hamilton_span = min(2.0, span)
         # a window that every source switches on after holds no source:
         # then it opens at the first switch-on
-        t_on = min((w.switch_on_time() for w in s.particles),
-                   default=s.x0_start)
         self.hamilton_start = (t_on if t_on >= s.x0_start + self.hamilton_span
                                else s.x0_start)
         self.hamilton_steps = (_refined(
@@ -229,6 +236,12 @@ def _plan_green(s: Scenario):
     return (period, center), None
 
 
+def _shown(value) -> str:
+    """value's repr, cut short (reprlib) at any length or depth."""
+    import reprlib
+    return reprlib.repr(value)
+
+
 def _require(cond: bool, where: str, msg: str) -> None:
     if not cond:
         raise ScenarioError(f"{where}: {msg}")
@@ -274,7 +287,7 @@ def _section(data: dict, name: str, keys) -> dict:
     blk = data.get(name, {})
     _require(isinstance(blk, dict), name, "must be an object")
     extra = set(blk) - set(keys)
-    _require(not extra, name, f"unknown entries: {sorted(extra)}")
+    _require(not extra, name, f"unknown entries: {_shown(sorted(extra))}")
     return blk
 
 
@@ -286,8 +299,8 @@ def check_tolerances(values) -> dict[str, float]:
     _require(isinstance(values, dict), "tolerances", "must be an object")
     unknown = set(values) - set(DEFAULT_TOLERANCES)
     _require(not unknown, "tolerances",
-             f"unknown tolerance names {sorted(map(str, unknown))}; known "
-             f"names: {', '.join(sorted(DEFAULT_TOLERANCES))}")
+             f"unknown tolerance names {_shown(sorted(map(str, unknown)))};"
+             f" known names: {', '.join(sorted(DEFAULT_TOLERANCES))}")
     out = {name: _finite(val, "tolerances", f"'{name}'")
            for name, val in values.items()}
     for name, val in out.items():
@@ -316,10 +329,11 @@ def _build_field(blk, where: str = "field") -> FieldSpec:
     _require(isinstance(blk, dict), where, "must be an object")
     kind = blk.get("kind")
     _require(isinstance(kind, str) and kind in _FIELD_KEYS, where,
-             f"kind must be one of {sorted(_FIELD_KEYS)}, got {kind!r}")
+             f"kind must be one of {sorted(_FIELD_KEYS)}, got "
+             f"{_shown(kind)}")
     extra = set(blk) - _FIELD_KEYS[kind]
     _require(not extra, where,
-             f"unknown entries for {kind}: {sorted(extra)}")
+             f"unknown entries for {kind}: {_shown(sorted(extra))}")
 
     if kind == "tensor":
         make, args = tensor_field, dict(rank=_integer(blk, where, "rank", 1),
@@ -351,10 +365,10 @@ def _build_field(blk, where: str = "field") -> FieldSpec:
 def _build_particle(blk, spec: FieldSpec, where: str) -> Worldline:
     _require(isinstance(blk, dict), where, "must be an object")
     extra = set(blk) - _PARTICLE_KEYS
-    _require(not extra, where, f"unknown entries: {sorted(extra)}")
+    _require(not extra, where, f"unknown entries: {_shown(sorted(extra))}")
     kind = blk.get("kind", "static")
     _require(isinstance(kind, str) and kind in SHAPE_PARAMS, where,
-             f"kind must be static, uniform, or circular, got {kind!r}")
+             f"kind must be static, uniform, or circular, got {_shown(kind)}")
     foreign = (_SHAPE_KEYS - set(SHAPE_PARAMS[kind])) & set(blk)
     _require(not foreign, where,
              f"a {kind} particle takes no {sorted(foreign)}")
@@ -393,7 +407,8 @@ def _build_particle(blk, spec: FieldSpec, where: str) -> Worldline:
 def scenario_from_dict(data: dict, sha256: str = "") -> Scenario:
     _require(isinstance(data, dict), "scenario", "top level must be an object")
     extra = set(data) - _SECTIONS
-    _require(not extra, "scenario", f"unknown sections: {sorted(extra)}")
+    _require(not extra, "scenario",
+             f"unknown sections: {_shown(sorted(extra))}")
     for section in ("field", "grid", "time"):
         _require(section in data, "scenario",
                  f"missing required section '{section}'")
@@ -473,14 +488,16 @@ def scenario_from_dict(data: dict, sha256: str = "") -> Scenario:
     except ZeroModeError as exc:  # 1e-6 kmax, the capped floor, is 0
         raise ScenarioError(f"grid: {exc}") from exc
     # every suite window keeps to the step budget and, far from x0 = 0,
-    # to equal steps; a moved hamilton window is the particles' fault
+    # to equal steps; a moved hamilton window or probe is the particles' fault
     start = plan.hamilton_start
     for where, suite, a, b, steps in (
             ("time", "simulate", s.x0_start, s.x0_end, plan.steps),
             ("time", "simulate", s.x0_start, s.x0_end, plan.steps_fd),
             ("time" if start == s.x0_start else "particles", "hamilton",
-             start, start + plan.hamilton_span, plan.hamilton_steps)):
-        if steps is None:  # no source: no sourced hamilton window
+             start, start + plan.hamilton_span, plan.hamilton_steps),
+            ("particles", "simulate",
+             *(plan.causality_probe or (start, start, None)))):
+        if steps is None:  # no source (hamilton) or no probe (simulate)
             continue
         _require(steps <= STEP_BUDGET, "time", f"the {suite} suite needs "
                  f"{steps:.6g} steps over the window, above the budget of "

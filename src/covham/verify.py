@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from pathlib import Path
 
 import numpy as np
@@ -264,11 +264,10 @@ def _suite_simulate(s: Scenario, rng, tol, records, tables) -> None:
     t_on = min((w.switch_on_time() for w in worldlines),
                default=float("inf"))
     probe, meta = hist, {}
-    if hist.x0[0] >= t_on - SWITCH_ON_SLACK:
+    if plan.causality_probe is not None:
         # no sample precedes the first switch-on: evolve 4 that do
-        h = hist.spacing()
-        probe = evolve_amplitudes(field, worldlines, grid, t_on - 4.0 * h,
-                                  t_on + 4.0 * h, 8)
+        probe = evolve_amplitudes(field, worldlines, grid,
+                                  *plan.causality_probe)
         meta["probe_window"] = [float(probe.x0[0]), float(probe.x0[-1])]
     mask = probe.x0 < t_on - SWITCH_ON_SLACK
     meta["pre_crossing_samples"] = int(np.sum(mask))
@@ -285,10 +284,14 @@ def _suite_simulate(s: Scenario, rng, tol, records, tables) -> None:
          tol["mode_equation"], {"steps": steps_fd})
 
     if worldlines and all(w.straight for w in worldlines):
-        # the window may open after a switch-on: compare increments
-        start, end = (np.array(field.families(*straight_line_amplitudes(
-            field, worldlines, grid, t))) for t in (s.x0_start, s.x0_end))
-        want = end - start
+        # the increment over the window, each source on before it switched
+        # on at x0_start: over a long L = x0 - t_on C's phase loses digits
+        lines = [w if w.switch_on_time() >= s.x0_start else replace(
+            w, t_start=s.x0_start, tau_on=0.0, position=w.state(
+                (s.x0_start - w.t_start) / w.gamma)[0][1:])
+            for w in worldlines]
+        want = np.array(field.families(*straight_line_amplitudes(
+            field, lines, grid, s.x0_end)))
         diff = float(np.max(np.abs(hist_fd.coeffs[-1] - want)))
         size = float(np.max(np.abs(want)))
         _add(records, "simulate/exact_vs_simpson", diff / (1.0 + size),

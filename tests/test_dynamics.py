@@ -553,7 +553,8 @@ class TestEvolveNodeSum:
     def test_last_slice_reads_each_node_once(self, monkeypatch):
         # one crossing walk per chunk of CHUNK of the 2 STEPS + 1 nodes,
         # for the circular source only; each straight source is walked
-        # once, on its switch-on slice
+        # on the first slice of its tail, and one switched on inside the
+        # window also on the 3 nodes of the panel that holds it
         walks = _record_walks(monkeypatch)
         grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=1.0)
         monkeypatch.setattr(dynamics, "_BLOCK_WORK",
@@ -563,7 +564,7 @@ class TestEvolveNodeSum:
         chunks = -(-(2 * STEPS + 1) // CHUNK)
         assert walks == [(("circular",), CHUNK)] * (chunks - 1) + [
             (("circular",), (2 * STEPS + 1) % CHUNK),
-            (("uniform",), 1), (("static",), 1)]
+            (("uniform",), 1), (("static",), 3), (("static",), 1)]
 
     @pytest.mark.parametrize("panels", [1, 4, STEPS + 5])
     def test_one_walk_per_panel_block(self, panels, monkeypatch):
@@ -574,8 +575,9 @@ class TestEvolveNodeSum:
                           *WINDOW, STEPS)
         blocks = -(-STEPS // panels)
         assert [lines for lines, _ in walks] == [("circular",)] * blocks + [
-            ("uniform",), ("static",)]
-        assert sum(nodes for _, nodes in walks) == 2 * STEPS + blocks + 2
+            ("uniform",), ("static",), ("static",)]
+        # the static source's switch-on panel and each tail's first slice
+        assert sum(nodes for _, nodes in walks) == 2 * STEPS + blocks + 5
 
 
 def _record_walks(monkeypatch) -> list:
@@ -765,8 +767,11 @@ class TestStraightSeries:
         grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=1.0)
         lines = [_line("static", 0.537), _line("uniform", -0.3)]
         evolve_amplitudes(SCALAR, lines, grid, *WINDOW, steps, save=save)
-        assert walks == [(("static",), 1), (("uniform",), 1)]
-        assert blocks == [(1, 4), (1, 4)]
+        # the static source's switch-on panel, then each tail's first
+        # slice
+        assert walks == [(("static",), 3), (("static",), 1),
+                         (("uniform",), 1)]
+        assert blocks == [(3, 4), (1, 4), (1, 4)]
 
     def test_residual_still_walks_every_sample(self, monkeypatch):
         grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=1.0)

@@ -211,6 +211,28 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError, match=r"particles\[0\]"):
             scenario_from_dict(data)
 
+    def test_echoed_input_stays_short(self):
+        # a field kind nested 900 deep, and 5,000-character kinds, keys and
+        # tolerance names, each quoted back cut short
+        nested = free_scalar_dict()
+        for _ in range(900):
+            nested["field"]["kind"] = [nested["field"]["kind"]]
+        long_kind = sourced_scalar_dict()
+        long_kind["particles"][0]["kind"] = "k" * 5000
+        section = free_scalar_dict()
+        section["s" * 5000] = {}
+        key = free_scalar_dict()
+        key["grid"]["g" * 5000] = 1.0
+        tolerance = free_scalar_dict()
+        tolerance["tolerances"] = {"t" * 5000: 1.0}
+        for data, where in ((nested, "field"), (long_kind, "particles[0]"),
+                            (section, "scenario"), (key, "grid"),
+                            (tolerance, "tolerances")):
+            with pytest.raises(ScenarioError) as err:
+                scenario_from_dict(data)
+            message = str(err.value)
+            assert message.startswith(f"{where}: ") and len(message) < 500
+
     def test_bracket_vector_validation(self):
         data = free_scalar_dict()
         data["bracket"] = {"V": [1.0, 0.0]}
@@ -565,6 +587,32 @@ class TestVerificationSuites:
                 "simulate/exact_vs_simpson"} <= names
         assert report.passed, [r.to_dict() for r in report.records
                                if r.status != "pass"]
+
+    @pytest.mark.parametrize("name", ["dirac_static_source",
+                                      "static_em_charge",
+                                      "static_scalar_source"])
+    def test_early_switch_on_is_rejected_or_passes(self, name):
+        # t_start = -10^e: far from x0 = 0 the causality probe about the
+        # switch-on stops holding equal steps, and loading names the
+        # particles; every scenario it accepts passes simulate and hamilton
+        base = json.loads((SCENARIOS / f"{name}.json").read_text())
+        outcomes = set()
+        for e in range(1, 21):
+            data = copy.deepcopy(base)
+            data["particles"][0]["t_start"] = -10.0**e
+            try:
+                s = scenario_from_dict(data)
+            except ScenarioError as exc:
+                assert str(exc).startswith("particles: "), (e, str(exc))
+                outcomes.add("rejected")
+                continue
+            failed = [(r.name, r.measured)
+                      for suite in ("simulate", "hamilton")
+                      for r in run_verification(s, suite).records
+                      if r.status != "pass"]
+            assert not failed, (e, failed)
+            outcomes.add("ran")
+        assert outcomes == {"rejected", "ran"}
 
     def test_exact_vs_simpson_only_with_straight_sources(self):
         free = run_verification(scenario_from_dict(free_scalar_dict()),
