@@ -5,7 +5,7 @@ import argparse
 import sys
 
 from .errors import ScenarioError
-from .scenario import FORMATS, load_scenario
+from .scenario import FORMATS, _shown, load_scenario
 from .verify import SUITE_NAMES, run_verification, write_report
 
 
@@ -42,11 +42,12 @@ def _tolerance_overrides(items: list[str]) -> dict[str, float]:
     for item in items:
         name, sep, raw = item.partition("=")
         if not sep or not name:
-            raise ValueError(f"--tol needs NAME=VALUE, got {item!r}")
+            raise ValueError(f"--tol needs NAME=VALUE, got {_shown(item)}")
         try:
             out[name] = float(raw)
         except ValueError:
-            raise ValueError(f"--tol {name}: {raw!r} is not a number")
+            raise ValueError(f"--tol {_shown(name)}: {_shown(raw)} is not a "
+                             "number")
     return out
 
 

@@ -81,11 +81,12 @@ x0: with a_j the switch-on time of source j and s_j = k.udot_j /
 udot_j^0 > 0, its rate on slices y >= t >= a_j is rate_j(t) exp(pm i
 s_j (y - t)).  On Simpson's uniform nodes the phases form a geometric
 sequence, so evolve_amplitudes adds a straight source's tail, its panels
-from the first boundary t_h >= a_j on, as a geometric series anchored at
-t_h (_add_straight_simpson), with no crossing walk or phase block per
-node; only its switch-on panel takes the walk.  With L = x0 - a_j the
-coefficient integral itself has the closed form (the degenerate case of
-Filon quadrature)
+from the first boundary t_h >= a_j on, as the series' closed sum, one
+per kept slice and the same for both save modes, on the rows the time
+average below runs over (_add_straight_simpson), with no crossing walk
+or phase block per node; only its switch-on panel takes the walk.  With
+L = x0 - a_j the coefficient integral itself has the closed form (the
+degenerate case of Filon quadrature)
 
     C_pm(x0) = sum_j rate_j,pm(a_j) L exp(pm i s_j L / 2) sinc(s_j L / 2),
 
@@ -132,9 +133,9 @@ _BLOCK_WORK = 2**19
 # rows per slice of the rotated time average: bounds its per-row arrays
 _MODE_SLICE = 4096
 # complex entries of the history-shaped arrays of one block: the
-# (panels, N) series and (slices, N x components) products a straight
-# source adds to a history, and mode_equation_residual's (samples,
-# branches x N x components) rates and derivatives
+# (slices, N x components) closed sums times rates a straight source adds
+# to a history, and mode_equation_residual's (samples, branches x N x
+# components) rates and derivatives
 _SERIES_BLOCK = 2**15
 # a slice counts as before a switch-on when it is more than this earlier
 SWITCH_ON_SLACK = 1e-12
@@ -344,12 +345,15 @@ def _add_straight_simpson(field, worldline, grid, times, h, out) -> None:
     rate is R_j z(t), conj z(t) for minus, R_j from _straight_source on
     t_h and z(t) = exp(i s_j (t - t_h)), so panel i adds R_j P z(t_i),
     P = (h/6)(1 + 4q + q^2), q = exp(i s_j h / 2): a geometric series
-    turning by q^2 per panel.  save="last" takes its closed sum, q^{K-1}
-    sin(K theta) / sin(theta) with theta = s_j h / 2 taken mod pi;
-    save="all" takes blocks of panels from a rotation table (cumprod)
-    and running sums (cumsum), each block anchored at its exact phase.
-    The panels before the tail that end on an active node (the one that
-    holds the switch-on) take the walk, into a history of their own.
+    turning by q^2 per panel.  The slice m panels past t_h adds its
+    closed sum R_j P exp(i (m - 1) theta) sin(m theta) / sin(theta),
+    theta = s_j h / 2 taken mod pi (R_j P m where sin(theta) is 0): for
+    m = 1..K in blocks of _SERIES_BLOCK entries with save="all", for
+    m = K alone with save="last", through the same lines, so the two
+    agree bit for bit.  s_j, theta and P run over _mean_modes' rows (for
+    a static source the k0 table) and are gathered by mode.  The panels
+    before the tail that end on an active node (the one that holds the
+    switch-on) take the walk, into a history of their own.
     """
     steps, n = len(times) - 1, len(grid)
     head = int(np.searchsorted(times, worldline.switch_on_time()))
@@ -367,49 +371,29 @@ def _add_straight_simpson(field, worldline, grid, times, h, out) -> None:
     count = steps - head  # tail panels
     if count <= 0:
         return
-    s, rate = _straight_source(field, worldline, grid, grid.k, times[head])
+    rows, index = _mean_modes(grid, worldline.state(worldline.tau_on)[1])
+    s, rate = _straight_source(field, worldline, grid, rows, times[head])
     q = np.exp(0.5j * s * h)
     panel = h / 6.0 * (1.0 + 4.0 * q + q * q)
-    if len(out) == 1:
-        theta = 0.5 * s * h
-        theta -= np.pi * np.round(theta / np.pi)  # only q^2 turns
-        sin = np.sin(theta)
-        ratio = np.divide(np.sin(count * theta), sin,
-                          out=np.full(n, float(count)), where=sin != 0.0)
-        total = panel * ratio * np.exp(1j * (count - 1) * theta)
-        expand = (n,) + (1,) * len(field.component_shape)
-        for cf, r, g in zip(out[0], rate, with_conjugate(total)):
-            cf += r * g.reshape(expand)
-        return
-    block = max(1, _SERIES_BLOCK // n)  # panels per block of sums
-    sub = max(1, _SERIES_BLOCK // (n * field.n_components))  # per product
-    turns = np.empty((min(block, count), n), dtype=complex)
-    turns[0] = panel
-    turns[1:] = np.exp(1j * s * h)
-    np.cumprod(turns, axis=0, out=turns)  # P q^{2j}
-    series = np.empty_like(turns)
-    conj = np.empty_like(series)
-    prod = np.empty((sub, n, field.n_components), dtype=complex)
-    rates = rate.reshape(len(rate), n, -1)
-    slices = out.reshape(len(out), len(rate), -1)  # a view, N x components
-    carry = 0.0
-    for lo in range(head, steps, block):
-        hi = min(lo + block, steps)
-        sums = series[:hi - lo]
-        # anchored at its exact phase
-        np.multiply(turns[:hi - lo],
-                    np.exp(1j * s * (times[lo] - times[head])), out=sums)
-        np.cumsum(sums, axis=0, out=sums)
-        sums += carry
-        carry = sums[-1].copy()
-        for b, r in enumerate(rates):
-            g = np.conj(sums, out=conj[:hi - lo]) if b else sums
-            for w0 in range(lo, hi, sub):
-                w1 = min(w0 + sub, hi)
-                part = prod[:w1 - w0]
-                np.multiply(g[w0 - lo:w1 - lo, :, None], r, out=part)
-                dst = slices[w0 + 1:w1 + 1, b]
-                np.add(dst, part.reshape(w1 - w0, -1), out=dst)
+    theta = 0.5 * s * h
+    theta -= np.pi * np.round(theta / np.pi)  # only q^2 turns
+    sin = np.sin(theta)
+    slices = out.reshape(len(out), len(rate), n, -1)  # a view
+    tail = slices[head + 1:] if len(out) > 1 else slices
+    m0 = count - len(tail) + 1  # panels up to the tail's first slice
+    block = max(1, _SERIES_BLOCK // (n * field.n_components))
+    for lo in range(0, len(tail), block):
+        dst = tail[lo:lo + block]
+        m = np.arange(m0 + lo, m0 + lo + len(dst), dtype=float)[:, None]
+        ratio = np.divide(np.sin(m * theta), sin,
+                          out=np.full((len(m), len(rows)), m),
+                          where=sin != 0.0)
+        sums = panel * ratio * np.exp(1j * ((m - 1.0) * theta))
+        if index is not None:
+            sums = sums[:, index]
+        for b, (r, g) in enumerate(zip(rate.reshape(len(rate), n, -1),
+                                       with_conjugate(sums))):
+            dst[:, b] += g[:, :, None] * r
 
 
 def straight_line_amplitudes(
@@ -495,11 +479,11 @@ def _straight_line_mean(field, worldlines, grid, first, spacing, count,
 
 
 def _mean_modes(grid: ModeGrid, udot: np.ndarray):
-    """The rows (M, 4) _straight_line_mean runs over for a source of
-    velocity udot, and the index (N,) that gathers them by mode (None:
-    the rows are grid.k).  With no spatial velocity k.udot = k0 udot^0,
-    the spatial terms being exact zeros, so the rows are (k0, 0, 0, 0)
-    over the grid's k0 table."""
+    """The rows (M, 4) _straight_line_mean and _add_straight_simpson run
+    over for a source of velocity udot, and the index (N,) that gathers
+    them by mode (None: the rows are grid.k).  With no spatial velocity
+    k.udot = k0 udot^0, the spatial terms being exact zeros, so the rows
+    are (k0, 0, 0, 0) over the grid's k0 table."""
     if np.any(udot[1:]):
         return grid.k, None
     values, index = grid.waves.tables[0]

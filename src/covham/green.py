@@ -25,26 +25,32 @@ import numpy as np
 
 from .fields import FieldSpec
 from .minkowski import lower_index, minkowski_dot
-from .worldlines import Worldline
+from .worldlines import Worldline, equal_time_crossing
 
 
-def _retarded_proper_time(w: Worldline, x: np.ndarray) -> float:
-    """tau_r with u(tau_r) on the past light cone of x (straight lines only).
+def _retarded_separation(w: Worldline, x: np.ndarray):
+    """(tau_r, d, udot) for the point u(tau_r) of a straight line on the
+    past light cone of x: d = x - u(tau_r), udot the line's velocity.
 
-    Solves (x - u(tau))^2 = 0 for uniform or static worldlines; the
-    timelike normalization makes the quadratic explicit:
-    tau_r = d.udot - sqrt((d.udot)^2 - d.d) with d = x - u(0).
+    Anchored at the crossing u(tau*) of x's slice (on a slice before the
+    switch-on, the switch-on state), with u^0 = x^0 exactly, as
+    dynamics._crossings takes it: with a = x - u(tau*) the timelike
+    normalization makes (a + lag udot)^2 = 0 explicit in lag = tau* -
+    tau_r, lag = sqrt((a.udot)^2 - a.a) - a.udot, and d = a + lag udot.
+    An anchor far along the line, such as u(0), would cancel the digits
+    of (d.udot)^2 - d.d.
     """
     if not w.straight:
         raise ValueError("retarded time in closed form needs a straight line")
-    u0, udot = w.state(0.0)
-    d = np.asarray(x, dtype=float) - u0
-    dd = minkowski_dot(d, d)
-    du = minkowski_dot(d, udot)
-    disc = du * du - dd
-    if disc < 0.0:
-        raise ValueError("point has no real retarded root (spacelike data)")
-    return float(du - np.sqrt(disc))
+    x = np.asarray(x, dtype=float)
+    on = max(x[0], w.switch_on_time())
+    tau = equal_time_crossing(w, on)
+    u, udot = w.state(tau)
+    u[0] = on  # exact, where t_start + gamma tau rounds
+    a = x - u
+    au = minkowski_dot(a, udot)
+    lag = np.sqrt(au * au - minkowski_dot(a, a)) - au
+    return float(tau - lag), a + lag * udot, udot
 
 
 def em_potential(w: Worldline, x: np.ndarray) -> np.ndarray:
@@ -53,31 +59,23 @@ def em_potential(w: Worldline, x: np.ndarray) -> np.ndarray:
     Zero before the switch-on front arrives.  For a static charge this
     is A_0 = e / r.
     """
-    x = np.asarray(x, dtype=float)
-    tau_r = _retarded_proper_time(w, x)
+    tau_r, d, udot = _retarded_separation(w, x)
     if tau_r < w.tau_on:
         return np.zeros(4)
-    u, udot = w.state(tau_r)
-    d = x - u
-    denom = minkowski_dot(d, udot)
-    return w.coupling * lower_index(udot) / denom
+    return w.coupling * lower_index(udot) / minkowski_dot(d, udot)
 
 
 def scalar_yukawa(field: FieldSpec, w: Worldline, x: np.ndarray) -> complex:
     """Steady-state scalar field of a straight-line source.
 
-    phi(x) = -(g / a2) exp(-kappa rho) / (4 pi rho) with
-    rho = sqrt((d.udot)^2 - d.d) the proper distance from the line;
-    zero before the massless front from the switch-on event.
+    phi(x) = -(g / a2) exp(-kappa rho) / (4 pi rho) with rho = d.udot
+    the proper distance from the line, d the retarded separation; zero
+    before the massless front from the switch-on event.
     """
-    x = np.asarray(x, dtype=float)
-    tau_r = _retarded_proper_time(w, x)
+    tau_r, d, udot = _retarded_separation(w, x)
     if tau_r < w.tau_on:
         return 0.0 + 0.0j
-    u0, udot = w.state(0.0)
-    d = x - u0
-    du = minkowski_dot(d, udot)
-    rho = float(np.sqrt(du * du - minkowski_dot(d, d)))
+    rho = float(minkowski_dot(d, udot))
     if rho == 0.0:
         raise ZeroDivisionError("field point lies on the worldline")
     amp = -(w.coupling / field.a2) * np.exp(-field.kappa * rho) / (4.0 * np.pi * rho)

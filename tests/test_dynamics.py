@@ -751,6 +751,26 @@ class TestStraightSeries:
                                        [np.zeros(1), np.zeros(1)])
         _assert_rel_close(hist.coeffs, want[-1:], rtol=1e-13)
 
+    @pytest.mark.parametrize("kind", ["static", "uniform"])
+    @pytest.mark.parametrize("name", ["scalar", "rank1", "em", "spinor"])
+    def test_one_closed_sum_per_slice(self, name, kind, monkeypatch):
+        # every kept slice takes the same closed sum: save="last" is
+        # save="all"'s final slice, and the block size moves no bit
+        field = SERIES_FIELDS[name]
+        grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=field.kappa)
+        lines = [_line(kind, 0.537)]
+        init = _initial(field, grid, np.random.default_rng(17))
+
+        def run(save):
+            return evolve_amplitudes(field, lines, grid, *WINDOW, 200, *init,
+                                     save=save).coeffs
+
+        history = run("all")
+        assert np.array_equal(run("last")[0], history[-1])
+        monkeypatch.setattr(dynamics, "_SERIES_BLOCK",
+                            3 * len(grid) * field.n_components)
+        assert np.array_equal(run("all"), history)
+
     @pytest.mark.parametrize("save", ["all", "last"])
     @pytest.mark.parametrize("steps", [3, 200])
     def test_straight_sources_walk_only_their_switch_on(self, steps, save,
@@ -796,8 +816,9 @@ class TestStraightSeries:
         finally:
             tracemalloc.stop()
         assert hist.coeffs.nbytes == history
-        # four series arrays of _SERIES_BLOCK entries and a few one-slice
-        # arrays (the switch-on rates), nothing that grows with the steps
+        # a block of closed sums and their product with the rates, of
+        # _SERIES_BLOCK entries, and a few one-slice arrays (the switch-on
+        # rates), nothing that grows with the steps
         one_slice = history // (steps + 1)
         assert peak - history < 4 * dynamics._SERIES_BLOCK * 16 + 3 * one_slice
 

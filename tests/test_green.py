@@ -85,6 +85,21 @@ class TestScalarYukawa:
         assert scalar_yukawa(field, w, np.array([1.9, 2.0, 0, 0])) == 0.0
 
 
+class TestFarAnchor:
+    """A line switched on long before the field point's slice: the
+    oracles anchor at the slice's crossing, not at u(0)."""
+
+    def test_static_values_keep_their_digits(self):
+        field = scalar_field(s=2.0, m=1.5, c=2.0)  # a2 = 2, kappa = 1.5
+        position = np.array([0.3, -0.2, 0.1])
+        x = np.array([2.0, 1.3, 0.4, -0.5])
+        r = np.linalg.norm(x[1:] - position)
+        w = static_worldline(position, coupling=0.7, t_start=-1e10)
+        assert em_potential(w, x)[0] == pytest.approx(0.7 / r, rel=1e-14)
+        want = -(0.7 / 2.0) * np.exp(-1.5 * r) / (4.0 * np.pi * r)
+        assert scalar_yukawa(field, w, x) == pytest.approx(want, rel=1e-14)
+
+
 class TestDispatcher:
     def test_sums_over_sources(self):
         w1 = static_worldline([1.0, 0, 0], coupling=1.0, t_start=-100.0)

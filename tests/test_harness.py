@@ -1079,6 +1079,18 @@ class TestGreenSuite:
         assert report.passed, [r.to_dict() for r in report.records
                                if r.status != "pass"]
 
+    @pytest.mark.parametrize("t_start", [-1e10, -1e13])
+    def test_far_past_switch_on_writes_no_error(self, t_start):
+        # the oracles anchor at the crossing of each point's slice, so a
+        # line that started 1e10 away puts no point on it; whether the
+        # records pass is the green window rule's concern
+        data = json.loads((SCENARIOS / "static_scalar_source.json")
+                          .read_text())
+        data["particles"][0]["t_start"] = t_start
+        report = run_verification(scenario_from_dict(data), "green", seed=0)
+        assert {r.name for r in report.records} == {
+            "green/yukawa_direct", "green/yukawa_ratio"}
+
     def test_moving_source_not_applicable(self):
         data = sourced_scalar_dict(extra_particle=True)
         s = scenario_from_dict(data)
@@ -1145,6 +1157,14 @@ class TestCli:
                          "--tol", flag]) == 2, flag
             assert message in capsys.readouterr().err, flag
 
+    def test_long_tolerance_flag_is_cut_short(self, tmp_path, capsys):
+        path = self.write(tmp_path, free_scalar_dict())
+        for flag in ("x" * 3000, "roundtrip=" + "1" * 3000 + "z"):
+            assert main(["run", path, "--out", str(tmp_path / "o"),
+                         "--tol", flag]) == 2
+            err = capsys.readouterr().err
+            assert "--tol" in err and len(err) < 200, err
+
     def test_uncreatable_out_dir(self, tmp_path, capsys):
         path = self.write(tmp_path, free_scalar_dict())
         blocker = tmp_path / "file"
@@ -1169,7 +1189,8 @@ class TestCli:
         extra = {"dirac_static_source": (), "free_scalar": ("parseval",),
                  "rank2_circular_orbit": ("parseval",),
                  "static_em_charge": ("green",),
-                 "static_scalar_source": ("parseval", "green")}[path.stem]
+                 "static_scalar_source": ("parseval", "green"),
+                 "scalar_units_coupling": ("parseval", "green")}[path.stem]
         assert ran == list(s.plan.suites) == list(_BASE_SUITES + extra)
 
     def test_shipped_scenarios_validate(self, capsys):
