@@ -58,8 +58,7 @@ MAX_STATE_SIZE = 4096
 
 class StateLayout:
     """The bracket state: the flat view of an array of `shape`
-    (modes, branches, 5, components), the grid's CanonicalMode.rows with
-    the components flattened.
+    (modes, branches, 5, components), the grid's CanonicalMode.rows.
 
     Branches run plus, then minus for complex species; row 0 of a branch
     holds q_c and row 1 + mu holds pi_{mu c}, lower-index as stored.
@@ -78,8 +77,7 @@ class StateLayout:
         self.grid = grid
         self.branches = field.branches
         self.comp_size = field.n_components
-        self.sigma_flat = np.asarray(field.pairing_signs(),
-                                     dtype=float).reshape(-1)
+        self.sigma_flat = row_signs(field)[0]
         self.shape = (len(grid), len(self.branches), 5, self.comp_size)
         self.size = int(np.prod(self.shape))
         if self.size > MAX_STATE_SIZE:
@@ -100,8 +98,8 @@ class StateLayout:
 
     def modes(self, state: np.ndarray) -> CanonicalMode:
         """The state as one CanonicalMode over the grid, rows a view."""
-        rows = np.reshape(state, self.shape[:3] + self.field.component_shape)
-        return CanonicalMode(field=self.field, rows=rows)
+        return CanonicalMode(field=self.field,
+                             rows=np.reshape(state, self.shape))
 
 
 @dataclass(frozen=True)
@@ -371,7 +369,7 @@ def dw_conservation_check(cfg: BracketConfig, state: np.ndarray) -> float:
         raise ValueError("state does not match the layout")
     grads = (mode_hamiltonian_gradients(cfg.field, cfg.grid.k,
                                         lay.modes(state), np.zeros(4)).rows
-             * row_signs(cfg.field)).reshape(lay.shape)
+             * row_signs(cfg.field))
     dq, dpi = grads[:, :, None, 0], grads[:, :, 1:]
     w = cfg.grid.weight[:, None, None, None]
     first = np.sum(w * (dq * dpi), axis=(0, 1, 3))

@@ -51,14 +51,17 @@ independent reference the canonical value is checked against; it and
 hamilton_residual take one k.  The rest also take stacked k (..., 4),
 one per leading entry of the amplitudes or rows, each mode scaled alone.
 
-The constants of one (field, gauge z) are built once and kept: g_b, s_b
-and 2 s_b, sigma_c, row_signs, the free gradient factor of each row, and
-the index tuples that pick q, pi and pi_0 out of the (..., branches, 5,
-*comp) rows.  Each call then writes and reads its rows in place by basic
-indexing, one code path for one mode and for a stack, so a one-mode call
-pays for little more than its arithmetic.  gradient_consistency
-evaluates J on the probes of every stored entry and applies one
-five_point stencil to all of them.
+The rows of a mode keep its components flat, (..., branches, 5,
+components) in brackets.StateLayout's C order, so q, pi, pi_0 and one
+branch are the fixed views [..., 0, :], [..., 1:, :], [..., 1, :] and
+[..., b, :] at every rank; only to_canonical and from_canonical, and the
+q and pi views, see the component shape.  The constants of one (field,
+gauge z) are built once and kept: g_b, s_b and 2 s_b, sigma_c,
+row_signs, the free gradient factor of each row and 1 / g_plus.  Each
+call writes and reads its rows in place, one code path for one mode and
+for a stack, so a one-mode call pays for little more than its
+arithmetic.  gradient_consistency evaluates J on the probes of every
+stored entry and applies one five_point stencil to all of them.
 """
 from __future__ import annotations
 
@@ -97,11 +100,12 @@ COLLINEAR_TOL = 1e-10
 class CanonicalMode:
     """Canonical variables of one mode or a stack, one array of rows.
 
-    rows has shape (..., branches, 5, *component_shape): per branch
-    (plus, then minus; the em field keeps plus only) row 0 holds q_c and
-    row 1 + mu holds pi_{mu c}, lower-index as stored.  The mode keeps no
-    wave vector: every function that takes one also takes k, (4,) or one
-    wave vector per leading entry.
+    rows has shape (..., branches, 5, components), the components flat
+    in brackets.StateLayout's C order: per branch (plus, then minus; the
+    em field keeps plus only) row 0 holds q_c and row 1 + mu holds
+    pi_{mu c}, lower-index as stored.  The mode keeps no wave vector:
+    every function that takes one also takes k, (4,) or one wave vector
+    per leading entry.
     """
 
     field: FieldSpec
@@ -110,87 +114,65 @@ class CanonicalMode:
     @property
     def q(self) -> np.ndarray:
         """q_c per branch, (..., branches, *component_shape), a view."""
-        return self.rows[(..., 0) + (slice(None),)
-                         * len(self.field.component_shape)]
+        return self.rows[..., 0, :].reshape(self.rows.shape[:-2]
+                                            + self.field.component_shape)
 
     @property
     def pi(self) -> np.ndarray:
         """pi_{mu c} per branch, (..., branches, 4, *component_shape),
         a view."""
-        return self.rows[(..., slice(1, None)) + (slice(None),)
-                         * len(self.field.component_shape)]
+        return self.rows[..., 1:, :].reshape(self.rows.shape[:-2] + (4,)
+                                             + self.field.component_shape)
 
 
 def row_signs(field: FieldSpec) -> np.ndarray:
-    """Index-raising signs of the rows, (5, *component_shape): sigma_c on
-    q and eta_mumu sigma_c on pi_mu, the [1, eta] (x) sigma rule."""
+    """Index-raising signs of the rows, (5, components): sigma_c on q and
+    eta_mumu sigma_c on pi_mu, the [1, eta] (x) sigma rule."""
     return np.multiply.outer(np.concatenate([[1.0], METRIC_DIAG]),
-                             field.pairing_signs())
+                             field.pairing_signs().reshape(-1))
 
 
 @dataclass(frozen=True)
 class _Constants:
     """What the canonical map needs of one (field, gauge z), built once.
 
-    Arrays are read-only and shaped against w (..., branches, *comp) or
-    rows (..., branches, 5, *comp); the index tuples pick rows out of
-    those by basic indexing, so no call restacks or moves an axis.
+    Arrays are read-only and shaped against w (..., branches, components)
+    or rows (..., branches, 5, components).
     """
 
     field: FieldSpec
     z: complex
-    comp: tuple[int, ...]
-    g: np.ndarray            # g_b, (branches, *ones)
-    q_signs: np.ndarray      # s_b, (branches, *ones)
+    g: np.ndarray            # g_b, (branches, 1)
+    q_signs: np.ndarray      # s_b, (branches, 1)
     two_q_signs: np.ndarray  # 2 s_b
-    sigma: np.ndarray        # sigma_c, comp
-    q_sigma: np.ndarray      # s_b sigma_c, (branches, *comp)
-    row_signs: np.ndarray    # row_signs(field), (5, *comp)
-    free_rows: np.ndarray    # free gradient factor per row, (5, *ones)
+    sigma: np.ndarray        # sigma_c, (components,)
+    q_sigma: np.ndarray      # s_b sigma_c, (branches, components)
+    row_signs: np.ndarray    # row_signs(field), (5, components)
+    free_rows: np.ndarray    # free gradient factor per row, (5, 1)
     zeta: complex            # 1 / g_plus, the coupling rows' gauge factor
-    q_at: tuple              # row 0: (..., branches, *comp)
-    pi_at: tuple             # rows 1-4: (..., branches, 4, *comp)
-    pi0_at: tuple            # row 1, pi_0
-    pi0_kept: tuple          # row 1 as (..., branches, 1, *comp)
-    branch_at: tuple         # per branch b, entry b of the branch axis
-    new_row: tuple           # inserts a row axis before the components
-    mu_comp_axes: tuple      # the mu and component axes of pi
-    comp_axes: tuple
 
 
 @lru_cache(maxsize=64)
 def _constants(field: FieldSpec, z: complex) -> _Constants:
-    comp = field.component_shape
-    ones = (1,) * len(comp)
-    cs = (slice(None),) * len(comp)
-    q_signs = np.reshape(field.q_signs, (-1,) + ones)
-    sigma = field.pairing_signs()
+    q_signs = np.reshape(field.q_signs, (-1, 1))
+    sigma = field.pairing_signs().reshape(-1)
     free = field.free_sign * np.concatenate([[field.kappa**2], np.ones(4)])
-    arrays = {"g": np.reshape(field.gauge_factors(z), (-1,) + ones),
+    arrays = {"g": np.reshape(field.gauge_factors(z), (-1, 1)),
               "q_signs": q_signs, "two_q_signs": q_signs * 2.0,
               "sigma": sigma, "q_sigma": q_signs * sigma,
-              "row_signs": row_signs(field),
-              "free_rows": free.reshape((5,) + ones)}
+              "row_signs": row_signs(field), "free_rows": free[:, None]}
     for a in arrays.values():
         a.setflags(write=False)
-    return _Constants(
-        field=field, z=z, comp=comp, **arrays,
-        zeta=1.0 / field.gauge_factors(z)[0],
-        q_at=(..., 0) + cs, pi_at=(..., slice(1, None)) + cs,
-        pi0_at=(..., 1) + cs, pi0_kept=(..., slice(1, 2)) + cs,
-        branch_at=tuple((..., b) + cs for b in range(len(field.branches))),
-        new_row=(..., None) + cs,
-        mu_comp_axes=tuple(range(-1 - len(comp), 0)),
-        comp_axes=tuple(range(-len(comp), 0)))
+    return _Constants(field=field, z=z, **arrays,
+                      zeta=1.0 / field.gauge_factors(z)[0])
 
 
 def _mode_scales(c: _Constants, k: np.ndarray):
     """eps and k0 of each wave vector of k (..., 4) against w (...,
-    branches, *comp), its lowered k_mu against pi (..., branches, 4, *comp)."""
-    lead, ones = k.shape[:-1], (1,) * len(c.comp)
-    k0 = k[..., 0].reshape(lead + (1,) + ones)
-    return (c.field.epsilon(k0, c.z), k0,
-            lower_index(k).reshape(lead + (1, 4) + ones))
+    branches, components), its lowered k_mu against pi (..., branches, 4,
+    components)."""
+    k0 = k[..., 0, None, None]
+    return (c.field.epsilon(k0, c.z), k0, lower_index(k)[..., None, :, None])
 
 
 def to_canonical(
@@ -212,23 +194,23 @@ def to_canonical(
     c = _constants(field, gauge.z)
     k = np.asarray(k, dtype=float)
     eps, _, k_mu = _mode_scales(c, k)
-    comp = c.comp
+    comp = field.component_shape
     amp_plus = np.asarray(amp_plus, dtype=complex)
-    if amp_plus.shape[amp_plus.ndim - len(comp):] != comp:
+    lead = amp_plus.shape[:amp_plus.ndim - len(comp)]
+    if amp_plus.shape[len(lead):] != comp:
         raise ValueError(f"amp_plus shape {amp_plus.shape}, expected {comp}")
-    w = np.empty(amp_plus.shape[:amp_plus.ndim - len(comp)]
-                 + c.g.shape[:1] + comp, dtype=complex)
-    for at, amp in zip(c.branch_at, field.families(amp_plus, amp_minus)):
+    w = np.empty(lead + c.q_sigma.shape, dtype=complex)  # (branches, comps)
+    for b, amp in enumerate(field.families(amp_plus, amp_minus)):
         if np.shape(amp) != amp_plus.shape:
             raise ValueError(f"amp_minus shape {np.shape(amp)}, expected "
                              f"the shape of amp_plus {amp_plus.shape}")
-        w[at] = amp
+        w[..., b, :].reshape(amp_plus.shape)[...] = amp  # a view of w
     np.multiply(c.g, w, out=w)  # w_b = g_b T~_b
     q = c.two_q_signs * eps * w.imag
-    rows = np.empty(q.shape[:q.ndim - len(comp)] + (5,) + comp)
-    rows[c.q_at] = q
-    np.multiply(2.0 * eps[c.new_row] * k_mu, w.real[c.new_row],
-                out=rows[c.pi_at])
+    rows = np.empty(q.shape[:-1] + (5,) + q.shape[-1:])
+    rows[..., 0, :] = q
+    np.multiply(2.0 * eps[..., None, :] * k_mu, w.real[..., None, :],
+                out=rows[..., 1:, :])
     return CanonicalMode(field=field, rows=rows)
 
 
@@ -236,10 +218,10 @@ def _check_collinear(c: _Constants, mode: CanonicalMode, k0, k_mu,
                      tol: float) -> None:
     """Each (mode, branch)'s pi rows against k pi_0 / k0, scaled by its
     own 1 + max |pi|; non-finite rows fail too."""
-    pi = mode.rows[c.pi_at]
-    model = k_mu * mode.rows[c.pi0_kept] / k0[c.new_row]
-    defect = np.abs(pi - model).max(axis=c.mu_comp_axes)
-    if not ((defect <= tol * (1.0 + np.abs(pi).max(axis=c.mu_comp_axes)))
+    pi = mode.rows[..., 1:, :]
+    model = k_mu * mode.rows[..., 1:2, :] / k0[..., None, :]
+    defect = np.abs(pi - model).max(axis=(-2, -1))
+    if not ((defect <= tol * (1.0 + np.abs(pi).max(axis=(-2, -1))))
             .all() and np.isfinite(mode.rows).all()):
         raise CanonicalStructureError(
             f"pi is not collinear with k (defect {np.max(defect):.3e}); "
@@ -249,10 +231,10 @@ def _check_collinear(c: _Constants, mode: CanonicalMode, k0, k_mu,
 
 def _w_values(c: _Constants, mode: CanonicalMode, eps: np.ndarray,
               k0: np.ndarray) -> np.ndarray:
-    """Complex w, (..., branches, *comp), via the pi_0 extension (exact
-    on-shell); eps and k0 as _mode_scales shapes them."""
-    return (mode.rows[c.pi0_at] / (2.0 * eps * k0)
-            + 1j * (c.q_signs * mode.rows[c.q_at] / (2.0 * eps)))
+    """Complex w, (..., branches, components), via the pi_0 extension
+    (exact on-shell); eps and k0 as _mode_scales shapes them."""
+    return (mode.rows[..., 1, :] / (2.0 * eps * k0)
+            + 1j * (c.q_signs * mode.rows[..., 0, :] / (2.0 * eps)))
 
 
 def from_canonical(
@@ -272,7 +254,9 @@ def from_canonical(
     eps, k0, k_mu = _mode_scales(c, np.asarray(k, dtype=float))
     _check_collinear(c, mode, k0, k_mu, COLLINEAR_TOL)
     amps = _w_values(c, mode, eps, k0) / c.g
-    return family_pair([amps[at] for at in c.branch_at])
+    shape = amps.shape[:-2] + field.component_shape
+    return family_pair([amps[..., b, :].reshape(shape)
+                        for b in range(len(field.branches))])
 
 
 def mode_hamiltonian(
@@ -340,33 +324,33 @@ def mode_hamiltonian(
 def _coupling_rows(field: FieldSpec, k: np.ndarray, x: np.ndarray,
                    worldlines: list[Worldline] | None,
                    gauge: CanonicalGauge) -> np.ndarray | None:
-    """Interaction rows A, (..., branches, *comp): J_int = Re sum_c A_b,c
-    w_b,c at x, one per wave vector of k (..., 4).
+    """Interaction rows A, (..., branches, components): J_int = Re sum_c
+    A_b,c w_b,c at x, one per wave vector of k (..., 4).
 
     None when no source is active on the slice x0 = x[0].  The gauge
     factor is 1 / g_plus (field.gauge_factors); the minus row carries
     the conjugate phase, and spinor rows close with kappa +- slash(k).
+    The phase is taken on an array even for one mode, so one mode rounds
+    as an entry of a stack does.
     """
     sources = source_terms(field, worldlines, x[0])
     if not sources:
         return None
     c = _constants(field, gauge.z)
-    ones = (1,) * len(c.comp)
     rows = [0.0 for _ in field.branches]
     for w, u, udot, current in sources:
         if field.kind == "spinor":
             row = dirac_adjoint(current) * (w.coupling
                                             / (field.kappa * udot[0]))
         else:
-            row = c.sigma * current * (field.coupling_strength * w.coupling
-                                       / udot[0])
-        phase = c.zeta * np.exp(1j * minkowski_dot(k, x - u))
-        phase = phase.reshape(phase.shape + ones)
+            row = c.sigma * current.reshape(-1) * (
+                field.coupling_strength * w.coupling / udot[0])
+        phase = c.zeta * np.exp(1j * minkowski_dot(k, x - u)[..., None])
         rows = [r + row * ph for r, ph in zip(rows, with_conjugate(phase))]
     if field.kind == "spinor":
         rows = [(r[..., None, :] @ op)[..., 0, :]  # r @ op per mode
                 for r, op in zip(rows, field.shell_operators(k))]
-    return np.stack(rows, axis=-1 - len(ones))
+    return np.stack(rows, axis=-2)
 
 
 def mode_hamiltonian_canonical(
@@ -401,15 +385,14 @@ def _canonical_value(field, k, mode, coupling, gauge):
     """
     c = _constants(field, gauge.z)
     pipi = np.einsum("m,m...->...", METRIC_DIAG,
-                     np.moveaxis(mode.rows[c.pi_at]**2, -1 - len(c.comp), 0))
+                     np.moveaxis(mode.rows[..., 1:, :]**2, -2, 0))
     free = 0.5 * np.sum(c.sigma * (pipi + field.kappa**2
-                                   * mode.rows[c.q_at]**2), axis=c.comp_axes)
+                                   * mode.rows[..., 0, :]**2), axis=-1)
     value = field.free_sign * np.sum(free, axis=-1)
     if coupling is None:
         return value
     eps, k0, _ = _mode_scales(c, k)
-    terms = np.real(np.sum(coupling * _w_values(c, mode, eps, k0),
-                           axis=c.comp_axes))
+    terms = np.real(np.sum(coupling * _w_values(c, mode, eps, k0), axis=-1))
     for b in range(terms.shape[-1]):
         value = value + terms[..., b]
     return value
@@ -447,8 +430,8 @@ def _gradients(field: FieldSpec, k: np.ndarray, mode: CanonicalMode,
     grads = c.free_rows * mode.rows
     if coupling is not None:
         eps, k0, _ = _mode_scales(c, k)
-        grads[c.q_at] -= c.q_sigma * coupling.imag / (2.0 * eps)
-        grads[c.pi0_at] += c.sigma * coupling.real / (2.0 * eps * k0)
+        grads[..., 0, :] -= c.q_sigma * coupling.imag / (2.0 * eps)
+        grads[..., 1, :] += c.sigma * coupling.real / (2.0 * eps * k0)
     return CanonicalMode(field=field, rows=grads)
 
 
@@ -484,7 +467,7 @@ def gradient_consistency(
     coupling = _coupling_rows(field, k, x, worldlines, gauge)
     analytic = _gradients(field, k, mode, coupling, gauge).rows
     signs = _constants(field, gauge.z).row_signs
-    entries = tuple(range(-1 - signs.ndim, 0))  # one mode's axes
+    entries = (-3, -2, -1)  # one mode's axes
     n = len(field.branches) * signs.size
     block = max(1, _PROBE_BYTES // (4 * mode.rows.nbytes))
     values = []
@@ -576,18 +559,15 @@ def hamilton_residual(
         pair[...] = amp_at(t)[:n_b]
     shifted = canonical_at_point(
         field, k, *family_pair(np.moveaxis(coeffs, 2, 0)), points, gauge)
-    # d_mu of every row, mu leading: (4, branches, 5, *comp)
+    # d_mu of every row, mu leading: (4, branches, 5, components)
     d = five_point(shifted.rows, h)
-    c = _constants(field, gauge.z)
-    g_q, g_pi = grads.rows[c.q_at], grads.rows[c.pi_at]
-    n_b = len(g_q)
+    g_q, g_pi = grads.rows[..., 0, :], grads.rows[..., 1:, :]
     # d_mu q_c against dJ/dpi^{mu c}, both mu leading
-    r1 = (np.abs(d[c.q_at] - g_pi.swapaxes(0, 1)).reshape(4, n_b, -1)
-          .max(axis=(0, 2))
-          / (1.0 + np.abs(g_pi).reshape(n_b, -1).max(axis=1)))
-    div_pi = np.einsum("m,mbm...->b...", METRIC_DIAG, d[c.pi_at])
-    r2 = (np.abs(div_pi + g_q).reshape(n_b, -1).max(axis=1)
-          / (1.0 + np.abs(g_q).reshape(n_b, -1).max(axis=1)))
+    r1 = (np.abs(d[..., 0, :] - g_pi.swapaxes(0, 1)).max(axis=(0, 2))
+          / (1.0 + np.abs(g_pi).max(axis=(1, 2))))
+    div_pi = np.einsum("m,mbmc->bc", METRIC_DIAG, d[..., 1:, :])
+    r2 = (np.abs(div_pi + g_q).max(axis=1)
+          / (1.0 + np.abs(g_q).max(axis=1)))
     return float(r1.max()), float(r2.max())
 
 

@@ -58,6 +58,9 @@ class FieldSpec:
             raise ValueError(f"unknown field kind {self.kind!r}")
         if not all(map(math.isfinite, (self.a2, self.b2, self.kappa))):
             raise ValueError(f"{self.kind}: a2, b2 and kappa must be finite")
+        if not math.isfinite(self.kappa * self.kappa):
+            raise ValueError(f"{self.kind}: kappa = {self.kappa:.6g} puts "
+                             "kappa^2 past the float range")
         if self.a2 == 0.0:
             raise ValueError(f"{self.kind}: a2 must be nonzero")
         if self.kind == "em":
@@ -191,6 +194,13 @@ class FieldSpec:
         """Source factor of the canonical coupling rows of the
         second-order species: 2, or 2 / c = -16 pi a2 for em."""
         return -16.0 * np.pi * self.a2 if self.is_real else 2.0
+
+    @property
+    def current_order(self) -> int:
+        """Highest power of the source four-velocity in the current: the
+        rank of the velocity monomial (em 1), 2 for the spinor's
+        slash(u_dot)^2 xi3."""
+        return 2 if self.kind == "spinor" else self.rank
 
     def shell_operators(self, k) -> tuple[np.ndarray, np.ndarray]:
         """The spinor's kappa + slash(k) and kappa - slash(k)."""

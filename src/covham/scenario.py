@@ -121,6 +121,12 @@ class Scenario:
 
 # largest k0 h on the hamilton suite's two probed modes
 _PROBE_K0H = 0.06
+# largest turn of the orbit harmonics per step at the order check's
+# coarsest count (its slope leaves 4 +- 0.4 near pi / 2)
+_ORDER_TURN_H = 1.5
+# bytes of one saved history (steps + 1 slices of every mode's
+# coefficients) that the simulate and hamilton grids are cut to
+_HISTORY_BYTES = 2**28
 
 
 def _refined(span: float, k0: float, k0h: float, least: int):
@@ -128,6 +134,18 @@ def _refined(span: float, k0: float, k0h: float, least: int):
     the count overflows a float."""
     need = span * k0 / k0h
     return max(least, math.ceil(need)) if math.isfinite(need) else need
+
+
+def _fitted(field: FieldSpec, n_max: int, make):
+    """make(n) = (grid, steps, ...) for the most nodes per axis n <=
+    n_max whose saved history of steps (None: none saved) fits
+    _HISTORY_BYTES; make(1) if none does."""
+    entry = 16 * len(field.branches) * field.n_components
+    for n in range(n_max, 0, -1):
+        grid, steps, *_ = made = make(n)
+        if steps is None or (steps + 1) * len(grid) * entry <= _HISTORY_BYTES:
+            break
+    return made
 
 
 class SuitePlan:
@@ -142,21 +160,34 @@ class SuitePlan:
     residual and `hamilton_steps` (k0 h <= _PROBE_K0H on them, None
     without sources) over its `hamilton_span` from `hamilton_start`
     (x0_start, or the first switch-on if that is at or after the end of
-    the window from x0_start).  bracket: the field's sector or the
-    spinor's rank-0 stand-in on `bracket_grid`, as many of three box
-    modes as MAX_STATE_SIZE holds, and `bracket_note` (None, or what was
-    replaced or cut).  green: the scenario grid averaged over
-    `green_window` = (period, center), or `green_skip` = (record,
-    reason).  `suites`: what `--suite all` runs, in order.
+    the window from x0_start), and the integrator order check's
+    `order_steps` (n, 2n, 4n), n = 64 unless an orbit needs more.  A
+    circular source adds (the current's order in u_dot + 1) times its
+    |omega| to k0 in every step rule.  Both grids lose nodes per axis
+    until the history saved at steps_fd or hamilton_steps fits
+    _HISTORY_BYTES.  bracket: the field's sector or the spinor's rank-0
+    stand-in on `bracket_grid`, as many of three box modes as
+    MAX_STATE_SIZE holds, and `bracket_note` (None, or what was replaced
+    or cut).  green: the scenario grid averaged over `green_window` =
+    (period, center), or `green_skip` = (record, reason).  `suites`:
+    what `--suite all` runs, in order.
     """
 
     def __init__(self, s: Scenario):
         kappa, span = s.field.kappa, s.x0_end - s.x0_start
-        self.simulate_grid = build_mode_grid(min(s.kmax, 2.0),
-                                             min(s.n_per_axis, 5), kappa)
         self.steps = 2 * math.ceil(max(s.steps, 8) / 2)
-        self.steps_fd = _refined(span, float(np.max(self.simulate_grid.k0)),
-                                 STENCIL_K0H, self.steps)
+        # a circular source's rate also turns with its orbit: harmonics of
+        # omega up to the current's order in u_dot, plus one for its phase
+        turn = (s.field.current_order + 1) * max(
+            (abs(w.omega) for w in s.particles), default=0.0)
+
+        def simulate(n):
+            grid = build_mode_grid(min(s.kmax, 2.0), n, kappa)
+            return grid, _refined(span, float(np.max(grid.k0)) + turn,
+                                  STENCIL_K0H, self.steps)
+
+        self.simulate_grid, self.steps_fd = _fitted(
+            s.field, min(s.n_per_axis, 5), simulate)
         t_on = min((w.switch_on_time() for w in s.particles),
                    default=s.x0_start)
         # h: the simulate spacing, as uniform_spacing gives it
@@ -164,20 +195,27 @@ class SuitePlan:
         self.causality_probe = (
             (t_on - 4.0 * h, t_on + 4.0 * h, 8) if s.particles
             and s.x0_start >= t_on - SWITCH_ON_SLACK else None)
-        n = min(s.n_per_axis, 5)
-        grid = self.hamilton_grid = build_mode_grid(
-            s.kmax, n, kappa, k0_floor=s.k0_floor if n == s.n_per_axis
-            else None)
-        order = np.argsort(grid.k0)
-        self.probes = (int(order[0]), int(order[len(order) // 3]))
         self.hamilton_span = min(2.0, span)
         # a window that every source switches on after holds no source:
         # then it opens at the first switch-on
         self.hamilton_start = (t_on if t_on >= s.x0_start + self.hamilton_span
                                else s.x0_start)
-        self.hamilton_steps = (_refined(
-            self.hamilton_span, float(max(grid.k0[list(self.probes)])),
-            _PROBE_K0H, 64) if s.particles else None)
+
+        def hamilton(n):
+            grid = build_mode_grid(s.kmax, n, kappa, k0_floor=s.k0_floor
+                                   if n == s.n_per_axis else None)
+            order = np.argsort(grid.k0)
+            probes = (int(order[0]), int(order[len(order) // 3]))
+            return grid, (_refined(
+                self.hamilton_span, float(max(grid.k0[list(probes)])) + turn,
+                _PROBE_K0H, 64) if s.particles else None), probes
+
+        self.hamilton_grid, self.hamilton_steps, self.probes = _fitted(
+            s.field, min(s.n_per_axis, 5), hamilton)
+        # where the orbit sets it, 4 coarse stays below hamilton_steps,
+        # whose budget and spacing checks at load then cover it
+        coarse = _refined(self.hamilton_span, turn, _ORDER_TURN_H, 64)
+        self.order_steps = (coarse, 2 * coarse, 4 * coarse)
 
         sector, note = s.field, None
         if not sector.has_bracket_sector:
@@ -373,6 +411,8 @@ def _build_particle(blk, spec: FieldSpec, where: str) -> Worldline:
     _require(not foreign, where,
              f"a {kind} particle takes no {sorted(foreign)}")
     coupling = _number(blk, where, "coupling")
+    # a source that sources nothing leaves every sourced check at 0 / 0
+    _require(coupling != 0.0, where, "coupling must be nonzero")
     position = _vector(blk, where, "position",
                        "position must be a spatial 3-vector")
 
@@ -381,6 +421,8 @@ def _build_particle(blk, spec: FieldSpec, where: str) -> Worldline:
     if spec.kind == "spinor":
         _require("xi1" in spinors, where,
                  "dirac sources need coupling spinors (xi1)")
+        _require(any(xi.any() for xi in spinors.values()), where,
+                 "the coupling spinors xi1-xi3 must not all be zero")
     else:
         _require(not spinors, where, "coupling spinors (xi1-xi3) need a "
                  f"dirac field, not {spec.kind}")
@@ -437,6 +479,11 @@ def scenario_from_dict(data: dict, sha256: str = "") -> Scenario:
     top = k0_bounds(kmax, n_per_axis, spec.kappa, k0_floor)[1]
     _require(math.isfinite(top), "grid",
              f"kmax = {kmax} puts the corner k0 past the float range")
+    try:  # the mode weights take the cube of modes._axis' cell width
+        (2.0 * kmax / n_per_axis) ** 3
+    except OverflowError:
+        raise ScenarioError(f"grid: kmax = {kmax} puts the cell volume "
+                            "dk^3 past the float range") from None
     _require(k0_floor <= top, "grid", f"k0_floor = {k0_floor} drops every "
              f"node (the largest k0 is {top:.6g})")
 

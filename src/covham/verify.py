@@ -239,7 +239,7 @@ def _suite_hamilton(s: Scenario, rng, tol, records, tables) -> None:
 
     finals = {n: evolve_amplitudes(field, worldlines, grid, start, end, n,
                                    save="last").coeffs[-1]
-              for n in (64, 128, 256)}
+              for n in plan.order_steps}
     counts = list(finals)
     diffs = [float(np.max(np.abs(finals[n] - finals[m])))
              for n, m in zip(counts, counts[1:])]

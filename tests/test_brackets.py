@@ -645,13 +645,15 @@ class TestStateView:
 
 class TestLayoutAndGuards:
     def test_modes_view_the_state(self):
-        for cfg in (scalar_cfg(), vector_cfg(), em_cfg()):
+        higher = [tensor_field(rank=r, a2=1.0, b2=1.0) for r in (2, 3)]
+        for cfg in [scalar_cfg(), vector_cfg(), em_cfg()] + [
+                BracketConfig(f, box_mode_grid(L, NS, f.kappa))
+                for f in higher]:
             lay = cfg.layout
             rng = np.random.default_rng(59)
             state = rng.normal(size=lay.size)
             modes = lay.modes(state)
-            assert modes.rows.shape == lay.shape[:3] + (
-                cfg.field.component_shape)
+            assert modes.rows.shape == lay.shape
             assert np.shares_memory(modes.rows, state)
             assert np.array_equal(modes.rows.ravel(), state)
 

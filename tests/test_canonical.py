@@ -90,7 +90,7 @@ class TestCanonicalSplit:
         # and T~- = i gives pi_- = 0, q_- = sqrt(2); branch 0 is plus
         k = on_shell_k([0.0, 0.0, 0.0], 1.0)
         mode = to_canonical(SCALAR, k, 1.0 + 0.0j, 1.0j)
-        assert mode.rows.shape == (2, 5)
+        assert mode.rows.shape == (2, 5, 1)
         assert mode.pi[0, 0] == pytest.approx(np.sqrt(2.0), rel=1e-14)
         assert np.all(mode.pi[0, 1:] == 0.0)
         assert mode.q[0] == pytest.approx(0.0, abs=1e-15)
@@ -175,7 +175,8 @@ class TestCanonicalSplit:
                     eps = np.sqrt(field.a2 / (2.0 * k0 * abs(z) ** 2))
                 k_low = METRIC_DIAG * k[i]
                 for b, (g_b, s_b, amp) in enumerate(zip(g, signs, amps)):
-                    w = g_b * amp[i]
+                    # the rows hold the components flat
+                    w = (g_b * amp[i]).reshape(-1)
                     rows = mode.rows[i][b]
                     np.testing.assert_allclose(
                         rows[0], s_b * 2.0 * eps * w.imag, rtol=1e-14, atol=0)
@@ -347,8 +348,8 @@ class TestGradients:
         delta = 1e-3
         analytic = mode_hamiltonian_gradients(field, k, mode, x, [w]).rows
         scale = 1.0 + np.max(np.abs(analytic))
-        sigma = field.pairing_signs()
-        # idx = (branch, row, *component); row 0 is q, row 1 + mu is pi_mu
+        sigma = field.pairing_signs().reshape(-1)
+        # idx = (branch, row, component); row 0 is q, row 1 + mu is pi_mu
         entries = list(np.ndindex(mode.rows.shape))
         # samples[o, i]: J with entry i moved by offset o
         samples = np.empty((4, len(entries)))
@@ -362,7 +363,7 @@ class TestGradients:
         worst = 0.0
         for i, idx in enumerate(entries):
             row = idx[1]
-            sign = sigma[idx[2:]] * (1.0 if row == 0 else METRIC_DIAG[row - 1])
+            sign = sigma[idx[2]] * (1.0 if row == 0 else METRIC_DIAG[row - 1])
             worst = np.maximum(worst,
                                abs(fd[i] * sign - analytic[idx]) / scale)
         assert gradient_consistency(field, k, mode, x, [w]) == float(worst)
@@ -389,7 +390,7 @@ class TestGradients:
         field = tensor_field(rank=3, a2=1.0, b2=1.0)
         rng = np.random.default_rng(59)
         k = on_shell_k(rng.uniform(-1.0, 1.0, size=(4, 3)), field.kappa)
-        rows = rng.normal(size=(4, 2, 5) + field.component_shape)
+        rows = rng.normal(size=(4, 2, 5, field.n_components))
         mode = CanonicalMode(field=field, rows=rows)
         sources = make_sources(field)
         budget = 2**20
@@ -436,7 +437,7 @@ class TestStacking:
         minus = None if field.kind == "em" else amp
         mode = to_canonical(field, k, amp, minus)
         n_b = len(field.branches)
-        assert mode.rows.shape == (3, n_b, 5) + comp
+        assert mode.rows.shape == (3, n_b, 5, field.n_components)
         assert mode.q.shape == (3, n_b) + comp
         assert mode.pi.shape == (3, n_b, 4) + comp
         if not comp:
@@ -502,28 +503,33 @@ class TestStackedModes:
             for got, one in zip(back, want):
                 assert np.array_equal(got[i], one)
 
+    @pytest.mark.parametrize("phi", [0.0, 0.9, 2.2, 4.1])
     @FIVE_SPECIES
-    def test_hamiltonian_and_gradients_match_per_mode_calls(self, field):
+    def test_hamiltonian_and_gradients_match_per_mode_calls(self, field,
+                                                            phi):
+        # one mode rounds as an entry of the stack does, under the
+        # hamilton suite's rotated gauges too
+        gauge = CanonicalGauge(z=DEFAULT_GAUGE.z * np.exp(1j * phi))
         k, ap, am = stacked_draw(field, np.random.default_rng(43))
         x = np.array([1.2, 0.3, -0.4, 0.2])
         sources = make_sources(field)
-        mode = canonical_at_point(field, k, ap, am, x)
-        j = mode_hamiltonian_canonical(field, k, mode, x, sources)
-        grads = mode_hamiltonian_gradients(field, k, mode, x, sources).rows
+        mode = canonical_at_point(field, k, ap, am, x, gauge)
+        j = mode_hamiltonian_canonical(field, k, mode, x, sources, gauge)
+        grads = mode_hamiltonian_gradients(field, k, mode, x, sources,
+                                           gauge).rows
         assert j.shape == (len(k),)
         defects = []
         for i in range(len(k)):
-            single = canonical_at_point(field, k[i], ap[i], mode_of(am, i), x)
-            assert j[i] == pytest.approx(mode_hamiltonian_canonical(
-                field, k[i], single, x, sources), rel=1e-13, abs=1e-13)
-            want = mode_hamiltonian_gradients(field, k[i], single, x,
-                                              sources).rows
-            assert np.max(np.abs(grads[i] - want)) <= 1e-13 * np.max(
-                np.abs(want))
+            single = canonical_at_point(field, k[i], ap[i], mode_of(am, i),
+                                        x, gauge)
+            assert j[i] == mode_hamiltonian_canonical(
+                field, k[i], single, x, sources, gauge)
+            assert np.array_equal(grads[i], mode_hamiltonian_gradients(
+                field, k[i], single, x, sources, gauge).rows)
             defects.append(gradient_consistency(field, k[i], single, x,
-                                                sources))
+                                                sources, gauge))
         # each defect is already relative to its mode's gradient scale
-        assert abs(gradient_consistency(field, k, mode, x, sources)
+        assert abs(gradient_consistency(field, k, mode, x, sources, gauge)
                    - max(defects)) <= 1e-13
 
     def test_large_mode_does_not_hide_a_bent_small_mode(self):

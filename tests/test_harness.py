@@ -152,8 +152,13 @@ class TestScenarioLoading:
 
     def test_dirac_without_coupling_spinors(self):
         data = dirac_dict()
-        del data["particles"][0]["xi1"]
         del data["particles"][0]["xi2"]
+        # only zeros: a source that sources nothing
+        data["particles"][0]["xi1"] = [0, 0, 0, 0]
+        with pytest.raises(ScenarioError,
+                           match=r"^particles\[0\]: .*coupling spinors"):
+            scenario_from_dict(data)
+        del data["particles"][0]["xi1"]
         with pytest.raises(ScenarioError, match="coupling spinors"):
             scenario_from_dict(data)
 
@@ -553,6 +558,34 @@ class TestVerificationSuites:
         report = run_verification(s, "hamilton", seed=0)
         rec = {r.name: r for r in report.records}["hamilton/sourced_residual"]
         assert rec.measured > 0.0 and 2.5 < rec.metadata["x0"] < 4.5
+
+    @pytest.mark.parametrize("omega", [1.2, 3.0, 6.0, 12.0, 50.0, 200.0])
+    @pytest.mark.parametrize("field", [
+        {"kind": "tensor", "rank": 1, "a2": 1.0, "b2": 1.0},
+        {"kind": "scalar"}, {"kind": "em"}, {"kind": "dirac"}],
+        ids=["rank1", "scalar", "em", "dirac"])
+    def test_circular_source_rejected_or_passes_every_suite(self, field,
+                                                            omega):
+        # speed 0.5 at every omega: the rate turns with the orbit's
+        # harmonics, which the step rules must resolve or the load reject
+        particle = {"kind": "circular", "coupling": 1.0,
+                    "position": [0.0, 0.0, 0.0], "radius": 0.5 / omega,
+                    "omega": omega}
+        if field["kind"] == "dirac":
+            spinors = dirac_dict()["particles"][0]
+            particle.update(xi1=spinors["xi1"], xi2=spinors["xi2"],
+                            xi3=[0.2, 0.0, [0.1, -0.1], 0.05])
+        data = {"field": field, "particles": [particle],
+                "grid": {"kmax": 2.0, "n_per_axis": 4},
+                "time": {"x0_start": 0.0, "x0_end": 2.0, "steps": 16}}
+        try:
+            s = scenario_from_dict(data)
+        except ScenarioError as exc:
+            assert str(exc).startswith("time: "), exc  # the step budget
+            return
+        report = run_verification(s, "all", seed=0)
+        assert report.passed, [r.to_dict() for r in report.records
+                               if r.status != "pass"]
 
     @pytest.mark.parametrize("name", ["static_scalar_source",
                                       "dirac_static_source"])
@@ -1322,6 +1355,9 @@ class TestBadSpeciesConstants:
         ("field", {"kind": ["scalar"]}),
         ("field", {"kind": "scalar", "m": 1e200}),
         ("field", {"kind": "scalar", "s": 1e-160}),
+        ("field", {"kind": "scalar", "c": 1e200}),
+        ("field", {"kind": "dirac", "m": 1e200}),
+        ("grid", {"kmax": 1e120, "n_per_axis": 4}),
         ("bracket", {"V": ["a", 0, 0, 0]}),
         ("bracket", {"V": [[1], 0, 0, 0]}),
         ("bracket", {"V": [10**400, 0, 0, 0]}),
@@ -1338,14 +1374,18 @@ class TestBadSpeciesConstants:
         ("particles", [{"kind": "circular", "coupling": 1.0,
                         "position": [0, 0, 0], "radius": 1.0, "omega": 0.5,
                         "xi1": [1, 0, 0, 0]}]),
+        ("particles", [{"kind": "static", "coupling": 0.0,
+                        "position": [0, 0, 0]}]),
     ], ids=["rank-5", "a2-negative", "a2-zero", "scalar-s-0", "em-c-0",
             "scalar-m-neg", "dirac-m-0", "over-mode-budget",
             "floor-above-every-node", "kind-list", "b2-overflow",
-            "kappa-squared-overflow", "V-string", "V-nested-list",
+            "kappa-squared-overflow", "scalar-c-kappa-squared-overflow",
+            "dirac-m-kappa-squared-overflow", "cell-volume-overflow",
+            "V-string", "V-nested-list",
             "V-int-overflow", "V-bool", "unknown-tolerance",
             "infinite-tolerance", "tolerance-int-overflow",
             "static-with-orbit-entries", "circular-with-beta",
-            "xi-on-scalar-field"])
+            "xi-on-scalar-field", "coupling-zero"])
     def test_validate_rejects(self, tmp_path, capsys, section, blk):
         data = free_scalar_dict()
         data[section] = blk
