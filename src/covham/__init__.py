@@ -19,7 +19,6 @@ from covham.brackets import (
 )
 from covham.canonical import (
     CanonicalGauge,
-    CanonicalMode,
     canonical_at_point,
     constant_amplitudes,
     from_canonical,

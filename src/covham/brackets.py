@@ -5,8 +5,8 @@ The bracket of two observables A, B of the canonical state is
     {A, B} = int d4k V^mu (dA/dq_nu dB/dpi^{mu nu} - dB/dq_nu dA/dpi^{mu nu}),
 
 with V a fixed four-vector.  StateLayout views the state as an array of
-(modes, branches, 5, components), q in row 0 and pi_mu in row 1 + mu,
-and as the one canonical.CanonicalMode of its whole grid (modes).
+(modes, branches, 5, components), q in row 0 and pi_mu in row 1 + mu:
+the canonical rows of its whole grid (modes).
 On a mode grid the functional derivative picks up one inverse
 quadrature weight per mode, so the structure constants
 
@@ -45,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .canonical import CanonicalMode, mode_hamiltonian_gradients, row_signs
+from .canonical import mode_hamiltonian_gradients, row_signs
 from .errors import ModeBudgetError
 from .fields import FieldSpec
 from .minkowski import METRIC_DIAG, component_signs, minkowski_dot
@@ -58,15 +58,15 @@ MAX_STATE_SIZE = 4096
 
 class StateLayout:
     """The bracket state: the flat view of an array of `shape`
-    (modes, branches, 5, components), the grid's CanonicalMode.rows.
+    (modes, branches, 5, components), the grid's canonical rows.
 
     Branches run plus, then minus for complex species; row 0 of a branch
     holds q_c and row 1 + mu holds pi_{mu c}, lower-index as stored.
     `index` (read-only) holds each entry's flat position, the one place
-    offsets are computed.  modes(state) is the state as one
-    CanonicalMode over the grid; the raised gradients
-    mode_hamiltonian_gradients returns for it, times canonical.row_signs,
-    are the derivatives by the stored variables.
+    offsets are computed.  modes(state) is the state as the canonical
+    rows of the grid; the raised gradients mode_hamiltonian_gradients
+    returns for them, times canonical.row_signs, are the derivatives by
+    the stored variables.
     """
 
     def __init__(self, field: FieldSpec, grid: ModeGrid):
@@ -96,10 +96,9 @@ class StateLayout:
         return int(self.index[mode_index, self.branches.index(branch),
                               1 + mu, comp])
 
-    def modes(self, state: np.ndarray) -> CanonicalMode:
-        """The state as one CanonicalMode over the grid, rows a view."""
-        return CanonicalMode(field=self.field,
-                             rows=np.reshape(state, self.shape))
+    def modes(self, state: np.ndarray) -> np.ndarray:
+        """The state as the grid's canonical rows, a view."""
+        return np.reshape(state, self.shape)
 
 
 @dataclass(frozen=True)
@@ -368,7 +367,7 @@ def dw_conservation_check(cfg: BracketConfig, state: np.ndarray) -> float:
     if state.shape != (lay.size,):
         raise ValueError("state does not match the layout")
     grads = (mode_hamiltonian_gradients(cfg.field, cfg.grid.k,
-                                        lay.modes(state), np.zeros(4)).rows
+                                        lay.modes(state), np.zeros(4))
              * row_signs(cfg.field))
     dq, dpi = grads[:, :, None, 0], grads[:, :, 1:]
     w = cfg.grid.weight[:, None, None, None]

@@ -51,21 +51,26 @@ independent reference the canonical value is checked against; it and
 hamilton_residual take one k.  The rest also take stacked k (..., 4),
 one per leading entry of the amplitudes or rows, each mode scaled alone.
 
-The rows of a mode keep its components flat, (..., branches, 5,
-components) in brackets.StateLayout's C order, so q, pi, pi_0 and one
-branch are the fixed views [..., 0, :], [..., 1:, :], [..., 1, :] and
-[..., b, :] at every rank; only to_canonical and from_canonical, and the
-q and pi views, see the component shape.  The constants of one (field,
-gauge z) are built once and kept: g_b, s_b and 2 s_b, sigma_c,
-row_signs, the free gradient factor of each row and 1 / g_plus.  Each
-call writes and reads its rows in place, one code path for one mode and
-for a stack, so a one-mode call pays for little more than its
-arithmetic.  gradient_consistency evaluates J on the probes of every
-stored entry and applies one five_point stencil to all of them.
+The canonical state of a mode or a stack is one array of rows,
+(..., branches, 5, components), the components flat in
+brackets.StateLayout's C order: per branch (plus, then minus; em keeps
+plus only) row 0 holds q_c and row 1 + mu holds pi_{mu c}, lower-index
+as stored.  So q, pi, pi_0 and one branch are the fixed views [..., 0,
+:], [..., 1:, :], [..., 1, :] and [..., b, :] at every rank; only
+to_canonical and from_canonical see the component shape.  The rows keep
+no field and no wave vector: every function that takes rows also takes
+both, and rejects rows whose trailing shape is not the field's.
+
+The constants of one (field, gauge z) are built once and kept: g_b, s_b
+and 2 s_b, sigma_c, row_signs, the free gradient factor of each row and
+1 / g_plus.  Each call writes and reads its rows in place, one code path
+for one mode and for a stack, so a one-mode call pays for little more
+than its arithmetic.  gradient_consistency evaluates J on the probes of
+every stored entry and applies one five_point stencil to all of them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -94,35 +99,6 @@ DEFAULT_GAUGE = CanonicalGauge()
 
 # relative bound on pi's departure from k pi_0 / k0 in from_canonical
 COLLINEAR_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class CanonicalMode:
-    """Canonical variables of one mode or a stack, one array of rows.
-
-    rows has shape (..., branches, 5, components), the components flat
-    in brackets.StateLayout's C order: per branch (plus, then minus; the
-    em field keeps plus only) row 0 holds q_c and row 1 + mu holds
-    pi_{mu c}, lower-index as stored.  The mode keeps no wave vector:
-    every function that takes one also takes k, (4,) or one wave vector
-    per leading entry.
-    """
-
-    field: FieldSpec
-    rows: np.ndarray
-
-    @property
-    def q(self) -> np.ndarray:
-        """q_c per branch, (..., branches, *component_shape), a view."""
-        return self.rows[..., 0, :].reshape(self.rows.shape[:-2]
-                                            + self.field.component_shape)
-
-    @property
-    def pi(self) -> np.ndarray:
-        """pi_{mu c} per branch, (..., branches, 4, *component_shape),
-        a view."""
-        return self.rows[..., 1:, :].reshape(self.rows.shape[:-2] + (4,)
-                                             + self.field.component_shape)
 
 
 def row_signs(field: FieldSpec) -> np.ndarray:
@@ -181,8 +157,8 @@ def to_canonical(
     amp_plus: np.ndarray,
     amp_minus: np.ndarray | None,
     gauge: CanonicalGauge = DEFAULT_GAUGE,
-) -> CanonicalMode:
-    """Canonical variables from amplitude values T~_pm at one point.
+) -> np.ndarray:
+    """Canonical rows from amplitude values T~_pm at one point.
 
     amp_plus / amp_minus are the full amplitudes including their plane
     wave phases; passing the bare coefficients C_pm corresponds to the
@@ -211,36 +187,45 @@ def to_canonical(
     rows[..., 0, :] = q
     np.multiply(2.0 * eps[..., None, :] * k_mu, w.real[..., None, :],
                 out=rows[..., 1:, :])
-    return CanonicalMode(field=field, rows=rows)
+    return rows
 
 
-def _check_collinear(c: _Constants, mode: CanonicalMode, k0, k_mu,
-                     tol: float) -> None:
+def _check_rows(field: FieldSpec, rows: np.ndarray) -> None:
+    """Raise ValueError unless rows end in the field's (branches, 5,
+    components)."""
+    want = (len(field.branches), 5, field.n_components)
+    if np.shape(rows)[-3:] != want:
+        raise ValueError(f"rows shape {np.shape(rows)}, expected "
+                         f"(..., {', '.join(map(str, want))})")
+
+
+def _check_collinear(rows: np.ndarray, k0, k_mu) -> None:
     """Each (mode, branch)'s pi rows against k pi_0 / k0, scaled by its
     own 1 + max |pi|; non-finite rows fail too."""
-    pi = mode.rows[..., 1:, :]
-    model = k_mu * mode.rows[..., 1:2, :] / k0[..., None, :]
+    pi = rows[..., 1:, :]
+    model = k_mu * rows[..., 1:2, :] / k0[..., None, :]
     defect = np.abs(pi - model).max(axis=(-2, -1))
-    if not ((defect <= tol * (1.0 + np.abs(pi).max(axis=(-2, -1))))
-            .all() and np.isfinite(mode.rows).all()):
+    scale = 1.0 + np.abs(pi).max(axis=(-2, -1))
+    if not ((defect <= COLLINEAR_TOL * scale).all()
+            and np.isfinite(rows).all()):
         raise CanonicalStructureError(
             f"pi is not collinear with k (defect {np.max(defect):.3e}); "
             "not the canonical image of an on-shell mode"
         )
 
 
-def _w_values(c: _Constants, mode: CanonicalMode, eps: np.ndarray,
+def _w_values(c: _Constants, rows: np.ndarray, eps: np.ndarray,
               k0: np.ndarray) -> np.ndarray:
     """Complex w, (..., branches, components), via the pi_0 extension
     (exact on-shell); eps and k0 as _mode_scales shapes them."""
-    return (mode.rows[..., 1, :] / (2.0 * eps * k0)
-            + 1j * (c.q_signs * mode.rows[..., 0, :] / (2.0 * eps)))
+    return (rows[..., 1, :] / (2.0 * eps * k0)
+            + 1j * (c.q_signs * rows[..., 0, :] / (2.0 * eps)))
 
 
 def from_canonical(
     field: FieldSpec,
     k: np.ndarray,
-    mode: CanonicalMode,
+    rows: np.ndarray,
     gauge: CanonicalGauge = DEFAULT_GAUGE,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Amplitudes T~_pm back from canonical variables.
@@ -250,10 +235,11 @@ def from_canonical(
     is not finite; the bound, COLLINEAR_TOL, scales with each mode's own
     pi.
     """
+    _check_rows(field, rows)
     c = _constants(field, gauge.z)
     eps, k0, k_mu = _mode_scales(c, np.asarray(k, dtype=float))
-    _check_collinear(c, mode, k0, k_mu, COLLINEAR_TOL)
-    amps = _w_values(c, mode, eps, k0) / c.g
+    _check_collinear(rows, k0, k_mu)
+    amps = _w_values(c, rows, eps, k0) / c.g
     shape = amps.shape[:-2] + field.component_shape
     return family_pair([amps[..., b, :].reshape(shape)
                         for b in range(len(field.branches))])
@@ -356,7 +342,7 @@ def _coupling_rows(field: FieldSpec, k: np.ndarray, x: np.ndarray,
 def mode_hamiltonian_canonical(
     field: FieldSpec,
     k: np.ndarray,
-    mode: CanonicalMode,
+    rows: np.ndarray,
     x: np.ndarray,
     worldlines: list[Worldline] | None = None,
     gauge: CanonicalGauge = DEFAULT_GAUGE,
@@ -369,12 +355,13 @@ def mode_hamiltonian_canonical(
     the explicit x dependence of the variables and of the interaction
     phases cancels in the value.
     """
+    _check_rows(field, rows)
     k, x = np.asarray(k, dtype=float), np.asarray(x, dtype=float)
     coupling = _coupling_rows(field, k, x, worldlines, gauge)
-    return _canonical_value(field, k, mode, coupling, gauge)
+    return _canonical_value(field, k, rows, coupling, gauge)
 
 
-def _canonical_value(field, k, mode, coupling, gauge):
+def _canonical_value(field, k, rows, coupling, gauge):
     """J as a phase-space function, one value per entry of leading axes.
 
     The free part is 1/2 sum_c sigma_c [pi_c.pi_c + kappa^2 q_c^2] per
@@ -385,14 +372,14 @@ def _canonical_value(field, k, mode, coupling, gauge):
     """
     c = _constants(field, gauge.z)
     pipi = np.einsum("m,m...->...", METRIC_DIAG,
-                     np.moveaxis(mode.rows[..., 1:, :]**2, -2, 0))
+                     np.moveaxis(rows[..., 1:, :]**2, -2, 0))
     free = 0.5 * np.sum(c.sigma * (pipi + field.kappa**2
-                                   * mode.rows[..., 0, :]**2), axis=-1)
+                                   * rows[..., 0, :]**2), axis=-1)
     value = field.free_sign * np.sum(free, axis=-1)
     if coupling is None:
         return value
     eps, k0, _ = _mode_scales(c, k)
-    terms = np.real(np.sum(coupling * _w_values(c, mode, eps, k0), axis=-1))
+    terms = np.real(np.sum(coupling * _w_values(c, rows, eps, k0), axis=-1))
     for b in range(terms.shape[-1]):
         value = value + terms[..., b]
     return value
@@ -401,14 +388,14 @@ def _canonical_value(field, k, mode, coupling, gauge):
 def mode_hamiltonian_gradients(
     field: FieldSpec,
     k: np.ndarray,
-    mode: CanonicalMode,
+    rows: np.ndarray,
     x: np.ndarray,
     worldlines: list[Worldline] | None = None,
     gauge: CanonicalGauge = DEFAULT_GAUGE,
-) -> CanonicalMode:
+) -> np.ndarray:
     """Raised phase-space gradients of J at the point x.
 
-    Returns a CanonicalMode whose rows hold dJ/dq^c in row 0 and
+    Returns rows of the same shape holding dJ/dq^c in row 0 and
     dJ/dpi^{mu c} in row 1 + mu, index raising included (metric signs on
     mu and tensor components, adjoint signs on spinor components).  The
     free parts reduce to dJ/dpi^{mu c} = pm pi_{mu c}, dJ/dq^c = pm
@@ -416,23 +403,24 @@ def mode_hamiltonian_gradients(
     row and to the q gradient, both read off the coupling rows A_b (see
     the module docstring).
     """
+    _check_rows(field, rows)
     k, x = np.asarray(k, dtype=float), np.asarray(x, dtype=float)
-    return _gradients(field, k, mode,
+    return _gradients(field, k, rows,
                       _coupling_rows(field, k, x, worldlines, gauge), gauge)
 
 
-def _gradients(field: FieldSpec, k: np.ndarray, mode: CanonicalMode,
+def _gradients(field: FieldSpec, k: np.ndarray, rows: np.ndarray,
                coupling: np.ndarray | None,
-               gauge: CanonicalGauge) -> CanonicalMode:
+               gauge: CanonicalGauge) -> np.ndarray:
     """mode_hamiltonian_gradients on coupling rows already built
     (_coupling_rows; None when no source is active)."""
     c = _constants(field, gauge.z)
-    grads = c.free_rows * mode.rows
+    grads = c.free_rows * rows
     if coupling is not None:
         eps, k0, _ = _mode_scales(c, k)
         grads[..., 0, :] -= c.q_sigma * coupling.imag / (2.0 * eps)
         grads[..., 1, :] += c.sigma * coupling.real / (2.0 * eps * k0)
-    return CanonicalMode(field=field, rows=grads)
+    return grads
 
 
 _GRADIENT_STEP = 1e-3  # spacing of the gradient_consistency stencil
@@ -444,7 +432,7 @@ _PROBE_BYTES = 2**24
 def gradient_consistency(
     field: FieldSpec,
     k: np.ndarray,
-    mode: CanonicalMode,
+    rows: np.ndarray,
     x: np.ndarray,
     worldlines: list[Worldline] | None = None,
     gauge: CanonicalGauge = DEFAULT_GAUGE,
@@ -463,25 +451,24 @@ def gradient_consistency(
     gradients are raised with row_signs before comparison.  Each mode's
     defect is scaled by its own 1 + max |gradient|; returns the largest.
     """
+    _check_rows(field, rows)
     k, x = np.asarray(k, dtype=float), np.asarray(x, dtype=float)
     coupling = _coupling_rows(field, k, x, worldlines, gauge)
-    analytic = _gradients(field, k, mode, coupling, gauge).rows
+    analytic = _gradients(field, k, rows, coupling, gauge)
     signs = _constants(field, gauge.z).row_signs
     entries = (-3, -2, -1)  # one mode's axes
     n = len(field.branches) * signs.size
-    block = max(1, _PROBE_BYTES // (4 * mode.rows.nbytes))
+    block = max(1, _PROBE_BYTES // (4 * rows.nbytes))
     values = []
     for lo in range(0, n, block):
         moved = np.arange(lo, min(lo + block, n))
         # probes[o, i]: the rows with entry moved[i] of every mode moved
         # by offset o
-        probes = np.broadcast_to(mode.rows, (4, len(moved))
-                                 + mode.rows.shape).copy()
+        probes = np.broadcast_to(rows, (4, len(moved)) + rows.shape).copy()
         probes.reshape(4, len(moved), -1, n)[
             :, np.arange(len(moved)), :, moved] += (
                 FIVE_POINT_OFFSETS[:, None] * _GRADIENT_STEP)
-        values.append(_canonical_value(
-            field, k, replace(mode, rows=probes), coupling, gauge))
+        values.append(_canonical_value(field, k, probes, coupling, gauge))
     # J of every probe, (4, n, ...), under one stencil
     fd = np.moveaxis(five_point(np.concatenate(values, axis=1),
                                 _GRADIENT_STEP), 0, -1)
@@ -497,8 +484,8 @@ def canonical_at_point(
     coeff_minus: np.ndarray | None,
     x: np.ndarray,
     gauge: CanonicalGauge = DEFAULT_GAUGE,
-) -> CanonicalMode:
-    """Canonical variables at x from slice coefficients C_pm(x0 = x[0]).
+) -> np.ndarray:
+    """Canonical rows at x from slice coefficients C_pm(x0 = x[0]).
 
     Restores the plane wave phases T~_pm = C_pm exp(mp i k.x) before the
     canonical split; em uses the single family with exp(-i k.x) and
@@ -560,8 +547,8 @@ def hamilton_residual(
     shifted = canonical_at_point(
         field, k, *family_pair(np.moveaxis(coeffs, 2, 0)), points, gauge)
     # d_mu of every row, mu leading: (4, branches, 5, components)
-    d = five_point(shifted.rows, h)
-    g_q, g_pi = grads.rows[..., 0, :], grads.rows[..., 1:, :]
+    d = five_point(shifted, h)
+    g_q, g_pi = grads[..., 0, :], grads[..., 1:, :]
     # d_mu q_c against dJ/dpi^{mu c}, both mu leading
     r1 = (np.abs(d[..., 0, :] - g_pi.swapaxes(0, 1)).max(axis=(0, 2))
           / (1.0 + np.abs(g_pi).max(axis=(1, 2))))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .brackets import MAX_STATE_SIZE
 from .canonical import CanonicalGauge
-from .dirac import DiracCoupling
+from .dirac import DiracCoupling, interaction_spinor
 from .dynamics import SWITCH_ON_SLACK, sample_times, uniform_spacing
 from .errors import ScenarioError, ZeroModeError
 from .fields import FieldSpec, em_field, scalar_field, spinor_field, tensor_field
@@ -121,7 +121,7 @@ class Scenario:
 
 # largest k0 h on the hamilton suite's two probed modes
 _PROBE_K0H = 0.06
-# largest turn of the orbit harmonics per step at the order check's
+# largest (k0 + orbit turn) h on the hamilton grid at the order check's
 # coarsest count (its slope leaves 4 +- 0.4 near pi / 2)
 _ORDER_TURN_H = 1.5
 # bytes of one saved history (steps + 1 slices of every mode's
@@ -161,14 +161,14 @@ class SuitePlan:
     without sources) over its `hamilton_span` from `hamilton_start`
     (x0_start, or the first switch-on if that is at or after the end of
     the window from x0_start), and the integrator order check's
-    `order_steps` (n, 2n, 4n), n = 64 unless an orbit needs more.  A
-    circular source adds (the current's order in u_dot + 1) times its
-    |omega| to k0 in every step rule.  Both grids lose nodes per axis
-    until the history saved at steps_fd or hamilton_steps fits
-    _HISTORY_BYTES.  bracket: the field's sector or the spinor's rank-0
-    stand-in on `bracket_grid`, as many of three box modes as
-    MAX_STATE_SIZE holds, and `bracket_note` (None, or what was replaced
-    or cut).  green: the scenario grid averaged over `green_window` =
+    `order_steps` (n, 2n, 4n), n = 64 unless the grid's largest k0 or
+    an orbit needs more.  A circular source adds (the current's order
+    in u_dot + 1) times its |omega| to k0 in every step rule.  Both
+    grids lose nodes per axis until the history saved at steps_fd or
+    hamilton_steps fits _HISTORY_BYTES.  bracket: the field's sector or
+    the spinor's rank-0 stand-in on `bracket_grid`, as many of three box
+    modes as MAX_STATE_SIZE holds, and `bracket_note` (None, or what was
+    replaced or cut).  green: the scenario grid averaged over `green_window` =
     (period, center), or `green_skip` = (record, reason).  `suites`:
     what `--suite all` runs, in order.
     """
@@ -212,9 +212,10 @@ class SuitePlan:
 
         self.hamilton_grid, self.hamilton_steps, self.probes = _fitted(
             s.field, min(s.n_per_axis, 5), hamilton)
-        # where the orbit sets it, 4 coarse stays below hamilton_steps,
-        # whose budget and spacing checks at load then cover it
-        coarse = _refined(self.hamilton_span, turn, _ORDER_TURN_H, 64)
+        # Simpson's error grows with k0 h as well as with the orbit's turn
+        coarse = _refined(self.hamilton_span,
+                          float(np.max(self.hamilton_grid.k0)) + turn,
+                          _ORDER_TURN_H, 64)
         self.order_steps = (coarse, 2 * coarse, 4 * coarse)
 
         sector, note = s.field, None
@@ -421,8 +422,6 @@ def _build_particle(blk, spec: FieldSpec, where: str) -> Worldline:
     if spec.kind == "spinor":
         _require("xi1" in spinors, where,
                  "dirac sources need coupling spinors (xi1)")
-        _require(any(xi.any() for xi in spinors.values()), where,
-                 "the coupling spinors xi1-xi3 must not all be zero")
     else:
         _require(not spinors, where, "coupling spinors (xi1-xi3) need a "
                  f"dirac field, not {spec.kind}")
@@ -441,9 +440,37 @@ def _build_particle(blk, spec: FieldSpec, where: str) -> Worldline:
             if name == "beta" else
             _number(blk, where, name, 0.0 if name == "phase0" else None))
     try:
-        return Worldline(**kwargs)
+        w = Worldline(**kwargs)
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
+    # spinors that cancel source nothing, as a zero coupling does
+    _require(not (spinors and _spinors_cancel(w, spinors)), where,
+             "the coupling spinors cancel: xi1 + slash(u_dot) xi2 + "
+             "slash(u_dot)^2 xi3 vanishes along the worldline")
+    return w
+
+
+def _spinors_cancel(w: Worldline, spinors: dict) -> bool:
+    """True when the interaction spinor of `spinors` (xi1-xi3) vanishes
+    to round-off along w.
+
+    It is constant on a straight worldline and affine in (cos phi, sin
+    phi) on an orbit, so the switch-on state and the states one and two
+    thirds of a turn later settle it.  The spinors are scaled to real
+    and imaginary parts of at most 1 first, part by part so that no
+    complex division overflows, which keeps every product finite.
+    """
+    top = max(np.abs(v.view(float)).max() for v in spinors.values()) or 1.0
+    unit = {k: (v.view(float) / top).view(complex) for k, v in spinors.items()}
+    # proper time of a third of a turn (0: no orbit); past 1e300 the
+    # orbit is static to round-off
+    third = 2.0 * np.pi / (3.0 * w.gamma * abs(w.omega)) if w.omega else 0.0
+    _, udot = w.state(w.tau_on + np.arange(3) * min(third, 1e300))
+    xi = interaction_spinor(DiracCoupling(**unit), udot)
+    # slash(u_dot)^p xi_(p+1) rounds off like gamma^p
+    bound = sum(np.abs(unit[k]).max() * w.gamma**p
+                for p, k in enumerate(("xi1", "xi2", "xi3")) if k in unit)
+    return bool(np.abs(xi).max() <= 1e-12 * bound)
 
 
 def scenario_from_dict(data: dict, sha256: str = "") -> Scenario:
@@ -537,11 +564,13 @@ def scenario_from_dict(data: dict, sha256: str = "") -> Scenario:
     # every suite window keeps to the step budget and, far from x0 = 0,
     # to equal steps; a moved hamilton window or probe is the particles' fault
     start = plan.hamilton_start
+    hamilton = ("time" if start == s.x0_start else "particles", "hamilton",
+                start, start + plan.hamilton_span)
     for where, suite, a, b, steps in (
             ("time", "simulate", s.x0_start, s.x0_end, plan.steps),
             ("time", "simulate", s.x0_start, s.x0_end, plan.steps_fd),
-            ("time" if start == s.x0_start else "particles", "hamilton",
-             start, start + plan.hamilton_span, plan.hamilton_steps),
+            (*hamilton, plan.hamilton_steps),
+            (*hamilton, plan.order_steps[-1] if s.particles else None),
             ("particles", "simulate",
              *(plan.causality_probe or (start, start, None)))):
         if steps is None:  # no source (hamilton) or no probe (simulate)

@@ -608,8 +608,7 @@ class TestStateView:
             modes = lay.modes(state)
             for i in range(len(cfg.grid)):
                 for b, name in enumerate(lay.branches):
-                    q = modes.q[i, b].reshape(-1)
-                    pi = modes.pi[i, b].reshape(4, -1)
+                    q, pi = modes[i, b, 0], modes[i, b, 1:]
                     for c in range(lay.comp_size):
                         at = lay.index[i, b, :, c]
                         assert at[0] == lay.q_index(i, name, c)
@@ -635,7 +634,7 @@ class TestStateView:
                 cfg.field, cfg.grid.k, lay.modes(s), x, source))
 
         got = (mode_hamiltonian_gradients(
-            cfg.field, cfg.grid.k, lay.modes(state), x, source).rows
+            cfg.field, cfg.grid.k, lay.modes(state), x, source)
             * row_signs(cfg.field)).ravel()
         h = 1e-4
         fd = np.array([(total_j(state + h * e) - total_j(state - h * e))
@@ -653,9 +652,9 @@ class TestLayoutAndGuards:
             rng = np.random.default_rng(59)
             state = rng.normal(size=lay.size)
             modes = lay.modes(state)
-            assert modes.rows.shape == lay.shape
-            assert np.shares_memory(modes.rows, state)
-            assert np.array_equal(modes.rows.ravel(), state)
+            assert modes.shape == lay.shape
+            assert np.shares_memory(modes, state)
+            assert np.array_equal(modes.ravel(), state)
 
     @pytest.mark.parametrize("v", [[1.0, 0.0, 0.0, 0.0],
                                    [0.7, -0.3, 0.0, 1.9]],

@@ -6,8 +6,8 @@ the exact coefficients follow from one rate evaluation and the phase
 integral.  That keeps the check independent of the integrator.
 """
 
+import re
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from covham import canonical
 from covham.canonical import (
     DEFAULT_GAUGE,
     CanonicalGauge,
-    CanonicalMode,
     canonical_at_point,
     constant_amplitudes,
     from_canonical,
@@ -90,12 +89,13 @@ class TestCanonicalSplit:
         # and T~- = i gives pi_- = 0, q_- = sqrt(2); branch 0 is plus
         k = on_shell_k([0.0, 0.0, 0.0], 1.0)
         mode = to_canonical(SCALAR, k, 1.0 + 0.0j, 1.0j)
-        assert mode.rows.shape == (2, 5, 1)
-        assert mode.pi[0, 0] == pytest.approx(np.sqrt(2.0), rel=1e-14)
-        assert np.all(mode.pi[0, 1:] == 0.0)
-        assert mode.q[0] == pytest.approx(0.0, abs=1e-15)
-        assert np.max(np.abs(mode.pi[1])) == pytest.approx(0.0, abs=1e-15)
-        assert mode.q[1] == pytest.approx(np.sqrt(2.0), rel=1e-14)
+        # rows[b, 0] is q_b and rows[b, 1 + mu] is pi_mu of branch b
+        assert mode.shape == (2, 5, 1)
+        assert mode[0, 1, 0] == pytest.approx(np.sqrt(2.0), rel=1e-14)
+        assert np.all(mode[0, 2:] == 0.0)
+        assert mode[0, 0, 0] == pytest.approx(0.0, abs=1e-15)
+        assert np.max(np.abs(mode[1, 1:])) == pytest.approx(0.0, abs=1e-15)
+        assert mode[1, 0, 0] == pytest.approx(np.sqrt(2.0), rel=1e-14)
 
     def test_epsilon_values(self):
         assert SCALAR.epsilon(2.0, CanonicalGauge(z=2.0 + 0.0j).z) \
@@ -177,7 +177,7 @@ class TestCanonicalSplit:
                 for b, (g_b, s_b, amp) in enumerate(zip(g, signs, amps)):
                     # the rows hold the components flat
                     w = (g_b * amp[i]).reshape(-1)
-                    rows = mode.rows[i][b]
+                    rows = mode[i][b]
                     np.testing.assert_allclose(
                         rows[0], s_b * 2.0 * eps * w.imag, rtol=1e-14, atol=0)
                     np.testing.assert_allclose(
@@ -197,9 +197,8 @@ class TestCanonicalSplit:
         rng = np.random.default_rng(4)
         k = species_k(SCALAR)
         mode = to_canonical(SCALAR, k, *random_amps(SCALAR, rng))
-        rows = mode.rows.copy()
-        rows[0, 2] += 0.3  # pi_1 of the plus branch
-        broken = CanonicalMode(field=SCALAR, rows=rows)
+        broken = mode.copy()
+        broken[0, 2] += 0.3  # pi_1 of the plus branch
         with pytest.raises(CanonicalStructureError, match="collinear"):
             from_canonical(SCALAR, k, broken)
 
@@ -209,14 +208,42 @@ class TestCanonicalSplit:
         # still fail the check instead of converting back silently
         k = species_k(SCALAR)
         mode = to_canonical(SCALAR, k, 0.4 - 0.2j, 0.1 + 0.3j)
-        rows = mode.rows.copy()
+        rows = mode.copy()
         rows[1, row] = np.nan
         with pytest.raises(CanonicalStructureError):
-            from_canonical(SCALAR, k, CanonicalMode(field=SCALAR, rows=rows))
+            from_canonical(SCALAR, k, rows)
 
     def test_gauge_zero_rejected(self):
         with pytest.raises(ValueError):
             CanonicalGauge(z=0.0 + 0.0j)
+
+
+X = np.array([1.2, 0.3, -0.4, 0.2])
+ROWS_CALLS = {
+    "from_canonical": lambda f, k, rows: from_canonical(f, k, rows),
+    "mode_hamiltonian_canonical": lambda f, k, rows: (
+        mode_hamiltonian_canonical(f, k, rows, X, make_sources(f))),
+    "mode_hamiltonian_gradients": lambda f, k, rows: (
+        mode_hamiltonian_gradients(f, k, rows, X, make_sources(f))),
+    "gradient_consistency": lambda f, k, rows: (
+        gradient_consistency(f, k, rows, X, make_sources(f))),
+}
+
+
+@pytest.mark.parametrize("name", ROWS_CALLS)
+def test_rows_of_another_field_rejected(name):
+    # rank-1 rows carry two branches where em keeps one, scalar rows one
+    # component where rank 1 has four; the field's own rows pass
+    call = ROWS_CALLS[name]
+    rng = np.random.default_rng(61)
+    for field, other, want in ((EM, VECTOR, "(..., 1, 5, 4)"),
+                               (VECTOR, SCALAR, "(..., 2, 5, 4)")):
+        k = species_k(field)
+        call(field, k, to_canonical(field, k, *random_amps(field, rng)))
+        rows = to_canonical(other, species_k(other),
+                            *random_amps(other, rng))
+        with pytest.raises(ValueError, match=re.escape(want)):
+            call(field, k, rows)
 
 
 class TestModeHamiltonian:
@@ -284,8 +311,10 @@ class TestGradients:
             x = np.array([0.9, 0.1, 0.2, 0.3])
             grads = mode_hamiltonian_gradients(field, k, mode, x)
             sign = -1.0 if field.kind == "em" else 1.0
-            assert np.allclose(grads.pi, sign * mode.pi, rtol=0, atol=1e-15)
-            assert np.allclose(grads.q, sign * field.kappa**2 * mode.q,
+            assert np.allclose(grads[..., 1:, :], sign * mode[..., 1:, :],
+                               rtol=0, atol=1e-15)
+            assert np.allclose(grads[..., 0, :],
+                               sign * field.kappa**2 * mode[..., 0, :],
                                rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("field", ALL_SPECIES,
@@ -346,19 +375,19 @@ class TestGradients:
         # the probes written out on mode_hamiltonian_canonical, which
         # rebuilds the coupling rows for every probe, then one stencil
         delta = 1e-3
-        analytic = mode_hamiltonian_gradients(field, k, mode, x, [w]).rows
+        analytic = mode_hamiltonian_gradients(field, k, mode, x, [w])
         scale = 1.0 + np.max(np.abs(analytic))
         sigma = field.pairing_signs().reshape(-1)
         # idx = (branch, row, component); row 0 is q, row 1 + mu is pi_mu
-        entries = list(np.ndindex(mode.rows.shape))
+        entries = list(np.ndindex(mode.shape))
         # samples[o, i]: J with entry i moved by offset o
         samples = np.empty((4, len(entries)))
         for i, idx in enumerate(entries):
             for o, off in enumerate(np.array([-2.0, -1.0, 1.0, 2.0]) * delta):
-                probe = mode.rows.copy()
+                probe = mode.copy()
                 probe[idx] += off
-                samples[o, i] = mode_hamiltonian_canonical(
-                    field, k, replace(mode, rows=probe), x, [w])
+                samples[o, i] = mode_hamiltonian_canonical(field, k, probe, x,
+                                                           [w])
         fd = five_point(samples, delta)
         worst = 0.0
         for i, idx in enumerate(entries):
@@ -383,21 +412,20 @@ class TestGradients:
         # 1 entry per block, and 3 (which divides no entry count here)
         for entries in (1, 3):
             monkeypatch.setattr(canonical, "_PROBE_BYTES",
-                                entries * 4 * mode.rows.nbytes)
+                                entries * 4 * mode.nbytes)
             assert gradient_consistency(field, k, mode, x, sources) == whole
 
     def test_rank_three_probes_stay_within_the_budget(self, monkeypatch):
         field = tensor_field(rank=3, a2=1.0, b2=1.0)
         rng = np.random.default_rng(59)
         k = on_shell_k(rng.uniform(-1.0, 1.0, size=(4, 3)), field.kappa)
-        rows = rng.normal(size=(4, 2, 5, field.n_components))
-        mode = CanonicalMode(field=field, rows=rows)
+        mode = rng.normal(size=(4, 2, 5, field.n_components))
         sources = make_sources(field)
         budget = 2**20
         monkeypatch.setattr(canonical, "_PROBE_BYTES", budget)
         # the probes of every entry at once would be 640 x 4 copies of
         # the rows, 52 MB
-        assert 640 * 4 * mode.rows.nbytes > 40 * budget
+        assert 640 * 4 * mode.nbytes > 40 * budget
         tracemalloc.start()
         try:
             defect = gradient_consistency(field, k, mode, x=np.zeros(4),
@@ -427,7 +455,7 @@ class TestStacking:
         for idx in np.ndindex(points.shape[:-1]):
             single = canonical_at_point(field, k, c_plus, c_minus,
                                         points[idx])
-            assert np.array_equal(stacked.rows[idx], single.rows)
+            assert np.array_equal(stacked[idx], single)
 
     @FIVE_SPECIES
     def test_stacked_amplitudes_keep_the_trailing_shape_check(self, field):
@@ -437,9 +465,7 @@ class TestStacking:
         minus = None if field.kind == "em" else amp
         mode = to_canonical(field, k, amp, minus)
         n_b = len(field.branches)
-        assert mode.rows.shape == (3, n_b, 5, field.n_components)
-        assert mode.q.shape == (3, n_b) + comp
-        assert mode.pi.shape == (3, n_b, 4) + comp
+        assert mode.shape == (3, n_b, 5, field.n_components)
         if not comp:
             return  # every shape is a stack of scalar amplitudes
         bad = np.ones((3,) + comp[:-1] + (comp[-1] + 1,), dtype=complex)
@@ -498,7 +524,7 @@ class TestStackedModes:
         back = field.families(*from_canonical(field, k, mode))
         for i in range(len(k)):
             single = to_canonical(field, k[i], ap[i], mode_of(am, i))
-            assert np.array_equal(mode.rows[i], single.rows)
+            assert np.array_equal(mode[i], single)
             want = field.families(*from_canonical(field, k[i], single))
             for got, one in zip(back, want):
                 assert np.array_equal(got[i], one)
@@ -515,8 +541,7 @@ class TestStackedModes:
         sources = make_sources(field)
         mode = canonical_at_point(field, k, ap, am, x, gauge)
         j = mode_hamiltonian_canonical(field, k, mode, x, sources, gauge)
-        grads = mode_hamiltonian_gradients(field, k, mode, x, sources,
-                                           gauge).rows
+        grads = mode_hamiltonian_gradients(field, k, mode, x, sources, gauge)
         assert j.shape == (len(k),)
         defects = []
         for i in range(len(k)):
@@ -525,7 +550,7 @@ class TestStackedModes:
             assert j[i] == mode_hamiltonian_canonical(
                 field, k[i], single, x, sources, gauge)
             assert np.array_equal(grads[i], mode_hamiltonian_gradients(
-                field, k[i], single, x, sources, gauge).rows)
+                field, k[i], single, x, sources, gauge))
             defects.append(gradient_consistency(field, k[i], single, x,
                                                 sources, gauge))
         # each defect is already relative to its mode's gradient scale
@@ -539,9 +564,8 @@ class TestStackedModes:
         mode = to_canonical(SCALAR, k, np.array([1e6, 0.3 - 0.2j]),
                             np.array([1e6j, 0.1 + 0.4j]))
         for i, raises in ((0, False), (1, True)):
-            rows = mode.rows.copy()
-            rows[i, 0, 2] += 1e-6  # pi_1 of mode i's plus branch
-            bent = replace(mode, rows=rows)
+            bent = mode.copy()
+            bent[i, 0, 2] += 1e-6  # pi_1 of mode i's plus branch
             if raises:
                 with pytest.raises(CanonicalStructureError,
                                    match="collinear"):
@@ -558,8 +582,7 @@ class TestStackedModes:
         original = canonical._gradients
 
         def offset(*args, **kwargs):
-            grads = original(*args, **kwargs)
-            return replace(grads, rows=grads.rows + 1e-6)
+            return original(*args, **kwargs) + 1e-6
 
         monkeypatch.setattr(canonical, "_gradients", offset)
         rng = np.random.default_rng(47)

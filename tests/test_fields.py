@@ -104,7 +104,7 @@ class TestSpeciesTable:
         amps = _random_amps(field, np.random.default_rng(3))
         assert stored(amps) == want
         mode = to_canonical(field, grid.k[0], *amps)
-        assert mode.rows.shape[0] == len(want)
+        assert mode.shape[0] == len(want)
         assert stored(from_canonical(field, grid.k[0], mode)) == want
         if field.has_bracket_sector:
             assert StateLayout(field, grid).branches == want

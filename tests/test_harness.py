@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covham import canonical, dirac, dynamics, position, verify
+from covham import canonical, dirac, dynamics, position, scenario, verify
 from covham.brackets import (
     BracketConfig,
     GeneralObservable,
@@ -162,6 +162,30 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError, match="coupling spinors"):
             scenario_from_dict(data)
 
+    @pytest.mark.parametrize("shape, spinors", [
+        ({"kind": "static"}, {"xi3": -np.eye(4)}),
+        ({"kind": "static"}, {"xi2": -dirac.GAMMA[0]}),
+        ({"kind": "circular", "radius": 0.3, "omega": 1.0},
+         {"xi3": -np.eye(4)})],
+        ids=["static-xi3", "static-xi2", "circular-xi3"])
+    def test_dirac_coupling_spinors_that_cancel(self, shape, spinors):
+        # slash(u_dot)^2 = 1, so xi1 + slash(u_dot) xi2 + slash(u_dot)^2
+        # xi3 vanishes on these worldlines, at every phase of the orbit;
+        # with xi1 doubled the source loads
+        data = dirac_dict()
+        blk = data["particles"][0]
+        del blk["xi2"]
+        blk.update(shape)
+        xi1 = np.array([0.4, -0.2 + 0.1j, 0.3, 0.05])
+        blk["xi1"] = [[v.real, v.imag] for v in xi1]
+        for key, op in spinors.items():
+            blk[key] = [[v.real, v.imag] for v in op @ xi1]
+        with pytest.raises(ScenarioError,
+                           match=r"^particles\[0\]: .*spinors cancel"):
+            scenario_from_dict(data)
+        blk["xi1"] = [[2.0 * v.real, 2.0 * v.imag] for v in xi1]
+        assert scenario_from_dict(data).particles[0].xi is not None
+
     def test_complex_spinor_entries_parsed(self):
         s = scenario_from_dict(dirac_dict())
         xi = s.particles[0].xi
@@ -201,6 +225,17 @@ class TestScenarioLoading:
             data["time"]["x0_end"] = x0_end
             with pytest.raises(ScenarioError, match="^time: x0_end"):
                 scenario_from_dict(data)
+
+    def test_order_steps_keep_to_the_step_budget(self, monkeypatch):
+        # the order check's finest count is held to the budget at load
+        # like every other suite count; a finer k0 h rule pushes the
+        # sourced scalar's past it while hamilton_steps stays at 90
+        assert scenario_from_dict(sourced_scalar_dict()).plan.order_steps \
+            == (64, 128, 256)
+        monkeypatch.setattr(scenario, "_ORDER_TURN_H", 1e-3)
+        with pytest.raises(ScenarioError,
+                           match=r"^time: the hamilton suite needs \d+"):
+            scenario_from_dict(sourced_scalar_dict())
 
     def test_unknown_section_rejected(self):
         data = free_scalar_dict()
@@ -544,6 +579,27 @@ class TestVerificationSuites:
         assert report.passed, [r.to_dict() for r in report.records
                                if r.status != "pass"]
 
+    @pytest.mark.parametrize("kmax, particle", [
+        (60.0, {"kind": "circular", "radius": 0.4, "omega": 1.2}),
+        (150.0, {"kind": "static"}),
+        (150.0, {"kind": "uniform", "beta": [0.3, 0.1, 0.0]}),
+        (150.0, {"kind": "circular", "radius": 0.4, "omega": 1.2})],
+        ids=["kmax60-circular", "kmax150-static", "kmax150-uniform",
+             "kmax150-circular"])
+    def test_integrator_order_steps_resolve_large_k0(self, kmax, particle):
+        # Simpson's error grows with k0 h: 64 coarse steps read a slope
+        # off by 0.49 to 5.7 on these rank-1 grids.  Only this record is
+        # asserted: hamilton/free_residual, whose stencil spacing no step
+        # count moves, still fails at this kmax
+        data = _matrix_dict("rank1", "static")
+        data["grid"].update(kmax=kmax, n_per_axis=4)
+        data["particles"][0].update(particle)
+        report = run_verification(scenario_from_dict(data), "hamilton",
+                                  seed=0)
+        order = {r.name: r for r in report.records}[
+            "hamilton/integrator_order"]
+        assert order.status == "pass", order.to_dict()
+
     @pytest.mark.parametrize("t_start, start", [
         (0.0, 0.0), (1.9, 0.0), (2.0, 2.0), (2.5, 2.5)])
     def test_hamilton_window_opens_at_a_late_switch_on(self, t_start,
@@ -604,9 +660,8 @@ class TestVerificationSuites:
 
         def scaled(*args, **kwargs):
             grads = original(*args, **kwargs)
-            out = dataclasses.replace(grads, rows=grads.rows.copy())
-            out.q[...] *= 1.0 + 1e-3  # q is the row-0 view of rows
-            return out
+            grads[..., 0, :] *= 1.0 + 1e-3  # row 0 holds the q gradient
+            return grads
 
         monkeypatch.setattr(canonical, "_gradients", scaled)
         assert gradient_fd().status == "fail"
