@@ -107,13 +107,15 @@ gathered by each mode's index into it, bit for bit what the per-mode
 rows give.
 
 reconstruct_field sums the modes at any points, one (N, points) phase
-block per call.  Points that share one slice t take _slice_profile
-instead: on a cube grid k = (k0, a_i, a_j, a_l) over the axis a, so with
-G_pm = w exp(mp i k0 t) C_pm the sum factors as G_pm contracted with
-exp(pm i a p_x), exp(pm i a p_y) and exp(pm i a p_z) axis by axis
-(_axis_sum): one BLAS product (P x n) @ (n x n^2 components) for the
-first axis and small batched ones for the other two, after one pass
-that scales the coefficients into G in place.
+block per call.  The time average's points share one slice t and take
+_slice_profile instead: on a cube grid k = (k0, a_i, a_j, a_l) over the
+axis a, so with G_pm = w exp(mp i k0 t) C_pm the sum factors as G_pm
+contracted with exp(pm i a p_x), exp(pm i a p_y) and exp(pm i a p_z)
+axis by axis (_cube_profile, _axis_sum): one BLAS product (P x n) @ (n x
+n^2 components) for the first axis and small batched ones for the other
+two.  The mean comes as G directly: w exp(mp i k0 t) joins its factor
+g_j before g_j scales the rates, so no pass over the coefficients is
+added.
 """
 from __future__ import annotations
 
@@ -378,7 +380,7 @@ def _add_straight_simpson(field, worldline, grid, times, h, out) -> None:
     theta = 0.5 * s * h
     theta -= np.pi * np.round(theta / np.pi)  # only q^2 turns
     sin = np.sin(theta)
-    slices = out.reshape(len(out), len(rate), n, -1)  # a view
+    slices = out.reshape(len(out), len(rate), -1)  # a view
     tail = slices[head + 1:] if len(out) > 1 else slices
     m0 = count - len(tail) + 1  # panels up to the tail's first slice
     block = max(1, _SERIES_BLOCK // (n * field.n_components))
@@ -391,9 +393,13 @@ def _add_straight_simpson(field, worldline, grid, times, h, out) -> None:
         sums = panel * ratio * np.exp(1j * ((m - 1.0) * theta))
         if index is not None:
             sums = sums[:, index]
-        for b, (r, g) in enumerate(zip(rate.reshape(len(rate), n, -1),
+        # each mode's sum repeated over its components: one long inner
+        # loop against the flat rates, not one of n_components per mode
+        for b, (r, g) in enumerate(zip(rate.reshape(len(rate), -1),
                                        with_conjugate(sums))):
-            dst[:, b] += g[:, :, None] * r
+            g = np.repeat(g, field.n_components, axis=1)
+            g *= r
+            dst[:, b] += g
 
 
 def straight_line_amplitudes(
@@ -414,7 +420,7 @@ def straight_line_amplitudes(
 
 
 def _straight_line_mean(field, worldlines, grid, first, spacing, count,
-                        t_ref):
+                        t_ref, weighted=False):
     """Mean over the count uniform slices t = first + m spacing of the
     closed-form coefficients, each carried to slice t_ref by its free
     phase:
@@ -435,6 +441,10 @@ def _straight_line_mean(field, worldlines, grid, first, spacing, count,
     place: the first active source's array is the sum the later ones are
     added to, so at most two coefficient arrays are held at a time.  One
     slice at t_ref gives D = C(t_ref), (branches, N, *component_shape).
+    weighted gives G_pm = w exp(mp i k0 t_ref) D_pm instead, the terms
+    _cube_profile sums on slice t_ref (_slice_profile sets it on cube
+    grids): exp(-i k0 t_ref) scales g_j on its rows and w after the
+    gather, so the coefficients still take one pass.
     """
     if not all(w.straight for w in worldlines):
         raise ValueError("closed-form amplitudes need static or uniform "
@@ -464,8 +474,12 @@ def _straight_line_mean(field, worldlines, grid, first, spacing, count,
                 zw *= turn_w
                 total += z.imag * zw
             mean[lo:lo + _MODE_SLICE] = total / (c * count)
+        if weighted:
+            mean *= np.exp(-1j * t_ref * rows[:, 0])
         if index is not None:
             mean = mean[index]
+        if weighted:
+            mean *= grid.weight
         for rate, f in zip(rates, with_conjugate(mean)):
             rate *= f.reshape(expand)
         if coeffs is None:
@@ -628,46 +642,58 @@ def reconstruct_field(
                                           + coeffs[0].shape[1:]))
 
 
-def _slice_profile(field: FieldSpec, grid: ModeGrid, coeffs: np.ndarray,
-                   t: float, points: np.ndarray) -> np.ndarray:
-    """Field values at the points (t, p) of one slice, p in points (P, 3),
-    from the slice's coefficients (branches, N, *component_shape): what
-    reconstruct_field gives at each point, (P, *component_shape).
+def _slice_profile(field: FieldSpec, worldlines, grid: ModeGrid, first,
+                   spacing, count, t: float,
+                   points: np.ndarray) -> np.ndarray:
+    """Field values at the points (t, p) of slice t, p in points (P, 3),
+    from the straight sources' mean over the count uniform slices first
+    + m spacing, carried to t (_straight_line_mean): what
+    reconstruct_field gives of that mean at each point, (P,
+    *component_shape).
 
-    On a cube grid mode (i, j, l) has k = (k0, a_i, a_j, a_l), a the
-    axis, so the mode sum factors axis by axis:
-
-        value_pm(p) = sum_ijl G_pm[i, j, l] e^{pm i a_i p_x}
-                      e^{pm i a_j p_y} e^{pm i a_l p_z},
-        G_pm = w exp(mp i k0 t) C_pm,
-
-    the k0 factor read off the grid's k0 table.  It scales plus and minus
-    in place into G_pm, so coeffs is consumed; with every node kept the
-    modes are in build_mode_grid's C order and G is a reshape, else it
-    is scattered into a zero n^3 cube.  _axis_sum then contracts the first axis of every
-    point with one BLAS product and the other two with small batched
-    ones.  A grid with no cube (built by hand) takes one reconstruct_field
-    call per point and leaves coeffs as they are.  At one point
-    reconstruct_field is the faster of the two.
+    A cube grid takes the mean weighted, G_pm = w exp(mp i k0 t) D_pm,
+    the factor joining each source's mean factor so the coefficients
+    take one pass, and sums it axis by axis (_cube_profile).  A grid
+    with no cube (built by hand) takes the plain mean D_pm and one
+    reconstruct_field call per point.  At one point reconstruct_field is
+    the faster of the two.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
-    if grid._cube is None:
-        plus, minus = family_pair(coeffs)
-        return np.asarray([reconstruct_field(field, grid, plus, minus,
-                                             np.concatenate([[t], p]))
-                           for p in points])
-    axis, axis_index = grid._cube
+    cube = grid._cube is not None
+    mean = _straight_line_mean(field, worldlines, grid, first, spacing,
+                               count, t, weighted=cube)
+    if cube:
+        return _cube_profile(field, grid, mean, points)
+    plus, minus = family_pair(mean)
+    return np.asarray([reconstruct_field(field, grid, plus, minus,
+                                         np.concatenate([[t], p]))
+                       for p in points])
+
+
+def _cube_profile(field: FieldSpec, grid: ModeGrid, terms: np.ndarray,
+                  points: np.ndarray) -> np.ndarray:
+    """The mode sum sum_k G_pm(k) e^{pm i k.p} at the points p (P, 3) of
+    a cube grid, terms the weighted G_pm = w exp(mp i k0 t) C_pm of one
+    slice t, (branches, N, *component_shape); the field's values there,
+    (P, *component_shape).
+
+    Mode (i, j, l) has k = (k0, a_i, a_j, a_l), a the axis, so the sum
+    factors axis by axis:
+
+        value_pm(p) = sum_ijl G_pm[i, j, l] e^{pm i a_i p_x}
+                      e^{pm i a_j p_y} e^{pm i a_l p_z}.
+
+    With every node kept the modes are in build_mode_grid's C order and
+    G is a reshape, else it is scattered into a zero n^3 cube.
+    _axis_sum then contracts the first axis of every point with one BLAS
+    product and the other two with small batched ones.
+    """
+    axis, axis_index, _ = grid._cube
     n = len(axis)
-    values, index = grid.waves.tables[0]
-    scale = np.exp(-1j * t * values)[index]
-    scale *= grid.weight
-    expand = (len(grid),) + (1,) * len(field.component_shape)
     # exp(+i a p) per spatial component, point and axis value: (3, P, n)
     factors = np.exp(1j * points.T[:, :, None] * axis)
     total = 0.0
-    for c, f, fac in zip(coeffs, with_conjugate(scale),
-                         with_conjugate(factors)):
-        c *= f.reshape(expand)
+    for c, fac in zip(terms, with_conjugate(factors)):
         if len(grid) != n**3:
             full = np.zeros((n**3,) + c.shape[1:], dtype=complex)
             full[np.ravel_multi_index(axis_index, (n,) * 3)] = c

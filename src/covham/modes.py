@@ -25,9 +25,11 @@ and sin per distinct value and point, four gathers and three in-place
 multiplies, with no complex exponential per mode.  The formula holds
 for any k; only its cost depends on how many values repeat.
 ModeGrid.waves builds the tables once per grid.  On a cube grid the
-spatial tables are the axis itself and each node's index into it, which
-build_mode_grid already holds and hands on, so only the k0 column is
-sorted (np.unique); hand-built and box grids sort every column.
+spatial tables are the axis values and each node's index into them,
+which build_mode_grid already holds and hands on; on a full cube (every
+node kept) k0's table comes from the axis squares two axes at a time,
+so a full cube sorts nothing of size N.  A cube that drops nodes sorts
+its k0 column (np.unique); hand-built and box grids sort every column.
 """
 from __future__ import annotations
 
@@ -55,15 +57,41 @@ NODE_TOL = 1e-9
 _GATHER_CHUNK = 2**15
 
 
+def _unique_table(column):
+    """np.unique's distinct values of column and each entry's index into
+    them, in the smallest unsigned dtype that holds it."""
+    values, index = np.unique(column, return_inverse=True)
+    return values, index.astype(np.min_scalar_type(len(values) - 1))
+
+
+def _cube_k0_table(sq, kk):
+    """_unique_table of a full cube's k0 column, sqrt(((sq_i + sq_j) +
+    sq_l) + kk) over the nodes (i, j, l) in C order, from the axis
+    squares sq (n,) two axes at a time: the distinct pair sums, then the
+    distinct sums of those and sq_l, then their distinct roots.  The
+    operands and their order are build_mode_grid's, so the table is
+    np.unique's bit for bit, and no array of the grid's size is sorted;
+    a node's index is two gathers through the inverse maps."""
+    pairs, pair_index = np.unique(np.add.outer(sq, sq).ravel(),
+                                  return_inverse=True)
+    sums, sum_index = np.unique(np.add.outer(pairs, sq).ravel(),
+                                return_inverse=True)
+    values, index = _unique_table(np.sqrt(sums + kk))
+    return values, index[sum_index].reshape(len(pairs), -1)[pair_index].ravel()
+
+
 class PlaneWaves:
     """The plane waves exp(sign i k.x) of the modes k (N, 4).
 
     tables holds, per component a of k, its distinct values (np.unique)
     and each mode's index into them, in the smallest unsigned dtype that
-    holds it.  cube = (axis, axis_index), given by build_mode_grid, is a
-    cube grid's sorted axis values (n,) and, per spatial component, each
-    mode's index into them (N,): the spatial tables are then read off
-    the axis values some mode uses, equal to np.unique's, with no sort.
+    holds it.  cube = (axis, axis_index, kappa^2), given by
+    build_mode_grid, is a cube grid's sorted axis values (n,), per
+    spatial component each mode's index into them (N,), and the kappa^2
+    of its k0: the spatial tables are then read off the axis values some
+    mode uses, and on a full cube (N = n^3) they are the axis itself and
+    k0's is _cube_k0_table's, all equal to np.unique's, so a full cube
+    sorts nothing of size N.
     The values of every component are also kept as one concatenation,
     with each value's component, for at.  The spinor's shell operators
     of these modes are built on first use and kept with the tables
@@ -72,14 +100,18 @@ class PlaneWaves:
 
     def __init__(self, k, *, cube=None):
         self.k = np.asarray(k, dtype=float)
-        self.tables = []
         self._shell = {}
-        for column in self.k.T if cube is None else self.k.T[:1]:
-            values, index = np.unique(column, return_inverse=True)
-            self.tables.append(
-                (values, index.astype(np.min_scalar_type(len(values) - 1))))
-        if cube is not None:
-            axis, axis_index = cube
+        if cube is None:
+            self.tables = [_unique_table(column) for column in self.k.T]
+        elif len(self.k) == len(cube[0]) ** 3:
+            # a full cube: every axis value is used, and k0 is a function
+            # of the three axis squares
+            axis, axis_index, kk = cube
+            self.tables = [_cube_k0_table(axis**2, kk)]
+            self.tables += [(axis, index) for index in axis_index]
+        else:
+            axis, axis_index, _ = cube
+            self.tables = [_unique_table(self.k[:, 0])]
             for index in axis_index:
                 used = np.zeros(len(axis), dtype=bool)
                 used[index] = True
@@ -150,7 +182,8 @@ class ModeGrid:
     hand is fine, with k on shell (reconstruct_field sums any k).  waves,
     the grid's PlaneWaves, builds its per-component phase tables on
     first use and keeps them: k must not change after that.  _cube is the
-    (axis, axis_index) build_mode_grid leaves for them (None otherwise).
+    (axis, axis_index, kappa^2) build_mode_grid leaves for them (None
+    otherwise), from which a full cube sorts nothing of size N.
     """
 
     k: np.ndarray
@@ -227,7 +260,10 @@ def build_mode_grid(
 
     k0_floor defaults to 1e-6 * kmax; nodes with k0 below the floor are
     dropped (only possible for very light fields on grids with odd
-    n_per_axis).  The budget is checked before any allocation.
+    n_per_axis).  The budget is checked before any allocation.  k's
+    spatial columns are the axis broadcast over the cube, and the grid's
+    phase tables (ModeGrid.waves) come from the axis: with every node
+    kept, a full cube sorts nothing of size N.
     """
     if kmax <= 0.0:
         raise ValueError("kmax must be positive")
@@ -244,29 +280,33 @@ def build_mode_grid(
         k0_floor = 1e-6 * kmax
 
     dk, axis = _axis(kmax, n_per_axis)
-    # node (i, j, l) in C order: mass_shell_energy's sum (kx^2 + ky^2) +
-    # kz^2 + kappa^2, bit for bit, from the axis squares
-    sq = axis**2
-    k0 = np.sqrt(((sq[:, None, None] + sq[None, :, None]) + sq[None, None, :]
-                  + float(kappa) ** 2).ravel())
-    keep = k0 >= k0_floor
-    k0 = _positive_shell(k0[keep])
-    # each node's index into axis per spatial component, a row at a time
-    # (one (3, N) mask takes about ten times as long)
-    axis_index = [index[keep] for index in np.indices(
-        (n_per_axis,) * 3,
-        dtype=np.min_scalar_type(n_per_axis - 1)).reshape(3, -1)]
-
-    k = np.empty((len(k0), 4))
-    k[:, 0] = k0
-    for a, index in enumerate(axis_index, start=1):
-        k[:, a] = axis[index]
+    # node (i, j, l) in C order is (k0, axis[i], axis[j], axis[l]), k0
+    # mass_shell_energy's sum (kx^2 + ky^2) + kz^2 + kappa^2, bit for bit,
+    # from the axis squares; the spatial columns are the axis broadcast
+    sq, kk = axis**2, float(kappa) ** 2
+    nodes = np.empty((n_per_axis,) * 3 + (4,))
+    nodes[..., 0] = np.sqrt(((sq[:, None, None] + sq[None, :, None])
+                             + sq[None, None, :]) + kk)
+    nodes[..., 1] = axis[:, None, None]
+    nodes[..., 2] = axis[:, None]
+    nodes[..., 3] = axis
+    k = nodes.reshape(-1, 4)
+    # each node's index into axis per spatial component
+    axis_index = np.indices((n_per_axis,) * 3, dtype=np.min_scalar_type(
+        n_per_axis - 1)).reshape(3, -1)
+    keep = k[:, 0] >= k0_floor
+    if not keep.all():
+        k = k[keep]
+        # a row at a time (one (3, N) mask takes about ten times as long)
+        axis_index = [index[keep] for index in axis_index]
+    k0 = _positive_shell(k[:, 0])
     weight = dk**3 / (8.0 * np.pi**3 * 2.0 * k0)
     k.setflags(write=False)
     weight.setflags(write=False)
     grid = ModeGrid(k=k, weight=weight)
-    # for waves: the spatial tables come from the axis, with no sort
-    object.__setattr__(grid, "_cube", (axis, axis_index))
+    # for waves: the tables come from the axis, with no sort of size N on
+    # a full cube
+    object.__setattr__(grid, "_cube", (axis, axis_index, kk))
     return grid
 
 

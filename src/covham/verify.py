@@ -53,7 +53,6 @@ from .dirac import GAMMA, clifford_defect, projector_defects, shell_projector
 from .dynamics import (
     SWITCH_ON_SLACK,
     _slice_profile,
-    _straight_line_mean,
     evolve_amplitudes,
     mode_equation_residual,
     source_rate,
@@ -258,8 +257,12 @@ def _suite_simulate(s: Scenario, rng, tol, records, tables) -> None:
     plan = s.plan
     grid, steps, steps_fd = plan.simulate_grid, plan.steps, plan.steps_fd
     worldlines = list(s.particles)
+    # hist stands in for the causality probe or the stencil's history
+    # only when the plan gives it no history of its own; else only its
+    # last slice is read
+    whole = plan.causality_probe is None or steps_fd == steps
     hist = evolve_amplitudes(field, worldlines, grid, s.x0_start, s.x0_end,
-                             steps, save="all")
+                             steps, save="all" if whole else "last")
 
     t_on = min((w.switch_on_time() for w in worldlines),
                default=float("inf"))
@@ -428,14 +431,14 @@ def averaged_profile(field, worldlines, grid, points, center: float,
 
     The points share the slice t_ref, so on a cube grid the mode sum
     runs axis by axis for all of them at once (dynamics._slice_profile):
-    the mean's coefficients are scaled in place by w exp(mp i k0 t_ref),
-    then one BLAS product contracts the first axis of every point, (P x
-    n) @ (n x n^2 components), and small batched products the other two.
-    The working set is the mean's coefficients plus one source's at a
-    time, each (branches, N, *component_shape): 7 MB for em on a 48^3
-    grid; the sum adds one complex scale per mode (1.8 MB there) and
-    the (P, n^2 components) first contraction (0.7 MB at 5 points).  A grid built by
-    hand takes one reconstruct_field call per point.
+    the mean comes weighted by w exp(mp i k0 t_ref), folded into each
+    source's factor before it scales the rates, then one BLAS product
+    contracts the first axis of every point, (P x n) @ (n x n^2
+    components), and small batched products the other two.  The working
+    set is the mean's coefficients plus one source's at a time, each
+    (branches, N, *component_shape): 7 MB for em on a 48^3 grid; the sum
+    adds the (P, n^2 components) first contraction (0.7 MB at 5 points).
+    A grid built by hand takes one reconstruct_field call per point.
     """
     if not worldlines:
         raise ValueError("worldlines must hold at least one source")
@@ -451,10 +454,8 @@ def averaged_profile(field, worldlines, grid, points, center: float,
     if first <= t_on:
         raise ValueError("averaging window starts before the switch-on")
 
-    # the mean's array is fresh, so the sum may scale it in place
-    return _slice_profile(field, grid, _straight_line_mean(
-        field, worldlines, grid, first, spacing, n_samples, center),
-        center, points)
+    return _slice_profile(field, worldlines, grid, first, spacing,
+                          n_samples, center, points)
 
 
 def _suite_green(s: Scenario, rng, tol, records, tables) -> None:

@@ -1060,6 +1060,14 @@ def _per_point_profile(field, grid, coeffs, t, points):
                        for p in points])
 
 
+def _weighted(grid, coeffs, t):
+    """G_pm = w exp(mp i k0 t) C_pm, the terms _cube_profile sums."""
+    scale = grid.weight * np.exp(-1j * t * grid.k0)
+    expand = (len(grid),) + (1,) * (coeffs.ndim - 2)
+    return np.stack([c * f.reshape(expand)
+                     for c, f in zip(coeffs, with_conjugate(scale))])
+
+
 class TestSliceProfile:
     @pytest.mark.parametrize("count", [1, 6])
     @pytest.mark.parametrize("grid_name", sorted(SLICE_GRIDS))
@@ -1070,7 +1078,8 @@ class TestSliceProfile:
             assert len(grid) == 5**3 - 1
         points = SLICE_POINTS[:count]
         want = _per_point_profile(field, grid, coeffs, 0.7, points)
-        got = dynamics._slice_profile(field, grid, coeffs, 0.7, points)
+        got = dynamics._cube_profile(field, grid,
+                                     _weighted(grid, coeffs, 0.7), points)
         assert got.shape == want.shape and got.dtype == want.dtype
         _assert_rel_close(got, want, rtol=1e-13)
 
@@ -1078,7 +1087,7 @@ class TestSliceProfile:
     def test_nan_coefficient_reaches_every_point(self, name):
         field, grid, coeffs = _slice_case(name, "even_massive")
         coeffs[(0, 17) + (0,) * len(field.component_shape)] = np.nan
-        got = dynamics._slice_profile(field, grid, coeffs, 0.7, SLICE_POINTS)
+        got = dynamics._cube_profile(field, grid, coeffs, SLICE_POINTS)
         # the profile's value is the scalar itself or em's A_0
         assert np.all(np.isnan(got if name == "scalar" else got[:, 0]))
 
@@ -1094,17 +1103,29 @@ class TestSliceProfile:
             return original(cube, (fy, fx, fz))
 
         monkeypatch.setattr(dynamics, "_axis_sum", swapped)
-        got = dynamics._slice_profile(field, grid, coeffs, 0.7, SLICE_POINTS)
+        got = dynamics._cube_profile(field, grid,
+                                     _weighted(grid, coeffs, 0.7),
+                                     SLICE_POINTS)
         assert np.max(np.abs(got - want)) >= 1e-3 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("name", ["scalar", "em"])
     def test_hand_built_grid_takes_per_point_values(self, name):
-        field, cube, coeffs = _slice_case(name, "even_massive")
+        # the plain mean, one reconstruct_field call per point; the cube
+        # grid it copies weights its mean and sums it axis by axis, to
+        # the same values
+        field, cube, _ = _slice_case(name, "even_massive")
         grid = ModeGrid(k=cube.k, weight=cube.weight)
         assert grid._cube is None
-        want = _per_point_profile(field, grid, coeffs, 0.7, SLICE_POINTS)
-        got = dynamics._slice_profile(field, grid, coeffs, 0.7, SLICE_POINTS)
+        sources = [_straight_source("static"), _late_source("uniform")]
+        window = (sources, grid, 4.25, 0.5, 4, 5.0, SLICE_POINTS)
+        mean = dynamics._straight_line_mean(field, sources, grid, 4.25, 0.5,
+                                            4, 5.0)
+        want = _per_point_profile(field, grid, mean, 5.0, SLICE_POINTS)
+        got = dynamics._slice_profile(field, *window)
         assert np.array_equal(got, want)
+        on_cube = dynamics._slice_profile(field, sources, cube,
+                                          *window[2:])
+        _assert_rel_close(on_cube, want, rtol=1e-13)
 
 
 def _per_sample_mean(field, worldlines, grid, first, spacing, count, t_ref,

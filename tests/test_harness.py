@@ -1080,14 +1080,14 @@ class TestGreenSuite:
         data["time"] = {"x0_start": 0.0, "x0_end": 15.2, "steps": 64}
         s = scenario_from_dict(data)
         assert run_verification(s, "green", seed=0).passed
-        original = verify._straight_line_mean
+        original = dynamics._straight_line_mean
 
-        def poisoned(*args):
-            coeffs = original(*args)
+        def poisoned(*args, **kwargs):
+            coeffs = original(*args, **kwargs)
             coeffs.reshape(-1)[0] = np.nan  # mode 0, branch 0, component 0
             return coeffs
 
-        monkeypatch.setattr(verify, "_straight_line_mean", poisoned)
+        monkeypatch.setattr(dynamics, "_straight_line_mean", poisoned)
         report = run_verification(s, "green", seed=0)
         assert all(np.isnan(row["reconstructed"])
                    for row in report.tables["green_profile"])

@@ -106,20 +106,55 @@ CUBE_GRIDS = [(6, 1.0, None), (7, 0.5, None), (5, 0.0, None),
               (4, 0.0, None), (1, 1.0, None), (5, 0.0, 2.3)]
 
 
+def _assert_tables_are_np_uniques(grid):
+    """Each of grid.waves' tables is np.unique's (values, index) of its k
+    column bit for bit, the index in the smallest unsigned dtype."""
+    for column, (values, index) in zip(grid.k.T, grid.waves.tables,
+                                       strict=True):
+        want, inverse = np.unique(column, return_inverse=True)
+        assert values.dtype == want.dtype
+        assert values.tobytes() == want.tobytes()
+        assert index.dtype == np.min_scalar_type(len(want) - 1)
+        assert np.array_equal(index, inverse)
+
+
 @pytest.mark.parametrize("n, kappa, floor", CUBE_GRIDS)
 def test_cube_tables_equal_np_unique_and_k0_the_shell(n, kappa, floor):
     grid = build_mode_grid(kmax=2.0, n_per_axis=n, kappa=kappa,
                            k0_floor=floor)
     assert np.array_equal(grid.k0, mass_shell_energy(grid.k_spatial, kappa))
-    for column, (values, index) in zip(grid.k.T, grid.waves.tables,
-                                       strict=True):
-        want, inverse = np.unique(column, return_inverse=True)
-        inverse = inverse.astype(np.min_scalar_type(len(want) - 1))
-        assert values.dtype == want.dtype and np.array_equal(values, want)
-        assert index.dtype == inverse.dtype
-        assert np.array_equal(index, inverse)
+    _assert_tables_are_np_uniques(grid)
     if floor is not None:  # an axis value no mode uses is left out
         assert [len(v) for v, _ in grid.waves.tables[1:]] == [n - 1] * 3
+
+
+def test_cube_tables_equal_np_unique_over_a_sweep():
+    # even and odd n, the 48^3 grid of the shipped static scenarios among
+    # them; kappa 0 with odd n drops the zero mode (the sorted fallback)
+    for n in (1, 2, 3, 5, 7, 16, 47, 48):
+        for kmax in (0.7, 3.0, 8.0):
+            for kappa in (0.0, 0.4, 1.0):
+                grid = build_mode_grid(kmax=kmax, n_per_axis=n, kappa=kappa)
+                _assert_tables_are_np_uniques(grid)
+                assert all(index.dtype.itemsize <= 2
+                           for _, index in grid.waves.tables)
+
+
+def test_full_cube_tables_sort_nothing_of_the_grids_size(monkeypatch):
+    sizes = []
+    original = np.unique
+
+    def recorded(ar, *args, **kwargs):
+        sizes.append(np.size(ar))
+        return original(ar, *args, **kwargs)
+
+    grid = build_mode_grid(kmax=8.0, n_per_axis=48, kappa=1.0)
+    monkeypatch.setattr(modes.np, "unique", recorded)
+    assert grid.waves.tables
+    assert sizes and max(sizes) < len(grid)
+    # control: a grid with no cube sorts its k0 column
+    PlaneWaves(grid.k)
+    assert max(sizes) == len(grid)
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])
@@ -216,3 +251,15 @@ class TestPlaneWaves:
         first, other = 0, int(np.flatnonzero(index != index[0])[0])
         index[[first, other]] = index[[other, first]]
         assert np.max(np.abs(waves.at(x, -1) - want)) >= 1e-3
+
+    @pytest.mark.parametrize("component", [0, 1], ids=["k0", "kx"])
+    def test_swapped_cube_index_entries_are_seen(self, component):
+        # the full cube's own tables: k0 from the axis squares, kx the axis
+        grid = build_mode_grid(kmax=2.0, n_per_axis=6, kappa=1.0)
+        x = np.random.default_rng(3).uniform(-1.5, 1.5, size=(5, 4))
+        want = np.exp(-1j * (lower_index(x) @ grid.k.T)).T
+        assert np.max(np.abs(grid.waves.at(x, -1) - want)) <= 1e-14
+        _, index = grid.waves.tables[component]
+        first, other = 0, int(np.flatnonzero(index != index[0])[0])
+        index[[first, other]] = index[[other, first]]
+        assert np.max(np.abs(grid.waves.at(x, -1) - want)) >= 1e-3
