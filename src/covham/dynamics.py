@@ -108,17 +108,16 @@ rows give.
 
 reconstruct_field sums the modes at any points, one (N, points) phase
 block per call.  The time average's points share one slice t and take
-_slice_profile instead: on a cube grid k = (k0, a_i, a_j, a_l) over the
-axis a, so with G_pm = w exp(mp i k0 t) C_pm the sum factors as G_pm
-contracted with exp(pm i a p_x), exp(pm i a p_y) and exp(pm i a p_z)
-axis by axis (_cube_profile, _axis_sum): one BLAS product (P x n) @ (n x
-n^2 components) for the first axis and small batched ones for the other
-two.  The mean comes as G directly: w exp(mp i k0 t) joins its factor
-g_j before g_j scales the rates, so no pass over the coefficients is
-added.
+_slice_profile instead: with x = (t, p) and G_pm = w exp(mp i k0 t)
+C_pm the field is sum_k G_pm exp(pm i k.p), one PlaneWaves.sum_at call
+per branch, which sums a full cube grid axis by axis and any other grid
+with one phase block.  The mean comes as G directly: w exp(mp i k0 t)
+joins its factor g_j before g_j scales the rates, so no pass over the
+coefficients is added.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,7 +234,7 @@ def _window_sums(field, worldlines, waves, nodes, weights, width, step,
     product, as the module docstring sets out.
     """
     n, n_b, n_comp = len(waves.k), len(field.branches), field.n_components
-    chunk = max(1, _BLOCK_WORK // (n * n_b * n_comp))
+    chunk = max(1, _BLOCK_WORK // max(1, n * n_b * n_comp))
     per = max(1, (chunk - width) // step + 1)  # whole windows per chunk
     out = out.reshape(len(out), n_b, n, n_comp)
     ops = waves.shell_operators(field) if field.kind == "spinor" else None
@@ -383,7 +382,7 @@ def _add_straight_simpson(field, worldline, grid, times, h, out) -> None:
     slices = out.reshape(len(out), len(rate), -1)  # a view
     tail = slices[head + 1:] if len(out) > 1 else slices
     m0 = count - len(tail) + 1  # panels up to the tail's first slice
-    block = max(1, _SERIES_BLOCK // (n * field.n_components))
+    block = max(1, _SERIES_BLOCK // max(1, n * field.n_components))
     for lo in range(0, len(tail), block):
         dst = tail[lo:lo + block]
         m = np.arange(m0 + lo, m0 + lo + len(dst), dtype=float)[:, None]
@@ -442,9 +441,9 @@ def _straight_line_mean(field, worldlines, grid, first, spacing, count,
     added to, so at most two coefficient arrays are held at a time.  One
     slice at t_ref gives D = C(t_ref), (branches, N, *component_shape).
     weighted gives G_pm = w exp(mp i k0 t_ref) D_pm instead, the terms
-    _cube_profile sums on slice t_ref (_slice_profile sets it on cube
-    grids): exp(-i k0 t_ref) scales g_j on its rows and w after the
-    gather, so the coefficients still take one pass.
+    _slice_profile sums on slice t_ref: exp(-i k0 t_ref) scales g_j on
+    its rows and w after the gather, so the coefficients still take one
+    pass.
     """
     if not all(w.straight for w in worldlines):
         raise ValueError("closed-form amplitudes need static or uniform "
@@ -636,7 +635,7 @@ def reconstruct_field(
     coeffs = [np.asarray(c) for c in field.families(plus, minus,
                                                      "coefficient")]
     # phase.T is a transposed view, which the product takes as it is
-    total = sum(ph.T @ c.reshape(len(grid), -1)
+    total = sum(ph.T @ c.reshape(len(c), math.prod(c.shape[1:]))
                 for c, ph in zip(coeffs, with_conjugate(phase)))
     return field.field_value(total.reshape(x.shape[:-1]
                                           + coeffs[0].shape[1:]))
@@ -651,66 +650,16 @@ def _slice_profile(field: FieldSpec, worldlines, grid: ModeGrid, first,
     reconstruct_field gives of that mean at each point, (P,
     *component_shape).
 
-    A cube grid takes the mean weighted, G_pm = w exp(mp i k0 t) D_pm,
-    the factor joining each source's mean factor so the coefficients
-    take one pass, and sums it axis by axis (_cube_profile).  A grid
-    with no cube (built by hand) takes the plain mean D_pm and one
-    reconstruct_field call per point.  At one point reconstruct_field is
-    the faster of the two.
+    The mean comes weighted, G_pm = w exp(mp i k0 t) D_pm, the factor
+    joining each source's mean factor so the coefficients take one
+    pass, since with x = (t, p) the phase factors as exp(mp i k0 t)
+    exp(pm i k.p); each branch is then one PlaneWaves.sum_at call, axis
+    by axis on a full cube.
     """
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    cube = grid._cube is not None
-    mean = _straight_line_mean(field, worldlines, grid, first, spacing,
-                               count, t, weighted=cube)
-    if cube:
-        return _cube_profile(field, grid, mean, points)
-    plus, minus = family_pair(mean)
-    return np.asarray([reconstruct_field(field, grid, plus, minus,
-                                         np.concatenate([[t], p]))
-                       for p in points])
-
-
-def _cube_profile(field: FieldSpec, grid: ModeGrid, terms: np.ndarray,
-                  points: np.ndarray) -> np.ndarray:
-    """The mode sum sum_k G_pm(k) e^{pm i k.p} at the points p (P, 3) of
-    a cube grid, terms the weighted G_pm = w exp(mp i k0 t) C_pm of one
-    slice t, (branches, N, *component_shape); the field's values there,
-    (P, *component_shape).
-
-    Mode (i, j, l) has k = (k0, a_i, a_j, a_l), a the axis, so the sum
-    factors axis by axis:
-
-        value_pm(p) = sum_ijl G_pm[i, j, l] e^{pm i a_i p_x}
-                      e^{pm i a_j p_y} e^{pm i a_l p_z}.
-
-    With every node kept the modes are in build_mode_grid's C order and
-    G is a reshape, else it is scattered into a zero n^3 cube.
-    _axis_sum then contracts the first axis of every point with one BLAS
-    product and the other two with small batched ones.
-    """
-    axis, axis_index, _ = grid._cube
-    n = len(axis)
-    # exp(+i a p) per spatial component, point and axis value: (3, P, n)
-    factors = np.exp(1j * points.T[:, :, None] * axis)
-    total = 0.0
-    for c, fac in zip(terms, with_conjugate(factors)):
-        if len(grid) != n**3:
-            full = np.zeros((n**3,) + c.shape[1:], dtype=complex)
-            full[np.ravel_multi_index(axis_index, (n,) * 3)] = c
-            c = full
-        total = total + _axis_sum(c.reshape((n,) * 3 + (-1,)), fac)
-    return field.field_value(total.reshape((len(points),)
-                                           + field.component_shape))
-
-
-def _axis_sum(cube: np.ndarray, factors) -> np.ndarray:
-    """sum_ijl cube[i, j, l] fx[p, i] fy[p, j] fz[p, l] for each point p:
-    cube (n, n, n, m), factors (fx, fy, fz) each (P, n); result (P, m)."""
-    fx, fy, fz = factors
-    n = len(cube)
-    part = (fx @ cube.reshape(n, -1)).reshape(len(fx), n, -1)
-    part = (fy[:, None, :] @ part).reshape(len(fx), n, -1)
-    return (fz[:, None, :] @ part)[:, 0]
+    terms = _straight_line_mean(field, worldlines, grid, first, spacing,
+                                count, t, weighted=True)
+    return field.field_value(sum(grid.waves.sum_at(c, points, sign)
+                                 for c, sign in zip(terms, (1, -1))))
 
 
 def mode_equation_residual(
@@ -742,7 +691,7 @@ def mode_equation_residual(
     # per interior sample 2 .. S - 3
     keep = ~np.any((x0[:-4, None] < ons) & (ons <= x0[4:, None]), axis=1)
     per_branch = tuple(range(2, c.ndim))  # modes, comps
-    block = max(1, _SERIES_BLOCK // c[0].size)
+    block = max(1, _SERIES_BLOCK // max(1, c[0].size))
     deriv = np.empty((min(block, len(keep)),) + c.shape[1:], dtype=complex)
     worst = 0.0
     for lo in range(2, len(x0) - 2, block):
@@ -756,7 +705,9 @@ def mode_equation_residual(
         d -= c[lo + 2:hi + 2]
         d *= 1.0 / (12.0 * h)  # a complex division costs several times more
         d -= rates
-        ratio = (np.max(np.abs(d), axis=per_branch)
-                 / (1.0 + np.max(np.abs(rates), axis=per_branch)))
+        # initial=0.0: a grid with no modes has no defect
+        ratio = (np.max(np.abs(d), axis=per_branch, initial=0.0)
+                 / (1.0 + np.max(np.abs(rates), axis=per_branch,
+                                 initial=0.0)))
         worst = np.max(ratio, where=keep[lo - 2:hi - 2, None], initial=worst)
     return float(worst)

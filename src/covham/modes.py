@@ -24,15 +24,21 @@ mode's index into them, and evaluates a block of points from one cos
 and sin per distinct value and point, four gathers and three in-place
 multiplies, with no complex exponential per mode.  The formula holds
 for any k; only its cost depends on how many values repeat.
-ModeGrid.waves builds the tables once per grid.  On a cube grid the
-spatial tables are the axis values and each node's index into them,
-which build_mode_grid already holds and hands on; on a full cube (every
-node kept) k0's table comes from the axis squares two axes at a time,
-so a full cube sorts nothing of size N.  A cube that drops nodes sorts
-its k0 column (np.unique); hand-built and box grids sort every column.
+ModeGrid.waves builds the tables once per grid.  On a full cube (every
+node kept) the spatial tables are the axis values and each node's index
+into them, which build_mode_grid already holds and hands on, and k0's
+table comes from the axis squares two axes at a time, so a full cube
+sorts nothing of size N.  Every other grid (a cube that drops nodes,
+hand-built and box grids) sorts every column (np.unique).
+
+The field on one slice at points p is a mode sum sum_k terms(k)
+exp(pm i k.p) (PlaneWaves.sum_at).  On a full cube it factors axis by
+axis, three small products in place of an (N, points) phase block;
+every other grid takes one such block.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -86,12 +92,12 @@ class PlaneWaves:
     tables holds, per component a of k, its distinct values (np.unique)
     and each mode's index into them, in the smallest unsigned dtype that
     holds it.  cube = (axis, axis_index, kappa^2), given by
-    build_mode_grid, is a cube grid's sorted axis values (n,), per
-    spatial component each mode's index into them (N,), and the kappa^2
-    of its k0: the spatial tables are then read off the axis values some
-    mode uses, and on a full cube (N = n^3) they are the axis itself and
-    k0's is _cube_k0_table's, all equal to np.unique's, so a full cube
-    sorts nothing of size N.
+    build_mode_grid for a full cube only, is its sorted axis values (n,),
+    per spatial component each mode's index into them (N = n^3, C
+    order), and the kappa^2 of its k0: the spatial tables are then the
+    axis itself and k0's is _cube_k0_table's, all equal to np.unique's,
+    so a full cube sorts nothing of size N, and sum_at sums its modes
+    axis by axis.
     The values of every component are also kept as one concatenation,
     with each value's component, for at.  The spinor's shell operators
     of these modes are built on first use and kept with the tables
@@ -101,25 +107,15 @@ class PlaneWaves:
     def __init__(self, k, *, cube=None):
         self.k = np.asarray(k, dtype=float)
         self._shell = {}
+        self._axis = None
         if cube is None:
             self.tables = [_unique_table(column) for column in self.k.T]
-        elif len(self.k) == len(cube[0]) ** 3:
+        else:
             # a full cube: every axis value is used, and k0 is a function
             # of the three axis squares
-            axis, axis_index, kk = cube
-            self.tables = [_cube_k0_table(axis**2, kk)]
-            self.tables += [(axis, index) for index in axis_index]
-        else:
-            axis, axis_index, _ = cube
-            self.tables = [_unique_table(self.k[:, 0])]
-            for index in axis_index:
-                used = np.zeros(len(axis), dtype=bool)
-                used[index] = True
-                values = axis[used]
-                # a value's rank among the used ones is np.unique's index
-                rank = np.cumsum(used) - 1
-                self.tables.append((values, rank.astype(
-                    np.min_scalar_type(len(values) - 1))[index]))
+            self._axis, axis_index, kk = cube
+            self.tables = [_cube_k0_table(self._axis**2, kk)]
+            self.tables += [(self._axis, index) for index in axis_index]
         sizes = [len(values) for values, _ in self.tables]
         self._values = np.concatenate([values for values, _ in self.tables])
         self._component = np.repeat(np.arange(len(sizes)), sizes)
@@ -170,6 +166,40 @@ class PlaneWaves:
                 rows *= part
         return out
 
+    def sum_at(self, terms, points, sign: int) -> np.ndarray:
+        """sum_n terms[n] exp(sign i k_n.p), k_n the spatial part of mode
+        n, at the points p (P, 3): terms (N, ...), result (P, ...).
+
+        On a full cube mode (i, j, l) has spatial k (a_i, a_j, a_l), a
+        the axis, in C order, so the sum factors axis by axis:
+
+            sum_ijl terms[i, j, l] e^{sign i a_i p_x} e^{sign i a_j p_y}
+                                   e^{sign i a_l p_z},
+
+        one BLAS product (P x n) @ (n x n^2 ...) contracting the first
+        axis of every point and small batched ones the other two.  Any
+        other set of modes takes one (N, P) block of at at x = (0, p)
+        and one product.
+        """
+        points = np.asarray(points, dtype=float).reshape(-1, 3)
+        tail = terms.shape[1:]
+        flat = terms.reshape(len(terms), math.prod(tail))
+        if self._axis is None:
+            x = np.zeros((len(points), 4))
+            x[:, 1:] = points
+            # k.x = -k.p at x = (0, p), so at takes the opposite sign
+            total = self.at(x, -sign).T @ flat
+        else:
+            n, m = len(self._axis), flat.shape[1]
+            # exp(sign i a p) per spatial component, point and axis value,
+            # the minus sign's as the conjugate of the plus sign's
+            factors = np.exp(1j * points.T[:, :, None] * self._axis)
+            fx, fy, fz = factors if sign > 0 else np.conj(factors)
+            part = (fx @ flat.reshape(n, -1)).reshape(len(points), n, n * m)
+            part = (fy[:, None, :] @ part).reshape(len(points), n, m)
+            total = (fz[:, None, :] @ part)[:, 0]
+        return total.reshape((len(points),) + tail)
+
 
 @dataclass(frozen=True)
 class ModeGrid:
@@ -182,8 +212,9 @@ class ModeGrid:
     hand is fine, with k on shell (reconstruct_field sums any k).  waves,
     the grid's PlaneWaves, builds its per-component phase tables on
     first use and keeps them: k must not change after that.  _cube is the
-    (axis, axis_index, kappa^2) build_mode_grid leaves for them (None
-    otherwise), from which a full cube sorts nothing of size N.
+    (axis, axis_index, kappa^2) build_mode_grid leaves for them on a full
+    cube (None otherwise), from which it sorts nothing of size N and
+    sums its modes axis by axis.
     """
 
     k: np.ndarray
@@ -261,9 +292,11 @@ def build_mode_grid(
     k0_floor defaults to 1e-6 * kmax; nodes with k0 below the floor are
     dropped (only possible for very light fields on grids with odd
     n_per_axis).  The budget is checked before any allocation.  k's
-    spatial columns are the axis broadcast over the cube, and the grid's
-    phase tables (ModeGrid.waves) come from the axis: with every node
-    kept, a full cube sorts nothing of size N.
+    spatial columns are the axis broadcast over the cube.  With every
+    node kept the grid carries its cube, so its phase tables
+    (ModeGrid.waves) come from the axis, sorting nothing of size N, and
+    its slice sums (PlaneWaves.sum_at) go axis by axis; a grid that
+    drops a node carries none.
     """
     if kmax <= 0.0:
         raise ValueError("kmax must be positive")
@@ -295,18 +328,20 @@ def build_mode_grid(
     axis_index = np.indices((n_per_axis,) * 3, dtype=np.min_scalar_type(
         n_per_axis - 1)).reshape(3, -1)
     keep = k[:, 0] >= k0_floor
-    if not keep.all():
+    full = keep.all()
+    if not full:
         k = k[keep]
-        # a row at a time (one (3, N) mask takes about ten times as long)
-        axis_index = [index[keep] for index in axis_index]
     k0 = _positive_shell(k[:, 0])
     weight = dk**3 / (8.0 * np.pi**3 * 2.0 * k0)
     k.setflags(write=False)
     weight.setflags(write=False)
     grid = ModeGrid(k=k, weight=weight)
-    # for waves: the tables come from the axis, with no sort of size N on
-    # a full cube
-    object.__setattr__(grid, "_cube", (axis, axis_index, kk))
+    if full:
+        # for waves: each node's index into axis per spatial component,
+        # the tables read off the axis and the mode sum taken axis by axis
+        axis_index = np.indices((n_per_axis,) * 3, dtype=np.min_scalar_type(
+            n_per_axis - 1)).reshape(3, -1)
+        object.__setattr__(grid, "_cube", (axis, axis_index, kk))
     return grid
 
 

@@ -429,16 +429,18 @@ def averaged_profile(field, worldlines, grid, points, center: float,
     argument, for no worldlines, an n_samples that is not an integer >= 1
     or a period that is not positive, and for a circular source.
 
-    The points share the slice t_ref, so on a cube grid the mode sum
-    runs axis by axis for all of them at once (dynamics._slice_profile):
-    the mean comes weighted by w exp(mp i k0 t_ref), folded into each
-    source's factor before it scales the rates, then one BLAS product
-    contracts the first axis of every point, (P x n) @ (n x n^2
-    components), and small batched products the other two.  The working
-    set is the mean's coefficients plus one source's at a time, each
-    (branches, N, *component_shape): 7 MB for em on a 48^3 grid; the sum
-    adds the (P, n^2 components) first contraction (0.7 MB at 5 points).
-    A grid built by hand takes one reconstruct_field call per point.
+    The points share the slice t_ref, so the mode sum runs for all of
+    them at once (dynamics._slice_profile): the mean comes weighted by
+    w exp(mp i k0 t_ref), folded into each source's factor before it
+    scales the rates, then each branch is one PlaneWaves.sum_at call.
+    On a full cube grid that goes axis by axis, one BLAS product
+    contracting the first axis of every point, (P x n) @ (n x n^2
+    components), and small batched products the other two; any other
+    grid takes one (N, P) phase block.  The working set is the mean's
+    coefficients plus one source's at a time, each (branches, N,
+    *component_shape): 7 MB for em on a 48^3 grid; the cube's sum adds
+    the (P, n^2 components) first contraction (0.7 MB at 5 points).  A
+    grid with no modes, or no points, gives zeros of the result's shape.
     """
     if not worldlines:
         raise ValueError("worldlines must hold at least one source")

@@ -1061,11 +1061,18 @@ def _per_point_profile(field, grid, coeffs, t, points):
 
 
 def _weighted(grid, coeffs, t):
-    """G_pm = w exp(mp i k0 t) C_pm, the terms _cube_profile sums."""
+    """G_pm = w exp(mp i k0 t) C_pm, the terms _slice_profile sums."""
     scale = grid.weight * np.exp(-1j * t * grid.k0)
     expand = (len(grid),) + (1,) * (coeffs.ndim - 2)
     return np.stack([c * f.reshape(expand)
                      for c, f in zip(coeffs, with_conjugate(scale))])
+
+
+def _summed(field, grid, terms, points):
+    """The field's values at the points from the weighted terms: each
+    branch's PlaneWaves.sum_at, plus e^{+ik.p} and minus e^{-ik.p}."""
+    return field.field_value(sum(grid.waves.sum_at(c, points, sign)
+                                 for c, sign in zip(terms, (1, -1))))
 
 
 class TestSliceProfile:
@@ -1074,12 +1081,13 @@ class TestSliceProfile:
     @pytest.mark.parametrize("name", sorted(SLICE_FIELDS))
     def test_matches_per_point_reconstruction(self, name, grid_name, count):
         field, grid, coeffs = _slice_case(name, grid_name)
+        # a cube that drops a node carries no cube: one phase block
+        assert (grid._cube is None) == (grid_name == "odd_massless")
         if grid_name == "odd_massless":
             assert len(grid) == 5**3 - 1
         points = SLICE_POINTS[:count]
         want = _per_point_profile(field, grid, coeffs, 0.7, points)
-        got = dynamics._cube_profile(field, grid,
-                                     _weighted(grid, coeffs, 0.7), points)
+        got = _summed(field, grid, _weighted(grid, coeffs, 0.7), points)
         assert got.shape == want.shape and got.dtype == want.dtype
         _assert_rel_close(got, want, rtol=1e-13)
 
@@ -1087,32 +1095,29 @@ class TestSliceProfile:
     def test_nan_coefficient_reaches_every_point(self, name):
         field, grid, coeffs = _slice_case(name, "even_massive")
         coeffs[(0, 17) + (0,) * len(field.component_shape)] = np.nan
-        got = dynamics._cube_profile(field, grid, coeffs, SLICE_POINTS)
+        got = _summed(field, grid, coeffs, SLICE_POINTS)
         # the profile's value is the scalar itself or em's A_0
         assert np.all(np.isnan(got if name == "scalar" else got[:, 0]))
 
-    def test_swapped_axes_are_seen(self, monkeypatch):
-        # negative control: the points lie off the axes, so summing x with
-        # y's factors moves the values far past the comparison's 1e-13
-        field, grid, coeffs = _slice_case("vector", "even_massive")
-        want = _per_point_profile(field, grid, coeffs, 0.7, SLICE_POINTS)
-        original = dynamics._axis_sum
-
-        def swapped(cube, factors):
-            fx, fy, fz = factors
-            return original(cube, (fy, fx, fz))
-
-        monkeypatch.setattr(dynamics, "_axis_sum", swapped)
-        got = dynamics._cube_profile(field, grid,
-                                     _weighted(grid, coeffs, 0.7),
-                                     SLICE_POINTS)
+    def test_swapped_axes_are_seen(self):
+        # negative control: a grid whose modes run y-major but which
+        # carries the cube of build_mode_grid's x-major order sums x with
+        # y's factors; the points lie off the axes, so its values move
+        # far past the comparison's 1e-13 from what its own k give
+        field, cube, coeffs = _slice_case("vector", "even_massive")
+        k = cube.k[:, [0, 2, 1, 3]]
+        want = _per_point_profile(field, ModeGrid(k=k, weight=cube.weight),
+                                  coeffs, 0.7, SLICE_POINTS)
+        swapped = ModeGrid(k=k, weight=cube.weight)
+        object.__setattr__(swapped, "_cube", cube._cube)
+        got = _summed(field, swapped, _weighted(swapped, coeffs, 0.7),
+                      SLICE_POINTS)
         assert np.max(np.abs(got - want)) >= 1e-3 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("name", ["scalar", "em"])
-    def test_hand_built_grid_takes_per_point_values(self, name):
-        # the plain mean, one reconstruct_field call per point; the cube
-        # grid it copies weights its mean and sums it axis by axis, to
-        # the same values
+    def test_hand_built_grid_matches_the_cube_grid(self, name):
+        # the same modes with no cube: one phase block in place of the
+        # axis sums, to the same values as per-point reconstruction
         field, cube, _ = _slice_case(name, "even_massive")
         grid = ModeGrid(k=cube.k, weight=cube.weight)
         assert grid._cube is None
@@ -1122,10 +1127,61 @@ class TestSliceProfile:
                                             4, 5.0)
         want = _per_point_profile(field, grid, mean, 5.0, SLICE_POINTS)
         got = dynamics._slice_profile(field, *window)
-        assert np.array_equal(got, want)
+        _assert_rel_close(got, want, rtol=1e-13)
         on_cube = dynamics._slice_profile(field, sources, cube,
                                           *window[2:])
         _assert_rel_close(on_cube, want, rtol=1e-13)
+
+
+def _no_modes_or_points(entry):
+    """(result, shape it must have) of one entry point on a grid with no
+    modes (massless, one node per axis: its one node, k = 0, is dropped)
+    or, for the *_no_points entries, at no points; every value zero."""
+    field, comps = FIELDS["vector"], (4,)
+    empty = build_mode_grid(1.0, 1, 0.0)
+    assert len(empty) == 0
+    line, orbit = _straight_source("static"), _orbit_sources(None)[0]
+    no_points = np.zeros((0, 3))
+    if entry.startswith("evolve"):
+        source = orbit if entry == "evolve_circular" else line
+        hist = evolve_amplitudes(field, [source], empty, 0.0, 1.0, 10)
+        return hist.coeffs, (11, 2, 0) + comps
+    if entry == "mode_equation_residual":
+        hist = evolve_amplitudes(field, [line], empty, 0.0, 1.0, 10)
+        return mode_equation_residual(field, [line], empty, hist), ()
+    if entry == "source_rate":
+        return np.stack(source_rate(field, [line], empty.k, 0.5)), (
+            2, 0) + comps
+    if entry == "straight_line_amplitudes":
+        return np.stack(straight_line_amplitudes(field, [line], empty,
+                                                 0.5)), (2, 0) + comps
+    if entry == "reconstruct_field":
+        c = np.zeros((0,) + comps, dtype=complex)
+        return reconstruct_field(field, empty, c, c, np.zeros((3, 4))), (
+            3,) + comps
+    if entry == "averaged_profile":
+        return averaged_profile(field, [line], empty, PROFILE_POINTS,
+                                center=5.0, period=2.0), (3,) + comps
+    grid = build_mode_grid(2.0, 4, field.kappa)
+    if entry == "averaged_profile_no_points":
+        return averaged_profile(field, [line], grid, no_points, center=5.0,
+                                period=2.0), (0,) + comps
+    # sum_at at no points, axis by axis on the cube and by one phase block
+    # on the same modes built by hand
+    terms = np.ones((len(grid),) + comps, dtype=complex)
+    hand = ModeGrid(k=grid.k, weight=grid.weight)
+    return np.stack([g.waves.sum_at(terms, no_points, sign)
+                     for g in (grid, hand) for sign in (1, -1)]), (
+        4, 0) + comps
+
+
+@pytest.mark.parametrize("entry", [
+    "evolve_static", "evolve_circular", "mode_equation_residual",
+    "source_rate", "straight_line_amplitudes", "reconstruct_field",
+    "averaged_profile", "averaged_profile_no_points", "sum_at_no_points"])
+def test_no_modes_or_points_give_empty_or_zero_results(entry):
+    got, shape = _no_modes_or_points(entry)
+    assert np.shape(got) == shape and not np.any(got)
 
 
 def _per_sample_mean(field, worldlines, grid, first, spacing, count, t_ref,

@@ -124,13 +124,16 @@ def test_cube_tables_equal_np_unique_and_k0_the_shell(n, kappa, floor):
                            k0_floor=floor)
     assert np.array_equal(grid.k0, mass_shell_energy(grid.k_spatial, kappa))
     _assert_tables_are_np_uniques(grid)
+    # only a full cube carries its cube: a grid that drops a node sorts
+    # its columns and sums its modes with one phase block
+    assert (grid._cube is None) == (len(grid) < n**3)
     if floor is not None:  # an axis value no mode uses is left out
         assert [len(v) for v, _ in grid.waves.tables[1:]] == [n - 1] * 3
 
 
 def test_cube_tables_equal_np_unique_over_a_sweep():
     # even and odd n, the 48^3 grid of the shipped static scenarios among
-    # them; kappa 0 with odd n drops the zero mode (the sorted fallback)
+    # them; kappa 0 with odd n drops the zero mode (no cube, np.unique)
     for n in (1, 2, 3, 5, 7, 16, 47, 48):
         for kmax in (0.7, 3.0, 8.0):
             for kappa in (0.0, 0.4, 1.0):
@@ -216,6 +219,22 @@ class TestPlaneWaves:
         # one point given as (4,) is the one-column case
         assert np.array_equal(grid.waves.at(x[2], -1)[:, 0],
                               grid.waves.at(x, -1)[:, 2])
+
+    @pytest.mark.parametrize("name", sorted(PHASE_GRIDS))
+    def test_sum_at_matches_the_direct_sum(self, name):
+        # axis by axis on the full cube ("even"), one phase block otherwise
+        rng = np.random.default_rng(13)
+        grid = PHASE_GRIDS[name](rng)
+        assert (grid._cube is not None) == (name == "even")
+        terms = rng.normal(size=(len(grid), 2, 3)) + 1j * rng.normal(
+            size=(len(grid), 2, 3))
+        p = rng.uniform(-1.5, 1.5, size=(5, 3))
+        for sign in (-1, +1):
+            phase = np.exp(sign * 1j * (p @ grid.k_spatial.T))  # (P, N)
+            want = np.einsum("pn,nab->pab", phase, terms)
+            got = grid.waves.sum_at(terms, p, sign)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_tables_hold_each_distinct_value_once(self):
         rng = np.random.default_rng(2)
