@@ -72,20 +72,21 @@ product, N x branches x components per node and source, and its phase
 block stay small whatever the step count.  E comes from the grid's
 cached phase tables (modes.PlaneWaves): one cos and sin per distinct
 value of each k component and crossing, then four gathers and three
-in-place multiplies, with no complex exponential per mode.  Every panel
-that holds a switch-on takes this walk, for any source shape; splitting
-it there, for fourth order through it, would only add nodes and weights.
+in-place multiplies, with no complex exponential per mode.  Only
+circular sources take this walk.  A switch-on is boundary active, so the
+rule is first order through the panel that holds it.
 
 Along a straight line (static and uniform worldlines) k.u is linear in
 x0: with a_j the switch-on time of source j and s_j = k.udot_j /
 udot_j^0 > 0, its rate on slices y >= t >= a_j is rate_j(t) exp(pm i
 s_j (y - t)).  On Simpson's uniform nodes the phases form a geometric
-sequence, so evolve_amplitudes adds a straight source's tail, its panels
-from the first boundary t_h >= a_j on, as the series' closed sum, one
-per kept slice and the same for both save modes, on the rows the time
-average below runs over (_add_straight_simpson), with no crossing walk
-or phase block per node; only its switch-on panel takes the walk.  With
-L = x0 - a_j the coefficient integral itself has the closed form (the
+sequence, so evolve_amplitudes adds a straight source's sums as the
+series' closed sum, one per kept slice and the same for both save
+modes, on the rows the time average below runs over
+(_add_straight_simpson).  It starts at t_h, the first panel boundary at
+or after the first node active_at admits, the panel that ends on t_h
+one more term of it, so the source walks only the node t_h.  With L =
+x0 - a_j the coefficient integral itself has the closed form (the
 degenerate case of Filon quadrature)
 
     C_pm(x0) = sum_j rate_j,pm(a_j) L exp(pm i s_j L / 2) sinc(s_j L / 2),
@@ -296,19 +297,15 @@ def _windows(a, span, jump, axis):
                       [jump * strides[axis]] + strides)
 
 
-def _walk_simpson(field, worldlines, grid, times, h, out) -> None:
-    """Add the Simpson sums of the worldlines over the panels of times
-    (S + 1,), of width h, to the history out in place, as windows of
-    _window_sums over the 2 S + 1 nodes, weighted h/6 at panel
-    boundaries and 4h/6 at midpoints.  With one slice (save="last")
-    out[0] gets one window of every node, each inner boundary weighted
-    h/3 as it ends one panel and starts the next; otherwise window i is
-    panel i, nodes 2i to 2i + 2, written to out[i + 1], and each slice
-    is then the one before it plus its panel's sum."""
-    steps = len(times) - 1
-    nodes = np.empty(2 * steps + 1)
-    nodes[0::2] = times
-    nodes[1::2] = times[:-1] + 0.5 * h
+def _walk_simpson(field, worldlines, grid, nodes, h, out) -> None:
+    """Add the Simpson sums of the circular worldlines over the panels of
+    width h of the 2 S + 1 nodes to the history out in place, as windows
+    of _window_sums, weighted h/6 at panel boundaries and 4h/6 at
+    midpoints.  With one slice (save="last") out[0] gets one window of
+    every node, each inner boundary weighted h/3 as it ends one panel
+    and starts the next; otherwise window i is panel i, nodes 2i to
+    2i + 2, written to out[i + 1], and each slice is then the one before
+    it plus its panel's sum."""
     weights = np.full(len(nodes), 4.0 * h / 6.0)
     weights[0::2] = h / 6.0
     if len(out) == 1:
@@ -321,7 +318,7 @@ def _walk_simpson(field, worldlines, grid, times, h, out) -> None:
     _window_sums(field, worldlines, grid.waves, nodes, weights, 3, 2, out[1:])
     # one add per slice: np.cumsum over axis 0 runs one short loop per
     # mode and component, about ten times slower here
-    for i in range(steps):
+    for i in range(len(out) - 1):
         np.add(out[i], out[i + 1], out=out[i + 1])
 
 
@@ -336,53 +333,49 @@ def _straight_source(field, worldline, grid, k, x0):
     return (k @ lower_index(udot)) / udot[0], rate
 
 
-def _add_straight_simpson(field, worldline, grid, times, h, out) -> None:
+def _add_straight_simpson(field, worldline, grid, nodes, h, out) -> None:
     """Add the Simpson sums of one static or uniform source over the
-    panels of times (S + 1,), of width h, to the history out in place:
+    panels of width h of the 2 S + 1 nodes to the history out in place:
     to out[0] the sum over every panel when out has one slice
-    (save="last"), otherwise to out[i + 1] the sum over panels 0..i.
+    (save="last"), otherwise to out[i] the sum over panels 0..i - 1.
 
-    On the tail, the panels from the first boundary t_h >= a_j on, the
-    rate is R_j z(t), conj z(t) for minus, R_j from _straight_source on
-    t_h and z(t) = exp(i s_j (t - t_h)), so panel i adds R_j P z(t_i),
-    P = (h/6)(1 + 4q + q^2), q = exp(i s_j h / 2): a geometric series
-    turning by q^2 per panel.  The slice m panels past t_h adds its
-    closed sum R_j P exp(i (m - 1) theta) sin(m theta) / sin(theta),
-    theta = s_j h / 2 taken mod pi (R_j P m where sin(theta) is 0): for
-    m = 1..K in blocks of _SERIES_BLOCK entries with save="all", for
-    m = K alone with save="last", through the same lines, so the two
-    agree bit for bit.  s_j, theta and P run over _mean_modes' rows (for
-    a static source the k0 table) and are gathered by mode.  The panels
-    before the tail that end on an active node (the one that holds the
-    switch-on) take the walk, into a history of their own.
+    Its first active node (active_at) fixes t_h, the first panel
+    boundary at or after it.  On t_h and later the rate is R_j z(t),
+    conj z(t) for minus, R_j from _straight_source on t_h and z(t) =
+    exp(i s_j (t - t_h)), so the panel that ends on t_h adds R_j L, L =
+    (h/6)(1 + 4 conj q) if its midpoint is active, h/6 if only t_h is
+    and 0 if t_h is the first node, and panel i past t_h adds R_j P
+    z(t_i), P = (h/6)(1 + 4q + q^2), q = exp(i s_j h / 2): a geometric
+    series turning by q^2 per panel.  The slice m panels past t_h adds
+    its closed sum R_j (L + P exp(i (m - 1) theta) sin(m theta) /
+    sin(theta)), theta = s_j h / 2 taken mod pi (R_j P m where
+    sin(theta) is 0): for m = 0..K in blocks of _SERIES_BLOCK entries
+    with save="all", for m = K alone with save="last", through the same
+    lines, so the two agree bit for bit.  s_j, theta, L and P run over
+    _mean_modes' rows (for a static source the k0 table) and are
+    gathered by mode.
     """
-    steps, n = len(times) - 1, len(grid)
-    head = int(np.searchsorted(times, worldline.switch_on_time()))
     # | also broadcasts an active_at that answers with one bool
-    ends = np.flatnonzero(np.zeros(min(head, steps), bool)
-                          | worldline.active_at(times[1:head + 1]))
-    if ends.size:
-        first, stop = ends[0], ends[-1] + 1
-        walked = np.zeros_like(out[:stop - first + 1 if len(out) > 1 else 1])
-        _walk_simpson(field, [worldline], grid, times[first:stop + 1], h,
-                      walked)
-        out[first + 1:stop + 1] += walked[1:]  # none for save="last"
-        out[stop + 1 if len(out) > 1 else 0:] += walked[-1]
-        del walked
-    count = steps - head  # tail panels
-    if count <= 0:
+    active = np.flatnonzero(np.zeros(len(nodes), bool)
+                            | worldline.active_at(nodes))
+    if not active.size:
         return
+    first = active[0]
+    head = (first + 1) // 2  # t_h = nodes[2 head]
     rows, index = _mean_modes(grid, worldline.state(worldline.tau_on)[1])
-    s, rate = _straight_source(field, worldline, grid, rows, times[head])
+    s, rate = _straight_source(field, worldline, grid, rows, nodes[2 * head])
     q = np.exp(0.5j * s * h)
     panel = h / 6.0 * (1.0 + 4.0 * q + q * q)
+    # the panel that ends on t_h: R_j on t_h and R_j conj(q) on its
+    # midpoint, each where active
+    lead = h / 6.0 * ((first > 0) + 4.0 * (first % 2) * np.conj(q))
     theta = 0.5 * s * h
     theta -= np.pi * np.round(theta / np.pi)  # only q^2 turns
     sin = np.sin(theta)
     slices = out.reshape(len(out), len(rate), -1)  # a view
-    tail = slices[head + 1:] if len(out) > 1 else slices
-    m0 = count - len(tail) + 1  # panels up to the tail's first slice
-    block = max(1, _SERIES_BLOCK // max(1, n * field.n_components))
+    tail = slices[head:] if len(out) > 1 else slices
+    m0 = len(nodes) // 2 - head + 1 - len(tail)  # panels up to tail[0]
+    block = max(1, _SERIES_BLOCK // max(1, len(grid) * field.n_components))
     for lo in range(0, len(tail), block):
         dst = tail[lo:lo + block]
         m = np.arange(m0 + lo, m0 + lo + len(dst), dtype=float)[:, None]
@@ -390,6 +383,7 @@ def _add_straight_simpson(field, worldline, grid, times, h, out) -> None:
                           out=np.full((len(m), len(rows)), m),
                           where=sin != 0.0)
         sums = panel * ratio * np.exp(1j * ((m - 1.0) * theta))
+        sums += lead
         if index is not None:
             sums = sums[:, index]
         # each mode's sum repeated over its components: one long inner
@@ -580,8 +574,8 @@ def evolve_amplitudes(
     on large grids stay in memory budget either way.  Circular sources
     take the node walk (_walk_simpson: windows of _window_sums, one per
     panel or one over every node); static and uniform ones add their
-    tails as geometric series (_add_straight_simpson), walking only the
-    panel that holds a switch-on and the tail's first slice.
+    sums, switch-on panel included, as geometric series
+    (_add_straight_simpson), on the same nodes.
     mode_equation_residual takes the rates of every source on each
     sample from _node_rates instead.
     """
@@ -599,16 +593,19 @@ def evolve_amplitudes(
             out[0, b] = init
 
     h = (x0_end - x0_start) / steps
+    nodes = np.empty(2 * steps + 1)
+    nodes[0::2] = times
+    nodes[1::2] = times[:-1] + 0.5 * h
     # rates are linear in the sources: circular ones take the node walk,
     # and each straight one then adds its series
     circular = [w for w in worldlines or [] if not w.straight]
     if circular:
-        _walk_simpson(field, circular, grid, times, h, out)
+        _walk_simpson(field, circular, grid, nodes, h, out)
     elif save == "all" and any(init is not None for init in inits):
         out[1:] = out[0]  # np.zeros already zeroed the other slices
     for w in worldlines or []:
         if w.straight:
-            _add_straight_simpson(field, w, grid, times, h, out)
+            _add_straight_simpson(field, w, grid, nodes, h, out)
     return AmplitudeHistory(x0=times[-len(out):], coeffs=out)
 
 

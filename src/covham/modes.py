@@ -324,9 +324,6 @@ def build_mode_grid(
     nodes[..., 2] = axis[:, None]
     nodes[..., 3] = axis
     k = nodes.reshape(-1, 4)
-    # each node's index into axis per spatial component
-    axis_index = np.indices((n_per_axis,) * 3, dtype=np.min_scalar_type(
-        n_per_axis - 1)).reshape(3, -1)
     keep = k[:, 0] >= k0_floor
     full = keep.all()
     if not full:

@@ -64,9 +64,6 @@ from .minkowski import on_shell_k
 from .position import parseval_check
 from .scenario import DEFAULT_TOLERANCES, Scenario, check_tolerances
 
-SUITE_NAMES = ("simulate", "hamilton", "bracket", "parseval", "green",
-               "dirac-algebra")
-
 
 @dataclass
 class CheckRecord:
@@ -518,6 +515,7 @@ _SUITES = {
     "green": _suite_green,
     "dirac-algebra": _suite_dirac,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_verification(s: Scenario, suite: str, seed: int = 0,

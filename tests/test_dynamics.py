@@ -553,8 +553,7 @@ class TestEvolveNodeSum:
     def test_last_slice_reads_each_node_once(self, monkeypatch):
         # one crossing walk per chunk of CHUNK of the 2 STEPS + 1 nodes,
         # for the circular source only; each straight source is walked
-        # on the first slice of its tail, and one switched on inside the
-        # window also on the 3 nodes of the panel that holds it
+        # on the first slice of its series alone, wherever it switches on
         walks = _record_walks(monkeypatch)
         grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=1.0)
         monkeypatch.setattr(dynamics, "_BLOCK_WORK",
@@ -564,7 +563,7 @@ class TestEvolveNodeSum:
         chunks = -(-(2 * STEPS + 1) // CHUNK)
         assert walks == [(("circular",), CHUNK)] * (chunks - 1) + [
             (("circular",), (2 * STEPS + 1) % CHUNK),
-            (("uniform",), 1), (("static",), 3), (("static",), 1)]
+            (("uniform",), 1), (("static",), 1)]
 
     @pytest.mark.parametrize("panels", [1, 4, STEPS + 5])
     def test_one_walk_per_panel_block(self, panels, monkeypatch):
@@ -575,9 +574,9 @@ class TestEvolveNodeSum:
                           *WINDOW, STEPS)
         blocks = -(-STEPS // panels)
         assert [lines for lines, _ in walks] == [("circular",)] * blocks + [
-            ("uniform",), ("static",), ("static",)]
-        # the static source's switch-on panel and each tail's first slice
-        assert sum(nodes for _, nodes in walks) == 2 * STEPS + blocks + 5
+            ("uniform",), ("static",)]
+        # each tail's first slice
+        assert sum(nodes for _, nodes in walks) == 2 * STEPS + blocks + 2
 
 
 def _record_walks(monkeypatch) -> list:
@@ -602,9 +601,14 @@ SERIES_FIELDS = {
     "em": EM,
     "spinor": SPINOR,
 }
-# switch-on times against WINDOW at STEPS panels
+# switch-on times against WINDOW at STEPS panels: the first active node is
+# node 0, a panel boundary (panel_edge, mid_panel, last_edge), a midpoint
+# (before_mid, mid_node, last_panel) or none
 SWITCH_ONS = {"before": -0.3, "at_start": WINDOW[0], "panel_edge": PANEL_EDGE,
-              "mid_panel": 0.537, "after": WINDOW[1] + 0.5}
+              "before_mid": 0.4,
+              "mid_node": PANEL_EDGE + 0.5 * (WINDOW[1] - WINDOW[0]) / STEPS,
+              "mid_panel": 0.537, "last_panel": 1.85, "last_edge": WINDOW[1],
+              "after": WINDOW[1] + 0.5}
 
 
 def _line(kind, t_start, coupling=0.8):
@@ -698,6 +702,17 @@ class TestPaddedRows:
 
 
 class TestStraightSeries:
+    def test_switch_ons_reach_each_first_active_node(self):
+        # the Simpson node each switch-on makes the first active one
+        h = (WINDOW[1] - WINDOW[0]) / STEPS
+        times = np.linspace(*WINDOW, STEPS + 1)
+        nodes = np.append(times[:-1, None] + [0.0, 0.5 * h], times[-1])
+        first = {name: np.flatnonzero(nodes >= t_on)[:1].tolist()
+                 for name, t_on in SWITCH_ONS.items()}
+        assert first == {"before": [0], "at_start": [0], "panel_edge": [6],
+                         "before_mid": [5], "mid_node": [7], "mid_panel": [6],
+                         "last_panel": [21], "last_edge": [22], "after": []}
+
     @pytest.mark.parametrize("save", ["all", "last"])
     @pytest.mark.parametrize("switch_on", sorted(SWITCH_ONS))
     @pytest.mark.parametrize("kind", ["static", "uniform"])
@@ -712,12 +727,11 @@ class TestStraightSeries:
                                  save=save)
         want = _simpson_by_source_rate(field, lines, grid, *WINDOW, STEPS,
                                        init)
-        if save == "last":
-            want = want[-1:]
-        # the increments, which the initial values would otherwise mask;
-        # a source that switches on after the window adds exact zeros
-        _assert_rel_close(hist.coeffs - hist.coeffs[0], want - want[0],
-                          rtol=1e-13)
+        # the increments from the initial values, which would otherwise
+        # mask them, on every kept slice; a source that switches on after
+        # the window adds exact zeros
+        _assert_rel_close(hist.coeffs - want[0],
+                          want[-len(hist.coeffs):] - want[0], rtol=1e-13)
 
     @pytest.mark.parametrize("save", ["all", "last"])
     @pytest.mark.parametrize("steps", [7, 13])
@@ -732,10 +746,8 @@ class TestStraightSeries:
                                  *init, save=save)
         want = _simpson_by_source_rate(field, lines, grid, 0.0, 40.0, steps,
                                        init)
-        if save == "last":
-            want = want[-1:]
-        _assert_rel_close(hist.coeffs - hist.coeffs[0], want - want[0],
-                          rtol=1e-13)
+        _assert_rel_close(hist.coeffs - want[0],
+                          want[-len(hist.coeffs):] - want[0], rtol=1e-13)
 
     @pytest.mark.parametrize("detune", [0.0, 1e-10, -1e-7])
     def test_panels_of_a_full_turn(self, detune):
@@ -773,8 +785,8 @@ class TestStraightSeries:
 
     @pytest.mark.parametrize("save", ["all", "last"])
     @pytest.mark.parametrize("steps", [3, 200])
-    def test_straight_sources_walk_only_their_switch_on(self, steps, save,
-                                                       monkeypatch):
+    def test_straight_sources_walk_one_node(self, steps, save,
+                                            monkeypatch):
         walks = _record_walks(monkeypatch)
         blocks = []
         original = PlaneWaves.at
@@ -787,11 +799,9 @@ class TestStraightSeries:
         grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=1.0)
         lines = [_line("static", 0.537), _line("uniform", -0.3)]
         evolve_amplitudes(SCALAR, lines, grid, *WINDOW, steps, save=save)
-        # the static source's switch-on panel, then each tail's first
-        # slice
-        assert walks == [(("static",), 3), (("static",), 1),
-                         (("uniform",), 1)]
-        assert blocks == [(3, 4), (1, 4), (1, 4)]
+        # each series' first slice, one node, for either switch-on
+        assert walks == [(("static",), 1), (("uniform",), 1)]
+        assert blocks == [(1, 4), (1, 4)]
 
     def test_residual_still_walks_every_sample(self, monkeypatch):
         grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=1.0)

@@ -764,8 +764,11 @@ class TestVerificationSuites:
         assert rec.status == "fail" and np.isnan(rec.measured)
 
     @pytest.mark.parametrize("fault, data, failing", [
+        # the straight series anchors at the window start, so the
+        # evolved history itself carries the fault
         ("source_always_active", _sources_after_window_dict,
-         {"simulate/causality", "simulate/exact_vs_simpson"}),
+         {"simulate/causality", "simulate/exact_vs_simpson",
+          "simulate/mode_equation", "simulate/segmented"}),
         ("init_plus_ignored", lambda: sourced_scalar_dict(True),
          {"simulate/segmented"}),
         ("single_source_rate_scaled", lambda: sourced_scalar_dict(True),
