@@ -39,6 +39,7 @@ from covham.dirac import (
 )
 from covham.dynamics import (
     AmplitudeHistory,
+    averaged_profile,
     evolve_amplitudes,
     mode_equation_residual,
     reconstruct_field,
@@ -76,7 +77,6 @@ from covham.scenario import Scenario, load_scenario, scenario_from_dict
 from covham.verify import (
     DEFAULT_TOLERANCES,
     Report,
-    averaged_profile,
     run_verification,
     write_report,
 )

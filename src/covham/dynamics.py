@@ -82,10 +82,10 @@ udot_j^0 > 0, its rate on slices y >= t >= a_j is rate_j(t) exp(pm i
 s_j (y - t)).  On Simpson's uniform nodes the phases form a geometric
 sequence, so evolve_amplitudes adds a straight source's sums as the
 series' closed sum, one per kept slice and the same for both save
-modes, on the rows the time average below runs over
-(_add_straight_simpson).  It starts at t_h, the first panel boundary at
-or after the first node active_at admits, the panel that ends on t_h
-one more term of it, so the source walks only the node t_h.  With L =
+modes, over the rows _straight_source gives (_add_straight_simpson).
+It starts at t_h, the first panel boundary at or after the first node
+active_at admits, the panel that ends on t_h one more term of it, so
+the source walks only the node t_h.  With L =
 x0 - a_j the coefficient integral itself has the closed form (the
 degenerate case of Filon quadrature)
 
@@ -93,28 +93,29 @@ degenerate case of Filon quadrature)
 
 written with sinc so that it stays accurate as s_j L -> 0.
 straight_line_amplitudes evaluates it on any slice; circular orbits
-still need the walk.  s_j and rate_j(a_j) depend on the source only
-(_straight_source), so _straight_line_mean computes them once per
-source and also gives the mean over uniform slices of the coefficients
-carried to one reference slice t_ref by their free phase exp(mp i k0 (t
-- t_ref)): the time average verify.averaged_profile reconstructs at its
-points.  On uniform slices its phases turn by a fixed factor per slice,
-so it rotates them, _MODE_SLICE rows at a time, instead of re-evaluating
-them.  The rows are the modes for a source that moves.  For a static one
-the spatial terms of k.udot are exact zeros, so the mean is a function
-of k0 alone: its rows are the grid's k0 table (ModeGrid.waves), about
-1,800 values for the 110,592 modes of a 48^3 grid, and the result is
-gathered by each mode's index into it, bit for bit what the per-mode
-rows give.
+still need the walk.  s_j and rate_j(a_j) depend on the source only,
+and _straight_source is the one reader of a straight source: it gives
+them, with k0, over the source's rows and the index that gathers the
+rows by mode.  The rows are the modes for a source that moves.  For a
+static one the spatial terms of k.udot are exact zeros, so its sums are
+functions of k0 alone: its rows are the grid's k0 table
+(ModeGrid.waves), about 1,800 values for the 110,592 modes of a 48^3
+grid, and each result is gathered by each mode's index into it, bit for
+bit what the per-mode rows give.  _straight_line_mean gives the mean
+over uniform slices of the coefficients carried to one reference slice
+t_ref by their free phase exp(mp i k0 (t - t_ref)): the time average
+averaged_profile reconstructs at its points.  On uniform slices its
+phases turn by a fixed factor per slice, so it rotates them, every row
+at once, instead of re-evaluating them.
 
 reconstruct_field sums the modes at any points, one (N, points) phase
-block per call.  The time average's points share one slice t and take
-_slice_profile instead: with x = (t, p) and G_pm = w exp(mp i k0 t)
-C_pm the field is sum_k G_pm exp(pm i k.p), one PlaneWaves.sum_at call
-per branch, which sums a full cube grid axis by axis and any other grid
-with one phase block.  The mean comes as G directly: w exp(mp i k0 t)
-joins its factor g_j before g_j scales the rates, so no pass over the
-coefficients is added.
+block per call.  The time average's points share one slice t, so
+averaged_profile sums them otherwise: with x = (t, p) and G_pm = w
+exp(mp i k0 t) C_pm the field is sum_k G_pm exp(pm i k.p), one
+PlaneWaves.sum_at call per branch, which sums a full cube grid axis by
+axis and any other grid with one phase block.  The mean comes as G
+directly: w exp(mp i k0 t) joins its factor g_j before g_j scales the
+rates, so no pass over the coefficients is added.
 """
 from __future__ import annotations
 
@@ -132,8 +133,6 @@ from .worldlines import Worldline, equal_time_crossing
 # complex multiply-adds per source of one chunk's product (see the module
 # docstring): N x branches x components per node sizes the node chunks
 _BLOCK_WORK = 2**19
-# rows per slice of the rotated time average: bounds its per-row arrays
-_MODE_SLICE = 4096
 # complex entries of the history-shaped arrays of one block: the
 # (slices, N x components) closed sums times rates a straight source adds
 # to a history, and mode_equation_residual's (samples, branches x N x
@@ -322,15 +321,22 @@ def _walk_simpson(field, worldlines, grid, nodes, h, out) -> None:
         np.add(out[i], out[i + 1], out=out[i + 1])
 
 
-def _straight_source(field, worldline, grid, k, x0):
-    """(s_j, R_j) of a static or uniform source: the turn rate s_j =
-    k.udot_j / udot_j^0 of its phase over the rows k (M, 4), and R_j, its
-    rates on a slice x0 at or after its switch-on, over the grid,
-    (branches, N, *component_shape), from one one-node _node_rates call:
-    on a slice y >= x0 its rate is R_j exp(pm i s_j (y - x0))."""
+def _straight_source(field, worldline, grid, x0):
+    """(k0, s_j, index, R_j) of a static or uniform source: the turn rate
+    s_j = k.udot_j / udot_j^0 of its phase and k0 over its rows, the
+    index (N,) that gathers the rows by mode (None: the rows are the
+    modes), and R_j, its rates on a slice x0 at or after its switch-on,
+    over the grid, (branches, N, *component_shape), from one one-node
+    _node_rates call: on a slice y >= x0 its rate is R_j exp(pm i s_j (y
+    - x0)).  With no spatial velocity gamma = 1 and the spatial terms of
+    k.udot are exact zeros, so s_j = k0 bit for bit and the rows are the
+    grid's k0 table."""
     _, udot = worldline.state(worldline.tau_on)
     rate = _node_rates(field, [worldline], grid.waves, np.array([x0]))[0]
-    return (k @ lower_index(udot)) / udot[0], rate
+    if np.any(udot[1:]):
+        return grid.k0, (grid.k @ lower_index(udot)) / udot[0], None, rate
+    k0, index = grid.waves.tables[0]
+    return k0, k0, index, rate
 
 
 def _add_straight_simpson(field, worldline, grid, nodes, h, out) -> None:
@@ -352,7 +358,7 @@ def _add_straight_simpson(field, worldline, grid, nodes, h, out) -> None:
     sin(theta) is 0): for m = 0..K in blocks of _SERIES_BLOCK entries
     with save="all", for m = K alone with save="last", through the same
     lines, so the two agree bit for bit.  s_j, theta, L and P run over
-    _mean_modes' rows (for a static source the k0 table) and are
+    _straight_source's rows (for a static source the k0 table) and are
     gathered by mode.
     """
     # | also broadcasts an active_at that answers with one bool
@@ -362,8 +368,8 @@ def _add_straight_simpson(field, worldline, grid, nodes, h, out) -> None:
         return
     first = active[0]
     head = (first + 1) // 2  # t_h = nodes[2 head]
-    rows, index = _mean_modes(grid, worldline.state(worldline.tau_on)[1])
-    s, rate = _straight_source(field, worldline, grid, rows, nodes[2 * head])
+    _, s, index, rate = _straight_source(field, worldline, grid,
+                                         nodes[2 * head])
     q = np.exp(0.5j * s * h)
     panel = h / 6.0 * (1.0 + 4.0 * q + q * q)
     # the panel that ends on t_h: R_j on t_h and R_j conj(q) on its
@@ -380,7 +386,7 @@ def _add_straight_simpson(field, worldline, grid, nodes, h, out) -> None:
         dst = tail[lo:lo + block]
         m = np.arange(m0 + lo, m0 + lo + len(dst), dtype=float)[:, None]
         ratio = np.divide(np.sin(m * theta), sin,
-                          out=np.full((len(m), len(rows)), m),
+                          out=np.full((len(m), len(s)), m),
                           where=sin != 0.0)
         sums = panel * ratio * np.exp(1j * ((m - 1.0) * theta))
         sums += lead
@@ -428,14 +434,14 @@ def _straight_line_mean(field, worldlines, grid, first, spacing, count,
     From one slice to the next z turns by exp(i c spacing) and zw by
     that times exp(-i k0 spacing), so the sum takes no transcendental
     per slice.  g_j depends on k only through k0 and c, so it runs over
-    the rows _mean_modes gives, _MODE_SLICE at a time: every mode, or for
-    a static source each distinct k0 once, gathered by mode after the
+    the rows _straight_source gives, all at once: every mode, or for a
+    static source each distinct k0 once, gathered by mode after the
     loop.  Each switch-on rate is computed once and scaled by g_j in
     place: the first active source's array is the sum the later ones are
     added to, so at most two coefficient arrays are held at a time.  One
     slice at t_ref gives D = C(t_ref), (branches, N, *component_shape).
     weighted gives G_pm = w exp(mp i k0 t_ref) D_pm instead, the terms
-    _slice_profile sums on slice t_ref: exp(-i k0 t_ref) scales g_j on
+    averaged_profile sums on slice t_ref: exp(-i k0 t_ref) scales g_j on
     its rows and w after the gather, so the coefficients still take one
     pass.
     """
@@ -451,24 +457,20 @@ def _straight_line_mean(field, worldlines, grid, first, spacing, count,
         skip = int(np.searchsorted(times, start, side="right"))
         if skip == count:  # source j adds nothing up to its switch-on
             continue
-        rows, index = _mean_modes(grid, w.state(w.tau_on)[1])
-        s, rates = _straight_source(field, w, grid, rows, start)
-        mean = np.empty(len(rows), dtype=complex)
-        for lo in range(0, len(rows), _MODE_SLICE):
-            k = rows[lo:lo + _MODE_SLICE]
-            c = 0.5 * s[lo:lo + _MODE_SLICE]
-            z = np.exp(1j * c * (times[skip] - start))
-            zw = z * np.exp(-1j * k[:, 0] * (times[skip] - t_ref))
-            turn = np.exp(1j * c * spacing)
-            turn_w = turn * np.exp(-1j * k[:, 0] * spacing)
-            total = z.imag * zw
-            for _ in range(skip + 1, count):
-                z *= turn
-                zw *= turn_w
-                total += z.imag * zw
-            mean[lo:lo + _MODE_SLICE] = total / (c * count)
+        k0, s, index, rates = _straight_source(field, w, grid, start)
+        c = 0.5 * s
+        z = np.exp(1j * c * (times[skip] - start))
+        zw = z * np.exp(-1j * k0 * (times[skip] - t_ref))
+        turn = np.exp(1j * c * spacing)
+        turn_w = turn * np.exp(-1j * k0 * spacing)
+        mean = z.imag * zw
+        for _ in range(skip + 1, count):
+            z *= turn
+            zw *= turn_w
+            mean += z.imag * zw
+        mean /= c * count
         if weighted:
-            mean *= np.exp(-1j * t_ref * rows[:, 0])
+            mean *= np.exp(-1j * t_ref * k0)
         if index is not None:
             mean = mean[index]
         if weighted:
@@ -483,20 +485,6 @@ def _straight_line_mean(field, worldlines, grid, first, spacing, count,
         return np.zeros((len(field.branches), n) + field.component_shape,
                         dtype=complex)
     return coeffs
-
-
-def _mean_modes(grid: ModeGrid, udot: np.ndarray):
-    """The rows (M, 4) _straight_line_mean and _add_straight_simpson run
-    over for a source of velocity udot, and the index (N,) that gathers
-    them by mode (None: the rows are grid.k).  With no spatial velocity
-    k.udot = k0 udot^0, the spatial terms being exact zeros, so the rows
-    are (k0, 0, 0, 0) over the grid's k0 table."""
-    if np.any(udot[1:]):
-        return grid.k, None
-    values, index = grid.waves.tables[0]
-    rows = np.zeros((len(values), 4))
-    rows[:, 0] = values
-    return rows, index
 
 
 @dataclass(frozen=True)
@@ -547,6 +535,9 @@ def uniform_spacing(x0: np.ndarray) -> float:
 
 def sample_times(x0_start: float, x0_end: float, steps: int) -> np.ndarray:
     """The steps + 1 panel boundaries evolve_amplitudes samples."""
+    if not (math.isfinite(x0_start) and math.isfinite(x0_end)):
+        raise ValueError(f"x0_start and x0_end must be finite, got "
+                         f"{x0_start} and {x0_end}")
     if x0_end <= x0_start:
         raise ValueError("x0_end must exceed x0_start")
     return np.linspace(x0_start, x0_end, steps + 1)
@@ -638,23 +629,68 @@ def reconstruct_field(
                                           + coeffs[0].shape[1:]))
 
 
-def _slice_profile(field: FieldSpec, worldlines, grid: ModeGrid, first,
-                   spacing, count, t: float,
-                   points: np.ndarray) -> np.ndarray:
-    """Field values at the points (t, p) of slice t, p in points (P, 3),
-    from the straight sources' mean over the count uniform slices first
-    + m spacing, carried to t (_straight_line_mean): what
-    reconstruct_field gives of that mean at each point, (P,
-    *component_shape).
+def averaged_profile(field, worldlines, grid, points, center: float,
+                     period: float, n_samples: int = 32):
+    """Time-averaged reconstruction at fixed spatial points.
 
-    The mean comes weighted, G_pm = w exp(mp i k0 t) D_pm, the factor
-    joining each source's mean factor so the coefficients take one
-    pass, since with x = (t, p) the phase factors as exp(mp i k0 t)
-    exp(pm i k.p); each branch is then one PlaneWaves.sum_at call, axis
-    by axis on a full cube.
+    Averages over n_samples slices t at the midpoints of one period
+    centered at `center`.  A value is linear in the mode coefficients,
+    and with x = (t, p) the phase factors as e^{-ik.x} = e^{-ik0 t}
+    e^{+ik.p}, so the average is taken on the coefficients before any
+    sum over modes: with t_ref = center,
+
+        D_pm = (1/S) sum_t C_pm(t) exp(mp i k0 (t - t_ref)),
+
+    C_pm(t) the closed form for straight worldlines (exact from each
+    switch-on, no time stepping; a source adds nothing on slices up to
+    its own switch-on), and each point p of points (P, 3) is
+    reconstructed once, at (t_ref, p), giving (P, *component_shape).
+    The em field's 2 Re is linear too.  The samples are uniform, so the
+    sum over them rotates each mode's phases by a fixed factor per
+    sample; a static source's sum depends on k0 alone and runs once per
+    distinct k0 of the grid, then is gathered by mode (see
+    _straight_line_mean).  Averaging over a full period suppresses the
+    oscillatory transient left by the switch-on, so the result
+    approximates the steady field.  Raises ValueError, naming the
+    argument, for no worldlines, an n_samples that is not an integer >= 1,
+    a center that is not finite, a period that is not positive and
+    finite or points that are not spatial 3-vectors, and for a circular
+    source.
+
+    The points share the slice t_ref, so the mode sum runs for all of
+    them at once: the mean comes weighted by w exp(mp i k0 t_ref),
+    folded into each source's factor before it scales the rates, then
+    each branch is one PlaneWaves.sum_at call.  On a full cube grid that
+    goes axis by axis, one BLAS product contracting the first axis of
+    every point, (P x n) @ (n x n^2 components), and small batched
+    products the other two; any other grid takes one (N, P) phase block.
+    The working set is the mean's coefficients plus one source's at a
+    time, each (branches, N, *component_shape): 7 MB for em on a 48^3
+    grid; the cube's sum adds the (P, n^2 components) first contraction
+    (0.7 MB at 5 points).  A grid with no modes, or no points, gives
+    zeros of the result's shape.
     """
+    if not worldlines:
+        raise ValueError("worldlines must hold at least one source")
+    if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
+        raise ValueError(f"n_samples must be an integer >= 1, got "
+                         f"{n_samples!r}")
+    if not math.isfinite(center):
+        raise ValueError(f"center must be finite, got {center}")
+    if not 0.0 < period < math.inf:
+        raise ValueError(f"period must be positive and finite, got {period}")
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.shape[-1] != 3:
+        raise ValueError(f"points must be spatial 3-vectors, (P, 3), got "
+                         f"shape {points.shape}")
+    t_on = min(w.switch_on_time() for w in worldlines)
+    spacing = period / n_samples
+    first = center - 0.5 * (period - spacing)
+    if first <= t_on:
+        raise ValueError("averaging window starts before the switch-on")
+
     terms = _straight_line_mean(field, worldlines, grid, first, spacing,
-                                count, t, weighted=True)
+                                n_samples, center, weighted=True)
     return field.field_value(sum(grid.waves.sum_at(c, points, sign)
                                  for c, sign in zip(terms, (1, -1))))
 

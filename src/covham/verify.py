@@ -52,7 +52,7 @@ from .canonical import (
 from .dirac import GAMMA, clifford_defect, projector_defects, shell_projector
 from .dynamics import (
     SWITCH_ON_SLACK,
-    _slice_profile,
+    averaged_profile,
     evolve_amplitudes,
     mode_equation_residual,
     source_rate,
@@ -400,62 +400,6 @@ def _suite_parseval(s: Scenario, rng, tol, records, tables) -> None:
 
 
 # ---------------------------------------------------------------- green
-
-def averaged_profile(field, worldlines, grid, points, center: float,
-                     period: float, n_samples: int = 32):
-    """Time-averaged reconstruction at fixed spatial points.
-
-    Averages over n_samples slices t at the midpoints of one period
-    centered at `center`.  A value is linear in the mode coefficients,
-    and with x = (t, p) the phase factors as e^{-ik.x} = e^{-ik0 t}
-    e^{+ik.p}, so the average is taken on the coefficients before any
-    sum over modes: with t_ref = center,
-
-        D_pm = (1/S) sum_t C_pm(t) exp(mp i k0 (t - t_ref)),
-
-    C_pm(t) the closed form for straight worldlines (exact from each
-    switch-on, no time stepping; a source adds nothing on slices up to
-    its own switch-on), and each point is reconstructed once, at
-    (t_ref, p).  The em field's 2 Re is linear too.  The samples are
-    uniform, so the sum over them rotates each mode's phases by a fixed
-    factor per sample; a static source's sum depends on k0 alone and
-    runs once per distinct k0 of the grid, then is gathered by mode (see
-    dynamics._straight_line_mean).  Averaging over a full period
-    suppresses the oscillatory transient left by the switch-on, so the
-    result approximates the steady field.  Raises ValueError, naming the
-    argument, for no worldlines, an n_samples that is not an integer >= 1
-    or a period that is not positive, and for a circular source.
-
-    The points share the slice t_ref, so the mode sum runs for all of
-    them at once (dynamics._slice_profile): the mean comes weighted by
-    w exp(mp i k0 t_ref), folded into each source's factor before it
-    scales the rates, then each branch is one PlaneWaves.sum_at call.
-    On a full cube grid that goes axis by axis, one BLAS product
-    contracting the first axis of every point, (P x n) @ (n x n^2
-    components), and small batched products the other two; any other
-    grid takes one (N, P) phase block.  The working set is the mean's
-    coefficients plus one source's at a time, each (branches, N,
-    *component_shape): 7 MB for em on a 48^3 grid; the cube's sum adds
-    the (P, n^2 components) first contraction (0.7 MB at 5 points).  A
-    grid with no modes, or no points, gives zeros of the result's shape.
-    """
-    if not worldlines:
-        raise ValueError("worldlines must hold at least one source")
-    if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
-        raise ValueError(f"n_samples must be an integer >= 1, got "
-                         f"{n_samples!r}")
-    if not period > 0.0:
-        raise ValueError(f"period must be positive, got {period}")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    t_on = min(w.switch_on_time() for w in worldlines)
-    spacing = period / n_samples
-    first = center - 0.5 * (period - spacing)
-    if first <= t_on:
-        raise ValueError("averaging window starts before the switch-on")
-
-    return _slice_profile(field, worldlines, grid, first, spacing,
-                          n_samples, center, points)
-
 
 def _suite_green(s: Scenario, rng, tol, records, tables) -> None:
     if s.plan.green_skip is not None:

@@ -23,7 +23,7 @@ from covham.fields import (
     tensor_field,
     with_conjugate,
 )
-from covham.minkowski import (FIVE_POINT_OFFSETS, five_point,
+from covham.minkowski import (FIVE_POINT_OFFSETS, five_point, lower_index,
                               minkowski_dot, on_shell_k)
 from covham.modes import ModeGrid, PlaneWaves, build_mode_grid
 from covham.verify import averaged_profile
@@ -226,6 +226,11 @@ class TestEvolve:
             evolve_amplitudes(SCALAR, [], grid, 1.0, 1.0, steps=4)
         with pytest.raises(ValueError):
             evolve_amplitudes(SCALAR, [], grid, 0.0, 1.0, steps=4, save="some")
+        # NaN compares false with everything, and inf makes the times NaN
+        nan, inf = float("nan"), float("inf")
+        for start, end in [(0.0, nan), (nan, 1.0), (0.0, inf), (-inf, 1.0)]:
+            with pytest.raises(ValueError, match="finite"):
+                evolve_amplitudes(SCALAR, [], grid, start, end, steps=4)
 
 
 XI = DiracCoupling(xi1=np.array([1.0, 0.5j, -0.25, 0.1]),
@@ -973,7 +978,8 @@ class TestAveragedProfile:
         # tables: never the public source_rate, which builds its own
         # and one axis sum for every point of the cube grid
         calls = _count_calls(monkeypatch, ("_node_rates", "_window_sums",
-                                           "source_rate", "_slice_profile",
+                                           "source_rate",
+                                           "_straight_line_mean",
                                            "reconstruct_field"),
                              (dynamics, verify))
         sources = [_straight_source("static"), _late_source("uniform")]
@@ -983,7 +989,7 @@ class TestAveragedProfile:
         assert calls == {"_node_rates": len(sources),
                          "_window_sums": len(sources),
                          "source_rate": 0,
-                         "_slice_profile": 1,
+                         "_straight_line_mean": 1,
                          "reconstruct_field": 0}
 
     @pytest.mark.parametrize("bad, name", [
@@ -993,7 +999,16 @@ class TestAveragedProfile:
         ({"period": 0.0}, "period"),
         ({"period": -1.0}, "period"),
         ({"period": float("nan")}, "period"),
+        ({"period": float("inf")}, "period"),
+        ({"center": float("nan")}, "center"),
+        ({"center": float("inf")}, "center"),
+        ({"center": float("-inf")}, "center"),
         ({"worldlines": []}, "worldlines"),
+        # four-vectors, whose values would land at the wrong points, and
+        # a shape that does not split into 3-vectors at all
+        ({"points": np.zeros((3, 4))}, "points"),
+        ({"points": np.zeros((2, 4))}, "points"),
+        ({"points": np.zeros(4)}, "points"),
     ])
     def test_rejects_bad_arguments_by_name(self, bad, name):
         grid = build_mode_grid(kmax=2.0, n_per_axis=3, kappa=1.0)
@@ -1071,7 +1086,7 @@ def _per_point_profile(field, grid, coeffs, t, points):
 
 
 def _weighted(grid, coeffs, t):
-    """G_pm = w exp(mp i k0 t) C_pm, the terms _slice_profile sums."""
+    """G_pm = w exp(mp i k0 t) C_pm, the terms averaged_profile sums."""
     scale = grid.weight * np.exp(-1j * t * grid.k0)
     expand = (len(grid),) + (1,) * (coeffs.ndim - 2)
     return np.stack([c * f.reshape(expand)
@@ -1132,15 +1147,14 @@ class TestSliceProfile:
         grid = ModeGrid(k=cube.k, weight=cube.weight)
         assert grid._cube is None
         sources = [_straight_source("static"), _late_source("uniform")]
-        window = (sources, grid, 4.25, 0.5, 4, 5.0, SLICE_POINTS)
-        mean = dynamics._straight_line_mean(field, sources, grid, 4.25, 0.5,
-                                            4, 5.0)
+        window = (sources, grid, 4.25, 0.5, 4, 5.0)
+        mean = dynamics._straight_line_mean(field, *window)
         want = _per_point_profile(field, grid, mean, 5.0, SLICE_POINTS)
-        got = dynamics._slice_profile(field, *window)
-        _assert_rel_close(got, want, rtol=1e-13)
-        on_cube = dynamics._slice_profile(field, sources, cube,
-                                          *window[2:])
-        _assert_rel_close(on_cube, want, rtol=1e-13)
+        for g in (grid, cube):
+            terms = dynamics._straight_line_mean(field, sources, g,
+                                                 *window[2:], weighted=True)
+            _assert_rel_close(_summed(field, g, terms, SLICE_POINTS), want,
+                              rtol=1e-13)
 
 
 def _no_modes_or_points(entry):
@@ -1246,9 +1260,8 @@ class TestRotatedMean:
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
 
     def test_mode_slices_cover_a_ragged_grid(self):
+        # 4,913 modes, every one a row of the uniform source's rotation
         grid = build_mode_grid(kmax=3.0, n_per_axis=17, kappa=1.0)
-        assert len(grid) > dynamics._MODE_SLICE
-        assert len(grid) % dynamics._MODE_SLICE
         sources = [_straight_source("static"), _late_source("uniform")]
         args = (SCALAR, sources, grid, *_uniform_samples(32), 5.0)
         for g, w in zip(dynamics._straight_line_mean(*args),
@@ -1284,11 +1297,23 @@ class TestRotatedMean:
         assert np.max(np.abs(got[0] - bad[0])) > 1e-3 * np.max(np.abs(got[0]))
 
 
+def _per_mode_turns(grid, worldline):
+    """k.udot / udot^0 of a straight source over every mode."""
+    _, udot = worldline.state(worldline.tau_on)
+    return (grid.k @ lower_index(udot)) / udot[0]
+
+
 def _per_mode_mean(monkeypatch, *args):
-    """dynamics._straight_line_mean with every source on the per-mode
-    loop, whose rows are grid.k, the k0 table left unused."""
+    """dynamics._straight_line_mean with every source on per-mode rows,
+    the modes themselves, the k0 table left unused."""
+    original = dynamics._straight_source
+
+    def per_mode(field, worldline, grid, x0):
+        rate = original(field, worldline, grid, x0)[3]
+        return grid.k0, _per_mode_turns(grid, worldline), None, rate
+
     with monkeypatch.context() as m:
-        m.setattr(dynamics, "_mean_modes", lambda grid, udot: (grid.k, None))
+        m.setattr(dynamics, "_straight_source", per_mode)
         return dynamics._straight_line_mean(*args)
 
 
@@ -1326,27 +1351,29 @@ class TestK0TableMean:
 
     def test_only_a_static_source_takes_the_table(self):
         grid = build_mode_grid(kmax=2.0, n_per_axis=6, kappa=1.0)
-        _, udot = _straight_source("static").state(0.2)
-        rows, index = dynamics._mean_modes(grid, udot)
-        assert index is grid.waves.tables[0][1]
-        assert np.array_equal(rows[:, 0], grid.waves.tables[0][0])
-        assert not np.any(rows[:, 1:])
-        _, udot = _straight_source("uniform").state(0.4)
-        rows, index = dynamics._mean_modes(grid, udot)
-        assert rows is grid.k and index is None
+        w = _straight_source("static")
+        k0, s, index, _ = dynamics._straight_source(SCALAR, w, grid, 0.5)
+        values, table_index = grid.waves.tables[0]
+        assert index is table_index and len(k0) == len(values) < len(grid)
+        assert np.array_equal(k0, values)
+        assert np.array_equal(s[index], _per_mode_turns(grid, w))
+        w = _straight_source("uniform")
+        k0, s, index, _ = dynamics._straight_source(SCALAR, w, grid, 0.5)
+        assert index is None and np.array_equal(k0, grid.k0)
+        assert np.array_equal(s, _per_mode_turns(grid, w))
 
     def test_comparison_flags_a_gather_by_the_wrong_table(self, monkeypatch):
         sources = [_straight_source("static"), _late_source("static")]
         grid = build_mode_grid(kmax=2.0, n_per_axis=6, kappa=1.0)
         args = (SCALAR, sources, grid, *_uniform_samples(32), 5.0)
         want = _per_mode_mean(monkeypatch, *args)
-        original = dynamics._mean_modes
+        original = dynamics._straight_source
 
-        def by_kx(grid, udot):  # the k0 rows gathered by each kx index
-            rows, _ = original(grid, udot)
-            return rows, grid.waves.tables[1][1]
+        def by_kx(field, worldline, grid, x0):  # k0 rows, kx's index
+            k0, s, _, rate = original(field, worldline, grid, x0)
+            return k0, s, grid.waves.tables[1][1], rate
 
-        monkeypatch.setattr(dynamics, "_mean_modes", by_kx)
+        monkeypatch.setattr(dynamics, "_straight_source", by_kx)
         bad = dynamics._straight_line_mean(*args)
         assert not np.array_equal(bad, want)
         assert np.max(np.abs(bad - want)) > 1e-3 * np.max(np.abs(want))
