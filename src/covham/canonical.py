@@ -526,12 +526,15 @@ def hamilton_residual(
     each branch scaled by its own gradient maximum, the worst branch
     returned.
 
-    h defaults to 5e-3 / (1 + k0), keeping the k0 h phase step small.
+    h defaults to 5e-3 / (1 + k0), keeping the k0 h phase step small;
+    an h that is not positive and finite raises ValueError.
     """
     k = np.asarray(k, dtype=float)
     x = np.asarray(x, dtype=float)
     if h is None:
         h = 5e-3 / (1.0 + k[0])
+    elif not 0.0 < h < np.inf:
+        raise ValueError(f"h must be positive and finite, got {h!r}")
     at_x = amp_at(x[0])
     grads = mode_hamiltonian_gradients(
         field, k, canonical_at_point(field, k, *at_x, x, gauge), x,

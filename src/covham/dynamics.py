@@ -643,8 +643,10 @@ def averaged_profile(field, worldlines, grid, points, center: float,
 
     C_pm(t) the closed form for straight worldlines (exact from each
     switch-on, no time stepping; a source adds nothing on slices up to
-    its own switch-on), and each point p of points (P, 3) is
-    reconstructed once, at (t_ref, p), giving (P, *component_shape).
+    its own switch-on), and each point p of points (..., 3) is
+    reconstructed once, at (t_ref, p), giving points.shape[:-1] +
+    component_shape, the leading axes kept as reconstruct_field keeps
+    them.
     The em field's 2 Re is linear too.  The samples are uniform, so the
     sum over them rotates each mode's phases by a fixed factor per
     sample; a static source's sum depends on k0 alone and runs once per
@@ -679,9 +681,9 @@ def averaged_profile(field, worldlines, grid, points, center: float,
         raise ValueError(f"center must be finite, got {center}")
     if not 0.0 < period < math.inf:
         raise ValueError(f"period must be positive and finite, got {period}")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[-1] != 3:
-        raise ValueError(f"points must be spatial 3-vectors, (P, 3), got "
+    points = np.asarray(points, dtype=float)
+    if points.shape[-1:] != (3,):
+        raise ValueError(f"points must be spatial 3-vectors, (..., 3), got "
                          f"shape {points.shape}")
     t_on = min(w.switch_on_time() for w in worldlines)
     spacing = period / n_samples
@@ -691,8 +693,10 @@ def averaged_profile(field, worldlines, grid, points, center: float,
 
     terms = _straight_line_mean(field, worldlines, grid, first, spacing,
                                 n_samples, center, weighted=True)
-    return field.field_value(sum(grid.waves.sum_at(c, points, sign)
-                                 for c, sign in zip(terms, (1, -1))))
+    total = sum(grid.waves.sum_at(c, points, sign)
+                for c, sign in zip(terms, (1, -1)))
+    return field.field_value(total.reshape(points.shape[:-1]
+                                           + total.shape[1:]))
 
 
 def mode_equation_residual(

@@ -54,6 +54,9 @@ DEFAULT_MODE_BUDGET = 2_000_000
 STEP_BUDGET = 20_000
 # largest k0 h of the simulate suite's mode-equation stencil
 STENCIL_K0H = 0.03
+# build_mode_grid drops a node whose k0 is below K0_FLOOR * kmax: the
+# massless zero mode at the centre of an odd axis
+K0_FLOOR = 1e-6
 # largest spatial-component distance at which index_of matches a node
 NODE_TOL = 1e-9
 # complex entries per chunk of PlaneWaves.at: a chunk's rows and the one
@@ -260,43 +263,38 @@ def _axis(kmax: float, n_per_axis: int):
     return dk, -kmax + dk * (np.arange(n_per_axis) + 0.5)
 
 
-def k0_bounds(kmax: float, n_per_axis: int, kappa: float,
-              k0_floor: float) -> tuple[float, float]:
+def k0_bounds(kmax: float, n_per_axis: int,
+              kappa: float) -> tuple[float, float]:
     """Smallest and largest k0 that build_mode_grid keeps, bit for bit,
-    without building the grid (inf past the float range).  A node's
-    sqrt(((x^2 + y^2) + z^2) + kappa^2) rounds up as any axis square
-    grows, so the extremes sit at the least and the largest square,
-    unless the floor drops the least (an odd massless axis); then every
-    sum is taken, one z at a time."""
-    kk = float(kappa) ** 2
+    without building the grid (inf past the float range; the smallest is
+    inf when no node is kept).  A node's sqrt(((x^2 + y^2) + z^2) +
+    kappa^2) rounds up as any axis square grows, so the extremes sit at
+    the least and the largest square, unless the floor drops the least
+    (an odd axis on a field lighter than the floor); then every sum is
+    taken, one z at a time."""
+    floor, kk = K0_FLOOR * kmax, float(kappa) ** 2
     with np.errstate(over="ignore"):
         sq = _axis(kmax, n_per_axis)[1] ** 2
         low, top = (float(np.sqrt(((v + v) + v) + kk))
                     for v in (sq.min(), sq.max()))
-        if low < k0_floor <= top:
+        if low < floor:
             xy = np.add.outer(sq, sq)
-            low = min(float(np.min(k0, where=k0 >= k0_floor,
-                                   initial=np.inf))
+            low = min(float(np.min(k0, where=k0 >= floor, initial=np.inf))
                       for k0 in (np.sqrt((xy + z) + kk) for z in sq))
     return low, top
 
 
-def build_mode_grid(
-    kmax: float,
-    n_per_axis: int,
-    kappa: float,
-    k0_floor: float | None = None,
-) -> ModeGrid:
+def build_mode_grid(kmax: float, n_per_axis: int, kappa: float) -> ModeGrid:
     """Midpoint cube grid over [-kmax, kmax]^3 with shell weights.
 
-    k0_floor defaults to 1e-6 * kmax; nodes with k0 below the floor are
-    dropped (only possible for very light fields on grids with odd
-    n_per_axis).  The budget is checked before any allocation.  k's
-    spatial columns are the axis broadcast over the cube.  With every
-    node kept the grid carries its cube, so its phase tables
-    (ModeGrid.waves) come from the axis, sorting nothing of size N, and
-    its slice sums (PlaneWaves.sum_at) go axis by axis; a grid that
-    drops a node carries none.
+    Nodes with k0 below the floor K0_FLOOR * kmax are dropped: only the
+    centre node of an odd axis, on a field lighter than the floor (a
+    one-node grid then keeps nothing).  The budget is checked before any
+    allocation.  k's spatial columns are the axis broadcast over the
+    cube.  With every node kept the grid carries its cube, so its phase
+    tables (ModeGrid.waves) come from the axis, sorting nothing of size
+    N, and its slice sums (PlaneWaves.sum_at) go axis by axis; a grid
+    that drops a node carries none.
     """
     if kmax <= 0.0:
         raise ValueError("kmax must be positive")
@@ -309,8 +307,6 @@ def build_mode_grid(
         raise ModeBudgetError(
             f"grid of {n_per_axis}^3 = {n_total} modes exceeds the budget "
             f"of {DEFAULT_MODE_BUDGET}")
-    if k0_floor is None:
-        k0_floor = 1e-6 * kmax
 
     dk, axis = _axis(kmax, n_per_axis)
     # node (i, j, l) in C order is (k0, axis[i], axis[j], axis[l]), k0
@@ -324,7 +320,7 @@ def build_mode_grid(
     nodes[..., 2] = axis[:, None]
     nodes[..., 3] = axis
     k = nodes.reshape(-1, 4)
-    keep = k[:, 0] >= k0_floor
+    keep = k[:, 0] >= K0_FLOOR * kmax
     full = keep.all()
     if not full:
         k = k[keep]

@@ -174,7 +174,12 @@ def parseval_check(field: FieldSpec, box_length: float, entries,
     exactly, provided no mode is paired with its spatial opposite
     (cross terms between k and -k survive the box integral).  Returns
     |lhs - rhs| / |rhs| (absolute difference when the reference is 0).
+    n_t, and n_x when given, must be integers >= 1 (ValueError).
     """
+    for name, count in (("n_t", n_t), ("n_x", 1 if n_x is None else n_x)):
+        if not isinstance(count, (int, np.integer)) or count < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got "
+                             f"{count!r}")
     if not field.has_parseval_identity:
         raise ScenarioError(
             "parseval check covers the second-order complex species, "

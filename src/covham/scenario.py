@@ -38,10 +38,10 @@ from .worldlines import SHAPE_PARAMS, Worldline
 FORMATS = ("json", "csv", "both")
 
 _FIELD_KEYS = {
-    "scalar": {"kind", "s", "m", "c", "a2", "b2"},
+    "scalar": {"kind", "s", "m", "c"},
     "tensor": {"kind", "rank", "a2", "b2"},
-    "em": {"kind", "c", "b2"},
-    "dirac": {"kind", "s", "m", "c", "a2", "b2"},
+    "em": {"kind", "c"},
+    "dirac": {"kind", "s", "m", "c"},
 }
 
 _SHAPE_KEYS = set().union(*SHAPE_PARAMS.values())
@@ -82,13 +82,13 @@ DEFAULT_TOLERANCES = {
 
 @dataclass(frozen=True)
 class Scenario:
-    """Validated run configuration."""
+    """Validated run configuration.  Its grid is build_mode_grid(kmax,
+    n_per_axis, field.kappa): the k0 floor is that function's rule."""
 
     field: FieldSpec
     particles: tuple[Worldline, ...]
     kmax: float
     n_per_axis: int
-    k0_floor: float
     x0_start: float
     x0_end: float
     steps: int
@@ -100,8 +100,7 @@ class Scenario:
     sha256: str = ""
 
     def build_grid(self) -> ModeGrid:
-        return build_mode_grid(self.kmax, self.n_per_axis, self.field.kappa,
-                               k0_floor=self.k0_floor)
+        return build_mode_grid(self.kmax, self.n_per_axis, self.field.kappa)
 
     @cached_property
     def plan(self) -> SuitePlan:
@@ -202,8 +201,7 @@ class SuitePlan:
                                else s.x0_start)
 
         def hamilton(n):
-            grid = build_mode_grid(s.kmax, n, kappa, k0_floor=s.k0_floor
-                                   if n == s.n_per_axis else None)
+            grid = build_mode_grid(s.kmax, n, kappa)
             order = np.argsort(grid.k0)
             probes = (int(order[0]), int(order[len(order) // 3]))
             return grid, (_refined(
@@ -251,7 +249,7 @@ def _plan_green(s: Scenario):
     if any(w.kind != "static" for w in s.particles):
         return None, (skip, "time-averaged comparison requires static sources")
     # the full grid's smallest k0, bit for bit, without building it
-    k0_min = k0_bounds(s.kmax, s.n_per_axis, s.field.kappa, s.k0_floor)[0]
+    k0_min = k0_bounds(s.kmax, s.n_per_axis, s.field.kappa)[0]
     period = 2.0 * np.pi / max(k0_min, 1.0)
     center = s.x0_end - period / 2.0
     # the average must start after the switch-on front has passed
@@ -380,25 +378,13 @@ def _build_field(blk, where: str = "field") -> FieldSpec:
                                         b2=_number(blk, where, "b2"))
     elif kind == "em":
         make, args = em_field, dict(c=_number(blk, where, "c", 1.0))
-        if "b2" in blk:
-            _require(_number(blk, where, "b2") == 0.0, where,
-                     "the em species has no mass term: b2 must be 0")
     else:
         make = scalar_field if kind == "scalar" else spinor_field
         args = {key: _number(blk, where, key, 1.0) for key in ("s", "m", "c")}
     try:
-        spec = make(**args)
+        return make(**args)
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
-
-    # explicit a2/b2 entries must agree with the species relations
-    for key, want in (("a2", spec.a2), ("b2", spec.b2)):
-        if kind != "tensor" and key in blk:
-            got = _number(blk, where, key)
-            _require(abs(got - want) <= 1e-12 * (1.0 + abs(want)), where,
-                     f"{key} = {got} contradicts the {kind} species "
-                     f"relation ({key} = {want})")
-    return spec
 
 
 def _build_particle(blk, spec: FieldSpec, where: str) -> Worldline:
@@ -491,19 +477,14 @@ def scenario_from_dict(data: dict, sha256: str = "") -> Scenario:
         for i, blk in enumerate(raw_particles)
     )
 
-    grid = _section(data, "grid", {"kmax", "n_per_axis", "k0_floor"})
+    grid = _section(data, "grid", {"kmax", "n_per_axis"})
     kmax = _number(grid, "grid", "kmax")
     _require(kmax > 0.0, "grid", "kmax must be positive")
     n_per_axis = _integer(grid, "grid", "n_per_axis", 1)
     _require(n_per_axis**3 <= DEFAULT_MODE_BUDGET, "grid",
              f"{n_per_axis}^3 modes exceed the budget of {DEFAULT_MODE_BUDGET}")
-    k0_floor = _number(grid, "grid", "k0_floor", 1e-6 * kmax)
-    _require(k0_floor >= 0.0, "grid", "k0_floor must be >= 0")
     # from the centre and corner nodes, without building the grid
-    _require(n_per_axis % 2 == 0 or spec.kappa > 0.0 or k0_floor > 0.0,
-             "grid", "an odd n_per_axis keeps the massless zero mode k = 0 "
-             "(kappa = 0); set k0_floor > 0")
-    top = k0_bounds(kmax, n_per_axis, spec.kappa, k0_floor)[1]
+    low, top = k0_bounds(kmax, n_per_axis, spec.kappa)
     _require(math.isfinite(top), "grid",
              f"kmax = {kmax} puts the corner k0 past the float range")
     try:  # the mode weights take the cube of modes._axis' cell width
@@ -511,8 +492,13 @@ def scenario_from_dict(data: dict, sha256: str = "") -> Scenario:
     except OverflowError:
         raise ScenarioError(f"grid: kmax = {kmax} puts the cell volume "
                             "dk^3 past the float range") from None
-    _require(k0_floor <= top, "grid", f"k0_floor = {k0_floor} drops every "
-             f"node (the largest k0 is {top:.6g})")
+    if not low <= top:  # the grid's floor drops every node
+        light = f"on a field this light (kappa = {spec.kappa:.6g})"
+        raise ScenarioError("grid: " + (
+            "n_per_axis = 1 leaves one node, the zero mode k = 0, and "
+            f"{light} the grid drops it; use n_per_axis >= 2"
+            if n_per_axis == 1 else f"kmax = {kmax} is so small that, "
+            f"{light}, the grid drops every node as the zero mode"))
 
     time = _section(data, "time", {"x0_start", "x0_end", "steps"})
     x0_start = _number(time, "time", "x0_start")
@@ -546,7 +532,6 @@ def scenario_from_dict(data: dict, sha256: str = "") -> Scenario:
         particles=particles,
         kmax=kmax,
         n_per_axis=n_per_axis,
-        k0_floor=k0_floor,
         x0_start=x0_start,
         x0_end=x0_end,
         steps=steps,
@@ -559,7 +544,7 @@ def scenario_from_dict(data: dict, sha256: str = "") -> Scenario:
     )
     try:
         plan = s.plan
-    except ZeroModeError as exc:  # 1e-6 kmax, the capped floor, is 0
+    except ZeroModeError as exc:  # a kmax so small that k0 underflows
         raise ScenarioError(f"grid: {exc}") from exc
     # every suite window keeps to the step budget and, far from x0 = 0,
     # to equal steps; a moved hamilton window or probe is the particles' fault

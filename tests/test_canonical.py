@@ -650,6 +650,15 @@ class TestHamiltonResidual:
         r1, r2 = hamilton_residual(SCALAR, k, corrupted, x, [w])
         assert max(r1, r2) > 1e-3
 
+    @pytest.mark.parametrize("h", [0.0, -1e-3, np.nan, np.inf])
+    def test_rejects_a_spacing_that_is_not_positive_and_finite(self, h):
+        k = species_k(SCALAR)
+        amp_at = constant_amplitudes(*random_amps(
+            SCALAR, np.random.default_rng(23)))
+        x = np.array([0.8, 0.25, -0.6, 0.15])
+        with pytest.raises(ValueError, match="^h must be positive and finite"):
+            hamilton_residual(SCALAR, k, amp_at, x, h=h)
+
     def test_history_provider_rejects_off_sample(self):
         w = static_worldline([0, 0, 0], coupling=1.0)
         grid = build_mode_grid(kmax=1.0, n_per_axis=1, kappa=1.0)

@@ -972,6 +972,29 @@ class TestAveragedProfile:
         assert got.shape == want.shape and got.dtype == want.dtype
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_keeps_leading_point_axes(self, name):
+        # points (2, 5, 3) give (2, 5) + the components, as
+        # reconstruct_field's (2, 5, 4) do, each value the flat call's
+        field = FIELDS[name]
+        sources = [_straight_source("static")]
+        grid = build_mode_grid(kmax=2.0, n_per_axis=4, kappa=field.kappa)
+        points = np.random.default_rng(7).uniform(-2.0, 2.0, (2, 5, 3))
+        flat = averaged_profile(field, sources, grid, points.reshape(10, 3),
+                                center=5.0, period=2.0)
+        got = averaged_profile(field, sources, grid, points, center=5.0,
+                               period=2.0)
+        c = np.zeros((len(grid),) + field.component_shape, dtype=complex)
+        x = np.zeros((2, 5, 4))
+        x[..., 1:] = points
+        minus = None if field.is_real else c
+        assert got.shape == reconstruct_field(field, grid, c, minus, x).shape
+        assert got.shape == (2, 5) + field.component_shape
+        assert np.array_equal(got, flat.reshape(got.shape))
+        no_points = averaged_profile(field, sources, grid, np.zeros((2, 0, 3)),
+                                     center=5.0, period=2.0)
+        assert no_points.shape == (2, 0) + field.component_shape
+
     @pytest.mark.parametrize("n_samples", [4, 32])
     def test_work_is_per_source_and_per_point(self, monkeypatch, n_samples):
         # one switch-on rate per source, on the grid's cached phase

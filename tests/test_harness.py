@@ -106,7 +106,6 @@ class TestScenarioLoading:
         s = scenario_from_dict(free_scalar_dict())
         assert s.gauge.z == pytest.approx(2**-0.5)
         assert np.array_equal(s.v, [1.0, 0.0, 0.0, 0.0])
-        assert s.k0_floor == pytest.approx(1e-6 * 3.0)
         assert s.output_format == "json"
         assert s.particles == ()
 
@@ -136,19 +135,41 @@ class TestScenarioLoading:
     def test_em_mass_term_rejected(self):
         data = free_scalar_dict()
         data["field"] = {"kind": "em", "c": 1.0, "b2": 0.1}
-        with pytest.raises(ScenarioError, match="b2 must be 0"):
+        with pytest.raises(ScenarioError,
+                           match=r"^field: unknown entries for em: \['b2'\]"):
             scenario_from_dict(data)
 
-    def test_em_explicit_zero_mass_ok(self):
+    def test_em_explicit_zero_mass_rejected(self):
+        # b2 = 0 is the em relation itself, and still no entry of em
         data = free_scalar_dict()
         data["field"] = {"kind": "em", "c": 1.0, "b2": 0.0}
-        assert scenario_from_dict(data).field.kind == "em"
-
-    def test_scalar_constant_contradiction(self):
-        data = free_scalar_dict()
-        data["field"]["a2"] = 2.0  # scalar relation fixes a2 = s^2/c = 1
-        with pytest.raises(ScenarioError, match="contradicts"):
+        with pytest.raises(ScenarioError,
+                           match=r"^field: unknown entries for em: \['b2'\]"):
             scenario_from_dict(data)
+
+    @pytest.mark.parametrize("section, blk", [
+        ("field", {"kind": "scalar", "s": 1.0, "m": 1.0, "a2": 1.0}),
+        ("field", {"kind": "scalar", "s": 1.0, "m": 1.0, "b2": 1.0}),
+        ("field", {"kind": "dirac", "s": 1.0, "m": 1.0, "a2": 1.0}),
+        ("field", {"kind": "dirac", "s": 1.0, "m": 1.0, "b2": 1.0}),
+        ("field", {"kind": "em", "c": 1.0, "a2": -1.0 / (8.0 * np.pi)}),
+        ("grid", {"kmax": 3.0, "n_per_axis": 4, "k0_floor": 3e-6}),
+    ], ids=["scalar-a2", "scalar-b2", "dirac-a2", "dirac-b2", "em-a2",
+            "grid-k0_floor"])
+    def test_derived_constants_are_unknown_entries(self, tmp_path, capsys,
+                                                   section, blk):
+        # the last entry of each block is the value the species relation
+        # or the grid rule derives
+        data = free_scalar_dict()
+        data[section] = blk
+        with pytest.raises(ScenarioError, match=(
+                rf"^{section}: unknown entries.*\['{list(blk)[-1]}'\]")):
+            scenario_from_dict(data)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 1
+        assert (f"invalid scenario: {section}: unknown entries"
+                in capsys.readouterr().err)
 
     def test_dirac_without_coupling_spinors(self):
         data = dirac_dict()
@@ -1409,7 +1430,7 @@ class TestBadSpeciesConstants:
         ("field", {"kind": "scalar", "m": -1.0}),
         ("field", {"kind": "dirac", "m": 0.0}),
         ("grid", {"kmax": 3.0, "n_per_axis": 100000}),
-        ("grid", {"kmax": 4.0, "n_per_axis": 6, "k0_floor": 100.0}),
+        ("grid", {"kmax": 1e7, "n_per_axis": 1}),
         ("field", {"kind": ["scalar"]}),
         ("field", {"kind": "scalar", "m": 1e200}),
         ("field", {"kind": "scalar", "s": 1e-160}),
@@ -1436,7 +1457,7 @@ class TestBadSpeciesConstants:
                         "position": [0, 0, 0]}]),
     ], ids=["rank-5", "a2-negative", "a2-zero", "scalar-s-0", "em-c-0",
             "scalar-m-neg", "dirac-m-0", "over-mode-budget",
-            "floor-above-every-node", "kind-list", "b2-overflow",
+            "one-node-lighter-than-floor", "kind-list", "b2-overflow",
             "kappa-squared-overflow", "scalar-c-kappa-squared-overflow",
             "dirac-m-kappa-squared-overflow", "cell-volume-overflow",
             "V-string", "V-nested-list",
@@ -1469,26 +1490,28 @@ class TestBadSpeciesConstants:
 
     def test_validate_rejects_the_massless_zero_mode(self, tmp_path,
                                                      capsys):
-        # an odd n puts a node at k = 0, which only a floor > 0 drops
+        # an odd n puts a node at k = 0, which the grid drops: a one-node
+        # grid keeps nothing, and no entry can keep the zero mode
         data = json.loads((SCENARIOS / "static_em_charge.json").read_text())
-        data["grid"] = {"kmax": 4, "n_per_axis": 5, "k0_floor": 0}
-        with pytest.raises(ScenarioError, match="^grid: .*zero mode"):
+        data["grid"] = {"kmax": 2, "n_per_axis": 1}
+        with pytest.raises(ScenarioError, match="^grid: n_per_axis = 1 "
+                           "leaves one node, the zero mode") as exc:
             scenario_from_dict(data)
+        assert "floor" not in str(exc.value)
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(data))
         assert main(["validate", str(path)]) == 1
-        assert "invalid scenario: grid: " in capsys.readouterr().err
-        for grid in ({"kmax": 4, "n_per_axis": 5},
-                     {"kmax": 4, "n_per_axis": 6, "k0_floor": 0}):
-            data["grid"] = grid
-            assert len(scenario_from_dict(data).build_grid()) > 0
-
-    def test_floor_at_the_largest_k0_keeps_the_corners(self):
-        data = free_scalar_dict()
-        data["grid"]["k0_floor"] = 0.0
-        top = float(np.max(scenario_from_dict(data).build_grid().k0))
-        data["grid"]["k0_floor"] = top
-        assert len(scenario_from_dict(data).build_grid()) == 8
-        data["grid"]["k0_floor"] = float(np.nextafter(top, np.inf))
-        with pytest.raises(ScenarioError, match="^grid: .*every node"):
+        assert "invalid scenario: grid: n_per_axis = 1" in (
+            capsys.readouterr().err)
+        # a kmax so small that every k0 underflows to 0 leaves more nodes
+        data["grid"] = {"kmax": 1e-300, "n_per_axis": 4}
+        with pytest.raises(ScenarioError, match="^grid: kmax = 1e-300 is so "
+                           "small that.*drops every node") as exc:
             scenario_from_dict(data)
+        assert "floor" not in str(exc.value)
+        data["grid"] = {"kmax": 4, "n_per_axis": 5, "k0_floor": 0}
+        with pytest.raises(ScenarioError,
+                           match=r"^grid: unknown entries: \['k0_floor'\]"):
+            scenario_from_dict(data)
+        data["grid"] = {"kmax": 4, "n_per_axis": 5}
+        assert len(scenario_from_dict(data).build_grid()) == 5**3 - 1

@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covham import modes
-from covham.errors import GridDomainError, ModeBudgetError, ZeroModeError
+from covham.errors import GridDomainError, ModeBudgetError
 from covham.minkowski import (lower_index, mass_shell_energy, minkowski_dot,
                               on_shell_k)
 from covham.modes import (ModeGrid, PlaneWaves, box_mode_grid,
@@ -59,11 +59,6 @@ def test_budget_enforced_before_allocation(monkeypatch):
         build_mode_grid(kmax=1.0, n_per_axis=100, kappa=1.0)
 
 
-def test_k0_floor_drops_nothing_on_massive_grid():
-    grid = build_mode_grid(kmax=1.0, n_per_axis=4, kappa=2.0, k0_floor=1.0)
-    assert len(grid) == 64
-
-
 def test_index_of_roundtrip_and_domain_error():
     grid = build_mode_grid(kmax=1.0, n_per_axis=4, kappa=0.5)
     i = 17
@@ -98,12 +93,9 @@ def test_box_modes_reject_duplicates_and_non_integers():
         box_mode_grid(1.0, [[0.5, 0, 0]], kappa=1.0)
 
 
-# (n_per_axis, kappa, k0_floor): even and odd; massless and odd, the
-# zero mode dropped; and a floor of 2.3 on the axis (-1.6, -0.8, 0, 0.8,
-# 1.6), which drops every node whose kx is 0 (the largest such |k| is
-# 1.6 sqrt 2 = 2.26) and so a value of each spatial table
-CUBE_GRIDS = [(6, 1.0, None), (7, 0.5, None), (5, 0.0, None),
-              (4, 0.0, None), (1, 1.0, None), (5, 0.0, 2.3)]
+# (n_per_axis, kappa): even and odd; massless and odd, the zero mode
+# dropped
+CUBE_GRIDS = [(6, 1.0), (7, 0.5), (5, 0.0), (4, 0.0), (1, 1.0)]
 
 
 def _assert_tables_are_np_uniques(grid):
@@ -118,17 +110,25 @@ def _assert_tables_are_np_uniques(grid):
         assert np.array_equal(index, inverse)
 
 
-@pytest.mark.parametrize("n, kappa, floor", CUBE_GRIDS)
-def test_cube_tables_equal_np_unique_and_k0_the_shell(n, kappa, floor):
-    grid = build_mode_grid(kmax=2.0, n_per_axis=n, kappa=kappa,
-                           k0_floor=floor)
+@pytest.mark.parametrize("n, kappa", CUBE_GRIDS)
+def test_cube_tables_equal_np_unique_and_k0_the_shell(n, kappa):
+    grid = build_mode_grid(kmax=2.0, n_per_axis=n, kappa=kappa)
     assert np.array_equal(grid.k0, mass_shell_energy(grid.k_spatial, kappa))
     _assert_tables_are_np_uniques(grid)
     # only a full cube carries its cube: a grid that drops a node sorts
     # its columns and sums its modes with one phase block
     assert (grid._cube is None) == (len(grid) < n**3)
-    if floor is not None:  # an axis value no mode uses is left out
-        assert [len(v) for v, _ in grid.waves.tables[1:]] == [n - 1] * 3
+
+
+def test_tables_leave_out_an_axis_value_no_mode_uses():
+    # the massless cube on the axis (-1.6, -0.8, 0, 0.8, 1.6) without its
+    # nodes below k0 = 2.3: every node whose kx is 0 goes (the largest
+    # such |k| is 1.6 sqrt 2 = 2.26), and so a value of each spatial table
+    cube = build_mode_grid(kmax=2.0, n_per_axis=5, kappa=0.0)
+    keep = cube.k0 >= 2.3
+    grid = ModeGrid(k=cube.k[keep], weight=cube.weight[keep])
+    _assert_tables_are_np_uniques(grid)
+    assert [len(v) for v, _ in grid.waves.tables[1:]] == [4] * 3
 
 
 def test_cube_tables_equal_np_unique_over_a_sweep():
@@ -161,31 +161,26 @@ def test_full_cube_tables_sort_nothing_of_the_grids_size(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])
-def test_zero_mode_kept_by_a_zero_floor_raises(n):
-    with pytest.raises(ZeroModeError, match="zero mode"):
-        build_mode_grid(kmax=2.0, n_per_axis=n, kappa=0.0, k0_floor=0.0)
+def test_odd_massless_grid_drops_the_zero_mode(n):
     assert len(build_mode_grid(kmax=2.0, n_per_axis=n, kappa=0.0)) == n**3 - 1
 
 
 @settings(deadline=None, max_examples=100)
 @given(kmax=st.floats(0.5, 13.0), n=st.integers(1, 24),
-       kappa=st.sampled_from([0.0, 0.3, 1.0, 1.2]),
-       floor=st.floats(0.0, 1.0))
-def test_k0_bounds_are_the_grid_extremes_bit_for_bit(kmax, n, kappa, floor):
-    # floor is a fraction of the largest k0: every floor the validator
-    # admits, the centre of an odd massless axis dropped or kept
-    top = k0_bounds(kmax, n, kappa, 0.0)[1]
-    k0_floor = floor * top
-    if n % 2 and kappa == 0.0 and k0_floor == 0.0:
-        k0_floor = 1e-6 * kmax
-    grid = build_mode_grid(kmax, n, kappa, k0_floor=k0_floor)
-    assume(len(grid))  # n = 1 massless: the one node is the centre
-    assert k0_bounds(kmax, n, kappa, k0_floor) == (np.min(grid.k0),
-                                                   np.max(grid.k0))
+       kappa=st.sampled_from([0.0, 1e-9, 0.3, 1.0, 1.2]))
+def test_k0_bounds_are_the_grid_extremes_bit_for_bit(kmax, n, kappa):
+    # kappa 0 and 1e-9 are below the floor 1e-6 kmax: an odd axis drops
+    # its centre, and a one-node grid keeps nothing (smallest k0 inf)
+    grid = build_mode_grid(kmax, n, kappa)
+    low, top = k0_bounds(kmax, n, kappa)
+    if not len(grid):
+        assert (n, low) == (1, np.inf)
+        return
+    assert (low, top) == (np.min(grid.k0), np.max(grid.k0))
 
 
 def test_k0_bounds_overflow_to_inf():
-    assert k0_bounds(1e200, 4, 1.0, 0.0)[1] == np.inf
+    assert k0_bounds(1e200, 4, 1.0)[1] == np.inf
 
 
 def _hand_built_grid(rng, n=40, kappa=0.8):

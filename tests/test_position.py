@@ -261,6 +261,18 @@ class TestParseval:
     def test_empty_content_is_zero(self):
         assert parseval_check(SCALAR, 3.0, []) == 0.0
 
+    @pytest.mark.parametrize("bad, name", [
+        ({"n_t": 0}, "n_t"), ({"n_t": -1}, "n_t"), ({"n_t": 2.5}, "n_t"),
+        ({"n_t": None}, "n_t"), ({"n_x": 0}, "n_x"), ({"n_x": -3}, "n_x"),
+        ({"n_x": 2.5}, "n_x"),
+    ])
+    def test_rejects_sample_counts_below_one_by_name(self, bad, name):
+        # empty content too: a bad count is the caller's, not the modes'
+        for entries in ([((1, 0, 0), 1.0 + 0j, 0.3j)], []):
+            with pytest.raises(ValueError,
+                               match=f"^{name} must be an integer >= 1"):
+                parseval_check(SCALAR, 2.0 * np.pi, entries, **bad)
+
     def test_opposite_pair_rejected(self):
         entries = [((1, 0, 0), 1.0 + 0j, 0.0j),
                    ((-1, 0, 0), 1.0 + 0j, 0.0j)]
