@@ -75,7 +75,7 @@ from covham.modes import ModeGrid, box_mode_grid, build_mode_grid
 from covham.position import parseval_check
 from covham.scenario import Scenario, load_scenario, scenario_from_dict
 from covham.verify import (
-    DEFAULT_TOLERANCES,
+    TOLERANCES,
     Report,
     run_verification,
     write_report,

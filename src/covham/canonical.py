@@ -93,6 +93,8 @@ class CanonicalGauge:
     def __post_init__(self):
         if self.z == 0:
             raise ValueError("gauge constant z must be nonzero")
+        if not np.isfinite(self.z):
+            raise ValueError(f"gauge constant z must be finite, got {self.z}")
 
 
 DEFAULT_GAUGE = CanonicalGauge()

@@ -5,7 +5,7 @@ import argparse
 import sys
 
 from .errors import ScenarioError
-from .scenario import FORMATS, _shown, load_scenario
+from .scenario import FORMATS, load_scenario
 from .verify import SUITE_NAMES, run_verification, write_report
 
 
@@ -27,28 +27,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="RNG seed recorded in the report (default: 0)")
     run.add_argument("--format", default=None, choices=FORMATS,
                      help="report format (default: scenario output)")
-    run.add_argument("--tol", action="append", default=[],
-                     metavar="NAME=VALUE",
-                     help="override a named tolerance; repeatable")
 
     val = sub.add_parser("validate", help="check a scenario file and exit")
     val.add_argument("scenario", help="scenario JSON file")
     return parser
-
-
-def _tolerance_overrides(items: list[str]) -> dict[str, float]:
-    """Parse NAME=VALUE pairs; run_verification checks names and values."""
-    out = {}
-    for item in items:
-        name, sep, raw = item.partition("=")
-        if not sep or not name:
-            raise ValueError(f"--tol needs NAME=VALUE, got {_shown(item)}")
-        try:
-            out[name] = float(raw)
-        except ValueError:
-            raise ValueError(f"--tol {_shown(name)}: {_shown(raw)} is not a "
-                             "number")
-    return out
 
 
 def main(argv=None) -> int:
@@ -72,9 +54,7 @@ def main(argv=None) -> int:
     out_dir = args.out if args.out is not None else scenario.output_dir
     fmt = args.format if args.format is not None else scenario.output_format
     try:
-        overrides = _tolerance_overrides(args.tol)
-        report = run_verification(scenario, args.suite, seed=args.seed,
-                                  tolerances=overrides)
+        report = run_verification(scenario, args.suite, seed=args.seed)
         written = write_report(report, out_dir, fmt)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

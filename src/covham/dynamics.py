@@ -202,6 +202,9 @@ def source_rate(
     one-node case of _node_rates, on phase tables built for this k;
     callers that hold a grid use its cached ModeGrid.waves.
     """
+    # no source is active on a NaN slice: its rates would read zero
+    if not math.isfinite(x0):
+        raise ValueError(f"x0 must be finite, got {x0}")
     k = np.asarray(k, dtype=float)
     rates = _node_rates(field, worldlines, PlaneWaves(np.atleast_2d(k)),
                         np.array([x0], dtype=float))[0]

@@ -263,6 +263,15 @@ def _axis(kmax: float, n_per_axis: int):
     return dk, -kmax + dk * (np.arange(n_per_axis) + 0.5)
 
 
+def _check_scales(kmax: float, kappa: float) -> None:
+    """A NaN kmax or kappa would drop every node, an infinite one leave
+    k0 = inf or NaN: each must be finite."""
+    if not 0.0 < kmax < math.inf:
+        raise ValueError(f"kmax must be positive and finite, got {kmax}")
+    if not 0.0 <= kappa < math.inf:
+        raise ValueError(f"kappa must be >= 0 and finite, got {kappa}")
+
+
 def k0_bounds(kmax: float, n_per_axis: int,
               kappa: float) -> tuple[float, float]:
     """Smallest and largest k0 that build_mode_grid keeps, bit for bit,
@@ -272,6 +281,7 @@ def k0_bounds(kmax: float, n_per_axis: int,
     the least and the largest square, unless the floor drops the least
     (an odd axis on a field lighter than the floor); then every sum is
     taken, one z at a time."""
+    _check_scales(kmax, kappa)
     floor, kk = K0_FLOOR * kmax, float(kappa) ** 2
     with np.errstate(over="ignore"):
         sq = _axis(kmax, n_per_axis)[1] ** 2
@@ -296,12 +306,9 @@ def build_mode_grid(kmax: float, n_per_axis: int, kappa: float) -> ModeGrid:
     N, and its slice sums (PlaneWaves.sum_at) go axis by axis; a grid
     that drops a node carries none.
     """
-    if kmax <= 0.0:
-        raise ValueError("kmax must be positive")
+    _check_scales(kmax, kappa)
     if n_per_axis < 1:
         raise ValueError("n_per_axis must be >= 1")
-    if kappa < 0.0:
-        raise ValueError("kappa must be >= 0")
     n_total = n_per_axis**3
     if n_total > DEFAULT_MODE_BUDGET:
         raise ModeBudgetError(
@@ -345,8 +352,9 @@ def box_mode_grid(box_length: float, n_vectors, kappa: float) -> ModeGrid:
     invariant measure, so sum_k w |C|^2 matches (1/L^3) int d^3x of the
     corresponding density.  Duplicate triples are rejected.
     """
-    if box_length <= 0.0:
-        raise ValueError("box_length must be positive")
+    if not 0.0 < box_length < math.inf:
+        raise ValueError(f"box_length must be positive and finite, got "
+                         f"{box_length}")
     n_vectors = np.atleast_2d(np.asarray(n_vectors, dtype=float))
     if n_vectors.shape[1] != 3:
         raise ValueError("n_vectors must be integer triples")

@@ -174,8 +174,14 @@ def parseval_check(field: FieldSpec, box_length: float, entries,
     exactly, provided no mode is paired with its spatial opposite
     (cross terms between k and -k survive the box integral).  Returns
     |lhs - rhs| / |rhs| (absolute difference when the reference is 0).
-    n_t, and n_x when given, must be integers >= 1 (ValueError).
+    n_t, and n_x when given, must be integers >= 1, and x0_span a finite
+    (start, end) with end > start (ValueError): over an empty window both
+    sides vanish and the check could not fail.
     """
+    start, end = x0_span
+    if not -np.inf < start < end < np.inf:
+        raise ValueError(f"x0_span must be finite with end > start, got "
+                         f"{x0_span}")
     for name, count in (("n_t", n_t), ("n_x", 1 if n_x is None else n_x)):
         if not isinstance(count, (int, np.integer)) or count < 1:
             raise ValueError(f"{name} must be an integer >= 1, got "
@@ -215,7 +221,7 @@ def parseval_check(field: FieldSpec, box_length: float, entries,
     rhs_rate = float(np.sum(grid.weight * (field.b2 / grid.k0) * (
         (np.abs(c_plus.reshape(len(grid), -1))**2 @ sigma_flat)
         + (np.abs(c_minus.reshape(len(grid), -1))**2 @ sigma_flat))))
-    span = x0_span[1] - x0_span[0]
+    span = end - start
     rhs = rhs_rate * span
 
     max_n = max(max(abs(v) for v in trip) for trip in n_list)
@@ -223,7 +229,7 @@ def parseval_check(field: FieldSpec, box_length: float, entries,
         n_x = 4 * max_n + 1  # resolves every frequency present in H
     axis = (np.arange(n_x) + 0.5) * (box_length / n_x)
     cell = (box_length / n_x) ** 3
-    t_samples = x0_span[0] + (np.arange(n_t) + 0.5) * (span / n_t)
+    t_samples = start + (np.arange(n_t) + 0.5) * (span / n_t)
     dt = span / n_t
 
     points = np.stack(np.meshgrid(t_samples, axis, axis, axis,

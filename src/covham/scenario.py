@@ -2,12 +2,10 @@
 
 A scenario names the field species and its constants, the source
 worldlines, the momentum grid, the evolution window, and optional
-gauge, bracket-vector, tolerance, and output settings.  Loading
-validates everything up front so a verification run never dies halfway
-through with a bad parameter; every complaint is a ScenarioError that
-names the offending section.  Every real number goes through `_finite`,
-and the tolerance rule in `check_tolerances` is shared with the CLI and
-`covham.verify`.
+gauge, bracket-vector and output settings.  Loading validates
+everything up front so a verification run never dies halfway through
+with a bad parameter; every complaint is a ScenarioError that names the
+offending section.  Every real number goes through `_finite`.
 
 `Scenario.plan` (a SuitePlan) is where every scenario-dependent suite
 decision is made, once: each suite's grid, step counts and sector, and
@@ -19,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -49,35 +47,7 @@ _PARTICLE_KEYS = {"kind", "coupling", "position", "t_start", "tau_on",
                   "xi1", "xi2", "xi3"} | _SHAPE_KEYS
 
 _SECTIONS = {"field", "particles", "grid", "time", "gauge", "bracket",
-             "tolerances", "output"}
-
-# every check's default tolerance, by name; the defaults double as the
-# documented check contract
-DEFAULT_TOLERANCES = {
-    "clifford": 1e-15,
-    "projector": 1e-12,
-    "shell_annihilation": 1e-10,
-    "roundtrip": 1e-12,
-    "gauge_invariance": 1e-12,
-    "hamilton_free": 1e-10,
-    "hamilton_sourced": 1e-6,
-    "gradient_fd": 1e-6,
-    "order_window": 0.4,
-    "causality": 0.0,
-    "mode_equation": 1e-6,
-    "superposition": 1e-12,
-    "segmented": 1e-12,
-    "exact_vs_simpson": 1e-8,
-    "parseval": 1e-6,
-    "antisymmetry": 1e-12,
-    "bilinearity": 1e-12,
-    "leibniz": 1e-10,
-    "jacobi": 1e-8,
-    "canonical_pair": 1e-12,
-    "conservation": 0.0,
-    "green_em": 0.05,
-    "green_scalar": 0.05,
-}
+             "output"}
 
 
 @dataclass(frozen=True)
@@ -94,7 +64,6 @@ class Scenario:
     steps: int
     gauge: CanonicalGauge
     v: np.ndarray
-    tolerances: dict[str, float] = dc_field(default_factory=dict)
     output_dir: str = "out"
     output_format: str = "json"
     sha256: str = ""
@@ -328,23 +297,6 @@ def _section(data: dict, name: str, keys) -> dict:
     return blk
 
 
-def check_tolerances(values) -> dict[str, float]:
-    """The one tolerance rule, for the scenario's `tolerances` section,
-    `covham run --tol` and `run_verification`: every name is a key of
-    DEFAULT_TOLERANCES and every value a finite number >= 0 (an infinite
-    tolerance would make its check unable to fail)."""
-    _require(isinstance(values, dict), "tolerances", "must be an object")
-    unknown = set(values) - set(DEFAULT_TOLERANCES)
-    _require(not unknown, "tolerances",
-             f"unknown tolerance names {_shown(sorted(map(str, unknown)))};"
-             f" known names: {', '.join(sorted(DEFAULT_TOLERANCES))}")
-    out = {name: _finite(val, "tolerances", f"'{name}'")
-           for name, val in values.items()}
-    for name, val in out.items():
-        _require(val >= 0.0, "tolerances", f"'{name}' must be >= 0")
-    return out
-
-
 def _complex_vector(raw, where: str) -> np.ndarray:
     """4-spinors in JSON: each entry a number or an [re, im] pair."""
     _require(isinstance(raw, list) and len(raw) == 4, where,
@@ -537,7 +489,6 @@ def scenario_from_dict(data: dict, sha256: str = "") -> Scenario:
         steps=steps,
         gauge=gauge,
         v=v,
-        tolerances=check_tolerances(data.get("tolerances", {})),
         output_dir=out_dir,
         output_format=out_format,
         sha256=sha256,

@@ -12,11 +12,8 @@ bracket sector, and what `--suite all` runs) is read from `Scenario.plan`,
 which `covham validate` has held to the step budget; the fixed counts,
 such as the parseval box, stay with their suites.
 
-Tolerances are all named.  The table of defaults and the one rule for
-overriding them (a known name and a finite number >= 0) live in
-`covham.scenario`, so the scenario's `tolerances` section, `covham run
---tol` and the `tolerances` argument of `run_verification` are checked
-alike.
+Tolerances are all named, in TOLERANCES, and fixed: they are the
+check contract, and each record states its own.
 """
 from __future__ import annotations
 
@@ -25,6 +22,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field as dc_field, replace
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -62,7 +60,34 @@ from .fields import family_pair
 from .green import green_oracle
 from .minkowski import on_shell_k
 from .position import parseval_check
-from .scenario import DEFAULT_TOLERANCES, Scenario, check_tolerances
+from .scenario import Scenario
+
+# every check's tolerance, by name and read-only: the check contract
+TOLERANCES = MappingProxyType({
+    "clifford": 1e-15,
+    "projector": 1e-12,
+    "shell_annihilation": 1e-10,
+    "roundtrip": 1e-12,
+    "gauge_invariance": 1e-12,
+    "hamilton_free": 1e-10,
+    "hamilton_sourced": 1e-6,
+    "gradient_fd": 1e-6,
+    "order_window": 0.4,
+    "causality": 0.0,
+    "mode_equation": 1e-6,
+    "superposition": 1e-12,
+    "segmented": 1e-12,
+    "exact_vs_simpson": 1e-8,
+    "parseval": 1e-6,
+    "antisymmetry": 1e-12,
+    "bilinearity": 1e-12,
+    "leibniz": 1e-10,
+    "jacobi": 1e-8,
+    "canonical_pair": 1e-12,
+    "conservation": 0.0,
+    "green_em": 0.05,
+    "green_scalar": 0.05,
+})
 
 
 @dataclass
@@ -462,15 +487,11 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_verification(s: Scenario, suite: str, seed: int = 0,
-                     tolerances: dict[str, float] | None = None) -> Report:
+def run_verification(s: Scenario, suite: str, seed: int = 0) -> Report:
     """Run one suite (or all applicable) and collect the report."""
     if suite != "all" and suite not in _SUITES:
         raise ValueError(
             f"unknown suite {suite!r}; choose from {SUITE_NAMES + ('all',)}")
-    merged = {**DEFAULT_TOLERANCES,
-              **check_tolerances({**s.tolerances, **(tolerances or {})})}
-
     names = s.plan.suites if suite == "all" else [suite]
 
     records: list[CheckRecord] = []
@@ -478,7 +499,7 @@ def run_verification(s: Scenario, suite: str, seed: int = 0,
     rng = np.random.default_rng(seed)
     for name in names:
         try:
-            _SUITES[name](s, rng, merged, records, tables)
+            _SUITES[name](s, rng, TOLERANCES, records, tables)
         except Exception as exc:  # noqa: BLE001 - suite isolation
             _fail(records, f"{name}/error", f"{type(exc).__name__}: {exc}")
     return Report(suite=suite, seed=seed, scenario_sha256=s.sha256,

@@ -70,6 +70,11 @@ class Worldline:
             if vec.shape != (3,):
                 raise ValueError(f"{name} must be a spatial 3-vector")
             object.__setattr__(self, name, vec)
+        # a NaN switch-on would leave the source inactive on every slice
+        for name in ("coupling", "position", "t_start", "tau_on", "beta",
+                     "radius", "omega", "phase0"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         takes = SHAPE_PARAMS[self.kind]
         for name in ("beta", "radius", "omega", "phase0"):
             if name not in takes and np.any(getattr(self, name)):

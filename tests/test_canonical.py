@@ -217,6 +217,12 @@ class TestCanonicalSplit:
         with pytest.raises(ValueError):
             CanonicalGauge(z=0.0 + 0.0j)
 
+    @pytest.mark.parametrize("z", [complex(np.nan, 0.0), complex(0.5, np.inf),
+                                   complex(-np.inf, 0.0)])
+    def test_gauge_non_finite_rejected(self, z):
+        with pytest.raises(ValueError, match="z must be finite"):
+            CanonicalGauge(z=z)
+
 
 X = np.array([1.2, 0.3, -0.4, 0.2])
 ROWS_CALLS = {

@@ -116,6 +116,14 @@ class TestSourceRate:
         with pytest.raises(ValueError, match="coupling spinors"):
             source_rate(SPINOR, [w], k, x0=1.0)
 
+    @pytest.mark.parametrize("x0", [np.nan, np.inf, -np.inf])
+    def test_non_finite_slice_rejected(self, x0):
+        # no source is active on a NaN slice: its rates read zero
+        w = static_worldline([0, 0, 0], coupling=1.0)
+        k = on_shell_k([0.3, -0.4, 0.5], 1.0)
+        with pytest.raises(ValueError, match="^x0 must be finite"):
+            source_rate(SCALAR, [w], k, x0=x0)
+
     def test_batched_matches_single(self):
         w = static_worldline([1.0, 0, 0], coupling=1.0)
         grid = build_mode_grid(kmax=1.0, n_per_axis=2, kappa=1.0)

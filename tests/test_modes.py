@@ -183,6 +183,22 @@ def test_k0_bounds_overflow_to_inf():
     assert k0_bounds(1e200, 4, 1.0)[1] == np.inf
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name, call", [
+    ("kmax", lambda v: build_mode_grid(v, 4, 1.0)),
+    ("kappa", lambda v: build_mode_grid(2.0, 4, v)),
+    ("kmax", lambda v: k0_bounds(v, 4, 1.0)),
+    ("kappa", lambda v: k0_bounds(2.0, 4, v)),
+    ("box_length", lambda v: box_mode_grid(v, [(1, 0, 0)], 1.0)),
+], ids=["grid-kmax", "grid-kappa", "bounds-kmax", "bounds-kappa",
+        "box_length"])
+def test_non_finite_scales_rejected_by_name(name, call, value):
+    # a NaN kmax or kappa dropped every node, an infinite kappa kept
+    # k0 = inf at weight 0, and a NaN box length made a mode
+    with pytest.raises(ValueError, match=f"^{name} must be .* finite"):
+        call(value)
+
+
 def _hand_built_grid(rng, n=40, kappa=0.8):
     """A grid whose k components are all distinct, built by hand."""
     k = on_shell_k(rng.uniform(-2.0, 2.0, size=(n, 3)), kappa)

@@ -261,6 +261,15 @@ class TestParseval:
     def test_empty_content_is_zero(self):
         assert parseval_check(SCALAR, 3.0, []) == 0.0
 
+    @pytest.mark.parametrize("span", [(0.5, 0.5), (0.7, 0.2), (0.0, np.nan),
+                                      (np.nan, 1.0), (0.0, np.inf),
+                                      (-np.inf, 1.0)])
+    def test_rejects_an_empty_or_non_finite_window(self, span):
+        # over an empty window both sides vanish: the check read 0.0
+        for entries in ([((1, 0, 0), 1.0 + 0j, 0.3j)], []):
+            with pytest.raises(ValueError, match="^x0_span must be finite"):
+                parseval_check(SCALAR, 2.0 * np.pi, entries, x0_span=span)
+
     @pytest.mark.parametrize("bad, name", [
         ({"n_t": 0}, "n_t"), ({"n_t": -1}, "n_t"), ({"n_t": 2.5}, "n_t"),
         ({"n_t": None}, "n_t"), ({"n_x": 0}, "n_x"), ({"n_x": -3}, "n_x"),

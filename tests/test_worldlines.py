@@ -114,6 +114,25 @@ def test_circular_stays_on_circle_and_in_plane():
         assert u[3] == 0.5 and udot[3] == 0.0
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name, make", [
+    ("coupling", lambda v: static_worldline([0.1, 0, 0], v)),
+    ("position", lambda v: static_worldline([0.1, v, 0], 1.0)),
+    ("t_start", lambda v: static_worldline([0.1, 0, 0], 1.0, t_start=v)),
+    ("tau_on", lambda v: static_worldline([0.1, 0, 0], 1.0, tau_on=v)),
+    ("beta", lambda v: uniform_worldline([0, 0, 0], [0.1, v, 0], 1.0)),
+    ("radius", lambda v: circular_worldline([0, 0, 0], v, 0.5, 1.0)),
+    ("omega", lambda v: circular_worldline([0, 0, 0], 1.0, v, 1.0)),
+    ("phase0", lambda v: circular_worldline([0, 0, 0], 1.0, 0.5, 1.0,
+                                            phase0=v)),
+])
+def test_non_finite_numbers_rejected_by_name(name, make, value):
+    # a NaN switch-on left the source inactive on every slice, so every
+    # rate read zero; a NaN beta or omega made gamma NaN
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        make(value)
+
+
 def test_superluminal_inputs_rejected():
     with pytest.raises(ValueError):
         uniform_worldline([0, 0, 0], [1.0, 0, 0], coupling=1.0)
